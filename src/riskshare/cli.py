@@ -49,30 +49,29 @@ def _vector(space, values, tol: float) -> dict:
     return {"value": vector_to(space, values), "tol": float(tol)}
 
 
+def _json_flag(flag: str, text: str, opener: str):
+    """A flag value that is inline JSON (starting with `opener`) or a path
+    to a JSON file."""
+    try:
+        if text.lstrip().startswith(opener):
+            return json.loads(text)
+        with open(text) as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise StructuralError(f"{flag} is not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise StructuralError(f"cannot read {flag}: {exc}") from exc
+
+
 def _loss(space, text: str):
-    """--loss takes an inline JSON object or a path to one."""
-    if text.lstrip().startswith("{"):
-        try:
-            mapping = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise StructuralError(f"--loss is not valid JSON: {exc}") from exc
-    else:
-        try:
-            with open(text) as fh:
-                mapping = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise StructuralError(f"cannot read loss vector: {exc}") from exc
+    mapping = _json_flag("--loss", text, "{")
     if not isinstance(mapping, dict):
         raise StructuralError("loss vector must be a label-keyed object")
     return space.rv_from_dict(mapping)
 
 
 def _endowments(space, text: str):
-    if text.lstrip().startswith("["):
-        rows = json.loads(text)
-    else:
-        with open(text) as fh:
-            rows = json.load(fh)
+    rows = _json_flag("--endowments", text, "[")
     if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
         raise StructuralError(
             "--endowments must be a JSON array of label-keyed objects")
@@ -409,8 +408,12 @@ def run(argv=None) -> int:
     text = json.dumps(document, indent=2, sort_keys=True,
                       allow_nan=False) + "\n"
     if args.output is not None:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write --output: {exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     return 0 if ok else 1

@@ -284,21 +284,16 @@ def _budget_optimum(r, phi, budget: float) -> float:
     """min { rho_i(Y) : phi(Y) >= budget } as one LP over the agent's
     supported profiles and security coefficients."""
     inc = r.support.included
-    ni = int(inc.sum())
-    Wm = r.acceptance.weight_matrix()
-    B = r.market.basis_matrix()
-    WB = Wm @ B
-    K = r.market.dim
-    J = Wm.shape[0]
-    c = np.concatenate([np.zeros(ni), r.market.prices])
-    rows = np.zeros((J + 1, ni + K))
-    rows[:J, :ni] = Wm[:, inc]
-    rows[:J, ni:] = -WB
-    rows[J, :ni] = -phi.weights[inc]
+    block = r.acceptance_block()
+    J, n = block.shape
+    c = np.concatenate([np.zeros(r.support.dim), r.market.prices])
+    budget_row = np.zeros(n)
+    budget_row[:r.support.dim] = -phi.weights[inc]
+    rows = np.vstack([block, budget_row])
     rhs = np.concatenate([r.acceptance.bounds, [-budget]])
     sol = linprog.solve(linprog.LpProblem(
         c=c, rows=rows, senses=[linprog.LE] * (J + 1), rhs=rhs,
-        lower=np.full(ni + K, -math.inf), upper=np.full(ni + K, math.inf)))
+        lower=np.full(n, -math.inf), upper=np.full(n, math.inf)))
     if sol.status == "unbounded":
         return -math.inf
     if sol.status == "infeasible":

@@ -307,63 +307,65 @@ def capital_requirement(s: AgentSystem, X: RandomVariable,
     if s.is_law_invariant:
         from . import lawinv
         return lawinv.law_invariant_sharing(s, X)
+    return _capital_requirement_lp(s, X, certify)
+
+
+def _sharing_lp(s: AgentSystem, target: np.ndarray, securities: bool = True,
+                lead: np.ndarray = None):
+    """The constraints common to every polyhedral sharing LP of `s`: each
+    agent's parts lie in its acceptance set, and the parts add up to
+    `target` scenario by scenario.
+
+    Columns: the `lead` columns (if any), then per agent i its supported
+    coordinates X_i[inc_i], then (with `securities`) its security
+    coefficients z_i.  Rows: the acceptance blocks
+    W_i[:, inc_i] | -W_i B_i  (<= bounds_i), block-diagonal in agent order,
+    then one equality row per scenario w with a 1 at every agent that holds
+    w, `lead[w]` in the lead columns, and right-hand side target[w].
+
+    Returns (rows, senses, rhs, starts), starts[i] being agent i's first
+    column.
+    """
     if not all(isinstance(r.acceptance, PolyhedralAcceptanceSet)
                for r in s.regimes):
         raise DomainError(
-            "mixed polyhedral / law-invariant systems are not supported; "
-            "systems must be uniformly one or the other"
+            "the sharing LP needs polyhedral acceptance sets; systems must "
+            "be uniformly polyhedral or law-invariant"
         )
-    return _capital_requirement_lp(s, X, certify)
+    blocks = [r.acceptance_block(securities) for r in s.regimes]
+    k = 0 if lead is None else lead.shape[1]
+    J = sum(b.shape[0] for b in blocks)
+    rows = np.zeros((J + s.space.size, k + sum(b.shape[1] for b in blocks)))
+    if lead is not None:
+        rows[J:, :k] = lead
+    starts, row, col = [], 0, k
+    for r, b in zip(s.regimes, blocks):
+        rows[row:row + b.shape[0], col:col + b.shape[1]] = b
+        held = np.flatnonzero(r.support.included)
+        rows[J + held, col + np.arange(held.size)] = 1.0
+        starts.append(col)
+        row += b.shape[0]
+        col += b.shape[1]
+    rhs = np.concatenate([r.acceptance.bounds for r in s.regimes] + [target])
+    return rows, [linprog.LE] * J + [linprog.EQ] * s.space.size, rhs, starts
+
+
+def _solve_free(c, rows, senses, rhs):
+    """minimize c.x subject to the rows, all variables free."""
+    n = len(c)
+    return linprog.solve(linprog.LpProblem(
+        c=c, rows=rows, senses=senses, rhs=rhs,
+        lower=np.full(n, -math.inf), upper=np.full(n, math.inf)))
 
 
 def _capital_requirement_lp(s, X, certify) -> SharingResult:
     space = s.space
     m = space.size
-    # variables: per agent, X_i on its included coords then z_i coefficients
-    offsets = []
-    widths = []
-    pos = 0
-    for r in s.regimes:
-        ni = r.support.dim
-        ki = r.market.dim
-        offsets.append(pos)
-        widths.append((ni, ki))
-        pos += ni + ki
-    ntot = pos
-
-    c = np.zeros(ntot)
-    rows = []
-    senses = []
-    rhs = []
-    for idx, r in enumerate(s.regimes):
-        ni, ki = widths[idx]
-        o = offsets[idx]
-        c[o + ni:o + ni + ki] = r.market.prices
-        W = r.acceptance.weight_matrix()
-        inc = r.support.included
-        WB = W @ r.market.basis_matrix()
-        for jrow in range(W.shape[0]):
-            row = np.zeros(ntot)
-            row[o:o + ni] = W[jrow, inc]
-            row[o + ni:o + ni + ki] = -WB[jrow]
-            rows.append(row)
-            senses.append(linprog.LE)
-            rhs.append(r.acceptance.bounds[jrow])
-    # aggregate rows, one per scenario
-    for w in range(m):
-        row = np.zeros(ntot)
-        for idx, r in enumerate(s.regimes):
-            inc = r.support.included
-            if inc[w]:
-                local = int(np.nonzero(np.nonzero(inc)[0] == w)[0][0])
-                row[offsets[idx] + local] = 1.0
-        rows.append(row)
-        senses.append(linprog.EQ)
-        rhs.append(X.values[w])
-
-    sol = linprog.solve(linprog.LpProblem(
-        c=c, rows=np.array(rows), senses=senses, rhs=np.array(rhs),
-        lower=np.full(ntot, -math.inf), upper=np.full(ntot, math.inf)))
+    rows, senses, rhs, starts = _sharing_lp(s, X.values)
+    c = np.zeros(rows.shape[1])
+    for r, o in zip(s.regimes, starts):
+        c[o + r.support.dim:o + r.support.dim + r.market.dim] = r.market.prices
+    sol = _solve_free(c, rows, senses, rhs)
 
     if sol.status == "infeasible":
         return SharingResult(value=RiskValue.infinite())
@@ -375,9 +377,8 @@ def _capital_requirement_lp(s, X, certify) -> SharingResult:
 
     parts = []
     payoff_vals = np.zeros(m)
-    for idx, r in enumerate(s.regimes):
-        ni, ki = widths[idx]
-        o = offsets[idx]
+    for r, o in zip(s.regimes, starts):
+        ni, ki = r.support.dim, r.market.dim
         xv = np.zeros(m)
         xv[r.support.included] = sol.primal[o:o + ni]
         parts.append(RandomVariable(space, xv))
@@ -413,46 +414,11 @@ def capital_requirement_payoff_form(s: AgentSystem, X: RandomVariable) -> RiskVa
     """inf { pi(Z) : Z in M, X - Z in A_+ }: the representative-agent form,
     solved as its own LP (used to cross-check the allocation form)."""
     _ensure_shareable(s)
-    space = s.space
-    m = space.size
     B, prices, _ = s.stacked_basis()
-    ktot = B.shape[1]
-    offsets = []
-    pos = ktot
-    for r in s.regimes:
-        offsets.append(pos)
-        pos += r.support.dim
-    ntot = pos
-    c = np.zeros(ntot)
-    c[:ktot] = prices
-    rows, senses, rhs = [], [], []
-    for idx, r in enumerate(s.regimes):
-        if not isinstance(r.acceptance, PolyhedralAcceptanceSet):
-            raise DomainError("payoff-form LP needs polyhedral acceptance sets")
-        W = r.acceptance.weight_matrix()
-        inc = r.support.included
-        o = offsets[idx]
-        ni = r.support.dim
-        for jrow in range(W.shape[0]):
-            row = np.zeros(ntot)
-            row[o:o + ni] = W[jrow, inc]
-            rows.append(row)
-            senses.append(linprog.LE)
-            rhs.append(r.acceptance.bounds[jrow])
-    for w in range(m):
-        row = np.zeros(ntot)
-        row[:ktot] = B[w]
-        for idx, r in enumerate(s.regimes):
-            inc = r.support.included
-            if inc[w]:
-                local = int(np.nonzero(np.nonzero(inc)[0] == w)[0][0])
-                row[offsets[idx] + local] = 1.0
-        rows.append(row)
-        senses.append(linprog.EQ)
-        rhs.append(X.values[w])
-    sol = linprog.solve(linprog.LpProblem(
-        c=c, rows=np.array(rows), senses=senses, rhs=np.array(rhs),
-        lower=np.full(ntot, -math.inf), upper=np.full(ntot, math.inf)))
+    rows, senses, rhs, _ = _sharing_lp(s, X.values, securities=False, lead=B)
+    c = np.zeros(rows.shape[1])
+    c[:B.shape[1]] = prices
+    sol = _solve_free(c, rows, senses, rhs)
     if sol.status == "infeasible":
         return RiskValue.infinite()
     if sol.status == "unbounded":
@@ -494,50 +460,14 @@ def pareto_from_payoff(s: AgentSystem, X: RandomVariable,
 def _acceptable_decomposition(s: AgentSystem, target: np.ndarray):
     """Y_i in A_i (inside supports) with sum = target, or None (an LP
     feasibility query for membership in the Minkowski sum A_+)."""
-    space = s.space
-    m = space.size
-    offsets, pos = [], 0
-    for r in s.regimes:
-        offsets.append(pos)
-        pos += r.support.dim
-    ntot = pos
-    rows, senses, rhs = [], [], []
-    for idx, r in enumerate(s.regimes):
-        o = offsets[idx]
-        ni = r.support.dim
-        inc = r.support.included
-        if isinstance(r.acceptance, PolyhedralAcceptanceSet):
-            W = r.acceptance.weight_matrix()
-            for jrow in range(W.shape[0]):
-                row = np.zeros(ntot)
-                row[o:o + ni] = W[jrow, inc]
-                rows.append(row)
-                senses.append(linprog.LE)
-                rhs.append(r.acceptance.bounds[jrow])
-        else:
-            raise DomainError("acceptable decomposition needs polyhedral sets")
-    for w in range(m):
-        row = np.zeros(ntot)
-        for idx, r in enumerate(s.regimes):
-            inc = r.support.included
-            if inc[w]:
-                local = int(np.nonzero(np.nonzero(inc)[0] == w)[0][0])
-                row[offsets[idx] + local] = 1.0
-        rows.append(row)
-        senses.append(linprog.EQ)
-        rhs.append(target[w])
-    sol = linprog.solve(linprog.LpProblem(
-        c=np.zeros(ntot), rows=np.array(rows), senses=senses,
-        rhs=np.array(rhs), lower=np.full(ntot, -math.inf),
-        upper=np.full(ntot, math.inf)))
+    rows, senses, rhs, starts = _sharing_lp(s, target, securities=False)
+    sol = _solve_free(np.zeros(rows.shape[1]), rows, senses, rhs)
     if sol.status != "optimal":
         return None
     out = []
-    for idx, r in enumerate(s.regimes):
-        o = offsets[idx]
-        ni = r.support.dim
-        y = np.zeros(m)
-        y[r.support.included] = sol.primal[o:o + ni]
+    for r, o in zip(s.regimes, starts):
+        y = np.zeros(s.space.size)
+        y[r.support.included] = sol.primal[o:o + r.support.dim]
         out.append(y)
     return out
 
@@ -659,44 +589,9 @@ def level_set_certificate(s: AgentSystem, X: RandomVariable, c: float,
     set identity L_c(Lambda) = c U + A_+ + ker(pi)."""
     B, prices, _ = s.stacked_basis()
     target = X.values - c * U.values
-    space = s.space
-    m = space.size
-    ktot = B.shape[1]
-    offsets, pos = [], ktot
-    for r in s.regimes:
-        offsets.append(pos)
-        pos += r.support.dim
-    ntot = pos
-    rows, senses, rhs = [], [], []
-    price_row = np.zeros(ntot)
-    price_row[:ktot] = prices
-    rows.append(price_row)
-    senses.append(linprog.EQ)
-    rhs.append(0.0)
-    for idx, r in enumerate(s.regimes):
-        W = r.acceptance.weight_matrix()
-        inc = r.support.included
-        o = offsets[idx]
-        ni = r.support.dim
-        for jrow in range(W.shape[0]):
-            row = np.zeros(ntot)
-            row[o:o + ni] = W[jrow, inc]
-            rows.append(row)
-            senses.append(linprog.LE)
-            rhs.append(r.acceptance.bounds[jrow])
-    for w in range(m):
-        row = np.zeros(ntot)
-        row[:ktot] = B[w]
-        for idx, r in enumerate(s.regimes):
-            inc = r.support.included
-            if inc[w]:
-                local = int(np.nonzero(np.nonzero(inc)[0] == w)[0][0])
-                row[offsets[idx] + local] = 1.0
-        rows.append(row)
-        senses.append(linprog.EQ)
-        rhs.append(target[w])
-    sol = linprog.solve(linprog.LpProblem(
-        c=np.zeros(ntot), rows=np.array(rows), senses=senses,
-        rhs=np.array(rhs), lower=np.full(ntot, -math.inf),
-        upper=np.full(ntot, math.inf)))
+    rows, senses, rhs, _ = _sharing_lp(s, target, securities=False, lead=B)
+    price_row = np.zeros(rows.shape[1])
+    price_row[:B.shape[1]] = prices
+    sol = _solve_free(np.zeros(rows.shape[1]), np.vstack([price_row, rows]),
+                      [linprog.EQ] + senses, np.concatenate([[0.0], rhs]))
     return sol.status == "optimal"

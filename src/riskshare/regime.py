@@ -347,6 +347,18 @@ class RiskMeasurementRegime:
     def is_law_invariant(self) -> bool:
         return isinstance(self.acceptance, LawInvariantAcceptanceSet)
 
+    def acceptance_block(self, securities: bool = True) -> np.ndarray:
+        """Acceptance rows of a polyhedral agent over its supported
+        coordinates, then (with `securities`) its security coefficients:
+        X - B z is acceptable iff  [W[:, inc] | -W B] @ (X[inc], z) <= bounds.
+        W B is the full product, not W[:, inc] B[inc], which can differ in
+        the last bit."""
+        W = self.acceptance.weight_matrix()
+        block = W[:, self.support.included]
+        if not securities:
+            return block
+        return np.hstack([block, -(W @ self.market.basis_matrix())])
+
 
 @dataclass
 class CheckResult:
@@ -538,21 +550,24 @@ def _rho_polyhedral(r, xvals) -> RhoResult:
 
 def _golden_min(g, x0: float, tol: float = SEARCH_TOL):
     """Minimize a convex scalar g: expand a bracket around x0, then run a
-    bounded golden/Brent search to the configured tolerance."""
+    bounded golden/Brent search to the configured tolerance.  If the
+    expansion on either side still descends when its step reaches 1e12,
+    the infimum is taken as unattained and the search refuses."""
     a, b = x0 - 1.0, x0 + 1.0
     fa, f0, fb = g(a), g(x0), g(b)
-    step = 2.0
-    while fa < f0 and step < 1e12:
-        a -= step
-        fa = g(a)
-        step *= 2.0
-    step = 2.0
-    while fb < f0 and step < 1e12:
-        b += step
-        fb = g(b)
-        step *= 2.0
-    if step >= 1e12:
-        raise NumericalFailure("one-dimensional search failed to bracket")
+
+    def expand(x, fx, sign):
+        step = 2.0
+        while fx < f0 and step < 1e12:
+            x += sign * step
+            fx = g(x)
+            step *= 2.0
+        if step >= 1e12:
+            raise NumericalFailure("one-dimensional search failed to bracket")
+        return x
+
+    a = expand(a, fa, -1.0)
+    b = expand(b, fb, 1.0)
     res = optimize.minimize_scalar(g, bounds=(a, b), method="bounded",
                                    options={"xatol": tol})
     return float(res.x), float(res.fun)
@@ -735,22 +750,14 @@ def conjugate(r: RiskMeasurementRegime, phi: Functional) -> RiskValue:
 
 
 def _conjugate_polyhedral(r, phi) -> RiskValue:
-    acc = r.acceptance
-    mkt = r.market
+    # maximize phi(X) - prices.z  over X on the supported coords and z
     inc = r.support.included
-    n_in = int(inc.sum())
-    W = acc.weight_matrix()[:, inc]
-    B = mkt.basis_matrix()
-    WB = acc.weight_matrix() @ B
-    K = mkt.dim
-    J = W.shape[0]
-    # variables: X on included coords (free), w (free)
-    # maximize phi(X) - prices.w   s.t.  W X - WB w <= bounds
-    c = np.concatenate([-phi.weights[inc], mkt.prices])
-    rows = np.hstack([W, -WB])
+    rows = r.acceptance_block()
+    J, n = rows.shape
+    c = np.concatenate([-phi.weights[inc], r.market.prices])
     sol = linprog.solve(linprog.LpProblem(
-        c=c, rows=rows, senses=[linprog.LE] * J, rhs=acc.bounds.copy(),
-        lower=np.full(n_in + K, -math.inf), upper=np.full(n_in + K, math.inf)))
+        c=c, rows=rows, senses=[linprog.LE] * J, rhs=r.acceptance.bounds.copy(),
+        lower=np.full(n, -math.inf), upper=np.full(n, math.inf)))
     if sol.status == "unbounded":
         return RiskValue.infinite()
     if sol.status == "infeasible":

@@ -106,6 +106,12 @@ class RandomVariable:
             raise StructuralError(
                 f"expected {self.space.size} values, got shape {values.shape}"
             )
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise StructuralError(
+                f"non-finite value {float(values[bad[0]])} at scenario "
+                f"{self.space.labels[bad[0]]!r}"
+            )
 
     # Light arithmetic so tests and callers can assemble profiles naturally.
     def __add__(self, other):

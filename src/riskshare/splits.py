@@ -304,14 +304,12 @@ def _support_value(r, phi0) -> RiskValue:
     """sup { phi0(Y) : Y in the acceptance set }, ignoring the agent's
     securities (they enter through price consistency, reported apart)."""
     if isinstance(r.acceptance, PolyhedralAcceptanceSet):
-        inc = r.support.included
-        Wm = r.acceptance.weight_matrix()[:, inc]
+        block = r.acceptance_block(securities=False)
+        J, n = block.shape
         sol = linprog.solve(linprog.LpProblem(
-            c=-phi0.weights[inc], rows=Wm,
-            senses=[linprog.LE] * Wm.shape[0],
-            rhs=r.acceptance.bounds.copy(),
-            lower=np.full(int(inc.sum()), -math.inf),
-            upper=np.full(int(inc.sum()), math.inf)))
+            c=-phi0.weights[r.support.included], rows=block,
+            senses=[linprog.LE] * J, rhs=r.acceptance.bounds.copy(),
+            lower=np.full(n, -math.inf), upper=np.full(n, math.inf)))
         if sol.status == "unbounded":
             return RiskValue.infinite()
         return RiskValue.finite(-sol.objective_value)

@@ -196,3 +196,22 @@ def test_validate_seed_changes_probes_not_verdict(capsys):
     assert code0 == code1 == 0
     assert doc0["outputs"]["nsa"] == doc1["outputs"]["nsa"]
     assert doc0["flags"]["seed"] == 0 and doc1["flags"]["seed"] == 123
+
+
+@pytest.mark.parametrize("argv, says", [
+    (["equilibrium", WORKED, "--endowments", '[{"a":1'], "not valid JSON"),
+    (["equilibrium", WORKED, "--endowments", "/missing.json"], "cannot read"),
+    (["lambda", WORKED, "--loss", LOSS, "--output", "/no/such/dir/out.json"],
+     "cannot write"),
+    (["lambda", WORKED, "--loss", '{"a": NaN, "b": 5, "c": 6}'],
+     "scenario 'a'"),
+    (["lambda", WORKED, "--loss", '{"a": 4, "b": Infinity, "c": 6}'],
+     "scenario 'b'"),
+], ids=["bad_endowments_json", "missing_endowments_file",
+        "unwritable_output", "nan_loss", "infinite_loss"])
+def test_bad_flag_values_are_typed_refusals(argv, says, capsys):
+    code, doc, err = _run(capsys, *argv)
+    assert code == 1
+    assert doc is None
+    assert err.startswith("error:") and says in err
+    assert "Traceback" not in err

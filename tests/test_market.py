@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from riskshare.market import (
     shift_allocation,
     validate_star,
 )
+from riskshare.problemfile import load_problem
 from riskshare.regime import (
     PolyhedralAcceptanceSet,
     RiskMeasurementRegime,
@@ -451,3 +454,77 @@ def test_level_set_certificate(overlap_system):
     assert level_set_certificate(s, X, 8.0, U)
     assert level_set_certificate(s, X, 8.5, U)
     assert not level_set_certificate(s, X, 7.5, U)
+
+
+# ---------------------------------------------------------------------------
+# layout of the sharing LP
+# ---------------------------------------------------------------------------
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def test_sharing_lp_layout(monkeypatch):
+    pd = load_problem(FIXTURES / "overlap_ceilings.json")
+    s = pd.system()
+    X = pd.space.rv_from_dict({"a": 4, "b": 5, "c": 6})
+    nsa_check(s)                        # cached: only the sharing LP remains
+    captured = []
+    solve = linprog.solve
+
+    def capture(problem):
+        captured.append(problem)
+        return solve(problem)
+
+    monkeypatch.setattr(linprog, "solve", capture)
+    capital_requirement(s, X, certify=False)
+    assert len(captured) == 1
+    lp = captured[0]
+
+    m = s.space.size
+    Js = [r.acceptance.weight_matrix().shape[0] for r in s.regimes]
+    assert lp.rows.shape[0] == sum(Js) + m
+    assert lp.senses == [linprog.LE] * sum(Js) + [linprog.EQ] * m
+    assert np.all(np.isneginf(lp.lower)) and np.all(np.isposinf(lp.upper))
+
+    # per agent: its supported coordinates, then its security coefficients
+    col, row = 0, 0
+    owner = {}                          # scenario -> LP columns holding it
+    for r, J in zip(s.regimes, Js):
+        inc = np.flatnonzero(r.support.included)
+        ni, ki = len(inc), r.market.dim
+        W = r.acceptance.weight_matrix()
+        block = lp.rows[row:row + J]
+        np.testing.assert_array_equal(block[:, col:col + ni], W[:, inc])
+        np.testing.assert_array_equal(block[:, col + ni:col + ni + ki],
+                                      -(W @ r.market.basis_matrix()))
+        assert not np.any(block[:, :col]) and not np.any(block[:, col + ni + ki:])
+        np.testing.assert_array_equal(lp.rhs[row:row + J], r.acceptance.bounds)
+        np.testing.assert_array_equal(lp.c[col:col + ni], 0.0)
+        np.testing.assert_array_equal(lp.c[col + ni:col + ni + ki],
+                                      r.market.prices)
+        for local, w in enumerate(inc):
+            owner.setdefault(int(w), []).append(col + local)
+        col += ni + ki
+        row += J
+    assert lp.rows.shape[1] == col
+
+    # one 0/1 row per scenario, with ones at the agents holding it
+    agg = lp.rows[row:]
+    assert set(np.unique(agg)) <= {0.0, 1.0}
+    for w in range(m):
+        np.testing.assert_array_equal(np.flatnonzero(agg[w]), owner[w])
+    assert len(owner[pd.space.index("b")]) == 2
+    np.testing.assert_array_equal(lp.rhs[-m:], X.values)
+
+
+@pytest.mark.parametrize("query", [
+    lambda s, X: capital_requirement_payoff_form(s, X),
+    lambda s, X: level_set_certificate(s, X, 1.0, X.space.rv(np.ones(2))),
+    lambda s, X: market._acceptable_decomposition(s, X.values),
+], ids=["payoff_form", "level_set", "decomposition"])
+def test_sharing_lps_refuse_law_invariant_systems(query):
+    pd = load_problem(FIXTURES / "entropic_pair.json")
+    s = pd.system()
+    X = pd.space.rv(np.zeros(pd.space.size))
+    with pytest.raises(DomainError, match="polyhedral"):
+        query(s, X)

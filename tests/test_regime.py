@@ -11,7 +11,7 @@ from helpers import (
     point_eval,
     three_space,
 )
-from riskshare.errors import DomainError, StructuralError
+from riskshare.errors import DomainError, NumericalFailure, StructuralError
 from riskshare.regime import (
     AVAR,
     ENTROPIC,
@@ -328,3 +328,16 @@ def test_fenchel_inequality_random_functionals():
             rstar = conjugate(r, phi)
             if rstar.is_finite:
                 assert phi(X) - rstar.value <= rho(r, X).value.value + 1e-8
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_unattained_kernel_infimum_is_refused_on_either_side(sign):
+    # X = 0 with cash and a zero-price payoff on one scenario: driving the
+    # kernel coefficient to -inf or +inf lowers the entropic requirement
+    # toward -log 2 without attaining it, so both signs must refuse
+    space = ScenarioSpace.uniform(["a", "b"])
+    market = SecurityMarket(
+        (space.rv([1.0, 1.0]), space.rv([sign, 0.0])), np.array([1.0, 0.0]))
+    r = law_invariant_regime(space, ENTROPIC, 1.0, market=market)
+    with pytest.raises(NumericalFailure):
+        rho(r, space.rv([0.0, 0.0]))

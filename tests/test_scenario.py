@@ -52,6 +52,13 @@ def test_expectation_space_mismatch():
         expectation(Functional(a, [1, 1]), b.rv([1, 2]))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_values_rejected_naming_scenario(bad):
+    sp = ScenarioSpace.uniform(["a", "b", "c"])
+    with pytest.raises(StructuralError, match="scenario 'b'"):
+        sp.rv([1.0, bad, 3.0])
+
+
 def test_sort_descending_examples():
     sp = ScenarioSpace.uniform(["a", "b", "c"])
     vals, perm = sort_descending(sp.rv([1, 2, 3]))

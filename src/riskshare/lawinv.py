@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import logsumexp
 
 from . import linprog
@@ -43,11 +42,20 @@ from .regime import (
     LawInvariantAcceptanceSet,
     RiskValue,
     ValidationReport,
+    _cap_fill,
+    _coordinate_descent,
     _golden_min,
+    _level_boundary,
+    _relative_entropy,
     base_risk,
     rho,
 )
-from .scenario import Functional, RandomVariable, ScenarioSpace
+from .scenario import (
+    Functional,
+    RandomVariable,
+    ScenarioSpace,
+    _lower_quantile,
+)
 
 __all__ = [
     "ComonotoneSplit",
@@ -171,16 +179,10 @@ def _grouped(measures):
 
 def _avar_density(beta: float, probs, values) -> np.ndarray:
     """The maximizing density of AVaR: cap mass on the worst scenarios."""
-    cap = 1.0 / (1.0 - beta)
     order = np.argsort(-np.asarray(values, dtype=float), kind="stable")
-    q = np.zeros(len(values))
-    remaining = 1.0
-    for i in order:
-        take = min(cap * probs[i], remaining)
-        q[i] = take / probs[i]
-        remaining -= take
-        if remaining <= 1e-16:
-            break
+    p = probs[order]
+    q = np.empty(len(values))
+    q[order] = _cap_fill(p / (1.0 - beta)) / p
     return q
 
 
@@ -223,11 +225,6 @@ def _clipped_density(gamma: float, cap: float, probs, values, target: float):
     return q, logc
 
 
-def _entropy(probs, q) -> float:
-    mask = q > 0
-    return float(np.sum(probs[mask] * q[mask] * np.log(q[mask])))
-
-
 def _mixed_dual(gamma: float, cap: float, probs, values):
     """Value, density and clip threshold of the entropic/AVaR convolution:
     sup { E[qW] - H(q|P)/gamma : 0 <= q <= cap, E[q] = 1 }."""
@@ -236,16 +233,9 @@ def _mixed_dual(gamma: float, cap: float, probs, values):
     q, logc = _clipped_density(gamma, cap, probs, values, 1.0)
     order = np.argsort(-values, kind="stable")
     v, p, qs = values[order], probs[order], q[order]
-    value = float(p @ (qs * v)) - _entropy(p, qs) / gamma
+    value = float(p @ (qs * v)) - _relative_entropy(p, qs) / gamma
     zeta = (math.log(cap) - logc) / gamma
     return value, q, zeta
-
-
-def _quantile(probs, values, level: float) -> float:
-    order = np.argsort(values, kind="stable")
-    cum = np.cumsum(probs[order])
-    idx = min(int(np.searchsorted(cum, level - 1e-12)), len(values) - 1)
-    return float(values[order][idx])
 
 
 def convolution_value(measures, probs, values):
@@ -291,7 +281,7 @@ def convolution_split(measures, probs, values):
         if n == 1:
             split = _proportional_split(1, {0: 1.0})
         else:
-            zeta = _quantile(probs, values, beta)
+            zeta = _lower_quantile(probs, values, beta)
             others = [i for i, _ in av if i != tail]
             split = _stop_loss_split(n, zeta, tail, others[0])
     else:
@@ -457,17 +447,10 @@ def _greedy_cap_max(g, probs, cap, target) -> float:
     """max sum p g q over 0 <= q <= cap, sum p q = target (fractional
     knapsack; this is the exact LP optimum)."""
     order = np.argsort(-g, kind="stable")
-    remaining = target
-    val = 0.0
-    for i in order:
-        take = min(cap * probs[i], remaining)
-        val += g[i] * take
-        remaining -= take
-        if remaining <= 1e-16:
-            break
-    if remaining > 1e-12:
+    take = _cap_fill(cap * probs[order], target)
+    if target - take.sum() > 1e-12:
         raise InternalInconsistency("dual box cannot carry the target mass")
-    return val
+    return float(take @ g[order])
 
 
 def avar_entropic_sharing(beta: float, gamma: float, a_labels, qstar_a: float,
@@ -507,7 +490,7 @@ def avar_entropic_sharing(beta: float, gamma: float, a_labels, qstar_a: float,
                                   qstar_a)
     q[~mask], _ = _clipped_density(gamma, cap, probs[~mask], X.values[~mask],
                                    1.0 - qstar_a)
-    value = float(probs @ (q * X.values)) - _entropy(probs, q) / gamma
+    value = float(probs @ (q * X.values)) - _relative_entropy(probs, q) / gamma
 
     # supergradient certificate: no feasible density improves the
     # linearized objective
@@ -532,8 +515,11 @@ def avar_entropic_sharing(beta: float, gamma: float, a_labels, qstar_a: float,
         raise InternalInconsistency(
             f"kernel feasibility interval is empty (min residual {h0:.2e})"
         )
-    s_lo = _level_boundary(h, s0, -1.0)
-    s_hi = _level_boundary(h, s0, +1.0)
+    s_lo = _level_boundary(h, s0, -1.0, tol=0.0)
+    s_hi = _level_boundary(h, s0, +1.0, tol=0.0)
+    if s_lo is None or s_hi is None:
+        raise NumericalFailure(
+            "feasibility interval endpoint escaped the search range")
     s_star = 0.5 * (s_lo + s_hi)
     if h(s_star) > CERT_TOL:
         raise InternalInconsistency("midpoint left the feasibility interval")
@@ -571,27 +557,6 @@ def avar_entropic_sharing(beta: float, gamma: float, a_labels, qstar_a: float,
         r_star=r_star, parts=parts, acceptable_parts=acc_parts,
         securities=(sec1, sec2), security_prices=prices, dual_density=q,
         split=split, certificates=certs)
-
-
-def _level_boundary(h, inside: float, direction: float) -> float:
-    """March from a feasible point until h > 0, then bracket the boundary
-    of {h <= 0}."""
-    if h(inside) > 0:
-        return inside
-    step = 1.0
-    prev = inside
-    nxt = inside + direction * step
-    while h(nxt) <= 0.0:
-        prev = nxt
-        step *= 2.0
-        nxt = inside + direction * step
-        if abs(nxt) > 1e9:
-            raise NumericalFailure(
-                "feasibility interval endpoint escaped the search range"
-            )
-    if h(prev) >= 0.0:
-        return prev
-    return float(brentq(h, min(prev, nxt), max(prev, nxt), xtol=1e-12))
 
 
 # ----------------------------------------------------------------------
@@ -710,29 +675,6 @@ class LawInvariantSharingResult:
     certificates: dict = field(default_factory=dict)
 
 
-def _coordinate_descent(objective, k: int, tol: float = 1e-10,
-                        max_cycles: int = 300) -> np.ndarray:
-    t = np.zeros(k)
-    if k == 0:
-        return t
-    best = objective(t)
-    for _ in range(max_cycles):
-        moved = 0.0
-        for j in range(k):
-            def g(v, j=j):
-                tt = t.copy()
-                tt[j] = v
-                return objective(tt)
-            xj, fj = _golden_min(g, t[j], tol)
-            if fj < best:
-                moved = max(moved, abs(xj - t[j]))
-                t[j] = xj
-                best = fj
-        if moved < 1e-9:
-            return t
-    raise NumericalFailure("security coordinate descent did not converge")
-
-
 def _lp_kernel_search(measures, probs, X, D, p):
     """Pure AVaR/expectation systems: the requirement is a linear program
     in the cash layer, kernel coefficients and tail-average auxiliaries."""
@@ -810,7 +752,7 @@ def law_invariant_requirement(prob: LawInvariantProblem,
         def objective(t):
             return convolution_value(prob.measures, probs,
                                      X.values - D @ t)[0]
-        t_star = _coordinate_descent(objective, k)
+        t_star, _ = _coordinate_descent(objective, k)
     else:
         t_star = _lp_kernel_search(prob.measures, probs, X.values, D, prob.p)
 

@@ -16,14 +16,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import market
 from .errors import DomainError, GridRefusal, StructuralError
 from .regime import (
-    AVAR,
-    ENTROPIC,
-    EXPECTATION,
     LawInvariantAcceptanceSet,
     PolyhedralAcceptanceSet,
     RiskValue,
@@ -116,33 +112,12 @@ def _batch_requirement(r, rows: np.ndarray) -> np.ndarray:
     if isinstance(r.acceptance, LawInvariantAcceptanceSet):
         unit_price = _cash_only(r)
         if unit_price is not None:
-            acc = r.acceptance
-            probs = r.space.probs
-            if acc.kind == ENTROPIC:
-                a = acc.param
-                xi = logsumexp(a * rows + np.log(probs), axis=1) / a
-            elif acc.kind == EXPECTATION:
-                xi = rows @ probs
-            else:
-                xi = _batch_avar(acc.param, probs, rows)
-            return unit_price * xi
+            return unit_price * r.acceptance.xi(r.space.probs, rows)
     out = np.empty(rows.shape[0])
     for k in range(rows.shape[0]):
         v = rho(r, RandomVariable(r.space, rows[k])).value
         out[k] = v.as_float() if v.is_finite else math.inf
     return out
-
-
-def _batch_avar(beta: float, probs: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Tail expectation above the beta-quantile, row by row: the quantile
-    keeps total mass 1 - beta in the tail, fractionally at the boundary."""
-    order = np.argsort(rows, axis=1)[:, ::-1]
-    vals = np.take_along_axis(rows, order, axis=1)
-    p = probs[order]
-    tail = 1.0 - beta
-    cum = np.cumsum(p, axis=1)
-    weight = np.minimum(p, np.maximum(tail - (cum - p), 0.0))
-    return (weight * vals).sum(axis=1) / tail
 
 
 # ----------------------------------------------------------------------

@@ -26,7 +26,13 @@ from scipy.special import logsumexp
 
 from . import linprog
 from .errors import DomainError, NumericalFailure, StructuralError
-from .scenario import Functional, RandomVariable, ScenarioSpace, SupportMask
+from .scenario import (
+    Functional,
+    RandomVariable,
+    ScenarioSpace,
+    SupportMask,
+    _check_finite,
+)
 
 __all__ = [
     "RiskValue",
@@ -105,6 +111,7 @@ class PolyhedralAcceptanceSet:
             raise StructuralError("polyhedral acceptance set needs >= 1 functional")
         if bs.shape != (len(fs),):
             raise StructuralError("one bound per functional required")
+        _check_finite("bound", bs, "functional", range(len(fs)))
         space = fs[0].space
         for f in fs[1:]:
             if f.space is not space and f.space.labels != space.labels:
@@ -152,7 +159,8 @@ class LawInvariantAcceptanceSet:
         if self.kind == AVAR and not 0.0 < self.param < 1.0:
             raise StructuralError("avar level must lie in (0, 1)")
 
-    def xi(self, probs: np.ndarray, values: np.ndarray) -> float:
+    def xi(self, probs: np.ndarray, values: np.ndarray):
+        """xi of one profile (a float) or of each row of a batch."""
         return base_risk(self.kind, self.param, probs, values)
 
     def xi_conjugate(self, probs: np.ndarray, density: np.ndarray) -> RiskValue:
@@ -167,25 +175,41 @@ class LawInvariantAcceptanceSet:
         return math.inf
 
 
-def base_risk(kind: str, param: float, probs, values) -> float:
+def base_risk(kind: str, param: float, probs, values):
+    """xi of the loss profile along the last axis of `values`: a float for
+    one profile, an array with one value per row for a batch."""
     # evaluation happens in canonical (descending-value) order so that
     # probability-preserving permutations leave the result bitwise unchanged
     probs = np.asarray(probs, dtype=float)
     values = np.asarray(values, dtype=float)
-    order = np.argsort(-values, kind="stable")
-    v, p = values[order], probs[order]
+    order = np.argsort(-values, axis=-1, kind="stable")
+    v, p = np.take_along_axis(values, order, axis=-1), probs[order]
     if kind == ENTROPIC:
-        return float(logsumexp(param * v, b=p) / param)
-    if kind == AVAR:
-        # greedy mass filling: worst scenarios first, each contributing at
-        # most probs/(1-beta) of the unit dual mass
-        caps = p / (1.0 - param)
-        take = np.minimum(caps, np.maximum(0.0, 1.0 - np.concatenate(
-            ([0.0], np.cumsum(caps)[:-1]))))
-        return float(take @ v)
-    if kind == EXPECTATION:
-        return float(p @ v)
-    raise StructuralError(f"unknown kind {kind!r}")
+        out = logsumexp(param * v, b=p, axis=-1) / param
+    elif kind == AVAR:
+        # worst scenarios first, each contributing at most probs/(1-beta)
+        # of the unit dual mass
+        out = np.vecdot(_cap_fill(p / (1.0 - param)), v)
+    elif kind == EXPECTATION:
+        out = np.vecdot(p, v)
+    else:
+        raise StructuralError(f"unknown kind {kind!r}")
+    return float(out) if values.ndim == 1 else out
+
+
+def _cap_fill(caps, mass: float = 1.0) -> np.ndarray:
+    """Greedy mass filling along the last axis: box i takes as much of
+    `mass` as is left after the boxes before it, at most caps[i]."""
+    caps = np.asarray(caps, dtype=float)
+    before = np.concatenate([np.zeros(caps.shape[:-1] + (1,)),
+                             np.cumsum(caps, axis=-1)[..., :-1]], axis=-1)
+    return np.minimum(caps, np.maximum(0.0, mass - before))
+
+
+def _relative_entropy(probs, q) -> float:
+    """H(Q|P) = E[q log q] of a density q >= 0, with 0 log 0 = 0."""
+    mask = q > 0
+    return float(np.sum(probs[mask] * q[mask] * np.log(q[mask])))
 
 
 def base_risk_conjugate(kind: str, param: float, probs, density) -> RiskValue:
@@ -196,9 +220,7 @@ def base_risk_conjugate(kind: str, param: float, probs, density) -> RiskValue:
         return RiskValue.infinite()
     q = np.maximum(q, 0.0)
     if kind == ENTROPIC:
-        mask = q > 0
-        h = float(np.sum(probs[mask] * q[mask] * np.log(q[mask])))
-        return RiskValue.finite(h / param)
+        return RiskValue.finite(_relative_entropy(probs, q) / param)
     if kind == AVAR:
         if np.max(q) <= 1.0 / (1.0 - param) + 1e-9:
             return RiskValue.finite(0.0)
@@ -230,6 +252,7 @@ class SecurityMarket:
             raise StructuralError("security market needs >= 1 basis payoff")
         if prices.shape != (len(basis),):
             raise StructuralError("one price per basis payoff required")
+        _check_finite("price", prices, "basis payoff", range(len(basis)))
         B = self.basis_matrix()
         if np.linalg.matrix_rank(B, tol=1e-10 * max(1.0, np.abs(B).max())) < len(basis):
             raise StructuralError("security basis payoffs are linearly dependent")
@@ -613,35 +636,13 @@ def _rho_law_invariant(r, xvals) -> RhoResult:
         # xi(X - t U - D eta) = 0  (U strictly positive makes it decreasing)
         U = B @ w_u
         Dk = linprog.null_space(mkt.prices.reshape(1, -1))   # price-0 coeffs
-        kd = Dk.shape[1]
 
         def t_star(eta):
-            resid = xvals - (B @ (Dk @ eta) if kd else 0.0)
+            resid = xvals - B @ (Dk @ eta)
             return _root_decreasing(lambda t: xi(resid - t * U))
 
-        eta = np.zeros(kd)
-        if kd == 0:
-            t = t_star(eta)
-        else:
-            best = t_star(eta)
-            for _ in range(200):
-                improved = False
-                for j in range(kd):
-                    def g(s, j=j):
-                        e = eta.copy()
-                        e[j] = s
-                        return t_star(e)
-                    sj, fj = _golden_min(g, eta[j])
-                    if fj < best - 1e-14:
-                        improved = True
-                    eta[j] = sj
-                    best = fj
-                if not improved:
-                    break
-            else:
-                raise NumericalFailure("coordinate descent did not converge")
-            t = best
-        w = t * w_u + (Dk @ eta if kd else 0.0)
+        eta, t = _coordinate_descent(t_star, Dk.shape[1])
+        w = t * w_u + Dk @ eta
         return RhoResult(value=RiskValue.finite(t), security=mkt.payoff(w),
                          coefficients=w)
 
@@ -660,7 +661,7 @@ def _rho_law_invariant(r, xvals) -> RhoResult:
                              security=mkt.payoff([w_f]),
                              coefficients=np.array([w_f]))
         direction = -1.0 if p0 > 0 else 1.0    # toward cheaper coefficients
-        w_edge = _march_to_boundary(g, w_f, direction)
+        w_edge = _level_boundary(g, w_f, direction)
         if w_edge is None:
             return RhoResult(value=None, status="unbounded")
         return RhoResult(value=RiskValue.finite(p0 * w_edge),
@@ -694,11 +695,12 @@ def _find_feasible_1d(g, tol: float = 1e-12):
     return None
 
 
-def _march_to_boundary(g, w_f: float, direction: float, tol: float = 1e-12):
-    """Walk from a feasible point toward `direction` until g turns positive,
-    then bisect to the boundary of {g <= 0}.  None if that side is unbounded."""
+def _level_boundary(g, inside: float, direction: float, tol: float = 1e-12):
+    """Walk from a point of {g <= tol} toward `direction` until g turns
+    positive, then bisect to the boundary of that set.  None if that side
+    is unbounded."""
     step = 1.0
-    w = w_f
+    w = inside
     while g(w + direction * step) <= tol:
         w += direction * step
         step *= 2.0
@@ -713,6 +715,28 @@ def _march_to_boundary(g, w_f: float, direction: float, tol: float = 1e-12):
     if fa * fb < 0:
         return float(optimize.brentq(g, a, b, xtol=1e-13, rtol=8.9e-16))
     return w    # boundary within tolerance of the last feasible probe
+
+
+def _coordinate_descent(objective, k: int):
+    """Minimize a convex objective over R^k one coordinate at a time with
+    golden searches, starting from 0.  A move is taken only when it lowers
+    the objective; the descent stops after a cycle that lowers it by no
+    more than 1e-14.  Returns (minimizer, minimum)."""
+    t = np.zeros(k)
+    best = objective(t)
+    for _ in range(300):
+        start = best
+        for j in range(k):
+            def g(s, j=j):
+                e = t.copy()
+                e[j] = s
+                return objective(e)
+            sj, fj = _golden_min(g, t[j])
+            if fj < best:
+                t[j], best = sj, fj
+        if best >= start - 1e-14:
+            return t, best
+    raise NumericalFailure("coordinate descent did not converge")
 
 
 # ----------------------------------------------------------------------

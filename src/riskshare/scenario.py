@@ -45,6 +45,7 @@ class ScenarioSpace:
             raise StructuralError("scenario space needs at least one scenario")
         if probs.shape != (len(labels),):
             raise StructuralError("one probability per label required")
+        _check_finite("probability", probs, "scenario", labels)
         if np.any(probs <= 0.0):
             raise StructuralError("all probabilities must be strictly positive")
         if abs(probs.sum() - 1.0) > 1e-12:
@@ -74,7 +75,12 @@ class ScenarioSpace:
     def rv_from_dict(self, mapping) -> "RandomVariable":
         vals = np.zeros(self.size)
         for label, v in mapping.items():
-            vals[self.index(label)] = float(v)
+            i = self.index(label)
+            try:
+                vals[i] = float(v)
+            except (TypeError, ValueError):
+                raise StructuralError(
+                    f"non-numeric value {v!r} at scenario {label!r}") from None
         return RandomVariable(self, vals)
 
     def indicator(self, labels) -> "RandomVariable":
@@ -82,6 +88,17 @@ class ScenarioSpace:
         for label in labels:
             vals[self.index(label)] = 1.0
         return RandomVariable(self, vals)
+
+
+def _check_finite(field_name: str, values: np.ndarray, item: str,
+                  names) -> None:
+    """Refuse NaN or +-inf in a vector, naming the first offending entry
+    as `item names[i]`."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise StructuralError(
+            f"non-finite {field_name} {float(values[bad[0]])} at {item} "
+            f"{names[bad[0]]!r}")
 
 
 def _check_same_space(a, b):
@@ -106,12 +123,7 @@ class RandomVariable:
             raise StructuralError(
                 f"expected {self.space.size} values, got shape {values.shape}"
             )
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            raise StructuralError(
-                f"non-finite value {float(values[bad[0]])} at scenario "
-                f"{self.space.labels[bad[0]]!r}"
-            )
+        _check_finite("value", values, "scenario", self.space.labels)
 
     # Light arithmetic so tests and callers can assemble profiles naturally.
     def __add__(self, other):
@@ -156,6 +168,7 @@ class Functional:
         object.__setattr__(self, "density", density)
         if density.shape != (self.space.size,):
             raise StructuralError("functional density has wrong length")
+        _check_finite("density", density, "scenario", self.space.labels)
 
     @property
     def weights(self) -> np.ndarray:
@@ -234,8 +247,12 @@ def lower_quantile(X: RandomVariable, level: float) -> float:
     """Smallest value v with P(X <= v) >= level."""
     if not 0.0 < level <= 1.0:
         raise StructuralError("quantile level must lie in (0, 1]")
-    order = np.argsort(X.values, kind="stable")
-    cum = np.cumsum(X.space.probs[order])
-    idx = int(np.searchsorted(cum, level - 1e-12))
-    idx = min(idx, X.space.size - 1)
-    return float(X.values[order][idx])
+    return _lower_quantile(X.space.probs, X.values, level)
+
+
+def _lower_quantile(probs, values, level: float) -> float:
+    """lower_quantile on a probability vector and a value vector."""
+    order = np.argsort(values, kind="stable")
+    cum = np.cumsum(probs[order])
+    idx = min(int(np.searchsorted(cum, level - 1e-12)), len(values) - 1)
+    return float(values[order][idx])

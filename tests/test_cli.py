@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -207,11 +208,38 @@ def test_validate_seed_changes_probes_not_verdict(capsys):
      "scenario 'a'"),
     (["lambda", WORKED, "--loss", '{"a": 4, "b": Infinity, "c": 6}'],
      "scenario 'b'"),
+    (["lambda", WORKED, "--loss", '{"a": "x", "b": 5, "c": 6}'],
+     "scenario 'a'"),
 ], ids=["bad_endowments_json", "missing_endowments_file",
-        "unwritable_output", "nan_loss", "infinite_loss"])
+        "unwritable_output", "nan_loss", "infinite_loss", "non_numeric_loss"])
 def test_bad_flag_values_are_typed_refusals(argv, says, capsys):
     code, doc, err = _run(capsys, *argv)
     assert code == 1
     assert doc is None
+    assert err.startswith("error:") and says in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["lambda", "validate"])
+@pytest.mark.parametrize("path, value, says", [
+    (("agents", 0, "securities", 0, "price"), math.inf, "price"),
+    (("scenarios", "probs", "a"), math.nan, "probability"),
+    (("agents", 0, "acceptance", "polyhedral", 0, "bound"), math.nan, "bound"),
+], ids=["infinite_price", "nan_probability", "nan_bound"])
+def test_non_finite_document_numbers_are_refused_on_load(
+        path, value, says, command, tmp_path, capsys):
+    doc = json.loads(Path(WORKED).read_text())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    doc_path = tmp_path / "doc.json"
+    doc_path.write_text(json.dumps(doc))   # writes NaN / Infinity literals
+    argv = [command, str(doc_path)]
+    if command == "lambda":
+        argv += ["--loss", LOSS]
+    code, out, err = _run(capsys, *argv)
+    assert code == 1
+    assert out is None
     assert err.startswith("error:") and says in err
     assert "Traceback" not in err

@@ -18,6 +18,7 @@ from riskshare.oracle import (
 from riskshare.regime import (
     AVAR,
     ENTROPIC,
+    EXPECTATION,
     PolyhedralAcceptanceSet,
     RiskMeasurementRegime,
     SecurityMarket,
@@ -83,7 +84,7 @@ def test_batch_matches_per_point_requirement():
     space = ScenarioSpace(("w1", "w2", "w3"), np.array([0.5, 0.3, 0.2]))
     rng = np.random.default_rng(7)
     rows = rng.uniform(-2.0, 2.0, size=(12, 3))
-    for kind, param in ((ENTROPIC, 1.3), (AVAR, 0.4)):
+    for kind, param in ((ENTROPIC, 1.3), (AVAR, 0.4), (EXPECTATION, 0.0)):
         r = law_invariant_regime(space, kind, param)
         fast = oracle._batch_requirement(r, rows)
         for k in range(rows.shape[0]):

@@ -21,6 +21,8 @@ from riskshare.regime import (
     RiskMeasurementRegime,
     RiskValue,
     SecurityMarket,
+    _cap_fill,
+    base_risk,
     conjugate,
     rho,
     validate_regime,
@@ -169,6 +171,27 @@ def test_rho_one_dim_market_without_positive_unit():
     assert res.value.value == pytest.approx(0.5 * w, abs=1e-10)
 
 
+@pytest.mark.parametrize("price, x, value, coefficient, status", [
+    (0.0, [2.0, -1.0], 0.0, 2.0, "optimal"),
+    (-0.5, [2.0, -1.0], None, None, "unbounded"),
+    (0.5, [0.0, 2.0], math.inf, None, "infeasible"),
+], ids=["zero_price", "negative_price_unbounded", "infeasible"])
+def test_rho_one_dim_market_branches(price, x, value, coefficient, status):
+    # market spans only 1_a: no strictly positive unit, so rho searches the
+    # feasible coefficient interval of xi(X - w 1_a) <= 0 directly
+    sp = ScenarioSpace.uniform(["a", "b"])
+    mkt = SecurityMarket((sp.indicator(["a"]),), np.array([price]))
+    r = law_invariant_regime(sp, ENTROPIC, 1.0, market=mkt)
+    res = rho(r, sp.rv(x))
+    assert res.status == status
+    if value is None:
+        assert res.value is None
+    else:
+        assert res.value.as_float() == value
+    if coefficient is not None:
+        assert res.coefficients[0] == coefficient
+
+
 def test_rho_law_invariant_with_two_securities():
     # cash plus an imbalanced payoff: optimum must beat cash-only
     sp = ScenarioSpace.uniform(["a", "b"])
@@ -180,6 +203,55 @@ def test_rho_law_invariant_with_two_securities():
     res = rho(r, x)
     # hedging the spread perfectly leaves the mean: (3 + (-1))/2 = 1
     assert res.value.value == pytest.approx(1.0, abs=1e-8)
+
+
+def _sequential_fill(caps, mass):
+    """Reference greedy fill: boxes in order, each taking what is left of
+    the mass, at most its cap (the loop the vectorized fill replaced)."""
+    take = np.zeros(len(caps))
+    remaining = mass
+    for i, cap in enumerate(caps):
+        take[i] = min(cap, remaining)
+        remaining -= take[i]
+        if remaining <= 1e-16:
+            break
+    return take
+
+
+def test_cap_fill_matches_sequential_reference():
+    rng = np.random.default_rng(11)
+    eps = np.finfo(np.float64).eps
+    for _ in range(2000):
+        m = int(rng.integers(1, 41))
+        caps = rng.uniform(0.0, 1.0, m)
+        caps[rng.random(m) < 0.2] = caps[0]                  # ties
+        # 1.5 asks for more mass than the boxes can carry
+        mass = float(caps.sum() * rng.choice([0.3, 0.9, 1.0, 1.5]))
+        mass = max(mass, 0.5)
+        # both remainders take at most m roundings of terms bounded by
+        # mass + sum(caps); a factor 4 covers the two sides and the
+        # reference's early stop at 1e-16
+        tol = 4 * m * eps * (mass + caps.sum())
+        got = _cap_fill(caps, mass)
+        ref = _sequential_fill(caps, mass)
+        assert np.max(np.abs(got - ref)) <= tol
+        assert np.all(got >= 0.0) and np.all(got <= caps)
+
+
+@pytest.mark.parametrize("kind, param", [
+    (ENTROPIC, 1.7), (AVAR, 0.35), (EXPECTATION, 0.0)])
+def test_batched_base_risk_matches_rows_bitwise(kind, param):
+    rng = np.random.default_rng(5)
+    for m in (1, 2, 7, 40):
+        probs = rng.uniform(0.1, 1.0, m)
+        probs /= probs.sum()
+        rows = np.round(rng.normal(scale=3.0, size=(25, m)), 1)   # ties
+        batch = base_risk(kind, param, probs, rows)
+        assert batch.shape == (25,)
+        for i in range(rows.shape[0]):
+            one = base_risk(kind, param, probs, rows[i])
+            assert type(one) is float
+            assert batch[i] == one
 
 
 # ----------------------------------------------------------------------

@@ -59,6 +59,14 @@ def test_non_finite_values_rejected_naming_scenario(bad):
         sp.rv([1.0, bad, 3.0])
 
 
+def test_non_finite_density_rejected_naming_scenario():
+    # documents reach Functional through rv_from_dict, which checks first;
+    # direct construction must refuse too
+    sp = ScenarioSpace.uniform(["a", "b"])
+    with pytest.raises(StructuralError, match="density inf at scenario 'b'"):
+        Functional(sp, [1.0, np.inf])
+
+
 def test_sort_descending_examples():
     sp = ScenarioSpace.uniform(["a", "b", "c"])
     vals, perm = sort_descending(sp.rv([1, 2, 3]))

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import linprog
 from .errors import (
@@ -46,6 +45,7 @@ from .regime import (
     _coordinate_descent,
     _golden_min,
     _level_boundary,
+    _logsumexp,
     _relative_entropy,
     base_risk,
     rho,
@@ -191,38 +191,39 @@ def _clipped_density(gamma: float, cap: float, probs, values, target: float):
     KKT system of max E[qv] - H(q|P)/gamma over 0 <= q <= cap at fixed
     mass).  Returns (q, log_c).
 
+    In descending-value order the clipped scenarios form a prefix.  With
+    the first k clipped,  c_k = (target - cap P_k) / S_k,  where P_k is
+    the probability of the prefix and S_k the sum of p e^{gamma v} after
+    it; the solution is c_k for the smallest k whose first unclipped
+    scenario stays under the cap (sort-and-threshold, as in Duchi et al.,
+    ICML 2008, for projections onto the simplex).
+
     Sums run in canonical (descending-value) order so distribution-
     preserving permutations reproduce results bitwise."""
     values = np.asarray(values, dtype=float)
     probs = np.asarray(probs, dtype=float)
     order = np.argsort(-values, kind="stable")
-    lp = np.log(probs[order])
+    p = probs[order]
     gv = gamma * values[order]
     logcap = math.log(cap)
-
-    def mass(logc):
-        return float(np.exp(logsumexp(lp + np.minimum(logc + gv, logcap))))
-
-    lo = math.log(target) - float(logsumexp(lp + gv))
-    if mass(lo) > target * (1 + 1e-12):
-        lo -= 60.0
-    hi = lo + 1.0
-    for _ in range(200):
-        if mass(hi) > target:
-            break
-        hi += max(1.0, hi - lo)
-    else:
+    before = np.concatenate([[0.0], np.cumsum(p)[:-1]])
+    rest = target - cap * before
+    log_s = np.logaddexp.accumulate((np.log(p) + gv)[::-1])[::-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logc_k = np.log(rest) - log_s
+    fits = (rest > 0) & (logc_k + gv <= logcap)
+    if not fits.any():
         raise NumericalFailure("clipped-density mass never reaches target")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mass(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    logc = 0.5 * (lo + hi)
+    # past the clipped prefix, exponents relative to the first unclipped
+    # scenario keep q accurate when |gamma v| is large
+    k = int(np.argmax(fits))
+    shifted = gv[k:] - gv[k]
+    log_r = math.log(rest[k]) - math.log(float(p[k:] @ np.exp(shifted)))
+    q_sorted = np.full(values.size, cap)
+    q_sorted[k:] = np.minimum(np.exp(log_r + shifted), cap)
     q = np.empty(values.size)
-    q[order] = np.exp(np.minimum(logc + gv, logcap))
-    return q, logc
+    q[order] = q_sorted
+    return q, log_r - gv[k]
 
 
 def _mixed_dual(gamma: float, cap: float, probs, values):
@@ -370,8 +371,8 @@ def entropic_pair_sharing(p: float, alphas, a_labels,
         raise DomainError("the event A must be a nonempty proper subset")
     alpha = 1.0 / (1.0 / b_param + 1.0 / g_param)
     probs = space.probs
-    log_a = float(logsumexp(alpha * X.values[mask], b=probs[mask]))
-    log_b = float(logsumexp(alpha * X.values[~mask], b=probs[~mask]))
+    log_a = float(_logsumexp(alpha * X.values[mask], probs[mask]))
+    log_b = float(_logsumexp(alpha * X.values[~mask], probs[~mask]))
     value = (p / (2.0 * alpha)) * (log_a + log_b + 2.0 * math.log(2.0))
     cash = value / p
 
@@ -848,14 +849,35 @@ def law_invariant_sharing(system, X: RandomVariable):
         )
     # the numeric density satisfies the dual constraints (security prices,
     # nonnegativity, per-measure caps) only to solver precision; a
-    # supporting functional must satisfy them outright, so alternate the
-    # cap clip with a minimum-norm pricing projection until both hold
+    # supporting functional must satisfy them outright, so clip it into
+    # the box and restore the prices with a minimum-norm correction until
+    # the corrected density stays in the box.  The correction moves only
+    # the coordinates strictly inside the box unless they cannot restore
+    # the prices (AVaR's density at tied losses may have none inside)
     q_star = res.dual_density
     cap = min(m.dual_cap() for m in prob.measures)
     for _ in range(3):
-        w = prob.p * np.clip(q_star, 0.0, cap) * space.probs
-        delta = np.linalg.lstsq(B.T, prices - B.T @ w, rcond=None)[0]
-        q_star = (w + delta) / (prob.p * space.probs)
+        q_star = np.clip(q_star, 0.0, cap)
+        inside = (q_star > 0.0) & (q_star < cap)
+        w = prob.p * q_star * space.probs
+        tol = 1e-12 * (1.0 + float(np.max(np.abs(B).T @ w)))
+        for movable in (inside, np.full(space.size, True)):
+            delta = np.linalg.lstsq(B[movable].T, prices - B.T @ w,
+                                    rcond=None)[0]
+            q = q_star.copy()
+            q[movable] = (w[movable] + delta) / (prob.p * space.probs[movable])
+            resid = float(np.max(np.abs(B.T @ (prob.p * q * space.probs)
+                                        - prices)))
+            if resid <= tol:
+                break
+        q_star = q
+        if resid <= tol and np.all((q_star >= 0.0) & (q_star <= cap)):
+            break
+    else:
+        raise NumericalFailure(
+            f"no density inside the dual box restores the security prices "
+            f"(price residual {resid:.2e})"
+        )
     subgradient = Functional(space, prob.p * q_star)
     return SharingResult(
         value=res.value,

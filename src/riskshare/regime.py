@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import optimize
-from scipy.special import logsumexp
 
 from . import linprog
 from .errors import DomainError, NumericalFailure, StructuralError
@@ -185,7 +184,7 @@ def base_risk(kind: str, param: float, probs, values):
     order = np.argsort(-values, axis=-1, kind="stable")
     v, p = np.take_along_axis(values, order, axis=-1), probs[order]
     if kind == ENTROPIC:
-        out = logsumexp(param * v, b=p, axis=-1) / param
+        out = _logsumexp(param * v, p) / param
     elif kind == AVAR:
         # worst scenarios first, each contributing at most probs/(1-beta)
         # of the unit dual mass
@@ -195,6 +194,29 @@ def base_risk(kind: str, param: float, probs, values):
     else:
         raise StructuralError(f"unknown kind {kind!r}")
     return float(out) if values.ndim == 1 else out
+
+
+def _logsumexp(a, b):
+    """log sum_i b_i e^{a_i} along the last axis, for weights b > 0.
+
+    The operations of scipy.special.logsumexp (SciPy 1.17) in the same
+    order, without its array-API dispatch: the maximal terms are split off
+    for precision, the others are summed in their original positions."""
+    a = np.asarray(a, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.max(a, axis=-1, keepdims=True)
+        tied = a == a_max
+        m = np.sum(b * tied, axis=-1, keepdims=True)
+        rest = np.where(tied, -np.inf, a)
+        s = np.sum(b * np.exp(rest - a_max), axis=-1, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+        bad = ~np.isfinite(out)
+        if bad.any():
+            # the direct sum, whose log follows C99 at 0 and inf
+            direct = np.log(np.sum(b * np.exp(a), axis=-1, keepdims=True))
+            out = np.where(bad, direct, out)
+    return out[..., 0]
 
 
 def _cap_fill(caps, mass: float = 1.0) -> np.ndarray:

@@ -341,6 +341,24 @@ def test_conjugate_sum_identity_at_sampled_duals():
             assert abs(attained - total) <= 1e-6, name
 
 
+def test_law_invariant_subgradient_lies_in_its_dual_box():
+    # the tail_entropic draws of the identity above: the supporting
+    # functional meets the AVaR cap and the security prices outright, not
+    # merely within the 1e-9 slack of the conjugate
+    rng = np.random.default_rng(2609)
+    for name, s, size in _dual_fixture_systems():
+        draws = [rng.normal(0.0, 1.0, size) for _ in range(20)]
+    assert name == "tail_entropic"
+    cap = s.regimes[0].acceptance.dual_cap()
+    market = s.regimes[0].market
+    B = market.basis_matrix()
+    for x in draws:
+        phi = capital_requirement(s, s.space.rv(x), certify=False).subgradient
+        mass = float(s.space.probs @ phi.density)
+        assert np.max(phi.density / mass) <= cap * (1.0 + 1e-12)
+        assert np.max(np.abs(phi.weights @ B - market.prices)) <= 1e-12
+
+
 # ----------------------------------------------------------------------
 # 10. split sweep against the closed-form objective
 # ----------------------------------------------------------------------

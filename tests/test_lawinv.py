@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from riskshare import lawinv
-from riskshare.errors import DomainError, StructuralError
+from riskshare.errors import DomainError, NumericalFailure, StructuralError
 from riskshare.lawinv import (
     AvarEntropicResult,
     ComonotoneSplit,
@@ -29,6 +29,7 @@ from riskshare.regime import (
     SecurityMarket,
     base_risk,
     base_risk_conjugate,
+    conjugate,
     rho,
 )
 from riskshare.scenario import ScenarioSpace, SupportMask
@@ -226,6 +227,84 @@ def test_clipped_density_survives_extreme_exponents():
     q, _ = lawinv._clipped_density(5.0, 1.9, probs, np.array([0.0, 1000.0]), 1.0)
     assert np.isfinite(q).all()
     assert float(probs @ q) == pytest.approx(1.0, abs=1e-10)
+
+
+def _lse(a):
+    top = np.max(a)
+    return top + math.log(np.sum(np.exp(a - top)))
+
+
+def _clipped_density_by_bisection(gamma, cap, probs, values, target):
+    """Reference: the bracket-and-bisection solver that _clipped_density
+    was before its closed form, with a max-shifted log-sum-exp in place of
+    SciPy's for speed."""
+    order = np.argsort(-values, kind="stable")
+    lp = np.log(probs[order])
+    gv = gamma * values[order]
+    logcap = math.log(cap)
+
+    def mass(logc):
+        return math.exp(_lse(lp + np.minimum(logc + gv, logcap)))
+
+    lo = math.log(target) - _lse(lp + gv)
+    if mass(lo) > target * (1 + 1e-12):
+        lo -= 60.0
+    hi = lo + 1.0
+    for _ in range(200):
+        if mass(hi) > target:
+            break
+        hi += max(1.0, hi - lo)
+    else:
+        raise NumericalFailure("clipped-density mass never reaches target")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mass(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    logc = 0.5 * (lo + hi)
+    q = np.empty(values.size)
+    q[order] = np.exp(np.minimum(logc + gv, logcap))
+    return q, logc
+
+
+def test_clipped_density_closed_form_matches_bisection():
+    # Both solvers round exponents of size |gamma v| to about eps |gamma v|,
+    # so they are compared where |gamma v| <= 40 and on the extreme case of
+    # the test above (its unclipped scenario sits at 0); the mass identity,
+    # the cap and the refusal are checked on exponents up to 5000 as well.
+    rng = np.random.default_rng(2613)
+    tol = 1e-12
+    compared = [(5.0, 1.9, np.array([0.5, 0.5]), np.array([0.0, 1000.0]), 1.0)]
+    extreme = []
+    for i in range(2300):
+        m = int(rng.integers(1, 41))
+        probs = rng.uniform(0.05, 1.0, m)
+        probs *= rng.uniform(0.2, 1.0) / probs.sum()
+        cap = float(rng.uniform(1.05, 6.0))
+        gamma = float(10.0 ** rng.uniform(-1.0, 1.0))
+        values = rng.normal(0.0, 1.0, m)
+        if i % 3 == 0:
+            values = np.round(2.0 * values)            # ties
+        scale = 5000.0 if i % 8 == 7 else rng.uniform(0.0, 40.0)
+        values *= scale / gamma / max(1.0, np.max(np.abs(values)))
+        target = float(cap * probs.sum() * rng.uniform(0.001, 0.999))
+        case = (gamma, cap, probs, values, target)
+        (extreme if i % 8 == 7 else compared).append(case)
+    assert len(compared) >= 2000
+    for gamma, cap, probs, values, target in compared + extreme:
+        q, _ = lawinv._clipped_density(gamma, cap, probs, values, target)
+        assert abs(float(probs @ q) - target) <= tol * target
+        assert np.max(q) <= cap
+        with pytest.raises(NumericalFailure):
+            lawinv._clipped_density(gamma, cap, probs, values,
+                                    cap * probs.sum() * (1.0 + 1e-9))
+    for gamma, cap, probs, values, target in compared:
+        q, logc = lawinv._clipped_density(gamma, cap, probs, values, target)
+        q_ref, logc_ref = _clipped_density_by_bisection(
+            gamma, cap, probs, values, target)
+        assert np.max(np.abs(q - q_ref)) <= tol * np.max(q_ref)
+        assert abs(logc - logc_ref) <= tol * max(1.0, abs(logc_ref))
 
 
 # ----------------------------------------------------------------------
@@ -835,6 +914,47 @@ def test_adapter_with_avar_agent_and_event_security():
     assert res.value.as_float() == pytest.approx(direct.value, abs=1e-8)
     total = sum(v.as_float() for v in res.agent_risks)
     assert total == pytest.approx(res.value.as_float(), abs=1e-8)
+
+
+def test_adapter_subgradients_are_dual_feasible():
+    # pairs trading cash and an event priced inside the AVaR dual box: the
+    # supporting functional prices both securities and every agent's
+    # conjugate is finite; the first case has tied losses, where AVaR's
+    # density has no coordinate strictly inside its box
+    from riskshare.market import AgentSystem, capital_requirement
+
+    rng = np.random.default_rng(19)
+    cases = [(np.array([0.5, 0.5]), (avar(0.5), avar(0.5)), 1, 0.3,
+              np.array([1.0, 0.0]))]
+    for i in range(30):
+        m = int(rng.integers(2, 7))
+        probs = rng.uniform(0.2, 1.0, m)
+        probs /= probs.sum()
+        b1, b2 = rng.uniform(0.1, 0.8, 2)
+        g1, g2 = rng.uniform(0.3, 3.0, 2)
+        measures = [(avar(b1), ent(g1)), (avar(b1), avar(b2)),
+                    (ent(g1), ent(g2))][i % 3]
+        k = int(rng.integers(1, m))               # the event: first k
+        pa = float(probs[:k].sum())
+        cap = min(acc.dual_cap() for acc in measures)
+        lo, hi = max(0.0, 1.0 - cap * (1.0 - pa)), min(cap * pa, 1.0)
+        qa = float(lo + (hi - lo) * rng.uniform(0.05, 0.95))
+        x = rng.normal(0.0, 1.0, m)
+        if i % 4 == 0:
+            x = np.round(x)
+        cases.append((probs, measures, k, qa, x))
+    for probs, measures, k, qa, x in cases:
+        m = probs.size
+        space = ScenarioSpace(tuple(f"s{j}" for j in range(m)), probs)
+        event = (np.arange(m) < k).astype(float)
+        mkt = SecurityMarket((rv_of(space, np.ones(m)), rv_of(space, event)),
+                             np.array([1.0, qa]))
+        s = AgentSystem(tuple(law_regime(space, acc, mkt) for acc in measures))
+        phi = capital_requirement(s, space.rv(x), certify=False).subgradient
+        B = mkt.basis_matrix()
+        assert np.max(np.abs(phi.weights @ B - mkt.prices)) <= 1e-12
+        for r in s.regimes:
+            assert conjugate(r, phi).is_finite
 
 
 def test_adapter_rejects_priceless_systems():

@@ -22,6 +22,7 @@ from riskshare.regime import (
     RiskValue,
     SecurityMarket,
     _cap_fill,
+    _logsumexp,
     base_risk,
     conjugate,
     rho,
@@ -252,6 +253,47 @@ def test_batched_base_risk_matches_rows_bitwise(kind, param):
             one = base_risk(kind, param, probs, rows[i])
             assert type(one) is float
             assert batch[i] == one
+
+
+def _logsumexp_inputs(rng):
+    for i in range(600):
+        m = int(rng.integers(1, 41))
+        a = rng.normal(0.0, 10.0 ** rng.uniform(-2.0, 2.5), m)
+        if i % 3 == 0:
+            a = np.round(a)                                  # ties
+        if i % 5 == 0:
+            a = np.full(m, a[0])                             # constant
+        yield a, rng.dirichlet(np.ones(m)) * rng.uniform(0.5, 2.0)
+
+
+def test_logsumexp_matches_scipy():
+    from scipy.special import logsumexp
+
+    # 4 ulp at the scale of the largest term, so that a SciPy release
+    # that reorders its sums still passes
+    def close(got, ref, a):
+        scale = np.maximum(np.abs(ref), np.max(np.abs(a), axis=-1))
+        return np.all(np.abs(got - ref) <= 4 * np.spacing(scale))
+
+    rng = np.random.default_rng(17)
+    for a, b in _logsumexp_inputs(rng):
+        assert close(_logsumexp(a, b), logsumexp(a, b=b, axis=-1), a)
+    for m in (1, 3, 8, 40):
+        A = rng.normal(0.0, 3.0, (200, m))
+        A[::4] = np.round(A[::4])
+        A[::7] = 0.25
+        B = rng.dirichlet(np.ones(m), 200)
+        batch = _logsumexp(A, B)
+        assert batch.shape == (200,)
+        assert close(batch, logsumexp(A, b=B, axis=-1), A)
+        for i in range(200):
+            assert batch[i] == _logsumexp(A[i], B[i])        # bitwise
+    # an exponent that overflows gives +inf, as SciPy does
+    b = np.array([0.5, 0.5])
+    with np.errstate(over="ignore"):
+        a = 10.0 * np.array([1e308, 0.0])
+        assert base_risk(ENTROPIC, 10.0, b, np.array([1e308, 0.0])) == np.inf
+    assert _logsumexp(a, b) == logsumexp(a, b=b) == np.inf
 
 
 # ----------------------------------------------------------------------

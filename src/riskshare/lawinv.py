@@ -42,12 +42,17 @@ from .regime import (
     RiskValue,
     ValidationReport,
     _cap_fill,
-    _coordinate_descent,
     _golden_min,
+    _kernel_newton,
     _level_boundary,
     _logsumexp,
+    _lp_kernel_search,
+    _priced_density,
+    _pricing_margin,
     _relative_entropy,
+    _span_basis,
     base_risk,
+    base_risk_conjugate,
     rho,
 )
 from .scenario import (
@@ -613,12 +618,6 @@ class LawInvariantProblem:
         return np.column_stack(cols)
 
 
-def _span_basis(B: np.ndarray) -> np.ndarray:
-    u, s, _ = np.linalg.svd(B, full_matrices=False)
-    rank = int(np.sum(s > 1e-10 * max(1.0, s[0] if s.size else 1.0)))
-    return u[:, :rank]
-
-
 def validate_problem(prob: LawInvariantProblem) -> ValidationReport:
     """Structural checks plus the finite-space reading of the pricing
     assumption: no one-signed direction in the zero-price part of the
@@ -676,55 +675,43 @@ class LawInvariantSharingResult:
     certificates: dict = field(default_factory=dict)
 
 
-def _lp_kernel_search(measures, probs, X, D, p):
-    """Pure AVaR/expectation systems: the requirement is a linear program
-    in the cash layer, kernel coefficients and tail-average auxiliaries."""
-    ent, av, ex = _grouped(measures)
-    m = len(probs)
-    k = D.shape[1]
-    if ex:
-        # sum p q X row only: min p*m s.t. E[X - m - Dt] <= 0
-        row = np.concatenate([[-1.0], -(probs @ D)])
-        c = np.concatenate([[p], np.zeros(k)])
-        sol = linprog.solve(linprog.LpProblem(
-            c=c, rows=row.reshape(1, -1), senses=[linprog.LE],
-            rhs=np.array([-float(probs @ X)]),
-            lower=np.full(1 + k, -math.inf), upper=np.full(1 + k, math.inf)))
-    else:
-        beta = min(b for _, b in av)
-        # variables: m, t (k), tau, u (m >= 0)
-        ntot = 1 + k + 1 + m
-        c = np.zeros(ntot)
-        c[0] = p
-        rows, senses, rhs = [], [], []
-        for w in range(m):
-            row = np.zeros(ntot)
-            row[0] = -1.0
-            row[1:1 + k] = -D[w]
-            row[1 + k] = -1.0
-            row[2 + k + w] = -1.0
-            rows.append(row)
-            senses.append(linprog.LE)
-            rhs.append(-X[w])
-        row = np.zeros(ntot)
-        row[1 + k] = 1.0
-        row[2 + k:] = probs / (1.0 - beta)
-        rows.append(row)
-        senses.append(linprog.LE)
-        rhs.append(0.0)
-        lower = np.full(ntot, -math.inf)
-        lower[2 + k:] = 0.0
-        sol = linprog.solve(linprog.LpProblem(
-            c=c, rows=np.array(rows), senses=senses, rhs=np.array(rhs),
-            lower=lower, upper=np.full(ntot, math.inf)))
-    if sol.status == "unbounded":
-        raise DomainError(
-            "requirement is unbounded below; the pricing of the kernel "
-            "admits unlimited risk transfer"
-        )
-    if sol.status == "infeasible":
-        raise InternalInconsistency("kernel search LP infeasible")
-    return sol.primal[1:1 + k]
+def _convolution_search(prob: LawInvariantProblem, X, span, price_row, D):
+    """(eta, m, q) of the cash requirement m = inf_eta conv(X - D eta) of a
+    system with an entropic agent and no expectation agent, by the kernel
+    Newton search.  Refused before the search when no nonnegative
+    density in the agents' dual box prices the span (DomainError:
+    unbounded below, as for pure AVaR) or when every such density
+    vanishes somewhere, that is, when the span holds a nonzero nonnegative
+    zero-price payoff (NumericalFailure: the infimum is not attained)."""
+    probs = prob.space.probs
+    cap = min(ms.dual_cap() for ms in prob.measures)
+    if D.shape[1]:
+        margin = _pricing_margin(probs, span, (probs * prob.q) @ span, cap)
+        if margin is None or margin < -1e-12:
+            raise DomainError(
+                "requirement is unbounded below; no density in the agents' "
+                "dual box prices the securities"
+            )
+        if margin <= 1e-12:
+            raise NumericalFailure(
+                "the infimum over the price kernel is not attained: the "
+                "span holds a nonzero nonnegative payoff of price zero")
+    # the convolved entropic parameter is the curvature where the mixed
+    # dual density is not clipped
+    alpha = 1.0 / sum(1.0 / ms.param for ms in prob.measures
+                      if ms.kind == ENTROPIC)
+
+    def evaluate(eta):
+        value, q = convolution_value(prob.measures, probs, X - D @ eta)
+        return value, q, alpha * q * (q < cap)
+
+    def dual(q):
+        q = _priced_density(q, prob.p, probs, span, price_row, cap)
+        conj = sum(base_risk_conjugate(ms.kind, ms.param, probs, q).as_float()
+                   for ms in prob.measures)
+        return float(probs @ (q * X)) - conj
+
+    return _kernel_newton(evaluate, probs, D, np.ones(probs.size), dual)
 
 
 def law_invariant_requirement(prob: LawInvariantProblem,
@@ -746,19 +733,23 @@ def law_invariant_requirement(prob: LawInvariantProblem,
         raise DomainError("aggregate security span must contain the unit")
     price_row = prob.p * (probs * prob.q) @ span
     D = span @ linprog.null_space(price_row.reshape(1, -1))
-    k = D.shape[1]
 
     ent, av, ex = _grouped(prob.measures)
     if ent and not ex:
-        def objective(t):
-            return convolution_value(prob.measures, probs,
-                                     X.values - D @ t)[0]
-        t_star, _ = _coordinate_descent(objective, k)
+        t_star, m_star, q_star = _convolution_search(
+            prob, X.values, span, price_row, D)
     else:
-        t_star = _lp_kernel_search(prob.measures, probs, X.values, D, prob.p)
-
-    m_star, q_star = convolution_value(prob.measures, probs,
-                                       X.values - D @ t_star)
+        kind, beta = ((EXPECTATION, 0.0) if ex
+                      else (AVAR, min(b for _, b in av)))
+        sol = _lp_kernel_search(kind, beta, probs, X.values, ones, D, prob.p)
+        if sol is None:
+            raise DomainError(
+                "requirement is unbounded below; the pricing of the kernel "
+                "admits unlimited risk transfer"
+            )
+        t_star = sol[1]
+        m_star, q_star = convolution_value(prob.measures, probs,
+                                           X.values - D @ t_star)
     payoff_vals = m_star * ones + D @ t_star
     value = prob.p * m_star
     y = X.values - payoff_vals
@@ -847,37 +838,9 @@ def law_invariant_sharing(system, X: RandomVariable):
         raise InternalInconsistency(
             f"sum of certified agent risks {total} != requirement {value}"
         )
-    # the numeric density satisfies the dual constraints (security prices,
-    # nonnegativity, per-measure caps) only to solver precision; a
-    # supporting functional must satisfy them outright, so clip it into
-    # the box and restore the prices with a minimum-norm correction until
-    # the corrected density stays in the box.  The correction moves only
-    # the coordinates strictly inside the box unless they cannot restore
-    # the prices (AVaR's density at tied losses may have none inside)
-    q_star = res.dual_density
-    cap = min(m.dual_cap() for m in prob.measures)
-    for _ in range(3):
-        q_star = np.clip(q_star, 0.0, cap)
-        inside = (q_star > 0.0) & (q_star < cap)
-        w = prob.p * q_star * space.probs
-        tol = 1e-12 * (1.0 + float(np.max(np.abs(B).T @ w)))
-        for movable in (inside, np.full(space.size, True)):
-            delta = np.linalg.lstsq(B[movable].T, prices - B.T @ w,
-                                    rcond=None)[0]
-            q = q_star.copy()
-            q[movable] = (w[movable] + delta) / (prob.p * space.probs[movable])
-            resid = float(np.max(np.abs(B.T @ (prob.p * q * space.probs)
-                                        - prices)))
-            if resid <= tol:
-                break
-        q_star = q
-        if resid <= tol and np.all((q_star >= 0.0) & (q_star <= cap)):
-            break
-    else:
-        raise NumericalFailure(
-            f"no density inside the dual box restores the security prices "
-            f"(price residual {resid:.2e})"
-        )
+    # a supporting functional must satisfy the dual constraints outright
+    q_star = _priced_density(res.dual_density, prob.p, space.probs, B, prices,
+                             min(ms.dual_cap() for ms in prob.measures))
     subgradient = Functional(space, prob.p * q_star)
     return SharingResult(
         value=res.value,

@@ -23,6 +23,7 @@ from .regime import (
     LawInvariantAcceptanceSet,
     PolyhedralAcceptanceSet,
     RiskValue,
+    _cash_unit_price,
     rho,
 )
 from .scenario import Functional, RandomVariable
@@ -93,31 +94,26 @@ class GridSpec:
 # per-agent requirement on batches of profiles
 # ----------------------------------------------------------------------
 
-def _cash_only(r):
-    """Unit price when the market trades exactly one constant payoff."""
-    if r.market.dim != 1:
-        return None
-    vals = r.market.basis[0].values
-    if abs(vals.max() - vals.min()) > 1e-12 * max(1.0, abs(vals.max())):
-        return None
-    if abs(vals[0]) < 1e-12:
-        return None
-    unit_price = r.market.prices[0] / vals[0]
-    return unit_price if unit_price > 0 else None
-
-
 def _batch_requirement(r, rows: np.ndarray) -> np.ndarray:
     """rho_i over a batch (one profile per row).  Cash-only law-invariant
     regimes evaluate in closed form; everything else solves per row."""
     if isinstance(r.acceptance, LawInvariantAcceptanceSet):
-        unit_price = _cash_only(r)
+        unit_price = _cash_unit_price(r.market)
         if unit_price is not None:
             return unit_price * r.acceptance.xi(r.space.probs, rows)
     out = np.empty(rows.shape[0])
     for k in range(rows.shape[0]):
-        v = rho(r, RandomVariable(r.space, rows[k])).value
-        out[k] = v.as_float() if v.is_finite else math.inf
+        out[k] = _value(rho(r, RandomVariable(r.space, rows[k])))
     return out
+
+
+def _value(res) -> float:
+    """A rho result as a float, +inf when nothing securitizes the profile;
+    an unbounded requirement is refused."""
+    if res.status == "unbounded":
+        raise DomainError("an agent's requirement is unbounded below; its "
+                          "security prices admit arbitrage")
+    return res.value.as_float()
 
 
 # ----------------------------------------------------------------------
@@ -259,10 +255,11 @@ def verify_pareto(s: market.AgentSystem, X: RandomVariable,
     base = []
     for r, part in zip(s.regimes, alloc.parts):
         try:
-            v = rho(r, part).value
-        except DomainError:
-            v = RiskValue.infinite()
-        base.append(v.as_float() if v.is_finite else math.inf)
+            res = rho(r, part)
+        except DomainError:          # the part leaves the agent's support
+            base.append(math.inf)
+        else:
+            base.append(_value(res))
 
     forced = _forced_first_part(s, X)
     if forced is None:

@@ -24,7 +24,12 @@ import numpy as np
 from scipy import optimize
 
 from . import linprog
-from .errors import DomainError, NumericalFailure, StructuralError
+from .errors import (
+    DomainError,
+    InternalInconsistency,
+    NumericalFailure,
+    StructuralError,
+)
 from .scenario import (
     Functional,
     RandomVariable,
@@ -47,7 +52,6 @@ __all__ = [
     "conjugate",
 ]
 
-SEARCH_TOL = 1e-10      # one-dimensional searches inside law-invariant rho
 PRICE_TOL = 1e-9        # price-consistency decisions in conjugates
 
 
@@ -561,8 +565,12 @@ def rho(r: RiskMeasurementRegime, X: RandomVariable) -> RhoResult:
     """Least capital securitizing X under the regime.
 
     Polyhedral acceptance: a single LP over security coefficients.
-    Law-invariant acceptance: coordinate search over security coefficients
-    wrapping the base risk (convex; solved to 1e-10).
+    Law-invariant acceptance: xi(X) times the price of the payoff 1 when
+    the market trades only a constant payoff; otherwise a search over an
+    orthonormal payoff basis of the price kernel, an exact LP for AVaR and
+    expectation agents and a damped Newton search for entropic agents that
+    ends with its duality gap and refuses when the gap exceeds
+    linprog.CERT_TOL (1 + |rho|).
     """
     if X.space.labels != r.space.labels:
         raise StructuralError("loss profile on a different scenario space")
@@ -593,78 +601,36 @@ def _rho_polyhedral(r, xvals) -> RhoResult:
                      security=mkt.payoff(w), coefficients=w)
 
 
-def _golden_min(g, x0: float, tol: float = SEARCH_TOL):
-    """Minimize a convex scalar g: expand a bracket around x0, then run a
-    bounded golden/Brent search to the configured tolerance.  If the
-    expansion on either side still descends when its step reaches 1e12,
-    the infimum is taken as unattained and the search refuses."""
-    a, b = x0 - 1.0, x0 + 1.0
-    fa, f0, fb = g(a), g(x0), g(b)
-
-    def expand(x, fx, sign):
-        step = 2.0
-        while fx < f0 and step < 1e12:
-            x += sign * step
-            fx = g(x)
-            step *= 2.0
-        if step >= 1e12:
-            raise NumericalFailure("one-dimensional search failed to bracket")
-        return x
-
-    a = expand(a, fa, -1.0)
-    b = expand(b, fb, 1.0)
-    res = optimize.minimize_scalar(g, bounds=(a, b), method="bounded",
-                                   options={"xatol": tol})
-    return float(res.x), float(res.fun)
-
-
-def _root_decreasing(h, lo_hint: float = 0.0):
-    """Root of a decreasing function via expanding bracket + brentq."""
-    lo, hi = lo_hint, lo_hint + 1.0
-    step = 1.0
-    while h(hi) > 0:
-        lo = hi
-        step *= 2.0
-        hi += step
-        if step > 1e12:
-            raise NumericalFailure("root bracket expansion failed (upper)")
-    step = 1.0
-    while h(lo) < 0:
-        hi = lo
-        step *= 2.0
-        lo -= step
-        if step > 1e12:
-            raise NumericalFailure("root bracket expansion failed (lower)")
-    flo, fhi = h(lo), h(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    return float(optimize.brentq(h, lo, hi, xtol=1e-13, rtol=8.9e-16))
-
-
 def _rho_law_invariant(r, xvals) -> RhoResult:
     acc = r.acceptance
     mkt = r.market
     probs = r.space.probs
-    xi = lambda v: acc.xi(probs, v)
+    unit_price = _cash_unit_price(mkt)
+    if unit_price is not None:
+        # cash additivity: rho = xi(X) times the price of the payoff 1
+        t = unit_price * acc.xi(probs, xvals)
+        w = np.array([t / mkt.prices[0]])
+        return RhoResult(value=RiskValue.finite(t), security=mkt.payoff(w),
+                         coefficients=w)
+
     B = mkt.basis_matrix()
     K = mkt.dim
-
     uval, w_u = mkt.unit_certificate(r.support.included)
     if uval is not None and not math.isinf(uval) and uval > 1e-10:
-        # decompose span = R*U (+) price-kernel directions; then
-        # rho = inf_eta  t*(eta)  with  t*(eta) the unique root in t of
-        # xi(X - t U - D eta) = 0  (U strictly positive makes it decreasing)
+        # span = R U (+) price kernel; rho = inf_eta t*(eta), where t*(eta)
+        # solves xi(X - t U - D eta) = 0 and D is an orthonormal payoff
+        # basis of the kernel, so rescaling a security changes nothing
         U = B @ w_u
-        Dk = linprog.null_space(mkt.prices.reshape(1, -1))   # price-0 coeffs
-
-        def t_star(eta):
-            resid = xvals - B @ (Dk @ eta)
-            return _root_decreasing(lambda t: xi(resid - t * U))
-
-        eta, t = _coordinate_descent(t_star, Dk.shape[1])
-        w = t * w_u + Dk @ eta
+        D = _span_basis(B @ linprog.null_space(mkt.prices.reshape(1, -1)))
+        if acc.kind == ENTROPIC:
+            t, eta = _rho_entropic(r, xvals, U, D)
+        else:
+            sol = _lp_kernel_search(acc.kind, acc.param, probs, xvals, U, D,
+                                    1.0)
+            if sol is None:
+                return RhoResult(value=None, status="unbounded")
+            t, eta = sol
+        w = t * w_u + np.linalg.lstsq(B, D, rcond=None)[0] @ eta
         return RhoResult(value=RiskValue.finite(t), security=mkt.payoff(w),
                          coefficients=w)
 
@@ -674,6 +640,7 @@ def _rho_law_invariant(r, xvals) -> RhoResult:
         # (g is convex in w); rho picks its cheapest endpoint
         b = B[:, 0]
         p0 = float(mkt.prices[0])
+        xi = lambda v: acc.xi(probs, v)
         g = lambda w: xi(xvals - w * b)
         w_f = _find_feasible_1d(g)
         if w_f is None:
@@ -696,6 +663,51 @@ def _rho_law_invariant(r, xvals) -> RhoResult:
     )
 
 
+def _cash_unit_price(mkt: SecurityMarket):
+    """Price of the unit payoff 1 when the market trades exactly one
+    constant payoff at a positive price, else None."""
+    if mkt.dim != 1:
+        return None
+    vals = mkt.basis[0].values
+    if abs(vals.max() - vals.min()) > 1e-12 * max(1.0, abs(vals.max())):
+        return None
+    if abs(vals[0]) < 1e-12:
+        return None
+    unit_price = mkt.prices[0] / vals[0]
+    return unit_price if unit_price > 0 else None
+
+
+def _rho_entropic(r, xvals, U, D):
+    """(t, eta) of entropic rho by the kernel Newton search, certified by
+    the duality gap of the Gibbs density at the optimum."""
+    alpha = r.acceptance.param
+    probs = r.space.probs
+    mkt = r.market
+    # by Stiemke's lemma the infimum over the kernel is attained exactly
+    # when no nonzero nonnegative payoff in the span is priced at most zero
+    # (one priced below zero would have left the unit LP unbounded)
+    if D.shape[1]:
+        pval = mkt.positivity_certificate(r.support.included)
+        if pval is not None and pval <= 1e-12:
+            raise NumericalFailure(
+                "the infimum over the price kernel is not attained: the "
+                "span holds a nonzero nonnegative payoff of price zero")
+
+    def evaluate(eta):
+        t, q = _entropic_root(alpha, probs, xvals - D @ eta, U)
+        return t, q, alpha * q
+
+    def dual(q):
+        scale = 1.0 / float(U @ (probs * q))
+        q = _priced_density(q, scale, probs, mkt.basis_matrix(), mkt.prices,
+                            math.inf)
+        phi = Functional(r.space, scale * q)
+        return float(phi.weights @ xvals) - conjugate(r, phi).as_float()
+
+    eta, t, _ = _kernel_newton(evaluate, probs, D, U, dual)
+    return t, eta
+
+
 def _find_feasible_1d(g, tol: float = 1e-12):
     """Some w with g(w) <= tol for convex g, or None if the infimum of g is
     positive (checked over a doubling probe grid plus one interior bracket)."""
@@ -711,10 +723,35 @@ def _find_feasible_1d(g, tol: float = 1e-12):
     if 0 < i < len(xs) - 1:
         res = optimize.minimize_scalar(g, bounds=(xs[i - 1], xs[i + 1]),
                                        method="bounded",
-                                       options={"xatol": SEARCH_TOL})
+                                       options={"xatol": 1e-10})
         if res.fun <= tol:
             return float(res.x)
     return None
+
+
+def _golden_min(g, x0: float, tol: float):
+    """Minimize a convex scalar g: expand a bracket around x0, then run a
+    bounded golden/Brent search to tolerance `tol`.  If the expansion on
+    either side still descends when its step reaches 1e12, the infimum is
+    taken as unattained and the search refuses."""
+    a, b = x0 - 1.0, x0 + 1.0
+    fa, f0, fb = g(a), g(x0), g(b)
+
+    def expand(x, fx, sign):
+        step = 2.0
+        while fx < f0 and step < 1e12:
+            x += sign * step
+            fx = g(x)
+            step *= 2.0
+        if step >= 1e12:
+            raise NumericalFailure("one-dimensional search failed to bracket")
+        return x
+
+    a = expand(a, fa, -1.0)
+    b = expand(b, fb, 1.0)
+    res = optimize.minimize_scalar(g, bounds=(a, b), method="bounded",
+                                   options={"xatol": tol})
+    return float(res.x), float(res.fun)
 
 
 def _level_boundary(g, inside: float, direction: float, tol: float = 1e-12):
@@ -739,26 +776,263 @@ def _level_boundary(g, inside: float, direction: float, tol: float = 1e-12):
     return w    # boundary within tolerance of the last feasible probe
 
 
-def _coordinate_descent(objective, k: int):
-    """Minimize a convex objective over R^k one coordinate at a time with
-    golden searches, starting from 0.  A move is taken only when it lowers
-    the objective; the descent stops after a cycle that lowers it by no
-    more than 1e-14.  Returns (minimizer, minimum)."""
-    t = np.zeros(k)
-    best = objective(t)
-    for _ in range(300):
-        start = best
-        for j in range(k):
-            def g(s, j=j):
-                e = t.copy()
-                e[j] = s
-                return objective(e)
-            sj, fj = _golden_min(g, t[j])
-            if fj < best:
-                t[j], best = sj, fj
-        if best >= start - 1e-14:
-            return t, best
-    raise NumericalFailure("coordinate descent did not converge")
+# ----------------------------------------------------------------------
+# the law-invariant kernel search (shared by rho and lawinv's Lambda)
+# ----------------------------------------------------------------------
+
+def _span_basis(B: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the column span of B."""
+    u, s, _ = np.linalg.svd(B, full_matrices=False)
+    rank = int(np.sum(s > 1e-10 * max(1.0, s[0] if s.size else 1.0)))
+    return u[:, :rank]
+
+
+def _pricing_margin(probs, B, prices, cap: float):
+    """LP: the largest s such that a density d with s <= d <= cap prices
+    every column of B (E[d B_j] = prices_j); None when no density under the
+    cap does.  B must hold a strictly positive payoff, which bounds s.
+
+    A negative margin means that no nonnegative density under the cap
+    prices the span.  By Stiemke's lemma, a positive margin holds exactly
+    when the span has no nonzero nonnegative payoff priced at most zero,
+    which is when an entropic infimum over the price kernel is
+    attained."""
+    m, K = B.shape
+    # variables: d (m), s
+    rows = np.block([[(probs[:, None] * B).T, np.zeros((K, 1))],
+                     [-np.eye(m), np.ones((m, 1))]])
+    c = np.zeros(m + 1)
+    c[-1] = -1.0
+    upper = np.full(m + 1, math.inf)
+    upper[:m] = cap
+    sol = linprog.solve(linprog.LpProblem(
+        c=c, rows=rows, senses=[linprog.EQ] * K + [linprog.LE] * m,
+        rhs=np.concatenate([prices, np.zeros(m)]),
+        lower=np.full(m + 1, -math.inf), upper=upper))
+    if sol.status == "infeasible":
+        return None
+    if sol.status == "unbounded":
+        raise InternalInconsistency("pricing-margin LP unbounded")
+    return -sol.objective_value
+
+
+def _lp_kernel_search(kind: str, beta: float, probs, X, U, D, price: float):
+    """AVaR(beta) or expectation requirement as one LP: minimize price * t
+    over (t, eta) subject to xi(X - t U - D eta) <= 0, for a strictly
+    positive unit U.  AVaR enters through its Rockafellar-Uryasev form
+    tau + E[(Y - tau)+] / (1 - beta) with tail auxiliaries u >= 0.
+    Returns (t, eta), or None when the requirement is unbounded below."""
+    m = len(probs)
+    k = D.shape[1]
+    if kind == EXPECTATION:
+        # E[X - t U - D eta] <= 0
+        row = np.concatenate([[-float(probs @ U)], -(probs @ D)])
+        c = np.concatenate([[price], np.zeros(k)])
+        sol = linprog.solve(linprog.LpProblem(
+            c=c, rows=row.reshape(1, -1), senses=[linprog.LE],
+            rhs=np.array([-float(probs @ X)]),
+            lower=np.full(1 + k, -math.inf), upper=np.full(1 + k, math.inf)))
+    else:
+        # variables: t, eta (k), tau, u (m >= 0)
+        ntot = 1 + k + 1 + m
+        c = np.zeros(ntot)
+        c[0] = price
+        rows = np.zeros((m + 1, ntot))
+        rows[:m, 0] = -U
+        rows[:m, 1:1 + k] = -D
+        rows[:m, 1 + k] = -1.0
+        rows[:m, 2 + k:] = -np.eye(m)
+        rows[m, 1 + k] = 1.0
+        rows[m, 2 + k:] = probs / (1.0 - beta)
+        lower = np.full(ntot, -math.inf)
+        lower[2 + k:] = 0.0
+        sol = linprog.solve(linprog.LpProblem(
+            c=c, rows=rows, senses=[linprog.LE] * (m + 1),
+            rhs=np.concatenate([-np.asarray(X, dtype=float), [0.0]]),
+            lower=lower, upper=np.full(ntot, math.inf)))
+    if sol.status == "unbounded":
+        return None
+    if sol.status == "infeasible":
+        raise InternalInconsistency("kernel search LP infeasible")
+    return float(sol.primal[0]), sol.primal[1:1 + k]
+
+
+def _entropic_root(alpha: float, probs, Y, U):
+    """The t with entropic xi(Y - t U) = 0 for a strictly positive U, and
+    the Gibbs density of Y - t U.  For U = u 1, cash additivity gives
+    t = xi(Y) / u.  Otherwise Newton's method, t <- t + xi / E_q[U]: the
+    function is convex and decreasing in t with slope -E_q[U] in
+    [-max U, -min U], so the iterates approach the root from below after
+    at most one step."""
+    v = base_risk(ENTROPIC, alpha, probs, Y)
+    if np.all(U == U[0]):
+        return v / U[0], np.exp(alpha * (Y - v))
+    t = v / float(probs @ U)
+    for _ in range(100):
+        R = Y - t * U
+        v = base_risk(ENTROPIC, alpha, probs, R)
+        q = np.exp(alpha * (R - v))
+        mass = float(probs @ (q * U))
+        step = v / mass
+        # a step below the rounding of xi is noise
+        if abs(step) <= 1e-14 * (1.0 + float(np.max(np.abs(R)))) / mass:
+            return t, q
+        t += step
+    raise NumericalFailure("entropic unit root did not converge")
+
+
+def _newton_terms(probs, D, U, q, w):
+    """Gradient and Hessian of t*(eta) at a point with dual density q and
+    curvature density w (gamma q where the density is smooth, 0 where a
+    dual cap clips it).
+
+    Implicit differentiation of xi(X - t U - D eta) = 0 gives the gradient
+    -D^T (p q) / E_q[U] and the Hessian G^T diag(p w) G / E_q[U] with
+    G = D - U a^T, a = D^T (p w) / U^T (p w)."""
+    pq = probs * q
+    mass = float(U @ pq)
+    pw = probs * w
+    smooth = float(U @ pw)
+    hess = np.zeros((D.shape[1], D.shape[1]))
+    if smooth > 0.0:
+        G = D - np.outer(U, (D.T @ pw) / smooth)
+        hess = (G.T * pw) @ G / mass
+    return -(D.T @ pq) / mass, hess
+
+
+def _damped_step(hess, grad, mu: float):
+    """Solution of (hess + mu I) step = -grad, or None when the solve
+    gives no finite descent direction: the matrix is positive semidefinite
+    by construction, so that happens only when it is numerically
+    singular."""
+    try:
+        step = -np.linalg.solve(hess + mu * np.eye(grad.size), grad)
+    except np.linalg.LinAlgError:
+        return None
+    if not (np.all(np.isfinite(step)) and float(grad @ step) < 0.0):
+        return None
+    return step
+
+
+_ROUNDING = 1e-14     # relative level below which changes of t* are noise
+
+
+def _kernel_newton(evaluate, probs, D, U, dual):
+    """Minimize the convex t*(eta) over the coordinates of an orthonormal
+    kernel basis D.  evaluate(eta) returns (t*, q, w): the value, the dual
+    density and the curvature density (see _newton_terms).
+
+    Damped Newton (Boyd and Vandenberghe, Convex Optimization, 9.5) with
+    Levenberg-Marquardt damping: the step solves (hess + mu I) step =
+    -grad and is taken only when t* falls by more than 1e-4 of the
+    decrease its quadratic model predicts; mu starts at 0, grows on every
+    refusal and shrinks with the gain ratio on every success (Nielsen's
+    rule, Madsen, Nielsen and Tingleff, Methods for Non-Linear Least
+    Squares Problems, 2004).  D is orthonormal, so the damping acts in
+    payoff units, and the steps lengthen along directions where t* is
+    locally linear: where the dual cap clips the density, or where the
+    Gibbs density has all but vanished off one scenario.  A trial point
+    whose evaluation fails counts as a refusal.  The phase ends when the
+    model predicts no decrease above the rounding of t*.
+
+    Near a perfect hedge t* is flat to rounding within sqrt(eps) of the
+    optimum while its gradient is not, so up to eight Newton steps follow
+    for as long as each halves the gradient and keeps t* within its
+    rounding.
+
+    The search ends with its duality gap t* - dual(q) and refuses with
+    NumericalFailure above linprog.CERT_TOL (1 + |t*|).  Returns
+    (eta, t*, q)."""
+    k = D.shape[1]
+    eta = np.zeros(k)
+    t, q, w = evaluate(eta)
+    grad, hess = _newton_terms(probs, D, U, q, w)
+    mu, nu = 0.0, 2.0
+    for _ in range(100 if k else 0):
+        if not np.any(grad):
+            break
+        step = _damped_step(hess, grad, mu)
+        # decrease predicted by the quadratic model; rounding can leave the
+        # Hessian slightly indefinite, and then more damping is needed
+        pred = (-float(grad @ step + 0.5 * step @ hess @ step)
+                if step is not None else -1.0)
+        if 0.0 <= pred <= _ROUNDING * (1.0 + abs(t)):
+            break
+        if pred > 0.0:
+            # a step far outside the model may overflow or fail; either
+            # way it is refused
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    trial = evaluate(eta + step)
+            except NumericalFailure:
+                trial = (math.nan,)
+            gain = (t - trial[0]) / pred
+            if gain > 1e-4:
+                eta, (t, q, w) = eta + step, trial
+                grad, hess = _newton_terms(probs, D, U, q, w)
+                mu *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+                nu = 2.0
+                continue
+        mu, nu = max(mu * nu, 1e-3), 2.0 * nu
+    else:
+        if k:
+            raise NumericalFailure("kernel Newton search did not converge")
+    for _ in range(8 if k else 0):
+        step = _damped_step(hess, grad, 0.0)
+        if step is None or np.all(eta + step == eta):
+            break
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                t1, q1, w1 = evaluate(eta + step)
+        except NumericalFailure:
+            break
+        g1, h1 = _newton_terms(probs, D, U, q1, w1)
+        if not (t1 <= t + _ROUNDING * (1.0 + abs(t))
+                and np.linalg.norm(g1) <= 0.5 * np.linalg.norm(grad)):
+            break
+        eta, t, q, w = eta + step, t1, q1, w1
+        grad, hess = g1, h1
+
+    gap = t - dual(q)
+    if not abs(gap) <= linprog.CERT_TOL * (1.0 + abs(t)):
+        raise NumericalFailure(
+            f"kernel search stopped with duality gap {gap:.2e}")
+    return eta, t, q
+
+
+def _priced_density(q, scale: float, probs, B, prices, cap: float):
+    """q clipped into [0, cap], then moved so that the weights
+    scale * q * probs price every column of B at `prices`.
+
+    A numeric dual density satisfies its constraints only to solver
+    precision; a supporting functional must satisfy them outright.  Each
+    round clips q into the box and restores the prices with a minimum-norm
+    correction of the coordinates strictly inside the box, or of all
+    coordinates when those cannot restore them (AVaR's density at tied
+    losses may have none inside), until the result stays in the box.
+    Raises NumericalFailure after three rounds."""
+    m = probs.size
+    for _ in range(3):
+        q = np.clip(q, 0.0, cap)
+        inside = (q > 0.0) & (q < cap)
+        w = scale * q * probs
+        tol = 1e-12 * (1.0 + float(np.max(np.abs(B).T @ w)))
+        for movable in (inside, np.full(m, True)):
+            delta = np.linalg.lstsq(B[movable].T, prices - B.T @ w,
+                                    rcond=None)[0]
+            moved = q.copy()
+            moved[movable] = (w[movable] + delta) / (scale * probs[movable])
+            resid = float(np.max(np.abs(B.T @ (scale * moved * probs)
+                                        - prices)))
+            if resid <= tol:
+                break
+        q = moved
+        if resid <= tol and np.all((q >= 0.0) & (q <= cap)):
+            return q
+    raise NumericalFailure(
+        f"no density inside the dual box restores the security prices "
+        f"(price residual {resid:.2e})"
+    )
 
 
 # ----------------------------------------------------------------------

@@ -50,6 +50,20 @@ def test_rho_of_zero_on_normalized_agent(capsys):
     assert abs(doc["outputs"]["value"]["value"]) <= 1e-9
 
 
+def test_rho_hedge_of_a_hedgeable_loss_is_exact(capsys):
+    # the loss lies in the fund's span, so the optimal hedge is the loss
+    # itself; the kernel search must locate it well inside the printed tol
+    code, doc, err = _run(capsys, "rho", str(FIXTURES / "entropic_pair.json"),
+                          "--agent", "1",
+                          "--loss", '{"heads": 1.5, "tails": -0.4}')
+    assert code == 0
+    out = doc["outputs"]
+    assert out["value"]["value"] == pytest.approx(0.55, abs=1e-12)
+    hedge = out["hedge_payoff"]["value"]
+    assert abs(hedge["heads"] - 1.5) <= 1e-12
+    assert abs(hedge["tails"] + 0.4) <= 1e-12
+
+
 def test_rho_outside_support_is_domain_exit(capsys):
     code, _, err = _run(capsys, "rho", WORKED, "--agent", "1",
                    "--loss", '{"c": 1}')

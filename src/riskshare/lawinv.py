@@ -244,25 +244,34 @@ def _mixed_dual(gamma: float, cap: float, probs, values):
     return value, q, zeta
 
 
+def _entropic_param(ent) -> float:
+    """Parameter of the convolved entropic agents: the harmonic sum, or the
+    one agent's own parameter (1 / (1 / a) need not equal a)."""
+    if len(ent) == 1:
+        return ent[0][1]
+    return 1.0 / sum(1.0 / a for _, a in ent)
+
+
 def convolution_value(measures, probs, values):
     """Value of the infimal convolution of the base measures at the
-    aggregate loss, with the maximizing density."""
+    aggregate loss, with the maximizing density.  Every value is a
+    base_risk or sorted-order evaluation, so relabelling the scenarios
+    leaves it bitwise unchanged."""
     ent, av, ex = _grouped(measures)
     values = np.asarray(values, dtype=float)
     probs = np.asarray(probs, dtype=float)
     if ex:
-        return float(probs @ values), np.ones(values.size)
+        return base_risk(EXPECTATION, 0.0, probs, values), np.ones(values.size)
     if ent and not av:
-        alpha = 1.0 / sum(1.0 / a for _, a in ent)
+        alpha = _entropic_param(ent)
         value = base_risk(ENTROPIC, alpha, probs, values)
         return value, np.exp(alpha * (values - value))
     if av and not ent:
         beta = min(b for _, b in av)
         return (base_risk(AVAR, beta, probs, values),
                 _avar_density(beta, probs, values))
-    alpha = 1.0 / sum(1.0 / a for _, a in ent)
     cap = 1.0 / (1.0 - min(b for _, b in av))
-    value, q, _ = _mixed_dual(alpha, cap, probs, values)
+    value, q, _ = _mixed_dual(_entropic_param(ent), cap, probs, values)
     return value, q
 
 
@@ -274,10 +283,10 @@ def convolution_split(measures, probs, values):
     values = np.asarray(values, dtype=float)
     probs = np.asarray(probs, dtype=float)
     if ex:
-        value = float(probs @ values)
+        value = base_risk(EXPECTATION, 0.0, probs, values)
         split = _proportional_split(n, {ex[0]: 1.0})
     elif ent and not av:
-        alpha = 1.0 / sum(1.0 / a for _, a in ent)
+        alpha = _entropic_param(ent)
         value = base_risk(ENTROPIC, alpha, probs, values)
         split = _proportional_split(n, {i: alpha / a for i, a in ent})
     elif av and not ent:
@@ -291,7 +300,7 @@ def convolution_split(measures, probs, values):
             others = [i for i, _ in av if i != tail]
             split = _stop_loss_split(n, zeta, tail, others[0])
     else:
-        alpha = 1.0 / sum(1.0 / a for _, a in ent)
+        alpha = _entropic_param(ent)
         beta = min(b for _, b in av)
         tail = min(i for i, b in av if b == beta)
         cap = 1.0 / (1.0 - beta)
@@ -307,6 +316,98 @@ def convolution_split(measures, probs, values):
             f"comonotone split achieves {achieved}, convolution value {value}"
         )
     return value, split
+
+
+def _unit_root(measures, probs, Y, U):
+    """The t with conv(Y - t U) = 0 for a strictly positive U, and the
+    maximizing density q of Y - t U.  For U = u 1, cash additivity gives
+    t = conv(Y) / u.  Otherwise Newton's method, t <- t + conv / E_q[U]:
+    the function is convex and decreasing in t with slope -E_q[U] in
+    [-max U, -min U], so the iterates approach the root from below after
+    at most one step."""
+    v, q = convolution_value(measures, probs, Y)
+    if np.all(U == U[0]):
+        return v / U[0], q
+    t = v / float(probs @ U)
+    for _ in range(100):
+        R = Y - t * U
+        v, q = convolution_value(measures, probs, R)
+        mass = float(probs @ (q * U))
+        step = v / mass
+        # a step below the rounding of conv is noise
+        if abs(step) <= 1e-14 * (1.0 + float(np.max(np.abs(R)))) / mass:
+            return t, q
+        t += step
+    raise NumericalFailure("unit root of the convolution did not converge")
+
+
+def _kernel_search(measures, probs, X, B, prices, U, price):
+    """The requirement inf { pi(Z) : Z in span B, conv(X - Z) <= 0 } of the
+    representative agent of `measures` (rho for one agent, Lambda for
+    several), pi pricing the columns of B at `prices`, for a strictly
+    positive payoff U of the span with pi(U) = `price`.
+
+    Returns (t, Z, q): the requirement is price * t, Z = t U + D eta is an
+    optimal payoff (D an orthonormal payoff basis of the price kernel) and
+    q the maximizing dual density of X - Z, of mass one.  None when the
+    requirement is unbounded below.
+
+    * One traded payoff with a constant U is cash additive: one
+      convolution, no kernel.
+    * AVaR and expectation systems: the Rockafellar-Uryasev LP
+      (regime._lp_kernel_search).
+    * Systems with an entropic agent: refused before the search when no
+      density in the agents' dual box prices the span (None) or when
+      every such density vanishes somewhere, that is, when the span holds
+      a nonzero nonnegative payoff of price zero (NumericalFailure: the
+      infimum is not attained); then the kernel Newton search over
+      t*(eta) from _unit_root, certified by the duality gap against the
+      price-repaired density and the agents' conjugates."""
+    if B.shape[1] == 1 and np.all(U == U[0]):
+        t, q = _unit_root(measures, probs, X, U)
+        return t, t * U, q
+    D = _span_basis(B @ linprog.null_space(np.reshape(prices, (1, -1))))
+    ent, av, ex = _grouped(measures)
+    if ex or not ent:
+        kind, beta = ((EXPECTATION, 0.0) if ex
+                      else (AVAR, min(b for _, b in av)))
+        sol = _lp_kernel_search(kind, beta, probs, X, U, D, price)
+        if sol is None:
+            return None
+        t, eta, q = sol
+        return t, t * U + D @ eta, q
+
+    cap = min(ms.dual_cap() for ms in measures)
+    if D.shape[1]:
+        # the box bounds densities of mass one; a cap is finite only for
+        # Lambda, whose U = 1 such a density prices at 1
+        margin = _pricing_margin(probs, B, prices / price, cap)
+        if margin < -1e-12:
+            return None
+        if margin <= 1e-12:
+            raise NumericalFailure(
+                "the infimum over the price kernel is not attained: the "
+                "span holds a nonzero nonnegative payoff of price zero")
+    # the convolved entropic parameter is the curvature where the dual
+    # density is not clipped
+    alpha = _entropic_param(ent)
+
+    def evaluate(eta):
+        t, q = _unit_root(measures, probs, X - D @ eta, U)
+        return t, q, alpha * q * (q < cap)
+
+    def dual(q):
+        # the pricing measure scale * q P prices U at `price`
+        scale = price / float(U @ (probs * q))
+        q = _priced_density(q, scale, probs, B, prices, cap)
+        mass = float(probs @ q)
+        conj = sum(base_risk_conjugate(ms.kind, ms.param, probs,
+                                       q / mass).as_float()
+                   for ms in measures)
+        return scale * (float(probs @ (q * X)) - mass * conj) / price
+
+    eta, t, q = _kernel_newton(evaluate, probs, D, U, dual)
+    return t, t * U + D @ eta, q
 
 
 def entropic_infconv(alphas, X: RandomVariable):
@@ -675,52 +776,17 @@ class LawInvariantSharingResult:
     certificates: dict = field(default_factory=dict)
 
 
-def _convolution_search(prob: LawInvariantProblem, X, span, price_row, D):
-    """(eta, m, q) of the cash requirement m = inf_eta conv(X - D eta) of a
-    system with an entropic agent and no expectation agent, by the kernel
-    Newton search.  Refused before the search when no nonnegative
-    density in the agents' dual box prices the span (DomainError:
-    unbounded below, as for pure AVaR) or when every such density
-    vanishes somewhere, that is, when the span holds a nonzero nonnegative
-    zero-price payoff (NumericalFailure: the infimum is not attained)."""
-    probs = prob.space.probs
-    cap = min(ms.dual_cap() for ms in prob.measures)
-    if D.shape[1]:
-        margin = _pricing_margin(probs, span, (probs * prob.q) @ span, cap)
-        if margin is None or margin < -1e-12:
-            raise DomainError(
-                "requirement is unbounded below; no density in the agents' "
-                "dual box prices the securities"
-            )
-        if margin <= 1e-12:
-            raise NumericalFailure(
-                "the infimum over the price kernel is not attained: the "
-                "span holds a nonzero nonnegative payoff of price zero")
-    # the convolved entropic parameter is the curvature where the mixed
-    # dual density is not clipped
-    alpha = 1.0 / sum(1.0 / ms.param for ms in prob.measures
-                      if ms.kind == ENTROPIC)
-
-    def evaluate(eta):
-        value, q = convolution_value(prob.measures, probs, X - D @ eta)
-        return value, q, alpha * q * (q < cap)
-
-    def dual(q):
-        q = _priced_density(q, prob.p, probs, span, price_row, cap)
-        conj = sum(base_risk_conjugate(ms.kind, ms.param, probs, q).as_float()
-                   for ms in prob.measures)
-        return float(probs @ (q * X)) - conj
-
-    return _kernel_newton(evaluate, probs, D, np.ones(probs.size), dual)
-
-
 def law_invariant_requirement(prob: LawInvariantProblem,
                               X: RandomVariable) -> LawInvariantSharingResult:
-    """Market requirement of a shared loss under law-invariant agents, with
-    the standard decomposition of the optimizer: per agent one acceptable
-    part (from the rebalanced comonotone split of the securitized
-    remainder) plus one traded part (the agent's share of the optimal
-    payoff under the sequential block selection)."""
+    """Market requirement of a shared loss under law-invariant agents: rho
+    of the representative agent, whose acceptance set {conv <= 0} is the
+    sum of the agents' sets and whose market is the sum of their markets
+    (_kernel_search over an orthonormal basis of the aggregate span, with
+    the unit payoff 1 at price p).  The optimizer comes with the standard
+    decomposition: per agent one acceptable part (from the rebalanced
+    comonotone split of the securitized remainder) plus one traded part
+    (the agent's share of the optimal payoff under the sequential block
+    selection)."""
     from .market import block_decompose, selection_blocks
 
     if X.space.labels != prob.space.labels:
@@ -732,25 +798,14 @@ def law_invariant_requirement(prob: LawInvariantProblem,
     if float(np.max(np.abs(ones - span @ (span.T @ ones)))) > 1e-9:
         raise DomainError("aggregate security span must contain the unit")
     price_row = prob.p * (probs * prob.q) @ span
-    D = span @ linprog.null_space(price_row.reshape(1, -1))
-
-    ent, av, ex = _grouped(prob.measures)
-    if ent and not ex:
-        t_star, m_star, q_star = _convolution_search(
-            prob, X.values, span, price_row, D)
-    else:
-        kind, beta = ((EXPECTATION, 0.0) if ex
-                      else (AVAR, min(b for _, b in av)))
-        sol = _lp_kernel_search(kind, beta, probs, X.values, ones, D, prob.p)
-        if sol is None:
-            raise DomainError(
-                "requirement is unbounded below; the pricing of the kernel "
-                "admits unlimited risk transfer"
-            )
-        t_star = sol[1]
-        m_star, q_star = convolution_value(prob.measures, probs,
-                                           X.values - D @ t_star)
-    payoff_vals = m_star * ones + D @ t_star
+    sol = _kernel_search(prob.measures, probs, X.values, span, price_row,
+                         ones, prob.p)
+    if sol is None:
+        raise DomainError(
+            "requirement is unbounded below; no density in the agents' "
+            "dual box prices the securities"
+        )
+    m_star, payoff_vals, q_star = sol
     value = prob.p * m_star
     y = X.values - payoff_vals
     val_y, split = convolution_split(prob.measures, probs, y)
@@ -766,7 +821,7 @@ def law_invariant_requirement(prob: LawInvariantProblem,
         )
 
     unit_vals = ones / prob.p
-    kernel_vals = -(D @ t_star)          # = value * unit - payoff
+    kernel_vals = m_star * ones - payoff_vals    # = value * unit - payoff
     bases = [np.column_stack([rv.values for rv in base])
              for base in prob.security_bases]
     blocks = selection_blocks(bases)

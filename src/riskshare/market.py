@@ -500,9 +500,13 @@ def selection_blocks(bases) -> list:
 def block_decompose(blocks, values) -> list:
     """Split a vector of the aggregate span along the direct-sum blocks.
     The stacked kept columns have full column rank, so the coefficients
-    are unique and the parts sum back exactly."""
+    are unique and the parts sum back exactly.  The least squares runs on
+    columns scaled to about unit norm, so payoffs of very different scales
+    lose no accuracy; each scale is the power of two nearest the inverse
+    norm, which makes the scaling itself exact."""
     stacked = np.hstack([b for b in blocks if b.shape[1]])
-    coeffs, *_ = np.linalg.lstsq(stacked, values, rcond=None)
+    scale = np.exp2(-np.round(np.log2(np.linalg.norm(stacked, axis=0))))
+    coeffs = scale * np.linalg.lstsq(stacked * scale, values, rcond=None)[0]
     resid = float(np.max(np.abs(stacked @ coeffs - values)))
     if resid > 1e-9 * max(1.0, float(np.max(np.abs(values)))):
         raise NumericalFailure(f"selection parts sum off by {resid:.2e}")

@@ -343,29 +343,6 @@ class SecurityMarket:
             return math.inf, None
         return -sol.objective_value, sol.primal[:k]
 
-    def positivity_certificate(self, included: np.ndarray):
-        """LP: minimize price(Z) over nonnegative Z in the span with total
-        coordinate sum 1.  A value >= -1e-10 certifies price positivity on
-        the nonnegative part of the span; an empty nonnegative part passes
-        vacuously."""
-        B = self.basis_matrix()[included]
-        k = self.dim
-        rows = [np.concatenate([-B[r]]) for r in range(B.shape[0])]   # -Z <= 0
-        senses = [linprog.LE] * B.shape[0]
-        rhs = [0.0] * B.shape[0]
-        rows.append(B.sum(axis=0))
-        senses.append(linprog.EQ)
-        rhs.append(1.0)
-        sol = linprog.solve(linprog.LpProblem(
-            c=self.prices.copy(), rows=np.array(rows), senses=senses,
-            rhs=np.array(rhs), lower=np.full(k, -math.inf),
-            upper=np.full(k, math.inf)))
-        if sol.status == "infeasible":
-            return None          # vacuous
-        if sol.status == "unbounded":
-            return -math.inf
-        return sol.objective_value
-
 
 # ----------------------------------------------------------------------
 # regimes
@@ -484,9 +461,17 @@ def validate_regime(r: RiskMeasurementRegime, seed: int = 0) -> ValidationReport
     uval, _ = r.market.unit_certificate(inc)
     if r.is_law_invariant:
         # Section-5-style systems replace the per-market positive unit with a
-        # global pricing density; report the unit value informationally.
-        ok, detail = _law_invariant_no_arbitrage(r)
-        rep.add("no_arbitrage_dual_density", ok, detail)
+        # global pricing density; report the unit value informationally.  A
+        # density in the base risk's dual box pricing the payoff 1 at 1 and
+        # every basis payoff at its price certifies rho > -inf everywhere.
+        margin = _pricing_margin(
+            space.probs, np.column_stack([np.ones(space.size), B]),
+            np.concatenate([[1.0], r.market.prices]), r.acceptance.dual_cap())
+        ok = margin >= -1e-12
+        rep.add("no_arbitrage_dual_density", ok,
+                "market-consistent dual density exists (exact certificate)"
+                if ok else
+                "no market-consistent density in the base risk's dual domain")
         rep.add("positive_unit_payoff", True,
                 f"optional for law-invariant regimes; LP value "
                 f"{uval if uval is not None else 'infeasible'}", heuristic=False)
@@ -497,8 +482,10 @@ def validate_regime(r: RiskMeasurementRegime, seed: int = 0) -> ValidationReport
         probes_ok, detail = _polyhedral_no_arbitrage_probes(r, seed)
         rep.add("no_arbitrage_probes", probes_ok, detail, heuristic=True)
 
-    pval = r.market.positivity_certificate(inc)
-    if pval is None:
+    # min price over nonnegative span payoffs with coordinate sum 1
+    pval = _pricing_margin(np.ones(int(inc.sum())), B[inc], r.market.prices,
+                           math.inf)
+    if pval == math.inf:
         rep.add("price_positivity", True,
                 "no nonnegative payoffs in span (vacuous)")
     else:
@@ -522,33 +509,6 @@ def _polyhedral_no_arbitrage_probes(r, seed):
     return True, "bounded at X = 0 and 8 random probes (probabilistic check)"
 
 
-def _law_invariant_no_arbitrage(r):
-    """Feasibility LP: a density q >= 0 (boxed for avar/expectation) with
-    E[q] = 1 matching every basis price certifies rho > -inf everywhere."""
-    acc = r.acceptance
-    space = r.space
-    n = space.size
-    cap = acc.dual_cap()
-    rows = [space.probs.copy()]
-    senses = [linprog.EQ]
-    rhs = [1.0]
-    B = r.market.basis_matrix()
-    for k in range(r.market.dim):
-        rows.append(space.probs * B[:, k])
-        senses.append(linprog.EQ)
-        rhs.append(r.market.prices[k])
-    lower = np.zeros(n)
-    upper = np.full(n, cap if math.isfinite(cap) else math.inf)
-    if acc.kind == EXPECTATION:
-        lower = np.ones(n)
-    sol = linprog.solve(linprog.LpProblem(
-        c=np.zeros(n), rows=np.array(rows), senses=senses, rhs=np.array(rhs),
-        lower=lower, upper=upper))
-    if sol.status == "optimal":
-        return True, "market-consistent dual density exists (exact certificate)"
-    return False, "no market-consistent density in the base risk's dual domain"
-
-
 # ----------------------------------------------------------------------
 # rho
 # ----------------------------------------------------------------------
@@ -565,12 +525,15 @@ def rho(r: RiskMeasurementRegime, X: RandomVariable) -> RhoResult:
     """Least capital securitizing X under the regime.
 
     Polyhedral acceptance: a single LP over security coefficients.
-    Law-invariant acceptance: xi(X) times the price of the payoff 1 when
-    the market trades only a constant payoff; otherwise a search over an
-    orthonormal payoff basis of the price kernel, an exact LP for AVaR and
-    expectation agents and a damped Newton search for entropic agents that
-    ends with its duality gap and refuses when the gap exceeds
-    linprog.CERT_TOL (1 + |rho|).
+    Law-invariant acceptance: the one-agent case of the representative
+    agent's search (lawinv._kernel_search) with a strictly positive unit U:
+    the payoff 1 at its price when the market trades only a constant
+    payoff (then rho = xi(X) times that price), else U from the unit LP at
+    price 1.  Over an orthonormal payoff basis of the price kernel it is an
+    exact LP for AVaR and expectation agents and a damped Newton search
+    for entropic agents that ends with its duality gap and refuses when
+    the gap exceeds linprog.CERT_TOL (1 + |rho|).  A one-dimensional
+    market without such a unit has its own interval search.
     """
     if X.space.labels != r.space.labels:
         raise StructuralError("loss profile on a different scenario space")
@@ -602,43 +565,38 @@ def _rho_polyhedral(r, xvals) -> RhoResult:
 
 
 def _rho_law_invariant(r, xvals) -> RhoResult:
+    from .lawinv import _kernel_search      # lawinv imports this module
+
     acc = r.acceptance
     mkt = r.market
     probs = r.space.probs
+    B = mkt.basis_matrix()
     unit_price = _cash_unit_price(mkt)
     if unit_price is not None:
-        # cash additivity: rho = xi(X) times the price of the payoff 1
-        t = unit_price * acc.xi(probs, xvals)
-        w = np.array([t / mkt.prices[0]])
-        return RhoResult(value=RiskValue.finite(t), security=mkt.payoff(w),
-                         coefficients=w)
+        U, price = np.ones(B.shape[0]), unit_price
+    else:
+        uval, w_u = mkt.unit_certificate(r.support.included)
+        if uval is None or math.isinf(uval) or not uval > 1e-10:
+            return _rho_without_unit(r, xvals)
+        U, price = B @ w_u, 1.0
+    sol = _kernel_search((acc,), probs, xvals, B, mkt.prices, U, price)
+    if sol is None:
+        return RhoResult(value=None, status="unbounded")
+    t, Z, _ = sol
+    return RhoResult(value=RiskValue.finite(price * t),
+                     security=RandomVariable(r.space, Z),
+                     coefficients=np.linalg.lstsq(B, Z, rcond=None)[0])
 
-    B = mkt.basis_matrix()
-    K = mkt.dim
-    uval, w_u = mkt.unit_certificate(r.support.included)
-    if uval is not None and not math.isinf(uval) and uval > 1e-10:
-        # span = R U (+) price kernel; rho = inf_eta t*(eta), where t*(eta)
-        # solves xi(X - t U - D eta) = 0 and D is an orthonormal payoff
-        # basis of the kernel, so rescaling a security changes nothing
-        U = B @ w_u
-        D = _span_basis(B @ linprog.null_space(mkt.prices.reshape(1, -1)))
-        if acc.kind == ENTROPIC:
-            t, eta = _rho_entropic(r, xvals, U, D)
-        else:
-            sol = _lp_kernel_search(acc.kind, acc.param, probs, xvals, U, D,
-                                    1.0)
-            if sol is None:
-                return RhoResult(value=None, status="unbounded")
-            t, eta = sol
-        w = t * w_u + np.linalg.lstsq(B, D, rcond=None)[0] @ eta
-        return RhoResult(value=RiskValue.finite(t), security=mkt.payoff(w),
-                         coefficients=w)
 
-    if K == 1:
+def _rho_without_unit(r, xvals) -> RhoResult:
+    acc = r.acceptance
+    mkt = r.market
+    probs = r.space.probs
+    if mkt.dim == 1:
         # one-dimensional market without a strictly positive unit payoff:
         # the feasible coefficient set {w : xi(X - w b) <= 0} is an interval
         # (g is convex in w); rho picks its cheapest endpoint
-        b = B[:, 0]
+        b = mkt.basis_matrix()[:, 0]
         p0 = float(mkt.prices[0])
         xi = lambda v: acc.xi(probs, v)
         g = lambda w: xi(xvals - w * b)
@@ -675,37 +633,6 @@ def _cash_unit_price(mkt: SecurityMarket):
         return None
     unit_price = mkt.prices[0] / vals[0]
     return unit_price if unit_price > 0 else None
-
-
-def _rho_entropic(r, xvals, U, D):
-    """(t, eta) of entropic rho by the kernel Newton search, certified by
-    the duality gap of the Gibbs density at the optimum."""
-    alpha = r.acceptance.param
-    probs = r.space.probs
-    mkt = r.market
-    # by Stiemke's lemma the infimum over the kernel is attained exactly
-    # when no nonzero nonnegative payoff in the span is priced at most zero
-    # (one priced below zero would have left the unit LP unbounded)
-    if D.shape[1]:
-        pval = mkt.positivity_certificate(r.support.included)
-        if pval is not None and pval <= 1e-12:
-            raise NumericalFailure(
-                "the infimum over the price kernel is not attained: the "
-                "span holds a nonzero nonnegative payoff of price zero")
-
-    def evaluate(eta):
-        t, q = _entropic_root(alpha, probs, xvals - D @ eta, U)
-        return t, q, alpha * q
-
-    def dual(q):
-        scale = 1.0 / float(U @ (probs * q))
-        q = _priced_density(q, scale, probs, mkt.basis_matrix(), mkt.prices,
-                            math.inf)
-        phi = Functional(r.space, scale * q)
-        return float(phi.weights @ xvals) - conjugate(r, phi).as_float()
-
-    eta, t, _ = _kernel_newton(evaluate, probs, D, U, dual)
-    return t, eta
 
 
 def _find_feasible_1d(g, tol: float = 1e-12):
@@ -777,7 +704,7 @@ def _level_boundary(g, inside: float, direction: float, tol: float = 1e-12):
 
 
 # ----------------------------------------------------------------------
-# the law-invariant kernel search (shared by rho and lawinv's Lambda)
+# parts of the law-invariant kernel search (lawinv._kernel_search)
 # ----------------------------------------------------------------------
 
 def _span_basis(B: np.ndarray) -> np.ndarray:
@@ -787,33 +714,43 @@ def _span_basis(B: np.ndarray) -> np.ndarray:
     return u[:, :rank]
 
 
-def _pricing_margin(probs, B, prices, cap: float):
-    """LP: the largest s such that a density d with s <= d <= cap prices
-    every column of B (E[d B_j] = prices_j); None when no density under the
-    cap does.  B must hold a strictly positive payoff, which bounds s.
+def _pricing_margin(weights, B, prices, cap: float) -> float:
+    """Which density prices the span of B at `prices`, as one LP in payoff
+    (dual) form:
 
-    A negative margin means that no nonnegative density under the cap
-    prices the span.  By Stiemke's lemma, a positive margin holds exactly
-    when the span has no nonzero nonnegative payoff priced at most zero,
-    which is when an entropic infimum over the price kernel is
-    attained."""
+        minimize  price(Z) + cap sum(nu)  over Z = B y and nu >= 0
+        subject to  w Z + nu >= 0  and  sum(w Z + nu) = 1,
+
+    the nu columns present only for a finite cap.  By LP duality its value
+    is the margin: the largest s such that some d with s <= d <= cap prices
+    every column of B through the weights w d (E[d B_j] = prices_j for
+    w = P).  -inf when no such d exists (the payoff LP is unbounded), +inf
+    when the span holds no nonzero payoff with w Z >= 0 (it is infeasible,
+    which needs an infinite cap).
+
+    For w = 1 and an infinite cap the LP is the minimum price of a
+    nonnegative span payoff with coordinate sum 1.  For w = P, by Stiemke's
+    lemma a positive margin holds exactly when the span has no nonzero
+    nonnegative payoff priced at most zero, which is when an entropic
+    infimum over the price kernel is attained."""
     m, K = B.shape
-    # variables: d (m), s
-    rows = np.block([[(probs[:, None] * B).T, np.zeros((K, 1))],
-                     [-np.eye(m), np.ones((m, 1))]])
-    c = np.zeros(m + 1)
-    c[-1] = -1.0
-    upper = np.full(m + 1, math.inf)
-    upper[:m] = cap
+    wB = weights[:, None] * B
+    rows = np.vstack([-wB, wB.sum(axis=0)])       # -w Z - nu <= 0 ; sum = 1
+    c = np.array(prices, dtype=float)
+    lower = np.full(K, -math.inf)
+    if math.isfinite(cap):
+        rows = np.hstack([rows, np.vstack([-np.eye(m), np.ones(m)])])
+        c = np.concatenate([c, np.full(m, cap)])
+        lower = np.concatenate([lower, np.zeros(m)])
     sol = linprog.solve(linprog.LpProblem(
-        c=c, rows=rows, senses=[linprog.EQ] * K + [linprog.LE] * m,
-        rhs=np.concatenate([prices, np.zeros(m)]),
-        lower=np.full(m + 1, -math.inf), upper=upper))
-    if sol.status == "infeasible":
-        return None
+        c=c, rows=rows, senses=[linprog.LE] * m + [linprog.EQ],
+        rhs=np.concatenate([np.zeros(m), [1.0]]), lower=lower,
+        upper=np.full(c.size, math.inf)))
     if sol.status == "unbounded":
-        raise InternalInconsistency("pricing-margin LP unbounded")
-    return -sol.objective_value
+        return -math.inf
+    if sol.status == "infeasible":
+        return math.inf
+    return sol.objective_value
 
 
 def _lp_kernel_search(kind: str, beta: float, probs, X, U, D, price: float):
@@ -821,7 +758,12 @@ def _lp_kernel_search(kind: str, beta: float, probs, X, U, D, price: float):
     over (t, eta) subject to xi(X - t U - D eta) <= 0, for a strictly
     positive unit U.  AVaR enters through its Rockafellar-Uryasev form
     tau + E[(Y - tau)+] / (1 - beta) with tail auxiliaries u >= 0.
-    Returns (t, eta), or None when the requirement is unbounded below."""
+
+    Returns (t, eta, q), or None when the requirement is unbounded below.
+    q is the dual density of the remainder: 1 for the expectation, and for
+    AVaR the tail-row multipliers z = -duals normalized to q = z / (P sum z),
+    which lies in the dual box [0, 1/(1-beta)] and, scaled by sum z, prices
+    U at `price` and every kernel direction at zero."""
     m = len(probs)
     k = D.shape[1]
     if kind == EXPECTATION:
@@ -854,31 +796,12 @@ def _lp_kernel_search(kind: str, beta: float, probs, X, U, D, price: float):
         return None
     if sol.status == "infeasible":
         raise InternalInconsistency("kernel search LP infeasible")
-    return float(sol.primal[0]), sol.primal[1:1 + k]
-
-
-def _entropic_root(alpha: float, probs, Y, U):
-    """The t with entropic xi(Y - t U) = 0 for a strictly positive U, and
-    the Gibbs density of Y - t U.  For U = u 1, cash additivity gives
-    t = xi(Y) / u.  Otherwise Newton's method, t <- t + xi / E_q[U]: the
-    function is convex and decreasing in t with slope -E_q[U] in
-    [-max U, -min U], so the iterates approach the root from below after
-    at most one step."""
-    v = base_risk(ENTROPIC, alpha, probs, Y)
-    if np.all(U == U[0]):
-        return v / U[0], np.exp(alpha * (Y - v))
-    t = v / float(probs @ U)
-    for _ in range(100):
-        R = Y - t * U
-        v = base_risk(ENTROPIC, alpha, probs, R)
-        q = np.exp(alpha * (R - v))
-        mass = float(probs @ (q * U))
-        step = v / mass
-        # a step below the rounding of xi is noise
-        if abs(step) <= 1e-14 * (1.0 + float(np.max(np.abs(R)))) / mass:
-            return t, q
-        t += step
-    raise NumericalFailure("entropic unit root did not converge")
+    if kind == EXPECTATION:
+        q = np.ones(m)
+    else:
+        z = -sol.duals[:m]
+        q = z / (float(np.sum(z)) * probs)
+    return float(sol.primal[0]), sol.primal[1:1 + k], q
 
 
 def _newton_terms(probs, D, U, q, w):

@@ -23,8 +23,8 @@ from .errors import (
     StructuralError,
 )
 from .regime import (
-    PolyhedralAcceptanceSet,
     ValidationReport,
+    _price_deviation,
     conjugate,
     rho,
 )
@@ -223,12 +223,7 @@ def verify_equilibrium(s: market.AgentSystem, endowments,
     rep.add("price_nonnegative", worst_neg >= -1e-10,
             f"min density {worst_neg:.3e}")
 
-    worst = 0.0
-    for r in s.regimes:
-        B = r.market.basis_matrix()
-        for k in range(r.market.dim):
-            worst = max(worst, abs(float(phi.weights @ B[:, k])
-                                   - r.market.prices[k]))
+    worst = max(_price_deviation(r, phi) for r in s.regimes)
     rep.add("price_consistent_on_security_spans", worst <= BUDGET_TOL,
             f"max price deviation {worst:.2e}")
 
@@ -256,11 +251,9 @@ def verify_equilibrium(s: market.AgentSystem, endowments,
             ri = math.inf
         risks.append(ri)
         budget = float(phi.weights @ w.values)
-        if isinstance(r.acceptance, PolyhedralAcceptanceSet):
-            best = _budget_optimum(r, phi, budget)
-        else:
-            cv = conjugate(r, phi)
-            best = budget - cv.as_float() if cv.is_finite else -math.inf
+        # min{rho_i(Y) : phi(Y) >= b} = b - rho_i*(phi) when phi prices S_i
+        # consistently and some security has a nonzero price
+        best = budget - conjugate(r, phi).as_float()
         gap = ri - best
         gaps.append(gap)
         ok &= abs(gap) <= FENCHEL_TOL * (1.0 + abs(ri))
@@ -278,26 +271,3 @@ def verify_equilibrium(s: market.AgentSystem, endowments,
     else:
         rep.add("pareto_optimal", False, "aggregate requirement infinite")
     return rep
-
-
-def _budget_optimum(r, phi, budget: float) -> float:
-    """min { rho_i(Y) : phi(Y) >= budget } as one LP over the agent's
-    supported profiles and security coefficients."""
-    inc = r.support.included
-    block = r.acceptance_block()
-    J, n = block.shape
-    c = np.concatenate([np.zeros(r.support.dim), r.market.prices])
-    budget_row = np.zeros(n)
-    budget_row[:r.support.dim] = -phi.weights[inc]
-    rows = np.vstack([block, budget_row])
-    rhs = np.concatenate([r.acceptance.bounds, [-budget]])
-    sol = linprog.solve(linprog.LpProblem(
-        c=c, rows=rows, senses=[linprog.LE] * (J + 1), rhs=rhs,
-        lower=np.full(n, -math.inf), upper=np.full(n, math.inf)))
-    if sol.status == "unbounded":
-        return -math.inf
-    if sol.status == "infeasible":
-        raise InternalInconsistency(
-            "budget set empty although the acceptance set is nonempty"
-        )
-    return float(sol.objective_value)

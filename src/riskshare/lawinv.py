@@ -739,17 +739,12 @@ def validate_problem(prob: LawInvariantProblem) -> ValidationReport:
     if kernel.shape[1] == 0:
         rep.add("kernel_free_of_one_signed_directions", True, "kernel trivial")
     else:
-        m = kernel.shape[0]
-        rows = np.vstack([kernel, np.ones(m) @ kernel])
-        senses = [linprog.GE] * m + [linprog.EQ]
-        rhs = np.concatenate([np.zeros(m), [1.0]])
-        sol = linprog.solve(linprog.LpProblem(
-            c=np.zeros(kernel.shape[1]), rows=rows, senses=senses, rhs=rhs,
-            lower=np.full(kernel.shape[1], -math.inf),
-            upper=np.full(kernel.shape[1], math.inf)))
-        rep.add("kernel_free_of_one_signed_directions",
-                sol.status == "infeasible",
-                f"one-signed search status: {sol.status}")
+        # +inf: the kernel holds no nonzero nonnegative payoff
+        free = _pricing_margin(np.ones(kernel.shape[0]), kernel,
+                               np.zeros(kernel.shape[1]), math.inf) == math.inf
+        rep.add("kernel_free_of_one_signed_directions", free,
+                "one-signed search status: "
+                + ("infeasible" if free else "optimal"))
     if prob.kernel_witnesses is not None:
         ok = True
         detail = []

@@ -965,22 +965,44 @@ def _priced_density(q, scale: float, probs, B, prices, cap: float):
 def conjugate(r: RiskMeasurementRegime, phi: Functional) -> RiskValue:
     """rho*(phi) = sup { phi(X) - rho(X) : X in the support ideal }.
 
-    Finite only when phi prices the security span consistently; on top of
-    that, polyhedral sets contribute their support function (an LP) and
-    law-invariant sets the conjugate of the base risk.
+    With several eligible securities this splits in two: +inf unless phi
+    prices the security span at the market prices, and otherwise the
+    acceptance set's support function sup { phi(Y) : Y acceptable }.  The
+    price check is relative to the size of phi on the basis payoffs.
     """
     if phi.space.labels != r.space.labels:
         raise StructuralError("functional on a different scenario space")
-    if isinstance(r.acceptance, PolyhedralAcceptanceSet):
-        return _conjugate_polyhedral(r, phi)
-    # price consistency on the span
+    scale = float(np.max(np.abs(phi.weights) @ np.abs(r.market.basis_matrix())))
+    if _price_deviation(r, phi) > PRICE_TOL * (1.0 + scale):
+        return RiskValue.infinite()
+    return _support_value(r, phi)
+
+
+def _price_deviation(r, phi) -> float:
+    """max_k |phi(b_k) - price_k| over the agent's security basis."""
     B = r.market.basis_matrix()
-    for k in range(r.market.dim):
-        implied = float(phi.weights @ B[:, k])
-        if abs(implied - r.market.prices[k]) > PRICE_TOL:
+    return max(abs(float(phi.weights @ B[:, k]) - r.market.prices[k])
+               for k in range(r.market.dim))
+
+
+def _support_value(r, phi) -> RiskValue:
+    """sup { phi(Y) : Y in the acceptance set }, the agent's securities
+    left out.  Polyhedral sets solve one LP over the supported
+    coordinates; a law-invariant set scales out of phi's total mass into
+    the conjugate of its base risk."""
+    if isinstance(r.acceptance, PolyhedralAcceptanceSet):
+        block = r.acceptance_block(securities=False)
+        J, n = block.shape
+        sol = linprog.solve(linprog.LpProblem(
+            c=-phi.weights[r.support.included], rows=block,
+            senses=[linprog.LE] * J, rhs=r.acceptance.bounds.copy(),
+            lower=np.full(n, -math.inf), upper=np.full(n, math.inf)))
+        if sol.status == "unbounded":
             return RiskValue.infinite()
-    # remaining term is the acceptance set's support function; for a
-    # cash-additive base set it scales out of the functional's total mass
+        if sol.status == "infeasible":
+            raise NumericalFailure(
+                "conjugate LP infeasible for nonempty acceptance set")
+        return RiskValue.finite(-sol.objective_value)
     if float(np.min(phi.density)) < -1e-9:
         return RiskValue.infinite()
     mass = float(r.space.probs @ phi.density)
@@ -990,19 +1012,3 @@ def conjugate(r: RiskMeasurementRegime, phi: Functional) -> RiskValue:
     if not inner.is_finite:
         return inner
     return RiskValue.finite(mass * inner.as_float())
-
-
-def _conjugate_polyhedral(r, phi) -> RiskValue:
-    # maximize phi(X) - prices.z  over X on the supported coords and z
-    inc = r.support.included
-    rows = r.acceptance_block()
-    J, n = rows.shape
-    c = np.concatenate([-phi.weights[inc], r.market.prices])
-    sol = linprog.solve(linprog.LpProblem(
-        c=c, rows=rows, senses=[linprog.LE] * J, rhs=r.acceptance.bounds.copy(),
-        lower=np.full(n, -math.inf), upper=np.full(n, math.inf)))
-    if sol.status == "unbounded":
-        return RiskValue.infinite()
-    if sol.status == "infeasible":
-        raise NumericalFailure("conjugate LP infeasible for nonempty acceptance set")
-    return RiskValue.finite(-sol.objective_value)

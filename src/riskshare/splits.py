@@ -15,13 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linprog, market
+from . import market
 from .errors import DomainError, StructuralError
 from .regime import (
-    PolyhedralAcceptanceSet,
     RiskMeasurementRegime,
     RiskValue,
     ValidationReport,
+    _price_deviation,
+    _support_value,
     conjugate,
     rho,
 )
@@ -260,12 +261,7 @@ def check_bound_functional(p: SplitProblem, phi0: Functional) -> ValidationRepor
     recurs indefinitely."""
     rep = ValidationReport()
 
-    worst = 0.0
-    for r in p.distinct_regimes():
-        B = r.market.basis_matrix()
-        for k in range(r.market.dim):
-            worst = max(worst, abs(float(phi0.weights @ B[:, k])
-                                   - r.market.prices[k]))
+    worst = max(_price_deviation(r, phi0) for r in p.distinct_regimes())
     rep.add("prices_securities_consistently", worst <= 1e-8,
             f"max deviation {worst:.2e}")
 
@@ -298,30 +294,6 @@ def check_bound_functional(p: SplitProblem, phi0: Functional) -> ValidationRepor
             "sup phi0 over each acceptance set <= 0 suffices for "
             "summability of the normalized conjugates")
     return rep
-
-
-def _support_value(r, phi0) -> RiskValue:
-    """sup { phi0(Y) : Y in the acceptance set }, ignoring the agent's
-    securities (they enter through price consistency, reported apart)."""
-    if isinstance(r.acceptance, PolyhedralAcceptanceSet):
-        block = r.acceptance_block(securities=False)
-        J, n = block.shape
-        sol = linprog.solve(linprog.LpProblem(
-            c=-phi0.weights[r.support.included], rows=block,
-            senses=[linprog.LE] * J, rhs=r.acceptance.bounds.copy(),
-            lower=np.full(n, -math.inf), upper=np.full(n, math.inf)))
-        if sol.status == "unbounded":
-            return RiskValue.infinite()
-        return RiskValue.finite(-sol.objective_value)
-    if float(np.min(phi0.density)) < -1e-9:
-        return RiskValue.infinite()
-    mass = float(r.space.probs @ phi0.density)
-    if mass <= 1e-10:
-        return RiskValue.finite(0.0)
-    inner = r.acceptance.xi_conjugate(r.space.probs, phi0.density / mass)
-    if not inner.is_finite:
-        return inner
-    return RiskValue.finite(mass * inner.as_float())
 
 
 # ----------------------------------------------------------------------

@@ -34,6 +34,12 @@ CASES = {
     "readme-split": ["split", "fixtures/split_entropic.json",
                      "--loss", '{"high": 2}'],
     "readme-oracle": ["oracle", WORKED, "--loss", LOSS, "--check", "lambda"],
+    "equilibrium-entropic_pair": ["equilibrium", "fixtures/entropic_pair.json"],
+    "subgradient-entropic_pair": [
+        "oracle", "fixtures/entropic_pair.json",
+        "--loss", '{"heads": 1.5, "tails": -0.4}', "--check", "subgradient"],
+    "subgradient-overlap_ceilings": [
+        "oracle", WORKED, "--loss", LOSS, "--check", "subgradient"],
     "validate-arbitrage_triple": ["validate", "fixtures/arbitrage_triple.json"],
     "validate-avar_entropic": ["validate", "fixtures/avar_entropic.json"],
     "validate-entropic_pair": ["validate", "fixtures/entropic_pair.json"],

@@ -25,6 +25,7 @@ from .errors import (
 from .regime import (
     ValidationReport,
     _price_deviation,
+    _price_scale,
     conjugate,
     rho,
 )
@@ -223,9 +224,11 @@ def verify_equilibrium(s: market.AgentSystem, endowments,
     rep.add("price_nonnegative", worst_neg >= -1e-10,
             f"min density {worst_neg:.3e}")
 
-    worst = max(_price_deviation(r, phi) for r in s.regimes)
-    rep.add("price_consistent_on_security_spans", worst <= BUDGET_TOL,
-            f"max price deviation {worst:.2e}")
+    checks = [(_price_deviation(r, phi), _price_scale(r, phi))
+              for r in s.regimes]
+    rep.add("price_consistent_on_security_spans",
+            all(dev <= BUDGET_TOL * (1.0 + scale) for dev, scale in checks),
+            f"max price deviation {max(dev for dev, _ in checks):.2e}")
 
     total = np.sum([w.values for w in endowments], axis=0)
     resid = float(np.max(np.abs(eq.allocation.total() - total)))

@@ -42,9 +42,7 @@ from .regime import (
     RiskValue,
     ValidationReport,
     _cap_fill,
-    _golden_min,
     _kernel_newton,
-    _level_boundary,
     _logsumexp,
     _lp_kernel_search,
     _priced_density,
@@ -381,7 +379,7 @@ def _kernel_search(measures, probs, X, B, prices, U, price):
     if D.shape[1]:
         # the box bounds densities of mass one; a cap is finite only for
         # Lambda, whose U = 1 such a density prices at 1
-        margin = _pricing_margin(probs, B, prices / price, cap)
+        margin, _ = _pricing_margin(probs, B, prices / price, cap)
         if margin < -1e-12:
             return None
         if margin <= 1e-12:
@@ -420,18 +418,30 @@ def entropic_infconv(alphas, X: RandomVariable):
     return convolution_split(measures, X.space.probs, X.values)
 
 
-def _rebalanced(split: ComonotoneSplit, measures, probs, values):
-    """Shift constants between the split's parts so every part sits exactly
-    on its acceptance boundary; the aggregate slack (= the convolution
-    value, <= 0 on optimal remainders) lands on the last agent."""
-    parts = split.apply(values)
+def _unwind(measures, probs, y):
+    """A securitized remainder y unwound into one acceptable part per
+    agent: the comonotone split of convolution_split, with constants
+    shifted between its parts so that every part sits exactly on its
+    acceptance boundary and the aggregate slack (the convolution value,
+    about 0 on optimal remainders) lands on the last agent.
+
+    Returns (convolution value, split, part values, part risks) and raises
+    InternalInconsistency when a part's risk exceeds CERT_TOL."""
+    value, split = convolution_split(measures, probs, y)
     cs = np.array([
         base_risk(m.kind, m.param, probs, part)
-        for m, part in zip(measures, parts)
+        for m, part in zip(measures, split.apply(y))
     ])
     deltas = -cs
     deltas[-1] += cs.sum()
-    return split.shifted(deltas)
+    split = split.shifted(deltas)
+    parts = split.apply(y)
+    risks = tuple(base_risk(m.kind, m.param, probs, part)
+                  for m, part in zip(measures, parts))
+    if max(risks) > CERT_TOL:
+        raise InternalInconsistency(
+            f"rebalanced parts leave their acceptance sets: {risks}")
+    return value, split, parts, risks
 
 
 # ----------------------------------------------------------------------
@@ -501,29 +511,20 @@ def entropic_pair_sharing(p: float, alphas, a_labels,
     spread = np.where(mask, 1.0, -1.0)
     kernel = RandomVariable(space, r_star * spread)
     y = X.values - cash - kernel.values
-    boundary = base_risk(ENTROPIC, alpha, probs, y)
+    measures = (LawInvariantAcceptanceSet(ENTROPIC, b_param),
+                LawInvariantAcceptanceSet(ENTROPIC, g_param))
+    # the slack above the boundary is a part risk, checked by _unwind
+    boundary, split, acc_vals, part_risks = _unwind(measures, probs, y)
     if abs(boundary) > CERT_TOL:
         raise InternalInconsistency(
             f"securitized remainder misses the acceptance boundary by "
             f"{boundary:.2e}"
         )
-
-    measures = (LawInvariantAcceptanceSet(ENTROPIC, b_param),
-                LawInvariantAcceptanceSet(ENTROPIC, g_param))
-    split = _rebalanced(
-        _proportional_split(2, {0: alpha / b_param, 1: alpha / g_param}),
-        measures, probs, y)
-    acc_parts = [RandomVariable(space, v) for v in split.apply(y)]
+    acc_parts = [RandomVariable(space, v) for v in acc_vals]
     sec1 = RandomVariable(space, cash * np.ones(space.size) + kernel.values)
     sec2 = RandomVariable(space, np.zeros(space.size))
     parts = (acc_parts[0] + sec1, acc_parts[1] + sec2)
-    certs = {
-        "aggregate_boundary": boundary,
-        "part_risks": tuple(
-            base_risk(m.kind, m.param, probs, ap.values)
-            for m, ap in zip(measures, acc_parts)
-        ),
-    }
+    certs = {"aggregate_boundary": boundary, "part_risks": part_risks}
     return EntropicPairResult(
         value=value, r_star=r_star, cash=cash, kernel=kernel,
         parts=parts, acceptable_parts=tuple(acc_parts),
@@ -568,10 +569,17 @@ def avar_entropic_sharing(beta: float, gamma: float, a_labels, qstar_a: float,
 
     The requirement is the maximum of E_q[X] - H(q|P)/gamma over densities
     0 <= q <= 1/(1-beta) with E[q] = 1 and E[q 1_A] = Q*(A); it separates
-    over A and its complement into clipped exponentials.  The optimal
-    kernel position is any point of {s : xi(X - value - sN) <= 0}; the
-    midpoint is returned.  The allocation is a stop-loss split of the
-    securitized remainder at the dual clipping threshold.
+    over A and its complement into clipped exponentials min(c e^{gamma X},
+    cap) with clip constants c_A and c_{A^c}.  The optimal kernel position
+    s* is where q is also the mixed dual density of X - value - s N: one
+    clip constant c then serves both sides, c e^{-gamma s} = c_A and
+    c e^{gamma s r*} = c_{A^c}, so
+
+        s* = (log c_{A^c} - log c_A) / (gamma (1 + r*)),
+
+    unique because the pinned mass leaves an unclipped scenario on each
+    side of A.  The allocation is the stop-loss split of the securitized
+    remainder at the dual clipping threshold (_unwind).
     """
     if not 0.0 < beta < 1.0:
         raise DomainError("AVaR level must lie in (0, 1)")
@@ -593,10 +601,10 @@ def avar_entropic_sharing(beta: float, gamma: float, a_labels, qstar_a: float,
         )
 
     q = np.zeros(space.size)
-    q[mask], _ = _clipped_density(gamma, cap, probs[mask], X.values[mask],
-                                  qstar_a)
-    q[~mask], _ = _clipped_density(gamma, cap, probs[~mask], X.values[~mask],
-                                   1.0 - qstar_a)
+    q[mask], log_c_a = _clipped_density(gamma, cap, probs[mask],
+                                        X.values[mask], qstar_a)
+    q[~mask], log_c_ac = _clipped_density(gamma, cap, probs[~mask],
+                                          X.values[~mask], 1.0 - qstar_a)
     value = float(probs @ (q * X.values)) - _relative_entropy(probs, q) / gamma
 
     # supergradient certificate: no feasible density improves the
@@ -612,40 +620,16 @@ def avar_entropic_sharing(beta: float, gamma: float, a_labels, qstar_a: float,
 
     r_star = qstar_a / (1.0 - qstar_a)
     kernel = np.where(mask, 1.0, -r_star)
-
-    def h(s):
-        return _mixed_dual(gamma, cap, probs,
-                           X.values - value - s * kernel)[0]
-
-    s0, h0 = _golden_min(h, 0.0, tol=1e-12)
-    if h0 > CERT_TOL:
-        raise InternalInconsistency(
-            f"kernel feasibility interval is empty (min residual {h0:.2e})"
-        )
-    s_lo = _level_boundary(h, s0, -1.0, tol=0.0)
-    s_hi = _level_boundary(h, s0, +1.0, tol=0.0)
-    if s_lo is None or s_hi is None:
-        raise NumericalFailure(
-            "feasibility interval endpoint escaped the search range")
-    s_star = 0.5 * (s_lo + s_hi)
-    if h(s_star) > CERT_TOL:
-        raise InternalInconsistency("midpoint left the feasibility interval")
-
+    s_star = (log_c_ac - log_c_a) / (gamma * (1.0 + r_star))
     y = X.values - value - s_star * kernel
-    _, _, zeta = _mixed_dual(gamma, cap, probs, y)
     measures = (LawInvariantAcceptanceSet(AVAR, beta),
                 LawInvariantAcceptanceSet(ENTROPIC, gamma))
-    split = _stop_loss_split(2, zeta, 0, 1)
-    v1 = base_risk(AVAR, beta, probs, split.apply(y)[0])
-    split = split.shifted(np.array([-v1, v1]))
-    acc_vals = split.apply(y)
-    part_risks = tuple(
-        base_risk(m.kind, m.param, probs, v) for m, v in zip(measures, acc_vals)
-    )
-    if max(part_risks) > CERT_TOL:
+    # the slack above the boundary is a part risk, checked by _unwind
+    residual, split, acc_vals, part_risks = _unwind(measures, probs, y)
+    if abs(residual) > CERT_TOL:
         raise InternalInconsistency(
-            f"allocation parts leave the acceptance sets: {part_risks}"
-        )
+            f"kernel position misses the acceptance boundary by "
+            f"{residual:.2e}")
     acc_parts = tuple(RandomVariable(space, v) for v in acc_vals)
     sec1 = RandomVariable(
         space, value * np.ones(space.size) - s_star * r_star * (~mask))
@@ -656,11 +640,12 @@ def avar_entropic_sharing(beta: float, gamma: float, a_labels, qstar_a: float,
     parts = (acc_parts[0] + sec1, acc_parts[1] + sec2)
     certs = {
         "supergradient_gap": gap,
-        "midpoint_residual": h(s_star),
+        "midpoint_residual": residual,
         "part_risks": part_risks,
     }
     return AvarEntropicResult(
-        value=value, s_star=s_star, s_interval=(s_lo, s_hi), zeta=zeta,
+        value=value, s_star=s_star, s_interval=(s_star, s_star),
+        zeta=float(split.breakpoints[0]),
         r_star=r_star, parts=parts, acceptable_parts=acc_parts,
         securities=(sec1, sec2), security_prices=prices, dual_density=q,
         split=split, certificates=certs)
@@ -741,7 +726,7 @@ def validate_problem(prob: LawInvariantProblem) -> ValidationReport:
     else:
         # +inf: the kernel holds no nonzero nonnegative payoff
         free = _pricing_margin(np.ones(kernel.shape[0]), kernel,
-                               np.zeros(kernel.shape[1]), math.inf) == math.inf
+                               np.zeros(kernel.shape[1]), math.inf)[0] == math.inf
         rep.add("kernel_free_of_one_signed_directions", free,
                 "one-signed search status: "
                 + ("infeasible" if free else "optimal"))
@@ -778,8 +763,8 @@ def law_invariant_requirement(prob: LawInvariantProblem,
     sum of the agents' sets and whose market is the sum of their markets
     (_kernel_search over an orthonormal basis of the aggregate span, with
     the unit payoff 1 at price p).  The optimizer comes with the standard
-    decomposition: per agent one acceptable part (from the rebalanced
-    comonotone split of the securitized remainder) plus one traded part
+    decomposition: per agent one acceptable part (the securitized
+    remainder unwound by _unwind) plus one traded part
     (the agent's share of the optimal payoff under the sequential block
     selection)."""
     from .market import block_decompose, selection_blocks
@@ -802,18 +787,8 @@ def law_invariant_requirement(prob: LawInvariantProblem,
         )
     m_star, payoff_vals, q_star = sol
     value = prob.p * m_star
-    y = X.values - payoff_vals
-    val_y, split = convolution_split(prob.measures, probs, y)
-    split = _rebalanced(split, prob.measures, probs, y)
-    acc_vals = split.apply(y)
-    part_risks = tuple(
-        base_risk(ms.kind, ms.param, probs, v)
-        for ms, v in zip(prob.measures, acc_vals)
-    )
-    if max(part_risks) > CERT_TOL:
-        raise InternalInconsistency(
-            f"rebalanced parts leave their acceptance sets: {part_risks}"
-        )
+    val_y, split, acc_vals, part_risks = _unwind(
+        prob.measures, probs, X.values - payoff_vals)
 
     unit_vals = ones / prob.p
     kernel_vals = m_star * ones - payoff_vals    # = value * unit - payoff
@@ -854,26 +829,25 @@ def law_invariant_requirement(prob: LawInvariantProblem,
 
 def law_invariant_sharing(system, X: RandomVariable):
     """Adapter for agent systems whose members are all law-invariant:
-    recover the (p, Q) pricing form from the stacked security prices, run
-    the requirement, and certify that the per-agent risks of the returned
+    recover the (p, Q) pricing form from the stacked security prices (the
+    density d of _pricing_margin, p = E[d] and q = d / p), run the
+    requirement, and certify that the per-agent risks of the returned
     allocation sum to it."""
     from .market import Allocation, SharingResult
 
     space = system.space
     B, prices, _ = system.stacked_basis()
-    m = space.size
-    sol = linprog.solve(linprog.LpProblem(
-        c=np.ones(m), rows=B.T, senses=[linprog.EQ] * B.shape[1], rhs=prices,
-        lower=np.zeros(m), upper=np.full(m, math.inf)))
-    if sol.status != "optimal":
+    margin, d = _pricing_margin(space.probs, B, prices, math.inf)
+    if margin == math.inf:
+        raise DomainError("aggregate security span must contain the unit")
+    if not margin >= -1e-12:
         raise DomainError(
             "agent prices admit no nonnegative pricing measure"
         )
-    d = sol.primal
-    p = float(d.sum())
+    p = float(space.probs @ d)
     if p <= 0:
         raise DomainError("pricing measure has no mass")
-    q = d / (p * space.probs)
+    q = d / p
     prob = LawInvariantProblem(
         space=space,
         measures=tuple(r.acceptance for r in system.regimes),

@@ -24,6 +24,7 @@ from .regime import (
     PolyhedralAcceptanceSet,
     RiskValue,
     _cash_unit_price,
+    _rho_value,
     rho,
 )
 from .scenario import Functional, RandomVariable
@@ -103,17 +104,8 @@ def _batch_requirement(r, rows: np.ndarray) -> np.ndarray:
             return unit_price * r.acceptance.xi(r.space.probs, rows)
     out = np.empty(rows.shape[0])
     for k in range(rows.shape[0]):
-        out[k] = _value(rho(r, RandomVariable(r.space, rows[k])))
+        out[k] = _rho_value(rho(r, RandomVariable(r.space, rows[k])))
     return out
-
-
-def _value(res) -> float:
-    """A rho result as a float, +inf when nothing securitizes the profile;
-    an unbounded requirement is refused."""
-    if res.status == "unbounded":
-        raise DomainError("an agent's requirement is unbounded below; its "
-                          "security prices admit arbitrage")
-    return res.value.as_float()
 
 
 # ----------------------------------------------------------------------
@@ -259,7 +251,7 @@ def verify_pareto(s: market.AgentSystem, X: RandomVariable,
         except DomainError:          # the part leaves the agent's support
             base.append(math.inf)
         else:
-            base.append(_value(res))
+            base.append(_rho_value(res))
 
     forced = _forced_first_part(s, X)
     if forced is None:

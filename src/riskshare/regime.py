@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from . import linprog
 from .errors import (
@@ -53,6 +52,7 @@ __all__ = [
 ]
 
 PRICE_TOL = 1e-9        # price-consistency decisions in conjugates
+_LEVEL_TOL = 1e-12      # feasibility level of the one-dimensional rho search
 
 
 # ----------------------------------------------------------------------
@@ -464,7 +464,7 @@ def validate_regime(r: RiskMeasurementRegime, seed: int = 0) -> ValidationReport
         # global pricing density; report the unit value informationally.  A
         # density in the base risk's dual box pricing the payoff 1 at 1 and
         # every basis payoff at its price certifies rho > -inf everywhere.
-        margin = _pricing_margin(
+        margin, _ = _pricing_margin(
             space.probs, np.column_stack([np.ones(space.size), B]),
             np.concatenate([[1.0], r.market.prices]), r.acceptance.dual_cap())
         ok = margin >= -1e-12
@@ -483,8 +483,8 @@ def validate_regime(r: RiskMeasurementRegime, seed: int = 0) -> ValidationReport
         rep.add("no_arbitrage_probes", probes_ok, detail, heuristic=True)
 
     # min price over nonnegative span payoffs with coordinate sum 1
-    pval = _pricing_margin(np.ones(int(inc.sum())), B[inc], r.market.prices,
-                           math.inf)
+    pval, _ = _pricing_margin(np.ones(int(inc.sum())), B[inc],
+                              r.market.prices, math.inf)
     if pval == math.inf:
         rep.add("price_positivity", True,
                 "no nonnegative payoffs in span (vacuous)")
@@ -588,6 +588,15 @@ def _rho_law_invariant(r, xvals) -> RhoResult:
                      coefficients=np.linalg.lstsq(B, Z, rcond=None)[0])
 
 
+def _rho_value(res: RhoResult) -> float:
+    """A rho result as a float, +inf when nothing securitizes the profile;
+    an unbounded requirement is refused."""
+    if res.status == "unbounded":
+        raise DomainError("an agent's requirement is unbounded below; its "
+                          "security prices admit arbitrage")
+    return res.value.as_float()
+
+
 def _rho_without_unit(r, xvals) -> RhoResult:
     acc = r.acceptance
     mkt = r.market
@@ -635,14 +644,17 @@ def _cash_unit_price(mkt: SecurityMarket):
     return unit_price if unit_price > 0 else None
 
 
-def _find_feasible_1d(g, tol: float = 1e-12):
-    """Some w with g(w) <= tol for convex g, or None if the infimum of g is
-    positive (checked over a doubling probe grid plus one interior bracket)."""
+def _find_feasible_1d(g):
+    """Some w with g(w) <= _LEVEL_TOL for convex g, or None if the infimum
+    of g is positive (checked over a doubling probe grid plus one interior
+    bracket)."""
+    from scipy import optimize      # kept off the start-up path
+
     probes = [0.0]
     for k in range(51):
         probes.extend((2.0 ** k, -(2.0 ** k)))
     for w in probes:
-        if g(w) <= tol:
+        if g(w) <= _LEVEL_TOL:
             return w
     xs = sorted(probes)
     vals = [g(x) for x in xs]
@@ -651,43 +663,20 @@ def _find_feasible_1d(g, tol: float = 1e-12):
         res = optimize.minimize_scalar(g, bounds=(xs[i - 1], xs[i + 1]),
                                        method="bounded",
                                        options={"xatol": 1e-10})
-        if res.fun <= tol:
+        if res.fun <= _LEVEL_TOL:
             return float(res.x)
     return None
 
 
-def _golden_min(g, x0: float, tol: float):
-    """Minimize a convex scalar g: expand a bracket around x0, then run a
-    bounded golden/Brent search to tolerance `tol`.  If the expansion on
-    either side still descends when its step reaches 1e12, the infimum is
-    taken as unattained and the search refuses."""
-    a, b = x0 - 1.0, x0 + 1.0
-    fa, f0, fb = g(a), g(x0), g(b)
+def _level_boundary(g, inside: float, direction: float):
+    """Walk from a point of {g <= _LEVEL_TOL} toward `direction` until g
+    turns positive, then bisect to the boundary of that set.  None if that
+    side is unbounded."""
+    from scipy import optimize      # kept off the start-up path
 
-    def expand(x, fx, sign):
-        step = 2.0
-        while fx < f0 and step < 1e12:
-            x += sign * step
-            fx = g(x)
-            step *= 2.0
-        if step >= 1e12:
-            raise NumericalFailure("one-dimensional search failed to bracket")
-        return x
-
-    a = expand(a, fa, -1.0)
-    b = expand(b, fb, 1.0)
-    res = optimize.minimize_scalar(g, bounds=(a, b), method="bounded",
-                                   options={"xatol": tol})
-    return float(res.x), float(res.fun)
-
-
-def _level_boundary(g, inside: float, direction: float, tol: float = 1e-12):
-    """Walk from a point of {g <= tol} toward `direction` until g turns
-    positive, then bisect to the boundary of that set.  None if that side
-    is unbounded."""
     step = 1.0
     w = inside
-    while g(w + direction * step) <= tol:
+    while g(w + direction * step) <= _LEVEL_TOL:
         w += direction * step
         step *= 2.0
         if abs(w) > 1e15:
@@ -714,19 +703,20 @@ def _span_basis(B: np.ndarray) -> np.ndarray:
     return u[:, :rank]
 
 
-def _pricing_margin(weights, B, prices, cap: float) -> float:
+def _pricing_margin(weights, B, prices, cap: float):
     """Which density prices the span of B at `prices`, as one LP in payoff
     (dual) form:
 
         minimize  price(Z) + cap sum(nu)  over Z = B y and nu >= 0
         subject to  w Z + nu >= 0  and  sum(w Z + nu) = 1,
 
-    the nu columns present only for a finite cap.  By LP duality its value
-    is the margin: the largest s such that some d with s <= d <= cap prices
-    every column of B through the weights w d (E[d B_j] = prices_j for
-    w = P).  -inf when no such d exists (the payoff LP is unbounded), +inf
-    when the span holds no nonzero payoff with w Z >= 0 (it is infeasible,
-    which needs an infinite cap).
+    the nu columns present only for a finite cap.  Returns (margin, d).
+    By LP duality the value is the margin: the largest s such that some d
+    with s <= d <= cap prices every column of B through the weights w d
+    (E[d B_j] = prices_j for w = P), and the row duals give such a d,
+    d = duals[m] - duals[:m].  (-inf, None) when no such d exists (the
+    payoff LP is unbounded), (+inf, None) when the span holds no nonzero
+    payoff with w Z >= 0 (it is infeasible, which needs an infinite cap).
 
     For w = 1 and an infinite cap the LP is the minimum price of a
     nonnegative span payoff with coordinate sum 1.  For w = P, by Stiemke's
@@ -747,10 +737,10 @@ def _pricing_margin(weights, B, prices, cap: float) -> float:
         rhs=np.concatenate([np.zeros(m), [1.0]]), lower=lower,
         upper=np.full(c.size, math.inf)))
     if sol.status == "unbounded":
-        return -math.inf
+        return -math.inf, None
     if sol.status == "infeasible":
-        return math.inf
-    return sol.objective_value
+        return math.inf, None
+    return sol.objective_value, sol.duals[m] - sol.duals[:m]
 
 
 def _lp_kernel_search(kind: str, beta: float, probs, X, U, D, price: float):
@@ -972,8 +962,7 @@ def conjugate(r: RiskMeasurementRegime, phi: Functional) -> RiskValue:
     """
     if phi.space.labels != r.space.labels:
         raise StructuralError("functional on a different scenario space")
-    scale = float(np.max(np.abs(phi.weights) @ np.abs(r.market.basis_matrix())))
-    if _price_deviation(r, phi) > PRICE_TOL * (1.0 + scale):
+    if _price_deviation(r, phi) > PRICE_TOL * (1.0 + _price_scale(r, phi)):
         return RiskValue.infinite()
     return _support_value(r, phi)
 
@@ -983,6 +972,13 @@ def _price_deviation(r, phi) -> float:
     B = r.market.basis_matrix()
     return max(abs(float(phi.weights @ B[:, k]) - r.market.prices[k])
                for k in range(r.market.dim))
+
+
+def _price_scale(r, phi) -> float:
+    """max_k sum_w |phi_w b_k(w)|, the size of phi on the agent's basis
+    payoffs: every price check compares _price_deviation with its
+    tolerance times 1 + this scale."""
+    return float(np.max(np.abs(phi.weights) @ np.abs(r.market.basis_matrix())))
 
 
 def _support_value(r, phi) -> RiskValue:

@@ -19,9 +19,10 @@ from . import market
 from .errors import DomainError, StructuralError
 from .regime import (
     RiskMeasurementRegime,
-    RiskValue,
     ValidationReport,
     _price_deviation,
+    _price_scale,
+    _rho_value,
     _support_value,
     conjugate,
     rho,
@@ -162,18 +163,17 @@ class SplitResult:
     cap_limited: bool = False        # swept to n_max without a bound stop
 
 
-def _requirement(regimes, W):
-    """(value, allocation-or-None): the n-agent requirement, infinite when
-    the profile admits no supported acceptable decomposition."""
+def _requirement(regimes, W) -> float:
+    """The n-agent requirement, +inf when the profile admits no supported
+    acceptable decomposition; a requirement unbounded below is refused."""
     if len(regimes) == 1:
         try:
             res = rho(regimes[0], W)
         except DomainError:
-            return RiskValue.infinite(), None
-        return res.value, market.Allocation((W,))
-    res = market.capital_requirement(
-        market.AgentSystem(regimes), W, certify=False)
-    return res.value, res.allocation
+            return math.inf
+        return _rho_value(res)
+    return market.capital_requirement(
+        market.AgentSystem(regimes), W, certify=False).value.as_float()
 
 
 def split_optimize(p: SplitProblem, W: RandomVariable,
@@ -203,13 +203,13 @@ def split_optimize(p: SplitProblem, W: RandomVariable,
                 and bound + p.cost(n) > best[0]:
             cap_limited = False
             break
-        value, _ = _requirement(p.regimes(n), W)
-        if not value.is_finite:
+        value = _requirement(p.regimes(n), W)
+        if value == math.inf:
             continue
-        obj = value.as_float() + p.cost(n)
-        points.append(SweepPoint(n, value.as_float(), obj))
+        obj = value + p.cost(n)
+        points.append(SweepPoint(n, value, obj))
         if best is None or obj < best[0] - TIE_TOL:
-            best = (obj, n, value.as_float())
+            best = (obj, n, value)
 
     if best is None:
         raise DomainError(
@@ -219,7 +219,7 @@ def split_optimize(p: SplitProblem, W: RandomVariable,
     obj, n_star, req = best
     if n_star == 1:
         alloc = market.Allocation((W,))
-        risks = [rho(p.regime(0), W).value.as_float()]
+        risks = [_rho_value(rho(p.regime(0), W))]
     else:
         final = market.capital_requirement(
             market.AgentSystem(p.regimes(n_star)), W, certify=True)
@@ -261,9 +261,11 @@ def check_bound_functional(p: SplitProblem, phi0: Functional) -> ValidationRepor
     recurs indefinitely."""
     rep = ValidationReport()
 
-    worst = max(_price_deviation(r, phi0) for r in p.distinct_regimes())
-    rep.add("prices_securities_consistently", worst <= 1e-8,
-            f"max deviation {worst:.2e}")
+    checks = [(_price_deviation(r, phi0), _price_scale(r, phi0))
+              for r in p.distinct_regimes()]
+    rep.add("prices_securities_consistently",
+            all(dev <= 1e-8 * (1.0 + scale) for dev, scale in checks),
+            f"max deviation {max(dev for dev, _ in checks):.2e}")
 
     sigmas = []
     per_regime = {}
@@ -315,11 +317,11 @@ def validate_split_problem(p: SplitProblem) -> ValidationReport:
     ok = True
     for r in regimes:
         zero = RandomVariable(r.space, np.zeros(r.space.size))
-        v = rho(r, zero).value
-        if not v.is_finite:
+        res = rho(r, zero)
+        if res.status == "unbounded" or not res.value.is_finite:
             ok = False
             break
-        worst = max(worst, abs(v.as_float()))
+        worst = max(worst, abs(res.value.as_float()))
     rep.add("requirements_normalized", ok and worst <= NORMALIZATION_TOL,
             f"max |rho_i(0)| = {worst:.2e}" if ok else "rho_i(0) infinite")
 

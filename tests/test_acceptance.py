@@ -178,7 +178,7 @@ def test_tail_entropic_dual_matches_oracle_grid():
                          acc_ent.values) <= 1e-6
 
     # literal grid sweep, sized to the brute oracle's preconditions,
-    # boxed around the dual ascent's own allocation
+    # boxed around the closed form's own allocation
     space4 = _uniform(["w1", "w2", "w3", "w4"])
     a4 = ("w1", "w2")
     s4 = _tail_entropic_system(space4, beta, gamma, a4, 0.4)

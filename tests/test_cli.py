@@ -257,3 +257,38 @@ def test_non_finite_document_numbers_are_refused_on_load(
     assert out is None
     assert err.startswith("error:") and says in err
     assert "Traceback" not in err
+
+
+def test_split_with_an_unbounded_agent_is_a_domain_exit(tmp_path, capsys):
+    # AVaR(0.2) caps densities at 1.25, but pricing 1_a at 0.05 needs
+    # density 1.9 on b: the agent's requirement is unbounded below
+    doc = {
+        "scenarios": {"labels": ["a", "b"], "probs": {"a": 0.5, "b": 0.5}},
+        "agents": [{
+            "name": "sub",
+            "acceptance": {"avar": 0.2},
+            "securities": [
+                {"payoff": {"a": 1.0, "b": 1.0}, "price": 1.0},
+                {"payoff": {"a": 1.0}, "price": 0.05},
+            ],
+        }],
+        "split": {"cost": {"linear": 0.1}, "n_max": 3},
+    }
+    doc_path = tmp_path / "doc.json"
+    doc_path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "split", str(doc_path), "--loss", '{"a": 1}')
+    assert code == 2
+    assert out is None
+    assert err.startswith("error:") and "unbounded below" in err
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize serves only the one-dimensional rho search; importing
+    # it costs every CLI call a large share of its start-up
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, riskshare.cli; "
+         "print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -13,8 +13,13 @@ import numpy as np
 import pytest
 
 from riskshare import linprog
-from riskshare.equilibrium import BUDGET_TOL, Equilibrium, subgradient, \
-    verify_equilibrium
+from riskshare.equilibrium import (
+    BUDGET_TOL,
+    Equilibrium,
+    build_equilibrium,
+    subgradient,
+    verify_equilibrium,
+)
 from riskshare.market import AgentSystem, capital_requirement
 from riskshare.regime import (
     LawInvariantAcceptanceSet,
@@ -189,3 +194,10 @@ def test_price_check_scales_with_the_payoff(scale):
     assert abs(ref_conj[0] - 0.0274187) <= 1e-7 and ref_conj[1] == 0.0
     assert np.max(np.abs(weights - ref_weights)) <= 1e-12
     assert np.max(np.abs(np.subtract(conj, ref_conj))) <= 1e-12
+    # equilibrium verification checks prices with the same relative
+    # tolerance (an absolute 1e-8 refused the 1e10 payoff)
+    regimes, X = _scaled_pair(scale)
+    s = AgentSystem(regimes)
+    halves = (0.5 * X, 0.5 * X)
+    rep = verify_equilibrium(s, halves, build_equilibrium(s, halves))
+    assert rep.passed, rep.to_dict()

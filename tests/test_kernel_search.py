@@ -5,7 +5,9 @@ The reference below is the former search: a coordinate descent of golden
 searches over price-kernel coefficients, each evaluation of rho running a
 bracketed root in the cash layer.  The kernel Newton search, the
 Rockafellar-Uryasev LP and the cash-additive closed form must agree with
-it and never exceed it."""
+it and never exceed it.  The closed-form kernel position of the AVaR +
+entropic pair is held against the former golden-section search and
+boundary walks in the same way."""
 
 import math
 
@@ -18,7 +20,9 @@ from riskshare.errors import DomainError, NumericalFailure
 from riskshare.lawinv import (
     CERT_TOL,
     LawInvariantProblem,
+    _mixed_dual,
     _span_basis,
+    avar_entropic_sharing,
     convolution_value,
     law_invariant_requirement,
 )
@@ -100,6 +104,45 @@ def _coordinate_descent(objective, k):
         if best >= start - 1e-14:
             return best
     raise NumericalFailure("coordinate descent did not converge")
+
+
+def _level_boundary(g, inside, direction):
+    """The former walk-and-bisect to the edge of {g <= 0}."""
+    step = 1.0
+    w = inside
+    while g(w + direction * step) <= 0.0:
+        w += direction * step
+        step *= 2.0
+        if abs(w) > 1e15:
+            raise NumericalFailure("feasibility interval is unbounded")
+    a, b = sorted((w, w + direction * step))
+    fa, fb = g(a), g(b)
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if fa * fb < 0:
+        return float(optimize.brentq(g, a, b, xtol=1e-13, rtol=8.9e-16))
+    return w
+
+
+def _reference_kernel_position(beta, gamma, mask, qstar_a, X, value):
+    """The former kernel position of avar_entropic_sharing: the midpoint
+    of {s : conv(X - value - s N) <= 0}, found by a golden-section search
+    for a feasible point and a boundary walk on each side."""
+    probs = X.space.probs
+    cap = 1.0 / (1.0 - beta)
+    r_star = qstar_a / (1.0 - qstar_a)
+    kernel = np.where(mask, 1.0, -r_star)
+
+    def h(s):
+        return _mixed_dual(gamma, cap, probs, X.values - value - s * kernel)[0]
+
+    s0, h0 = _golden_min(h, 0.0, tol=1e-12)
+    assert h0 <= CERT_TOL
+    s_lo = _level_boundary(h, s0, -1.0)
+    s_hi = _level_boundary(h, s0, +1.0)
+    return 0.5 * (s_lo + s_hi)
 
 
 def _reference_rho(r, x):
@@ -374,3 +417,35 @@ def test_search_refuses_a_duality_gap_above_the_tolerance():
     assert np.allclose(D @ eta, x, atol=1e-14)
     with pytest.raises(NumericalFailure, match="duality gap"):
         _kernel_newton(evaluate, probs, D, np.ones(2), lambda q: t - 1e-6)
+
+
+# ----------------------------------------------------------------------
+# the closed-form kernel position of the AVaR + entropic pair
+# ----------------------------------------------------------------------
+
+# fixed before the comparison was first run
+POSITION_TOL = 1e-6
+
+
+def test_avar_entropic_kernel_position_matches_the_former_search():
+    rng = np.random.default_rng(101)
+    for i in range(200):
+        m = 2 + i % 7
+        probs = rng.uniform(0.2, 1.0, m)
+        probs /= probs.sum()
+        space = ScenarioSpace(tuple(f"s{j}" for j in range(m)), probs)
+        mask = np.zeros(m, dtype=bool)
+        mask[rng.choice(m, int(rng.integers(1, m)), replace=False)] = True
+        beta = float(rng.uniform(0.1, 0.9))
+        gamma = float(rng.uniform(0.2, 3.0))
+        cap = 1.0 / (1.0 - beta)
+        pa = float(probs[mask].sum())
+        q_lo, q_hi = max(0.0, 1.0 - cap * (1.0 - pa)), min(cap * pa, 1.0)
+        qstar_a = float(q_lo + (q_hi - q_lo) * rng.uniform(0.02, 0.98))
+        X = space.rv(rng.normal(0.0, 1.5, m))
+        labels = tuple(lab for lab, a in zip(space.labels, mask) if a)
+        res = avar_entropic_sharing(beta, gamma, labels, qstar_a, X)
+        s_mid = _reference_kernel_position(beta, gamma, mask, qstar_a, X,
+                                           res.value)
+        assert res.s_interval == (res.s_star, res.s_star)
+        assert abs(res.s_star - s_mid) <= POSITION_TOL * (1.0 + abs(res.s_star))

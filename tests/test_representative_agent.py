@@ -11,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from riskshare.lawinv import CERT_TOL, convolution_split, convolution_value
+from riskshare.errors import DomainError
+from riskshare.lawinv import (
+    CERT_TOL,
+    convolution_split,
+    convolution_value,
+    law_invariant_sharing,
+)
 from riskshare.market import AgentSystem, block_decompose, capital_requirement
 from riskshare.regime import (
     AVAR,
@@ -69,18 +75,40 @@ def test_payoff_form_margin_equals_the_density_form(i):
     d /= probs @ d
     prices = (probs * d) @ B
     for cap in (1.5, 2.0, math.inf):
-        got = _pricing_margin(probs, B, prices, cap)
+        got, dual = _pricing_margin(probs, B, prices, cap)
         ref = _highs_margin(probs, B, prices, cap)
         if math.isinf(ref):
-            assert got == ref
-        else:
-            assert got == pytest.approx(ref, abs=1e-10)
+            assert got == ref and dual is None
+            continue
+        assert got == pytest.approx(ref, abs=1e-10)
+        # the density the duals certify prices the span and lies in
+        # [margin, cap]
+        scale = np.abs(B).T @ (probs * np.abs(dual))
+        assert np.all(np.abs(B.T @ (probs * dual) - prices) <= 1e-12 * scale)
+        assert got - 1e-12 <= np.min(dual) and np.max(dual) <= cap + 1e-12
 
 
 def test_margin_without_nonnegative_payoffs_is_infinite():
     # the span of (1, -1) holds no nonzero nonnegative payoff
     B = np.array([[1.0], [-1.0]])
-    assert _pricing_margin(np.ones(2), B, np.array([0.0]), math.inf) == math.inf
+    assert _pricing_margin(np.ones(2), B, np.array([0.0]),
+                           math.inf) == (math.inf, None)
+
+
+@pytest.mark.parametrize("payoffs, prices, says", [
+    # 1_a >= 0 priced at -0.1: every density pricing the span is negative
+    # on a
+    ([np.ones(2), [1.0, 0.0]], [1.0, -0.1], "no nonnegative pricing measure"),
+    # the span of 1_a - 1_b holds no nonzero nonnegative payoff
+    ([[1.0, -1.0]], [0.3], "must contain the unit"),
+], ids=["negative_price", "no_unit"])
+def test_adapter_refuses_prices_without_a_pricing_measure(payoffs, prices,
+                                                          says):
+    space = ScenarioSpace.uniform(["a", "b"])
+    s = AgentSystem(tuple(_regime(space, ENTROPIC, a, payoffs, prices)
+                          for a in (1.0, 2.0)))
+    with pytest.raises(DomainError, match=says):
+        law_invariant_sharing(s, space.rv([1.0, -1.0]))
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from riskshare.errors import DomainError, StructuralError
 from riskshare.regime import (
+    AVAR,
     ENTROPIC,
     PolyhedralAcceptanceSet,
     RiskMeasurementRegime,
@@ -284,10 +285,21 @@ def test_validate_split_problem_normalized(entropic_problem):
     assert rep.passed, rep.to_dict()
 
 
-def test_validate_split_problem_flags_unnormalized():
-    space = three_space()
-    regime = ceiling_regime(space, ["a", "b", "c"], (1.0, 2.0, 3.0))
-    prob = SplitProblem.identical(regime, CostFunction.linear(0.1), n_max=3)
+def _unbounded_avar_regime():
+    # pricing 1_a at 0.05 needs density 1.9 on b, outside AVaR(0.2)'s box,
+    # so rho is unbounded below
+    space = two_point_space()
+    market = SecurityMarket((space.rv(np.ones(2)), space.rv([1.0, 0.0])),
+                            np.array([1.0, 0.05]))
+    return law_invariant_regime(space, AVAR, 0.2, market)
+
+
+@pytest.mark.parametrize("regime", [
+    lambda: ceiling_regime(three_space(), ["a", "b", "c"], (1.0, 2.0, 3.0)),
+    _unbounded_avar_regime,
+], ids=["positive", "unbounded"])
+def test_validate_split_problem_flags_unnormalized(regime):
+    prob = SplitProblem.identical(regime(), CostFunction.linear(0.1), n_max=3)
     rep = validate_split_problem(prob)
     names = {c.name: c.passed for c in rep.checks}
     assert not names["requirements_normalized"]

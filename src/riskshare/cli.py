@@ -111,6 +111,10 @@ def _cmd_validate(pd: ProblemDocument, args):
         rep = lawinv.validate_problem(prob)
         outputs["pricing"] = _report(rep)
         ok &= rep.passed
+    if pd.split is not None:
+        rep = splits.validate_split_problem(pd.split_problem())
+        outputs["split"] = _report(rep)
+        ok &= rep.passed
     return outputs, ok
 
 

@@ -339,16 +339,17 @@ def _unit_root(measures, probs, Y, U):
     raise NumericalFailure("unit root of the convolution did not converge")
 
 
-def _kernel_search(measures, probs, X, B, prices, U, price):
+def _kernel_search(measures, probs, B, prices, U, price):
     """The requirement inf { pi(Z) : Z in span B, conv(X - Z) <= 0 } of the
     representative agent of `measures` (rho for one agent, Lambda for
     several), pi pricing the columns of B at `prices`, for a strictly
     positive payoff U of the span with pi(U) = `price`.
 
-    Returns (t, Z, q): the requirement is price * t, Z = t U + D eta is an
-    optimal payoff (D an orthonormal payoff basis of the price kernel) and
-    q the maximizing dual density of X - Z, of mass one.  None when the
-    requirement is unbounded below.
+    Returns the search X -> (t, Z, q), with its market-only part (the
+    kernel basis and the pricing margin) done once: the requirement is
+    price * t, Z = t U + D eta is an optimal payoff (D an orthonormal
+    payoff basis of the price kernel) and q the maximizing dual density of
+    X - Z, of mass one.  None when the requirement is unbounded below.
 
     * One traded payoff with a constant U is cash additive: one
       convolution, no kernel.
@@ -362,18 +363,23 @@ def _kernel_search(measures, probs, X, B, prices, U, price):
       t*(eta) from _unit_root, certified by the duality gap against the
       price-repaired density and the agents' conjugates."""
     if B.shape[1] == 1 and np.all(U == U[0]):
-        t, q = _unit_root(measures, probs, X, U)
-        return t, t * U, q
+        def cash(X):
+            t, q = _unit_root(measures, probs, X, U)
+            return t, t * U, q
+        return cash
     D = _span_basis(B @ linprog.null_space(np.reshape(prices, (1, -1))))
     ent, av, ex = _grouped(measures)
     if ex or not ent:
         kind, beta = ((EXPECTATION, 0.0) if ex
                       else (AVAR, min(b for _, b in av)))
-        sol = _lp_kernel_search(kind, beta, probs, X, U, D, price)
-        if sol is None:
-            return None
-        t, eta, q = sol
-        return t, t * U + D @ eta, q
+
+        def lp(X):
+            sol = _lp_kernel_search(kind, beta, probs, X, U, D, price)
+            if sol is None:
+                return None
+            t, eta, q = sol
+            return t, t * U + D @ eta, q
+        return lp
 
     cap = min(ms.dual_cap() for ms in measures)
     if D.shape[1]:
@@ -381,7 +387,7 @@ def _kernel_search(measures, probs, X, B, prices, U, price):
         # Lambda, whose U = 1 such a density prices at 1
         margin, _ = _pricing_margin(probs, B, prices / price, cap)
         if margin < -1e-12:
-            return None
+            return lambda X: None
         if margin <= 1e-12:
             raise NumericalFailure(
                 "the infimum over the price kernel is not attained: the "
@@ -390,22 +396,24 @@ def _kernel_search(measures, probs, X, B, prices, U, price):
     # density is not clipped
     alpha = _entropic_param(ent)
 
-    def evaluate(eta):
-        t, q = _unit_root(measures, probs, X - D @ eta, U)
-        return t, q, alpha * q * (q < cap)
+    def newton(X):
+        def evaluate(eta):
+            t, q = _unit_root(measures, probs, X - D @ eta, U)
+            return t, q, alpha * q * (q < cap)
 
-    def dual(q):
-        # the pricing measure scale * q P prices U at `price`
-        scale = price / float(U @ (probs * q))
-        q = _priced_density(q, scale, probs, B, prices, cap)
-        mass = float(probs @ q)
-        conj = sum(base_risk_conjugate(ms.kind, ms.param, probs,
-                                       q / mass).as_float()
-                   for ms in measures)
-        return scale * (float(probs @ (q * X)) - mass * conj) / price
+        def dual(q):
+            # the pricing measure scale * q P prices U at `price`
+            scale = price / float(U @ (probs * q))
+            q = _priced_density(q, scale, probs, B, prices, cap)
+            mass = float(probs @ q)
+            conj = sum(base_risk_conjugate(ms.kind, ms.param, probs,
+                                           q / mass).as_float()
+                       for ms in measures)
+            return scale * (float(probs @ (q * X)) - mass * conj) / price
 
-    eta, t, q = _kernel_newton(evaluate, probs, D, U, dual)
-    return t, t * U + D @ eta, q
+        eta, t, q = _kernel_newton(evaluate, probs, D, U, dual)
+        return t, t * U + D @ eta, q
+    return newton
 
 
 def entropic_infconv(alphas, X: RandomVariable):
@@ -778,8 +786,8 @@ def law_invariant_requirement(prob: LawInvariantProblem,
     if float(np.max(np.abs(ones - span @ (span.T @ ones)))) > 1e-9:
         raise DomainError("aggregate security span must contain the unit")
     price_row = prob.p * (probs * prob.q) @ span
-    sol = _kernel_search(prob.measures, probs, X.values, span, price_row,
-                         ones, prob.p)
+    sol = _kernel_search(prob.measures, probs, span, price_row, ones,
+                         prob.p)(X.values)
     if sol is None:
         raise DomainError(
             "requirement is unbounded below; no density in the agents' "

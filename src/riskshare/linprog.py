@@ -30,7 +30,8 @@ import scipy.linalg
 
 from .errors import NumericalFailure, StructuralError
 
-__all__ = ["LpProblem", "LpSolution", "solve", "null_space"]
+__all__ = ["LpProblem", "LpSolution", "LpBatch", "solve", "solve_batch",
+           "null_space"]
 
 # ----------------------------------------------------------------------
 # tolerances (relative use documented at each site)
@@ -43,6 +44,8 @@ CERT_TOL = 1e-8          # certificate residuals promised to callers
 DEGENERATE_RUN = 12      # consecutive degenerate pivots before Bland's rule
 
 LE, EQ, GE = "<=", "=", ">="
+# sign of a row's violation a.x - rhs; an equality row violates by |a.x - rhs|
+_SENSE_SIGN = {LE: 1.0, GE: -1.0, EQ: 0.0}
 
 
 @dataclass
@@ -93,6 +96,8 @@ class LpSolution:
     residuals: dict = field(default_factory=dict)
     degenerate: bool = False         # optimal basis has a zero basic value
                                      # (the dual solution may be non-unique)
+    basis: tuple = None              # optimal basis of the standard form:
+                                     # (kept rows, basic columns)
 
     @property
     def optimal(self) -> bool:
@@ -321,10 +326,15 @@ def solve(p: LpProblem, max_iterations: int = None) -> LpSolution:
 
     duals = _recover_duals(A, b, c, basis, row_map, flips, n_orig, m)
     degen = bool(m and float(np.min(T2[:m, -1])) <= 1e-11)
-    sol = LpSolution(status="optimal", primal=x, duals=duals,
-                     objective_value=obj, iterations=iters, degenerate=degen)
-    _certify(p, sol)
-    return sol
+    residuals, passed = _certify(p, p.rhs[None, :], x[None, :],
+                                 np.array([obj]), duals)
+    if not passed[0]:
+        raise _lost_certificate(residuals, 0)
+    return LpSolution(status="optimal", primal=x, duals=duals,
+                      objective_value=obj, iterations=iters,
+                      residuals={k: float(v[0]) for k, v in residuals.items()},
+                      degenerate=degen,
+                      basis=(row_map, basis))
 
 
 def _recover_duals(A, b, c, basis, row_map, flips, n_orig, m):
@@ -344,47 +354,145 @@ def _recover_duals(A, b, c, basis, row_map, flips, n_orig, m):
     return duals
 
 
-def _certify(p: LpProblem, sol: LpSolution):
-    """Check the optimality certificates promised by the solution type:
-    primal feasibility, complementary slackness, and zero duality gap,
-    all within 1e-8 (relative to the instance scale)."""
-    x = sol.primal
-    scale = 1.0 + max(
-        float(np.max(np.abs(p.rhs), initial=0.0)),
-        float(np.max(np.abs(x), initial=0.0)),
-        abs(sol.objective_value),
-    )
-    feas = 0.0
-    comp = 0.0
-    dual_obj = 0.0
-    if p.rows.shape[0]:
-        ax = p.rows @ x
-        for i, s in enumerate(p.senses):
-            gap = ax[i] - p.rhs[i]
-            if s == LE:
-                feas = max(feas, gap)
-            elif s == GE:
-                feas = max(feas, -gap)
-            else:
-                feas = max(feas, abs(gap))
-            comp = max(comp, abs(sol.duals[i] * gap))
-            dual_obj += sol.duals[i] * p.rhs[i]
-    lo_v = np.where(np.isfinite(p.lower), p.lower, x)
-    hi_v = np.where(np.isfinite(p.upper), p.upper, x)
-    feas = max(feas, float(np.max(lo_v - x, initial=0.0)))
-    feas = max(feas, float(np.max(x - hi_v, initial=0.0)))
+def _certify(p: LpProblem, rhs, x, obj, duals):
+    """Check the optimality certificates promised by the solution type for
+    each row of x (N, n), with objective values obj (N,), right-hand sides
+    rhs (N, rows) and shadow prices duals (rows,): primal feasibility,
+    complementary slackness, and zero duality gap, all within 1e-8
+    (relative to the instance scale).  Returns the residuals, one per row,
+    and the mask of rows whose certificate holds."""
+    scale = 1.0 + np.abs(np.hstack([rhs, x, obj[:, None]])).max(axis=1)
+    sign = np.array([_SENSE_SIGN[s] for s in p.senses])
+    gap = x @ p.rows.T - rhs
+    viol = np.where(sign == 0.0, np.abs(gap), sign * gap)
+    feas = np.hstack([viol, p.lower - x, x - p.upper]).max(axis=1,
+                                                           initial=0.0)
+    comp = np.abs(duals * gap).max(axis=1, initial=0.0)
     # reduced costs at the bounds close the duality gap
-    red = p.c - (p.rows.T @ sol.duals if p.rows.shape[0] else 0.0)
-    at = np.where(np.isfinite(p.lower) & (np.abs(x - p.lower) <= 1e-7), p.lower, 0.0)
-    at = np.where(np.isfinite(p.upper) & (np.abs(x - p.upper) <= 1e-7), p.upper, at)
-    dual_obj += float(red @ np.where(np.abs(red) > 1e-9, at, 0.0))
-    gap = abs(dual_obj - sol.objective_value)
-    sol.residuals = {"feasibility": feas, "complementarity": comp,
-                     "duality_gap": gap}
-    if feas > CERT_TOL * scale or gap > CERT_TOL * scale * 10:
-        raise NumericalFailure(
-            f"lost optimality certificate: feasibility {feas:.2e}, gap {gap:.2e}"
-        )
+    red = p.c - duals @ p.rows
+    # (an infinite bound is never within 1e-7 of x)
+    at = np.where(np.abs(x - p.lower) <= 1e-7, p.lower, 0.0)
+    at = np.where(np.abs(x - p.upper) <= 1e-7, p.upper, at)
+    dual_obj = ((duals * rhs).sum(axis=1)
+                + at @ np.where(np.abs(red) > 1e-9, red, 0.0))
+    gap = np.abs(dual_obj - obj)
+    residuals = {"feasibility": feas, "complementarity": comp,
+                 "duality_gap": gap}
+    return residuals, (feas <= CERT_TOL * scale) & (gap <= CERT_TOL * scale * 10)
+
+
+def _lost_certificate(residuals, k: int) -> NumericalFailure:
+    return NumericalFailure(
+        f"lost optimality certificate: feasibility "
+        f"{residuals['feasibility'][k]:.2e}, gap "
+        f"{residuals['duality_gap'][k]:.2e}")
+
+
+# ======================================================================
+# batches of right-hand sides
+# ======================================================================
+
+@dataclass
+class LpBatch:
+    """solve_batch's answer, one entry per right-hand side."""
+
+    status: list                     # "optimal" | "unbounded" | "infeasible"
+    objective_value: np.ndarray      # +inf infeasible, -inf unbounded
+    primal: np.ndarray               # one row per rhs; NaN where not optimal
+    solves: int = 0                  # simplex runs; other rows were screened
+
+
+def solve_batch(p: LpProblem, rhs) -> LpBatch:
+    """solve(p) with each row of rhs (N, len(p.rhs)) as the right-hand side.
+
+    An optimal basis stays dual feasible for every right-hand side, so it
+    solves every row whose basic solution x_B = B^-1 b_k is feasible (Gal,
+    Postoptimal Analyses, Parametric and Related Topics, 1979).  The first
+    row no basis accepts is solved by `solve`; its optimal basis, once its
+    reduced costs pass the optimality test, screens the rows still open.
+    Rows that are infeasible or unbounded get their status from `solve`
+    itself.  Screened rows carry the certificate `solve` checks (_certify,
+    with the basis's shadow prices) and raise NumericalFailure where it
+    fails, as `solve` does."""
+    rhs = np.asarray(rhs, dtype=float)
+    n_rows = p.rows.shape[0]
+    if rhs.ndim != 2 or rhs.shape[1] != n_rows:
+        raise StructuralError(
+            f"right-hand sides must form an (N, {n_rows}) array")
+    if not np.all(np.isfinite(rhs)):
+        raise StructuralError("right-hand sides must be finite")
+    N = rhs.shape[0]
+    status = [None] * N
+    objective = np.full(N, math.nan)
+    primal = np.full((N, p.c.shape[0]), math.nan)
+    std = _standardize(p)
+    if std is not None:     # crossed bounds: every solve is infeasible
+        A, b, c, flips, n_y, M, shift, const, _, _ = std
+        # back to the rows' own signs, which each rhs sets anew
+        A = A * flips[:, None]
+        b_all = np.repeat(b[None, :] * flips, N, axis=0)
+        b_all[:, :n_rows] = rhs - p.rows @ shift
+        # the two halves of a free variable may take either sign
+        free = np.zeros(A.shape[1], dtype=bool)
+        free[:n_y] = np.abs(M).T @ (np.isinf(p.lower) & np.isinf(p.upper)) > 0
+    pending = np.ones(N, dtype=bool)
+    solves = 0
+    while pending.any():
+        k = int(np.argmax(pending))
+        sol = solve(LpProblem(c=p.c, rows=p.rows, senses=p.senses, rhs=rhs[k],
+                              lower=p.lower, upper=p.upper))
+        solves += 1
+        pending[k] = False
+        status[k], objective[k] = sol.status, sol.objective_value
+        if not sol.optimal:
+            continue
+        primal[k] = sol.primal
+        idx = np.flatnonzero(pending)
+        if not idx.size:
+            break
+        screened = _screen(A, b_all[idx], c, sol.basis, free)
+        if screened is None:
+            continue
+        Y, accepted = screened
+        idx, Y = idx[accepted], Y[accepted]
+        x = shift + Y[:, :n_y] @ M.T
+        obj = Y @ c + const
+        residuals, passed = _certify(p, rhs[idx], x, obj, sol.duals)
+        if not passed.all():
+            raise _lost_certificate(residuals, int(np.argmin(passed)))
+        for i in idx:
+            status[i] = "optimal"
+        objective[idx], primal[idx] = obj, x
+        pending[idx] = False
+    return LpBatch(status, objective, primal, solves)
+
+
+def _screen(A, b_rows, c, basis, free):
+    """The basic solutions of an optimal basis of A y = b, y >= 0 for the
+    right-hand sides b_rows (one per row, signs as they come), and the mask
+    of rows where they are feasible: every basic value with a sign
+    constraint >= -FEAS_TOL (1 + max |b_k|), and the rows the simplex
+    dropped as redundant still met within that tolerance.  Flipping a row
+    negates it in B and in b_k and leaves x_B unchanged.  None when B is
+    singular or its reduced costs fail the optimality test."""
+    rows, cols = basis
+    Bm = A[np.ix_(rows, cols)]
+    try:
+        y = np.linalg.solve(Bm.T, c[cols])
+        xB = np.linalg.solve(Bm, b_rows[:, rows].T).T
+    except np.linalg.LinAlgError:
+        return None
+    if np.min(c - A[rows].T @ y, initial=0.0) < -OPT_TOL * (
+            1.0 + float(np.max(np.abs(c), initial=0.0))):
+        return None
+    Y = np.zeros((b_rows.shape[0], A.shape[1]))
+    Y[:, cols] = xB
+    tol = FEAS_TOL * (1.0 + np.max(np.abs(b_rows), axis=1, initial=0.0))
+    dropped = np.setdiff1d(np.arange(A.shape[0]), rows)
+    off = np.abs(Y @ A[dropped].T - b_rows[:, dropped])
+    accepted = (np.all((xB >= -tol[:, None]) | free[cols], axis=1)
+                & np.all(off <= tol[:, None], axis=1))
+    return Y, accepted
 
 
 # ======================================================================

@@ -20,12 +20,11 @@ import numpy as np
 from . import market
 from .errors import DomainError, GridRefusal, StructuralError
 from .regime import (
-    LawInvariantAcceptanceSet,
     PolyhedralAcceptanceSet,
     RiskValue,
-    _cash_unit_price,
     _rho_value,
     rho,
+    rho_batch,
 )
 from .scenario import Functional, RandomVariable
 
@@ -89,23 +88,6 @@ class GridSpec:
     @classmethod
     def around(cls, X: RandomVariable, margin: float, h: float) -> "GridSpec":
         return cls(X.values - margin, X.values + margin, h)
-
-
-# ----------------------------------------------------------------------
-# per-agent requirement on batches of profiles
-# ----------------------------------------------------------------------
-
-def _batch_requirement(r, rows: np.ndarray) -> np.ndarray:
-    """rho_i over a batch (one profile per row).  Cash-only law-invariant
-    regimes evaluate in closed form; everything else solves per row."""
-    if isinstance(r.acceptance, LawInvariantAcceptanceSet):
-        unit_price = _cash_unit_price(r.market)
-        if unit_price is not None:
-            return unit_price * r.acceptance.xi(r.space.probs, rows)
-    out = np.empty(rows.shape[0])
-    for k in range(rows.shape[0]):
-        out[k] = _rho_value(rho(r, RandomVariable(r.space, rows[k])))
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -204,8 +186,8 @@ def brute_lambda(s: market.AgentSystem, X: RandomVariable,
     best_row = None
     points = 0
     for rows in _grid_chunks(g, template, free):
-        risks = (_batch_requirement(r1, rows)
-                 + _batch_requirement(r2, X.values[None, :] - rows))
+        risks = (rho_batch(r1, rows)
+                 + rho_batch(r2, X.values[None, :] - rows))
         points += rows.shape[0]
         k = int(np.argmin(risks))
         if risks[k] < best:
@@ -259,8 +241,8 @@ def verify_pareto(s: market.AgentSystem, X: RandomVariable,
     template, free = forced
 
     for rows in _grid_chunks(g, template, free):
-        u = _batch_requirement(r1, rows)
-        v = _batch_requirement(r2, X.values[None, :] - rows)
+        u = rho_batch(r1, rows)
+        v = rho_batch(r2, X.values[None, :] - rows)
         no_worse = (u <= base[0] + WORSEN_TOL) & (v <= base[1] + WORSEN_TOL)
         better = (base[0] - u > modulus) | (base[1] - v > modulus)
         hits = np.flatnonzero(no_worse & better)

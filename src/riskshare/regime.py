@@ -48,6 +48,7 @@ __all__ = [
     "ValidationReport",
     "validate_regime",
     "rho",
+    "rho_batch",
     "conjugate",
 ]
 
@@ -541,35 +542,40 @@ def rho(r: RiskMeasurementRegime, X: RandomVariable) -> RhoResult:
         raise DomainError("loss profile lies outside the regime's support ideal")
     if isinstance(r.acceptance, PolyhedralAcceptanceSet):
         return _rho_polyhedral(r, X.values)
-    return _rho_law_invariant(r, X.values)
+    return _rho_law_invariant(r)(X.values)
+
+
+def _rho_lp(r, rhs) -> linprog.LpProblem:
+    """rho's LP over security coefficients w for the right-hand side
+    beta - W X: minimize price(w) subject to
+    phi_j(X) - sum_k w_k phi_j(b_k) <= beta_j."""
+    mkt = r.market
+    K = mkt.dim
+    rows = -(r.acceptance.weight_matrix() @ mkt.basis_matrix())
+    return linprog.LpProblem(
+        c=mkt.prices.copy(), rows=rows, senses=[linprog.LE] * rows.shape[0],
+        rhs=rhs, lower=np.full(K, -math.inf), upper=np.full(K, math.inf))
 
 
 def _rho_polyhedral(r, xvals) -> RhoResult:
     acc = r.acceptance
-    mkt = r.market
-    W = acc.weight_matrix()            # (J, n)
-    B = mkt.basis_matrix()             # (n, K)
-    J, K = W.shape[0], mkt.dim
-    rows = -(W @ B)                    # phi_j(X) - sum_k w_k phi_j(b_k) <= beta_j
-    rhs = acc.bounds - W @ xvals
-    sol = linprog.solve(linprog.LpProblem(
-        c=mkt.prices.copy(), rows=rows, senses=[linprog.LE] * J, rhs=rhs,
-        lower=np.full(K, -math.inf), upper=np.full(K, math.inf)))
+    sol = linprog.solve(_rho_lp(r, acc.bounds - acc.weight_matrix() @ xvals))
     if sol.status == "infeasible":
         return RhoResult(value=RiskValue.infinite(), status="infeasible")
     if sol.status == "unbounded":
         return RhoResult(value=None, status="unbounded")
     w = sol.primal
     return RhoResult(value=RiskValue.finite(sol.objective_value),
-                     security=mkt.payoff(w), coefficients=w)
+                     security=r.market.payoff(w), coefficients=w)
 
 
-def _rho_law_invariant(r, xvals) -> RhoResult:
+def _rho_law_invariant(r):
+    """Law-invariant rho with its market-only part done once: the unit U
+    and, through lawinv._kernel_search, the kernel basis and the pricing
+    margin.  Returns xvals -> RhoResult."""
     from .lawinv import _kernel_search      # lawinv imports this module
 
-    acc = r.acceptance
     mkt = r.market
-    probs = r.space.probs
     B = mkt.basis_matrix()
     unit_price = _cash_unit_price(mkt)
     if unit_price is not None:
@@ -577,24 +583,66 @@ def _rho_law_invariant(r, xvals) -> RhoResult:
     else:
         uval, w_u = mkt.unit_certificate(r.support.included)
         if uval is None or math.isinf(uval) or not uval > 1e-10:
-            return _rho_without_unit(r, xvals)
+            return lambda xvals: _rho_without_unit(r, xvals)
         U, price = B @ w_u, 1.0
-    sol = _kernel_search((acc,), probs, xvals, B, mkt.prices, U, price)
-    if sol is None:
-        return RhoResult(value=None, status="unbounded")
-    t, Z, _ = sol
-    return RhoResult(value=RiskValue.finite(price * t),
-                     security=RandomVariable(r.space, Z),
-                     coefficients=np.linalg.lstsq(B, Z, rcond=None)[0])
+    search = _kernel_search((r.acceptance,), r.space.probs, B, mkt.prices,
+                            U, price)
+
+    def rho_of(xvals):
+        sol = search(xvals)
+        if sol is None:
+            return RhoResult(value=None, status="unbounded")
+        t, Z, _ = sol
+        return RhoResult(value=RiskValue.finite(price * t),
+                         security=RandomVariable(r.space, Z),
+                         coefficients=np.linalg.lstsq(B, Z, rcond=None)[0])
+    return rho_of
+
+
+def rho_batch(r: RiskMeasurementRegime, rows) -> np.ndarray:
+    """rho of each row of `rows` (one loss profile per row), +inf where
+    nothing securitizes the row; an unbounded requirement is refused.
+
+    Polyhedral regimes build rho's LP once and solve all rows with
+    linprog.solve_batch, which re-solves only the rows no optimal basis
+    found so far accepts.  A law-invariant regime whose market trades only
+    a constant payoff is xi times the price of the payoff 1; any other
+    law-invariant regime does its market-only work once and then searches
+    row by row."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != r.space.size:
+        raise StructuralError(
+            f"loss profiles must form an (N, {r.space.size}) array")
+    if not np.all(np.isfinite(rows)):
+        raise StructuralError("loss profiles must be finite")
+    excluded = ~r.support.included
+    if np.max(np.abs(rows[:, excluded]), initial=0.0) > 1e-9:
+        raise DomainError("loss profile lies outside the regime's support ideal")
+    acc = r.acceptance
+    if isinstance(acc, PolyhedralAcceptanceSet):
+        batch = linprog.solve_batch(_rho_lp(r, acc.bounds),
+                                    acc.bounds - rows @ acc.weight_matrix().T)
+        if "unbounded" in batch.status:
+            raise _arbitrage_refusal()
+        return batch.objective_value
+    unit_price = _cash_unit_price(r.market)
+    if unit_price is not None:
+        return unit_price * acc.xi(r.space.probs, rows)
+    rho_of = _rho_law_invariant(r)
+    return np.array([_rho_value(rho_of(x)) for x in rows])
 
 
 def _rho_value(res: RhoResult) -> float:
     """A rho result as a float, +inf when nothing securitizes the profile;
     an unbounded requirement is refused."""
     if res.status == "unbounded":
-        raise DomainError("an agent's requirement is unbounded below; its "
-                          "security prices admit arbitrage")
+        raise _arbitrage_refusal()
     return res.value.as_float()
+
+
+def _arbitrage_refusal() -> DomainError:
+    return DomainError("an agent's requirement is unbounded below; its "
+                       "security prices admit arbitrage")
 
 
 def _rho_without_unit(r, xvals) -> RhoResult:

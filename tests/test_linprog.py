@@ -3,8 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from riskshare.errors import NumericalFailure
-from riskshare.linprog import GE, LE, EQ, LpProblem, LpSolution, null_space, solve
+from riskshare.errors import NumericalFailure, StructuralError
+from riskshare.linprog import (
+    CERT_TOL,
+    EQ,
+    GE,
+    LE,
+    LpProblem,
+    LpSolution,
+    null_space,
+    solve,
+    solve_batch,
+)
 
 
 def lp(c, rows, senses, rhs, lower=None, upper=None):
@@ -160,6 +170,129 @@ def test_unbounded_ray_feasibility():
     assert np.asarray([1.0, -1.0]) @ r <= 1e-9          # stays feasible
     assert np.all(r >= -1e-12)
     assert np.asarray([-1.0, -1.0]) @ r < 0             # improves objective
+
+
+# ----------------------------------------------------------------------
+# batches of right-hand sides
+# ----------------------------------------------------------------------
+
+def batch_matches_solve(p, rhs):
+    """solve_batch against one solve per row: equal statuses, objectives
+    within CERT_TOL times the row's scale, feasible primal rows."""
+    batch = solve_batch(p, rhs)
+    for k, b in enumerate(rhs):
+        one = solve(lp(p.c, p.rows, p.senses, b, p.lower, p.upper))
+        assert batch.status[k] == one.status, k
+        if not one.optimal:
+            assert batch.objective_value[k] == one.objective_value
+            continue
+        scale = 1.0 + max(np.max(np.abs(b), initial=0.0),
+                          abs(one.objective_value))
+        assert abs(batch.objective_value[k] - one.objective_value) <= (
+            CERT_TOL * scale), k
+        x = batch.primal[k]
+        assert batch.objective_value[k] == pytest.approx(p.c @ x, abs=1e-12 * scale)
+        ax = p.rows @ x
+        for i, sense in enumerate(p.senses):
+            slack = {LE: b[i] - ax[i], GE: ax[i] - b[i]}.get(sense)
+            if slack is None:
+                assert abs(ax[i] - b[i]) <= CERT_TOL * scale
+            else:
+                assert slack >= -CERT_TOL * scale
+        assert np.all(x >= p.lower - CERT_TOL * scale)
+        assert np.all(x <= p.upper + CERT_TOL * scale)
+    return batch
+
+
+def test_batch_crosses_several_bases():
+    rng = np.random.default_rng(3)
+    for trial in range(10):
+        A = rng.uniform(0.1, 2.0, size=(4, 3))
+        c = rng.uniform(0.5, 2.0, size=3)
+        rhs = rng.uniform(-1.0, 3.0, size=(40, 4))
+        batch = batch_matches_solve(lp(c, A, [GE] * 4, np.ones(4)), rhs)
+        assert 3 <= batch.solves < 40, trial
+
+
+def test_batch_resolves_rows_outside_every_basis():
+    # min x s.t. x >= b1, x >= b2: the basis of the first row leaves the
+    # second row's slack negative, so that row needs its own solve
+    p = lp([1.0], [[1.0], [1.0]], [GE, GE], [0.0, 0.0],
+           lower=[-math.inf], upper=[math.inf])
+    rhs = np.array([[2.0, 1.0], [1.0, 2.0], [3.0, -1.0], [0.0, 5.0]])
+    batch = batch_matches_solve(p, rhs)
+    assert batch.status == ["optimal"] * 4
+    assert np.array_equal(batch.objective_value, [2.0, 2.0, 3.0, 5.0])
+    assert batch.solves == 2
+
+
+def test_batch_infeasible_and_unbounded_rows():
+    # min -x1 s.t. x1 - x2 <= b1, x3 <= b2, x3 >= b3, x >= 0: unbounded
+    # whenever b2 >= max(b3, 0), infeasible otherwise
+    p = lp([-1.0, 0.0, 0.0], [[1.0, -1.0, 0.0], [0.0, 0.0, 1.0],
+                              [0.0, 0.0, 1.0]], [LE, LE, GE], np.zeros(3))
+    rhs = np.random.default_rng(5).uniform(-1.0, 1.0, size=(30, 3))
+    batch = batch_matches_solve(p, rhs)
+    assert set(batch.status) == {"unbounded", "infeasible"}
+    assert batch.solves == 30
+
+
+def test_batch_degenerate_rows():
+    # three constraints through one vertex at t (1, 1) / 2, the zero rhs,
+    # and rows off the degenerate ray
+    p = lp([1.0, 2.0], [[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]], [GE] * 3,
+           np.zeros(3))
+    t = np.linspace(0.0, 2.0, 5)
+    on_ray = np.column_stack([t, t / 2, t / 2])
+    off = np.random.default_rng(9).uniform(-1.0, 2.0, size=(20, 3))
+    batch = batch_matches_solve(p, np.vstack([on_ray, off]))
+    assert batch.status == ["optimal"] * 25
+
+
+def test_batch_redundant_equalities():
+    # the simplex drops the second row as redundant; rows where it is
+    # inconsistent with the first are infeasible, not screened
+    p = lp([1.0, 2.0], [[1.0, 1.0], [2.0, 2.0]], [EQ, EQ], [1.0, 2.0])
+    b1 = np.linspace(0.5, 3.0, 6)
+    rhs = np.column_stack([np.repeat(b1, 2), np.repeat(2 * b1, 2)])
+    rhs[1::2, 1] += 0.5
+    batch = batch_matches_solve(p, rhs)
+    assert batch.status == ["optimal", "infeasible"] * 6
+
+
+def test_batch_mixed_senses_and_bounds():
+    rng = np.random.default_rng(21)
+    for trial in range(10):
+        m, n = 4, 5
+        A = rng.normal(size=(m, n))
+        c = rng.uniform(0.1, 2.0, size=n)
+        lower = np.array([-math.inf, 0.0, -1.0, -math.inf, 0.0])
+        upper = np.array([math.inf, math.inf, 2.0, 3.0, 1.0])
+        c[0] = 0.0                     # the free variable cannot run off
+        senses = [EQ, LE, GE, LE]
+        rhs = rng.normal(size=(30, m))
+        batch_matches_solve(lp(c, A, senses, np.zeros(m), lower, upper), rhs)
+
+
+def test_batch_of_a_pure_bounds_problem():
+    p = lp([1.0, -1.0], np.zeros((0, 2)), [], [], lower=[2.0, 0.0],
+           upper=[5.0, 3.0])
+    batch = batch_matches_solve(p, np.zeros((3, 0)))
+    assert batch.solves == 1
+    assert np.allclose(batch.primal, [[2.0, 3.0]] * 3)
+    crossed = lp([1.0], np.zeros((0, 1)), [], [], lower=[2.0], upper=[1.0])
+    assert batch_matches_solve(crossed, np.zeros((2, 0))).status == [
+        "infeasible"] * 2
+
+
+def test_batch_shape_refusals():
+    p = lp([1.0], [[1.0]], [GE], [3.0])
+    for bad in (np.ones(3), np.ones((2, 2)), np.ones((1, 1, 1))):
+        with pytest.raises(StructuralError):
+            solve_batch(p, bad)
+    with pytest.raises(StructuralError):
+        solve_batch(p, np.array([[np.nan]]))
+    assert solve_batch(p, np.zeros((0, 1))).solves == 0
 
 
 # ----------------------------------------------------------------------

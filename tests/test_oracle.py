@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from riskshare import oracle
 from riskshare.errors import DomainError, GridRefusal, StructuralError
 from riskshare.market import AgentSystem, Allocation, capital_requirement
 from riskshare.oracle import (
@@ -24,10 +23,13 @@ from riskshare.regime import (
     SecurityMarket,
     base_risk,
     rho,
+    rho_batch,
 )
 from riskshare.scenario import Functional, ScenarioSpace, SupportMask
 
 from helpers import (
+    cash_market,
+    ceiling_regime,
     law_invariant_regime,
     overlap_pair,
     point_eval,
@@ -86,10 +88,118 @@ def test_batch_matches_per_point_requirement():
     rows = rng.uniform(-2.0, 2.0, size=(12, 3))
     for kind, param in ((ENTROPIC, 1.3), (AVAR, 0.4), (EXPECTATION, 0.0)):
         r = law_invariant_regime(space, kind, param)
-        fast = oracle._batch_requirement(r, rows)
+        fast = rho_batch(r, rows)
         for k in range(rows.shape[0]):
             direct = rho(r, space.rv(rows[k])).value.as_float()
             assert fast[k] == pytest.approx(direct, abs=1e-9)
+
+
+def window_chain_regimes(rng, m, n):
+    """Ceiling agents as in the benchmark's window chains: agent i owns
+    scenario 0 and a window overlapping the next agent's by two, and trades
+    the indicator of every scenario it owns at price 1."""
+    space = ScenarioSpace.uniform([f"s{i}" for i in range(m)])
+    width = -(-(m - 1) // n)
+    regimes = []
+    for i in range(n):
+        lo = 1 + i * width
+        owned = [0] + list(range(lo, min(m - 1, lo + width + 1) + 1))
+        regimes.append(ceiling_regime(space, [space.labels[w] for w in owned],
+                                      rng.uniform(-2.0, 2.0, len(owned))))
+    return space, regimes
+
+
+def full_support_regime(rng, space):
+    """E_Q[X] <= b for Q = P and two random densities, on a cash market."""
+    dens = [np.ones(space.size)] + [rng.dirichlet(np.ones(space.size))
+                                    / space.probs for _ in range(2)]
+    acc = PolyhedralAcceptanceSet(tuple(Functional(space, d) for d in dens),
+                                  rng.uniform(-1.0, 1.0, 3))
+    return RiskMeasurementRegime(SupportMask.full(space), acc,
+                                 cash_market(space))
+
+
+def partly_infeasible_regime(space):
+    """Scenario a is capped at 1 and cannot be securitized."""
+    acc = PolyhedralAcceptanceSet(
+        (point_eval(space, "a"), point_eval(space, "b")),
+        np.array([1.0, 2.0]))
+    return RiskMeasurementRegime(
+        support=SupportMask.from_labels(space, ["a", "b"]),
+        acceptance=acc,
+        market=SecurityMarket((space.indicator(["b"]),), np.array([1.0])))
+
+
+def polyhedral_batches():
+    rng = np.random.default_rng(17)
+    space, chain = window_chain_regimes(rng, 9, 3)
+    for i, r in enumerate(chain):
+        rows = rng.uniform(-5.0, 5.0, size=(25, space.size))
+        rows[:, ~r.support.included] = 0.0
+        yield pytest.param(r, rows, id=f"window_chain{i}")
+    space = ScenarioSpace.uniform(["w1", "w2", "w3", "w4"])
+    for i in range(3):
+        yield pytest.param(full_support_regime(rng, space),
+                           rng.normal(0.0, 1.0, size=(60, space.size)),
+                           id=f"full_support{i}")
+    space = three_space()
+    rows = rng.uniform(-1.0, 3.0, size=(30, 3))
+    rows[:, 2] = 0.0
+    yield pytest.param(partly_infeasible_regime(space), rows,
+                       id="partly_infeasible")
+
+
+@pytest.mark.parametrize("r,rows", list(polyhedral_batches()))
+def test_batch_matches_per_point_polyhedral_requirement(r, rows):
+    fast = rho_batch(r, rows)
+    for k in range(rows.shape[0]):
+        direct = rho(r, r.space.rv(rows[k])).value.as_float()
+        if math.isinf(direct):
+            assert fast[k] == direct
+        else:
+            assert fast[k] == pytest.approx(direct, abs=1e-9)
+
+
+def test_batch_screens_the_infeasible_part():
+    space = three_space()
+    rows = np.array([[0.5, 1.0, 0.0], [2.0, 1.0, 0.0], [0.0, 3.0, 0.0],
+                     [1.5, -1.0, 0.0]])
+    fast = rho_batch(partly_infeasible_regime(space), rows)
+    assert np.array_equal(fast, [-1.0, math.inf, 1.0, math.inf])
+
+
+def test_batch_law_invariant_kernel_market_is_rho_row_by_row():
+    space = ScenarioSpace(("w1", "w2", "w3"), np.array([0.5, 0.3, 0.2]))
+    market = SecurityMarket((space.rv(np.ones(3)),
+                             space.indicator(["w1"])), np.array([1.0, 0.4]))
+    rows = np.random.default_rng(4).uniform(-2.0, 2.0, size=(6, 3))
+    for kind, param in ((ENTROPIC, 1.3), (AVAR, 0.4)):
+        r = law_invariant_regime(space, kind, param, market)
+        fast = rho_batch(r, rows)
+        for k in range(rows.shape[0]):
+            assert fast[k] == rho(r, space.rv(rows[k])).value.as_float()
+
+
+def test_batch_refuses_malformed_rows():
+    space = three_space()
+    r = overlap_pair(space)[0]
+    for bad in (np.zeros(3), np.zeros((2, 2)), np.zeros((1, 2, 3)),
+                np.array([[np.nan, 0.0, 0.0]]),
+                np.array([[np.inf, 0.0, 0.0]])):
+        with pytest.raises(StructuralError):
+            rho_batch(r, bad)
+    with pytest.raises(DomainError):        # c lies outside agent 1's support
+        rho_batch(r, np.array([[0.0, 0.0, 1.0]]))
+
+
+def test_batch_refuses_unbounded_requirements():
+    space = three_space()
+    acc = PolyhedralAcceptanceSet((point_eval(space, "a"),), np.array([1.0]))
+    r = RiskMeasurementRegime(
+        support=SupportMask.from_labels(space, ["a"]), acceptance=acc,
+        market=SecurityMarket((space.indicator(["a"]),), np.array([-1.0])))
+    with pytest.raises(DomainError, match="unbounded below"):
+        rho_batch(r, np.zeros((2, 3)))
 
 
 # ---------------------------------------------------------------------------

@@ -189,20 +189,23 @@ def build_equilibrium(s: market.AgentSystem, endowments,
 def _probe_interior(s, W):
     """The supporting-functional construction needs the endowment interior
     to the requirement's domain; in finite dimension, coordinate probes
-    decide that exactly for polyhedral systems."""
+    decide that exactly for polyhedral systems.  All 2m probes go to one
+    lambda_batch; the first infinite one, scenario by scenario and up
+    before down, is the one refused."""
     eps = 1e-6 * (1.0 + float(np.max(np.abs(W.values))))
-    for w in range(s.space.size):
-        for sign in (+1.0, -1.0):
-            probe = W.values.copy()
-            probe[w] += sign * eps
-            value = market.capital_requirement(
-                s, RandomVariable(s.space, probe), certify=False).value
-            if not value.is_finite:
-                raise DomainError(
-                    f"total endowment sits on the boundary of the "
-                    f"requirement's domain (perturbing scenario {w} "
-                    f"by {sign * eps:+.1e} makes it infinite)"
-                )
+    m = s.space.size
+    scenario = np.repeat(np.arange(m), 2)
+    sign = np.tile([+1.0, -1.0], m)
+    probes = np.repeat(W.values[None, :], 2 * m, axis=0)
+    probes[np.arange(2 * m), scenario] += sign * eps
+    infinite = np.flatnonzero(np.isinf(market.lambda_batch(s, probes)))
+    if infinite.size:
+        k = infinite[0]
+        raise DomainError(
+            f"total endowment sits on the boundary of the "
+            f"requirement's domain (perturbing scenario {scenario[k]} "
+            f"by {sign[k] * eps:+.1e} makes it infinite)"
+        )
 
 
 # ----------------------------------------------------------------------

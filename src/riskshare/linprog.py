@@ -1,9 +1,11 @@
-"""Dense two-phase simplex solver with deterministic pivoting.
+"""Two-phase tableau simplex with deterministic pivoting.
 
 This is the computational backbone for every polyhedral evaluation in the
 package: risk measures, shared capital requirements, no-arbitrage probes,
-scalability detection, and subgradient extraction all reduce to small dense
-linear programs solved here.
+scalability detection, and subgradient extraction all reduce to small
+linear programs solved here.  The tableau is a dense array, but a pivot
+updates only the rows where the pivot column is nonzero: the sharing LPs'
+columns hold two or three nonzeros, so a pivot costs a few rows, not all.
 
 Conventions
 -----------
@@ -26,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalFailure, StructuralError
 
@@ -192,16 +193,16 @@ def _standardize(p: LpProblem):
 # ======================================================================
 
 def _pivot(T: np.ndarray, i: int, j: int):
+    """Pivot on T[i, j]; a row that is zero in column j stays as it is."""
     piv_row = T[i] / T[i, j]
-    T -= np.outer(T[:, j], piv_row)
+    nz = np.flatnonzero(T[:, j])
+    T[nz] -= np.outer(T[nz, j], piv_row)
     T[i] = piv_row
 
 
-def _run_simplex(T, basis, allowed, cap, it0=0):
+def _run_simplex(T, basis, cap, it0=0):
     """Iterate on tableau T (cost row last, rhs column last) until optimal
-    or unbounded.  `allowed` masks columns eligible to enter (used to lock
-    out artificials in phase 2).  Returns (status, entering_or_None, iters)."""
-    m = T.shape[0] - 1
+    or unbounded.  Returns (status, entering_or_None, iters)."""
     bland = False
     degen_run = 0
     it = it0
@@ -211,7 +212,7 @@ def _run_simplex(T, basis, allowed, cap, it0=0):
             raise NumericalFailure(
                 f"simplex iteration cap {cap} exceeded (anti-cycling active: {bland})"
             )
-        cost = np.where(allowed[:-1], T[-1, :-1], np.inf)
+        cost = T[-1, :-1]
         if bland:
             negs = np.nonzero(cost < -OPT_TOL)[0]
             if negs.size == 0:
@@ -222,13 +223,11 @@ def _run_simplex(T, basis, allowed, cap, it0=0):
             if cost[j] >= -OPT_TOL:
                 return "optimal", None, it
         col = T[:-1, j]
-        pos = col > PIVOT_TOL
-        if not pos.any():
+        pos = np.flatnonzero(col > PIVOT_TOL)
+        if not pos.size:
             return "unbounded", j, it
-        ratios = np.full(m, np.inf)
-        ratios[pos] = T[:-1, -1][pos] / col[pos]
-        rmin = ratios.min()
-        ties = np.nonzero(ratios <= rmin + 1e-12)[0]
+        ratios = T[pos, -1] / col[pos]
+        ties = pos[ratios <= ratios.min() + 1e-12]
         if bland:
             i = int(ties[np.argmin(np.asarray(basis)[ties])])
         else:
@@ -273,8 +272,7 @@ def solve(p: LpProblem, max_iterations: int = None) -> LpSolution:
     T[-1, N:N + n_art] = 1.0
     for i in art_cols:
         T[-1] -= T[i]
-    allowed = np.ones(T.shape[1], dtype=bool)
-    status, _, iters = _run_simplex(T, basis, allowed, cap)
+    status, _, iters = _run_simplex(T, basis, cap)
     phase1_obj = -T[-1, -1]
     if phase1_obj > 1e-7:
         return LpSolution(status="infeasible", objective_value=math.inf,
@@ -306,8 +304,7 @@ def solve(p: LpProblem, max_iterations: int = None) -> LpSolution:
     T2[-1, :N] = c
     for i in range(m):
         T2[-1] -= T2[-1, basis[i]] * T2[i]
-    allowed = np.ones(N + 1, dtype=bool)
-    status, entering, iters = _run_simplex(T2, basis, allowed, cap, it0=iters)
+    status, entering, iters = _run_simplex(T2, basis, cap, it0=iters)
 
     if status == "unbounded":
         d = np.zeros(N)
@@ -502,15 +499,18 @@ def _screen(A, b_rows, c, basis, free):
 def null_space(A) -> np.ndarray:
     """Orthonormal basis (columns) of {v : A v = 0}.
 
-    Rank decisions at 1e-10 relative to the matrix scale.  Columns are
-    sign-canonicalized (first entry of largest magnitude made positive)
-    so repeated calls are deterministic.
+    The basis is the trailing right singular vectors of NumPy's full SVD,
+    with rank decided at 1e-10 relative to the largest singular value.
+    Columns are sign-canonicalized (first entry of largest magnitude made
+    positive) so repeated calls are deterministic.
     """
     A = np.asarray(A, dtype=float)
     if A.size == 0 or A.shape[0] == 0:
         k = A.shape[1] if A.ndim == 2 else 0
         return np.eye(k)
-    ns = scipy.linalg.null_space(A, rcond=RANK_TOL)
+    _, sv, vh = np.linalg.svd(A, full_matrices=True)
+    rank = int(np.sum(sv > sv.max() * RANK_TOL))
+    ns = vh[rank:].T
     for j in range(ns.shape[1]):
         col = ns[:, j]
         lead = int(np.argmax(np.abs(col)))

@@ -48,6 +48,7 @@ __all__ = [
     "validate_star",
     "nsa_check",
     "capital_requirement",
+    "lambda_batch",
     "capital_requirement_payoff_form",
     "pareto_from_payoff",
     "security_selection",
@@ -350,30 +351,50 @@ def _sharing_lp(s: AgentSystem, target: np.ndarray, securities: bool = True,
     return rows, [linprog.LE] * J + [linprog.EQ] * s.space.size, rhs, starts
 
 
-def _solve_free(c, rows, senses, rhs):
+def _free_lp(c, rows, senses, rhs) -> linprog.LpProblem:
     """minimize c.x subject to the rows, all variables free."""
     n = len(c)
-    return linprog.solve(linprog.LpProblem(
+    return linprog.LpProblem(
         c=c, rows=rows, senses=senses, rhs=rhs,
-        lower=np.full(n, -math.inf), upper=np.full(n, math.inf)))
+        lower=np.full(n, -math.inf), upper=np.full(n, math.inf))
+
+
+def _solve_free(c, rows, senses, rhs):
+    return linprog.solve(_free_lp(c, rows, senses, rhs))
+
+
+def _sharing_cost(s: AgentSystem, n_cols: int, starts) -> np.ndarray:
+    """The sharing LP's objective: each agent's security prices on its
+    security columns."""
+    c = np.zeros(n_cols)
+    for r, o in zip(s.regimes, starts):
+        c[o + r.support.dim:o + r.support.dim + r.market.dim] = r.market.prices
+    return c
+
+
+def _unbounded_sharing() -> InternalInconsistency:
+    return InternalInconsistency(
+        "sharing LP unbounded although pi(0) = 0; the input system "
+        "violates the no-arbitrage contract"
+    )
+
+
+def _check_allocation_sum(resid: float):
+    if resid > 1e-9:
+        raise InternalInconsistency(f"allocation sums off by {resid:.2e}")
 
 
 def _capital_requirement_lp(s, X, certify) -> SharingResult:
     space = s.space
     m = space.size
     rows, senses, rhs, starts = _sharing_lp(s, X.values)
-    c = np.zeros(rows.shape[1])
-    for r, o in zip(s.regimes, starts):
-        c[o + r.support.dim:o + r.support.dim + r.market.dim] = r.market.prices
-    sol = _solve_free(c, rows, senses, rhs)
+    sol = _solve_free(_sharing_cost(s, rows.shape[1], starts), rows, senses,
+                      rhs)
 
     if sol.status == "infeasible":
         return SharingResult(value=RiskValue.infinite())
     if sol.status == "unbounded":
-        raise InternalInconsistency(
-            "sharing LP unbounded although pi(0) = 0; the input system "
-            "violates the no-arbitrage contract"
-        )
+        raise _unbounded_sharing()
 
     parts = []
     payoff_vals = np.zeros(m)
@@ -384,9 +405,7 @@ def _capital_requirement_lp(s, X, certify) -> SharingResult:
         parts.append(RandomVariable(space, xv))
         payoff_vals += r.market.basis_matrix() @ sol.primal[o + ni:o + ni + ki]
     alloc = Allocation(tuple(parts))
-    resid = float(np.max(np.abs(alloc.total() - X.values)))
-    if resid > 1e-9:
-        raise InternalInconsistency(f"allocation sums off by {resid:.2e}")
+    _check_allocation_sum(float(np.max(np.abs(alloc.total() - X.values))))
 
     duals = sol.duals[-m:]
     subgrad = Functional(space, duals / space.probs)
@@ -408,6 +427,41 @@ def _capital_requirement_lp(s, X, certify) -> SharingResult:
         agent_risks=agent_risks,
         dual_degenerate=sol.degenerate,
     )
+
+
+def lambda_batch(s: AgentSystem, targets) -> np.ndarray:
+    """Lambda of each row of `targets` (one aggregate loss per row), +inf
+    where no acceptable decomposition exists; an unbounded sharing LP
+    raises InternalInconsistency, as capital_requirement does.
+
+    A polyhedral system builds its sharing LP once.  The loss enters only
+    the scenario rows' right-hand side, so linprog.solve_batch solves one
+    LP per optimal basis and screens the other rows; every optimal row's
+    allocation must still add up to its target within 1e-9.  A
+    law-invariant system runs capital_requirement row by row."""
+    targets = np.asarray(targets, dtype=float)
+    m = s.space.size
+    if targets.ndim != 2 or targets.shape[1] != m:
+        raise StructuralError(f"loss profiles must form an (N, {m}) array")
+    if not np.all(np.isfinite(targets)):
+        raise StructuralError("loss profiles must be finite")
+    _ensure_shareable(s)
+    if s.is_law_invariant:
+        return np.array([
+            capital_requirement(s, RandomVariable(s.space, t)).value.as_float()
+            for t in targets])
+    rows, senses, rhs, starts = _sharing_lp(s, np.zeros(m))
+    lp = _free_lp(_sharing_cost(s, rows.shape[1], starts), rows, senses, rhs)
+    rhs = np.repeat(rhs[None, :], targets.shape[0], axis=0)
+    rhs[:, -m:] = targets
+    batch = linprog.solve_batch(lp, rhs)
+    if "unbounded" in batch.status:
+        raise _unbounded_sharing()
+    optimal = np.isfinite(batch.objective_value)
+    _check_allocation_sum(float(np.max(np.abs(
+        batch.primal[optimal] @ rows[-m:].T - targets[optimal]),
+        initial=0.0)))
+    return batch.objective_value
 
 
 def capital_requirement_payoff_form(s: AgentSystem, X: RandomVariable) -> RiskValue:

@@ -270,10 +270,12 @@ class FdCheck:
     kink_coords: tuple = ()
 
 
-def _lam(s, values) -> float:
-    v = market.capital_requirement(
-        s, RandomVariable(s.space, values), certify=False).value
-    return v.as_float() if v.is_finite else math.inf
+def _coordinate_moves(x, scenarios, steps) -> np.ndarray:
+    """One copy of x per (scenario, step) pair, that scenario moved by that
+    step."""
+    rows = np.repeat(x[None, :], len(steps), axis=0)
+    rows[np.arange(len(steps)), scenarios] += steps
+    return rows
 
 
 def fd_subgradient_check(s: market.AgentSystem, X: RandomVariable,
@@ -281,25 +283,25 @@ def fd_subgradient_check(s: market.AgentSystem, X: RandomVariable,
     """Central differences of the requirement against phi's weights.  A
     jump between one-sided slopes marks a kink; there the derivative is
     meaningless and the check falls back to the subgradient inequality
-    on a deterministic sample of nearby profiles."""
-    base = _lam(s, X.values)
+    on a deterministic sample of nearby profiles.  The base point and its
+    2m neighbours are one lambda_batch, the 6m sample profiles another,
+    made only at a kink."""
+    m = s.space.size
+    lam = market.lambda_batch(s, np.vstack([
+        X.values[None, :],
+        _coordinate_moves(X.values, np.tile(np.arange(m), 2),
+                          np.repeat([delta, -delta], m))]))
+    base = lam[0]
     if not math.isfinite(base):
         raise DomainError("requirement infinite at the expansion point")
-    m = s.space.size
-    fwd = np.empty(m)
-    bwd = np.empty(m)
-    for w in range(m):
-        up, dn = X.values.copy(), X.values.copy()
-        up[w] += delta
-        dn[w] -= delta
-        lu, ld = _lam(s, up), _lam(s, dn)
-        if not (math.isfinite(lu) and math.isfinite(ld)):
-            raise DomainError(
-                "requirement infinite next to the expansion point; no "
-                "coordinate neighborhood to difference over"
-            )
-        fwd[w] = (lu - base) / delta
-        bwd[w] = (base - ld) / delta
+    lu, ld = lam[1:m + 1], lam[m + 1:]
+    if not (np.all(np.isfinite(lu)) and np.all(np.isfinite(ld))):
+        raise DomainError(
+            "requirement infinite next to the expansion point; no "
+            "coordinate neighborhood to difference over"
+        )
+    fwd = (lu - base) / delta
+    bwd = (base - ld) / delta
 
     scale = 1.0 + np.maximum(np.abs(fwd), np.abs(bwd))
     kinks = tuple(np.flatnonzero(np.abs(fwd - bwd) > KINK_TOL * scale))
@@ -310,15 +312,13 @@ def fd_subgradient_check(s: market.AgentSystem, X: RandomVariable,
         worst = float(np.max(err))
         return FdCheck("smooth", worst <= 1e-4, max_relative_error=worst)
 
-    gap = math.inf
-    for w in range(m):
-        for step in (0.01, 0.1, 1.0):
-            for sign in (+1.0, -1.0):
-                y = X.values.copy()
-                y[w] += sign * step
-                ly = _lam(s, y)
-                if math.isfinite(ly):
-                    gap = min(gap, ly - base
-                              - float(phi.weights @ (y - X.values)))
+    steps = np.outer([0.01, 0.1, 1.0], [+1.0, -1.0]).ravel()
+    sample = _coordinate_moves(X.values, np.repeat(np.arange(m), steps.size),
+                               np.tile(steps, m))
+    ly = market.lambda_batch(s, sample)
+    finite = np.isfinite(ly)
+    gap = float(np.min(ly[finite] - base
+                       - (sample[finite] - X.values) @ phi.weights,
+                       initial=math.inf))
     return FdCheck("kink", gap >= -1e-8, min_inequality_gap=gap,
                    kink_coords=kinks)

@@ -1,6 +1,6 @@
 """Shared builders for test fixtures: the three-scenario overlap instance
-(two agents whose ceilings overlap on the middle scenario) and small
-law-invariant regimes."""
+(two agents whose ceilings overlap on the middle scenario), its variant
+with an untradeable ceiling, and small law-invariant regimes."""
 
 import numpy as np
 
@@ -50,6 +50,23 @@ def overlap_pair(space=None, k1=(1.0, 2.0), k2=(1.0, 3.0)):
         ceiling_regime(space, ["a", "b"], k1),
         ceiling_regime(space, ["b", "c"], k2),
     )
+
+
+def hard_ceiling_pair(space=None):
+    """Agent 1 owns {a, b} but can only trade the indicator of b, so its
+    ceiling on scenario a cannot be securitized away: the aggregate
+    requirement is finite only while X(a) stays below that ceiling."""
+    space = space or three_space()
+    acc1 = PolyhedralAcceptanceSet(
+        (point_eval(space, "a"), point_eval(space, "b")),
+        np.array([1.0, 2.0]),
+    )
+    r1 = RiskMeasurementRegime(
+        support=SupportMask.from_labels(space, ["a", "b"]),
+        acceptance=acc1,
+        market=SecurityMarket((space.indicator(["b"]),), np.array([1.0])),
+    )
+    return r1, overlap_pair(space)[1]
 
 
 def cash_market(space, price=1.0):

@@ -280,15 +280,3 @@ def test_split_with_an_unbounded_agent_is_a_domain_exit(tmp_path, capsys):
     assert code == 2
     assert out is None
     assert err.startswith("error:") and "unbounded below" in err
-
-
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize serves only the one-dimensional rho search; importing
-    # it costs every CLI call a large share of its start-up
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, riskshare.cli; "
-         "print('scipy.optimize' in sys.modules)"],
-        capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"

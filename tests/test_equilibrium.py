@@ -33,6 +33,7 @@ from riskshare.scenario import Functional, ScenarioSpace, SupportMask
 from helpers import (
     cash_market,
     ceiling_regime,
+    hard_ceiling_pair,
     law_invariant_regime,
     overlap_pair,
     point_eval,
@@ -59,22 +60,6 @@ def entropic_system():
         space.rv(np.array([0.2, 1.5, -1.0, 2.0])),
     )
     return space, s, endowments
-
-
-def hard_ceiling_pair(space):
-    """Agent 1 owns {a, b} but can only trade the indicator of b, so its
-    ceiling on scenario a cannot be securitized away: the aggregate
-    requirement is finite only while X(a) stays below that ceiling."""
-    acc1 = PolyhedralAcceptanceSet(
-        (point_eval(space, "a"), point_eval(space, "b")),
-        np.array([1.0, 2.0]),
-    )
-    r1 = RiskMeasurementRegime(
-        support=SupportMask.from_labels(space, ["a", "b"]),
-        acceptance=acc1,
-        market=SecurityMarket((space.indicator(["b"]),), np.array([1.0])),
-    )
-    return AgentSystem((r1, ceiling_regime(space, ["b", "c"], (1.0, 3.0))))
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +115,7 @@ def test_subgradient_entropic_density_closed_form(entropic_system):
 
 def test_subgradient_outside_domain_rejected():
     space = three_space()
-    s = hard_ceiling_pair(space)
+    s = AgentSystem(hard_ceiling_pair(space))
     with pytest.raises(DomainError):
         subgradient(s, space.rv(np.array([4.0, 5.0, 6.0])))
 
@@ -261,14 +246,16 @@ def test_entropic_equilibrium_end_to_end(entropic_system):
 
 def test_boundary_endowment_rejected():
     space = three_space()
-    s = hard_ceiling_pair(space)
+    s = AgentSystem(hard_ceiling_pair(space))
     # total (1, 5, 6) sits on the requirement's domain boundary: scenario a
     # is exactly at agent 1's untradeable ceiling
     endowments = (
         space.rv(np.array([1.0, 2.0, 0.0])),
         space.rv(np.array([0.0, 3.0, 6.0])),
     )
-    with pytest.raises(DomainError):
+    # the first infinite probe, in scenario order and up before down, is
+    # named: scenario a (index 0) moved up by 1e-6 (1 + max |W|)
+    with pytest.raises(DomainError, match=r"perturbing scenario 0 by \+7\.0e-06 "):
         build_equilibrium(s, endowments)
     # nudging scenario a inside makes the construction go through
     interior = (

@@ -1,8 +1,11 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from riskshare import linprog
 from riskshare.errors import NumericalFailure, StructuralError
 from riskshare.linprog import (
     CERT_TOL,
@@ -15,6 +18,10 @@ from riskshare.linprog import (
     solve,
     solve_batch,
 )
+from riskshare.market import AgentSystem, capital_requirement, lambda_batch
+from riskshare.scenario import ScenarioSpace
+
+from helpers import ceiling_regime
 
 
 def lp(c, rows, senses, rhs, lower=None, upper=None):
@@ -173,6 +180,106 @@ def test_unbounded_ray_feasibility():
 
 
 # ----------------------------------------------------------------------
+# the row-sparse pivot against the dense one
+# ----------------------------------------------------------------------
+
+def dense_pivot(T, i, j):
+    """The rank-one update over every tableau row, zero pivot-column
+    entries included: the reference the row-sparse pivot must match."""
+    piv_row = T[i] / T[i, j]
+    T -= np.outer(T[:, j], piv_row)
+    T[i] = piv_row
+
+
+def assert_bitwise_equal(a, b):
+    """Equal statuses, pivot counts and degeneracy flags, and the same
+    bytes in every array field and in the objective (signed zeros
+    included)."""
+    assert (a.status, a.iterations, a.degenerate) == (
+        b.status, b.iterations, b.degenerate)
+    assert (np.float64(a.objective_value).tobytes()
+            == np.float64(b.objective_value).tobytes())
+    for name in ("primal", "duals", "ray"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None), name
+        if x is not None:
+            assert x.tobytes() == y.tobytes(), name
+
+
+def solve_both_ways(monkeypatch, problems):
+    sparse = [solve(p) for p in problems]
+    with monkeypatch.context() as mp:
+        mp.setattr(linprog, "_pivot", dense_pivot)
+        dense = [solve(p) for p in problems]
+    for a, b in zip(sparse, dense):
+        assert_bitwise_equal(a, b)
+    return sparse
+
+
+def window_chain(m, n=4, seed=1):
+    """n ceiling agents on m scenarios: agent i owns scenario 0 plus a
+    window of consecutive scenarios overlapping the next agent's window by
+    two, with random ceilings, and a random loss."""
+    rng = np.random.default_rng(seed)
+    space = ScenarioSpace.uniform([f"s{i}" for i in range(m)])
+    width = -(-(m - 1) // n)
+    regimes = []
+    for i in range(n):
+        lo = 1 + i * width
+        owned = [0, *range(lo, min(m - 1, lo + width + 1) + 1)]
+        labels = [space.labels[w] for w in owned]
+        regimes.append(ceiling_regime(space, labels,
+                                      rng.uniform(-2.0, 2.0, len(owned))))
+    return AgentSystem(tuple(regimes)), space.rv(rng.uniform(-5.0, 5.0, m))
+
+
+@pytest.mark.parametrize("m", [40, 160])
+def test_sparse_pivot_bitwise_on_window_chains(monkeypatch, m):
+    # every LP of a certified Lambda and of a batch of coordinate probes
+    s, X = window_chain(m)
+    problems = []
+    record = linprog.solve
+
+    def recorder(p, *args, **kwargs):
+        problems.append(p)
+        return record(p, *args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(linprog, "solve", recorder)
+        capital_requirement(s, X, certify=True)
+        lambda_batch(s, X.values + 1e-3 * np.vstack([np.eye(m)[:8],
+                                                      -np.eye(m)[:8]]))
+    # the sharing LP: the four agents own m + 9 scenarios in all (scenario
+    # 0 four times, three overlaps of two), one acceptance row and two
+    # columns (coordinate, security) each, plus m scenario rows
+    assert (2 * m + 9, 2 * m + 18) in {p.rows.shape for p in problems}
+    solved = solve_both_ways(monkeypatch, problems)
+    assert all(sol.optimal for sol in solved)
+
+
+def test_sparse_pivot_bitwise_on_random_lps(monkeypatch):
+    # <=, = and >= rows; nonnegative, free, doubly bounded and upper-only
+    # variables
+    rng = np.random.default_rng(17)
+    kinds = [(0.0, math.inf), (-math.inf, math.inf), (-1.0, 2.0),
+             (-math.inf, 3.0)]
+    problems = []
+    for _ in range(60):
+        m, n = rng.integers(2, 7), rng.integers(2, 8)
+        # entries from 1e-13 to 1e2 in size, some exactly zero
+        A = rng.normal(size=(m, n)) * 10.0 ** rng.integers(-13, 3, (m, n))
+        A[rng.uniform(size=(m, n)) < 0.3] = 0.0
+        bounds = [kinds[k] for k in rng.integers(0, 4, n)]
+        problems.append(lp(rng.normal(size=n), A,
+                           list(rng.choice([LE, EQ, GE], m)),
+                           rng.normal(size=m), [b[0] for b in bounds],
+                           [b[1] for b in bounds]))
+    solved = solve_both_ways(monkeypatch, problems)
+    assert {sol.status for sol in solved} == {"optimal", "unbounded",
+                                              "infeasible"}
+
+
+# ----------------------------------------------------------------------
 # batches of right-hand sides
 # ----------------------------------------------------------------------
 
@@ -298,6 +405,19 @@ def test_batch_shape_refusals():
 # ----------------------------------------------------------------------
 # null spaces
 # ----------------------------------------------------------------------
+
+def test_cli_start_up_loads_no_scipy():
+    # null spaces come from NumPy, and scipy.optimize is imported only
+    # inside the one-dimensional rho search: starting the CLI must not
+    # pay for scipy
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import riskshare.cli, sys; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
 
 def test_null_space_identity():
     assert null_space(np.eye(3)).shape == (3, 0)

@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from riskshare.market import (
     Allocation,
     capital_requirement,
     capital_requirement_payoff_form,
+    lambda_batch,
     level_set_certificate,
     nsa_check,
     pareto_from_payoff,
@@ -20,6 +22,7 @@ from riskshare.market import (
 )
 from riskshare.problemfile import load_problem
 from riskshare.regime import (
+    ENTROPIC,
     PolyhedralAcceptanceSet,
     RiskMeasurementRegime,
     SecurityMarket,
@@ -27,7 +30,16 @@ from riskshare.regime import (
 )
 from riskshare.scenario import Functional, ScenarioSpace, SupportMask
 
-from helpers import ceiling_regime, overlap_pair, point_eval, three_space
+from helpers import (
+    ceiling_regime,
+    hard_ceiling_pair,
+    law_invariant_regime,
+    overlap_pair,
+    point_eval,
+    three_space,
+)
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 @pytest.fixture
@@ -457,10 +469,71 @@ def test_level_set_certificate(overlap_system):
 
 
 # ---------------------------------------------------------------------------
-# layout of the sharing LP
+# Lambda over many loss profiles
 # ---------------------------------------------------------------------------
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+def lambda_batch_matches_capital_requirement(s, targets):
+    """lambda_batch against capital_requirement row by row: the same
+    finiteness, values within 1e-12 (1 + |v|)."""
+    values = lambda_batch(s, targets)
+    assert values.shape == (len(targets),)
+    for k, t in enumerate(targets):
+        one = capital_requirement(s, s.space.rv(t), certify=False).value
+        assert math.isfinite(values[k]) == one.is_finite, k
+        if one.is_finite:
+            v = one.as_float()
+            assert abs(values[k] - v) <= 1e-12 * (1.0 + abs(v)), k
+        else:
+            assert values[k] == math.inf, k
+    return values
+
+
+def test_lambda_batch_polyhedral_with_infeasible_rows(monkeypatch):
+    # Lambda is finite exactly while X(a) stays at or below agent 1's
+    # untradeable ceiling 1
+    space = three_space()
+    s = AgentSystem(hard_ceiling_pair(space))
+    rng = np.random.default_rng(8)
+    targets = np.array([1.0, 5.0, 6.0]) + rng.uniform(-1.0, 1.0, (40, 3))
+    nsa_check(s)                        # cached: only sharing LPs remain
+    solves = []
+    solve = linprog.solve
+    monkeypatch.setattr(linprog, "solve",
+                        lambda p: solves.append(p) or solve(p))
+    values = lambda_batch_matches_capital_requirement(s, targets)
+    infeasible = targets[:, 0] > 1.0
+    np.testing.assert_array_equal(np.isinf(values), infeasible)
+    assert 0 < infeasible.sum() < len(targets)
+    # every infeasible row is a solve of its own; the finite rows share a
+    # few optimal bases
+    solves_in_batch = len(solves) - len(targets)        # the loop above
+    assert solves_in_batch < len(targets)
+    assert solves_in_batch - infeasible.sum() <= 3
+
+
+def test_lambda_batch_law_invariant_falls_back_row_by_row():
+    space = ScenarioSpace.uniform(["low", "high"])
+    s = AgentSystem((law_invariant_regime(space, ENTROPIC, 1.0),
+                     law_invariant_regime(space, ENTROPIC, 2.0)))
+    targets = np.random.default_rng(3).normal(0.0, 2.0, (6, 2))
+    values = lambda_batch_matches_capital_requirement(s, targets)
+    assert np.all(np.isfinite(values))
+
+
+def test_lambda_batch_refusals(overlap_system):
+    space, s = overlap_system
+    assert lambda_batch(s, np.zeros((0, 3))).shape == (0,)
+    for bad in (np.zeros(3), np.zeros((2, 2)), np.full((1, 3), np.nan)):
+        with pytest.raises(StructuralError):
+            lambda_batch(s, bad)
+    pd = load_problem(FIXTURES / "arbitrage_triple.json")
+    with pytest.raises(DomainError, match="scalable arbitrage"):
+        lambda_batch(pd.system(), np.zeros((1, pd.space.size)))
+
+
+# ---------------------------------------------------------------------------
+# layout of the sharing LP
+# ---------------------------------------------------------------------------
 
 
 def test_sharing_lp_layout(monkeypatch):

@@ -30,6 +30,7 @@ from riskshare.scenario import Functional, ScenarioSpace, SupportMask
 from helpers import (
     cash_market,
     ceiling_regime,
+    hard_ceiling_pair,
     law_invariant_regime,
     overlap_pair,
     point_eval,
@@ -389,14 +390,7 @@ def test_fd_kink_path_on_tail_requirements():
 
 def test_fd_needs_finite_neighborhood():
     space = three_space()
-    acc1 = PolyhedralAcceptanceSet(
-        (point_eval(space, "a"), point_eval(space, "b")),
-        np.array([1.0, 2.0]))
-    r1 = RiskMeasurementRegime(
-        support=SupportMask.from_labels(space, ["a", "b"]),
-        acceptance=acc1,
-        market=SecurityMarket((space.indicator(["b"]),), np.array([1.0])))
-    s = AgentSystem((r1, overlap_pair(space)[1]))
+    s = AgentSystem(hard_ceiling_pair(space))
     X = space.rv(np.array([1.0, 5.0, 6.0]))   # scenario a at the hard ceiling
     phi = Functional(space, np.ones(3))
     with pytest.raises(DomainError):

@@ -195,16 +195,15 @@ def _probe_interior(s, W):
     eps = 1e-6 * (1.0 + float(np.max(np.abs(W.values))))
     m = s.space.size
     scenario = np.repeat(np.arange(m), 2)
-    sign = np.tile([+1.0, -1.0], m)
-    probes = np.repeat(W.values[None, :], 2 * m, axis=0)
-    probes[np.arange(2 * m), scenario] += sign * eps
+    steps = np.tile([eps, -eps], m)
+    probes = market._coordinate_moves(W.values, scenario, steps)
     infinite = np.flatnonzero(np.isinf(market.lambda_batch(s, probes)))
     if infinite.size:
         k = infinite[0]
         raise DomainError(
             f"total endowment sits on the boundary of the "
             f"requirement's domain (perturbing scenario {scenario[k]} "
-            f"by {sign[k] * eps:+.1e} makes it infinite)"
+            f"by {steps[k]:+.1e} makes it infinite)"
         )
 
 

@@ -38,6 +38,7 @@ __all__ = ["LpProblem", "LpSolution", "LpBatch", "solve", "solve_batch",
 # tolerances (relative use documented at each site)
 # ----------------------------------------------------------------------
 FEAS_TOL = 1e-9          # feasibility decisions
+PHASE1_TOL = 1e-7        # absolute infeasibility cut on the phase-1 optimum
 OPT_TOL = 1e-9           # reduced-cost optimality threshold
 PIVOT_TOL = 1e-9         # smallest acceptable pivot magnitude
 RANK_TOL = 1e-10         # rank decisions, relative to row norms
@@ -274,7 +275,7 @@ def solve(p: LpProblem, max_iterations: int = None) -> LpSolution:
         T[-1] -= T[i]
     status, _, iters = _run_simplex(T, basis, cap)
     phase1_obj = -T[-1, -1]
-    if phase1_obj > 1e-7:
+    if phase1_obj > PHASE1_TOL:
         return LpSolution(status="infeasible", objective_value=math.inf,
                           iterations=iters)
 
@@ -469,9 +470,12 @@ def _screen(A, b_rows, c, basis, free):
     right-hand sides b_rows (one per row, signs as they come), and the mask
     of rows where they are feasible: every basic value with a sign
     constraint >= -FEAS_TOL (1 + max |b_k|), and the rows the simplex
-    dropped as redundant still met within that tolerance.  Flipping a row
-    negates it in B and in b_k and leaves x_B unchanged.  None when B is
-    singular or its reduced costs fail the optimality test."""
+    dropped as redundant still met within that tolerance.  The tolerance
+    never exceeds solve's absolute phase-1 cut PHASE1_TOL, so a row that
+    solve would call infeasible is never screened as feasible however
+    large b_k is.  Flipping a row negates it in B and in b_k and leaves
+    x_B unchanged.  None when B is singular or its reduced costs fail the
+    optimality test."""
     rows, cols = basis
     Bm = A[np.ix_(rows, cols)]
     try:
@@ -484,7 +488,9 @@ def _screen(A, b_rows, c, basis, free):
         return None
     Y = np.zeros((b_rows.shape[0], A.shape[1]))
     Y[:, cols] = xB
-    tol = FEAS_TOL * (1.0 + np.max(np.abs(b_rows), axis=1, initial=0.0))
+    tol = np.minimum(
+        FEAS_TOL * (1.0 + np.max(np.abs(b_rows), axis=1, initial=0.0)),
+        PHASE1_TOL)
     dropped = np.setdiff1d(np.arange(A.shape[0]), rows)
     off = np.abs(Y @ A[dropped].T - b_rows[:, dropped])
     accepted = (np.all((xB >= -tol[:, None]) | free[cols], axis=1)

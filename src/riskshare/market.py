@@ -464,6 +464,14 @@ def lambda_batch(s: AgentSystem, targets) -> np.ndarray:
     return batch.objective_value
 
 
+def _coordinate_moves(x, scenarios, steps) -> np.ndarray:
+    """One copy of x per (scenario, step) pair, that scenario moved by that
+    step: the probe rows lambda_batch's callers send."""
+    rows = np.repeat(x[None, :], len(steps), axis=0)
+    rows[np.arange(len(steps)), scenarios] += steps
+    return rows
+
+
 def capital_requirement_payoff_form(s: AgentSystem, X: RandomVariable) -> RiskValue:
     """inf { pi(Z) : Z in M, X - Z in A_+ }: the representative-agent form,
     solved as its own LP (used to cross-check the allocation form)."""

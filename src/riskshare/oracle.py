@@ -270,14 +270,6 @@ class FdCheck:
     kink_coords: tuple = ()
 
 
-def _coordinate_moves(x, scenarios, steps) -> np.ndarray:
-    """One copy of x per (scenario, step) pair, that scenario moved by that
-    step."""
-    rows = np.repeat(x[None, :], len(steps), axis=0)
-    rows[np.arange(len(steps)), scenarios] += steps
-    return rows
-
-
 def fd_subgradient_check(s: market.AgentSystem, X: RandomVariable,
                          phi: Functional, delta: float = 1e-5) -> FdCheck:
     """Central differences of the requirement against phi's weights.  A
@@ -289,8 +281,8 @@ def fd_subgradient_check(s: market.AgentSystem, X: RandomVariable,
     m = s.space.size
     lam = market.lambda_batch(s, np.vstack([
         X.values[None, :],
-        _coordinate_moves(X.values, np.tile(np.arange(m), 2),
-                          np.repeat([delta, -delta], m))]))
+        market._coordinate_moves(X.values, np.tile(np.arange(m), 2),
+                                 np.repeat([delta, -delta], m))]))
     base = lam[0]
     if not math.isfinite(base):
         raise DomainError("requirement infinite at the expansion point")
@@ -313,8 +305,8 @@ def fd_subgradient_check(s: market.AgentSystem, X: RandomVariable,
         return FdCheck("smooth", worst <= 1e-4, max_relative_error=worst)
 
     steps = np.outer([0.01, 0.1, 1.0], [+1.0, -1.0]).ravel()
-    sample = _coordinate_moves(X.values, np.repeat(np.arange(m), steps.size),
-                               np.tile(steps, m))
+    sample = market._coordinate_moves(
+        X.values, np.repeat(np.arange(m), steps.size), np.tile(steps, m))
     ly = market.lambda_batch(s, sample)
     finite = np.isfinite(ly)
     gap = float(np.min(ly[finite] - base

@@ -52,21 +52,22 @@ def overlap_pair(space=None, k1=(1.0, 2.0), k2=(1.0, 3.0)):
     )
 
 
-def hard_ceiling_pair(space=None):
+def hard_ceiling_pair(space=None, scale=1.0):
     """Agent 1 owns {a, b} but can only trade the indicator of b, so its
     ceiling on scenario a cannot be securitized away: the aggregate
-    requirement is finite only while X(a) stays below that ceiling."""
+    requirement is finite only while X(a) stays below that ceiling.  Every
+    acceptance bound is multiplied by `scale`."""
     space = space or three_space()
     acc1 = PolyhedralAcceptanceSet(
         (point_eval(space, "a"), point_eval(space, "b")),
-        np.array([1.0, 2.0]),
+        scale * np.array([1.0, 2.0]),
     )
     r1 = RiskMeasurementRegime(
         support=SupportMask.from_labels(space, ["a", "b"]),
         acceptance=acc1,
         market=SecurityMarket((space.indicator(["b"]),), np.array([1.0])),
     )
-    return r1, overlap_pair(space)[1]
+    return r1, overlap_pair(space, k2=(scale, 3.0 * scale))[1]
 
 
 def cash_market(space, price=1.0):

@@ -266,6 +266,29 @@ def test_boundary_endowment_rejected():
     assert verify_equilibrium(s, interior, eq).passed
 
 
+@pytest.mark.parametrize("far_bound", [1.0, 1e4, 1e6])
+def test_boundary_on_a_later_scenario_is_named(far_bound):
+    # agent 1 owns {b, c} and trades only the indicator of b, so its
+    # ceiling 1 on c is hard; its bound on b is unrelated to that ceiling.
+    # The probes of scenarios a and b are finite, so an optimal basis is
+    # on hand when the probe past the ceiling comes up.
+    space = three_space()
+    r1 = RiskMeasurementRegime(
+        support=SupportMask.from_labels(space, ["b", "c"]),
+        acceptance=PolyhedralAcceptanceSet(
+            (point_eval(space, "b"), point_eval(space, "c")),
+            np.array([far_bound, 1.0])),
+        market=SecurityMarket((space.indicator(["b"]),), np.array([1.0])),
+    )
+    s = AgentSystem((r1, ceiling_regime(space, ["a", "b"], (1.0, 3.0))))
+    endowments = (
+        space.rv(np.array([0.0, 1.0, 1.0])),
+        space.rv(np.array([1.0, 1.0, 0.0])),
+    )
+    with pytest.raises(DomainError, match=r"perturbing scenario 2 by \+3\.0e-06 "):
+        build_equilibrium(s, endowments)
+
+
 def test_structural_guards(overlap_system):
     space, s = overlap_system
     w = space.rv(np.zeros(3))

@@ -367,6 +367,17 @@ def test_batch_redundant_equalities():
     assert batch.status == ["optimal", "infeasible"] * 6
 
 
+@pytest.mark.parametrize("u", [1.0, 1e4, 1e6])
+def test_batch_screen_is_no_looser_than_phase_one(u):
+    # min x s.t. x >= t, x <= u: the basis of the first row keeps x and the
+    # ceiling's slack basic, and the second row drives that slack to -1e-5,
+    # which solve's absolute phase-1 cut calls infeasible at every scale
+    p = lp([1.0], [[1.0], [1.0]], [GE, LE], [0.0, u])
+    rhs = np.array([[0.5 * u, u], [u + 1e-5, u], [u - 1e-5, u]])
+    batch = batch_matches_solve(p, rhs)
+    assert batch.status == ["optimal", "infeasible", "optimal"]
+
+
 def test_batch_mixed_senses_and_bounds():
     rng = np.random.default_rng(21)
     for trial in range(10):

@@ -395,3 +395,15 @@ def test_fd_needs_finite_neighborhood():
     phi = Functional(space, np.ones(3))
     with pytest.raises(DomainError):
         fd_subgradient_check(s, X, phi)
+
+
+@pytest.mark.parametrize("scale", [1e4, 1e5, 1e6])
+def test_fd_needs_finite_neighborhood_at_large_scale(scale):
+    # the forward neighbour of scenario a lies delta = 1e-5 past a ceiling
+    # of size `scale`: it must stay infeasible however large the bounds
+    space = three_space()
+    s = AgentSystem(hard_ceiling_pair(space, scale))
+    X = space.rv(scale * np.array([1.0, 5.0, 6.0]))
+    phi = Functional(space, np.ones(3))
+    with pytest.raises(DomainError, match="infinite next to the expansion"):
+        fd_subgradient_check(s, X, phi)

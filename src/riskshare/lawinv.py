@@ -73,6 +73,7 @@ __all__ = [
     "validate_problem",
     "LawInvariantSharingResult",
     "law_invariant_requirement",
+    "law_invariant_value",
     "law_invariant_sharing",
 ]
 
@@ -305,15 +306,31 @@ def convolution_split(measures, probs, values):
         value, _, zeta = _mixed_dual(alpha, cap, probs, values)
         weights = {i: alpha / a for i, a in ent}
         split = _stop_loss_split(n, zeta, tail, None, floor_weights=weights)
-    achieved = sum(
-        base_risk(m.kind, m.param, probs, part)
-        for m, part in zip(measures, split.apply(values))
-    )
+    achieved = sum(_part_risks(measures, probs, split.apply(values)))
     if abs(achieved - value) > CERT_TOL * (1.0 + abs(value)):
         raise InternalInconsistency(
             f"comonotone split achieves {achieved}, convolution value {value}"
         )
     return value, split
+
+
+def _part_risks(measures, probs, parts) -> list:
+    """base_risk of each row of `parts` under its agent's measure, as a
+    list of floats in agent order: one batched call per distinct
+    (kind, param), one plain call for an agent whose measure no other
+    agent shares.  base_risk is row-stable, so every entry equals the
+    per-part call bitwise."""
+    groups = {}
+    for i, m in enumerate(measures):
+        groups.setdefault((m.kind, m.param), []).append(i)
+    risks = [None] * len(measures)
+    for (kind, param), idx in groups.items():
+        if len(idx) == 1:
+            risks[idx[0]] = base_risk(kind, param, probs, parts[idx[0]])
+        else:
+            for i, v in zip(idx, base_risk(kind, param, probs, parts[idx])):
+                risks[i] = float(v)
+    return risks
 
 
 def _unit_root(measures, probs, Y, U):
@@ -436,16 +453,12 @@ def _unwind(measures, probs, y):
     Returns (convolution value, split, part values, part risks) and raises
     InternalInconsistency when a part's risk exceeds CERT_TOL."""
     value, split = convolution_split(measures, probs, y)
-    cs = np.array([
-        base_risk(m.kind, m.param, probs, part)
-        for m, part in zip(measures, split.apply(y))
-    ])
+    cs = np.array(_part_risks(measures, probs, split.apply(y)))
     deltas = -cs
     deltas[-1] += cs.sum()
     split = split.shifted(deltas)
     parts = split.apply(y)
-    risks = tuple(base_risk(m.kind, m.param, probs, part)
-                  for m, part in zip(measures, parts))
+    risks = tuple(_part_risks(measures, probs, parts))
     if max(risks) > CERT_TOL:
         raise InternalInconsistency(
             f"rebalanced parts leave their acceptance sets: {risks}")
@@ -675,6 +688,10 @@ class LawInvariantProblem:
     p: float = 1.0
     kernel_witnesses: tuple = None  # optional densities, one per kernel axis
 
+    def __getstate__(self):
+        # the cached search (_problem_search) is a closure, rebuilt on use
+        return {k: v for k, v in self.__dict__.items() if k != "_search"}
+
     def __post_init__(self):
         object.__setattr__(self, "measures", tuple(self.measures))
         object.__setattr__(self, "security_bases",
@@ -764,15 +781,49 @@ class LawInvariantSharingResult:
     certificates: dict = field(default_factory=dict)
 
 
+def _problem_search(prob: LawInvariantProblem):
+    """The market-only part of every requirement of `prob`, done once and
+    cached on it: the orthonormal basis of the aggregate span (which must
+    hold the unit) and _kernel_search over it, with the unit payoff 1 at
+    price p."""
+    search = prob.__dict__.get("_search")
+    if search is None:
+        probs = prob.space.probs
+        span = _span_basis(prob.stacked_matrix())
+        ones = np.ones(prob.space.size)
+        if float(np.max(np.abs(ones - span @ (span.T @ ones)))) > 1e-9:
+            raise DomainError("aggregate security span must contain the unit")
+        price_row = prob.p * (probs * prob.q) @ span
+        search = _kernel_search(prob.measures, probs, span, price_row, ones,
+                                prob.p)
+        object.__setattr__(prob, "_search", search)
+    return search
+
+
+def _securitize(prob: LawInvariantProblem, xvals):
+    """One requirement search with its primal certificate: _unwind splits
+    the securitized remainder X - Z into acceptable parts.  Returns
+    (t, Z, q, unwound), the requirement being p t."""
+    sol = _problem_search(prob)(xvals)
+    if sol is None:
+        raise DomainError(
+            "requirement is unbounded below; no density in the agents' "
+            "dual box prices the securities"
+        )
+    t, payoff_vals, q_star = sol
+    return (t, payoff_vals, q_star,
+            _unwind(prob.measures, prob.space.probs, xvals - payoff_vals))
+
+
 def law_invariant_requirement(prob: LawInvariantProblem,
                               X: RandomVariable) -> LawInvariantSharingResult:
     """Market requirement of a shared loss under law-invariant agents: rho
     of the representative agent, whose acceptance set {conv <= 0} is the
     sum of the agents' sets and whose market is the sum of their markets
     (_kernel_search over an orthonormal basis of the aggregate span, with
-    the unit payoff 1 at price p).  The optimizer comes with the standard
-    decomposition: per agent one acceptable part (the securitized
-    remainder unwound by _unwind) plus one traded part
+    the unit payoff 1 at price p, built once per problem).  The optimizer
+    comes with the standard decomposition: per agent one acceptable part
+    (the securitized remainder unwound by _unwind) plus one traded part
     (the agent's share of the optimal payoff under the sequential block
     selection)."""
     from .market import block_decompose, selection_blocks
@@ -780,24 +831,11 @@ def law_invariant_requirement(prob: LawInvariantProblem,
     if X.space.labels != prob.space.labels:
         raise StructuralError("loss profile on a different scenario space")
     space = prob.space
-    probs = space.probs
-    span = _span_basis(prob.stacked_matrix())
-    ones = np.ones(space.size)
-    if float(np.max(np.abs(ones - span @ (span.T @ ones)))) > 1e-9:
-        raise DomainError("aggregate security span must contain the unit")
-    price_row = prob.p * (probs * prob.q) @ span
-    sol = _kernel_search(prob.measures, probs, span, price_row, ones,
-                         prob.p)(X.values)
-    if sol is None:
-        raise DomainError(
-            "requirement is unbounded below; no density in the agents' "
-            "dual box prices the securities"
-        )
-    m_star, payoff_vals, q_star = sol
+    m_star, payoff_vals, q_star, unwound = _securitize(prob, X.values)
+    val_y, split, acc_vals, part_risks = unwound
     value = prob.p * m_star
-    val_y, split, acc_vals, part_risks = _unwind(
-        prob.measures, probs, X.values - payoff_vals)
 
+    ones = np.ones(space.size)
     unit_vals = ones / prob.p
     kernel_vals = m_star * ones - payoff_vals    # = value * unit - payoff
     bases = [np.column_stack([rv.values for rv in base])
@@ -835,14 +873,15 @@ def law_invariant_requirement(prob: LawInvariantProblem,
     )
 
 
-def law_invariant_sharing(system, X: RandomVariable):
-    """Adapter for agent systems whose members are all law-invariant:
-    recover the (p, Q) pricing form from the stacked security prices (the
-    density d of _pricing_margin, p = E[d] and q = d / p), run the
-    requirement, and certify that the per-agent risks of the returned
-    allocation sum to it."""
-    from .market import Allocation, SharingResult
-
+def _system_problem(system) -> LawInvariantProblem:
+    """The (p, Q) pricing form of a law-invariant agent system, built once
+    and cached on it: the density d of _pricing_margin prices the stacked
+    securities, p = E[d] and q = d / p.  With the search that
+    _problem_search caches on the problem, every Lambda on the system
+    shares one copy of its market-only work."""
+    prob = system.__dict__.get("_lawinv_problem")
+    if prob is not None:
+        return prob
     space = system.space
     B, prices, _ = system.stacked_basis()
     margin, d = _pricing_margin(space.probs, B, prices, math.inf)
@@ -855,22 +894,47 @@ def law_invariant_sharing(system, X: RandomVariable):
     p = float(space.probs @ d)
     if p <= 0:
         raise DomainError("pricing measure has no mass")
-    q = d / p
     prob = LawInvariantProblem(
         space=space,
         measures=tuple(r.acceptance for r in system.regimes),
         security_bases=tuple(r.market.basis for r in system.regimes),
-        q=q, p=p)
+        q=d / p, p=p)
+    object.__setattr__(system, "_lawinv_problem", prob)
+    return prob
+
+
+def law_invariant_value(system, xvals) -> float:
+    """Lambda of one loss profile (an array over the scenarios) on a
+    law-invariant agent system, without the allocation: one search on the
+    system's cached pricing form and kernel search, certified by _unwind's
+    acceptable parts of the securitized remainder.  The value is
+    law_invariant_requirement's, bitwise."""
+    prob = _system_problem(system)
+    return prob.p * _securitize(prob, xvals)[0]
+
+
+def law_invariant_sharing(system, X: RandomVariable, certify: bool = True):
+    """Adapter for agent systems whose members are all law-invariant: run
+    the requirement on the system's (p, Q) pricing form (_system_problem)
+    and, with `certify`, check that the per-agent risks of the returned
+    allocation sum to it (otherwise agent_risks is None)."""
+    from .market import Allocation, SharingResult
+
+    prob = _system_problem(system)
     res = law_invariant_requirement(prob, X)
     value = res.value.as_float()
-    agent_risks = [rho(r, pt).value
-                   for r, pt in zip(system.regimes, res.parts)]
-    total = sum(v.as_float() for v in agent_risks)
-    if abs(total - value) > CERT_TOL * (1.0 + abs(value)):
-        raise InternalInconsistency(
-            f"sum of certified agent risks {total} != requirement {value}"
-        )
+    agent_risks = None
+    if certify:
+        agent_risks = [rho(r, pt).value
+                       for r, pt in zip(system.regimes, res.parts)]
+        total = sum(v.as_float() for v in agent_risks)
+        if abs(total - value) > CERT_TOL * (1.0 + abs(value)):
+            raise InternalInconsistency(
+                f"sum of certified agent risks {total} != requirement {value}"
+            )
     # a supporting functional must satisfy the dual constraints outright
+    space = system.space
+    B, prices, _ = system.stacked_basis()
     q_star = _priced_density(res.dual_density, prob.p, space.probs, B, prices,
                              min(ms.dual_cap() for ms in prob.measures))
     subgradient = Functional(space, prob.p * q_star)

@@ -300,14 +300,18 @@ def capital_requirement(s: AgentSystem, X: RandomVariable,
     """Lambda(X) with a Pareto-optimal allocation and an optimal payoff.
 
     Polyhedral systems solve one joint LP; fully law-invariant systems
-    route through the law-invariant machinery.
+    route through the law-invariant machinery, whose market-only work is
+    done once per system (lawinv._system_problem).  With `certify`, rho of
+    every part is recomputed and must sum to the value (agent_risks);
+    without it agent_risks is None.  A caller that needs only the value
+    uses lambda_batch.
     """
     if X.space.labels != s.space.labels:
         raise StructuralError("loss profile on a different scenario space")
     _ensure_shareable(s)
     if s.is_law_invariant:
         from . import lawinv
-        return lawinv.law_invariant_sharing(s, X)
+        return lawinv.law_invariant_sharing(s, X, certify)
     return _capital_requirement_lp(s, X, certify)
 
 
@@ -438,7 +442,11 @@ def lambda_batch(s: AgentSystem, targets) -> np.ndarray:
     the scenario rows' right-hand side, so linprog.solve_batch solves one
     LP per optimal basis and screens the other rows; every optimal row's
     allocation must still add up to its target within 1e-9.  A
-    law-invariant system runs capital_requirement row by row."""
+    law-invariant system prices each row with one kernel search on its
+    cached market-only preamble (lawinv.law_invariant_value): the row's
+    primal certificate is lawinv._unwind's acceptable parts of X - Z, and
+    there is no allocation, per-agent rho or subgradient.  Its values are
+    capital_requirement's, bitwise, and so are its refusals."""
     targets = np.asarray(targets, dtype=float)
     m = s.space.size
     if targets.ndim != 2 or targets.shape[1] != m:
@@ -447,9 +455,8 @@ def lambda_batch(s: AgentSystem, targets) -> np.ndarray:
         raise StructuralError("loss profiles must be finite")
     _ensure_shareable(s)
     if s.is_law_invariant:
-        return np.array([
-            capital_requirement(s, RandomVariable(s.space, t)).value.as_float()
-            for t in targets])
+        from . import lawinv
+        return np.array([lawinv.law_invariant_value(s, t) for t in targets])
     rows, senses, rhs, starts = _sharing_lp(s, np.zeros(m))
     lp = _free_lp(_sharing_cost(s, rows.shape[1], starts), rows, senses, rhs)
     rhs = np.repeat(rhs[None, :], targets.shape[0], axis=0)

@@ -163,17 +163,18 @@ class SplitResult:
     cap_limited: bool = False        # swept to n_max without a bound stop
 
 
-def _requirement(regimes, W) -> float:
+def _requirement(regimes, W):
     """The n-agent requirement, +inf when the profile admits no supported
-    acceptable decomposition; a requirement unbounded below is refused."""
+    acceptable decomposition, with the agent system it was priced on (None
+    for one agent); a requirement unbounded below is refused."""
     if len(regimes) == 1:
         try:
             res = rho(regimes[0], W)
         except DomainError:
-            return math.inf
-        return _rho_value(res)
-    return market.capital_requirement(
-        market.AgentSystem(regimes), W, certify=False).value.as_float()
+            return math.inf, None
+        return _rho_value(res), None
+    s = market.AgentSystem(regimes)
+    return float(market.lambda_batch(s, W.values[None, :])[0]), s
 
 
 def split_optimize(p: SplitProblem, W: RandomVariable,
@@ -195,7 +196,7 @@ def split_optimize(p: SplitProblem, W: RandomVariable,
         if conj is not None:
             bound = phi0(W) - conj
 
-    best = None          # (objective, n, requirement)
+    best = None          # (objective, n, requirement, system)
     points = []
     cap_limited = True
     for n in range(1, p.n_max + 1):
@@ -203,26 +204,25 @@ def split_optimize(p: SplitProblem, W: RandomVariable,
                 and bound + p.cost(n) > best[0]:
             cap_limited = False
             break
-        value = _requirement(p.regimes(n), W)
+        value, system = _requirement(p.regimes(n), W)
         if value == math.inf:
             continue
         obj = value + p.cost(n)
         points.append(SweepPoint(n, value, obj))
         if best is None or obj < best[0] - TIE_TOL:
-            best = (obj, n, value)
+            best = (obj, n, value, system)
 
     if best is None:
         raise DomainError(
             f"no group of up to {p.n_max} subsidiaries supports the "
             "loss profile"
         )
-    obj, n_star, req = best
+    obj, n_star, req, system = best
     if n_star == 1:
         alloc = market.Allocation((W,))
         risks = [_rho_value(rho(p.regime(0), W))]
     else:
-        final = market.capital_requirement(
-            market.AgentSystem(p.regimes(n_star)), W, certify=True)
+        final = market.capital_requirement(system, W, certify=True)
         alloc = final.allocation
         risks = [v.as_float() for v in final.agent_risks]
     return SplitResult(

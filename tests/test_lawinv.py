@@ -39,6 +39,33 @@ def ent(a):
     return LawInvariantAcceptanceSet(ENTROPIC, a)
 
 
+def test_batched_part_risks_match_per_part_base_risk(monkeypatch):
+    # mixed families with repeated parameters: one base_risk call per
+    # distinct (kind, param), every entry bitwise the per-part value
+    measures = (ent(0.5), LawInvariantAcceptanceSet(AVAR, 0.3), ent(0.5),
+                LawInvariantAcceptanceSet(EXPECTATION), ent(2.0),
+                LawInvariantAcceptanceSet(AVAR, 0.3), ent(0.5))
+    rng = np.random.default_rng(21)
+    calls = []
+    risk = lawinv.base_risk
+    monkeypatch.setattr(lawinv, "base_risk",
+                        lambda *a: calls.append(a) or risk(*a))
+    for m in (1, 5, 40):
+        probs = rng.dirichlet(np.ones(m))
+        parts = np.round(rng.normal(0.0, 3.0, (len(measures), m)), 1)
+        want = [risk(ms.kind, ms.param, probs, part)
+                for ms, part in zip(measures, parts)]
+        del calls[:]
+        got = lawinv._part_risks(measures, probs, parts)
+        assert all(type(v) is float for v in got)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert len(calls) == 4
+    # distinct agents keep one plain call per part
+    del calls[:]
+    lawinv._part_risks(measures[:2], probs, parts[:2])
+    assert [np.ndim(c[3]) for c in calls] == [1, 1]
+
+
 def avar(b):
     return LawInvariantAcceptanceSet(AVAR, b)
 

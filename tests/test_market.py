@@ -1,11 +1,12 @@
 import math
+import pickle
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from riskshare import linprog, market
-from riskshare.errors import DomainError, StructuralError
+from riskshare import lawinv, linprog, market
+from riskshare.errors import DomainError, NumericalFailure, StructuralError
 from riskshare.market import (
     AgentSystem,
     Allocation,
@@ -22,6 +23,7 @@ from riskshare.market import (
 )
 from riskshare.problemfile import load_problem
 from riskshare.regime import (
+    AVAR,
     ENTROPIC,
     PolyhedralAcceptanceSet,
     RiskMeasurementRegime,
@@ -31,6 +33,7 @@ from riskshare.regime import (
 from riskshare.scenario import Functional, ScenarioSpace, SupportMask
 
 from helpers import (
+    cash_market,
     ceiling_regime,
     hard_ceiling_pair,
     law_invariant_regime,
@@ -518,6 +521,137 @@ def test_lambda_batch_law_invariant_falls_back_row_by_row():
     targets = np.random.default_rng(3).normal(0.0, 2.0, (6, 2))
     values = lambda_batch_matches_capital_requirement(s, targets)
     assert np.all(np.isfinite(values))
+
+
+def _law_invariant_pair(space, mkt, measures):
+    return AgentSystem(tuple(
+        law_invariant_regime(space, kind, param, mkt)
+        for kind, param in measures))
+
+
+def _four_space():
+    return ScenarioSpace.uniform(["a", "b", "c", "d"])
+
+
+def _avar_kernel_system():
+    # the spread 1_{a,b} - 1_{c,d} at price 0 leaves a kernel direction,
+    # searched by the Rockafellar-Uryasev LP for AVaR-only systems
+    space = _four_space()
+    mkt = SecurityMarket((space.rv(np.ones(4)),
+                          space.rv(np.array([1.0, 1.0, -1.0, -1.0]))),
+                         np.array([1.0, 0.0]))
+    return _law_invariant_pair(space, mkt, [(AVAR, 0.3), (AVAR, 0.6)])
+
+
+def _cash_only_system():
+    space = _four_space()
+    return _law_invariant_pair(space, cash_market(space, 0.9),
+                               [(ENTROPIC, 0.5), (AVAR, 0.4)])
+
+
+LAW_INVARIANT_SYSTEMS = {
+    "entropic_pair": lambda: load_problem(
+        FIXTURES / "entropic_pair.json").system(),
+    "avar_entropic": lambda: load_problem(
+        FIXTURES / "avar_entropic.json").system(),
+    "avar_kernel_lp": _avar_kernel_system,
+    "cash_only": _cash_only_system,
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAW_INVARIANT_SYSTEMS))
+def test_lambda_batch_law_invariant_rows_are_capital_requirement_bitwise(name):
+    s = LAW_INVARIANT_SYSTEMS[name]()
+    targets = np.random.default_rng(12).normal(0.0, 1.5, (5, s.space.size))
+    values = lambda_batch(s, targets)
+    for k, t in enumerate(targets):
+        for certify in (True, False):
+            fresh = LAW_INVARIANT_SYSTEMS[name]()
+            one = capital_requirement(fresh, s.space.rv(t), certify=certify)
+            assert values[k] == one.value.as_float(), (k, certify)
+
+
+def _unbounded_system():
+    # 1_a priced 0.5 > cap P(a) = 0.25 / 0.6: no density in the AVaR(0.4)
+    # box prices the market
+    space = _four_space()
+    mkt = SecurityMarket((space.rv(np.ones(4)), space.indicator(["a"])),
+                         np.array([1.0, 0.5]))
+    return _law_invariant_pair(space, mkt, [(AVAR, 0.4), (ENTROPIC, 1.5)])
+
+
+def _unattained_system():
+    # agent 0 trades 1_a at price zero: the only pricing density vanishes
+    # on a, and the entropic requirement falls toward its infimum along
+    # 1_a without attaining it
+    space = _four_space()
+    return AgentSystem((
+        law_invariant_regime(space, ENTROPIC, 1.0, SecurityMarket(
+            (space.rv(np.ones(4)), space.indicator(["a"])),
+            np.array([1.0, 0.0]))),
+        law_invariant_regime(space, ENTROPIC, 2.0)))
+
+
+@pytest.mark.parametrize("build,error,match", [
+    (_unbounded_system, DomainError, "unbounded below"),
+    (_unattained_system, NumericalFailure, "not attained"),
+])
+def test_lambda_batch_law_invariant_refusals_match_capital_requirement(
+        build, error, match):
+    x = np.array([0.3, -0.8, 1.1, 0.2])
+    with pytest.raises(error, match=match) as batch:
+        lambda_batch(build(), x[None, :])
+    s = build()
+    with pytest.raises(error) as single:
+        capital_requirement(s, s.space.rv(x))
+    assert str(batch.value) == str(single.value)
+
+
+def test_lambda_batch_law_invariant_market_work_once_certificate_per_row(
+        monkeypatch):
+    # the pricing-density LP (and, with a kernel, the dual-box margin LP)
+    # depends on the market alone: solved once per system, not per row;
+    # every row still unwinds its remainder into acceptable parts
+    calls, unwound = [], []
+    margin, unwind = lawinv._pricing_margin, lawinv._unwind
+    monkeypatch.setattr(lawinv, "_pricing_margin",
+                        lambda *a: calls.append(a) or margin(*a))
+    monkeypatch.setattr(lawinv, "_unwind",
+                        lambda *a: unwound.append(a) or unwind(*a))
+    for name, per_system in (("cash_only", 1), ("entropic_pair", 2)):
+        s = LAW_INVARIANT_SYSTEMS[name]()
+        targets = np.random.default_rng(4).normal(0.0, 1.0,
+                                                  (8, s.space.size))
+        del calls[:], unwound[:]
+        lambda_batch(s, targets)
+        assert len(calls) == per_system, name
+        assert len(unwound) == len(targets), name
+        lambda_batch(s, targets)
+        capital_requirement(s, s.space.rv(targets[0]), certify=False)
+        assert len(calls) == per_system, name
+
+
+def test_law_invariant_certify_false_skips_agent_rho(monkeypatch):
+    s = LAW_INVARIANT_SYSTEMS["avar_entropic"]()
+    X = s.space.rv(np.linspace(-1.0, 2.0, s.space.size))
+    certified = capital_requirement(s, X, certify=True)
+    calls = []
+    monkeypatch.setattr(lawinv, "rho", lambda *a: calls.append(a))
+    res = capital_requirement(s, X, certify=False)
+    assert calls == [] and res.agent_risks is None
+    assert res.value.as_float() == certified.value.as_float()
+    np.testing.assert_array_equal(res.allocation.total(),
+                                  certified.allocation.total())
+    np.testing.assert_array_equal(res.subgradient.density,
+                                  certified.subgradient.density)
+
+
+def test_used_law_invariant_systems_still_pickle():
+    s = LAW_INVARIANT_SYSTEMS["entropic_pair"]()
+    X = s.space.rv(np.linspace(-1.0, 2.0, s.space.size))
+    value = capital_requirement(s, X).value.as_float()
+    copy = pickle.loads(pickle.dumps(s))
+    assert capital_requirement(copy, X).value.as_float() == value
 
 
 def test_lambda_batch_refusals(overlap_system):

@@ -140,6 +140,43 @@ def test_sweep_without_functional_is_cap_limited(entropic_problem):
     assert [pt.n for pt in res.objectives] == [1, 2, 3, 4, 5, 6]
 
 
+def test_sweep_work_counts_on_identical_entropic_agents(monkeypatch):
+    # per group size n >= 2 the sweep builds one agent system and prices
+    # it with two LPs (the scalable-arbitrage check and the pricing
+    # density); rho runs for n = 1 and for the certified optimum only,
+    # whose capital_requirement reuses the system the sweep built
+    from riskshare import lawinv, linprog, market, splits
+    space = ScenarioSpace.uniform(["a", "b", "c", "d"])
+    regime = law_invariant_regime(space, ENTROPIC, 1.5)
+    prob = SplitProblem.identical(regime, CostFunction.linear(0.1), n_max=8)
+    X = space.rv(np.array([-1.0, 0.5, 2.0, 3.5]))
+
+    built, solves, rho_calls = [], [], []
+
+    class CountedSystem(market.AgentSystem):
+        def __post_init__(self):
+            super().__post_init__()
+            built.append(self)
+
+    solve = linprog.solve
+
+    def counted_rho(r, Y):
+        rho_calls.append(len(built))
+        return rho(r, Y)
+
+    monkeypatch.setattr(market, "AgentSystem", CountedSystem)
+    monkeypatch.setattr(linprog, "solve",
+                        lambda p: solves.append(p) or solve(p))
+    for module in (splits, lawinv, market):
+        monkeypatch.setattr(module, "rho", counted_rho)
+    res = split_optimize(prob, X)
+    assert res.n_star == 4
+    assert len(built) == prob.n_max - 1
+    assert len(solves) == 2 * len(built)
+    # one rho before the first system, then one per agent of the optimum
+    assert rho_calls == [0] + [len(built)] * res.n_star
+
+
 def test_non_diverging_cost_cannot_bound():
     space = two_point_space()
     regime = law_invariant_regime(space, ENTROPIC, 1.0)

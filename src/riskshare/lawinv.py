@@ -32,6 +32,7 @@ from .errors import (
     DomainError,
     InternalInconsistency,
     NumericalFailure,
+    RiskShareError,
     StructuralError,
 )
 from .regime import (
@@ -182,11 +183,13 @@ def _grouped(measures):
 
 
 def _avar_density(beta: float, probs, values) -> np.ndarray:
-    """The maximizing density of AVaR: cap mass on the worst scenarios."""
-    order = np.argsort(-np.asarray(values, dtype=float), kind="stable")
+    """The maximizing density of AVaR, along the last axis of `values`:
+    cap mass on the worst scenarios."""
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(-values, axis=-1, kind="stable")
     p = probs[order]
-    q = np.empty(len(values))
-    q[order] = _cap_fill(p / (1.0 - beta)) / p
+    q = np.empty(values.shape)
+    np.put_along_axis(q, order, _cap_fill(p / (1.0 - beta)) / p, axis=-1)
     return q
 
 
@@ -253,25 +256,32 @@ def _entropic_param(ent) -> float:
 
 def convolution_value(measures, probs, values):
     """Value of the infimal convolution of the base measures at the
-    aggregate loss, with the maximizing density.  Every value is a
-    base_risk or sorted-order evaluation, so relabelling the scenarios
-    leaves it bitwise unchanged."""
+    aggregate loss, with the maximizing density: a float and a density for
+    one loss profile, one value and one density per row for a batch.
+    Every value is a base_risk or sorted-order evaluation, so relabelling
+    the scenarios leaves it bitwise unchanged, and so does batching."""
     ent, av, ex = _grouped(measures)
     values = np.asarray(values, dtype=float)
     probs = np.asarray(probs, dtype=float)
     if ex:
-        return base_risk(EXPECTATION, 0.0, probs, values), np.ones(values.size)
+        return base_risk(EXPECTATION, 0.0, probs, values), np.ones(values.shape)
     if ent and not av:
         alpha = _entropic_param(ent)
         value = base_risk(ENTROPIC, alpha, probs, values)
-        return value, np.exp(alpha * (values - value))
+        shift = value[:, None] if values.ndim > 1 else value
+        return value, np.exp(alpha * (values - shift))
     if av and not ent:
         beta = min(b for _, b in av)
         return (base_risk(AVAR, beta, probs, values),
                 _avar_density(beta, probs, values))
     cap = 1.0 / (1.0 - min(b for _, b in av))
-    value, q, _ = _mixed_dual(_entropic_param(ent), cap, probs, values)
-    return value, q
+    alpha = _entropic_param(ent)
+    if values.ndim == 1:
+        value, q, _ = _mixed_dual(alpha, cap, probs, values)
+        return value, q
+    duals = [_mixed_dual(alpha, cap, probs, v) for v in values]
+    return (np.array([d[0] for d in duals]),
+            np.array([d[1] for d in duals]).reshape(values.shape))
 
 
 def convolution_split(measures, probs, values):
@@ -334,55 +344,79 @@ def _part_risks(measures, probs, parts) -> list:
 
 
 def _unit_root(measures, probs, Y, U):
-    """The t with conv(Y - t U) = 0 for a strictly positive U, and the
-    maximizing density q of Y - t U.  For U = u 1, cash additivity gives
-    t = conv(Y) / u.  Otherwise Newton's method, t <- t + conv / E_q[U]:
-    the function is convex and decreasing in t with slope -E_q[U] in
-    [-max U, -min U], so the iterates approach the root from below after
-    at most one step."""
+    """For each row of Y, the t with conv(Y - t U) = 0 for a strictly
+    positive U, and the maximizing density q of Y - t U.  For U = u 1,
+    cash additivity gives t = conv(Y) / u.  Otherwise Newton's method,
+    t <- t + conv / E_q[U]: the function is convex and decreasing in t
+    with slope -E_q[U] in [-max U, -min U], so the iterates approach the
+    root from below after at most one step.  Rows leave the iteration as
+    they converge; each row's iterates are those of a batch of one.
+    Raises NumericalFailure when a row's density underflows to zero."""
     v, q = convolution_value(measures, probs, Y)
-    if np.all(U == U[0]):
+    if (U == U[0]).all():
         return v / U[0], q
     t = v / float(probs @ U)
+    t_out, q_out = t.copy(), q
+    live = np.arange(Y.shape[0])           # the rows still iterating
     for _ in range(100):
-        R = Y - t * U
+        R = Y - t[:, None] * U
         v, q = convolution_value(measures, probs, R)
-        mass = float(probs @ (q * U))
+        mass = np.vecdot(q * U, probs)
+        if np.count_nonzero(mass) < mass.size:
+            # the density underflowed to zero everywhere: far outside the
+            # region this root can be found from
+            raise NumericalFailure("unit root of the convolution lost its "
+                                   "dual density")
         step = v / mass
         # a step below the rounding of conv is noise
-        if abs(step) <= 1e-14 * (1.0 + float(np.max(np.abs(R)))) / mass:
-            return t, q
-        t += step
+        done = np.abs(step) <= 1e-14 * (1.0 + np.max(np.abs(R), axis=1)) / mass
+        t_out[live[done]], q_out[live[done]] = t[done], q[done]
+        if done.all():
+            return t_out, q_out
+        live, Y, t, step = live[~done], Y[~done], t[~done], step[~done]
+        t = t + step
     raise NumericalFailure("unit root of the convolution did not converge")
 
 
-def _kernel_search(measures, probs, B, prices, U, price):
+def _kernel_search(measures, probs, B, prices, U, price, margin=None):
     """The requirement inf { pi(Z) : Z in span B, conv(X - Z) <= 0 } of the
     representative agent of `measures` (rho for one agent, Lambda for
     several), pi pricing the columns of B at `prices`, for a strictly
     positive payoff U of the span with pi(U) = `price`.
 
-    Returns the search X -> (t, Z, q), with its market-only part (the
-    kernel basis and the pricing margin) done once: the requirement is
-    price * t, Z = t U + D eta is an optimal payoff (D an orthonormal
+    Returns the search over the rows of an (N, m) array of losses X, with
+    its market-only part (the kernel basis and the pricing margin) done
+    once.  It gives one outcome per row: (t, Z, q), where the requirement
+    is price * t, Z = t U + D eta is an optimal payoff (D an orthonormal
     payoff basis of the price kernel) and q the maximizing dual density of
-    X - Z, of mass one.  None when the requirement is unbounded below.
+    X - Z, of mass one; None when the requirement is unbounded below; or
+    the exception that refuses the row, which the caller raises in row
+    order.
 
     * One traded payoff with a constant U is cash additive: one
       convolution, no kernel.
     * AVaR and expectation systems: the Rockafellar-Uryasev LP
-      (regime._lp_kernel_search).
+      (regime._lp_kernel_search), row by row.
     * Systems with an entropic agent: refused before the search when no
       density in the agents' dual box prices the span (None) or when
       every such density vanishes somewhere, that is, when the span holds
       a nonzero nonnegative payoff of price zero (NumericalFailure: the
       infimum is not attained); then the kernel Newton search over
-      t*(eta) from _unit_root, certified by the duality gap against the
-      price-repaired density and the agents' conjugates."""
+      t*(eta) from _unit_root, all rows in lockstep, certified by the
+      duality gap against the price-repaired density and the agents'
+      conjugates.  `margin`, when given, is that pricing margin: with an
+      infinite dual box it is the margin of any density that prices the
+      span as pi / price does, so a caller that has solved that LP
+      passes it in."""
     if B.shape[1] == 1 and np.all(U == U[0]):
         def cash(X):
-            t, q = _unit_root(measures, probs, X, U)
-            return t, t * U, q
+            try:
+                t, q = _unit_root(measures, probs, X, U)
+            except RiskShareError as exc:
+                if X.shape[0] == 1:
+                    return [exc]
+                return [sol for x in X for sol in cash(x[None, :])]
+            return [(t[i], t[i] * U, q[i]) for i in range(X.shape[0])]
         return cash
     D = _span_basis(B @ linprog.null_space(np.reshape(prices, (1, -1))))
     ent, av, ex = _grouped(measures)
@@ -391,20 +425,27 @@ def _kernel_search(measures, probs, B, prices, U, price):
                       else (AVAR, min(b for _, b in av)))
 
         def lp(X):
-            sol = _lp_kernel_search(kind, beta, probs, X, U, D, price)
-            if sol is None:
-                return None
-            t, eta, q = sol
-            return t, t * U + D @ eta, q
+            out = []
+            for x in X:
+                try:
+                    sol = _lp_kernel_search(kind, beta, probs, x, U, D, price)
+                except RiskShareError as exc:
+                    sol = exc
+                if isinstance(sol, tuple):
+                    t, eta, q = sol
+                    sol = (t, t * U + D @ eta, q)
+                out.append(sol)
+            return out
         return lp
 
     cap = min(ms.dual_cap() for ms in measures)
     if D.shape[1]:
         # the box bounds densities of mass one; a cap is finite only for
         # Lambda, whose U = 1 such a density prices at 1
-        margin, _ = _pricing_margin(probs, B, prices / price, cap)
+        if margin is None or math.isfinite(cap):
+            margin, _ = _pricing_margin(probs, B, prices / price, cap)
         if margin < -1e-12:
-            return lambda X: None
+            return lambda X: [None] * X.shape[0]
         if margin <= 1e-12:
             raise NumericalFailure(
                 "the infimum over the price kernel is not attained: the "
@@ -414,11 +455,14 @@ def _kernel_search(measures, probs, B, prices, U, price):
     alpha = _entropic_param(ent)
 
     def newton(X):
-        def evaluate(eta):
-            t, q = _unit_root(measures, probs, X - D @ eta, U)
+        def evaluate(eta, rows):
+            # rows increase, so at full size they are all rows in order
+            Y = X if rows.size == X.shape[0] else X[rows]
+            t, q = _unit_root(measures, probs,
+                              Y - (D @ eta[..., None])[..., 0], U)
             return t, q, alpha * q * (q < cap)
 
-        def dual(q):
+        def dual(row, q):
             # the pricing measure scale * q P prices U at `price`
             scale = price / float(U @ (probs * q))
             q = _priced_density(q, scale, probs, B, prices, cap)
@@ -426,10 +470,13 @@ def _kernel_search(measures, probs, B, prices, U, price):
             conj = sum(base_risk_conjugate(ms.kind, ms.param, probs,
                                            q / mass).as_float()
                        for ms in measures)
-            return scale * (float(probs @ (q * X)) - mass * conj) / price
+            return scale * (float(probs @ (q * X[row])) - mass * conj) / price
 
-        eta, t, q = _kernel_newton(evaluate, probs, D, U, dual)
-        return t, t * U + D @ eta, q
+        eta, t, q, errors = _kernel_newton(evaluate, dual, probs, D, U,
+                                           X.shape[0])
+        Z = t[:, None] * U + (D @ eta[..., None])[..., 0]
+        return [errors[i] if errors[i] is not None else (t[i], Z[i], q[i])
+                for i in range(X.shape[0])]
     return newton
 
 
@@ -781,11 +828,12 @@ class LawInvariantSharingResult:
     certificates: dict = field(default_factory=dict)
 
 
-def _problem_search(prob: LawInvariantProblem):
+def _problem_search(prob: LawInvariantProblem, margin=None):
     """The market-only part of every requirement of `prob`, done once and
     cached on it: the orthonormal basis of the aggregate span (which must
     hold the unit) and _kernel_search over it, with the unit payoff 1 at
-    price p."""
+    price p.  `margin` is the pricing margin of q over the span when the
+    caller knows it (see _kernel_search)."""
     search = prob.__dict__.get("_search")
     if search is None:
         probs = prob.space.probs
@@ -795,24 +843,28 @@ def _problem_search(prob: LawInvariantProblem):
             raise DomainError("aggregate security span must contain the unit")
         price_row = prob.p * (probs * prob.q) @ span
         search = _kernel_search(prob.measures, probs, span, price_row, ones,
-                                prob.p)
+                                prob.p, margin)
         object.__setattr__(prob, "_search", search)
     return search
 
 
-def _securitize(prob: LawInvariantProblem, xvals):
-    """One requirement search with its primal certificate: _unwind splits
-    the securitized remainder X - Z into acceptable parts.  Returns
-    (t, Z, q, unwound), the requirement being p t."""
-    sol = _problem_search(prob)(xvals)
-    if sol is None:
-        raise DomainError(
-            "requirement is unbounded below; no density in the agents' "
-            "dual box prices the securities"
-        )
-    t, payoff_vals, q_star = sol
-    return (t, payoff_vals, q_star,
-            _unwind(prob.measures, prob.space.probs, xvals - payoff_vals))
+def _securitize(prob: LawInvariantProblem, rows):
+    """The requirement searches of the rows of `rows`, all at once, each
+    with its primal certificate: _unwind splits the securitized remainder
+    X - Z into acceptable parts.  Yields (t, Z, q, unwound) per row, the
+    requirement being p t, and raises a row's refusal when its turn
+    comes, as a loop over the rows would."""
+    for x, sol in zip(rows, _problem_search(prob)(rows)):
+        if isinstance(sol, Exception):
+            raise sol
+        if sol is None:
+            raise DomainError(
+                "requirement is unbounded below; no density in the agents' "
+                "dual box prices the securities"
+            )
+        t, payoff_vals, q_star = sol
+        yield (t, payoff_vals, q_star,
+               _unwind(prob.measures, prob.space.probs, x - payoff_vals))
 
 
 def law_invariant_requirement(prob: LawInvariantProblem,
@@ -831,7 +883,8 @@ def law_invariant_requirement(prob: LawInvariantProblem,
     if X.space.labels != prob.space.labels:
         raise StructuralError("loss profile on a different scenario space")
     space = prob.space
-    m_star, payoff_vals, q_star, unwound = _securitize(prob, X.values)
+    (m_star, payoff_vals, q_star, unwound), = _securitize(
+        prob, X.values[None, :])
     val_y, split, acc_vals, part_risks = unwound
     value = prob.p * m_star
 
@@ -850,7 +903,7 @@ def law_invariant_requirement(prob: LawInvariantProblem,
         parts.append(RandomVariable(space, acc_vals[i] + sec))
     resid = float(np.max(np.abs(
         np.sum([pt.values for pt in parts], axis=0) - X.values)))
-    if resid > 1e-8:
+    if resid > 1e-8 * max(1.0, float(np.max(np.abs(X.values)))):
         raise InternalInconsistency(f"allocation sums off by {resid:.2e}")
     price_sum = sum(prob.price(s.values) for s in securities)
     certs = {
@@ -899,18 +952,24 @@ def _system_problem(system) -> LawInvariantProblem:
         measures=tuple(r.acceptance for r in system.regimes),
         security_bases=tuple(r.market.basis for r in system.regimes),
         q=d / p, p=p)
+    # q = d / p prices the span as d does the stacked securities, so its
+    # margin over the span is margin / p: the kernel search needs no LP
+    # of its own when the dual box is unbounded
+    _problem_search(prob, margin / p)
     object.__setattr__(system, "_lawinv_problem", prob)
     return prob
 
 
-def law_invariant_value(system, xvals) -> float:
-    """Lambda of one loss profile (an array over the scenarios) on a
-    law-invariant agent system, without the allocation: one search on the
-    system's cached pricing form and kernel search, certified by _unwind's
-    acceptable parts of the securitized remainder.  The value is
-    law_invariant_requirement's, bitwise."""
+def law_invariant_value(system, rows) -> np.ndarray:
+    """Lambda of each row of `rows` (one loss profile per row) on a
+    law-invariant agent system, without the allocation: one search over
+    all rows on the system's cached pricing form and kernel search, each
+    row certified by _unwind's acceptable parts of its securitized
+    remainder.  The values are law_invariant_requirement's, bitwise, and
+    the first refused row raises its refusal."""
     prob = _system_problem(system)
-    return prob.p * _securitize(prob, xvals)[0]
+    return np.array([prob.p * sol[0] for sol in _securitize(prob, rows)],
+                    dtype=float)
 
 
 def law_invariant_sharing(system, X: RandomVariable, certify: bool = True):

@@ -383,9 +383,15 @@ def _unbounded_sharing() -> InternalInconsistency:
     )
 
 
-def _check_allocation_sum(resid: float):
-    if resid > 1e-9:
-        raise InternalInconsistency(f"allocation sums off by {resid:.2e}")
+def _check_allocation_sum(total, target):
+    """Refuse parts whose sum `total` misses the loss `target` (one per row
+    of a batch) by more than 1e-9 times max(1, |target|_inf), the scale
+    that block_decompose uses."""
+    resid = np.abs(total - target).max(axis=-1, initial=0.0)
+    scale = np.maximum(1.0, np.abs(target).max(axis=-1, initial=0.0))
+    if np.any(resid > 1e-9 * scale):
+        raise InternalInconsistency(
+            f"allocation sums off by {float(np.max(resid)):.2e}")
 
 
 def _capital_requirement_lp(s, X, certify) -> SharingResult:
@@ -409,7 +415,7 @@ def _capital_requirement_lp(s, X, certify) -> SharingResult:
         parts.append(RandomVariable(space, xv))
         payoff_vals += r.market.basis_matrix() @ sol.primal[o + ni:o + ni + ki]
     alloc = Allocation(tuple(parts))
-    _check_allocation_sum(float(np.max(np.abs(alloc.total() - X.values))))
+    _check_allocation_sum(alloc.total(), X.values)
 
     duals = sol.duals[-m:]
     subgrad = Functional(space, duals / space.probs)
@@ -441,12 +447,15 @@ def lambda_batch(s: AgentSystem, targets) -> np.ndarray:
     A polyhedral system builds its sharing LP once.  The loss enters only
     the scenario rows' right-hand side, so linprog.solve_batch solves one
     LP per optimal basis and screens the other rows; every optimal row's
-    allocation must still add up to its target within 1e-9.  A
-    law-invariant system prices each row with one kernel search on its
-    cached market-only preamble (lawinv.law_invariant_value): the row's
-    primal certificate is lawinv._unwind's acceptable parts of X - Z, and
-    there is no allocation, per-agent rho or subgradient.  Its values are
-    capital_requirement's, bitwise, and so are its refusals."""
+    allocation must still add up to its target within 1e-9 (times the
+    target's size when that exceeds 1).  A
+    law-invariant system prices all rows with one kernel search on its
+    cached market-only preamble (lawinv.law_invariant_value; the kernel
+    Newton search runs the rows in lockstep): each row's primal
+    certificate is lawinv._unwind's acceptable parts of X - Z, and there
+    is no allocation, per-agent rho or subgradient.  Its values are
+    capital_requirement's, bitwise, and so are its refusals, the first
+    refused row raising."""
     targets = np.asarray(targets, dtype=float)
     m = s.space.size
     if targets.ndim != 2 or targets.shape[1] != m:
@@ -456,7 +465,7 @@ def lambda_batch(s: AgentSystem, targets) -> np.ndarray:
     _ensure_shareable(s)
     if s.is_law_invariant:
         from . import lawinv
-        return np.array([lawinv.law_invariant_value(s, t) for t in targets])
+        return lawinv.law_invariant_value(s, targets)
     rows, senses, rhs, starts = _sharing_lp(s, np.zeros(m))
     lp = _free_lp(_sharing_cost(s, rows.shape[1], starts), rows, senses, rhs)
     rhs = np.repeat(rhs[None, :], targets.shape[0], axis=0)
@@ -465,9 +474,8 @@ def lambda_batch(s: AgentSystem, targets) -> np.ndarray:
     if "unbounded" in batch.status:
         raise _unbounded_sharing()
     optimal = np.isfinite(batch.objective_value)
-    _check_allocation_sum(float(np.max(np.abs(
-        batch.primal[optimal] @ rows[-m:].T - targets[optimal]),
-        initial=0.0)))
+    _check_allocation_sum(batch.primal[optimal] @ rows[-m:].T,
+                          targets[optimal])
     return batch.objective_value
 
 

@@ -27,6 +27,7 @@ from .errors import (
     DomainError,
     InternalInconsistency,
     NumericalFailure,
+    RiskShareError,
     StructuralError,
 )
 from .scenario import (
@@ -187,7 +188,9 @@ def base_risk(kind: str, param: float, probs, values):
     probs = np.asarray(probs, dtype=float)
     values = np.asarray(values, dtype=float)
     order = np.argsort(-values, axis=-1, kind="stable")
-    v, p = np.take_along_axis(values, order, axis=-1), probs[order]
+    v = (values[order] if values.ndim == 1 else
+         values[np.arange(values.shape[0])[:, None], order])
+    p = probs[order]
     if kind == ENTROPIC:
         out = _logsumexp(param * v, p) / param
     elif kind == AVAR:
@@ -208,18 +211,23 @@ def _logsumexp(a, b):
     order, without its array-API dispatch: the maximal terms are split off
     for precision, the others are summed in their original positions."""
     a = np.asarray(a, dtype=float)
+    # the reductions are the ufuncs behind np.max and np.sum, called
+    # without their Python wrappers; scipy's guard s = where(s == 0, s,
+    # s / m) is left out, since with b > 0 the tied mass m is positive
+    # whenever s is 0 (and s / m is then 0 as well)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = np.max(a, axis=-1, keepdims=True)
+        a_max = np.maximum.reduce(a, axis=-1, keepdims=True)
         tied = a == a_max
-        m = np.sum(b * tied, axis=-1, keepdims=True)
+        m = np.add.reduce(b * tied, axis=-1, keepdims=True)
         rest = np.where(tied, -np.inf, a)
-        s = np.sum(b * np.exp(rest - a_max), axis=-1, keepdims=True)
-        s = np.where(s == 0, s, s / m)
+        s = np.add.reduce(b * np.exp(rest - a_max), axis=-1,
+                          keepdims=True) / m
         out = np.log1p(s) + np.log(m) + a_max
         bad = ~np.isfinite(out)
-        if bad.any():
+        if np.count_nonzero(bad):
             # the direct sum, whose log follows C99 at 0 and inf
-            direct = np.log(np.sum(b * np.exp(a), axis=-1, keepdims=True))
+            direct = np.log(np.add.reduce(b * np.exp(a), axis=-1,
+                                          keepdims=True))
             out = np.where(bad, direct, out)
     return out[..., 0]
 
@@ -236,14 +244,14 @@ def _cap_fill(caps, mass: float = 1.0) -> np.ndarray:
 def _relative_entropy(probs, q) -> float:
     """H(Q|P) = E[q log q] of a density q >= 0, with 0 log 0 = 0."""
     mask = q > 0
-    return float(np.sum(probs[mask] * q[mask] * np.log(q[mask])))
+    return float((probs[mask] * q[mask] * np.log(q[mask])).sum())
 
 
 def base_risk_conjugate(kind: str, param: float, probs, density) -> RiskValue:
     """Conjugate of the base risk on densities: sup_X E[q X] - xi(X)."""
     probs = np.asarray(probs, dtype=float)
     q = np.asarray(density, dtype=float)
-    if np.min(q) < -1e-9 or abs(probs @ q - 1.0) > PRICE_TOL:
+    if q.min() < -1e-9 or abs(probs @ q - 1.0) > PRICE_TOL:
         return RiskValue.infinite()
     q = np.maximum(q, 0.0)
     if kind == ENTROPIC:
@@ -542,7 +550,19 @@ def rho(r: RiskMeasurementRegime, X: RandomVariable) -> RhoResult:
         raise DomainError("loss profile lies outside the regime's support ideal")
     if isinstance(r.acceptance, PolyhedralAcceptanceSet):
         return _rho_polyhedral(r, X.values)
-    return _rho_law_invariant(r)(X.values)
+    found = _rho_law_invariant(r)
+    if found is None:
+        return _rho_without_unit(r, X.values)
+    search, price, B = found
+    (sol,) = search(X.values[None, :])
+    if isinstance(sol, Exception):
+        raise sol
+    if sol is None:
+        return RhoResult(value=None, status="unbounded")
+    t, Z, _ = sol
+    return RhoResult(value=RiskValue.finite(price * t),
+                     security=RandomVariable(r.space, Z),
+                     coefficients=np.linalg.lstsq(B, Z, rcond=None)[0])
 
 
 def _rho_lp(r, rhs) -> linprog.LpProblem:
@@ -572,7 +592,9 @@ def _rho_polyhedral(r, xvals) -> RhoResult:
 def _rho_law_invariant(r):
     """Law-invariant rho with its market-only part done once: the unit U
     and, through lawinv._kernel_search, the kernel basis and the pricing
-    margin.  Returns xvals -> RhoResult."""
+    margin.  Returns (search, price, B), rho of a row with outcome
+    (t, Z, q) being price * t and B the basis matrix, or None when the
+    market has no strictly positive unit payoff."""
     from .lawinv import _kernel_search      # lawinv imports this module
 
     mkt = r.market
@@ -583,20 +605,10 @@ def _rho_law_invariant(r):
     else:
         uval, w_u = mkt.unit_certificate(r.support.included)
         if uval is None or math.isinf(uval) or not uval > 1e-10:
-            return lambda xvals: _rho_without_unit(r, xvals)
+            return None
         U, price = B @ w_u, 1.0
-    search = _kernel_search((r.acceptance,), r.space.probs, B, mkt.prices,
-                            U, price)
-
-    def rho_of(xvals):
-        sol = search(xvals)
-        if sol is None:
-            return RhoResult(value=None, status="unbounded")
-        t, Z, _ = sol
-        return RhoResult(value=RiskValue.finite(price * t),
-                         security=RandomVariable(r.space, Z),
-                         coefficients=np.linalg.lstsq(B, Z, rcond=None)[0])
-    return rho_of
+    return _kernel_search((r.acceptance,), r.space.probs, B, mkt.prices,
+                          U, price), price, B
 
 
 def rho_batch(r: RiskMeasurementRegime, rows) -> np.ndarray:
@@ -607,8 +619,10 @@ def rho_batch(r: RiskMeasurementRegime, rows) -> np.ndarray:
     linprog.solve_batch, which re-solves only the rows no optimal basis
     found so far accepts.  A law-invariant regime whose market trades only
     a constant payoff is xi times the price of the payoff 1; any other
-    law-invariant regime does its market-only work once and then searches
-    row by row."""
+    law-invariant regime does its market-only work once and then runs one
+    search over all rows (for an entropic agent with a price kernel, the
+    kernel Newton search in lockstep).  Each row's value is rho's,
+    bitwise, and the first refused row raises rho's refusal."""
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != r.space.size:
         raise StructuralError(
@@ -628,8 +642,19 @@ def rho_batch(r: RiskMeasurementRegime, rows) -> np.ndarray:
     unit_price = _cash_unit_price(r.market)
     if unit_price is not None:
         return unit_price * acc.xi(r.space.probs, rows)
-    rho_of = _rho_law_invariant(r)
-    return np.array([_rho_value(rho_of(x)) for x in rows])
+    found = _rho_law_invariant(r)
+    if found is None:
+        return np.array([_rho_value(_rho_without_unit(r, x)) for x in rows],
+                        dtype=float)
+    search, price, _ = found
+    values = np.empty(rows.shape[0])
+    for i, sol in enumerate(search(rows)):
+        if isinstance(sol, Exception):
+            raise sol
+        if sol is None:
+            raise _arbitrage_refusal()
+        values[i] = price * sol[0]
+    return values
 
 
 def _rho_value(res: RhoResult) -> float:
@@ -843,45 +868,123 @@ def _lp_kernel_search(kind: str, beta: float, probs, X, U, D, price: float):
 
 
 def _newton_terms(probs, D, U, q, w):
-    """Gradient and Hessian of t*(eta) at a point with dual density q and
-    curvature density w (gamma q where the density is smooth, 0 where a
-    dual cap clips it).
+    """Gradient and Hessian of t*(eta) at each row's point, for rows of
+    dual densities q and curvature densities w (gamma q where the density
+    is smooth, 0 where a dual cap clips it): grad (N, k), hess (N, k, k).
 
     Implicit differentiation of xi(X - t U - D eta) = 0 gives the gradient
     -D^T (p q) / E_q[U] and the Hessian G^T diag(p w) G / E_q[U] with
-    G = D - U a^T, a = D^T (p w) / U^T (p w)."""
+    G = D - U a^T, a = D^T (p w) / U^T (p w).  The products are stacked
+    per row, so each row's terms are those of a batch of one."""
     pq = probs * q
-    mass = float(U @ pq)
+    mass = np.vecdot(pq, U)
     pw = probs * w
-    smooth = float(U @ pw)
-    hess = np.zeros((D.shape[1], D.shape[1]))
-    if smooth > 0.0:
-        G = D - np.outer(U, (D.T @ pw) / smooth)
-        hess = (G.T * pw) @ G / mass
-    return -(D.T @ pq) / mass, hess
+    smooth = np.vecdot(pw, U)
+    curved = smooth > 0.0
+    if np.count_nonzero(curved) == curved.size:
+        hess = _curvature(D, U, pw, smooth, mass)
+    else:
+        hess = np.zeros((q.shape[0], D.shape[1], D.shape[1]))
+        if curved.any():
+            hess[curved] = _curvature(D, U, pw[curved], smooth[curved],
+                                      mass[curved])
+    return -(D.T @ pq[..., None])[..., 0] / mass[:, None], hess
 
 
-def _damped_step(hess, grad, mu: float):
-    """Solution of (hess + mu I) step = -grad, or None when the solve
-    gives no finite descent direction: the matrix is positive semidefinite
-    by construction, so that happens only when it is numerically
-    singular."""
+def _curvature(D, U, pw, smooth, mass):
+    """The Hessian rows G^T diag(p w) G / E_q[U] of _newton_terms."""
+    a = (D.T @ pw[..., None])[..., 0] / smooth[:, None]
+    G = D - U[:, None] * a[:, None, :]
+    return (G.swapaxes(-1, -2) * pw[:, None, :]) @ G / mass[:, None, None]
+
+
+def _damped_step(hess, grad, mu, eye):
+    """Each row's solution of (hess + mu I) step = -grad: (step, descent,
+    grad . step), descent marking the rows where the step is a finite
+    descent direction (elsewhere it is zero).  The matrix is positive
+    semidefinite by construction, so a row fails only when its matrix is
+    numerically singular."""
+    A = hess + mu[:, None, None] * eye
     try:
-        step = -np.linalg.solve(hess + mu * np.eye(grad.size), grad)
+        step = -np.linalg.solve(A, grad[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        return None
-    if not (np.all(np.isfinite(step)) and float(grad @ step) < 0.0):
-        return None
-    return step
+        # one singular row fails the stacked solve: solve row by row
+        step = np.full(grad.shape, math.nan)
+        for j in range(grad.shape[0]):
+            try:
+                step[j] = -np.linalg.solve(A[j:j + 1],
+                                           grad[j:j + 1, :, None])[0, :, 0]
+            except np.linalg.LinAlgError:
+                pass
+    finite = np.isfinite(step).all(axis=1)
+    if np.count_nonzero(finite) < finite.size:
+        step = np.where(finite[:, None], step, 0.0)
+    slope = np.vecdot(grad, step)
+    return step, finite & (slope < 0.0), slope
 
 
 _ROUNDING = 1e-14     # relative level below which changes of t* are noise
 
 
-def _kernel_newton(evaluate, probs, D, U, dual):
+def _evaluate_rows(evaluate, eta, rows, m: int):
+    """evaluate at eta for the rows `rows`, all at once or, when that
+    raises a RiskShareError, each row alone, so that a row's refusal is
+    its own.  Returns
+    (t, q, w, failures), failures mapping the position of each failed row
+    to its exception; those rows hold NaN."""
+    try:
+        return (*evaluate(eta, rows), {})
+    except RiskShareError as exc:
+        failures = {0: exc}
+    t = np.full(rows.size, math.nan)
+    q, w = np.full((rows.size, m), math.nan), np.full((rows.size, m), math.nan)
+    if rows.size > 1:
+        failures = {}
+        for j in range(rows.size):
+            try:
+                t[j:j + 1], q[j:j + 1], w[j:j + 1] = evaluate(
+                    eta[j:j + 1], rows[j:j + 1])
+            except RiskShareError as exc:
+                failures[j] = exc
+    return t, q, w, failures
+
+
+def _split(state, keep):
+    """(the rows `keep` marks, the others) of a search state, a dict of
+    arrays with one entry per row; None for an empty part."""
+    kept = np.count_nonzero(keep)
+    if kept == keep.size:
+        return (state if kept else None), None
+    if not kept:
+        return None, state
+    return ({name: v[keep] for name, v in state.items()},
+            {name: v[~keep] for name, v in state.items()})
+
+
+def _merge(states, names):
+    """The search states `states` (rows that left the search at different
+    steps) as one state over `names`, in row order; None if empty."""
+    if len(states) == 1:
+        return states[0]
+    if not states:
+        return None
+    order = np.argsort(np.concatenate([s["row"] for s in states]))
+    return {name: np.concatenate([s[name] for s in states])[order]
+            for name in names}
+
+
+def _unrefused(rows, errors) -> np.ndarray:
+    """Mask of the rows `rows` that no exception in `errors` refuses."""
+    return np.array([errors[r] is None for r in rows.tolist()], dtype=bool)
+
+
+def _kernel_newton(evaluate, dual, probs, D, U, n: int):
     """Minimize the convex t*(eta) over the coordinates of an orthonormal
-    kernel basis D.  evaluate(eta) returns (t*, q, w): the value, the dual
-    density and the curvature density (see _newton_terms).
+    kernel basis D, for n rows in lockstep.  evaluate(eta, rows) returns
+    (t*, q, w) of the rows `rows` (an increasing index array) at eta (one
+    row of coordinates each): the values, the dual densities and the
+    curvature densities (see _newton_terms).  dual(row, q) is the dual
+    value of that row at the density q.
 
     Damped Newton (Boyd and Vandenberghe, Convex Optimization, 9.5) with
     Levenberg-Marquardt damping: the step solves (hess + mu I) step =
@@ -893,8 +996,9 @@ def _kernel_newton(evaluate, probs, D, U, dual):
     payoff units, and the steps lengthen along directions where t* is
     locally linear: where the dual cap clips the density, or where the
     Gibbs density has all but vanished off one scenario.  A trial point
-    whose evaluation fails counts as a refusal.  The phase ends when the
-    model predicts no decrease above the rounding of t*.
+    whose evaluation fails with NumericalFailure counts as a refusal.
+    The phase ends when the model predicts no decrease above the rounding
+    of t*.
 
     Near a perfect hedge t* is flat to rounding within sqrt(eps) of the
     optimum while its gradient is not, so up to eight Newton steps follow
@@ -902,63 +1006,157 @@ def _kernel_newton(evaluate, probs, D, U, dual):
     rounding.
 
     The search ends with its duality gap t* - dual(q) and refuses with
-    NumericalFailure above linprog.CERT_TOL (1 + |t*|).  Returns
-    (eta, t*, q)."""
-    k = D.shape[1]
-    eta = np.zeros(k)
-    t, q, w = evaluate(eta)
+    NumericalFailure above linprog.CERT_TOL (1 + |t*|).
+
+    Every row keeps its own damping, acceptance test, stopping rule,
+    polishing steps and gap check, and leaves the batch when it stops;
+    the rows still searching share one evaluate call per step.  A row's
+    arithmetic is that of a batch of one, so its result does not depend
+    on the other rows.  Returns (eta, t*, q, errors): errors[row] is the
+    exception refusing that row, None for a certified row; eta, t* and q
+    hold NaN on refused rows."""
+    k, m = D.shape[1], U.size
+    eye = np.eye(k)
+    errors = [None] * n
+    rows, eta = np.arange(n), np.zeros((n, k))
+    t, q, w, failures = _evaluate_rows(evaluate, eta, rows, m)
+    for j, exc in failures.items():
+        errors[j] = exc
     grad, hess = _newton_terms(probs, D, U, q, w)
-    mu, nu = 0.0, 2.0
-    for _ in range(100 if k else 0):
-        if not np.any(grad):
-            break
-        step = _damped_step(hess, grad, mu)
+    live = {"row": rows, "eta": eta, "t": t, "q": q, "w": w, "grad": grad,
+            "hess": hess, "mu": np.zeros(n), "nu": np.full(n, 2.0)}
+    if failures or not n:
+        live, _ = _split(live, _unrefused(rows, errors))
+    done = []
+    for _ in range(100 if k and live else 0):
+        if np.count_nonzero(live["grad"]) < live["grad"].size:
+            live, flat = _split(live, live["grad"].any(axis=1))
+            if flat:
+                done.append(flat)
+            if not live:
+                break
+        t, hess = live["t"], live["hess"]
+        step, descent, slope = _damped_step(hess, live["grad"], live["mu"],
+                                            eye)
         # decrease predicted by the quadratic model; rounding can leave the
         # Hessian slightly indefinite, and then more damping is needed
-        pred = (-float(grad @ step + 0.5 * step @ hess @ step)
-                if step is not None else -1.0)
-        if 0.0 <= pred <= _ROUNDING * (1.0 + abs(t)):
-            break
-        if pred > 0.0:
+        pred = (-(slope + np.vecdot(((0.5 * step)[:, None, :] @ hess)[:, 0, :],
+                                    step))).tolist()
+        # each row's decisions in the scalar arithmetic of a lone row
+        t_rows, mu, nu = t.tolist(), live["mu"].tolist(), live["nu"].tolist()
+        stop, trial = [], []
+        for j, d in enumerate(descent.tolist()):
+            p = pred[j] if d else -1.0
+            if 0.0 <= p <= _ROUNDING * (1.0 + abs(t_rows[j])):
+                stop.append(j)
+            elif p > 0.0:
+                trial.append(j)
+        accept, shrink = [], {}
+        if trial:
             # a step far outside the model may overflow or fail; either
             # way it is refused
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    trial = evaluate(eta + step)
-            except NumericalFailure:
-                trial = (math.nan,)
-            gain = (t - trial[0]) / pred
-            if gain > 1e-4:
-                eta, (t, q, w) = eta + step, trial
-                grad, hess = _newton_terms(probs, D, U, q, w)
-                mu *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
-                nu = 2.0
-                continue
-        mu, nu = max(mu * nu, 1e-3), 2.0 * nu
-    else:
-        if k:
-            raise NumericalFailure("kernel Newton search did not converge")
-    for _ in range(8 if k else 0):
-        step = _damped_step(hess, grad, 0.0)
-        if step is None or np.all(eta + step == eta):
-            break
-        try:
+            at = slice(None) if len(trial) == t.size else np.array(trial)
             with np.errstate(over="ignore", invalid="ignore"):
-                t1, q1, w1 = evaluate(eta + step)
-        except NumericalFailure:
-            break
-        g1, h1 = _newton_terms(probs, D, U, q1, w1)
-        if not (t1 <= t + _ROUNDING * (1.0 + abs(t))
-                and np.linalg.norm(g1) <= 0.5 * np.linalg.norm(grad)):
-            break
-        eta, t, q, w = eta + step, t1, q1, w1
-        grad, hess = g1, h1
+                t1, q1, w1, failures = _evaluate_rows(
+                    evaluate, live["eta"][at] + step[at], live["row"][at], m)
+            for i, exc in failures.items():
+                if not isinstance(exc, NumericalFailure):
+                    errors[live["row"][trial[i]]] = exc
+                    stop.append(trial[i])
+            for i, (j, t1_j) in enumerate(zip(trial, t1.tolist())):
+                gain = (t_rows[j] - t1_j) / pred[j]
+                if gain > 1e-4:
+                    accept.append(i)
+                    shrink[j] = max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+        leaving = set(stop)
+        for j in range(t.size):
+            if j in shrink:
+                mu[j], nu[j] = mu[j] * shrink[j], 2.0
+            elif j not in leaving:
+                mu[j], nu[j] = max(mu[j] * nu[j], 1e-3), 2.0 * nu[j]
+        live["mu"], live["nu"] = np.array(mu), np.array(nu)
+        if len(accept) == t.size:
+            live["eta"], live["t"], live["q"], live["w"] = (
+                live["eta"] + step, t1, q1, w1)
+            live["grad"], live["hess"] = _newton_terms(probs, D, U, q1, w1)
+        elif accept:
+            moved = np.array([trial[i] for i in accept])
+            live["eta"][moved] += step[moved]
+            live["t"][moved], live["q"][moved], live["w"][moved] = (
+                t1[accept], q1[accept], w1[accept])
+            live["grad"][moved], live["hess"][moved] = _newton_terms(
+                probs, D, U, q1[accept], w1[accept])
+        if stop:
+            keep = np.ones(t.size, dtype=bool)
+            keep[stop] = False
+            live, stopped = _split(live, keep)
+            done.append(stopped)
+            if not live:
+                break
+    else:
+        for row in live["row"] if k and live else ():
+            errors[row] = NumericalFailure(
+                "kernel Newton search did not converge")
+    if live:
+        done.append(live)
 
-    gap = t - dual(q)
-    if not abs(gap) <= linprog.CERT_TOL * (1.0 + abs(t)):
-        raise NumericalFailure(
-            f"kernel search stopped with duality gap {gap:.2e}")
-    return eta, t, q
+    polish = _merge(done, ("row", "eta", "t", "q", "grad", "hess"))
+    if polish and errors.count(None) < n:
+        polish, _ = _split(polish, _unrefused(polish["row"], errors))
+    finished = []
+    for _ in range(8 if k and polish else 0):
+        step, descent, _ = _damped_step(polish["hess"], polish["grad"],
+                                        np.zeros(polish["t"].size), eye)
+        polish["step"] = polish["eta"] + step
+        polish, still = _split(polish, descent & (
+            polish["step"] != polish["eta"]).any(axis=1))
+        if still:
+            finished.append(still)
+        if not polish:
+            break
+        with np.errstate(over="ignore", invalid="ignore"):
+            t1, q1, w1, failures = _evaluate_rows(evaluate, polish["step"],
+                                                  polish["row"], m)
+        g1, h1 = _newton_terms(probs, D, U, q1, w1)
+        better = [t1_j <= t_j + _ROUNDING * (1.0 + abs(t_j))
+                  and math.sqrt(s1) <= 0.5 * math.sqrt(s0)
+                  for t_j, t1_j, s0, s1 in zip(
+                      polish["t"].tolist(), t1.tolist(),
+                      np.vecdot(polish["grad"], polish["grad"]).tolist(),
+                      np.vecdot(g1, g1).tolist())]
+        for i, exc in failures.items():
+            better[i] = False
+            if not isinstance(exc, NumericalFailure):
+                errors[polish["row"][i]] = exc
+        better = np.array(better, dtype=bool)
+        moved, _ = _split({"row": polish["row"], "eta": polish["step"],
+                           "t": t1, "q": q1, "grad": g1, "hess": h1}, better)
+        _, still = _split(polish, better)
+        if still:
+            finished.append(still)
+        polish = moved
+        if not polish:
+            break
+    if polish:
+        finished.append(polish)
+
+    final = _merge(finished, ("row", "eta", "t", "q"))
+    for j, row in enumerate(final["row"].tolist() if final else ()):
+        t_row = final["t"][j]
+        gap = t_row - dual(row, final["q"][j])
+        if not abs(gap) <= linprog.CERT_TOL * (1.0 + abs(t_row)):
+            errors[row] = NumericalFailure(
+                f"kernel search stopped with duality gap {gap:.2e}")
+    if final and errors.count(None) == n:
+        return final["eta"], final["t"], final["q"], errors
+    eta, t, q = (np.full((n, k), math.nan), np.full(n, math.nan),
+                 np.full((n, m), math.nan))
+    if final:
+        ok = _unrefused(final["row"], errors)
+        rows = final["row"][ok]
+        eta[rows], t[rows], q[rows] = (final["eta"][ok], final["t"][ok],
+                                       final["q"][ok])
+    return eta, t, q, errors
 
 
 def _priced_density(q, scale: float, probs, B, prices, cap: float):
@@ -973,22 +1171,24 @@ def _priced_density(q, scale: float, probs, B, prices, cap: float):
     losses may have none inside), until the result stays in the box.
     Raises NumericalFailure after three rounds."""
     m = probs.size
+    # array methods in place of the np.clip, np.max and np.all wrappers
+    # (the same ufuncs): this runs once for every certified row
     for _ in range(3):
-        q = np.clip(q, 0.0, cap)
+        q = q.clip(0.0, cap)
         inside = (q > 0.0) & (q < cap)
         w = scale * q * probs
-        tol = 1e-12 * (1.0 + float(np.max(np.abs(B).T @ w)))
+        tol = 1e-12 * (1.0 + float((np.abs(B).T @ w).max()))
         for movable in (inside, np.full(m, True)):
             delta = np.linalg.lstsq(B[movable].T, prices - B.T @ w,
                                     rcond=None)[0]
             moved = q.copy()
             moved[movable] = (w[movable] + delta) / (scale * probs[movable])
-            resid = float(np.max(np.abs(B.T @ (scale * moved * probs)
-                                        - prices)))
+            resid = float(np.abs(B.T @ (scale * moved * probs)
+                                 - prices).max())
             if resid <= tol:
                 break
         q = moved
-        if resid <= tol and np.all((q >= 0.0) & (q <= cap)):
+        if resid <= tol and ((q >= 0.0) & (q <= cap)).all():
             return q
     raise NumericalFailure(
         f"no density inside the dual box restores the security prices "

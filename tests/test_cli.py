@@ -64,6 +64,17 @@ def test_rho_hedge_of_a_hedgeable_loss_is_exact(capsys):
     assert abs(hedge["tails"] + 0.4) <= 1e-12
 
 
+@pytest.mark.parametrize("argv", [["lambda"], ["rho", "--agent", "1"]])
+def test_a_large_loss_on_a_complete_market_prices_at_e_q(capsys, argv):
+    # the fund's market is complete with Q = (1/2, 1/2), so rho and Lambda
+    # are E_Q[X]; the allocation check scales with |X|, so a loss of 1e9
+    # passes it
+    code, doc, err = _run(capsys, argv[0], str(FIXTURES / "entropic_pair.json"),
+                          *argv[1:], "--loss", '{"heads": 1e9, "tails": 0}')
+    assert code == 0, err
+    assert doc["outputs"]["value"]["value"] == pytest.approx(5e8, rel=1e-15)
+
+
 def test_rho_outside_support_is_domain_exit(capsys):
     code, _, err = _run(capsys, "rho", WORKED, "--agent", "1",
                    "--loss", '{"c": 1}')

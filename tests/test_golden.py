@@ -4,10 +4,11 @@ the `tool` field, which carries the installed version) and exit with the
 recorded code.
 
 The documents live in tests/golden/, one `<case>.json` per command plus
-`exit_codes.json`.  To re-record them after an intended output change, run
-from the repository root:
+`exit_codes.json`.  To re-record some of them after an intended output
+change, name the cases; only their documents and their `exit_codes.json`
+entries are rewritten:
 
-    PYTHONPATH=src python tests/test_golden.py --record
+    PYTHONPATH=src python tests/test_golden.py --record CASE [CASE ...]
 """
 
 import contextlib
@@ -40,6 +41,12 @@ CASES = {
         "--loss", '{"heads": 1.5, "tails": -0.4}', "--check", "subgradient"],
     "subgradient-overlap_ceilings": [
         "oracle", WORKED, "--loss", LOSS, "--check", "subgradient"],
+    "pareto-entropic_pair": [
+        "oracle", "fixtures/entropic_pair.json",
+        "--loss", '{"heads": 1.5, "tails": -0.4}', "--check", "pareto"],
+    "lambda-entropic_pair": [
+        "oracle", "fixtures/entropic_pair.json",
+        "--loss", '{"heads": 1.5, "tails": -0.4}', "--check", "lambda"],
     "validate-arbitrage_triple": ["validate", "fixtures/arbitrage_triple.json"],
     "validate-avar_entropic": ["validate", "fixtures/avar_entropic.json"],
     "validate-entropic_pair": ["validate", "fixtures/entropic_pair.json"],
@@ -69,17 +76,21 @@ def test_cli_document_is_unchanged(case):
     assert text == (GOLDEN / f"{case}.json").read_text()
 
 
-def _record():
+def _record(cases):
+    """Rewrite the documents and exit codes of `cases`; keep the rest."""
+    unknown = sorted(set(cases) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown cases: {', '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
-    codes = {}
-    for case, argv in sorted(CASES.items()):
-        codes[case], text = _document(argv)
+    path = GOLDEN / "exit_codes.json"
+    codes = json.loads(path.read_text()) if path.exists() else {}
+    for case in cases:
+        codes[case], text = _document(CASES[case])
         (GOLDEN / f"{case}.json").write_text(text)
-    (GOLDEN / "exit_codes.json").write_text(
-        json.dumps(codes, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        sys.exit("usage: python tests/test_golden.py --record")
-    _record()
+    if sys.argv[1:2] != ["--record"] or not sys.argv[2:]:
+        sys.exit("usage: python tests/test_golden.py --record CASE [CASE ...]")
+    _record(sys.argv[2:])

@@ -404,19 +404,22 @@ def test_search_refuses_a_duality_gap_above_the_tolerance():
     x = np.array([1.0, -1.0])
     D = np.array([[1.0], [-1.0]]) / math.sqrt(2.0)
 
-    def evaluate(eta):
-        y = x - D @ eta
-        v = float(np.log(probs @ np.exp(y)))
-        q = np.exp(y - v)
+    def evaluate(eta, rows):
+        y = x - eta @ D.T
+        v = np.log(np.exp(y) @ probs)
+        q = np.exp(y - v[:, None])
         return v, q, q
 
-    eta, t, q = _kernel_newton(evaluate, probs, D, np.ones(2),
-                               lambda q: float(probs @ (q * x))
-                               - float(probs @ (q * np.log(q))))
-    assert t == pytest.approx(0.0, abs=1e-15)
-    assert np.allclose(D @ eta, x, atol=1e-14)
-    with pytest.raises(NumericalFailure, match="duality gap"):
-        _kernel_newton(evaluate, probs, D, np.ones(2), lambda q: t - 1e-6)
+    eta, t, q, errors = _kernel_newton(
+        evaluate, lambda row, q: float(probs @ (q * x))
+        - float(probs @ (q * np.log(q))), probs, D, np.ones(2), 1)
+    assert errors == [None]
+    assert t[0] == pytest.approx(0.0, abs=1e-15)
+    assert np.allclose(D @ eta[0], x, atol=1e-14)
+    *_, errors = _kernel_newton(evaluate, lambda row, q: t[0] - 1e-6,
+                                probs, D, np.ones(2), 1)
+    assert isinstance(errors[0], NumericalFailure)
+    assert "duality gap" in str(errors[0])
 
 
 # ----------------------------------------------------------------------

@@ -609,16 +609,17 @@ def test_lambda_batch_law_invariant_refusals_match_capital_requirement(
 
 def test_lambda_batch_law_invariant_market_work_once_certificate_per_row(
         monkeypatch):
-    # the pricing-density LP (and, with a kernel, the dual-box margin LP)
-    # depends on the market alone: solved once per system, not per row;
-    # every row still unwinds its remainder into acceptable parts
+    # the pricing-density LP depends on the market alone: solved once per
+    # system, not per row, and with an unbounded dual box its margin also
+    # serves the kernel search; every row still unwinds its remainder into
+    # acceptable parts
     calls, unwound = [], []
     margin, unwind = lawinv._pricing_margin, lawinv._unwind
     monkeypatch.setattr(lawinv, "_pricing_margin",
                         lambda *a: calls.append(a) or margin(*a))
     monkeypatch.setattr(lawinv, "_unwind",
                         lambda *a: unwound.append(a) or unwind(*a))
-    for name, per_system in (("cash_only", 1), ("entropic_pair", 2)):
+    for name, per_system in (("cash_only", 1), ("entropic_pair", 1)):
         s = LAW_INVARIANT_SYSTEMS[name]()
         targets = np.random.default_rng(4).normal(0.0, 1.0,
                                                   (8, s.space.size))

@@ -233,17 +233,19 @@ def verify_equilibrium(s: market.AgentSystem, endowments,
             f"max price deviation {max(dev for dev, _ in checks):.2e}")
 
     total = np.sum([w.values for w in endowments], axis=0)
+    # relative to the endowment, as market._check_allocation_sum checks
+    scale = max(1.0, float(np.max(np.abs(total))))
     resid = float(np.max(np.abs(eq.allocation.total() - total)))
     supported = all(r.support.contains(x, tol=1e-9)
                     for r, x in zip(s.regimes, eq.allocation.parts))
-    rep.add("allocation_feasible", resid <= 1e-8 and supported,
+    rep.add("allocation_feasible", resid <= 1e-8 * scale and supported,
             f"sum residual {resid:.2e}, parts supported: {supported}")
 
     worst_budget = max(
         abs(float(phi.weights @ (x.values - w.values)))
         for x, w in zip(eq.allocation.parts, endowments)
     )
-    rep.add("budget_equalities", worst_budget <= BUDGET_TOL,
+    rep.add("budget_equalities", worst_budget <= BUDGET_TOL * scale,
             f"max |phi(X_i) - phi(W_i)| = {worst_budget:.2e}")
 
     gaps = []

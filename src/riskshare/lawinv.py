@@ -433,7 +433,9 @@ def _kernel_search(measures, probs, B, prices, U, price, margin=None):
                     sol = exc
                 if isinstance(sol, tuple):
                     t, eta, q = sol
-                    sol = (t, t * U + D @ eta, q)
+                    sol = (InternalInconsistency("kernel search LP "
+                                                 "infeasible")
+                           if eta is None else (t, t * U + D @ eta, q))
                 out.append(sol)
             return out
         return lp

@@ -25,7 +25,6 @@ import numpy as np
 from . import linprog
 from .errors import (
     DomainError,
-    InternalInconsistency,
     NumericalFailure,
     RiskShareError,
     StructuralError,
@@ -54,7 +53,6 @@ __all__ = [
 ]
 
 PRICE_TOL = 1e-9        # price-consistency decisions in conjugates
-_LEVEL_TOL = 1e-12      # feasibility level of the one-dimensional rho search
 
 
 # ----------------------------------------------------------------------
@@ -541,8 +539,10 @@ def rho(r: RiskMeasurementRegime, X: RandomVariable) -> RhoResult:
     price 1.  Over an orthonormal payoff basis of the price kernel it is an
     exact LP for AVaR and expectation agents and a damped Newton search
     for entropic agents that ends with its duality gap and refuses when
-    the gap exceeds linprog.CERT_TOL (1 + |rho|).  A one-dimensional
-    market without such a unit has its own interval search.
+    the gap exceeds linprog.CERT_TOL (1 + |rho|).  A market that trades
+    one payoff and holds no such unit takes the end of the interval of
+    feasible coefficients (_line_search); a larger market without a unit
+    is refused.
     """
     if X.space.labels != r.space.labels:
         raise StructuralError("loss profile on a different scenario space")
@@ -550,16 +550,15 @@ def rho(r: RiskMeasurementRegime, X: RandomVariable) -> RhoResult:
         raise DomainError("loss profile lies outside the regime's support ideal")
     if isinstance(r.acceptance, PolyhedralAcceptanceSet):
         return _rho_polyhedral(r, X.values)
-    found = _rho_law_invariant(r)
-    if found is None:
-        return _rho_without_unit(r, X.values)
-    search, price, B = found
+    search, price, B = _rho_law_invariant(r)
     (sol,) = search(X.values[None, :])
     if isinstance(sol, Exception):
         raise sol
     if sol is None:
         return RhoResult(value=None, status="unbounded")
     t, Z, _ = sol
+    if Z is None:
+        return RhoResult(value=RiskValue.infinite(), status="infeasible")
     return RhoResult(value=RiskValue.finite(price * t),
                      security=RandomVariable(r.space, Z),
                      coefficients=np.linalg.lstsq(B, Z, rcond=None)[0])
@@ -592,9 +591,10 @@ def _rho_polyhedral(r, xvals) -> RhoResult:
 def _rho_law_invariant(r):
     """Law-invariant rho with its market-only part done once: the unit U
     and, through lawinv._kernel_search, the kernel basis and the pricing
-    margin.  Returns (search, price, B), rho of a row with outcome
-    (t, Z, q) being price * t and B the basis matrix, or None when the
-    market has no strictly positive unit payoff."""
+    margin; for a one-payoff market without a strictly positive unit, the
+    interval search _line_search.  Returns (search, price, B), rho of a
+    row with outcome (t, Z, q) being price * t (+inf when Z is None) and B
+    the basis matrix.  A larger market without such a unit is refused."""
     from .lawinv import _kernel_search      # lawinv imports this module
 
     mkt = r.market
@@ -605,7 +605,12 @@ def _rho_law_invariant(r):
     else:
         uval, w_u = mkt.unit_certificate(r.support.included)
         if uval is None or math.isinf(uval) or not uval > 1e-10:
-            return None
+            if mkt.dim != 1:
+                raise DomainError(
+                    "law-invariant rho needs a strictly positive unit payoff "
+                    "in the span (or a one-dimensional market)")
+            return (_line_search(r.acceptance, r.space.probs, B[:, 0],
+                                 float(mkt.prices[0])), 1.0, B)
         U, price = B @ w_u, 1.0
     return _kernel_search((r.acceptance,), r.space.probs, B, mkt.prices,
                           U, price), price, B
@@ -642,11 +647,7 @@ def rho_batch(r: RiskMeasurementRegime, rows) -> np.ndarray:
     unit_price = _cash_unit_price(r.market)
     if unit_price is not None:
         return unit_price * acc.xi(r.space.probs, rows)
-    found = _rho_law_invariant(r)
-    if found is None:
-        return np.array([_rho_value(_rho_without_unit(r, x)) for x in rows],
-                        dtype=float)
-    search, price, _ = found
+    search, price, _ = _rho_law_invariant(r)
     values = np.empty(rows.shape[0])
     for i, sol in enumerate(search(rows)):
         if isinstance(sol, Exception):
@@ -670,39 +671,6 @@ def _arbitrage_refusal() -> DomainError:
                        "security prices admit arbitrage")
 
 
-def _rho_without_unit(r, xvals) -> RhoResult:
-    acc = r.acceptance
-    mkt = r.market
-    probs = r.space.probs
-    if mkt.dim == 1:
-        # one-dimensional market without a strictly positive unit payoff:
-        # the feasible coefficient set {w : xi(X - w b) <= 0} is an interval
-        # (g is convex in w); rho picks its cheapest endpoint
-        b = mkt.basis_matrix()[:, 0]
-        p0 = float(mkt.prices[0])
-        xi = lambda v: acc.xi(probs, v)
-        g = lambda w: xi(xvals - w * b)
-        w_f = _find_feasible_1d(g)
-        if w_f is None:
-            return RhoResult(value=RiskValue.infinite(), status="infeasible")
-        if abs(p0) <= PRICE_TOL:
-            return RhoResult(value=RiskValue.finite(0.0),
-                             security=mkt.payoff([w_f]),
-                             coefficients=np.array([w_f]))
-        direction = -1.0 if p0 > 0 else 1.0    # toward cheaper coefficients
-        w_edge = _level_boundary(g, w_f, direction)
-        if w_edge is None:
-            return RhoResult(value=None, status="unbounded")
-        return RhoResult(value=RiskValue.finite(p0 * w_edge),
-                         security=mkt.payoff([w_edge]),
-                         coefficients=np.array([w_edge]))
-
-    raise DomainError(
-        "law-invariant rho needs a strictly positive unit payoff in the span "
-        "(or a one-dimensional market)"
-    )
-
-
 def _cash_unit_price(mkt: SecurityMarket):
     """Price of the unit payoff 1 when the market trades exactly one
     constant payoff at a positive price, else None."""
@@ -717,52 +685,75 @@ def _cash_unit_price(mkt: SecurityMarket):
     return unit_price if unit_price > 0 else None
 
 
-def _find_feasible_1d(g):
-    """Some w with g(w) <= _LEVEL_TOL for convex g, or None if the infimum
-    of g is positive (checked over a doubling probe grid plus one interior
-    bracket)."""
-    from scipy import optimize      # kept off the start-up path
+def _line_search(acc, probs, b, p0: float):
+    """rho on a market that trades one payoff b at price p0 and holds no
+    strictly positive unit, as a search over rows with the outcomes of
+    lawinv._kernel_search: (t, Z, None) for the requirement t = p0 w and
+    Z = w b, None when it is unbounded below, (+inf, None, None) when
+    nothing securitizes the row.  The feasible w form an interval, since
+    xi(X - w b) is convex in w, and w is its end in the cheaper direction
+    d = -sign(p0) (at a zero price the end with d = -1, else the other
+    end, else 0): an exact end from _lp_kernel_search with U = b and no
+    kernel for AVaR and expectation agents, from _entropic_edge for
+    entropic ones."""
+    def edge(x, d):
+        if acc.kind == ENTROPIC:
+            return _entropic_edge(acc.param, probs, x, b, d)
+        sol = _lp_kernel_search(acc.kind, acc.param, probs, x, b,
+                                np.zeros((b.size, 0)), -d)
+        return None if sol is None else sol[0]
 
-    probes = [0.0]
-    for k in range(51):
-        probes.extend((2.0 ** k, -(2.0 ** k)))
-    for w in probes:
-        if g(w) <= _LEVEL_TOL:
-            return w
-    xs = sorted(probes)
-    vals = [g(x) for x in xs]
-    i = int(np.argmin(vals))
-    if 0 < i < len(xs) - 1:
-        res = optimize.minimize_scalar(g, bounds=(xs[i - 1], xs[i + 1]),
-                                       method="bounded",
-                                       options={"xatol": 1e-10})
-        if res.fun <= _LEVEL_TOL:
-            return float(res.x)
-    return None
-
-
-def _level_boundary(g, inside: float, direction: float):
-    """Walk from a point of {g <= _LEVEL_TOL} toward `direction` until g
-    turns positive, then bisect to the boundary of that set.  None if that
-    side is unbounded."""
-    from scipy import optimize      # kept off the start-up path
-
-    step = 1.0
-    w = inside
-    while g(w + direction * step) <= _LEVEL_TOL:
-        w += direction * step
-        step *= 2.0
-        if abs(w) > 1e15:
+    def outcome(x):
+        w = edge(x, 1.0 if p0 < 0 else -1.0)
+        if w is None and p0 == 0.0:
+            w = edge(x, 1.0)
+            w = 0.0 if w is None else w
+        if w is None:
             return None
-    a, b = sorted((w, w + direction * step))
-    fa, fb = g(a), g(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb < 0:
-        return float(optimize.brentq(g, a, b, xtol=1e-13, rtol=8.9e-16))
-    return w    # boundary within tolerance of the last feasible probe
+        if math.isinf(w):
+            return math.inf, None, None
+        # + 0.0 turns the -0.0 of a zero price into 0.0
+        return p0 * w + 0.0, w * b, None
+    return lambda X: [outcome(x) for x in X]
+
+
+def _entropic_edge(gamma: float, probs, x, b, d: float):
+    """The end in direction d of {w : h(w) <= 0}, h(w) = xi(x - w b) for
+    the entropic base risk with parameter gamma: that w, None when the
+    interval is unbounded in direction d, +inf when it is empty.
+
+    h is convex and above L = (1/gamma) log E[1{b=0} e^{gamma x}], so
+    L >= 0 leaves the interval empty; when no scenario has d b_j < 0, h
+    falls toward L < 0 along d.  Otherwise each term of
+    E[e^{gamma (x - w b)}] is at most 1 on the interval, so d w <= T =
+    min over d b_j < 0 of -(log p_j + gamma x_j) / (gamma |b_j|), and
+    h(d T) >= 0.  Newton's method on s = d w starts at T; by convexity its
+    iterates fall monotonically to the end, and an iterate with h > 0 and
+    a slope along d of at most 0 proves h > 0 everywhere.  Where rounding
+    stops h from falling, the step doubles (from at least one unit in the
+    last place of s), so the end returned always has h <= 0."""
+    zero = b == 0
+    if zero.any() and base_risk(ENTROPIC, gamma, probs[zero], x[zero]) >= 0:
+        return math.inf
+    db = d * b
+    out = db < 0
+    if not out.any():
+        return None
+    s = float(np.min((np.log(probs[out]) + gamma * x[out])
+                     / (gamma * db[out])))
+    h_last = math.inf
+    for _ in range(100):
+        y = x - d * s * b
+        h = base_risk(ENTROPIC, gamma, probs, y)
+        if h <= 0.0:
+            return d * s
+        slope = -float((probs * np.exp(gamma * (y - h))) @ db)
+        if slope <= 0.0:
+            return math.inf
+        step = h / slope if h < h_last else max(2.0 * step, math.ulp(s))
+        h_last = h
+        s -= step
+    raise NumericalFailure("entropic coefficient search did not converge")
 
 
 # ----------------------------------------------------------------------
@@ -818,12 +809,13 @@ def _pricing_margin(weights, B, prices, cap: float):
 
 def _lp_kernel_search(kind: str, beta: float, probs, X, U, D, price: float):
     """AVaR(beta) or expectation requirement as one LP: minimize price * t
-    over (t, eta) subject to xi(X - t U - D eta) <= 0, for a strictly
-    positive unit U.  AVaR enters through its Rockafellar-Uryasev form
-    tau + E[(Y - tau)+] / (1 - beta) with tail auxiliaries u >= 0.
+    over (t, eta) subject to xi(X - t U - D eta) <= 0.  AVaR enters
+    through its Rockafellar-Uryasev form tau + E[(Y - tau)+] / (1 - beta)
+    with tail auxiliaries u >= 0.
 
-    Returns (t, eta, q), or None when the requirement is unbounded below.
-    q is the dual density of the remainder: 1 for the expectation, and for
+    Returns (t, eta, q), None when the requirement is unbounded below, or
+    (+inf, None, None) when no t is feasible, which a strictly positive U
+    rules out.  q is the dual density of the remainder: 1 for the expectation, and for
     AVaR the tail-row multipliers z = -duals normalized to q = z / (P sum z),
     which lies in the dual box [0, 1/(1-beta)] and, scaled by sum z, prices
     U at `price` and every kernel direction at zero."""
@@ -858,7 +850,7 @@ def _lp_kernel_search(kind: str, beta: float, probs, X, U, D, price: float):
     if sol.status == "unbounded":
         return None
     if sol.status == "infeasible":
-        raise InternalInconsistency("kernel search LP infeasible")
+        return math.inf, None, None
     if kind == EXPECTATION:
         q = np.ones(m)
     else:

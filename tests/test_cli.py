@@ -147,6 +147,44 @@ def test_equilibrium_without_endowments(capsys, tmp_path):
     assert "endowments" in err
 
 
+def test_equilibrium_checks_scale_with_the_endowment(capsys, tmp_path):
+    # at 1e9 the budgets of the entropic pair are off by 2.4e-7 in
+    # absolute terms, 2.4e-16 relative to the endowment
+    doc = json.loads((FIXTURES / "entropic_pair.json").read_text())
+    doc["endowments"] = [{k: 1e9 * v for k, v in w.items()}
+                         for w in doc["endowments"]]
+    p = tmp_path / "large.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "equilibrium", str(p))
+    assert code == 0, err
+    assert out["outputs"]["verification"]["passed"]
+
+
+def test_rho_without_a_unit_loads_no_scipy(tmp_path):
+    # a market that trades only the payoff of heads holds no strictly
+    # positive unit; its rho is exact and needs no scipy
+    doc = json.loads((FIXTURES / "entropic_pair.json").read_text())
+    doc["agents"] = [{"name": "fund", "acceptance": {"entropic": 1.0},
+                      "securities": [{"payoff": {"heads": 1.0},
+                                      "price": 0.5}]}]
+    del doc["endowments"], doc["pricing"]
+    p = tmp_path / "heads.json"
+    p.write_text(json.dumps(doc))
+    argv = ["rho", str(p), "--agent", "1",
+            "--loss", '{"heads": 2, "tails": -1}']
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from riskshare.cli import run; code = run(sys.argv[1:]); "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),"
+         " file=sys.stderr); sys.exit(code)", *argv],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == "[]"
+    out = json.loads(proc.stdout)["outputs"]
+    assert out["value"]["value"] == pytest.approx(
+        0.5 * (2.0 - math.log(2.0 - math.exp(-1.0))), abs=1e-12)
+
+
 def test_pareto_zeta_preserves_total_risk(capsys):
     _, base, err = _run(capsys, "pareto", WORKED, "--loss", LOSS)
     code, shifted, err = _run(capsys, "pareto", WORKED, "--loss", LOSS,

@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
 from riskshare import linprog, oracle
@@ -452,3 +454,73 @@ def test_avar_entropic_kernel_position_matches_the_former_search():
                                            res.value)
         assert res.s_interval == (res.s_star, res.s_star)
         assert abs(res.s_star - s_mid) <= POSITION_TOL * (1.0 + abs(res.s_star))
+
+
+# ----------------------------------------------------------------------
+# one-payoff markets without a unit: the exact ends against the former
+# probe grid and boundary walk
+# ----------------------------------------------------------------------
+
+_PROBES = [0.0] + [s * 2.0 ** k for k in range(51) for s in (1.0, -1.0)]
+
+
+def _reference_line(g, price):
+    """The former search for the least price * w with g(w) <= 0, g convex:
+    a doubling probe grid, then a golden-section search for the least
+    risk from the best interior probe, for a feasible w; then the walk to
+    the edge of {g <= 0} in the cheaper direction.  Returns (least risk
+    found, w), w being +inf when nothing is feasible and None when the
+    walk finds no edge."""
+    probes = sorted(_PROBES)
+    values = [g(w) for w in probes]
+    i = int(np.argmin(values))
+    least = values[i]
+    inside = next((w for w in _PROBES if g(w) <= 0.0), None)
+    if inside is None and 0 < i < len(probes) - 1:
+        inside, least = _golden_min(g, probes[i])
+    if inside is None or least > 0.0:
+        return least, math.inf
+    try:
+        return least, _level_boundary(g, inside, 1.0 if price < 0 else -1.0)
+    except NumericalFailure:
+        return least, None
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(2, 5),
+       kind=st.sampled_from([ENTROPIC, AVAR, EXPECTATION]),
+       price=st.sampled_from([0.7, 0.0, -0.4]))
+def test_rho_without_a_unit_matches_the_former_search(seed, m, kind, price):
+    rng = np.random.default_rng(seed)
+    acc = _measure(rng, kind)
+    probs = rng.uniform(0.2, 1.0, m)
+    probs /= probs.sum()
+    space = ScenarioSpace(tuple(f"s{j}" for j in range(m)), probs)
+    b = rng.normal(0.0, 1.0, m) * (rng.uniform(size=m) > 0.25)
+    if not (b < 0).any():
+        b[int(rng.integers(m))] = -1.0      # no strictly positive unit
+    x = rng.normal(0.0, 3.0, m)
+    r = RiskMeasurementRegime(SupportMask.full(space), acc,
+                              SecurityMarket((space.rv(b),), np.array([price])))
+    # a negative price makes -b a unit when b <= 0
+    unit, _ = r.market.unit_certificate(np.ones(m, dtype=bool))
+    assume(unit is None or not unit > 1e-10)
+    least, w = _reference_line(lambda w: acc.xi(probs, x - w * b), price)
+    assume(abs(least) >= 1e-9 * (1.0 + np.max(np.abs(x))))
+    got = rho(r, space.rv(x))
+    if w is None:
+        # at a zero price, an open end costs nothing
+        assert got.status == ("optimal" if price == 0.0 else "unbounded")
+    elif math.isinf(w):
+        assert got.status == "infeasible"
+        assert got.value.as_float() == math.inf
+    else:
+        assert got.status == "optimal"
+        assert got.value.as_float() == pytest.approx(
+            price * w, abs=REL_TOL * (1.0 + abs(price * w)))
+        if price != 0.0:
+            assert got.coefficients[0] == pytest.approx(
+                w, abs=REL_TOL * (1.0 + abs(w)))
+    if got.status == "optimal":
+        assert acc.xi(probs, x - got.security.values) <= \
+            REL_TOL * (1.0 + np.max(np.abs(x)))

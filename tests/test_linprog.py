@@ -418,9 +418,8 @@ def test_batch_shape_refusals():
 # ----------------------------------------------------------------------
 
 def test_cli_start_up_loads_no_scipy():
-    # null spaces come from NumPy, and scipy.optimize is imported only
-    # inside the one-dimensional rho search: starting the CLI must not
-    # pay for scipy
+    # null spaces come from NumPy and no module of riskshare imports
+    # scipy: starting the CLI must not pay for it
     proc = subprocess.run(
         [sys.executable, "-c",
          "import riskshare.cli, sys; "

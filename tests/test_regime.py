@@ -26,6 +26,7 @@ from riskshare.regime import (
     base_risk,
     conjugate,
     rho,
+    rho_batch,
     validate_regime,
 )
 from riskshare.scenario import Functional, ScenarioSpace, SupportMask
@@ -172,25 +173,124 @@ def test_rho_one_dim_market_without_positive_unit():
     assert res.value.value == pytest.approx(0.5 * w, abs=1e-10)
 
 
-@pytest.mark.parametrize("price, x, value, coefficient, status", [
-    (0.0, [2.0, -1.0], 0.0, 2.0, "optimal"),
-    (-0.5, [2.0, -1.0], None, None, "unbounded"),
-    (0.5, [0.0, 2.0], math.inf, None, "infeasible"),
-], ids=["zero_price", "negative_price_unbounded", "infeasible"])
-def test_rho_one_dim_market_branches(price, x, value, coefficient, status):
-    # market spans only 1_a: no strictly positive unit, so rho searches the
-    # feasible coefficient interval of xi(X - w 1_a) <= 0 directly
+# the edge w = 2 - log(2 - e^-1) of xi(X - w 1_a) <= 0 for the entropic
+# agent at X = (2, -1)
+ENTROPIC_EDGE = 2.0 - math.log(2.0 - math.exp(-1.0))
+
+
+def _near(v):
+    # the edge is irrational: numbers derived from it are compared to 1e-12,
+    # every other expected number exactly
+    return pytest.approx(v, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "kind, param, price, x, basis, value, coefficient, status", [
+    (ENTROPIC, 1.0, 0.5, [2.0, -1.0], [1.0, 0.0], _near(0.5 * ENTROPIC_EDGE),
+     _near(ENTROPIC_EDGE), "optimal"),
+    # every feasible w costs nothing; the coefficient is the edge on the
+    # side a positive price prefers
+    (ENTROPIC, 1.0, 0.0, [2.0, -1.0], [1.0, 0.0], 0.0, _near(ENTROPIC_EDGE),
+     "optimal"),
+    # open on that side: the edge on the other side
+    (ENTROPIC, 1.0, 0.0, [2.0, -1.0], [-1.0, 0.0], 0.0,
+     _near(-ENTROPIC_EDGE), "optimal"),
+    # a price is zero only when it is 0.0: at 1e-12 the cheaper side is
+    # open, so the requirement is unbounded below
+    (ENTROPIC, 1.0, 1e-12, [2.0, -1.0], [-1.0, 0.0], None, None,
+     "unbounded"),
+    (ENTROPIC, 1.0, -0.5, [2.0, -1.0], [1.0, 0.0], None, None, "unbounded"),
+    (ENTROPIC, 1.0, 0.5, [0.0, 2.0], [1.0, 0.0], math.inf, None,
+     "infeasible"),
+    # the least risk of X over the span is +5e-13: tangent, not securitized
+    (ENTROPIC, 1.0, 0.5, [0.3 + 5e-13, -0.3 + 5e-13], [1.0, -1.0], math.inf,
+     None, "infeasible"),
+    (AVAR, 0.5, 0.5, [2.0, -1.0], [1.0, 0.0], 1.0, 2.0, "optimal"),
+    (AVAR, 0.5, 0.0, [2.0, -1.0], [1.0, 0.0], 0.0, 2.0, "optimal"),
+    (AVAR, 0.5, -0.5, [2.0, -1.0], [1.0, 0.0], None, None, "unbounded"),
+    (AVAR, 0.5, 0.5, [0.0, 2.0], [1.0, 0.0], math.inf, None, "infeasible"),
+    (EXPECTATION, 0.0, 0.5, [2.0, -1.0], [1.0, 0.0], 0.5, 1.0, "optimal"),
+    (EXPECTATION, 0.0, 0.0, [2.0, -1.0], [1.0, 0.0], 0.0, 1.0, "optimal"),
+    # E[b] = 0 and E[X] <= 0: every w is feasible
+    (EXPECTATION, 0.0, 0.0, [-1.0, 0.0], [1.0, -1.0], 0.0, 0.0, "optimal"),
+    (EXPECTATION, 0.0, -0.5, [2.0, -1.0], [1.0, 0.0], None, None,
+     "unbounded"),
+    # E[b] = 0 and E[X] > 0: no multiple of b helps
+    (EXPECTATION, 0.0, 0.5, [0.0, 2.0], [1.0, -1.0], math.inf, None,
+     "infeasible"),
+], ids=["optimal", "zero_price", "zero_price_other_end",
+        "tiny_price_unbounded", "negative_price_unbounded", "infeasible", "tangent_infeasible",
+        "avar-optimal", "avar-zero_price", "avar-negative_price_unbounded",
+        "avar-infeasible", "expectation-optimal", "expectation-zero_price",
+        "expectation-zero_price_whole_line",
+        "expectation-negative_price_unbounded", "expectation-infeasible"])
+def test_rho_one_dim_market_branches(kind, param, price, x, basis, value,
+                                     coefficient, status, recwarn):
+    # the market spans one payoff and no strictly positive unit, so rho
+    # takes the end of the feasible coefficient interval of xi(X - w b) <= 0
     sp = ScenarioSpace.uniform(["a", "b"])
-    mkt = SecurityMarket((sp.indicator(["a"]),), np.array([price]))
-    r = law_invariant_regime(sp, ENTROPIC, 1.0, market=mkt)
+    mkt = SecurityMarket((sp.rv(basis),), np.array([price]))
+    r = law_invariant_regime(sp, kind, param, market=mkt)
     res = rho(r, sp.rv(x))
     assert res.status == status
     if value is None:
         assert res.value is None
+        with pytest.raises(DomainError):
+            rho_batch(r, np.array([x]))
     else:
         assert res.value.as_float() == value
+        # one code path: rho_batch gives rho's value, bitwise
+        assert rho_batch(r, np.array([x]))[0] == res.value.as_float()
     if coefficient is not None:
         assert res.coefficients[0] == coefficient
+        assert r.acceptance.xi(sp.probs, np.array(x) - res.security.values) \
+            <= 0.0
+    assert not recwarn.list
+
+
+def test_rho_without_a_unit_certifies_an_edge_lost_to_rounding():
+    # near its edge Newton's last step on xi(X - w b) is lost to rounding
+    # and left xi at +2.8e-17; the search must still end on a w whose
+    # remainder is acceptable
+    sp = ScenarioSpace.uniform(["a", "b"])
+    mkt = SecurityMarket((sp.rv([-1.0, 1.0]),), np.array([0.5]))
+    r = law_invariant_regime(sp, ENTROPIC, 2.0, market=mkt)
+    x = np.array([-1.7, 1.6])
+    res = rho(r, sp.rv(x))
+    assert res.status == "optimal"
+    assert res.coefficients[0] == pytest.approx(1.4226484574297324,
+                                                abs=1e-14)
+    assert r.acceptance.xi(sp.probs, x - res.security.values) <= 0.0
+    assert rho_batch(r, np.array([x]))[0] == res.value.as_float()
+
+
+def test_rho_batch_matches_rho_without_a_unit():
+    rng = np.random.default_rng(14)
+    sp = ScenarioSpace(("a", "b", "c", "d"), np.array([0.1, 0.2, 0.3, 0.4]))
+    rows = rng.normal(0.0, 2.0, (12, 4))
+    seen = []
+    for kind, param in ((ENTROPIC, 0.7), (AVAR, 0.4), (EXPECTATION, 0.0)):
+        for price in (0.3, 0.0):
+            # E[b] > 0, so no row of the expectation agent is unbounded
+            mkt = SecurityMarket((sp.rv([1.0, 0.0, -0.5, 0.5]),),
+                                 np.array([price]))
+            r = law_invariant_regime(sp, kind, param, market=mkt)
+            single = [rho(r, sp.rv(x)).value.as_float() for x in rows]
+            assert rho_batch(r, rows).tolist() == single
+            seen.extend(single)
+    assert any(math.isinf(v) for v in seen)
+    assert any(math.isfinite(v) for v in seen)
+
+
+def test_rho_refuses_a_larger_market_without_a_unit():
+    sp = ScenarioSpace.uniform(["a", "b", "c"])
+    mkt = SecurityMarket((sp.indicator(["a"]), sp.indicator(["b"])),
+                         np.array([0.3, 0.3]))
+    r = law_invariant_regime(sp, ENTROPIC, 1.0, market=mkt)
+    with pytest.raises(DomainError, match="strictly positive unit"):
+        rho(r, sp.rv([1.0, 0.0, -1.0]))
+    with pytest.raises(DomainError, match="strictly positive unit"):
+        rho_batch(r, np.array([[1.0, 0.0, -1.0]]))
 
 
 def test_rho_law_invariant_with_two_securities():

@@ -4,8 +4,11 @@ This is the computational backbone for every polyhedral evaluation in the
 package: risk measures, shared capital requirements, no-arbitrage probes,
 scalability detection, and subgradient extraction all reduce to small
 linear programs solved here.  The tableau is a dense array, but a pivot
-updates only the rows where the pivot column is nonzero: the sharing LPs'
-columns hold two or three nonzeros, so a pivot costs a few rows, not all.
+updates only the rows where the pivot column is nonzero, one row at a
+time: the sharing LPs' columns hold two or three nonzeros, so a pivot costs
+a few row operations, not a pass over the tableau.  The standard form's
+columns are built by indexing (a variable's entries, signed), not by a
+product with the expansion matrix, and hold the product's bits.
 
 Conventions
 -----------
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,6 +76,10 @@ class LpProblem:
             raise StructuralError("constraint rows, senses and rhs must align")
         if not np.all(np.isfinite(self.rhs)):
             raise StructuralError("right-hand sides must be finite")
+        if not np.all(np.isfinite(self.c)):
+            raise StructuralError("objective coefficients must be finite")
+        if not np.all(np.isfinite(self.rows)):
+            raise StructuralError("constraint coefficients must be finite")
         for s in self.senses:
             if s not in (LE, EQ, GE):
                 raise StructuralError(f"unknown row sense {s!r}")
@@ -85,6 +93,8 @@ class LpProblem:
             self.upper = np.asarray(self.upper, dtype=float)
         if self.lower.shape != (n,) or self.upper.shape != (n,):
             raise StructuralError("bounds must match the number of variables")
+        if np.isnan(self.lower).any() or np.isnan(self.upper).any():
+            raise StructuralError("bounds must not be NaN (infinite is free)")
 
 
 @dataclass
@@ -110,83 +120,96 @@ class LpSolution:
 # standardization:  x = shift + M y,  y >= 0;  rows -> equalities
 # ======================================================================
 
+class _Expansion(NamedTuple):
+    """x = shift + M y with y >= 0, and M as index arrays: column k of M
+    holds sign[k] in row var[k], and first[j] is variable j's first column.
+    A variable with a finite lower bound gets a + column shifted by that
+    bound, one with only a finite upper bound a - column shifted by it, and
+    a free one a + column and a - column after it.  A doubly bounded
+    variable's column is listed in ext_cols, with its width upper - lower,
+    for the extra row y_k <= width."""
+
+    shift: np.ndarray
+    var: np.ndarray
+    sign: np.ndarray
+    first: np.ndarray
+    ext_cols: list
+    widths: list
+
+
 def _expand_variables(p: LpProblem):
-    n = p.c.shape[0]
-    shift = np.zeros(n)
-    cols = []                # (var index, sign)
-    extra_rows = []          # (y column, upper value) for doubly bounded vars
-    for j in range(n):
-        lo, hi = p.lower[j], p.upper[j]
+    """The expansion of p's variables; None when some lower bound exceeds
+    its upper bound."""
+    shift, var, sign, first, ext_cols, widths = [], [], [], [], [], []
+    for j, (lo, hi) in enumerate(zip(p.lower.tolist(), p.upper.tolist())):
         if lo > hi + FEAS_TOL:
             return None
+        first.append(len(var))
         if math.isfinite(lo):
-            shift[j] = lo
-            cols.append((j, +1.0))
+            shift.append(lo)
+            var.append(j)
+            sign.append(1.0)
             if math.isfinite(hi):
-                extra_rows.append((len(cols) - 1, hi - lo))
+                ext_cols.append(first[-1])
+                widths.append(hi - lo)
         elif math.isfinite(hi):
-            shift[j] = hi
-            cols.append((j, -1.0))
+            shift.append(hi)
+            var.append(j)
+            sign.append(-1.0)
         else:
-            cols.append((j, +1.0))
-            cols.append((j, -1.0))
-    M = np.zeros((n, len(cols)))
-    for k, (j, s) in enumerate(cols):
-        M[j, k] = s
-    return shift, M, extra_rows
+            shift.append(0.0)
+            var += [j, j]
+            sign += [1.0, -1.0]
+    return _Expansion(np.array(shift, dtype=float), np.array(var, dtype=np.intp),
+                      np.array(sign), np.array(first, dtype=np.intp),
+                      ext_cols, widths)
+
+
+def _product(e: _Expansion, y):
+    """M y along the last axis of y, bit for bit the matrix product: a
+    column's signed value, or the sum of a free variable's two signed
+    columns, and +0.0 wherever that is zero."""
+    return np.add.reduceat(y * e.sign, e.first, axis=-1) + 0.0
 
 
 def _standardize(p: LpProblem):
-    """Return (A, b, c, flips, n_y, M, shift, const, n_orig_rows) with
-    A y = b, y >= 0, b >= 0, objective c.y + const."""
-    expanded = _expand_variables(p)
-    if expanded is None:
+    """Return (A, b, c, flips, slack_sign, expansion, const) with A y = b,
+    y >= 0, b >= 0 and objective c.y + const.  The rows of A are p's rows,
+    then one <= row per doubly bounded variable.  A row that is not an
+    equality gets the next slack column, with coefficient slack_sign[i]
+    (0.0 for an equality), before row i is multiplied by flips[i] = -1.0
+    where its right-hand side is negative."""
+    e = _expand_variables(p)
+    if e is None:
         return None
-    shift, M, extra_rows = expanded
-    n_y = M.shape[1]
-
-    A_rows = []
-    b_list = []
-    senses = []
-    A_main = p.rows @ M
-    b_main = p.rhs - p.rows @ shift
-    for i in range(p.rows.shape[0]):
-        A_rows.append(A_main[i])
-        b_list.append(b_main[i])
-        senses.append(p.senses[i])
-    for (k, ub) in extra_rows:
-        r = np.zeros(n_y)
-        r[k] = 1.0
-        A_rows.append(r)
-        b_list.append(ub)
-        senses.append(LE)
-
-    m = len(A_rows)
-    n_slack = sum(1 for s in senses if s != EQ)
-    A = np.zeros((m, n_y + n_slack))
-    b = np.zeros(m)
-    flips = np.ones(m)
-    sl = n_y
-    slack_col = [-1] * m
-    for i in range(m):
-        A[i, :n_y] = A_rows[i]
-        b[i] = b_list[i]
-        if senses[i] == LE:
-            A[i, sl] = 1.0
-            slack_col[i] = sl
-            sl += 1
-        elif senses[i] == GE:
-            A[i, sl] = -1.0
-            slack_col[i] = sl
-            sl += 1
-        if b[i] < 0:
-            A[i] *= -1.0
-            b[i] *= -1.0
-            flips[i] = -1.0
-    c = np.zeros(n_y + n_slack)
-    c[:n_y] = p.c @ M
-    const = float(p.c @ shift)
-    return A, b, c, flips, n_y, M, shift, const, p.rows.shape[0], slack_col
+    n_orig, n_y, n_ext = p.rows.shape[0], e.var.shape[0], len(e.ext_cols)
+    m = n_orig + n_ext
+    slack_sign = [_SENSE_SIGN[s] for s in p.senses] + [1.0] * n_ext
+    slack_rows = [i for i, s in enumerate(slack_sign) if s]
+    N = n_y + len(slack_rows)
+    # A and c start with the products p.rows @ M and p.c @ M, by indexing:
+    # +0.0 turns the -0.0 a signed copy can hold into the +0.0 every zero
+    # of the product is
+    A = np.zeros((m, N))
+    Ay = A[:n_orig, :n_y]
+    # every index is valid; mode="wrap" writes into the view unbuffered
+    np.take(p.rows, e.var, axis=1, out=Ay, mode="wrap")
+    Ay *= e.sign
+    Ay += 0.0
+    c = np.zeros(N)
+    c[:n_y] = p.c[e.var] * e.sign + 0.0
+    b = p.rhs - p.rows @ e.shift
+    if n_ext:
+        A[range(n_orig, m), e.ext_cols] = 1.0
+        b = np.concatenate([b, e.widths])
+    if slack_rows:
+        A.flat[[i * N + k for k, i in enumerate(slack_rows, n_y)]] = [
+            slack_sign[i] for i in slack_rows]
+    # multiplying by 1.0 changes no bit
+    flips = np.where(b < 0, -1.0, 1.0)
+    A *= flips[:, None]
+    b *= flips
+    return A, b, c, flips, slack_sign, e, float(p.c @ e.shift)
 
 
 # ======================================================================
@@ -196,8 +219,12 @@ def _standardize(p: LpProblem):
 def _pivot(T: np.ndarray, i: int, j: int):
     """Pivot on T[i, j]; a row that is zero in column j stays as it is."""
     piv_row = T[i] / T[i, j]
-    nz = np.flatnonzero(T[:, j])
-    T[nz] -= np.outer(T[nz, j], piv_row)
+    col = T[:, j]
+    nz = col.nonzero()[0]
+    for r, v in zip(nz.tolist(), col[nz].tolist()):
+        if r != i:
+            row = T[r]
+            row -= v * piv_row
     T[i] = piv_row
 
 
@@ -207,33 +234,36 @@ def _run_simplex(T, basis, cap, it0=0):
     bland = False
     degen_run = 0
     it = it0
+    cost, rhs = T[-1, :-1], T[:-1, -1]
     while True:
         it += 1
         if it > cap:
             raise NumericalFailure(
                 f"simplex iteration cap {cap} exceeded (anti-cycling active: {bland})"
             )
-        cost = T[-1, :-1]
         if bland:
-            negs = np.nonzero(cost < -OPT_TOL)[0]
-            if negs.size == 0:
+            negs = (cost < -OPT_TOL).nonzero()[0]
+            if not negs.size:
                 return "optimal", None, it
             j = int(negs[0])
         else:
-            j = int(np.argmin(cost))
+            j = int(cost.argmin())
             if cost[j] >= -OPT_TOL:
                 return "optimal", None, it
         col = T[:-1, j]
-        pos = np.flatnonzero(col > PIVOT_TOL)
+        pos = (col > PIVOT_TOL).nonzero()[0]
         if not pos.size:
             return "unbounded", j, it
-        ratios = T[pos, -1] / col[pos]
-        ties = pos[ratios <= ratios.min() + 1e-12]
-        if bland:
-            i = int(ties[np.argmin(np.asarray(basis)[ties])])
+        if pos.size == 1:
+            i = int(pos[0])
         else:
-            i = int(ties[0])
-        if T[i, -1] <= 1e-11:
+            ratios = rhs[pos] / col[pos]
+            ties = pos[ratios <= ratios.min() + 1e-12]
+            if bland:
+                i = int(ties[np.argmin(np.asarray(basis)[ties])])
+            else:
+                i = int(ties[0])
+        if rhs[i] <= 1e-11:
             degen_run += 1
             if degen_run > DEGENERATE_RUN:
                 bland = True
@@ -249,33 +279,40 @@ def solve(p: LpProblem, max_iterations: int = None) -> LpSolution:
     std = _standardize(p)
     if std is None:
         return LpSolution(status="infeasible", objective_value=math.inf)
-    A, b, c, flips, n_y, M, shift, const, n_orig, slack_col = std
+    A, b, c, flips, slack_sign, expansion, const = std
     m, N = A.shape
+    n_y = expansion.var.shape[0]
     cap = max_iterations or (2000 + 200 * (m + N))
 
     # ---------------- phase 1 ----------------
-    basis = [-1] * m
-    art_cols = []
-    for i in range(m):
-        sc = slack_col[i] if i < len(slack_col) else -1
-        if sc >= 0 and A[i, sc] > 0.5:       # +1 slack survives the flip
-            basis[i] = sc
+    # a slack whose coefficient stays +1 after the flip starts basic; every
+    # other row gets an artificial column
+    basis, art_rows = [], []
+    sl = n_y
+    for i, (s, f) in enumerate(zip(slack_sign, flips.tolist())):
+        if s * f > 0.0:
+            basis.append(sl)
         else:
-            art_cols.append(i)
-    n_art = len(art_cols)
+            basis.append(N + len(art_rows))
+            art_rows.append(i)
+        if s:
+            sl += 1
+    n_art = len(art_rows)
     T = np.zeros((m + 1, N + n_art + 1))
     T[:m, :N] = A
     T[:m, -1] = b
-    for k, i in enumerate(art_cols):
-        T[i, N + k] = 1.0
-        basis[i] = N + k
-    # phase-1 cost: sum of artificials, canonicalized
-    T[-1, N:N + n_art] = 1.0
-    for i in art_cols:
-        T[-1] -= T[i]
+    T.flat[[i * T.shape[1] + k for k, i in enumerate(art_rows, N)]] = 1.0
+    # phase-1 cost: sum of artificials, canonicalized row by row
+    cost = T[-1]
+    cost[N:N + n_art] = 1.0
+    for i in art_rows:
+        cost -= T[i]
     status, _, iters = _run_simplex(T, basis, cap)
-    phase1_obj = -T[-1, -1]
-    if phase1_obj > PHASE1_TOL:
+    # the phase-1 optimum is the sum of the basic artificials, read from
+    # their own rows: the cost row's value equals it in exact arithmetic but
+    # also carries the rounding of every artificial row subtracted from it,
+    # which grows with b (2.0 at b = 6e15 where every artificial is nonbasic)
+    if T[[i for i, j in enumerate(basis) if j >= N], -1].sum() > PHASE1_TOL:
         return LpSolution(status="infeasible", objective_value=math.inf,
                           iterations=iters)
 
@@ -300,29 +337,35 @@ def solve(p: LpProblem, max_iterations: int = None) -> LpSolution:
         row_map = list(range(m))
 
     # ---------------- phase 2 ----------------
-    T2 = np.hstack([T[:, :N], T[:, -1:]])
-    T2[-1, :] = 0.0
+    # in T's first N + 1 columns, with the rhs moved to column N
+    T[:, N] = T[:, -1]
+    T2 = T[:, :N + 1]
     T2[-1, :N] = c
-    for i in range(m):
-        T2[-1] -= T2[-1, basis[i]] * T2[i]
+    T2[-1, -1] = 0.0
+    # basic columns are unit columns, so the cost of a basic column stays
+    # c[basis[i]] until row i is subtracted; a zero one would only flip the
+    # signs of zeros in the cost row
+    cost = T2[-1]
+    cb = c[basis].tolist()
+    for i, ci in enumerate(cb):
+        if ci != 0.0:
+            cost -= ci * T2[i]
     status, entering, iters = _run_simplex(T2, basis, cap, it0=iters)
 
     if status == "unbounded":
         d = np.zeros(N)
         d[entering] = 1.0
-        for i in range(m):
-            d[basis[i]] = max(0.0, -T2[i, entering])
-        ray = M @ d[:n_y]
+        col = -T2[:m, entering]
+        d[basis] = np.where(col > 0.0, col, 0.0)
         return LpSolution(status="unbounded", objective_value=-math.inf,
-                          ray=ray, iterations=iters)
+                          ray=_product(expansion, d[:n_y]), iterations=iters)
 
     y_std = np.zeros(N)
-    for i in range(m):
-        y_std[basis[i]] = T2[i, -1]
-    x = shift + M @ y_std[:n_y]
+    y_std[basis] = T2[:m, -1]
+    x = expansion.shift + _product(expansion, y_std[:n_y])
     obj = float(c @ y_std) + const
 
-    duals = _recover_duals(A, b, c, basis, row_map, flips, n_orig, m)
+    duals = _recover_duals(A, c, basis, row_map, flips, p.rows.shape[0])
     degen = bool(m and float(np.min(T2[:m, -1])) <= 1e-11)
     residuals, passed = _certify(p, p.rhs[None, :], x[None, :],
                                  np.array([obj]), duals)
@@ -335,20 +378,20 @@ def solve(p: LpProblem, max_iterations: int = None) -> LpSolution:
                       basis=(row_map, basis))
 
 
-def _recover_duals(A, b, c, basis, row_map, flips, n_orig, m):
+def _recover_duals(A, c, basis, row_map, flips, n_orig):
     """Solve B^T y = c_B on the kept rows; dropped (redundant) rows get 0."""
-    if m == 0:
-        return np.zeros(n_orig)
-    B = A[np.ix_(row_map, basis)]
+    duals = np.zeros(n_orig)
+    if not basis:
+        return duals
+    rows = np.asarray(row_map)
+    B = A[rows[:, None], basis]
     cB = c[basis]
     try:
         y = np.linalg.solve(B.T, cB)
     except np.linalg.LinAlgError:
         y, *_ = np.linalg.lstsq(B.T, cB, rcond=None)
-    duals = np.zeros(n_orig)
-    for k, i in enumerate(row_map):
-        if i < n_orig:
-            duals[i] = flips[i] * y[k]
+    orig = rows < n_orig
+    duals[rows[orig]] = flips[rows[orig]] * y[orig]
     return duals
 
 
@@ -359,12 +402,13 @@ def _certify(p: LpProblem, rhs, x, obj, duals):
     complementary slackness, and zero duality gap, all within 1e-8
     (relative to the instance scale).  Returns the residuals, one per row,
     and the mask of rows whose certificate holds."""
-    scale = 1.0 + np.abs(np.hstack([rhs, x, obj[:, None]])).max(axis=1)
+    scale = 1.0 + np.abs(np.concatenate([rhs, x, obj[:, None]], axis=1)).max(
+        axis=1)
     sign = np.array([_SENSE_SIGN[s] for s in p.senses])
     gap = x @ p.rows.T - rhs
     viol = np.where(sign == 0.0, np.abs(gap), sign * gap)
-    feas = np.hstack([viol, p.lower - x, x - p.upper]).max(axis=1,
-                                                           initial=0.0)
+    feas = np.concatenate([viol, p.lower - x, x - p.upper], axis=1).max(
+        axis=1, initial=0.0)
     comp = np.abs(duals * gap).max(axis=1, initial=0.0)
     # reduced costs at the bounds close the duality gap
     red = p.c - duals @ p.rows
@@ -425,14 +469,15 @@ def solve_batch(p: LpProblem, rhs) -> LpBatch:
     primal = np.full((N, p.c.shape[0]), math.nan)
     std = _standardize(p)
     if std is not None:     # crossed bounds: every solve is infeasible
-        A, b, c, flips, n_y, M, shift, const, _, _ = std
+        A, b, c, flips, _, expansion, const = std
+        shift, n_y = expansion.shift, expansion.var.shape[0]
         # back to the rows' own signs, which each rhs sets anew
         A = A * flips[:, None]
         b_all = np.repeat(b[None, :] * flips, N, axis=0)
         b_all[:, :n_rows] = rhs - p.rows @ shift
         # the two halves of a free variable may take either sign
         free = np.zeros(A.shape[1], dtype=bool)
-        free[:n_y] = np.abs(M).T @ (np.isinf(p.lower) & np.isinf(p.upper)) > 0
+        free[:n_y] = (np.isinf(p.lower) & np.isinf(p.upper))[expansion.var]
     pending = np.ones(N, dtype=bool)
     solves = 0
     while pending.any():
@@ -453,7 +498,7 @@ def solve_batch(p: LpProblem, rhs) -> LpBatch:
             continue
         Y, accepted = screened
         idx, Y = idx[accepted], Y[accepted]
-        x = shift + Y[:, :n_y] @ M.T
+        x = shift + _product(expansion, Y[:, :n_y])
         obj = Y @ c + const
         residuals, passed = _certify(p, rhs[idx], x, obj, sol.duals)
         if not passed.all():

@@ -75,6 +75,19 @@ def test_a_large_loss_on_a_complete_market_prices_at_e_q(capsys, argv):
     assert doc["outputs"]["value"]["value"] == pytest.approx(5e8, rel=1e-15)
 
 
+@pytest.mark.parametrize("exponent", range(8, 21))
+def test_lambda_scale_sweep(capsys, exponent):
+    # every part is securitized, so the requirement is 15 s - 7 rounded
+    # once, 1.4999999999999992e16 at s = 1e15; there the phase-1 cost row
+    # alone reads 2.0, rounding on a right-hand side of 6e15, while every
+    # artificial has left the basis
+    s = 10.0 ** exponent
+    loss = json.dumps({"a": 4 * s, "b": 5 * s, "c": 6 * s})
+    code, doc, err = _run(capsys, "lambda", WORKED, "--loss", loss)
+    assert code == 0, err
+    assert doc["outputs"]["value"]["value"] == 15 * s - 7
+
+
 def test_rho_outside_support_is_domain_exit(capsys):
     code, _, err = _run(capsys, "rho", WORKED, "--agent", "1",
                    "--loss", '{"c": 1}')

@@ -266,7 +266,7 @@ def test_boundary_endowment_rejected():
     assert verify_equilibrium(s, interior, eq).passed
 
 
-@pytest.mark.parametrize("far_bound", [1.0, 1e4, 1e6])
+@pytest.mark.parametrize("far_bound", [1.0, 1e4, 1e6, 1e9, 1e12])
 def test_boundary_on_a_later_scenario_is_named(far_bound):
     # agent 1 owns {b, c} and trades only the indicator of b, so its
     # ceiling 1 on c is hard; its bound on b is unrelated to that ceiling.

@@ -1,11 +1,15 @@
+import contextlib
+import hashlib
+import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from riskshare import linprog
+from riskshare import equilibrium, linprog
 from riskshare.errors import NumericalFailure, StructuralError
 from riskshare.linprog import (
     CERT_TOL,
@@ -22,6 +26,7 @@ from riskshare.market import AgentSystem, capital_requirement, lambda_batch
 from riskshare.scenario import ScenarioSpace
 
 from helpers import ceiling_regime
+from test_golden import CASES, _document
 
 
 def lp(c, rows, senses, rhs, lower=None, upper=None):
@@ -64,6 +69,26 @@ def test_equality_dual_is_one():
 def test_infeasible():
     sol = solve(lp([1.0], [[1.0], [1.0]], [GE, LE], [3.0, 1.0]))
     assert sol.status == "infeasible"
+
+
+@pytest.mark.parametrize("big", [
+    ("width", 1e20),      # x0 in [0, big]: a <= row whose slack is basic
+    ("equality", 6e15),   # x0 = big: a row with an artificial of its own
+])
+def test_unit_infeasibility_next_to_a_large_row(big):
+    # x1 >= 1 + 1e-5 and x1 <= 1 are infeasible at unit scale, whatever
+    # the size of the row on x0
+    kind, size = big
+    if kind == "width":
+        p = lp([1.0, 1.0], [[0.0, 1.0], [0.0, 1.0]], [GE, LE],
+               [1.0 + 1e-5, 1.0], lower=[0.0, 0.0], upper=[size, math.inf])
+    else:
+        p = lp([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]],
+               [EQ, GE, LE], [size, 1.0 + 1e-5, 1.0])
+    assert solve(p).status == "infeasible"
+    # and feasible once the two rows meet
+    p.rhs[-1] = 1.0 + 1e-5
+    assert solve(p).status == "optimal"
 
 
 def test_infeasible_from_bounds():
@@ -257,9 +282,9 @@ def test_sparse_pivot_bitwise_on_window_chains(monkeypatch, m):
     assert all(sol.optimal for sol in solved)
 
 
-def test_sparse_pivot_bitwise_on_random_lps(monkeypatch):
-    # <=, = and >= rows; nonnegative, free, doubly bounded and upper-only
-    # variables
+def random_lps():
+    """60 LPs with <=, = and >= rows and nonnegative, free, doubly bounded
+    and upper-only variables."""
     rng = np.random.default_rng(17)
     kinds = [(0.0, math.inf), (-math.inf, math.inf), (-1.0, 2.0),
              (-math.inf, 3.0)]
@@ -274,9 +299,176 @@ def test_sparse_pivot_bitwise_on_random_lps(monkeypatch):
                            list(rng.choice([LE, EQ, GE], m)),
                            rng.normal(size=m), [b[0] for b in bounds],
                            [b[1] for b in bounds]))
-    solved = solve_both_ways(monkeypatch, problems)
+    return problems
+
+
+def signed_zero_lps():
+    """40 LPs whose rows, costs, right-hand sides and bounds hold -0.0
+    beside +0.0, with mixed senses: the standard form must keep the zeros
+    the product with the expansion matrix gives."""
+    rng = np.random.default_rng(23)
+    kinds = [(-0.0, math.inf), (-math.inf, -0.0), (-0.0, 2.0), (-1.0, -0.0),
+             (0.0, math.inf), (-math.inf, math.inf)]
+    problems = []
+    for _ in range(40):
+        m, n = rng.integers(2, 7), rng.integers(2, 8)
+        A = rng.normal(size=(m, n))
+        A[rng.uniform(size=(m, n)) < 0.25] = 0.0
+        A[rng.uniform(size=(m, n)) < 0.25] = -0.0
+        c = rng.normal(size=n)
+        c[rng.uniform(size=n) < 0.3] = -0.0
+        rhs = rng.normal(size=m)
+        rhs[rng.uniform(size=m) < 0.3] = -0.0
+        bounds = [kinds[k] for k in rng.integers(0, len(kinds), n)]
+        problems.append(lp(c, A, list(rng.choice([LE, EQ, GE], m)), rhs,
+                           [b[0] for b in bounds], [b[1] for b in bounds]))
+    return problems
+
+
+def test_sparse_pivot_bitwise_on_random_lps(monkeypatch):
+    solved = solve_both_ways(monkeypatch, random_lps())
     assert {sol.status for sol in solved} == {"optimal", "unbounded",
                                               "infeasible"}
+
+
+# ----------------------------------------------------------------------
+# every solution bit for bit against recorded digests
+# ----------------------------------------------------------------------
+
+DIGESTS = Path(__file__).resolve().parent / "linprog_digests.json"
+
+
+def solution_digest(sol):
+    """sha256 of an LpSolution's status, pivot count, degeneracy flag and
+    basis, and of the bytes of its primal, duals, ray and objective."""
+    h = hashlib.sha256(repr((sol.status, sol.iterations, sol.degenerate,
+                             sol.basis)).encode())
+    for x in (sol.primal, sol.duals, sol.ray):
+        h.update(b"none" if x is None else b"%d:" % x.size + x.tobytes())
+    h.update(np.float64(sol.objective_value).tobytes())
+    return h.hexdigest()
+
+
+def batch_digest(batch):
+    """sha256 of an LpBatch: statuses, simplex runs, and the bytes of its
+    objectives and primal rows."""
+    h = hashlib.sha256(repr((batch.status, batch.solves)).encode())
+    h.update(batch.objective_value.tobytes() + batch.primal.tobytes())
+    return h.hexdigest()
+
+
+@contextlib.contextmanager
+def recording():
+    """Collect the digest of every linprog.solve and solve_batch answer
+    given while the block runs, in call order."""
+    digests = []
+    solve_, batch_ = linprog.solve, linprog.solve_batch
+
+    def recorded_solve(p, *args, **kwargs):
+        sol = solve_(p, *args, **kwargs)
+        digests.append(solution_digest(sol))
+        return sol
+
+    def recorded_batch(p, rhs):
+        batch = batch_(p, rhs)
+        digests.append(batch_digest(batch))
+        return batch
+
+    linprog.solve, linprog.solve_batch = recorded_solve, recorded_batch
+    try:
+        yield digests
+    finally:
+        linprog.solve, linprog.solve_batch = solve_, batch_
+
+
+def _window_chain_lambda(m):
+    # a certified Lambda and a batch of coordinate probes
+    s, X = window_chain(m)
+    capital_requirement(s, X, certify=True)
+    lambda_batch(s, X.values + 1e-3 * np.vstack([np.eye(m)[:8],
+                                                  -np.eye(m)[:8]]))
+
+
+def _window_chain_equilibrium():
+    s, _ = window_chain(16, n=2, seed=3)
+    rng = np.random.default_rng(4)
+    endowments = tuple(s.space.rv(rng.uniform(-5.0, 5.0, 16)) for _ in range(2))
+    eq = equilibrium.build_equilibrium(s, endowments)
+    assert equilibrium.verify_equilibrium(s, endowments, eq).passed
+
+
+def _readme_commands():
+    for case in sorted(CASES):
+        if case.startswith("readme-"):
+            assert _document(CASES[case])[0] == 0
+
+
+def _solve_each(problems):
+    for p in problems:
+        linprog.solve(p)
+
+
+DIGEST_CASES = {
+    "window_chain_40": lambda: _window_chain_lambda(40),
+    "window_chain_80": lambda: _window_chain_lambda(80),
+    "equilibrium": _window_chain_equilibrium,
+    "readme_commands": _readme_commands,
+    "random_lps": lambda: _solve_each(random_lps()),
+    "signed_zero_lps": lambda: _solve_each(signed_zero_lps()),
+}
+
+
+def case_digests(case):
+    with recording() as digests:
+        DIGEST_CASES[case]()
+    return digests
+
+
+@pytest.mark.parametrize("case", sorted(DIGEST_CASES))
+def test_solutions_match_recorded_digests(case):
+    # the digests come from the solver whose standard form was the product
+    # p.rows @ M and whose pivot was one np.outer update, so they hold the
+    # indexed standard form and the row-by-row pivot to the same bits; like
+    # the golden CLI documents they depend on the NumPy build's arithmetic.
+    # Re-record with: PYTHONPATH=src python tests/test_linprog.py --record
+    expected = json.loads(DIGESTS.read_text())[case]
+    got = case_digests(case)
+    assert len(got) == len(expected)
+    assert [k for k, (a, b) in enumerate(zip(got, expected)) if a != b] == []
+
+
+def test_signed_zero_lps_reach_every_status():
+    statuses = {solve(p).status for p in signed_zero_lps()}
+    assert statuses == {"optimal", "unbounded", "infeasible"}
+
+
+# ----------------------------------------------------------------------
+# non-finite input
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("field, value, says", [
+    ("c", [math.nan, 1.0], "objective"),
+    ("c", [1.0, -math.inf], "objective"),
+    ("rows", [[1.0, math.nan]], "constraint"),
+    ("rows", [[math.inf, 1.0]], "constraint"),
+    ("lower", [math.nan, 0.0], "NaN"),
+    ("upper", [1.0, math.nan], "NaN"),
+])
+def test_non_finite_input_is_refused_where_it_enters(field, value, says):
+    # before the check: a NaN cost ran to the iteration cap, a NaN row
+    # entry came back "unbounded", an infinite one raised IndexError and a
+    # NaN bound lost the optimality certificate
+    args = dict(c=[1.0, 1.0], rows=[[1.0, 1.0]], senses=[GE], rhs=[1.0])
+    args[field] = value
+    with pytest.raises(StructuralError, match=says):
+        LpProblem(**args)
+
+
+def test_infinite_bounds_stay_legal():
+    sol = solve(lp([1.0, -1.0], [[1.0, 1.0]], [GE], [1.0],
+                   lower=[-math.inf, -math.inf], upper=[math.inf, 0.0]))
+    assert sol.optimal
+    assert sol.primal.tolist() == [1.0, 0.0]
 
 
 # ----------------------------------------------------------------------
@@ -367,13 +559,15 @@ def test_batch_redundant_equalities():
     assert batch.status == ["optimal", "infeasible"] * 6
 
 
-@pytest.mark.parametrize("u", [1.0, 1e4, 1e6])
+@pytest.mark.parametrize("u", [1.0, 1e4, 1e6, 1e9, 1e12])
 def test_batch_screen_is_no_looser_than_phase_one(u):
     # min x s.t. x >= t, x <= u: the basis of the first row keeps x and the
-    # ceiling's slack basic, and the second row drives that slack to -1e-5,
-    # which solve's absolute phase-1 cut calls infeasible at every scale
+    # ceiling's slack basic, and the second row drives that slack to -d,
+    # which solve's absolute phase-1 cut calls infeasible at every scale.
+    # d is 1e-5, or one unit in the last place of u where 1e-5 rounds away
+    d = max(1e-5, float(np.spacing(u)))
     p = lp([1.0], [[1.0], [1.0]], [GE, LE], [0.0, u])
-    rhs = np.array([[0.5 * u, u], [u + 1e-5, u], [u - 1e-5, u]])
+    rhs = np.array([[0.5 * u, u], [u + d, u], [u - d, u]])
     batch = batch_matches_solve(p, rhs)
     assert batch.status == ["optimal", "infeasible", "optimal"]
 
@@ -456,3 +650,11 @@ def test_null_space_rank_nullity():
         assert ns.shape[1] == n - rank
         if ns.size:
             assert np.max(np.abs(A @ ns)) <= 1e-9
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: python tests/test_linprog.py --record")
+    DIGESTS.write_text(json.dumps(
+        {case: case_digests(case) for case in sorted(DIGEST_CASES)},
+        indent=1, sort_keys=True) + "\n")

@@ -514,6 +514,22 @@ def test_lambda_batch_polyhedral_with_infeasible_rows(monkeypatch):
     assert solves_in_batch - infeasible.sum() <= 3
 
 
+@pytest.mark.parametrize("exponent", [8, 10, 12, 14, 15, 16, 18, 20])
+def test_lambda_past_a_large_ceiling_stays_infinite(exponent):
+    # agent 1's untradeable ceiling on scenario a is `scale`: exceeding it
+    # by a relative 1e-10 leaves no acceptable decomposition at any scale,
+    # while X on the ceiling keeps a finite requirement
+    space = three_space()
+    scale = 10.0 ** exponent
+    s = AgentSystem(hard_ceiling_pair(space, scale))
+    X = scale * np.array([1.0, 5.0, 6.0])
+    over = X * np.array([1.0 + 1e-10, 1.0, 1.0])
+    assert capital_requirement(s, space.rv(X)).value.as_float() == 5 * scale
+    assert capital_requirement(s, space.rv(over)).value.as_float() == math.inf
+    np.testing.assert_array_equal(lambda_batch(s, np.array([X, over])),
+                                  [5 * scale, math.inf])
+
+
 def test_lambda_batch_law_invariant_falls_back_row_by_row():
     space = ScenarioSpace.uniform(["low", "high"])
     s = AgentSystem((law_invariant_regime(space, ENTROPIC, 1.0),

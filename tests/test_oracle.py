@@ -397,10 +397,11 @@ def test_fd_needs_finite_neighborhood():
         fd_subgradient_check(s, X, phi)
 
 
-@pytest.mark.parametrize("scale", [1e4, 1e5, 1e6])
+@pytest.mark.parametrize("scale", [1e4, 1e5, 1e6, 1e9])
 def test_fd_needs_finite_neighborhood_at_large_scale(scale):
     # the forward neighbour of scenario a lies delta = 1e-5 past a ceiling
-    # of size `scale`: it must stay infeasible however large the bounds
+    # of size `scale`: it must stay infeasible however large the bounds (at
+    # 1e12 the step is below half a unit in the last place and rounds away)
     space = three_space()
     s = AgentSystem(hard_ceiling_pair(space, scale))
     X = space.rv(scale * np.array([1.0, 5.0, 6.0]))

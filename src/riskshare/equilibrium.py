@@ -59,8 +59,8 @@ class Equilibrium:
 
 def subgradient(s: market.AgentSystem, X: RandomVariable) -> Functional:
     """A supporting functional of the aggregate requirement at X, from the
-    sharing LP's scenario duals (polyhedral) or the maximizing density of
-    the convolved dual (law-invariant).  Certified before returning: the
+    sharing LP's scenario duals or the maximizing density of the
+    convolved dual (law-invariant).  Certified before returning: the
     conjugate of the requirement is the sum of the agent conjugates, and
     the Fenchel equality must close to 1e-6."""
     res = market.capital_requirement(s, X, certify=False)
@@ -189,7 +189,8 @@ def build_equilibrium(s: market.AgentSystem, endowments,
 def _probe_interior(s, W):
     """The supporting-functional construction needs the endowment interior
     to the requirement's domain; in finite dimension, coordinate probes
-    decide that exactly for polyhedral systems.  All 2m probes go to one
+    decide that exactly when the domain is a polyhedron, as it is for
+    systems that share through the joint LP.  All 2m probes go to one
     lambda_batch; the first infinite one, scenario by scenario and up
     before down, is the one refused."""
     eps = 1e-6 * (1.0 + float(np.max(np.abs(W.values))))

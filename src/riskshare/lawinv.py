@@ -45,10 +45,11 @@ from .regime import (
     _cap_fill,
     _kernel_newton,
     _logsumexp,
-    _lp_kernel_search,
+    _lp_rows,
     _priced_density,
     _pricing_margin,
     _relative_entropy,
+    _rho_lp,
     _span_basis,
     base_risk,
     base_risk_conjugate,
@@ -385,29 +386,29 @@ def _kernel_search(measures, probs, B, prices, U, price, margin=None):
     positive payoff U of the span with pi(U) = `price`.
 
     Returns the search over the rows of an (N, m) array of losses X, with
-    its market-only part (the kernel basis and the pricing margin) done
-    once.  It gives one outcome per row: (t, Z, q), where the requirement
-    is price * t, Z = t U + D eta is an optimal payoff (D an orthonormal
-    payoff basis of the price kernel) and q the maximizing dual density of
-    X - Z, of mass one; None when the requirement is unbounded below; or
-    the exception that refuses the row, which the caller raises in row
-    order.
+    its market-only part done once.  It gives one outcome per row:
+    (t, Z, q), where the requirement is price * t, Z is an optimal payoff
+    and q the maximizing dual density of X - Z, of mass one; None when the
+    requirement is unbounded below; or the exception that refuses the
+    row, which the caller raises in row order.
 
     * One traded payoff with a constant U is cash additive: one
       convolution, no kernel.
-    * AVaR and expectation systems: the Rockafellar-Uryasev LP
-      (regime._lp_kernel_search), row by row.
-    * Systems with an entropic agent: refused before the search when no
-      density in the agents' dual box prices the span (None) or when
-      every such density vanishes somewhere, that is, when the span holds
-      a nonzero nonnegative payoff of price zero (NumericalFailure: the
-      infimum is not attained); then the kernel Newton search over
-      t*(eta) from _unit_root, all rows in lockstep, certified by the
-      duality gap against the price-repaired density and the agents'
-      conjugates.  `margin`, when given, is that pricing margin: with an
-      infinite dual box it is the margin of any density that prices the
-      span as pi / price does, so a caller that has solved that LP
-      passes it in."""
+    * AVaR and expectation systems: rho's LP (regime._rho_lp) over the
+      convolved measure's LP rows, row by row; q is 1 for the expectation
+      and z / (P sum z) for AVaR, z = -duals of the tail rows.
+    * Systems with an entropic agent: over an orthonormal payoff basis D
+      of the price kernel, with Z = t U + D eta.  Refused before the
+      search when no density in the agents' dual box prices the span
+      (None) or when every such density vanishes somewhere, that is, when
+      the span holds a nonzero nonnegative payoff of price zero
+      (NumericalFailure: the infimum is not attained); then the kernel
+      Newton search over t*(eta) from _unit_root, all rows in lockstep,
+      certified by the duality gap against the price-repaired density and
+      the agents' conjugates.  `margin`, when given, is that pricing
+      margin: with an infinite dual box it is the margin of any density
+      that prices the span as pi / price does, so a caller that has
+      solved that LP passes it in."""
     if B.shape[1] == 1 and np.all(U == U[0]):
         def cash(X):
             try:
@@ -418,28 +419,32 @@ def _kernel_search(measures, probs, B, prices, U, price, margin=None):
                 return [sol for x in X for sol in cash(x[None, :])]
             return [(t[i], t[i] * U, q[i]) for i in range(X.shape[0])]
         return cash
-    D = _span_basis(B @ linprog.null_space(np.reshape(prices, (1, -1))))
     ent, av, ex = _grouped(measures)
     if ex or not ent:
-        kind, beta = ((EXPECTATION, 0.0) if ex
-                      else (AVAR, min(b for _, b in av)))
+        acc = (measures[ex[0]] if ex else
+               LawInvariantAcceptanceSet(AVAR, min(b for _, b in av)))
+        W, A, bounds = _lp_rows(acc, probs)
+
+        def outcome(x):
+            sol = linprog.solve(_rho_lp(W, A, B, prices, bounds - W @ x))
+            if sol.status != "optimal":
+                return (None if sol.status == "unbounded" else
+                        InternalInconsistency("kernel search LP infeasible"))
+            z = -sol.duals[:x.size]
+            q = np.ones(x.size) if ex else z / (float(np.sum(z)) * probs)
+            return sol.objective_value / price, B @ sol.primal[:B.shape[1]], q
 
         def lp(X):
             out = []
             for x in X:
                 try:
-                    sol = _lp_kernel_search(kind, beta, probs, x, U, D, price)
+                    out.append(outcome(x))
                 except RiskShareError as exc:
-                    sol = exc
-                if isinstance(sol, tuple):
-                    t, eta, q = sol
-                    sol = (InternalInconsistency("kernel search LP "
-                                                 "infeasible")
-                           if eta is None else (t, t * U + D @ eta, q))
-                out.append(sol)
+                    out.append(exc)
             return out
         return lp
 
+    D = _span_basis(B @ linprog.null_space(np.reshape(prices, (1, -1))))
     cap = min(ms.dual_cap() for ms in measures)
     if D.shape[1]:
         # the box bounds densities of mass one; a cap is finite only for

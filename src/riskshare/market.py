@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,9 +31,7 @@ from .errors import (
     StructuralError,
 )
 from .regime import (
-    LawInvariantAcceptanceSet,
     PolyhedralAcceptanceSet,
-    RiskMeasurementRegime,
     RiskValue,
     ValidationReport,
     rho,
@@ -289,7 +287,7 @@ class SharingResult:
     value: RiskValue
     allocation: Allocation = None
     payoff: RandomVariable = None          # an optimal aggregate payoff
-    subgradient: Functional = None         # from the LP duals (polyhedral)
+    subgradient: Functional = None         # from the LP duals (joint LP)
     agent_risks: list = None               # certified per-part risks
     method: str = "joint_lp"
     dual_degenerate: bool = False          # subgradient may be non-unique
@@ -299,9 +297,10 @@ def capital_requirement(s: AgentSystem, X: RandomVariable,
                         certify: bool = True) -> SharingResult:
     """Lambda(X) with a Pareto-optimal allocation and an optimal payoff.
 
-    Polyhedral systems solve one joint LP; fully law-invariant systems
-    route through the law-invariant machinery, whose market-only work is
-    done once per system (lawinv._system_problem).  With `certify`, rho of
+    Fully law-invariant systems route through the law-invariant
+    machinery, whose market-only work is done once per system
+    (lawinv._system_problem); any other system solves one joint LP
+    (_sharing_lp), which refuses an entropic agent.  With `certify`, rho of
     every part is recomputed and must sum to the value (agent_risks);
     without it agent_risks is None.  A caller that needs only the value
     uses lambda_batch.
@@ -317,27 +316,26 @@ def capital_requirement(s: AgentSystem, X: RandomVariable,
 
 def _sharing_lp(s: AgentSystem, target: np.ndarray, securities: bool = True,
                 lead: np.ndarray = None):
-    """The constraints common to every polyhedral sharing LP of `s`: each
-    agent's parts lie in its acceptance set, and the parts add up to
-    `target` scenario by scenario.
+    """The constraints common to every sharing LP of `s`: each agent's
+    parts lie in its acceptance set, and the parts add up to `target`
+    scenario by scenario.  Every agent enters through its LP rows
+    (RiskMeasurementRegime.lp_rows), so polyhedral, AVaR and expectation
+    agents share here; an entropic agent has no such rows and is refused.
 
     Columns: the `lead` columns (if any), then per agent i its supported
     coordinates X_i[inc_i], then (with `securities`) its security
-    coefficients z_i.  Rows: the acceptance blocks
-    W_i[:, inc_i] | -W_i B_i  (<= bounds_i), block-diagonal in agent order,
-    then one equality row per scenario w with a 1 at every agent that holds
-    w, `lead[w]` in the lead columns, and right-hand side target[w].
+    coefficients z_i, then its auxiliaries a_i.  Rows: the acceptance
+    blocks  W_i[:, inc_i] | -W_i B_i | A_i  (<= bounds_i), block-diagonal
+    in agent order, then one equality row per scenario w with a 1 at
+    every agent that holds w, `lead[w]` in the lead columns, and
+    right-hand side target[w].
 
     Returns (rows, senses, rhs, starts), starts[i] being agent i's first
     column.
     """
-    if not all(isinstance(r.acceptance, PolyhedralAcceptanceSet)
-               for r in s.regimes):
-        raise DomainError(
-            "the sharing LP needs polyhedral acceptance sets; systems must "
-            "be uniformly polyhedral or law-invariant"
-        )
-    blocks = [r.acceptance_block(securities) for r in s.regimes]
+    forms = [r.lp_rows() for r in s.regimes]
+    blocks = [r.acceptance_block(securities, form)
+              for r, form in zip(s.regimes, forms)]
     k = 0 if lead is None else lead.shape[1]
     J = sum(b.shape[0] for b in blocks)
     rows = np.zeros((J + s.space.size, k + sum(b.shape[1] for b in blocks)))
@@ -351,7 +349,7 @@ def _sharing_lp(s: AgentSystem, target: np.ndarray, securities: bool = True,
         starts.append(col)
         row += b.shape[0]
         col += b.shape[1]
-    rhs = np.concatenate([r.acceptance.bounds for r in s.regimes] + [target])
+    rhs = np.concatenate([bounds for _, _, bounds in forms] + [target])
     return rows, [linprog.LE] * J + [linprog.EQ] * s.space.size, rhs, starts
 
 
@@ -444,11 +442,11 @@ def lambda_batch(s: AgentSystem, targets) -> np.ndarray:
     where no acceptable decomposition exists; an unbounded sharing LP
     raises InternalInconsistency, as capital_requirement does.
 
-    A polyhedral system builds its sharing LP once.  The loss enters only
-    the scenario rows' right-hand side, so linprog.solve_batch solves one
-    LP per optimal basis and screens the other rows; every optimal row's
-    allocation must still add up to its target within 1e-9 (times the
-    target's size when that exceeds 1).  A
+    A system that is not fully law-invariant builds its sharing LP once.
+    The loss enters only the scenario rows' right-hand side, so
+    linprog.solve_batch solves one LP per optimal basis and screens the
+    other rows; every optimal row's allocation must still add up to its
+    target within 1e-9 (times the target's size when that exceeds 1).  A
     law-invariant system prices all rows with one kernel search on its
     cached market-only preamble (lawinv.law_invariant_value; the kernel
     Newton search runs the rows in lockstep): each row's primal

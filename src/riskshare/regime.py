@@ -380,17 +380,55 @@ class RiskMeasurementRegime:
     def is_law_invariant(self) -> bool:
         return isinstance(self.acceptance, LawInvariantAcceptanceSet)
 
-    def acceptance_block(self, securities: bool = True) -> np.ndarray:
-        """Acceptance rows of a polyhedral agent over its supported
-        coordinates, then (with `securities`) its security coefficients:
-        X - B z is acceptable iff  [W[:, inc] | -W B] @ (X[inc], z) <= bounds.
-        W B is the full product, not W[:, inc] B[inc], which can differ in
-        the last bit."""
-        W = self.acceptance.weight_matrix()
-        block = W[:, self.support.included]
-        if not securities:
-            return block
-        return np.hstack([block, -(W @ self.market.basis_matrix())])
+    def lp_rows(self):
+        """The acceptance set as LP rows (W, A, bounds): X is acceptable
+        iff  W X + A a <= bounds  for some auxiliaries a (_lp_rows)."""
+        return _lp_rows(self.acceptance, self.space.probs)
+
+    def acceptance_block(self, securities: bool = True,
+                         form=None) -> np.ndarray:
+        """Acceptance rows of the agent over its supported coordinates,
+        then (with `securities`) its security coefficients, then its
+        auxiliaries: X - B z is acceptable iff
+        [W[:, inc] | -W B | A] @ (X[inc], z, a) <= bounds for some a.
+        `form` is the agent's lp_rows() when the caller has them.  W B is
+        the full product, not W[:, inc] B[inc], which can differ in the
+        last bit."""
+        W, A, _ = self.lp_rows() if form is None else form
+        block = [W[:, self.support.included]]
+        if securities:
+            block.append(-(W @ self.market.basis_matrix()))
+        return np.hstack(block + [A])
+
+
+def _lp_rows(acc, probs):
+    """(W, A, bounds) of an acceptance set, W over all scenarios: X is
+    acceptable iff  W X + A a <= bounds  for some auxiliaries a.
+
+    A polyhedral set has its functionals' weights and no auxiliaries; the
+    expectation is the one row  P.X <= 0; AVaR(beta) is the
+    Rockafellar-Uryasev polyhedron over a = (tau, u), AVaR(X) being the
+    least tau + E[u] / (1 - beta) over u >= X - tau, u >= 0 (Rockafellar
+    and Uryasev, J. Risk 2 (2000)): the rows  X - tau - u <= 0, then
+    -u <= 0, then  tau + E[u] / (1 - beta) <= 0.  Both law-invariant
+    forms have a nonnegative W, which certifies monotonicity.  An entropic
+    set has no such form."""
+    if isinstance(acc, PolyhedralAcceptanceSet):
+        W = acc.weight_matrix()
+        return W, np.zeros((W.shape[0], 0)), acc.bounds
+    if acc.kind == EXPECTATION:
+        return probs[None, :], np.zeros((1, 0)), np.zeros(1)
+    if acc.kind != AVAR:
+        raise DomainError(
+            "an entropic acceptance set is not polyhedral and has no LP "
+            "rows; an entropic agent shares only with law-invariant agents")
+    m = probs.size
+    eye = np.eye(m)
+    W = np.vstack([eye, np.zeros((m + 1, m))])
+    A = np.zeros((2 * m + 1, 1 + m))
+    A[:m, 0], A[:m, 1:], A[m:2 * m, 1:] = -1.0, -eye, -eye
+    A[2 * m, 0], A[2 * m, 1:] = 1.0, probs / (1.0 - acc.param)
+    return W, A, np.zeros(2 * m + 1)
 
 
 @dataclass
@@ -504,13 +542,14 @@ def validate_regime(r: RiskMeasurementRegime, seed: int = 0) -> ValidationReport
 def _polyhedral_no_arbitrage_probes(r, seed):
     rng = np.random.default_rng(seed)
     inc = r.support.included
+    form = r.lp_rows()
     probes = [np.zeros(r.space.size)]
     for _ in range(8):
         x = np.zeros(r.space.size)
         x[inc] = rng.uniform(-5.0, 5.0, inc.sum())
         probes.append(x)
     for i, x in enumerate(probes):
-        res = _rho_polyhedral(r, x)
+        res = _rho_rows(r, form, x)
         if res.status == "unbounded":
             return False, f"probe {i}: securitization gain unbounded"
     return True, "bounded at X = 0 and 8 random probes (probabilistic check)"
@@ -531,25 +570,26 @@ class RhoResult:
 def rho(r: RiskMeasurementRegime, X: RandomVariable) -> RhoResult:
     """Least capital securitizing X under the regime.
 
-    Polyhedral acceptance: a single LP over security coefficients.
-    Law-invariant acceptance: the one-agent case of the representative
-    agent's search (lawinv._kernel_search) with a strictly positive unit U:
-    the payoff 1 at its price when the market trades only a constant
-    payoff (then rho = xi(X) times that price), else U from the unit LP at
-    price 1.  Over an orthonormal payoff basis of the price kernel it is an
-    exact LP for AVaR and expectation agents and a damped Newton search
-    for entropic agents that ends with its duality gap and refuses when
-    the gap exceeds linprog.CERT_TOL (1 + |rho|).  A market that trades
-    one payoff and holds no such unit takes the end of the interval of
-    feasible coefficients (_line_search); a larger market without a unit
-    is refused.
+    A law-invariant agent on a market that trades only a constant payoff
+    is cash additive: rho = xi(X) times the price of the payoff 1.
+    Otherwise polyhedral, AVaR and expectation agents solve one LP over
+    the security coefficients and the acceptance set's auxiliaries
+    (_rho_lp over lp_rows()), and an entropic agent runs the one-agent
+    case of lawinv._kernel_search with the strictly positive unit U of
+    price 1 from the unit LP: a damped Newton search over an orthonormal
+    payoff basis of the price kernel that ends with its duality gap and
+    refuses when the gap exceeds linprog.CERT_TOL (1 + |rho|).  On a
+    market that trades one payoff and holds no such unit it takes the end
+    of the interval of feasible coefficients (_line_search); a larger
+    market without a unit is refused.
     """
     if X.space.labels != r.space.labels:
         raise StructuralError("loss profile on a different scenario space")
     if not r.support.contains(X, tol=1e-9):
         raise DomainError("loss profile lies outside the regime's support ideal")
-    if isinstance(r.acceptance, PolyhedralAcceptanceSet):
-        return _rho_polyhedral(r, X.values)
+    if not r.is_law_invariant or (r.acceptance.kind != ENTROPIC
+                                  and _cash_unit_price(r.market) is None):
+        return _rho_rows(r, r.lp_rows(), X.values)
     search, price, B = _rho_law_invariant(r)
     (sol,) = search(X.values[None, :])
     if isinstance(sol, Exception):
@@ -564,34 +604,40 @@ def rho(r: RiskMeasurementRegime, X: RandomVariable) -> RhoResult:
                      coefficients=np.linalg.lstsq(B, Z, rcond=None)[0])
 
 
-def _rho_lp(r, rhs) -> linprog.LpProblem:
-    """rho's LP over security coefficients w for the right-hand side
-    beta - W X: minimize price(w) subject to
-    phi_j(X) - sum_k w_k phi_j(b_k) <= beta_j."""
-    mkt = r.market
-    K = mkt.dim
-    rows = -(r.acceptance.weight_matrix() @ mkt.basis_matrix())
+def _rho_lp(W, A, B, prices, rhs) -> linprog.LpProblem:
+    """rho's LP for acceptance rows (W, A, bounds) and a market pricing
+    the columns of B at `prices`, over free security coefficients w and
+    auxiliaries a: minimize price(w) subject to  -W B w + A a <= rhs,
+    where rhs = bounds - W X."""
+    rows = np.hstack([-(W @ B), A])
+    n = rows.shape[1]
+    c = np.zeros(n)
+    c[:B.shape[1]] = prices
     return linprog.LpProblem(
-        c=mkt.prices.copy(), rows=rows, senses=[linprog.LE] * rows.shape[0],
-        rhs=rhs, lower=np.full(K, -math.inf), upper=np.full(K, math.inf))
+        c=c, rows=rows, senses=[linprog.LE] * rows.shape[0], rhs=rhs,
+        lower=np.full(n, -math.inf), upper=np.full(n, math.inf))
 
 
-def _rho_polyhedral(r, xvals) -> RhoResult:
-    acc = r.acceptance
-    sol = linprog.solve(_rho_lp(r, acc.bounds - acc.weight_matrix() @ xvals))
+def _rho_rows(r, form, xvals) -> RhoResult:
+    """rho of one loss profile by its LP, for the regime's lp_rows()."""
+    W, A, bounds = form
+    mkt = r.market
+    sol = linprog.solve(_rho_lp(W, A, mkt.basis_matrix(), mkt.prices,
+                                bounds - W @ xvals))
     if sol.status == "infeasible":
         return RhoResult(value=RiskValue.infinite(), status="infeasible")
     if sol.status == "unbounded":
         return RhoResult(value=None, status="unbounded")
-    w = sol.primal
+    w = sol.primal[:mkt.dim]
     return RhoResult(value=RiskValue.finite(sol.objective_value),
-                     security=r.market.payoff(w), coefficients=w)
+                     security=mkt.payoff(w), coefficients=w)
 
 
 def _rho_law_invariant(r):
-    """Law-invariant rho with its market-only part done once: the unit U
-    and, through lawinv._kernel_search, the kernel basis and the pricing
-    margin; for a one-payoff market without a strictly positive unit, the
+    """Law-invariant rho outside its LP, with the market-only part done
+    once: lawinv._kernel_search with U = 1 on a cash market; for an
+    entropic agent on any other market, with the unit U from the unit LP,
+    or, on a one-payoff market without a strictly positive unit, the
     interval search _line_search.  Returns (search, price, B), rho of a
     row with outcome (t, Z, q) being price * t (+inf when Z is None) and B
     the basis matrix.  A larger market without such a unit is refused."""
@@ -609,7 +655,7 @@ def _rho_law_invariant(r):
                 raise DomainError(
                     "law-invariant rho needs a strictly positive unit payoff "
                     "in the span (or a one-dimensional market)")
-            return (_line_search(r.acceptance, r.space.probs, B[:, 0],
+            return (_line_search(r.acceptance.param, r.space.probs, B[:, 0],
                                  float(mkt.prices[0])), 1.0, B)
         U, price = B @ w_u, 1.0
     return _kernel_search((r.acceptance,), r.space.probs, B, mkt.prices,
@@ -623,11 +669,12 @@ def rho_batch(r: RiskMeasurementRegime, rows) -> np.ndarray:
     Polyhedral regimes build rho's LP once and solve all rows with
     linprog.solve_batch, which re-solves only the rows no optimal basis
     found so far accepts.  A law-invariant regime whose market trades only
-    a constant payoff is xi times the price of the payoff 1; any other
-    law-invariant regime does its market-only work once and then runs one
-    search over all rows (for an entropic agent with a price kernel, the
-    kernel Newton search in lockstep).  Each row's value is rho's,
-    bitwise, and the first refused row raises rho's refusal."""
+    a constant payoff is xi times the price of the payoff 1.  AVaR and
+    expectation agents on any other market solve rho's LP row by row.
+    An entropic agent does its market-only work once and then runs one
+    search over all rows (with a price kernel, the kernel Newton search in
+    lockstep).  Each row's value is rho's, bitwise, and the first refused
+    row raises rho's refusal."""
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != r.space.size:
         raise StructuralError(
@@ -638,15 +685,22 @@ def rho_batch(r: RiskMeasurementRegime, rows) -> np.ndarray:
     if np.max(np.abs(rows[:, excluded]), initial=0.0) > 1e-9:
         raise DomainError("loss profile lies outside the regime's support ideal")
     acc = r.acceptance
-    if isinstance(acc, PolyhedralAcceptanceSet):
-        batch = linprog.solve_batch(_rho_lp(r, acc.bounds),
-                                    acc.bounds - rows @ acc.weight_matrix().T)
+    if not r.is_law_invariant:
+        W, A, bounds = r.lp_rows()
+        batch = linprog.solve_batch(
+            _rho_lp(W, A, r.market.basis_matrix(), r.market.prices, bounds),
+            bounds - rows @ W.T)
         if "unbounded" in batch.status:
             raise _arbitrage_refusal()
         return batch.objective_value
     unit_price = _cash_unit_price(r.market)
     if unit_price is not None:
         return unit_price * acc.xi(r.space.probs, rows)
+    if acc.kind != ENTROPIC:
+        # row by row, so that each row is rho's LP, bitwise
+        form = r.lp_rows()
+        return np.array([_rho_value(_rho_rows(r, form, x)) for x in rows],
+                        dtype=float)
     search, price, _ = _rho_law_invariant(r)
     values = np.empty(rows.shape[0])
     for i, sol in enumerate(search(rows)):
@@ -685,28 +739,19 @@ def _cash_unit_price(mkt: SecurityMarket):
     return unit_price if unit_price > 0 else None
 
 
-def _line_search(acc, probs, b, p0: float):
-    """rho on a market that trades one payoff b at price p0 and holds no
-    strictly positive unit, as a search over rows with the outcomes of
-    lawinv._kernel_search: (t, Z, None) for the requirement t = p0 w and
-    Z = w b, None when it is unbounded below, (+inf, None, None) when
-    nothing securitizes the row.  The feasible w form an interval, since
-    xi(X - w b) is convex in w, and w is its end in the cheaper direction
-    d = -sign(p0) (at a zero price the end with d = -1, else the other
-    end, else 0): an exact end from _lp_kernel_search with U = b and no
-    kernel for AVaR and expectation agents, from _entropic_edge for
-    entropic ones."""
-    def edge(x, d):
-        if acc.kind == ENTROPIC:
-            return _entropic_edge(acc.param, probs, x, b, d)
-        sol = _lp_kernel_search(acc.kind, acc.param, probs, x, b,
-                                np.zeros((b.size, 0)), -d)
-        return None if sol is None else sol[0]
-
+def _line_search(gamma: float, probs, b, p0: float):
+    """Entropic(gamma) rho on a market that trades one payoff b at price
+    p0 and holds no strictly positive unit, as a search over rows with the
+    outcomes of lawinv._kernel_search: (t, Z, None) for the requirement
+    t = p0 w and Z = w b, None when it is unbounded below, (+inf, None,
+    None) when nothing securitizes the row.  The feasible w form an
+    interval, since xi(X - w b) is convex in w, and w is its end in the
+    cheaper direction d = -sign(p0) (at a zero price the end with d = -1,
+    else the other end, else 0), from _entropic_edge."""
     def outcome(x):
-        w = edge(x, 1.0 if p0 < 0 else -1.0)
+        w = _entropic_edge(gamma, probs, x, b, 1.0 if p0 < 0 else -1.0)
         if w is None and p0 == 0.0:
-            w = edge(x, 1.0)
+            w = _entropic_edge(gamma, probs, x, b, 1.0)
             w = 0.0 if w is None else w
         if w is None:
             return None
@@ -805,58 +850,6 @@ def _pricing_margin(weights, B, prices, cap: float):
     if sol.status == "infeasible":
         return math.inf, None
     return sol.objective_value, sol.duals[m] - sol.duals[:m]
-
-
-def _lp_kernel_search(kind: str, beta: float, probs, X, U, D, price: float):
-    """AVaR(beta) or expectation requirement as one LP: minimize price * t
-    over (t, eta) subject to xi(X - t U - D eta) <= 0.  AVaR enters
-    through its Rockafellar-Uryasev form tau + E[(Y - tau)+] / (1 - beta)
-    with tail auxiliaries u >= 0.
-
-    Returns (t, eta, q), None when the requirement is unbounded below, or
-    (+inf, None, None) when no t is feasible, which a strictly positive U
-    rules out.  q is the dual density of the remainder: 1 for the expectation, and for
-    AVaR the tail-row multipliers z = -duals normalized to q = z / (P sum z),
-    which lies in the dual box [0, 1/(1-beta)] and, scaled by sum z, prices
-    U at `price` and every kernel direction at zero."""
-    m = len(probs)
-    k = D.shape[1]
-    if kind == EXPECTATION:
-        # E[X - t U - D eta] <= 0
-        row = np.concatenate([[-float(probs @ U)], -(probs @ D)])
-        c = np.concatenate([[price], np.zeros(k)])
-        sol = linprog.solve(linprog.LpProblem(
-            c=c, rows=row.reshape(1, -1), senses=[linprog.LE],
-            rhs=np.array([-float(probs @ X)]),
-            lower=np.full(1 + k, -math.inf), upper=np.full(1 + k, math.inf)))
-    else:
-        # variables: t, eta (k), tau, u (m >= 0)
-        ntot = 1 + k + 1 + m
-        c = np.zeros(ntot)
-        c[0] = price
-        rows = np.zeros((m + 1, ntot))
-        rows[:m, 0] = -U
-        rows[:m, 1:1 + k] = -D
-        rows[:m, 1 + k] = -1.0
-        rows[:m, 2 + k:] = -np.eye(m)
-        rows[m, 1 + k] = 1.0
-        rows[m, 2 + k:] = probs / (1.0 - beta)
-        lower = np.full(ntot, -math.inf)
-        lower[2 + k:] = 0.0
-        sol = linprog.solve(linprog.LpProblem(
-            c=c, rows=rows, senses=[linprog.LE] * (m + 1),
-            rhs=np.concatenate([-np.asarray(X, dtype=float), [0.0]]),
-            lower=lower, upper=np.full(ntot, math.inf)))
-    if sol.status == "unbounded":
-        return None
-    if sol.status == "infeasible":
-        return math.inf, None, None
-    if kind == EXPECTATION:
-        q = np.ones(m)
-    else:
-        z = -sol.duals[:m]
-        q = z / (float(np.sum(z)) * probs)
-    return float(sol.primal[0]), sol.primal[1:1 + k], q
 
 
 def _newton_terms(probs, D, U, q, w):

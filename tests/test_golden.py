@@ -51,6 +51,12 @@ CASES = {
     "validate-avar_entropic": ["validate", "fixtures/avar_entropic.json"],
     "validate-entropic_pair": ["validate", "fixtures/entropic_pair.json"],
     "validate-split_entropic": ["validate", "fixtures/split_entropic.json"],
+    "rho-avar_entropic": [
+        "rho", "fixtures/avar_entropic.json", "--agent", "1",
+        "--loss", '{"w1": 2, "w2": 0.5, "w4": -1, "w5": 1.5, "w8": 0.25}'],
+    "lambda-avar_ceiling": ["lambda", "fixtures/avar_ceiling.json",
+                            "--loss", '{"up": 3, "down": -1}'],
+    "validate-avar_ceiling": ["validate", "fixtures/avar_ceiling.json"],
 }
 
 

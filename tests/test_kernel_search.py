@@ -38,6 +38,7 @@ from riskshare.regime import (
     SecurityMarket,
     _kernel_newton,
     rho,
+    rho_batch,
 )
 from riskshare.scenario import ScenarioSpace, SupportMask
 
@@ -524,3 +525,107 @@ def test_rho_without_a_unit_matches_the_former_search(seed, m, kind, price):
     if got.status == "optimal":
         assert acc.xi(probs, x - got.security.values) <= \
             REL_TOL * (1.0 + np.max(np.abs(x)))
+
+
+# ----------------------------------------------------------------------
+# AVaR and expectation agents on larger markets without a unit: rho's LP
+# against SciPy's HiGHS on the primal and on the dual side
+# ----------------------------------------------------------------------
+
+def _primal_lp(probs, B, prices, x, beta):
+    """rho of an AVaR(beta) agent (an expectation agent for beta None),
+    solved by SciPy's HiGHS over (w, tau, u) with u >= 0 as column bounds:
+    minimize prices.w subject to  x - B w - tau - u <= 0  and
+    tau + E[u] / (1 - beta) <= 0, or to  E[x - B w] <= 0.  Returns the
+    value, +inf when the LP is infeasible and None when it is unbounded."""
+    m, k = B.shape
+    if beta is None:
+        rows, rhs = -(probs @ B)[None, :], [-float(probs @ x)]
+        c, bounds = prices, [(None, None)] * k
+    else:
+        rows = np.block([[-B, -np.ones((m, 1)), -np.eye(m)],
+                         [np.zeros((1, k)), np.ones((1, 1)),
+                          probs[None, :] / (1.0 - beta)]])
+        rhs = np.concatenate([-x, [0.0]])
+        c = np.concatenate([prices, np.zeros(1 + m)])
+        bounds = [(None, None)] * (k + 1) + [(0.0, None)] * m
+    res = optimize.linprog(c, A_ub=rows, b_ub=rhs, bounds=bounds,
+                           method="highs")
+    if res.status == 2:
+        return math.inf
+    if res.status == 3:
+        return None
+    assert res.status == 0
+    return float(res.fun)
+
+
+def _no_unit_regime(rng, i, kind):
+    """An AVaR or expectation agent on 3 to 6 scenarios trading 2 or 3
+    payoffs whose span holds no strictly positive unit (one scenario is
+    left out of every payoff on even draws, and every payoff has mean zero
+    on every fourth draw), priced by a density in the agent's dual box on
+    two draws of three and at random on the third."""
+    acc = _measure(rng, kind)
+    m = 3 + i % 4
+    k = 2 + i % 2
+    probs = rng.uniform(0.2, 1.0, m)
+    probs /= probs.sum()
+    space = ScenarioSpace(tuple(f"s{j}" for j in range(m)), probs)
+    B = rng.normal(0.0, 1.0, (m, k))
+    if i % 2 == 0:
+        B[int(rng.integers(m))] = 0.0
+    elif i % 4 == 3:
+        B -= probs @ B
+    if i % 3 == 2:
+        prices = rng.normal(0.0, 1.0, k)
+    else:
+        cap = acc.dual_cap()
+        d = 1.0 + rng.uniform(-0.4, 0.4, m) * min(1.0, cap - 1.0)
+        prices = (probs * d / (probs @ d)) @ B
+    market = SecurityMarket(tuple(space.rv(b) for b in B.T), prices)
+    return RiskMeasurementRegime(SupportMask.full(space), acc, market)
+
+
+@pytest.mark.parametrize("kind", [AVAR, EXPECTATION])
+def test_rho_without_a_unit_on_a_larger_market_is_its_lp(kind):
+    statuses = set()
+    for i in range(40):
+        rng = np.random.default_rng([79, i, len(kind)])
+        r = _no_unit_regime(rng, i, kind)
+        unit, _ = r.market.unit_certificate(r.support.included)
+        if unit is not None and unit > 1e-10:
+            continue
+        probs, B, prices = (r.space.probs, r.market.basis_matrix(),
+                            r.market.prices)
+        beta = r.acceptance.param if kind == AVAR else None
+        rows = rng.normal(0.0, 1.5, (3, probs.size))
+        got = [rho(r, r.space.rv(x)) for x in rows]
+        for x, res in zip(rows, got):
+            statuses.add(res.status)
+            ref = _primal_lp(probs, B, prices, x, beta)
+            if ref is None:
+                assert res.status == "unbounded"
+                continue
+            if math.isinf(ref):
+                assert res.status == "infeasible"
+                assert res.value.as_float() == math.inf
+                continue
+            assert res.status == "optimal"
+            value = res.value.as_float()
+            tol = REL_TOL * (1.0 + abs(ref))
+            assert abs(value - ref) <= tol
+            assert abs(value - _dual_lp(probs, B, prices, x,
+                                        r.acceptance.dual_cap(),
+                                        kind == EXPECTATION)) <= tol
+            # the returned hedge is acceptable and priced at the value
+            assert r.acceptance.xi(probs, x - res.security.values) <= tol
+            assert r.market.price(res.coefficients) == pytest.approx(
+                value, abs=tol)
+        # rho_batch is rho row by row, bitwise, and refuses as rho does
+        if any(res.status == "unbounded" for res in got):
+            with pytest.raises(DomainError, match="unbounded below"):
+                rho_batch(r, rows)
+        else:
+            assert rho_batch(r, rows).tolist() == [
+                res.value.as_float() for res in got]
+    assert statuses == {"optimal", "unbounded", "infeasible"}

@@ -179,7 +179,10 @@ def pair_intersection(s: AgentSystem, i: int, j: int):
 
 def validate_star(s: AgentSystem) -> ValidationReport:
     """Check price agreement on pairwise security-span intersections and
-    connectivity of the nontrivial-price relation graph."""
+    connectivity of the nontrivial-price relation graph.  A system that
+    is not fully law-invariant shares through the sharing LP
+    (_sharing_lp); when an agent has no LP rows for it, a failing
+    `sharing_lp_rows` check carries the refusal."""
     rep = ValidationReport()
     n = s.n
     parent = list(range(n))
@@ -210,6 +213,12 @@ def validate_star(s: AgentSystem) -> ValidationReport:
             f"max relative price disagreement = {worst:.2e}")
     rep.add("relation_graph_connected", connected,
             f"edges: {edges}")
+    if not s.is_law_invariant:
+        try:
+            for r in s.regimes:
+                r.lp_rows()
+        except DomainError as exc:
+            rep.add("sharing_lp_rows", False, str(exc))
     return rep
 
 

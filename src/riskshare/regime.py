@@ -571,24 +571,32 @@ def rho(r: RiskMeasurementRegime, X: RandomVariable) -> RhoResult:
     """Least capital securitizing X under the regime.
 
     A law-invariant agent on a market that trades only a constant payoff
-    is cash additive: rho = xi(X) times the price of the payoff 1.
-    Otherwise polyhedral, AVaR and expectation agents solve one LP over
-    the security coefficients and the acceptance set's auxiliaries
-    (_rho_lp over lp_rows()), and an entropic agent runs the one-agent
-    case of lawinv._kernel_search with the strictly positive unit U of
-    price 1 from the unit LP: a damped Newton search over an orthonormal
-    payoff basis of the price kernel that ends with its duality gap and
-    refuses when the gap exceeds linprog.CERT_TOL (1 + |rho|).  On a
-    market that trades one payoff and holds no such unit it takes the end
-    of the interval of feasible coefficients (_line_search); a larger
-    market without a unit is refused.
+    is cash additive: rho is the closed form xi(X) times the price of the
+    payoff 1, with the security xi(X) 1 (_cash_rho).  Otherwise
+    polyhedral, AVaR and expectation agents solve one LP over the
+    security coefficients and the acceptance set's auxiliaries (_rho_lp
+    over lp_rows()), and an entropic agent runs the one-agent case of
+    lawinv._kernel_search with the strictly positive unit U of price 1
+    from the unit LP: a damped Newton search over an orthonormal payoff
+    basis of the price kernel that ends with its duality gap and refuses
+    when the gap exceeds linprog.CERT_TOL (1 + |rho|).  On a market that
+    trades one payoff and holds no such unit it takes the end of the
+    interval of feasible coefficients (_line_search); a larger market
+    without a unit is refused.
     """
     if X.space.labels != r.space.labels:
         raise StructuralError("loss profile on a different scenario space")
     if not r.support.contains(X, tol=1e-9):
         raise DomainError("loss profile lies outside the regime's support ideal")
-    if not r.is_law_invariant or (r.acceptance.kind != ENTROPIC
-                                  and _cash_unit_price(r.market) is None):
+    cash = _cash_rho(r, X.values[None, :])
+    if cash is not None:
+        value, xi = cash
+        Z = xi[0] * np.ones(r.space.size)
+        return RhoResult(value=RiskValue.finite(value[0]),
+                         security=RandomVariable(r.space, Z),
+                         coefficients=np.linalg.lstsq(
+                             r.market.basis_matrix(), Z, rcond=None)[0])
+    if not r.is_law_invariant or r.acceptance.kind != ENTROPIC:
         return _rho_rows(r, r.lp_rows(), X.values)
     search, price, B = _rho_law_invariant(r)
     (sol,) = search(X.values[None, :])
@@ -602,6 +610,18 @@ def rho(r: RiskMeasurementRegime, X: RandomVariable) -> RhoResult:
     return RhoResult(value=RiskValue.finite(price * t),
                      security=RandomVariable(r.space, Z),
                      coefficients=np.linalg.lstsq(B, Z, rcond=None)[0])
+
+
+def _cash_rho(r, rows):
+    """(rho, xi) of each row of `rows` for a law-invariant agent on a
+    market that trades only a constant payoff: rho = xi(X) times the
+    price of the payoff 1, securitized by xi(X) 1.  None for any other
+    agent or market."""
+    unit_price = _cash_unit_price(r.market) if r.is_law_invariant else None
+    if unit_price is None:
+        return None
+    xi = r.acceptance.xi(r.space.probs, rows)
+    return unit_price * xi, xi
 
 
 def _rho_lp(W, A, B, prices, rhs) -> linprog.LpProblem:
@@ -634,32 +654,27 @@ def _rho_rows(r, form, xvals) -> RhoResult:
 
 
 def _rho_law_invariant(r):
-    """Law-invariant rho outside its LP, with the market-only part done
-    once: lawinv._kernel_search with U = 1 on a cash market; for an
-    entropic agent on any other market, with the unit U from the unit LP,
-    or, on a one-payoff market without a strictly positive unit, the
-    interval search _line_search.  Returns (search, price, B), rho of a
-    row with outcome (t, Z, q) being price * t (+inf when Z is None) and B
-    the basis matrix.  A larger market without such a unit is refused."""
+    """Entropic rho outside a cash market, with the market-only part done
+    once: lawinv._kernel_search with the unit U from the unit LP, or, on a
+    one-payoff market without a strictly positive unit, the interval
+    search _line_search.  Returns (search, price, B), rho of a row with
+    outcome (t, Z, q) being price * t (+inf when Z is None), price = 1
+    being the price of U, and B the basis matrix.  A larger market
+    without such a unit is refused."""
     from .lawinv import _kernel_search      # lawinv imports this module
 
     mkt = r.market
     B = mkt.basis_matrix()
-    unit_price = _cash_unit_price(mkt)
-    if unit_price is not None:
-        U, price = np.ones(B.shape[0]), unit_price
-    else:
-        uval, w_u = mkt.unit_certificate(r.support.included)
-        if uval is None or math.isinf(uval) or not uval > 1e-10:
-            if mkt.dim != 1:
-                raise DomainError(
-                    "law-invariant rho needs a strictly positive unit payoff "
-                    "in the span (or a one-dimensional market)")
-            return (_line_search(r.acceptance.param, r.space.probs, B[:, 0],
-                                 float(mkt.prices[0])), 1.0, B)
-        U, price = B @ w_u, 1.0
+    uval, w_u = mkt.unit_certificate(r.support.included)
+    if uval is None or math.isinf(uval) or not uval > 1e-10:
+        if mkt.dim != 1:
+            raise DomainError(
+                "law-invariant rho needs a strictly positive unit payoff "
+                "in the span (or a one-dimensional market)")
+        return (_line_search(r.acceptance.param, r.space.probs, B[:, 0],
+                             float(mkt.prices[0])), 1.0, B)
     return _kernel_search((r.acceptance,), r.space.probs, B, mkt.prices,
-                          U, price), price, B
+                          B @ w_u, 1.0), 1.0, B
 
 
 def rho_batch(r: RiskMeasurementRegime, rows) -> np.ndarray:
@@ -669,7 +684,7 @@ def rho_batch(r: RiskMeasurementRegime, rows) -> np.ndarray:
     Polyhedral regimes build rho's LP once and solve all rows with
     linprog.solve_batch, which re-solves only the rows no optimal basis
     found so far accepts.  A law-invariant regime whose market trades only
-    a constant payoff is xi times the price of the payoff 1.  AVaR and
+    a constant payoff is rho's closed form (_cash_rho).  AVaR and
     expectation agents on any other market solve rho's LP row by row.
     An entropic agent does its market-only work once and then runs one
     search over all rows (with a price kernel, the kernel Newton search in
@@ -684,7 +699,6 @@ def rho_batch(r: RiskMeasurementRegime, rows) -> np.ndarray:
     excluded = ~r.support.included
     if np.max(np.abs(rows[:, excluded]), initial=0.0) > 1e-9:
         raise DomainError("loss profile lies outside the regime's support ideal")
-    acc = r.acceptance
     if not r.is_law_invariant:
         W, A, bounds = r.lp_rows()
         batch = linprog.solve_batch(
@@ -693,10 +707,10 @@ def rho_batch(r: RiskMeasurementRegime, rows) -> np.ndarray:
         if "unbounded" in batch.status:
             raise _arbitrage_refusal()
         return batch.objective_value
-    unit_price = _cash_unit_price(r.market)
-    if unit_price is not None:
-        return unit_price * acc.xi(r.space.probs, rows)
-    if acc.kind != ENTROPIC:
+    cash = _cash_rho(r, rows)
+    if cash is not None:
+        return cash[0]
+    if r.acceptance.kind != ENTROPIC:
         # row by row, so that each row is rho's LP, bitwise
         form = r.lp_rows()
         return np.array([_rho_value(_rho_rows(r, form, x)) for x in rows],
@@ -934,33 +948,10 @@ def _evaluate_rows(evaluate, eta, rows, m: int):
     return t, q, w, failures
 
 
-def _split(state, keep):
-    """(the rows `keep` marks, the others) of a search state, a dict of
-    arrays with one entry per row; None for an empty part."""
-    kept = np.count_nonzero(keep)
-    if kept == keep.size:
-        return (state if kept else None), None
-    if not kept:
-        return None, state
-    return ({name: v[keep] for name, v in state.items()},
-            {name: v[~keep] for name, v in state.items()})
-
-
-def _merge(states, names):
-    """The search states `states` (rows that left the search at different
-    steps) as one state over `names`, in row order; None if empty."""
-    if len(states) == 1:
-        return states[0]
-    if not states:
-        return None
-    order = np.argsort(np.concatenate([s["row"] for s in states]))
-    return {name: np.concatenate([s[name] for s in states])[order]
-            for name in names}
-
-
-def _unrefused(rows, errors) -> np.ndarray:
-    """Mask of the rows `rows` that no exception in `errors` refuses."""
-    return np.array([errors[r] is None for r in rows.tolist()], dtype=bool)
+def _gather(live, n: int, *arrays):
+    """The rows `live` of each array: the arrays themselves while all n
+    rows are live, copies otherwise."""
+    return arrays if live.size == n else tuple(a[live] for a in arrays)
 
 
 def _kernel_newton(evaluate, dual, probs, D, U, n: int):
@@ -993,42 +984,39 @@ def _kernel_newton(evaluate, dual, probs, D, U, n: int):
     The search ends with its duality gap t* - dual(q) and refuses with
     NumericalFailure above linprog.CERT_TOL (1 + |t*|).
 
-    Every row keeps its own damping, acceptance test, stopping rule,
-    polishing steps and gap check, and leaves the batch when it stops;
-    the rows still searching share one evaluate call per step.  A row's
-    arithmetic is that of a batch of one, so its result does not depend
-    on the other rows.  Returns (eta, t*, q, errors): errors[row] is the
-    exception refusing that row, None for a certified row; eta, t* and q
-    hold NaN on refused rows."""
+    The state has one entry per row in each field: arrays for eta, t*, q,
+    grad and hess, lists of floats for the damping mu and nu.  An index
+    array holds the rows still searching: each step gathers them,
+    evaluates their trial points in one call and writes the accepted rows
+    back in place; a row that stops or is refused leaves the index.  The
+    polish steps run the same way over the certified rows.  Every row
+    keeps its own damping, acceptance test, stopping rule, polishing steps
+    and gap check, so its arithmetic is that of a batch of one.  Returns
+    (eta, t*, q, errors): errors[row] is the exception refusing that row,
+    None for a certified row; eta, t* and q hold NaN on refused rows."""
     k, m = D.shape[1], U.size
     eye = np.eye(k)
-    errors = [None] * n
-    rows, eta = np.arange(n), np.zeros((n, k))
-    t, q, w, failures = _evaluate_rows(evaluate, eta, rows, m)
-    for j, exc in failures.items():
-        errors[j] = exc
+    eta, mu, nu = np.zeros((n, k)), [0.0] * n, [2.0] * n
+    t, q, w, failures = _evaluate_rows(evaluate, eta, np.arange(n), m)
+    errors = [failures.get(j) for j in range(n)]
     grad, hess = _newton_terms(probs, D, U, q, w)
-    live = {"row": rows, "eta": eta, "t": t, "q": q, "w": w, "grad": grad,
-            "hess": hess, "mu": np.zeros(n), "nu": np.full(n, 2.0)}
-    if failures or not n:
-        live, _ = _split(live, _unrefused(rows, errors))
-    done = []
-    for _ in range(100 if k and live else 0):
-        if np.count_nonzero(live["grad"]) < live["grad"].size:
-            live, flat = _split(live, live["grad"].any(axis=1))
-            if flat:
-                done.append(flat)
-            if not live:
-                break
-        t, hess = live["t"], live["hess"]
-        step, descent, slope = _damped_step(hess, live["grad"], live["mu"],
-                                            eye)
+    live = np.array([j for j, e in enumerate(errors) if e is None], int)
+    for _ in range(100 if k else 0):
+        g, h, x0, t0 = _gather(live, n, grad, hess, eta, t)
+        if np.count_nonzero(g) < g.size:
+            # a zero gradient is a minimum: the row stops
+            live = live[g.any(axis=1)]
+            g, h, x0, t0 = _gather(live, n, grad, hess, eta, t)
+        if not live.size:
+            break
+        # each row's decisions in the scalar arithmetic of a lone row
+        t_rows, ids = t0.tolist(), live.tolist()
+        step, descent, slope = _damped_step(
+            h, g, np.array([mu[row] for row in ids]), eye)
         # decrease predicted by the quadratic model; rounding can leave the
         # Hessian slightly indefinite, and then more damping is needed
-        pred = (-(slope + np.vecdot(((0.5 * step)[:, None, :] @ hess)[:, 0, :],
+        pred = (-(slope + np.vecdot(((0.5 * step)[:, None, :] @ h)[:, 0, :],
                                     step))).tolist()
-        # each row's decisions in the scalar arithmetic of a lone row
-        t_rows, mu, nu = t.tolist(), live["mu"].tolist(), live["nu"].tolist()
         stop, trial = [], []
         for j, d in enumerate(descent.tolist()):
             p = pred[j] if d else -1.0
@@ -1038,15 +1026,15 @@ def _kernel_newton(evaluate, dual, probs, D, U, n: int):
                 trial.append(j)
         accept, shrink = [], {}
         if trial:
+            sel = slice(None) if len(trial) == live.size else trial
+            rows, x1 = live[sel], x0[sel] + step[sel]
             # a step far outside the model may overflow or fail; either
             # way it is refused
-            at = slice(None) if len(trial) == t.size else np.array(trial)
             with np.errstate(over="ignore", invalid="ignore"):
-                t1, q1, w1, failures = _evaluate_rows(
-                    evaluate, live["eta"][at] + step[at], live["row"][at], m)
+                t1, q1, w1, failures = _evaluate_rows(evaluate, x1, rows, m)
             for i, exc in failures.items():
                 if not isinstance(exc, NumericalFailure):
-                    errors[live["row"][trial[i]]] = exc
+                    errors[rows[i]] = exc
                     stop.append(trial[i])
             for i, (j, t1_j) in enumerate(zip(trial, t1.tolist())):
                 gain = (t_rows[j] - t1_j) / pred[j]
@@ -1054,93 +1042,67 @@ def _kernel_newton(evaluate, dual, probs, D, U, n: int):
                     accept.append(i)
                     shrink[j] = max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
         leaving = set(stop)
-        for j in range(t.size):
+        for j, row in enumerate(ids):
             if j in shrink:
-                mu[j], nu[j] = mu[j] * shrink[j], 2.0
+                mu[row], nu[row] = mu[row] * shrink[j], 2.0
             elif j not in leaving:
-                mu[j], nu[j] = max(mu[j] * nu[j], 1e-3), 2.0 * nu[j]
-        live["mu"], live["nu"] = np.array(mu), np.array(nu)
-        if len(accept) == t.size:
-            live["eta"], live["t"], live["q"], live["w"] = (
-                live["eta"] + step, t1, q1, w1)
-            live["grad"], live["hess"] = _newton_terms(probs, D, U, q1, w1)
+                mu[row], nu[row] = max(mu[row] * nu[row], 1e-3), 2.0 * nu[row]
+        if len(accept) == n:
+            # every row moved: the trial arrays are the new state
+            eta, t, q = x1, t1, q1
+            grad, hess = _newton_terms(probs, D, U, q1, w1)
         elif accept:
-            moved = np.array([trial[i] for i in accept])
-            live["eta"][moved] += step[moved]
-            live["t"][moved], live["q"][moved], live["w"][moved] = (
-                t1[accept], q1[accept], w1[accept])
-            live["grad"][moved], live["hess"][moved] = _newton_terms(
-                probs, D, U, q1[accept], w1[accept])
+            moved = rows[accept]
+            eta[moved], t[moved], q[moved] = x1[accept], t1[accept], q1[accept]
+            grad[moved], hess[moved] = _newton_terms(probs, D, U, q1[accept],
+                                                     w1[accept])
         if stop:
-            keep = np.ones(t.size, dtype=bool)
-            keep[stop] = False
-            live, stopped = _split(live, keep)
-            done.append(stopped)
-            if not live:
-                break
-    else:
-        for row in live["row"] if k and live else ():
-            errors[row] = NumericalFailure(
-                "kernel Newton search did not converge")
-    if live:
-        done.append(live)
+            live = np.array([row for j, row in enumerate(ids)
+                             if j not in leaving], int)
+    for row in live.tolist() if k else ():
+        errors[row] = NumericalFailure("kernel Newton search did not converge")
 
-    polish = _merge(done, ("row", "eta", "t", "q", "grad", "hess"))
-    if polish and errors.count(None) < n:
-        polish, _ = _split(polish, _unrefused(polish["row"], errors))
-    finished = []
-    for _ in range(8 if k and polish else 0):
-        step, descent, _ = _damped_step(polish["hess"], polish["grad"],
-                                        np.zeros(polish["t"].size), eye)
-        polish["step"] = polish["eta"] + step
-        polish, still = _split(polish, descent & (
-            polish["step"] != polish["eta"]).any(axis=1))
-        if still:
-            finished.append(still)
-        if not polish:
+    certified = np.array([j for j, e in enumerate(errors) if e is None], int)
+    live = certified
+    for _ in range(8 if k else 0):
+        x0, t0, g0, h0 = _gather(live, n, eta, t, grad, hess)
+        step, descent, _ = _damped_step(h0, g0, np.zeros(live.size), eye)
+        x1 = x0 + step
+        go = descent & (x1 != x0).any(axis=1)
+        if np.count_nonzero(go) < go.size:
+            live, x1, t0, g0 = live[go], x1[go], t0[go], g0[go]
+        if not live.size:
             break
         with np.errstate(over="ignore", invalid="ignore"):
-            t1, q1, w1, failures = _evaluate_rows(evaluate, polish["step"],
-                                                  polish["row"], m)
+            t1, q1, w1, failures = _evaluate_rows(evaluate, x1, live, m)
         g1, h1 = _newton_terms(probs, D, U, q1, w1)
         better = [t1_j <= t_j + _ROUNDING * (1.0 + abs(t_j))
                   and math.sqrt(s1) <= 0.5 * math.sqrt(s0)
                   for t_j, t1_j, s0, s1 in zip(
-                      polish["t"].tolist(), t1.tolist(),
-                      np.vecdot(polish["grad"], polish["grad"]).tolist(),
+                      t0.tolist(), t1.tolist(), np.vecdot(g0, g0).tolist(),
                       np.vecdot(g1, g1).tolist())]
         for i, exc in failures.items():
             better[i] = False
             if not isinstance(exc, NumericalFailure):
-                errors[polish["row"][i]] = exc
+                errors[live[i]] = exc
+        if live.size == n and all(better):
+            eta, t, q, grad, hess = x1, t1, q1, g1, h1
+            continue
         better = np.array(better, dtype=bool)
-        moved, _ = _split({"row": polish["row"], "eta": polish["step"],
-                           "t": t1, "q": q1, "grad": g1, "hess": h1}, better)
-        _, still = _split(polish, better)
-        if still:
-            finished.append(still)
-        polish = moved
-        if not polish:
+        live = live[better]
+        eta[live], t[live], q[live] = x1[better], t1[better], q1[better]
+        grad[live], hess[live] = g1[better], h1[better]
+        if not live.size:
             break
-    if polish:
-        finished.append(polish)
 
-    final = _merge(finished, ("row", "eta", "t", "q"))
-    for j, row in enumerate(final["row"].tolist() if final else ()):
-        t_row = final["t"][j]
-        gap = t_row - dual(row, final["q"][j])
-        if not abs(gap) <= linprog.CERT_TOL * (1.0 + abs(t_row)):
+    for row in certified.tolist():
+        gap = t[row] - dual(row, q[row])
+        if not abs(gap) <= linprog.CERT_TOL * (1.0 + abs(t[row])):
             errors[row] = NumericalFailure(
                 f"kernel search stopped with duality gap {gap:.2e}")
-    if final and errors.count(None) == n:
-        return final["eta"], final["t"], final["q"], errors
-    eta, t, q = (np.full((n, k), math.nan), np.full(n, math.nan),
-                 np.full((n, m), math.nan))
-    if final:
-        ok = _unrefused(final["row"], errors)
-        rows = final["row"][ok]
-        eta[rows], t[rows], q[rows] = (final["eta"][ok], final["t"][ok],
-                                       final["q"][ok])
+    refused = [j for j, e in enumerate(errors) if e is not None]
+    if refused:
+        eta[refused], t[refused], q[refused] = math.nan, math.nan, math.nan
     return eta, t, q, errors
 
 

@@ -14,7 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskshare import linprog, regime
-from riskshare.errors import NumericalFailure, RiskShareError
+from riskshare.errors import (
+    DomainError,
+    InternalInconsistency,
+    NumericalFailure,
+    RiskShareError,
+)
 from riskshare.lawinv import (
     _entropic_param,
     _grouped,
@@ -30,6 +35,7 @@ from riskshare.regime import (
     LawInvariantAcceptanceSet,
     RiskMeasurementRegime,
     SecurityMarket,
+    _kernel_newton,
     _priced_density,
     _rho_law_invariant,
     _span_basis,
@@ -41,7 +47,7 @@ from riskshare.scenario import ScenarioSpace, SupportMask
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 # a loss far beyond what the kernel Newton search reaches from eta = 0
-# (ROADMAP item 2): its row refuses with "did not converge"
+# (ROADMAP item 1): its row refuses with "did not converge"
 HUGE = 3e10
 
 
@@ -337,6 +343,72 @@ def test_a_refused_middle_row_refuses_as_the_row_loop_does():
         assert repr(together[k][0]) == repr(alone[0])
         np.testing.assert_array_equal(together[k][1], alone[1])
         np.testing.assert_array_equal(together[k][2], alone[2])
+
+
+# t*(eta) = log E[e^{X - D eta}] on three scenarios, one row per loss;
+# rows 1 to 3 fail by their row and their point alone
+_PROBS = np.array([0.2, 0.3, 0.5])
+_BASIS = (np.array([[1.0, 1.0], [-1.0, 1.0], [0.0, -2.0]])
+          / np.array([math.sqrt(2.0), math.sqrt(6.0)]))
+_LOSSES = np.array([[1.0, -1.0, 0.5], [3.0, -3.0, 0.0], [0.2, 0.1, -0.1],
+                    [6.0, -2.0, 1.0], [9.0, 0.0, -4.0], [0.2, 0.1, -0.1]])
+
+
+def _synthetic_search(rows, failed):
+    """_kernel_newton over the losses `rows` of _LOSSES.  Row 1 is refused
+    at its first evaluation, row 2 at its first trial point, and every
+    trial point of row 3 with eta[0] > 100 fails with NumericalFailure
+    (recorded in `failed`).  Returns (eta, t, q, errors, evaluations)."""
+    rows = np.asarray(rows)
+    calls = []
+
+    def evaluate(eta, at):
+        calls.append(at.size)
+        for row, e in zip(rows[at].tolist(), eta.tolist()):
+            if row == 1:
+                raise DomainError("row 1 has no value")
+            if row == 2 and any(e):
+                raise InternalInconsistency("row 2 broke at a trial point")
+            if row == 3 and e[0] > 100.0:
+                failed.append(e[0])
+                raise NumericalFailure("row 3 overflowed")
+        y = _LOSSES[rows[at]] - (_BASIS @ eta[..., None])[..., 0]
+        v = np.log(np.vecdot(np.exp(y), _PROBS))
+        q = np.exp(y - v[:, None])
+        return v, q, q
+
+    def dual(at, q):
+        x = _LOSSES[rows[at]]
+        return float(_PROBS @ (q * x)) - float(_PROBS @ (q * np.log(q)))
+
+    return (*_kernel_newton(evaluate, dual, _PROBS, _BASIS, np.ones(3),
+                            rows.size), len(calls))
+
+
+def test_kernel_newton_rows_keep_their_own_bookkeeping():
+    failed = []
+    eta, t, q, errors, _ = _synthetic_search(range(len(_LOSSES)), failed)
+    # row 3's overshooting trial points failed and only refused the step
+    assert failed and errors[3] is None
+    assert isinstance(errors[1], DomainError)
+    assert str(errors[1]) == "row 1 has no value"
+    assert isinstance(errors[2], InternalInconsistency)
+    assert str(errors[2]) == "row 2 broke at a trial point"
+    steps = []
+    for row in range(len(_LOSSES)):
+        eta1, t1, q1, errors1, calls = _synthetic_search([row], [])
+        assert type(errors1[0]) is type(errors[row])
+        assert str(errors1[0]) == str(errors[row])
+        if errors[row] is not None:
+            assert np.isnan(eta[row]).all() and np.isnan(t[row])
+            assert np.isnan(q[row]).all()
+            continue
+        steps.append(calls)
+        assert eta[row].tobytes() == eta1[0].tobytes()
+        assert t[row].tobytes() == t1[0].tobytes()
+        assert q[row].tobytes() == q1[0].tobytes()
+    # the certified rows left the batch at different steps
+    assert len(set(steps)) >= 3, steps
 
 
 @settings(derandomize=True, deadline=None, max_examples=25)

@@ -108,3 +108,20 @@ def test_an_entropic_agent_beside_a_polyhedral_one_is_refused(
     assert out is None
     assert err.startswith("error:") and "entropic" in err
     assert "Traceback" not in err
+
+
+def test_validate_fails_an_entropic_agent_beside_a_polyhedral_one(
+        tmp_path, capsys):
+    doc = json.loads(FIXTURE.read_text())
+    doc["agents"][0]["acceptance"] = {"entropic": 1.0}
+    path = tmp_path / "entropic_ceiling.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "validate", str(path))
+    assert code == 1
+    assert out["status"] == "failed_validation"
+    assert not out["outputs"]["star"]["passed"]
+    (check,) = [c for c in out["outputs"]["star"]["checks"]
+                if not c["passed"]]
+    assert check["name"] == "sharing_lp_rows"
+    assert "entropic acceptance set is not polyhedral" in check["detail"]
+    assert "Traceback" not in err

@@ -100,7 +100,11 @@ class AgentSystem:
 
     def stacked_basis(self):
         """(B, prices, slices): B has one column per basis payoff of every
-        agent in order; slices[i] selects agent i's columns."""
+        agent in order; slices[i] selects agent i's columns.  Built once
+        and cached on the system; B and prices are read-only."""
+        cached = getattr(self, "_stacked_basis", None)
+        if cached is not None:
+            return cached
         cols, prices, slices = [], [], []
         start = 0
         for r in self.regimes:
@@ -109,7 +113,11 @@ class AgentSystem:
             prices.append(r.market.prices)
             slices.append(slice(start, start + B.shape[1]))
             start += B.shape[1]
-        return np.hstack(cols), np.concatenate(prices), slices
+        B, prices = np.hstack(cols), np.concatenate(prices)
+        B.flags.writeable = prices.flags.writeable = False
+        cached = B, prices, tuple(slices)
+        object.__setattr__(self, "_stacked_basis", cached)
+        return cached
 
     def aggregate_contains(self, values: np.ndarray, tol: float = SPAN_TOL):
         """Coefficients of `values` over the stacked basis (least squares),

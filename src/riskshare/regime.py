@@ -119,14 +119,22 @@ class PolyhedralAcceptanceSet:
         for f in fs[1:]:
             if f.space is not space and f.space.labels != space.labels:
                 raise StructuralError("functionals on mismatched spaces")
+        W = np.array([f.weights for f in fs])
+        W.flags.writeable = False
+        object.__setattr__(self, "_weights", W)
+        # phi_j(1); a sum that cancels to a rounding residue is zero
+        cash = W.sum(axis=1)
+        cash[np.abs(cash) <= 1e-12 * np.abs(W).sum(axis=1)] = 0.0
+        object.__setattr__(self, "_cash", cash)
 
     @property
     def space(self) -> ScenarioSpace:
         return self.functionals[0].space
 
     def weight_matrix(self) -> np.ndarray:
-        """Rows are the functionals' per-scenario weights density*probs."""
-        return np.array([f.weights for f in self.functionals])
+        """Rows are the functionals' per-scenario weights density*probs,
+        built once and read-only."""
+        return self._weights
 
     def contains(self, values: np.ndarray, tol: float = 1e-9) -> bool:
         resid = self.weight_matrix() @ values - self.bounds
@@ -135,6 +143,73 @@ class PolyhedralAcceptanceSet:
     def margin(self, values: np.ndarray) -> float:
         """max_j phi_j(X) - bound_j  (<= 0 iff acceptable)."""
         return float(np.max(self.weight_matrix() @ values - self.bounds))
+
+    def xi(self, probs: np.ndarray, values: np.ndarray):
+        """The least cash amount t with X - t 1 acceptable, for one profile
+        (a float) or each row of a batch: the max over functionals with a
+        positive cash weight phi_j(1) of (phi_j(X) - b_j) / phi_j(1), +inf
+        when no t works, -inf when no functional has a positive cash
+        weight (one within 1e-12 sum_w |weight| of zero is zero: the
+        rounding residue of a sum that cancels).  The weights already carry
+        `probs`.
+
+        A negative cash weight bounds t from above and a zero one holds
+        for every t or for none.  Where these leave no t, the set is
+        called empty as rho's LP calls it: when the least total violation
+        of the rows X - 0 breaks, over the t meeting the rows it meets
+        (the LP's phase-1 optimum, _least_violation), exceeds
+        linprog.PHASE1_TOL.  X - t 1 must meet every row within
+        linprog.CERT_TOL (1 + max |X| + |t|), as linprog._certify asks of
+        an LP optimum, or NumericalFailure is raised; acceptance margins
+        that overflow on a finite X are a StructuralError, as a non-finite
+        right-hand side is to linprog.LpProblem."""
+        values = np.asarray(values, dtype=float)
+        X = values.reshape(-1, values.shape[-1])
+        cash = self._cash
+        with np.errstate(over="ignore", invalid="ignore"):
+            # row by row, so that a row's bits do not depend on the batch
+            excess = np.vecdot(X[:, None, :], self._weights) - self.bounds
+            ratio = excess / np.where(cash == 0.0, 1.0, cash)
+        if not np.isfinite(ratio).all():
+            raise StructuralError(
+                "acceptance margins overflow on a finite loss profile")
+        t = np.maximum.reduce(np.where(cash > 0, ratio, -np.inf), axis=1)
+        # the largest margin of X - t 1 (of X where t is -inf): positive
+        # only where no t may work, and by rounding
+        gap = np.maximum.reduce(
+            excess - np.where(t > -np.inf, t, 0.0)[:, None] * cash, axis=1)
+        empty = np.flatnonzero(gap > 0)
+        if empty.size:
+            cut = (_least_violation(excess[empty], ratio[empty], cash)
+                   > linprog.PHASE1_TOL)
+            t[empty[cut]] = np.inf
+        tol = linprog.CERT_TOL * (
+            1.0 + np.maximum.reduce(np.abs(X), axis=1) + np.abs(t))
+        missed = np.isfinite(t) & (gap > tol)
+        if missed.any():
+            k = int(np.argmax(missed))
+            raise NumericalFailure(
+                f"cash requirement misses an acceptance row by {gap[k]:.2e}")
+        return float(t[0]) if values.ndim == 1 else t
+
+
+def _least_violation(excess, ratio, cash) -> np.ndarray:
+    """Per row of excess[:, j] = phi_j(X) - b_j, with ratio = excess /
+    cash where cash = phi_j(1) is not 0, the phase-1 optimum of
+    rho's LP on a cash-only market: the least total violation
+    sum_j max(0, excess_j - cash_j t) of the rows with excess_j > 0, over
+    the t meeting every other row, an interval holding 0.  The sum is
+    convex and piecewise linear in t, so it is least at a kink or an end of
+    the interval: at one of the kinks excess_j / cash_j or at 0, clipped to
+    the interval."""
+    soft = excess > 0
+    lo = np.max(np.where(~soft & (cash > 0), ratio, -np.inf), axis=1)
+    hi = np.min(np.where(~soft & (cash < 0), ratio, np.inf), axis=1)
+    kinks = np.clip(np.where(soft & (cash != 0), ratio, 0.0),
+                    lo[:, None], hi[:, None])
+    # rows met by t contribute 0 (up to rounding, far below the cut)
+    return np.maximum(excess[:, None, :] - kinks[:, :, None] * cash,
+                      0.0).sum(axis=2).min(axis=1)
 
 
 ENTROPIC, AVAR, EXPECTATION = "entropic", "avar", "expectation"
@@ -286,7 +361,9 @@ class SecurityMarket:
         if prices.shape != (len(basis),):
             raise StructuralError("one price per basis payoff required")
         _check_finite("price", prices, "basis payoff", range(len(basis)))
-        B = self.basis_matrix()
+        B = np.column_stack([b.values for b in basis])
+        B.flags.writeable = False
+        object.__setattr__(self, "_basis", B)
         if np.linalg.matrix_rank(B, tol=1e-10 * max(1.0, np.abs(B).max())) < len(basis):
             raise StructuralError("security basis payoffs are linearly dependent")
 
@@ -299,8 +376,9 @@ class SecurityMarket:
         return len(self.basis)
 
     def basis_matrix(self) -> np.ndarray:
-        """Columns are basis payoffs: shape (n_scenarios, dim)."""
-        return np.column_stack([b.values for b in self.basis])
+        """Columns are basis payoffs: shape (n_scenarios, dim), built once
+        and read-only."""
+        return self._basis
 
     def payoff(self, coeffs) -> RandomVariable:
         coeffs = np.asarray(coeffs, dtype=float)
@@ -570,19 +648,21 @@ class RhoResult:
 def rho(r: RiskMeasurementRegime, X: RandomVariable) -> RhoResult:
     """Least capital securitizing X under the regime.
 
-    A law-invariant agent on a market that trades only a constant payoff
-    is cash additive: rho is the closed form xi(X) times the price of the
-    payoff 1, with the security xi(X) 1 (_cash_rho).  Otherwise
-    polyhedral, AVaR and expectation agents solve one LP over the
-    security coefficients and the acceptance set's auxiliaries (_rho_lp
-    over lp_rows()), and an entropic agent runs the one-agent case of
-    lawinv._kernel_search with the strictly positive unit U of price 1
-    from the unit LP: a damped Newton search over an orthonormal payoff
-    basis of the price kernel that ends with its duality gap and refuses
-    when the gap exceeds linprog.CERT_TOL (1 + |rho|).  On a market that
-    trades one payoff and holds no such unit it takes the end of the
-    interval of feasible coefficients (_line_search); a larger market
-    without a unit is refused.
+    On a market that trades only a constant payoff every agent is cash
+    additive: rho is the closed form xi(X) times the price of the payoff
+    1, with the security xi(X) 1 (_cash_rho), where xi is the acceptance
+    set's least acceptable cash amount; a polyhedral xi of +inf is the
+    status "infeasible" and one of -inf "unbounded", as rho's LP reports
+    them.  Otherwise polyhedral, AVaR and expectation agents solve one
+    LP over the security coefficients and the acceptance set's
+    auxiliaries (_rho_lp over lp_rows()), and an entropic agent runs the
+    one-agent case of lawinv._kernel_search with the strictly positive
+    unit U of price 1 from the unit LP: a damped Newton search over an
+    orthonormal payoff basis of the price kernel that ends with its
+    duality gap and refuses when the gap exceeds linprog.CERT_TOL
+    (1 + |rho|).  On a market that trades one payoff and holds no such
+    unit it takes the end of the interval of feasible coefficients
+    (_line_search); a larger market without a unit is refused.
     """
     if X.space.labels != r.space.labels:
         raise StructuralError("loss profile on a different scenario space")
@@ -591,6 +671,10 @@ def rho(r: RiskMeasurementRegime, X: RandomVariable) -> RhoResult:
     cash = _cash_rho(r, X.values[None, :])
     if cash is not None:
         value, xi = cash
+        if xi[0] == math.inf:
+            return RhoResult(value=RiskValue.infinite(), status="infeasible")
+        if xi[0] == -math.inf:
+            return RhoResult(value=None, status="unbounded")
         Z = xi[0] * np.ones(r.space.size)
         return RhoResult(value=RiskValue.finite(value[0]),
                          security=RandomVariable(r.space, Z),
@@ -613,14 +697,18 @@ def rho(r: RiskMeasurementRegime, X: RandomVariable) -> RhoResult:
 
 
 def _cash_rho(r, rows):
-    """(rho, xi) of each row of `rows` for a law-invariant agent on a
-    market that trades only a constant payoff: rho = xi(X) times the
-    price of the payoff 1, securitized by xi(X) 1.  None for any other
-    agent or market."""
-    unit_price = _cash_unit_price(r.market) if r.is_law_invariant else None
+    """(rho, xi) of each row of `rows` on a market that trades only a
+    constant payoff: rho = xi(X) times the price of the payoff 1,
+    securitized by xi(X) 1, for every acceptance family.  A polyhedral xi
+    is +inf where nothing securitizes the row and -inf where the
+    requirement is unbounded below; a law-invariant one that is not
+    finite has overflowed and is refused.  None for any other market."""
+    unit_price = _cash_unit_price(r.market)
     if unit_price is None:
         return None
     xi = r.acceptance.xi(r.space.probs, rows)
+    if r.is_law_invariant and not np.all(np.isfinite(xi)):
+        raise StructuralError("the base risk of a loss profile overflows")
     return unit_price * xi, xi
 
 
@@ -681,15 +769,20 @@ def rho_batch(r: RiskMeasurementRegime, rows) -> np.ndarray:
     """rho of each row of `rows` (one loss profile per row), +inf where
     nothing securitizes the row; an unbounded requirement is refused.
 
-    Polyhedral regimes build rho's LP once and solve all rows with
-    linprog.solve_batch, which re-solves only the rows no optimal basis
-    found so far accepts.  A law-invariant regime whose market trades only
-    a constant payoff is rho's closed form (_cash_rho).  AVaR and
-    expectation agents on any other market solve rho's LP row by row.
-    An entropic agent does its market-only work once and then runs one
-    search over all rows (with a price kernel, the kernel Newton search in
-    lockstep).  Each row's value is rho's, bitwise, and the first refused
-    row raises rho's refusal."""
+    On a market that trades only a constant payoff this is rho's closed
+    form (_cash_rho) for every family.  Otherwise polyhedral regimes
+    build rho's LP once and solve all rows with linprog.solve_batch,
+    which re-solves only the rows no optimal basis found so far accepts;
+    AVaR and expectation agents solve rho's LP row by row; an entropic
+    agent does its market-only work once and then runs one search over
+    all rows (with a price kernel, the kernel Newton search in lockstep).
+
+    Each row's value is rho's, bitwise, on the closed form and on the
+    law-invariant paths.  A polyhedral row that solve_batch screens takes
+    its value from the basic solution B^-1 b of an earlier row's optimal
+    basis, not from a simplex run of its own: it carries the certificate
+    rho's LP checks (linprog._certify), not rho's bits.  The first
+    refused row raises rho's refusal."""
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != r.space.size:
         raise StructuralError(
@@ -699,6 +792,11 @@ def rho_batch(r: RiskMeasurementRegime, rows) -> np.ndarray:
     excluded = ~r.support.included
     if np.max(np.abs(rows[:, excluded]), initial=0.0) > 1e-9:
         raise DomainError("loss profile lies outside the regime's support ideal")
+    cash = _cash_rho(r, rows)
+    if cash is not None:
+        if np.any(cash[1] == -math.inf):
+            raise _arbitrage_refusal()
+        return cash[0]
     if not r.is_law_invariant:
         W, A, bounds = r.lp_rows()
         batch = linprog.solve_batch(
@@ -707,9 +805,6 @@ def rho_batch(r: RiskMeasurementRegime, rows) -> np.ndarray:
         if "unbounded" in batch.status:
             raise _arbitrage_refusal()
         return batch.objective_value
-    cash = _cash_rho(r, rows)
-    if cash is not None:
-        return cash[0]
     if r.acceptance.kind != ENTROPIC:
         # row by row, so that each row is rho's LP, bitwise
         form = r.lp_rows()

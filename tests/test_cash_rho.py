@@ -1,0 +1,298 @@
+"""rho on a market that trades only cash is one closed form for every
+acceptance family: a polyhedral agent's rho is xi(X) times the price of
+cash, xi(X) = max_j (phi_j(X) - b_j) / phi_j(1) over the functionals with
+a positive cash weight.  rho's LP (regime._rho_rows) stays the reference:
+the closed form must report its statuses and its values, and make no LP."""
+
+import contextlib
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from riskshare import linprog, oracle
+from riskshare.cli import run
+from riskshare.errors import DomainError, RiskShareError
+from riskshare.market import AgentSystem, capital_requirement
+from riskshare.problemfile import load_problem
+from riskshare.regime import (
+    AVAR,
+    ENTROPIC,
+    PolyhedralAcceptanceSet,
+    RiskMeasurementRegime,
+    SecurityMarket,
+    _rho_rows,
+    rho,
+    rho_batch,
+)
+from riskshare.scenario import Functional, ScenarioSpace, SupportMask
+
+from helpers import law_invariant_regime
+from test_oracle import full_support_regime, window_chain_regimes
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+# ----------------------------------------------------------------------
+# parity with rho's LP
+# ----------------------------------------------------------------------
+
+# densities stay away from magnitudes the LP's pivot tolerance (1e-9)
+# treats as zero; a cash weight that cancels to a rounding residue is zero
+# on both paths
+_HALVES = st.integers(-4, 8).map(lambda k: k / 2.0)
+_NONNEGATIVE = st.one_of(st.integers(0, 8).map(lambda k: k / 2.0),
+                         st.floats(0.1, 4.0))
+_SIGNED = st.one_of(_HALVES, st.floats(0.1, 4.0), st.floats(-2.0, -0.1))
+
+
+@st.composite
+def cash_agents(draw):
+    """A polyhedral agent with 1-4 functionals on m <= 6 scenarios that
+    trades c 1 at price pi (c != 1, and c and pi of one sign), and a loss
+    on its support."""
+    m = draw(st.integers(1, 6))
+    weights = draw(st.lists(st.integers(1, 8), min_size=m, max_size=m))
+    space = ScenarioSpace([f"s{i}" for i in range(m)],
+                          np.array(weights) / sum(weights))
+    inc = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+    if draw(st.booleans()) or not inc.any():
+        inc = np.ones(m, dtype=bool)
+    functionals = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["nonnegative", "signed", "zero"]))
+        if kind == "zero":
+            d = np.zeros(m)
+        else:
+            entry = _NONNEGATIVE if kind == "nonnegative" else _SIGNED
+            d = np.array(draw(st.lists(entry, min_size=m, max_size=m)))
+        functionals.append(Functional(space, d * inc))
+    if draw(st.booleans()):
+        # no functional with a positive cash weight
+        functionals = [Functional(space, -np.abs(f.density))
+                       for f in functionals]
+    bounds = draw(st.lists(st.floats(-3.0, 3.0), min_size=len(functionals),
+                           max_size=len(functionals)))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    c = sign * draw(st.floats(0.25, 4.0).filter(lambda v: v != 1.0))
+    price = sign * draw(st.floats(0.25, 4.0))
+    r = RiskMeasurementRegime(
+        SupportMask(space, inc),
+        PolyhedralAcceptanceSet(tuple(functionals), np.array(bounds)),
+        SecurityMarket((space.rv(np.full(m, c)),), np.array([price])))
+    losses = []
+    for _ in range(2):
+        x = np.zeros(m)
+        x[inc] = draw(st.lists(st.floats(-5.0, 5.0), min_size=int(inc.sum()),
+                               max_size=int(inc.sum())))
+        losses.append(x)
+    return r, losses
+
+
+def _outcome(f):
+    try:
+        return f()
+    except RiskShareError as exc:
+        return type(exc)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(cash_agents())
+def test_closed_form_matches_the_lp(agent):
+    r, (x, y) = agent
+    closed = _outcome(lambda: rho(r, r.space.rv(x)))
+    lp = _outcome(lambda: _rho_rows(r, r.lp_rows(), x))
+    if isinstance(lp, type):
+        assert closed is lp
+        return
+    assert closed.status == lp.status
+    if closed.status == "optimal":
+        v = closed.value.as_float()
+        assert abs(v - lp.value.as_float()) <= 1e-12 * (1.0 + abs(v))
+        # the security makes the part acceptable
+        t = closed.security.values[0]
+        assert np.all(closed.security.values == t)
+        assert r.acceptance.margin(x - closed.security.values) <= (
+            linprog.CERT_TOL * (1.0 + np.max(np.abs(x)) + abs(t)))
+    # rho_batch is rho row by row, bitwise, and refuses where rho does
+    rows = np.array([x, y, x])
+    singles = [_outcome(lambda z=z: rho(r, r.space.rv(z))) for z in rows]
+    if any(isinstance(s, type) or s.status == "unbounded" for s in singles):
+        with pytest.raises(RiskShareError):
+            rho_batch(r, rows)
+    else:
+        assert rho_batch(r, rows).tolist() == [s.value.as_float()
+                                              for s in singles]
+
+
+@pytest.mark.parametrize("bound, status", [(-0.5, "infeasible"),
+                                           (0.5, "unbounded")])
+def test_a_cash_weight_that_cancels_is_zero(bound, status):
+    # phi(1) = 3/6 - 3 (1/6) is 5.6e-17 in floating point, not 0: were it
+    # positive, rho would be a finite 1e16-sized amount; the LP cannot
+    # pivot on it either
+    space = ScenarioSpace.uniform(list("abcdef"))
+    phi = Functional(space, np.array([3.0, -1.0, -1.0, -1.0, 0.0, 0.0]))
+    assert phi.weights.sum() != 0.0
+    r = RiskMeasurementRegime(
+        SupportMask.full(space),
+        PolyhedralAcceptanceSet((phi,), np.array([bound])),
+        SecurityMarket((space.rv(np.full(6, -2.0)),), np.array([-1.5])))
+    x = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 2.0])
+    assert rho(r, space.rv(x)).status == status
+    assert _rho_rows(r, r.lp_rows(), x).status == status
+
+
+# ----------------------------------------------------------------------
+# the edges through the CLI
+# ----------------------------------------------------------------------
+
+def _bank_document(tmp_path, functionals):
+    """fixtures/avar_ceiling.json with the bank's `up` density raised to 4
+    and `functionals` appended to its acceptance set."""
+    doc = json.loads((FIXTURES / "avar_ceiling.json").read_text())
+    poly = doc["agents"][1]["acceptance"]["polyhedral"]
+    poly[0]["density"]["up"] = 4.0
+    poly += functionals
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _rho_cli(capsys, path, loss):
+    code = run(["rho", path, "--agent", "2", "--loss", json.dumps(loss)])
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    return code, captured.err
+
+
+def test_overflowing_margin_is_a_structural_exit(tmp_path, capsys):
+    # phi(X) = 2e308 overflows from a finite loss
+    code, err = _rho_cli(capsys, _bank_document(tmp_path, []),
+                         {"up": 1e308, "down": 0})
+    assert code == 1
+    assert err.startswith("error:")
+
+
+def test_empty_acceptance_set_is_infeasible(tmp_path, capsys):
+    # a zero functional with a negative bound accepts nothing
+    path = _bank_document(tmp_path, [{"density": {}, "bound": -1.0}])
+    code, err = _rho_cli(capsys, path, {"up": 1, "down": 0})
+    assert code == 2 and "infinite" in err
+    r = load_problem(path).regimes[1]
+    x = r.space.rv(np.array([1.0, 0.0]))
+    assert rho(r, x).status == "infeasible"
+    assert _rho_rows(r, r.lp_rows(), x.values).status == "infeasible"
+    assert rho_batch(r, x.values[None, :]).tolist() == [math.inf]
+
+
+def test_set_without_positive_cash_weight_is_unbounded(tmp_path, capsys):
+    doc = json.loads((FIXTURES / "avar_ceiling.json").read_text())
+    doc["agents"][1]["acceptance"]["polyhedral"] = [
+        {"density": {"up": -2.0}, "bound": 1.0},
+        {"density": {}, "bound": 1.0}]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, err = _rho_cli(capsys, str(path), {"up": 1, "down": 0})
+    assert code == 2 and "unbounded" in err
+    r = load_problem(str(path)).regimes[1]
+    x = r.space.rv(np.array([1.0, 0.0]))
+    assert rho(r, x).status == "unbounded"
+    assert _rho_rows(r, r.lp_rows(), x.values).status == "unbounded"
+    with pytest.raises(DomainError, match="unbounded below"):
+        rho_batch(r, x.values[None, :])
+
+
+# ----------------------------------------------------------------------
+# what rho_batch promises
+# ----------------------------------------------------------------------
+
+def test_rho_batch_is_bitwise_on_closed_forms_and_certified_on_screens():
+    rng = np.random.default_rng(23)
+    space = ScenarioSpace.uniform(["a", "b", "c", "d"])
+    rows = rng.uniform(-3.0, 3.0, size=(40, 4))
+    # the cash closed form, for every family, and the law-invariant search
+    agents = [full_support_regime(rng, space),
+              law_invariant_regime(space, AVAR, 0.4),
+              law_invariant_regime(space, ENTROPIC, 1.3),
+              law_invariant_regime(space, ENTROPIC, 0.7, SecurityMarket(
+                  (space.rv(np.ones(4)), space.indicator(["a"])),
+                  np.array([1.0, 0.3])))]
+    for r in agents:
+        assert rho_batch(r, rows).tolist() == [
+            rho(r, space.rv(x)).value.as_float() for x in rows]
+    # indicator markets: screened rows carry the LP's certificate, not
+    # the bits of a simplex run of their own
+    space, chain = window_chain_regimes(rng, 12, 3)
+    for r in chain:
+        batch = rng.uniform(-4.0, 4.0, size=(60, space.size))
+        batch[:, ~r.support.included] = 0.0
+        with recording() as seen:
+            values = rho_batch(r, batch)
+        assert len(seen["solve"]) < batch.shape[0]
+        for v, x in zip(values, batch):
+            single = rho(r, space.rv(x)).value.as_float()
+            if math.isinf(single):
+                assert v == single
+            else:
+                assert abs(v - single) <= linprog.CERT_TOL * (1.0 + abs(v))
+
+
+# ----------------------------------------------------------------------
+# work counters
+# ----------------------------------------------------------------------
+
+@contextlib.contextmanager
+def recording():
+    """The problems given to linprog.solve and linprog.solve_batch while
+    the block runs (solve_batch's own solves included under "solve")."""
+    seen = {"solve": [], "solve_batch": []}
+    solve_, batch_ = linprog.solve, linprog.solve_batch
+
+    def solve(p, *args, **kwargs):
+        seen["solve"].append(p)
+        return solve_(p, *args, **kwargs)
+
+    def solve_batch(p, rhs):
+        seen["solve_batch"].append(p)
+        return batch_(p, rhs)
+
+    linprog.solve, linprog.solve_batch = solve, solve_batch
+    try:
+        yield seen
+    finally:
+        linprog.solve, linprog.solve_batch = solve_, batch_
+
+
+def test_polyhedral_cash_rho_makes_no_lp():
+    rng = np.random.default_rng(5)
+    space = ScenarioSpace.uniform(["a", "b", "c", "d"])
+    r = full_support_regime(rng, space)
+    rows = rng.normal(size=(81, 4))
+    with recording() as seen:
+        rho(r, space.rv(rows[0]))
+        rho_batch(r, rows)
+    assert seen == {"solve": [], "solve_batch": []}
+
+
+def test_certified_lambda_and_pareto_sweep_make_the_two_system_lps():
+    rng = np.random.default_rng(9)
+    space = ScenarioSpace.uniform(["a", "b", "c", "d"])
+    s = AgentSystem((full_support_regime(rng, space),
+                     full_support_regime(rng, space)))
+    X = space.rv(rng.normal(size=4))
+    with recording() as seen:
+        res = capital_requirement(s, X, certify=True)
+        check = oracle.verify_pareto(s, X, res.allocation,
+                                     oracle.GridSpec.around(X, 0.5, 0.5))
+    assert check.pareto
+    assert seen["solve_batch"] == []
+    # nsa_check's zero-sum price LP (equality rows over the stacked
+    # basis), then the sharing LP
+    nsa, sharing = seen["solve"]
+    assert set(nsa.senses) == {linprog.EQ} and not nsa.rhs.any()
+    assert sharing.rows.shape[0] > nsa.rows.shape[0]

@@ -752,3 +752,17 @@ def test_sharing_lps_refuse_law_invariant_systems(query):
     X = pd.space.rv(np.zeros(pd.space.size))
     with pytest.raises(DomainError, match="polyhedral"):
         query(s, X)
+
+
+def test_basis_matrices_are_built_once_and_read_only():
+    s = AgentSystem(overlap_pair())
+    mkt = s.regimes[0].market
+    B = mkt.basis_matrix()
+    assert mkt.basis_matrix() is B
+    stacked = s.stacked_basis()
+    assert s.stacked_basis() is stacked
+    assert np.array_equal(stacked[0], np.hstack(
+        [r.market.basis_matrix() for r in s.regimes]))
+    for a in (B, stacked[0], stacked[1]):
+        with pytest.raises(ValueError, match="read-only"):
+            a += 1.0

@@ -935,16 +935,18 @@ def law_invariant_requirement(prob: LawInvariantProblem,
 
 def _system_problem(system) -> LawInvariantProblem:
     """The (p, Q) pricing form of a law-invariant agent system, built once
-    and cached on it: the density d of _pricing_margin prices the stacked
-    securities, p = E[d] and q = d / p.  With the search that
-    _problem_search caches on the problem, every Lambda on the system
-    shares one copy of its market-only work."""
+    and cached on it: the density d of _pricing_margin prices the
+    securities of the system's markets (the kept answer of the market
+    when every agent holds one market object), p = E[d] and q = d / p.
+    With the search that _problem_search caches on the problem, every
+    Lambda on the system shares one copy of its market-only work."""
     prob = system.__dict__.get("_lawinv_problem")
     if prob is not None:
         return prob
     space = system.space
-    B, prices, _ = system.stacked_basis()
-    margin, d = _pricing_margin(space.probs, B, prices, math.inf)
+    margin, d = system.market_answer(
+        lambda mk: mk.pricing_margin(space.probs),
+        lambda B, prices: _pricing_margin(space.probs, B, prices, math.inf))
     if margin == math.inf:
         raise DomainError("aggregate security span must contain the unit")
     if not margin >= -1e-12:

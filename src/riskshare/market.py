@@ -11,8 +11,8 @@ price functional pi, and the sharing functional
 
 Lambda is finite and exact (the infimum is attained by an allocation whose
 risks sum to it) exactly in the no-scalable-arbitrage case pi(0) = 0; the
-dichotomy pi(0) in {0, -inf} is decided by a rank computation with an LP
-cross-check.
+dichotomy pi(0) in {0, -inf} is decided by the total price of the zero-sum
+security allocations, with an LP cross-check.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .regime import (
     PolyhedralAcceptanceSet,
     RiskValue,
     ValidationReport,
+    _zero_sum_status,
     rho,
 )
 from .scenario import Functional, RandomVariable, ScenarioSpace
@@ -118,6 +119,20 @@ class AgentSystem:
         cached = B, prices, tuple(slices)
         object.__setattr__(self, "_stacked_basis", cached)
         return cached
+
+    def market_answer(self, kept, solve):
+        """A market-only LP answer of the system, over its distinct market
+        objects: when every agent holds one market object, kept(market),
+        the answer that market keeps; else solve(B, prices) over the
+        stacked columns of the distinct markets in agent order.  A market
+        held by several agents would only repeat (payoff, price) columns,
+        which change no feasible set, optimum or status."""
+        markets = list({id(r.market): r.market
+                        for r in self.regimes}.values())
+        if len(markets) == 1:
+            return kept(markets[0])
+        return solve(np.hstack([mk.basis_matrix() for mk in markets]),
+                     np.concatenate([mk.prices for mk in markets]))
 
     def aggregate_contains(self, values: np.ndarray, tol: float = SPAN_TOL):
         """Coefficients of `values` over the stacked basis (least squares),
@@ -239,23 +254,23 @@ class NsaResult:
     dim_v: int
     n_agents: int
     lp_status: str
-
-    @property
-    def pi_zero_is_zero(self) -> bool:
-        return self.dim_v < self.n_agents
+    pi_zero_is_zero: bool
 
     def verdict(self) -> str:
         return "pi(0)=0" if self.pi_zero_is_zero else "pi(0)=-inf"
 
 
 def nsa_check(s: AgentSystem) -> NsaResult:
-    """Decide the dichotomy: pi(0) = 0 iff the set of per-agent price
-    vectors of zero-sum security allocations has dimension < n.
+    """Decide the dichotomy: pi(0) = 0 iff the total price sum_i v_i
+    vanishes on V, the set of per-agent price vectors (v_1, ..., v_n) of
+    zero-sum security allocations; otherwise pi(0) = -inf.
 
-    The dimension comes from a null-space computation; an LP (minimize the
-    total price of a zero-sum security allocation) cross-checks it:
-    unbounded iff the dimension equals n.  Disagreement raises
-    InternalInconsistency.
+    V comes from a null-space computation, and the verdict holds when
+    every column sum of V vanishes within the rank tolerance; dim(V) < n
+    is necessary for that, not sufficient, and is reported as dim_v.  An
+    LP (minimize the total price of a zero-sum security allocation, over
+    the distinct markets' columns) cross-checks it: unbounded iff pi(0) =
+    -inf.  Disagreement raises InternalInconsistency.
     """
     cached = getattr(s, "_nsa_result", None)
     if cached is not None:
@@ -269,20 +284,18 @@ def nsa_check(s: AgentSystem) -> NsaResult:
             [float(prices[sl] @ ns[sl, c]) for c in range(ns.shape[1])]
             for sl in slices
         ])
-    dim_v = int(np.linalg.matrix_rank(V, tol=1e-10 * max(1.0, np.abs(V).max() if V.size else 1.0)))
+    tol = 1e-10 * max(1.0, np.abs(V).max() if V.size else 1.0)
+    dim_v = int(np.linalg.matrix_rank(V, tol=tol))
+    vanishes = bool(np.all(np.abs(V.sum(axis=0)) <= tol))
 
-    k = B.shape[1]
-    sol = linprog.solve(linprog.LpProblem(
-        c=prices.copy(), rows=B, senses=[linprog.EQ] * B.shape[0],
-        rhs=np.zeros(B.shape[0]),
-        lower=np.full(k, -math.inf), upper=np.full(k, math.inf)))
-    unbounded = sol.status == "unbounded"
-    if unbounded != (dim_v == s.n):
+    status = s.market_answer(lambda mk: mk.zero_sum_status(),
+                             _zero_sum_status)
+    res = NsaResult(dim_v=dim_v, n_agents=s.n, lp_status=status,
+                    pi_zero_is_zero=vanishes)
+    if (status == "unbounded") == vanishes:
         raise InternalInconsistency(
-            f"rank computation says dim(V) = {dim_v} of n = {s.n} but the "
-            f"zero-sum price LP is {sol.status}"
-        )
-    res = NsaResult(dim_v=dim_v, n_agents=s.n, lp_status=sol.status)
+            f"the total price over V gives {res.verdict()} (dim(V) = "
+            f"{dim_v} of n = {s.n}) but the zero-sum price LP is {status}")
     object.__setattr__(s, "_nsa_result", res)
     return res
 

@@ -346,14 +346,23 @@ def base_risk_conjugate(kind: str, param: float, probs, density) -> RiskValue:
 
 @dataclass(frozen=True)
 class SecurityMarket:
-    """span{basis} with a linear price per basis payoff."""
+    """span{basis} with a linear price per basis payoff.
+
+    The basis matrix and the prices are read-only, so every answer that
+    depends on the market alone is computed the first time it is asked
+    and kept on the market: the price of the payoff 1 (cash_unit_price),
+    the unit LP per support mask (unit_certificate), the pricing density
+    per probability vector (pricing_margin) and the status of the
+    zero-sum price LP (zero_sum_status).  Every regime and agent system
+    that holds this market object shares them."""
 
     basis: tuple            # tuple of RandomVariable
     prices: np.ndarray      # one price per basis vector
 
     def __post_init__(self):
         basis = tuple(self.basis)
-        prices = np.asarray(self.prices, dtype=float)
+        prices = np.array(self.prices, dtype=float)
+        prices.flags.writeable = False
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "prices", prices)
         if len(basis) == 0:
@@ -364,6 +373,7 @@ class SecurityMarket:
         B = np.column_stack([b.values for b in basis])
         B.flags.writeable = False
         object.__setattr__(self, "_basis", B)
+        object.__setattr__(self, "_answers", {})
         if np.linalg.matrix_rank(B, tol=1e-10 * max(1.0, np.abs(B).max())) < len(basis):
             raise StructuralError("security basis payoffs are linearly dependent")
 
@@ -395,38 +405,84 @@ class SecurityMarket:
             return None
         return w
 
-    # ---- certificates -------------------------------------------------
+    # ---- market-only answers, each computed once ----------------------
+
+    def _answer(self, key, compute):
+        """The answer kept under `key`, computed on the first ask; the
+        arrays in it are made read-only."""
+        answers = self._answers
+        if key not in answers:
+            answer = compute()
+            for part in answer if isinstance(answer, tuple) else ():
+                if isinstance(part, np.ndarray):
+                    part.flags.writeable = False
+            answers[key] = answer
+        return answers[key]
+
+    def cash_unit_price(self):
+        """Price of the unit payoff 1 when the market trades exactly one
+        constant payoff at a positive price, else None."""
+        return self._answer("cash", lambda: _cash_unit_price(self))
 
     def unit_certificate(self, included: np.ndarray):
         """LP: maximize the minimum included coordinate of Z subject to
         price(Z) = 1.  A strictly positive optimum certifies the existence
         of a strictly positive unit-price payoff.  Returns (optimum, coeffs)
         where optimum may be +inf (unbounded) or None (infeasible)."""
-        B = self.basis_matrix()[included]
-        k = self.dim
-        # variables: w (k, free), t (free); maximize t  ==  minimize -t
-        c = np.zeros(k + 1)
-        c[-1] = -1.0
-        rows = []
-        senses = []
-        rhs = []
-        for r in range(B.shape[0]):
-            row = np.concatenate([-B[r], [1.0]])     # t - Z(w) <= 0
-            rows.append(row)
-            senses.append(linprog.LE)
-            rhs.append(0.0)
-        rows.append(np.concatenate([self.prices, [0.0]]))
-        senses.append(linprog.EQ)
-        rhs.append(1.0)
-        free = np.full(k + 1, -math.inf)
-        sol = linprog.solve(linprog.LpProblem(
-            c=c, rows=np.array(rows), senses=senses, rhs=np.array(rhs),
-            lower=free, upper=np.full(k + 1, math.inf)))
-        if sol.status == "infeasible":
-            return None, None
-        if sol.status == "unbounded":
-            return math.inf, None
-        return -sol.objective_value, sol.primal[:k]
+        included = np.asarray(included, dtype=bool)
+        return self._answer(
+            ("unit", included.tobytes()),
+            lambda: _unit_lp(self.basis_matrix()[included], self.prices))
+
+    def pricing_margin(self, probs: np.ndarray):
+        """_pricing_margin(probs, B, prices, inf): the margin of the
+        densities that price the market under the probabilities `probs`,
+        and the density its duals certify."""
+        probs = np.asarray(probs, dtype=float)
+        return self._answer(
+            ("margin", probs.tobytes()),
+            lambda: _pricing_margin(probs, self.basis_matrix(), self.prices,
+                                    math.inf))
+
+    def zero_sum_status(self) -> str:
+        """Status of the zero-sum price LP over the market's columns
+        (_zero_sum_status)."""
+        return self._answer("zero_sum", lambda: _zero_sum_status(
+            self.basis_matrix(), self.prices))
+
+
+def _unit_lp(B, prices):
+    """SecurityMarket.unit_certificate's LP over the included rows of the
+    basis matrix B: maximize t subject to t <= Z(w) on those rows and
+    price(w) = 1, over free w and t."""
+    k = B.shape[1]
+    # variables: w (k, free), t (free); maximize t  ==  minimize -t
+    c = np.zeros(k + 1)
+    c[-1] = -1.0
+    rows = np.vstack([np.hstack([-B, np.ones((B.shape[0], 1))]),   # t - Z <= 0
+                      np.concatenate([prices, [0.0]])])
+    senses = [linprog.LE] * B.shape[0] + [linprog.EQ]
+    rhs = np.concatenate([np.zeros(B.shape[0]), [1.0]])
+    free = np.full(k + 1, -math.inf)
+    sol = linprog.solve(linprog.LpProblem(
+        c=c, rows=rows, senses=senses, rhs=rhs,
+        lower=free, upper=np.full(k + 1, math.inf)))
+    if sol.status == "infeasible":
+        return None, None
+    if sol.status == "unbounded":
+        return math.inf, None
+    return -sol.objective_value, sol.primal[:k]
+
+
+def _zero_sum_status(B, prices) -> str:
+    """Status of the LP  minimize price(w) subject to B w = 0  over free
+    w: "unbounded" exactly when some zero-sum combination of the columns
+    of B has a negative price."""
+    k = B.shape[1]
+    return linprog.solve(linprog.LpProblem(
+        c=np.array(prices, dtype=float), rows=B,
+        senses=[linprog.EQ] * B.shape[0], rhs=np.zeros(B.shape[0]),
+        lower=np.full(k, -math.inf), upper=np.full(k, math.inf))).status
 
 
 # ----------------------------------------------------------------------
@@ -703,7 +759,7 @@ def _cash_rho(r, rows):
     is +inf where nothing securitizes the row and -inf where the
     requirement is unbounded below; a law-invariant one that is not
     finite has overflowed and is refused.  None for any other market."""
-    unit_price = _cash_unit_price(r.market)
+    unit_price = r.market.cash_unit_price()
     if unit_price is None:
         return None
     xi = r.acceptance.xi(r.space.probs, rows)
@@ -742,13 +798,14 @@ def _rho_rows(r, form, xvals) -> RhoResult:
 
 
 def _rho_law_invariant(r):
-    """Entropic rho outside a cash market, with the market-only part done
-    once: lawinv._kernel_search with the unit U from the unit LP, or, on a
-    one-payoff market without a strictly positive unit, the interval
-    search _line_search.  Returns (search, price, B), rho of a row with
-    outcome (t, Z, q) being price * t (+inf when Z is None), price = 1
-    being the price of U, and B the basis matrix.  A larger market
-    without such a unit is refused."""
+    """Entropic rho outside a cash market: lawinv._kernel_search with the
+    unit U from the unit LP and, when the market has a price kernel, the
+    pricing margin, both answers the market keeps; or, on a one-payoff
+    market without a strictly positive unit, the interval search
+    _line_search.  Returns (search, price, B), rho of a row with outcome
+    (t, Z, q) being price * t (+inf when Z is None), price = 1 being the
+    price of U, and B the basis matrix.  A larger market without such a
+    unit is refused."""
     from .lawinv import _kernel_search      # lawinv imports this module
 
     mkt = r.market
@@ -761,8 +818,12 @@ def _rho_law_invariant(r):
                 "in the span (or a one-dimensional market)")
         return (_line_search(r.acceptance.param, r.space.probs, B[:, 0],
                              float(mkt.prices[0])), 1.0, B)
+    # a market with a unit has a price kernel exactly when it trades more
+    # than one payoff; only then does the search read the margin
+    margin = (mkt.pricing_margin(r.space.probs)[0] if mkt.dim > 1
+              else None)
     return _kernel_search((r.acceptance,), r.space.probs, B, mkt.prices,
-                          B @ w_u, 1.0), 1.0, B
+                          B @ w_u, 1.0, margin), 1.0, B
 
 
 def rho_batch(r: RiskMeasurementRegime, rows) -> np.ndarray:
@@ -835,8 +896,9 @@ def _arbitrage_refusal() -> DomainError:
 
 
 def _cash_unit_price(mkt: SecurityMarket):
-    """Price of the unit payoff 1 when the market trades exactly one
-    constant payoff at a positive price, else None."""
+    """SecurityMarket.cash_unit_price, computed: the price of the unit
+    payoff 1 when the market trades exactly one constant payoff at a
+    positive price, else None."""
     if mkt.dim != 1:
         return None
     vals = mkt.basis[0].values

@@ -117,6 +117,45 @@ def test_lambda_on_arbitrage_is_domain_exit(capsys):
     assert "arbitrage" in err
 
 
+def _price_disagreement(tmp_path):
+    # both agents trade the payoff 1, at prices 1 and 2: dim(V) = 1 < n = 2,
+    # yet buying it from one and selling it to the other earns 1 per unit
+    ceilings = {"polyhedral": [{"density": {"low": 1.0}, "bound": 1.0},
+                               {"density": {"high": 1.0}, "bound": 1.0}]}
+    doc = {
+        "scenarios": {"labels": ["low", "high"],
+                      "probs": {"low": 0.5, "high": 0.5}},
+        "agents": [
+            {"name": name, "acceptance": ceilings,
+             "securities": [{"payoff": {"low": 1.0, "high": 1.0},
+                             "price": price}]}
+            for name, price in (("cheap", 1.0), ("dear", 2.0))],
+    }
+    path = tmp_path / "price_disagreement.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_price_disagreement_fails_validation(tmp_path, capsys):
+    code, doc, err = _run(capsys, "validate", _price_disagreement(tmp_path))
+    assert code == 1, err
+    assert doc["status"] == "failed_validation"
+    star = {c["name"]: c["passed"] for c in doc["outputs"]["star"]["checks"]}
+    assert star == {"price_agreement_on_intersections": False,
+                    "relation_graph_connected": True}
+    assert doc["outputs"]["nsa"] == {"dim_v": 1, "n_agents": 2,
+                                     "verdict": "pi(0)=-inf",
+                                     "passed": False}
+    check_schema(doc, "result")
+
+
+def test_lambda_on_price_disagreement_is_domain_exit(tmp_path, capsys):
+    code, _, err = _run(capsys, "lambda", _price_disagreement(tmp_path),
+                        "--loss", '{"low": 1}')
+    assert code == 2
+    assert "system admits scalable arbitrage" in err
+
+
 def test_grid_refusal_is_domain_exit(capsys):
     code, _, err = _run(capsys, "oracle", WORKED, "--check", "lambda",
                    "--loss", LOSS, "--grid-step", "1e-5")

@@ -178,6 +178,39 @@ def test_nsa_restored_without_third_agent():
     assert res.pi_zero_is_zero
 
 
+def test_nsa_price_disagreement_below_full_rank():
+    # both agents trade the payoff 1, at prices 1 and 2: V is the line
+    # through (1, -2), so dim(V) = 1 < n = 2, but its total price -1 does
+    # not vanish and pi(0) = -inf, as the zero-sum LP finds
+    space = ScenarioSpace.uniform(["low", "high"])
+    s = AgentSystem(tuple(
+        law_invariant_regime(space, ENTROPIC, 1.0, cash_market(space, price))
+        for price in (1.0, 2.0)))
+    res = nsa_check(s)
+    assert (res.dim_v, res.lp_status) == (1, "unbounded")
+    assert not res.pi_zero_is_zero
+    assert res.verdict() == "pi(0)=-inf"
+    with pytest.raises(DomainError, match="scalable arbitrage"):
+        capital_requirement(s, space.rv(np.zeros(2)))
+
+
+def test_nsa_over_one_market_object_solves_its_lp_once(monkeypatch):
+    # agents holding one market object contribute its columns once: the
+    # zero-sum LP is the market's, kept on it for every later system
+    space = three_space()
+    regime = law_invariant_regime(space, ENTROPIC, 1.0,
+                                  cash_market(space, 0.9))
+    solves = []
+    solve = linprog.solve
+    monkeypatch.setattr(linprog, "solve",
+                        lambda p: solves.append(p) or solve(p))
+    for n in (2, 3, 5):
+        res = nsa_check(AgentSystem((regime,) * n))
+        assert (res.dim_v, res.n_agents) == (n - 1, n)
+        assert res.pi_zero_is_zero and res.lp_status == "optimal"
+    assert [p.rows.shape for p in solves] == [(3, 1)]
+
+
 # ---------------------------------------------------------------------------
 # glued prices
 # ---------------------------------------------------------------------------
@@ -625,27 +658,37 @@ def test_lambda_batch_law_invariant_refusals_match_capital_requirement(
 
 def test_lambda_batch_law_invariant_market_work_once_certificate_per_row(
         monkeypatch):
-    # the pricing-density LP depends on the market alone: solved once per
-    # system, not per row, and with an unbounded dual box its margin also
-    # serves the kernel search; every row still unwinds its remainder into
-    # acceptable parts
-    calls, unwound = [], []
-    margin, unwind = lawinv._pricing_margin, lawinv._unwind
-    monkeypatch.setattr(lawinv, "_pricing_margin",
-                        lambda *a: calls.append(a) or margin(*a))
+    # the scalable-arbitrage LP and the pricing-density LP depend on the
+    # markets alone: at most two LPs per system, none per row, and with an
+    # unbounded dual box the margin also serves the kernel search; a
+    # system whose agents hold one market object takes that market's kept
+    # answers, so a second such system solves none; every row still
+    # unwinds its remainder into acceptable parts
+    solves, unwound = [], []
+    solve, unwind = linprog.solve, lawinv._unwind
+    monkeypatch.setattr(linprog, "solve",
+                        lambda p: solves.append(p) or solve(p))
     monkeypatch.setattr(lawinv, "_unwind",
                         lambda *a: unwound.append(a) or unwind(*a))
-    for name, per_system in (("cash_only", 1), ("entropic_pair", 1)):
+    for name in ("cash_only", "entropic_pair"):
         s = LAW_INVARIANT_SYSTEMS[name]()
         targets = np.random.default_rng(4).normal(0.0, 1.0,
                                                   (8, s.space.size))
-        del calls[:], unwound[:]
+        del solves[:], unwound[:]
         lambda_batch(s, targets)
-        assert len(calls) == per_system, name
+        assert len(solves) <= 2, name
         assert len(unwound) == len(targets), name
+        per_system = len(solves)
         lambda_batch(s, targets)
         capital_requirement(s, s.space.rv(targets[0]), certify=False)
-        assert len(calls) == per_system, name
+        assert len(solves) == per_system, name
+    # both cash_only agents hold one market object
+    shared = LAW_INVARIANT_SYSTEMS["cash_only"]()
+    targets = np.random.default_rng(4).normal(0.0, 1.0, (8, 4))
+    lambda_batch(shared, targets)
+    del solves[:]
+    lambda_batch(AgentSystem(tuple(reversed(shared.regimes))), targets)
+    assert solves == []
 
 
 def test_law_invariant_certify_false_skips_agent_rho(monkeypatch):

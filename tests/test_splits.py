@@ -141,10 +141,12 @@ def test_sweep_without_functional_is_cap_limited(entropic_problem):
 
 
 def test_sweep_work_counts_on_identical_entropic_agents(monkeypatch):
-    # per group size n >= 2 the sweep builds one agent system and prices
-    # it with two LPs (the scalable-arbitrage check and the pricing
-    # density); rho runs for n = 1 and for the certified optimum only,
-    # whose capital_requirement reuses the system the sweep built
+    # per group size n >= 2 the sweep builds one agent system; every one
+    # of them holds the one market object, so the whole sweep solves at
+    # most two LPs (the zero-sum price LP of the scalable-arbitrage check
+    # and the pricing density), which the market keeps; rho runs for
+    # n = 1 and for the certified optimum only, whose capital_requirement
+    # reuses the system the sweep built
     from riskshare import lawinv, linprog, market, splits
     space = ScenarioSpace.uniform(["a", "b", "c", "d"])
     regime = law_invariant_regime(space, ENTROPIC, 1.5)
@@ -172,7 +174,7 @@ def test_sweep_work_counts_on_identical_entropic_agents(monkeypatch):
     res = split_optimize(prob, X)
     assert res.n_star == 4
     assert len(built) == prob.n_max - 1
-    assert len(solves) == 2 * len(built)
+    assert len(solves) <= 2
     # one rho before the first system, then one per agent of the optimum
     assert rho_calls == [0] + [len(built)] * res.n_star
 

@@ -288,6 +288,13 @@ def convolution_value(measures, probs, values):
 def convolution_split(measures, probs, values):
     """Value of the convolution together with a comonotone split attaining
     it; the exactness  sum_i xi_i(f_i(W)) = value  is certified."""
+    value, split, _ = _certified_split(measures, probs, values)
+    return value, split
+
+
+def _certified_split(measures, probs, values):
+    """convolution_split's value and split, with the part risks its
+    certificate sums (_part_risks of the split's parts)."""
     ent, av, ex = _grouped(measures)
     n = len(measures)
     values = np.asarray(values, dtype=float)
@@ -317,12 +324,13 @@ def convolution_split(measures, probs, values):
         value, _, zeta = _mixed_dual(alpha, cap, probs, values)
         weights = {i: alpha / a for i, a in ent}
         split = _stop_loss_split(n, zeta, tail, None, floor_weights=weights)
-    achieved = sum(_part_risks(measures, probs, split.apply(values)))
+    risks = _part_risks(measures, probs, split.apply(values))
+    achieved = sum(risks)
     if abs(achieved - value) > CERT_TOL * (1.0 + abs(value)):
         raise InternalInconsistency(
             f"comonotone split achieves {achieved}, convolution value {value}"
         )
-    return value, split
+    return value, split, risks
 
 
 def _part_risks(measures, probs, parts) -> list:
@@ -502,12 +510,15 @@ def _unwind(measures, probs, y):
     agent: the comonotone split of convolution_split, with constants
     shifted between its parts so that every part sits exactly on its
     acceptance boundary and the aggregate slack (the convolution value,
-    about 0 on optimal remainders) lands on the last agent.
+    about 0 on optimal remainders) lands on the last agent.  The shifts
+    are the part risks the split's own certificate computed
+    (_certified_split), so the parts' risks are evaluated once before the
+    shift and once after it.
 
     Returns (convolution value, split, part values, part risks) and raises
     InternalInconsistency when a part's risk exceeds CERT_TOL."""
-    value, split = convolution_split(measures, probs, y)
-    cs = np.array(_part_risks(measures, probs, split.apply(y)))
+    value, split, cs = _certified_split(measures, probs, y)
+    cs = np.array(cs)
     deltas = -cs
     deltas[-1] += cs.sum()
     split = split.shifted(deltas)
@@ -946,7 +957,8 @@ def _system_problem(system) -> LawInvariantProblem:
     space = system.space
     margin, d = system.market_answer(
         lambda mk: mk.pricing_margin(space.probs),
-        lambda B, prices: _pricing_margin(space.probs, B, prices, math.inf))
+        lambda B, prices, _: _pricing_margin(space.probs, B, prices,
+                                             math.inf))
     if margin == math.inf:
         raise DomainError("aggregate security span must contain the unit")
     if not margin >= -1e-12:

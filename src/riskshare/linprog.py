@@ -172,14 +172,23 @@ def _product(e: _Expansion, y):
     return np.add.reduceat(y * e.sign, e.first, axis=-1) + 0.0
 
 
-def _standardize(p: LpProblem):
-    """Return (A, b, c, flips, slack_sign, expansion, const) with A y = b,
-    y >= 0, b >= 0 and objective c.y + const.  The rows of A are p's rows,
-    then one <= row per doubly bounded variable.  A row that is not an
-    equality gets the next slack column, with coefficient slack_sign[i]
-    (0.0 for an equality), before row i is multiplied by flips[i] = -1.0
-    where its right-hand side is negative."""
-    e = _expand_variables(p)
+def _with_rhs(p: LpProblem, rhs, expansion) -> LpProblem:
+    """p with the right-hand side `rhs`, carrying p's variable expansion
+    (_expand_variables, which reads the bounds alone) for solve to reuse."""
+    q = LpProblem(c=p.c, rows=p.rows, senses=p.senses, rhs=rhs,
+                  lower=p.lower, upper=p.upper)
+    q._expansion = expansion
+    return q
+
+
+def _standardize(p: LpProblem, e):
+    """Return (A, b, c, flips, slack_sign, e, const) with A y = b, y >= 0,
+    b >= 0 and objective c.y + const, e being p's variable expansion
+    (_expand_variables; None for crossed bounds, which give None).  The
+    rows of A are p's rows, then one <= row per doubly bounded variable.
+    A row that is not an equality gets the next slack column, with
+    coefficient slack_sign[i] (0.0 for an equality), before row i is
+    multiplied by flips[i] = -1.0 where its right-hand side is negative."""
     if e is None:
         return None
     n_orig, n_y, n_ext = p.rows.shape[0], e.var.shape[0], len(e.ext_cols)
@@ -276,7 +285,9 @@ def _run_simplex(T, basis, cap, it0=0):
 def solve(p: LpProblem, max_iterations: int = None) -> LpSolution:
     """Two-phase simplex.  Deterministic; raises NumericalFailure rather
     than returning an uncertified answer."""
-    std = _standardize(p)
+    # a row of solve_batch carries its batch's expansion (_with_rhs)
+    std = _standardize(p, getattr(p, "_expansion", None)
+                       or _expand_variables(p))
     if std is None:
         return LpSolution(status="infeasible", objective_value=math.inf)
     A, b, c, flips, slack_sign, expansion, const = std
@@ -455,7 +466,8 @@ def solve_batch(p: LpProblem, rhs) -> LpBatch:
     Rows that are infeasible or unbounded get their status from `solve`
     itself.  Screened rows carry the certificate `solve` checks (_certify,
     with the basis's shadow prices) and raise NumericalFailure where it
-    fails, as `solve` does."""
+    fails, as `solve` does.  The variables are expanded once: every row
+    that `solve` runs carries the expansion (_with_rhs)."""
     rhs = np.asarray(rhs, dtype=float)
     n_rows = p.rows.shape[0]
     if rhs.ndim != 2 or rhs.shape[1] != n_rows:
@@ -467,7 +479,8 @@ def solve_batch(p: LpProblem, rhs) -> LpBatch:
     status = [None] * N
     objective = np.full(N, math.nan)
     primal = np.full((N, p.c.shape[0]), math.nan)
-    std = _standardize(p)
+    expansion = _expand_variables(p)
+    std = _standardize(p, expansion)
     if std is not None:     # crossed bounds: every solve is infeasible
         A, b, c, flips, _, expansion, const = std
         shift, n_y = expansion.shift, expansion.var.shape[0]
@@ -482,8 +495,7 @@ def solve_batch(p: LpProblem, rhs) -> LpBatch:
     solves = 0
     while pending.any():
         k = int(np.argmax(pending))
-        sol = solve(LpProblem(c=p.c, rows=p.rows, senses=p.senses, rhs=rhs[k],
-                              lower=p.lower, upper=p.upper))
+        sol = solve(_with_rhs(p, rhs[k], expansion))
         solves += 1
         pending[k] = False
         status[k], objective[k] = sol.status, sol.objective_value

@@ -12,7 +12,7 @@ price functional pi, and the sharing functional
 Lambda is finite and exact (the infimum is attained by an allocation whose
 risks sum to it) exactly in the no-scalable-arbitrage case pi(0) = 0; the
 dichotomy pi(0) in {0, -inf} is decided by the total price of the zero-sum
-security allocations, with an LP cross-check.
+combinations of the distinct markets' payoffs, with an LP cross-check.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ from .regime import (
     PolyhedralAcceptanceSet,
     RiskValue,
     ValidationReport,
-    _zero_sum_status,
+    _arbitrage_verdict,
+    _zero_sum_prices,
     rho,
 )
 from .scenario import Functional, RandomVariable, ScenarioSpace
@@ -121,18 +122,21 @@ class AgentSystem:
         return cached
 
     def market_answer(self, kept, solve):
-        """A market-only LP answer of the system, over its distinct market
+        """A market-only answer of the system, over its distinct market
         objects: when every agent holds one market object, kept(market),
-        the answer that market keeps; else solve(B, prices) over the
-        stacked columns of the distinct markets in agent order.  A market
-        held by several agents would only repeat (payoff, price) columns,
-        which change no feasible set, optimum or status."""
+        the answer that market keeps; else solve(B, prices, dims) over the
+        stacked columns of the distinct markets in agent order, the j-th
+        market holding dims[j] of them.  A market held by several agents
+        would only repeat (payoff, price) columns, which change no
+        feasible set, optimum or status, and add only zero-sum
+        combinations of price zero."""
         markets = list({id(r.market): r.market
                         for r in self.regimes}.values())
         if len(markets) == 1:
             return kept(markets[0])
         return solve(np.hstack([mk.basis_matrix() for mk in markets]),
-                     np.concatenate([mk.prices for mk in markets]))
+                     np.concatenate([mk.prices for mk in markets]),
+                     tuple(mk.dim for mk in markets))
 
     def aggregate_contains(self, values: np.ndarray, tol: float = SPAN_TOL):
         """Coefficients of `values` over the stacked basis (least squares),
@@ -145,9 +149,9 @@ class AgentSystem:
 
     def pi(self, values: np.ndarray) -> float:
         """Glued price of an aggregate-span payoff.  Well-defined (the same
-        for every decomposition) when pi(0) = 0; guarded by nsa_check."""
-        res = nsa_check(self)
-        if not res.pi_zero_is_zero:
+        for every decomposition) when pi(0) = 0; guarded by the
+        scalable-arbitrage verdict (_verdict)."""
+        if not _verdict(self)[0]:
             raise DomainError(
                 "pi(0) = -inf for this system; prices of aggregate payoffs "
                 "are not well-defined"
@@ -260,48 +264,48 @@ class NsaResult:
         return "pi(0)=0" if self.pi_zero_is_zero else "pi(0)=-inf"
 
 
-def nsa_check(s: AgentSystem) -> NsaResult:
-    """Decide the dichotomy: pi(0) = 0 iff the total price sum_i v_i
-    vanishes on V, the set of per-agent price vectors (v_1, ..., v_n) of
-    zero-sum security allocations; otherwise pi(0) = -inf.
+def _verdict(s: AgentSystem):
+    """The verdict of the pi(0) dichotomy for `s` as (pi(0) = 0, status of
+    the zero-sum price LP): regime._arbitrage_verdict over the system's
+    distinct market objects, computed once per market set.  It is the
+    kept answer of the market when every agent holds one market object,
+    and is kept on the system otherwise; how many agents hold each market
+    does not enter it."""
+    verdict = s.__dict__.get("_verdict")
+    if verdict is None:
+        verdict = s.market_answer(lambda mk: mk.arbitrage_verdict(),
+                                  _arbitrage_verdict)
+        object.__setattr__(s, "_verdict", verdict)
+    return verdict
 
-    V comes from a null-space computation, and the verdict holds when
-    every column sum of V vanishes within the rank tolerance; dim(V) < n
-    is necessary for that, not sufficient, and is reported as dim_v.  An
-    LP (minimize the total price of a zero-sum security allocation, over
-    the distinct markets' columns) cross-checks it: unbounded iff pi(0) =
-    -inf.  Disagreement raises InternalInconsistency.
+
+def nsa_check(s: AgentSystem) -> NsaResult:
+    """The report of the dichotomy: pi(0) = 0 iff every zero-sum
+    combination of the payoffs of the system's distinct markets has zero
+    price (the verdict, _verdict, cross-checked by the zero-sum
+    price LP, whose status is lp_status); otherwise pi(0) = -inf.
+
+    dim_v is the rank of V, the set of per-agent price vectors
+    (v_1, ..., v_n) of zero-sum security allocations, within the verdict's
+    tolerance (regime._zero_sum_prices with one row per agent); dim(V) < n
+    is necessary for pi(0) = 0, not sufficient.  The report is computed
+    on the first call and kept on the system; the verdict alone, which
+    every sharing command asks, needs neither V nor its rank.
     """
-    cached = getattr(s, "_nsa_result", None)
+    cached = s.__dict__.get("_nsa_result")
     if cached is not None:
         return cached
-    B, prices, slices = s.stacked_basis()
-    ns = linprog.null_space(B)
-    if ns.shape[1] == 0:
-        V = np.zeros((s.n, 0))
-    else:
-        V = np.array([
-            [float(prices[sl] @ ns[sl, c]) for c in range(ns.shape[1])]
-            for sl in slices
-        ])
-    tol = 1e-10 * max(1.0, np.abs(V).max() if V.size else 1.0)
-    dim_v = int(np.linalg.matrix_rank(V, tol=tol))
-    vanishes = bool(np.all(np.abs(V.sum(axis=0)) <= tol))
-
-    status = s.market_answer(lambda mk: mk.zero_sum_status(),
-                             _zero_sum_status)
-    res = NsaResult(dim_v=dim_v, n_agents=s.n, lp_status=status,
-                    pi_zero_is_zero=vanishes)
-    if (status == "unbounded") == vanishes:
-        raise InternalInconsistency(
-            f"the total price over V gives {res.verdict()} (dim(V) = "
-            f"{dim_v} of n = {s.n}) but the zero-sum price LP is {status}")
+    vanishes, status = _verdict(s)
+    B, prices, _ = s.stacked_basis()
+    V, tol = _zero_sum_prices(B, prices, [r.market.dim for r in s.regimes])
+    res = NsaResult(dim_v=int(np.linalg.matrix_rank(V, tol=tol)),
+                    n_agents=s.n, lp_status=status, pi_zero_is_zero=vanishes)
     object.__setattr__(s, "_nsa_result", res)
     return res
 
 
 def _ensure_shareable(s: AgentSystem):
-    if not nsa_check(s).pi_zero_is_zero:
+    if not _verdict(s)[0]:
         raise DomainError(
             "system admits scalable arbitrage (pi(0) = -inf); the sharing "
             "functional is identically -inf"

@@ -25,6 +25,7 @@ import numpy as np
 from . import linprog
 from .errors import (
     DomainError,
+    InternalInconsistency,
     NumericalFailure,
     RiskShareError,
     StructuralError,
@@ -352,9 +353,12 @@ class SecurityMarket:
     depends on the market alone is computed the first time it is asked
     and kept on the market: the price of the payoff 1 (cash_unit_price),
     the unit LP per support mask (unit_certificate), the pricing density
-    per probability vector (pricing_margin) and the status of the
-    zero-sum price LP (zero_sum_status).  Every regime and agent system
-    that holds this market object shares them."""
+    per probability vector (pricing_margin) and the scalable-arbitrage
+    verdict with the status of its zero-sum price LP (arbitrage_verdict).
+    Every regime and agent system that holds this market object shares
+    them.  The basis is checked linearly independent here, so a market
+    alone has no zero-sum combination of its payoffs beyond rounding, and
+    its verdict is pi(0) = 0."""
 
     basis: tuple            # tuple of RandomVariable
     prices: np.ndarray      # one price per basis vector
@@ -444,11 +448,11 @@ class SecurityMarket:
             lambda: _pricing_margin(probs, self.basis_matrix(), self.prices,
                                     math.inf))
 
-    def zero_sum_status(self) -> str:
-        """Status of the zero-sum price LP over the market's columns
-        (_zero_sum_status)."""
-        return self._answer("zero_sum", lambda: _zero_sum_status(
-            self.basis_matrix(), self.prices))
+    def arbitrage_verdict(self):
+        """_arbitrage_verdict over the market's own columns: (pi(0) = 0,
+        status of the zero-sum price LP)."""
+        return self._answer("verdict", lambda: _arbitrage_verdict(
+            self.basis_matrix(), self.prices, (self.dim,)))
 
 
 def _unit_lp(B, prices):
@@ -483,6 +487,41 @@ def _zero_sum_status(B, prices) -> str:
         c=np.array(prices, dtype=float), rows=B,
         senses=[linprog.EQ] * B.shape[0], rhs=np.zeros(B.shape[0]),
         lower=np.full(k, -math.inf), upper=np.full(k, math.inf))).status
+
+
+def _zero_sum_prices(B, prices, dims):
+    """V and its tolerance: the columns of B are split into groups of
+    dims[0], dims[1], ... consecutive columns, and V has one row per
+    group, its entry in column c the group's price of its share of the
+    c-th null-space vector of B (a zero-sum combination of the columns).
+    The tolerance is 1e-10 max(1, |V|max)."""
+    ns = linprog.null_space(B)
+    ends = np.cumsum(dims)
+    V = np.array([[float(prices[a:b] @ ns[a:b, c])
+                   for c in range(ns.shape[1])]
+                  for a, b in zip((ends - dims).tolist(), ends.tolist())])
+    return V, 1e-10 * max(1.0, float(np.abs(V).max(initial=0.0)))
+
+
+def _arbitrage_verdict(B, prices, dims):
+    """The pi(0) dichotomy of markets whose columns are stacked in B, the
+    j-th market holding dims[j] of them: pi(0) = 0 iff every zero-sum
+    combination of the columns has zero price, that is, iff every column
+    sum of V (_zero_sum_prices, one row per market) vanishes within the
+    tolerance; otherwise pi(0) = -inf.  The zero-sum price LP
+    (_zero_sum_status) cross-checks it: unbounded iff pi(0) = -inf, and
+    disagreement raises InternalInconsistency.  Returns (pi(0) = 0, the
+    LP's status).  A market repeated in B would only add zero-sum
+    combinations of price zero, so callers pass each market once."""
+    V, tol = _zero_sum_prices(B, prices, dims)
+    vanishes = bool(np.all(np.abs(V.sum(axis=0)) <= tol))
+    status = _zero_sum_status(B, prices)
+    if (status == "unbounded") == vanishes:
+        raise InternalInconsistency(
+            f"the total price over V gives "
+            f"{'pi(0)=0' if vanishes else 'pi(0)=-inf'} but the zero-sum "
+            f"price LP is {status}")
+    return vanishes, status
 
 
 # ----------------------------------------------------------------------

@@ -536,6 +536,38 @@ def test_batch_infeasible_and_unbounded_rows():
     assert batch.solves == 30
 
 
+def test_batch_expands_the_variables_once(monkeypatch):
+    # the expansion of the variables reads the bounds alone, which every
+    # row shares: one expansion per batch, however many rows `solve` runs,
+    # and each re-solved row keeps the bits of a solve of its own
+    rng = np.random.default_rng(21)
+    A = rng.normal(size=(4, 5))
+    c = rng.uniform(0.1, 2.0, size=5)
+    c[0] = 0.0
+    lower = np.array([-math.inf, 0.0, -1.0, -math.inf, 0.0])
+    upper = np.array([math.inf, math.inf, 2.0, 3.0, 1.0])
+    p = lp(c, A, [EQ, LE, GE, LE], np.zeros(4), lower, upper)
+    rhs = rng.normal(size=(30, 4))
+    expansions, solved = [], []
+    expand, solve_ = linprog._expand_variables, linprog.solve
+    monkeypatch.setattr(linprog, "_expand_variables",
+                        lambda q: expansions.append(q) or expand(q))
+
+    def recorded(q):
+        sol = solve_(q)
+        solved.append((q, sol))
+        return sol
+
+    monkeypatch.setattr(linprog, "solve", recorded)
+    batch = solve_batch(p, rhs)
+    assert batch.solves == len(solved) >= 3
+    assert len(expansions) == 1
+    monkeypatch.undo()
+    for q, sol in solved:
+        one = solve(lp(c, A, q.senses, q.rhs, lower, upper))
+        assert solution_digest(sol) == solution_digest(one)
+
+
 def test_batch_degenerate_rows():
     # three constraints through one vertex at t (1, 1) / 2, the zero rhs,
     # and rows off the degenerate ray

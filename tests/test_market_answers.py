@@ -1,8 +1,8 @@
 """Answers that depend on a security market alone, kept on the market.
 
 A SecurityMarket computes its cash unit price, its unit LP per support
-mask, its pricing density per probability vector and the status of its
-zero-sum price LP the first time each is asked; every later ask returns
+mask, its pricing density per probability vector and its
+scalable-arbitrage verdict the first time each is asked; every later ask returns
 the kept answer, bit for bit the answer a fresh computation gives."""
 
 import math
@@ -17,10 +17,10 @@ from riskshare import linprog
 from riskshare.regime import (
     ENTROPIC,
     SecurityMarket,
+    _arbitrage_verdict,
     _cash_unit_price,
     _pricing_margin,
     _unit_lp,
-    _zero_sum_status,
     rho,
     rho_batch,
 )
@@ -78,7 +78,8 @@ def test_kept_answers_are_fresh_computations_bitwise(drawn):
             assert _bits(mkt.pricing_margin(p)) == _bits(
                 _pricing_margin(p, B, prices, math.inf))
         assert _bits(mkt.cash_unit_price()) == _bits(_cash_unit_price(mkt))
-        assert mkt.zero_sum_status() == _zero_sum_status(B, prices)
+        assert mkt.arbitrage_verdict() == _arbitrage_verdict(
+            B, prices, (mkt.dim,))
     # a fresh market over the same payoffs and prices gives the same bits
     fresh = SecurityMarket(mkt.basis, prices)
     for mask in masks:

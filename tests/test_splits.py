@@ -179,6 +179,47 @@ def test_sweep_work_counts_on_identical_entropic_agents(monkeypatch):
     assert rho_calls == [0] + [len(built)] * res.n_star
 
 
+def test_sweep_decides_the_arbitrage_verdict_once(monkeypatch):
+    # every system of the sweep holds the one market object, whose
+    # scalable-arbitrage verdict the market keeps: at most one null space
+    # for the whole sweep, and no rank, which only nsa_check's report of
+    # dim(V) computes
+    from riskshare import linprog
+    space = ScenarioSpace.uniform(["a", "b", "c", "d"])
+    regime = law_invariant_regime(space, ENTROPIC, 1.5)
+    prob = SplitProblem.identical(regime, CostFunction.linear(0.1), n_max=8)
+    X = space.rv(np.array([-1.0, 0.5, 2.0, 3.5]))
+    null_spaces, ranks = [], []
+    null_space, matrix_rank = linprog.null_space, np.linalg.matrix_rank
+    monkeypatch.setattr(linprog, "null_space",
+                        lambda A: null_spaces.append(A) or null_space(A))
+    monkeypatch.setattr(np.linalg, "matrix_rank",
+                        lambda *a, **k: ranks.append(a) or matrix_rank(*a, **k))
+    assert split_optimize(prob, X).n_star == 4
+    assert len(null_spaces) <= 1
+    assert ranks == []
+
+
+def test_law_invariant_value_reuses_the_split_certificate_risks(monkeypatch):
+    # identical entropic agents on cash: one convolution for all rows in
+    # the search, then per row the convolution value, the part risks that
+    # certify the split, and the part risks after the constant shifts;
+    # the shifts are the certificate's risks, not a fourth evaluation
+    from riskshare import lawinv, market
+    space = ScenarioSpace.uniform(["a", "b", "c", "d"])
+    regime = law_invariant_regime(space, ENTROPIC, 1.5)
+    rows = np.random.default_rng(3).normal(0.0, 1.0, (5, 4))
+    calls = []
+    monkeypatch.setattr(lawinv, "base_risk",
+                        lambda *a: calls.append(a) or base_risk(*a))
+    for n in (2, 3):
+        s = market.AgentSystem((regime,) * n)
+        lawinv._system_problem(s)
+        del calls[:]
+        lawinv.law_invariant_value(s, rows)
+        assert len(calls) == 1 + 3 * len(rows)
+
+
 def test_non_diverging_cost_cannot_bound():
     space = two_point_space()
     regime = law_invariant_regime(space, ENTROPIC, 1.0)

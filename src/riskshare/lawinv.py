@@ -403,8 +403,9 @@ def _kernel_search(measures, probs, B, prices, U, price, margin=None):
     * One traded payoff with a constant U is cash additive: one
       convolution, no kernel.
     * AVaR and expectation systems: rho's LP (regime._rho_lp) over the
-      convolved measure's LP rows, row by row; q is 1 for the expectation
-      and z / (P sum z) for AVaR, z = -duals of the tail rows.
+      convolved measure's LP form, row by row; q is 1 for the expectation
+      and z / (P sum z) for AVaR, z = -duals of the tail rows, which come
+      first in the form.
     * Systems with an entropic agent: over an orthonormal payoff basis D
       of the price kernel, with Z = t U + D eta.  Refused before the
       search when no density in the agents' dual box prices the span
@@ -431,10 +432,11 @@ def _kernel_search(measures, probs, B, prices, U, price, margin=None):
     if ex or not ent:
         acc = (measures[ex[0]] if ex else
                LawInvariantAcceptanceSet(AVAR, min(b for _, b in av)))
-        W, A, bounds = _lp_rows(acc, probs)
+        form = _lp_rows(acc, probs)
+        W, _, bounds, _ = form
 
         def outcome(x):
-            sol = linprog.solve(_rho_lp(W, A, B, prices, bounds - W @ x))
+            sol = linprog.solve(_rho_lp(form, B, prices, bounds - W @ x))
             if sol.status != "optimal":
                 return (None if sol.status == "unbounded" else
                         InternalInconsistency("kernel search LP infeasible"))

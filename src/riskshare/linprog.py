@@ -93,8 +93,12 @@ class LpProblem:
             self.upper = np.asarray(self.upper, dtype=float)
         if self.lower.shape != (n,) or self.upper.shape != (n,):
             raise StructuralError("bounds must match the number of variables")
-        if np.isnan(self.lower).any() or np.isnan(self.upper).any():
-            raise StructuralError("bounds must not be NaN (infinite is free)")
+        # one comparison each refuses NaN, a lower +inf and an upper -inf
+        if not ((self.lower < math.inf).all()
+                and (self.upper > -math.inf).all()):
+            raise StructuralError(
+                "a bound that is NaN, a lower bound of +inf or an upper "
+                "bound of -inf admits no value (infinite is free)")
 
 
 @dataclass

@@ -348,64 +348,65 @@ def capital_requirement(s: AgentSystem, X: RandomVariable,
     return _capital_requirement_lp(s, X, certify)
 
 
-def _sharing_lp(s: AgentSystem, target: np.ndarray, securities: bool = True,
-                lead: np.ndarray = None):
-    """The constraints common to every sharing LP of `s`: each agent's
-    parts lie in its acceptance set, and the parts add up to `target`
-    scenario by scenario.  Every agent enters through its LP rows
+def _sharing_lp(s: AgentSystem, target: np.ndarray, securities: str = "own"):
+    """The sharing LP of `s`: each agent's parts lie in its acceptance
+    set, the parts add up to `target` scenario by scenario, and the cost
+    prices every security column.  Every agent enters through its LP form
     (RiskMeasurementRegime.lp_rows), so polyhedral, AVaR and expectation
-    agents share here; an entropic agent has no such rows and is refused.
+    agents share here; an entropic agent has no such form and is refused.
 
-    Columns: the `lead` columns (if any), then per agent i its supported
-    coordinates X_i[inc_i], then (with `securities`) its security
-    coefficients z_i, then its auxiliaries a_i.  Rows: the acceptance
-    blocks  W_i[:, inc_i] | -W_i B_i | A_i  (<= bounds_i), block-diagonal
-    in agent order, then one equality row per scenario w with a 1 at
-    every agent that holds w, `lead[w]` in the lead columns, and
-    right-hand side target[w].
+    `securities` names where the securities enter:
+    * "own": each agent's own security coefficients z_i, priced by its
+      market (Lambda in allocation form);
+    * "aggregate": the payoff Z = B w on the columns of
+      s.stacked_basis(), priced by the stacked prices (the payoff form);
+    * "none": no security columns and a zero cost (membership in A_+).
 
-    Returns (rows, senses, rhs, starts), starts[i] being agent i's first
-    column.
+    Columns: the aggregate columns w (if any), then per agent i its
+    supported coordinates X_i[inc_i], then its own z_i (if any), then its
+    auxiliaries a_i >= aux_lower_i; every other column is free.  Rows: the
+    acceptance blocks  W_i[:, inc_i] | -W_i B_i | A_i  (<= bounds_i),
+    block-diagonal in agent order, then one equality row per scenario w
+    with a 1 at every agent that holds w, B[w] in the aggregate columns,
+    and right-hand side target[w].  W B is the full product, not
+    W[:, inc] B[inc], which can differ in the last bit.
+
+    Returns (LpProblem, starts), starts[i] being agent i's first column.
     """
+    m = s.space.size
     forms = [r.lp_rows() for r in s.regimes]
-    blocks = [r.acceptance_block(securities, form)
-              for r, form in zip(s.regimes, forms)]
-    k = 0 if lead is None else lead.shape[1]
+    own = securities == "own"
+    if securities == "aggregate":
+        B, prices, _ = s.stacked_basis()
+    else:
+        B, prices = np.zeros((m, 0)), np.zeros(0)
+    blocks = []
+    for r, (W, A, _, _) in zip(s.regimes, forms):
+        z = [-(W @ r.market.basis_matrix())] if own else []
+        blocks.append(np.hstack([W[:, r.support.included], *z, A]))
+    k = B.shape[1]
     J = sum(b.shape[0] for b in blocks)
-    rows = np.zeros((J + s.space.size, k + sum(b.shape[1] for b in blocks)))
-    if lead is not None:
-        rows[J:, :k] = lead
+    n = k + sum(b.shape[1] for b in blocks)
+    rows = np.zeros((J + m, n))
+    rows[J:, :k] = B
+    c = np.zeros(n)
+    c[:k] = prices
+    lower = np.full(n, -math.inf)
     starts, row, col = [], 0, k
-    for r, b in zip(s.regimes, blocks):
+    for r, b, (_, _, _, aux_lower) in zip(s.regimes, blocks, forms):
         rows[row:row + b.shape[0], col:col + b.shape[1]] = b
         held = np.flatnonzero(r.support.included)
         rows[J + held, col + np.arange(held.size)] = 1.0
+        if own:
+            c[col + held.size:col + held.size + r.market.dim] = r.market.prices
+        lower[col + b.shape[1] - aux_lower.size:col + b.shape[1]] = aux_lower
         starts.append(col)
         row += b.shape[0]
         col += b.shape[1]
-    rhs = np.concatenate([bounds for _, _, bounds in forms] + [target])
-    return rows, [linprog.LE] * J + [linprog.EQ] * s.space.size, rhs, starts
-
-
-def _free_lp(c, rows, senses, rhs) -> linprog.LpProblem:
-    """minimize c.x subject to the rows, all variables free."""
-    n = len(c)
+    rhs = np.concatenate([bounds for _, _, bounds, _ in forms] + [target])
     return linprog.LpProblem(
-        c=c, rows=rows, senses=senses, rhs=rhs,
-        lower=np.full(n, -math.inf), upper=np.full(n, math.inf))
-
-
-def _solve_free(c, rows, senses, rhs):
-    return linprog.solve(_free_lp(c, rows, senses, rhs))
-
-
-def _sharing_cost(s: AgentSystem, n_cols: int, starts) -> np.ndarray:
-    """The sharing LP's objective: each agent's security prices on its
-    security columns."""
-    c = np.zeros(n_cols)
-    for r, o in zip(s.regimes, starts):
-        c[o + r.support.dim:o + r.support.dim + r.market.dim] = r.market.prices
-    return c
+        c=c, rows=rows, senses=[linprog.LE] * J + [linprog.EQ] * m, rhs=rhs,
+        lower=lower, upper=np.full(n, math.inf)), starts
 
 
 def _unbounded_sharing() -> InternalInconsistency:
@@ -429,9 +430,8 @@ def _check_allocation_sum(total, target):
 def _capital_requirement_lp(s, X, certify) -> SharingResult:
     space = s.space
     m = space.size
-    rows, senses, rhs, starts = _sharing_lp(s, X.values)
-    sol = _solve_free(_sharing_cost(s, rows.shape[1], starts), rows, senses,
-                      rhs)
+    lp, starts = _sharing_lp(s, X.values)
+    sol = linprog.solve(lp)
 
     if sol.status == "infeasible":
         return SharingResult(value=RiskValue.infinite())
@@ -498,15 +498,14 @@ def lambda_batch(s: AgentSystem, targets) -> np.ndarray:
     if s.is_law_invariant:
         from . import lawinv
         return lawinv.law_invariant_value(s, targets)
-    rows, senses, rhs, starts = _sharing_lp(s, np.zeros(m))
-    lp = _free_lp(_sharing_cost(s, rows.shape[1], starts), rows, senses, rhs)
-    rhs = np.repeat(rhs[None, :], targets.shape[0], axis=0)
+    lp, _ = _sharing_lp(s, np.zeros(m))
+    rhs = np.repeat(lp.rhs[None, :], targets.shape[0], axis=0)
     rhs[:, -m:] = targets
     batch = linprog.solve_batch(lp, rhs)
     if "unbounded" in batch.status:
         raise _unbounded_sharing()
     optimal = np.isfinite(batch.objective_value)
-    _check_allocation_sum(batch.primal[optimal] @ rows[-m:].T,
+    _check_allocation_sum(batch.primal[optimal] @ lp.rows[-m:].T,
                           targets[optimal])
     return batch.objective_value
 
@@ -523,11 +522,7 @@ def capital_requirement_payoff_form(s: AgentSystem, X: RandomVariable) -> RiskVa
     """inf { pi(Z) : Z in M, X - Z in A_+ }: the representative-agent form,
     solved as its own LP (used to cross-check the allocation form)."""
     _ensure_shareable(s)
-    B, prices, _ = s.stacked_basis()
-    rows, senses, rhs, _ = _sharing_lp(s, X.values, securities=False, lead=B)
-    c = np.zeros(rows.shape[1])
-    c[:B.shape[1]] = prices
-    sol = _solve_free(c, rows, senses, rhs)
+    sol = linprog.solve(_sharing_lp(s, X.values, "aggregate")[0])
     if sol.status == "infeasible":
         return RiskValue.infinite()
     if sol.status == "unbounded":
@@ -569,8 +564,8 @@ def pareto_from_payoff(s: AgentSystem, X: RandomVariable,
 def _acceptable_decomposition(s: AgentSystem, target: np.ndarray):
     """Y_i in A_i (inside supports) with sum = target, or None (an LP
     feasibility query for membership in the Minkowski sum A_+)."""
-    rows, senses, rhs, starts = _sharing_lp(s, target, securities=False)
-    sol = _solve_free(np.zeros(rows.shape[1]), rows, senses, rhs)
+    lp, starts = _sharing_lp(s, target, "none")
+    sol = linprog.solve(lp)
     if sol.status != "optimal":
         return None
     out = []
@@ -700,11 +695,10 @@ def level_set_certificate(s: AgentSystem, X: RandomVariable, c: float,
                           U: RandomVariable) -> bool:
     """LP feasibility for  X - c*U  in  A_+ + ker(pi): certifies the level
     set identity L_c(Lambda) = c U + A_+ + ker(pi)."""
-    B, prices, _ = s.stacked_basis()
-    target = X.values - c * U.values
-    rows, senses, rhs, _ = _sharing_lp(s, target, securities=False, lead=B)
-    price_row = np.zeros(rows.shape[1])
-    price_row[:B.shape[1]] = prices
-    sol = _solve_free(np.zeros(rows.shape[1]), np.vstack([price_row, rows]),
-                      [linprog.EQ] + senses, np.concatenate([[0.0], rhs]))
+    lp, _ = _sharing_lp(s, X.values - c * U.values, "aggregate")
+    # the row pi(Z) = 0 pins the priced objective: optimal or infeasible
+    sol = linprog.solve(linprog.LpProblem(
+        c=lp.c, rows=np.vstack([lp.c, lp.rows]),
+        senses=[linprog.EQ] + lp.senses, rhs=np.concatenate([[0.0], lp.rhs]),
+        lower=lp.lower, upper=lp.upper))
     return sol.status == "optimal"

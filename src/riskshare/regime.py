@@ -554,54 +554,41 @@ class RiskMeasurementRegime:
         return isinstance(self.acceptance, LawInvariantAcceptanceSet)
 
     def lp_rows(self):
-        """The acceptance set as LP rows (W, A, bounds): X is acceptable
-        iff  W X + A a <= bounds  for some auxiliaries a (_lp_rows)."""
+        """The acceptance set as its LP form (W, A, bounds, aux_lower): X
+        is acceptable iff  W X + A a <= bounds  for some auxiliaries
+        a >= aux_lower (_lp_rows)."""
         return _lp_rows(self.acceptance, self.space.probs)
-
-    def acceptance_block(self, securities: bool = True,
-                         form=None) -> np.ndarray:
-        """Acceptance rows of the agent over its supported coordinates,
-        then (with `securities`) its security coefficients, then its
-        auxiliaries: X - B z is acceptable iff
-        [W[:, inc] | -W B | A] @ (X[inc], z, a) <= bounds for some a.
-        `form` is the agent's lp_rows() when the caller has them.  W B is
-        the full product, not W[:, inc] B[inc], which can differ in the
-        last bit."""
-        W, A, _ = self.lp_rows() if form is None else form
-        block = [W[:, self.support.included]]
-        if securities:
-            block.append(-(W @ self.market.basis_matrix()))
-        return np.hstack(block + [A])
 
 
 def _lp_rows(acc, probs):
-    """(W, A, bounds) of an acceptance set, W over all scenarios: X is
-    acceptable iff  W X + A a <= bounds  for some auxiliaries a.
+    """(W, A, bounds, aux_lower) of an acceptance set, W over all
+    scenarios: X is acceptable iff  W X + A a <= bounds  for some
+    auxiliaries a >= aux_lower.
 
     A polyhedral set has its functionals' weights and no auxiliaries; the
     expectation is the one row  P.X <= 0; AVaR(beta) is the
     Rockafellar-Uryasev polyhedron over a = (tau, u), AVaR(X) being the
     least tau + E[u] / (1 - beta) over u >= X - tau, u >= 0 (Rockafellar
-    and Uryasev, J. Risk 2 (2000)): the rows  X - tau - u <= 0, then
-    -u <= 0, then  tau + E[u] / (1 - beta) <= 0.  Both law-invariant
-    forms have a nonnegative W, which certifies monotonicity.  An entropic
-    set has no such form."""
+    and Uryasev, J. Risk 2 (2000)): the m tail rows  X - tau - u <= 0, then
+    the budget row  tau + E[u] / (1 - beta) <= 0, with tau free and u >= 0
+    as column bounds.  Both law-invariant forms have a nonnegative W,
+    which certifies monotonicity.  An entropic set has no such form."""
     if isinstance(acc, PolyhedralAcceptanceSet):
         W = acc.weight_matrix()
-        return W, np.zeros((W.shape[0], 0)), acc.bounds
+        return W, np.zeros((W.shape[0], 0)), acc.bounds, np.zeros(0)
     if acc.kind == EXPECTATION:
-        return probs[None, :], np.zeros((1, 0)), np.zeros(1)
+        return probs[None, :], np.zeros((1, 0)), np.zeros(1), np.zeros(0)
     if acc.kind != AVAR:
         raise DomainError(
             "an entropic acceptance set is not polyhedral and has no LP "
             "rows; an entropic agent shares only with law-invariant agents")
     m = probs.size
     eye = np.eye(m)
-    W = np.vstack([eye, np.zeros((m + 1, m))])
-    A = np.zeros((2 * m + 1, 1 + m))
-    A[:m, 0], A[:m, 1:], A[m:2 * m, 1:] = -1.0, -eye, -eye
-    A[2 * m, 0], A[2 * m, 1:] = 1.0, probs / (1.0 - acc.param)
-    return W, A, np.zeros(2 * m + 1)
+    W = np.vstack([eye, np.zeros((1, m))])
+    A = np.zeros((m + 1, 1 + m))
+    A[:m, 0], A[:m, 1:] = -1.0, -eye
+    A[m, 0], A[m, 1:] = 1.0, probs / (1.0 - acc.param)
+    return W, A, np.zeros(m + 1), np.concatenate([[-math.inf], np.zeros(m)])
 
 
 @dataclass
@@ -807,25 +794,26 @@ def _cash_rho(r, rows):
     return unit_price * xi, xi
 
 
-def _rho_lp(W, A, B, prices, rhs) -> linprog.LpProblem:
-    """rho's LP for acceptance rows (W, A, bounds) and a market pricing
-    the columns of B at `prices`, over free security coefficients w and
-    auxiliaries a: minimize price(w) subject to  -W B w + A a <= rhs,
-    where rhs = bounds - W X."""
+def _rho_lp(form, B, prices, rhs) -> linprog.LpProblem:
+    """rho's LP for an acceptance form (W, A, bounds, aux_lower)
+    (_lp_rows) and a market pricing the columns of B at `prices`, over
+    free security coefficients w and auxiliaries a >= aux_lower:
+    minimize price(w) subject to  -W B w + A a <= rhs, where
+    rhs = bounds - W X."""
+    W, A, _, aux_lower = form
     rows = np.hstack([-(W @ B), A])
-    n = rows.shape[1]
-    c = np.zeros(n)
-    c[:B.shape[1]] = prices
     return linprog.LpProblem(
-        c=c, rows=rows, senses=[linprog.LE] * rows.shape[0], rhs=rhs,
-        lower=np.full(n, -math.inf), upper=np.full(n, math.inf))
+        c=np.concatenate([prices, np.zeros(A.shape[1])]), rows=rows,
+        senses=[linprog.LE] * rows.shape[0], rhs=rhs,
+        lower=np.concatenate([np.full(B.shape[1], -math.inf), aux_lower]),
+        upper=np.full(rows.shape[1], math.inf))
 
 
 def _rho_rows(r, form, xvals) -> RhoResult:
     """rho of one loss profile by its LP, for the regime's lp_rows()."""
-    W, A, bounds = form
+    W, _, bounds, _ = form
     mkt = r.market
-    sol = linprog.solve(_rho_lp(W, A, mkt.basis_matrix(), mkt.prices,
+    sol = linprog.solve(_rho_lp(form, mkt.basis_matrix(), mkt.prices,
                                 bounds - W @ xvals))
     if sol.status == "infeasible":
         return RhoResult(value=RiskValue.infinite(), status="infeasible")
@@ -898,9 +886,10 @@ def rho_batch(r: RiskMeasurementRegime, rows) -> np.ndarray:
             raise _arbitrage_refusal()
         return cash[0]
     if not r.is_law_invariant:
-        W, A, bounds = r.lp_rows()
+        form = r.lp_rows()
+        W, _, bounds, _ = form
         batch = linprog.solve_batch(
-            _rho_lp(W, A, r.market.basis_matrix(), r.market.prices, bounds),
+            _rho_lp(form, r.market.basis_matrix(), r.market.prices, bounds),
             bounds - rows @ W.T)
         if "unbounded" in batch.status:
             raise _arbitrage_refusal()
@@ -1374,16 +1363,17 @@ def _price_scale(r, phi) -> float:
 
 def _support_value(r, phi) -> RiskValue:
     """sup { phi(Y) : Y in the acceptance set }, the agent's securities
-    left out.  Polyhedral sets solve one LP over the supported
-    coordinates; a law-invariant set scales out of phi's total mass into
-    the conjugate of its base risk."""
+    left out.  A polyhedral set solves one LP over the supported
+    coordinates: the supremum is -rho(0) on a market that trades the
+    payoff -1_w of each supported scenario w at the price -phi_w, so rho's
+    LP (_rho_lp) over the acceptance form has the coordinates Y[inc] as
+    its security coefficients.  A law-invariant set scales out of phi's
+    total mass into the conjugate of its base risk."""
     if isinstance(r.acceptance, PolyhedralAcceptanceSet):
-        block = r.acceptance_block(securities=False)
-        J, n = block.shape
-        sol = linprog.solve(linprog.LpProblem(
-            c=-phi.weights[r.support.included], rows=block,
-            senses=[linprog.LE] * J, rhs=r.acceptance.bounds.copy(),
-            lower=np.full(n, -math.inf), upper=np.full(n, math.inf)))
+        inc = r.support.included
+        form = r.lp_rows()
+        sol = linprog.solve(_rho_lp(form, -np.eye(r.space.size)[:, inc],
+                                    -phi.weights[inc], form[2]))
         if sol.status == "unbounded":
             return RiskValue.infinite()
         if sol.status == "infeasible":

@@ -40,11 +40,19 @@ def _free_lp(c, rows, rhs):
         lower=np.full(n, -math.inf), upper=np.full(n, math.inf)))
 
 
+def _acceptance_block(r):
+    """[W[:, inc] | -W B]: X - B z is acceptable iff the block times
+    (X[inc], z) is at most the bounds."""
+    W = r.acceptance.weight_matrix()
+    return np.hstack([W[:, r.support.included],
+                      -(W @ r.market.basis_matrix())])
+
+
 def _reference_conjugate(r, phi) -> float:
     """max phi(X) - prices.z subject to X - B z acceptable, X supported."""
     inc = r.support.included
     sol = _free_lp(np.concatenate([-phi.weights[inc], r.market.prices]),
-                   r.acceptance_block(), r.acceptance.bounds.copy())
+                   _acceptance_block(r), r.acceptance.bounds.copy())
     if sol.status == "unbounded":
         return math.inf
     assert sol.status == "optimal"
@@ -54,7 +62,7 @@ def _reference_conjugate(r, phi) -> float:
 def _reference_budget_optimum(r, phi, budget: float) -> float:
     """min { rho(Y) : phi(Y) >= budget } over supported Y and the agent's
     security coefficients."""
-    block = r.acceptance_block()
+    block = _acceptance_block(r)
     budget_row = np.zeros(block.shape[1])
     budget_row[:r.support.dim] = -phi.weights[r.support.included]
     sol = _free_lp(

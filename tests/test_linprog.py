@@ -397,10 +397,14 @@ def _window_chain_equilibrium():
     assert equilibrium.verify_equilibrium(s, endowments, eq).passed
 
 
+def _golden_command(case):
+    assert _document(CASES[case])[0] == 0
+
+
 def _readme_commands():
     for case in sorted(CASES):
         if case.startswith("readme-"):
-            assert _document(CASES[case])[0] == 0
+            _golden_command(case)
 
 
 def _solve_each(problems):
@@ -413,6 +417,9 @@ DIGEST_CASES = {
     "window_chain_80": lambda: _window_chain_lambda(80),
     "equilibrium": _window_chain_equilibrium,
     "readme_commands": _readme_commands,
+    # the AVaR LP path: its auxiliaries u >= 0 as column bounds
+    "lambda_avar_ceiling": lambda: _golden_command("lambda-avar_ceiling"),
+    "rho_avar_entropic": lambda: _golden_command("rho-avar_entropic"),
     "random_lps": lambda: _solve_each(random_lps()),
     "signed_zero_lps": lambda: _solve_each(signed_zero_lps()),
 }
@@ -453,11 +460,14 @@ def test_signed_zero_lps_reach_every_status():
     ("rows", [[math.inf, 1.0]], "constraint"),
     ("lower", [math.nan, 0.0], "NaN"),
     ("upper", [1.0, math.nan], "NaN"),
+    ("lower", [math.inf, 0.0], "admits no value"),
+    ("upper", [1.0, -math.inf], "admits no value"),
 ])
 def test_non_finite_input_is_refused_where_it_enters(field, value, says):
     # before the check: a NaN cost ran to the iteration cap, a NaN row
-    # entry came back "unbounded", an infinite one raised IndexError and a
-    # NaN bound lost the optimality certificate
+    # entry came back "unbounded", an infinite one raised IndexError, a
+    # NaN bound lost the optimality certificate, and a lower bound of
+    # +inf or an upper bound of -inf was expanded as a free variable
     args = dict(c=[1.0, 1.0], rows=[[1.0, 1.0]], senses=[GE], rhs=[1.0])
     args[field] = value
     with pytest.raises(StructuralError, match=says):

@@ -730,10 +730,14 @@ def test_lambda_batch_refusals(overlap_system):
 # ---------------------------------------------------------------------------
 
 
-def test_sharing_lp_layout(monkeypatch):
-    pd = load_problem(FIXTURES / "overlap_ceilings.json")
+@pytest.mark.parametrize("fixture, loss, shared", [
+    ("overlap_ceilings.json", {"a": 4, "b": 5, "c": 6}, "b"),
+    ("avar_ceiling.json", {"up": 3, "down": -1}, "up"),
+])
+def test_sharing_lp_layout(monkeypatch, fixture, loss, shared):
+    pd = load_problem(FIXTURES / fixture)
     s = pd.system()
-    X = pd.space.rv_from_dict({"a": 4, "b": 5, "c": 6})
+    X = pd.space.rv_from_dict(loss)
     nsa_check(s)                        # cached: only the sharing LP remains
     captured = []
     solve = linprog.solve
@@ -748,39 +752,56 @@ def test_sharing_lp_layout(monkeypatch):
     lp = captured[0]
 
     m = s.space.size
-    Js = [r.acceptance.weight_matrix().shape[0] for r in s.regimes]
+    forms = [r.lp_rows() for r in s.regimes]
+    Js = [W.shape[0] for W, _, _, _ in forms]
     assert lp.rows.shape[0] == sum(Js) + m
     assert lp.senses == [linprog.LE] * sum(Js) + [linprog.EQ] * m
-    assert np.all(np.isneginf(lp.lower)) and np.all(np.isposinf(lp.upper))
+    assert np.all(np.isposinf(lp.upper))
 
-    # per agent: its supported coordinates, then its security coefficients
+    # per agent: its supported coordinates, its security coefficients,
+    # then its auxiliaries; only the auxiliaries carry a finite bound
     col, row = 0, 0
     owner = {}                          # scenario -> LP columns holding it
-    for r, J in zip(s.regimes, Js):
+    securities = []                     # the security columns
+    for r, (W, A, bounds, aux_lower), J in zip(s.regimes, forms, Js):
         inc = np.flatnonzero(r.support.included)
-        ni, ki = len(inc), r.market.dim
-        W = r.acceptance.weight_matrix()
+        ni, ki, na = len(inc), r.market.dim, A.shape[1]
+        end = col + ni + ki + na
         block = lp.rows[row:row + J]
         np.testing.assert_array_equal(block[:, col:col + ni], W[:, inc])
         np.testing.assert_array_equal(block[:, col + ni:col + ni + ki],
                                       -(W @ r.market.basis_matrix()))
-        assert not np.any(block[:, :col]) and not np.any(block[:, col + ni + ki:])
-        np.testing.assert_array_equal(lp.rhs[row:row + J], r.acceptance.bounds)
-        np.testing.assert_array_equal(lp.c[col:col + ni], 0.0)
+        np.testing.assert_array_equal(block[:, col + ni + ki:end], A)
+        assert not np.any(block[:, :col]) and not np.any(block[:, end:])
+        np.testing.assert_array_equal(lp.rhs[row:row + J], bounds)
         np.testing.assert_array_equal(lp.c[col + ni:col + ni + ki],
                                       r.market.prices)
+        assert np.all(np.isneginf(lp.lower[col:col + ni + ki]))
+        np.testing.assert_array_equal(lp.lower[col + ni + ki:end], aux_lower)
+        if r.is_law_invariant and r.acceptance.kind == AVAR:
+            # m tail rows and the budget row; tau free, each u >= 0
+            assert J == m + 1 and na == m + 1
+            np.testing.assert_array_equal(aux_lower,
+                                          [-math.inf] + [0.0] * m)
+        else:
+            assert na == 0
         for local, w in enumerate(inc):
             owner.setdefault(int(w), []).append(col + local)
-        col += ni + ki
+        securities += range(col + ni, col + ni + ki)
+        col = end
         row += J
     assert lp.rows.shape[1] == col
+    # the cost prices exactly the security columns
+    assert np.flatnonzero(lp.c).tolist() == securities
+    if not any(r.is_law_invariant for r in s.regimes):
+        assert np.all(np.isneginf(lp.lower))
 
     # one 0/1 row per scenario, with ones at the agents holding it
     agg = lp.rows[row:]
     assert set(np.unique(agg)) <= {0.0, 1.0}
     for w in range(m):
         np.testing.assert_array_equal(np.flatnonzero(agg[w]), owner[w])
-    assert len(owner[pd.space.index("b")]) == 2
+    assert len(owner[pd.space.index(shared)]) == 2
     np.testing.assert_array_equal(lp.rhs[-m:], X.values)
 
 

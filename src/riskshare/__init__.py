@@ -1,0 +1,3 @@
+"""Capital requirements and optimal risk sharing on finite scenario spaces."""
+
+__version__ = "0.1.0"

@@ -5,15 +5,20 @@ Every command is pure given the file and its flags: rerunning with the same
 inputs and seed produces a byte-identical document.  Numeric outputs are
 wrapped as {"value": ..., "tol": ...} carrying the tolerance under which the
 number was certified; vectors are scenario-label-keyed.
+
+Start-up loads the document path (problemfile, market, regime, linprog)
+and nothing else: equilibrium, lawinv, oracle and splits are imported by
+the commands that run them, so a polyhedral `rho` or `lambda` never pays
+for them.  Bad flag values are refused with a StructuralError before the
+document is read.
 """
 
 import argparse
 import json
 import math
 import sys
-from importlib import metadata
 
-from . import equilibrium, lawinv, oracle, splits
+from . import __version__
 from .errors import (DomainError, InternalInconsistency, NumericalFailure,
                      StructuralError)
 from .market import (capital_requirement, nsa_check, shift_allocation,
@@ -25,11 +30,7 @@ DEFAULT_TOL = 1e-8
 
 
 def _tool():
-    try:
-        version = metadata.version("riskshare")
-    except metadata.PackageNotFoundError:
-        version = "unknown"
-    return {"name": "riskshare", "version": version}
+    return {"name": "riskshare", "version": __version__}
 
 
 def _num(x: float):
@@ -108,10 +109,12 @@ def _cmd_validate(pd: ProblemDocument, args):
         ok &= nsa.pi_zero_is_zero
     prob = pd.law_invariant_problem()
     if prob is not None:
+        from . import lawinv
         rep = lawinv.validate_problem(prob)
         outputs["pricing"] = _report(rep)
         ok &= rep.passed
     if pd.split is not None:
+        from . import splits
         rep = splits.validate_split_problem(pd.split_problem())
         outputs["split"] = _report(rep)
         ok &= rep.passed
@@ -190,6 +193,7 @@ def _cmd_pareto(pd: ProblemDocument, args):
 
 
 def _cmd_equilibrium(pd: ProblemDocument, args):
+    from . import equilibrium
     s = pd.system()
     endowments = pd.endowments
     if args.endowments is not None:
@@ -216,6 +220,7 @@ def _cmd_equilibrium(pd: ProblemDocument, args):
 
 
 def _cmd_split(pd: ProblemDocument, args):
+    from . import splits
     X = _loss(pd.space, args.loss)
     sp = pd.split_problem()
     outputs = {"bound_functional": None, "bound_used": False}
@@ -254,6 +259,7 @@ def _cmd_split(pd: ProblemDocument, args):
 
 
 def _cmd_oracle(pd: ProblemDocument, args):
+    from . import oracle
     s = pd.system()
     X = _loss(pd.space, args.loss)
     g = oracle.GridSpec.around(X, args.grid_margin, args.grid_step)
@@ -288,6 +294,7 @@ def _cmd_oracle(pd: ProblemDocument, args):
                                     for v in chk.witness_risks]),
         }
         return outputs, chk.pareto
+    from . import equilibrium
     phi = equilibrium.subgradient(s, X)
     chk = oracle.fd_subgradient_check(s, X, phi)
     outputs = {
@@ -374,6 +381,18 @@ def _parser() -> argparse.ArgumentParser:
     return top
 
 
+def _check_flags(args) -> None:
+    """Refuse flag values no command can use, before the document is read."""
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise StructuralError(
+            f"--tol must be finite and >= 0, got {args.tol!r}")
+    if args.seed < 0:
+        raise StructuralError(f"--seed must be >= 0, got {args.seed}")
+    zeta = getattr(args, "zeta", 0.0)
+    if not math.isfinite(zeta):
+        raise StructuralError(f"--zeta must be finite, got {zeta!r}")
+
+
 def _flags(args) -> dict:
     skip = {"command", "file", "output"}
     return {
@@ -390,6 +409,7 @@ def run(argv=None) -> int:
         code = exc.code if isinstance(exc.code, int) else 1
         return 0 if code == 0 else 1
     try:
+        _check_flags(args)
         pd = load_problem(args.file)
         outputs, ok = _COMMANDS[args.command](pd, args)
     except (StructuralError, InternalInconsistency) as exc:

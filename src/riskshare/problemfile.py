@@ -4,6 +4,11 @@ A document carries the scenario space, one block per agent (support,
 acceptance spec, traded securities), and optional pricing / endowments /
 split sections.  Vectors are scenario-label-keyed objects; a label left
 out of a vector reads as zero.
+
+Loading a document builds regimes only.  The solver objects that a few
+commands need are built on request, and their modules are imported then:
+market by system(), splits by split_problem(), and lawinv by
+law_invariant_problem() on a law-invariant document with a pricing section.
 """
 
 import json
@@ -14,9 +19,7 @@ import jsonschema
 import numpy as np
 from referencing import Registry, Resource
 
-from . import splits
 from .errors import StructuralError
-from .lawinv import LawInvariantProblem
 from .regime import (AVAR, ENTROPIC, EXPECTATION, LawInvariantAcceptanceSet,
                      PolyhedralAcceptanceSet, RiskMeasurementRegime,
                      SecurityMarket)
@@ -81,9 +84,11 @@ class ProblemDocument:
 
         return AgentSystem(self.regimes)
 
-    def split_problem(self) -> splits.SplitProblem:
+    def split_problem(self):
         if self.split is None:
             raise StructuralError("document has no split section")
+        from . import splits
+
         spec = self.split["cost"]
         if "linear" in spec:
             cost = splits.CostFunction.linear(spec["linear"])
@@ -95,11 +100,13 @@ class ProblemDocument:
         return splits.SplitProblem.repeating(
             self.regimes, cost, self.split["n_max"])
 
-    def law_invariant_problem(self) -> LawInvariantProblem | None:
+    def law_invariant_problem(self):
         if self.pricing is None:
             return None
         if any(not r.is_law_invariant for r in self.regimes):
             return None
+        from .lawinv import LawInvariantProblem
+
         return LawInvariantProblem(
             space=self.space,
             measures=tuple(r.acceptance for r in self.regimes),

@@ -237,6 +237,50 @@ def test_rho_without_a_unit_loads_no_scipy(tmp_path):
         0.5 * (2.0 - math.log(2.0 - math.exp(-1.0))), abs=1e-12)
 
 
+_COMMAND_MODULES = ("riskshare.equilibrium", "riskshare.lawinv",
+                    "riskshare.oracle", "riskshare.splits",
+                    "importlib.metadata")
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["lambda", WORKED, "--loss", LOSS], []),
+    (["split", str(FIXTURES / "split_entropic.json"),
+      "--loss", '{"high": 2}'], ["riskshare.lawinv", "riskshare.splits"]),
+    (["equilibrium", WORKED], ["riskshare.equilibrium"]),
+], ids=["lambda", "split", "equilibrium"])
+def test_commands_load_only_the_modules_they_run(argv, loaded):
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from riskshare.cli import run; code = run(sys.argv[1:]); "
+         f"print(sorted(m for m in sys.modules if m in {_COMMAND_MODULES}),"
+         " file=sys.stderr); sys.exit(code)", *argv],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == str(loaded)
+
+
+def test_tool_version_is_the_package_version(capsys):
+    import riskshare
+
+    code, doc, err = _run(capsys, "lambda", WORKED, "--loss", LOSS)
+    assert code == 0, err
+    assert doc["tool"] == {"name": "riskshare",
+                           "version": riskshare.__version__}
+
+
+@pytest.mark.filterwarnings("ignore")      # [tool.setuptools] is "beta"
+def test_build_reads_the_package_version():
+    # pyproject.toml declares the version dynamic; setuptools reads it from
+    # riskshare/__init__.py without importing the package
+    import riskshare
+
+    config = pytest.importorskip("setuptools.config.pyprojecttoml")
+    root = Path(__file__).resolve().parent.parent
+    project = config.read_configuration(root / "pyproject.toml")["project"]
+    assert "version" in project["dynamic"]
+    assert project["version"] == riskshare.__version__
+
+
 def test_pareto_zeta_preserves_total_risk(capsys):
     _, base, err = _run(capsys, "pareto", WORKED, "--loss", LOSS)
     code, shifted, err = _run(capsys, "pareto", WORKED, "--loss", LOSS,
@@ -325,8 +369,16 @@ def test_validate_seed_changes_probes_not_verdict(capsys):
      "scenario 'b'"),
     (["lambda", WORKED, "--loss", '{"a": "x", "b": 5, "c": 6}'],
      "scenario 'a'"),
+    (["lambda", WORKED, "--loss", LOSS, "--tol", "nan"], "--tol"),
+    (["lambda", WORKED, "--loss", LOSS, "--tol", "inf"], "--tol"),
+    (["lambda", WORKED, "--loss", LOSS, "--tol", "-1"], "--tol"),
+    (["validate", WORKED, "--seed", "-1"], "--seed"),
+    (["pareto", WORKED, "--loss", LOSS, "--zeta", "nan"], "--zeta"),
+    (["pareto", WORKED, "--loss", LOSS, "--zeta", "inf"], "--zeta"),
 ], ids=["bad_endowments_json", "missing_endowments_file",
-        "unwritable_output", "nan_loss", "infinite_loss", "non_numeric_loss"])
+        "unwritable_output", "nan_loss", "infinite_loss", "non_numeric_loss",
+        "nan_tol", "infinite_tol", "negative_tol", "negative_seed",
+        "nan_zeta", "infinite_zeta"])
 def test_bad_flag_values_are_typed_refusals(argv, says, capsys):
     code, doc, err = _run(capsys, *argv)
     assert code == 1

@@ -1,6 +1,6 @@
 """Golden CLI documents: the README commands and `validate` of every
 bundled fixture must print the recorded document byte for byte (without
-the `tool` field, which carries the installed version) and exit with the
+the `tool` field, which carries the package version) and exit with the
 recorded code.
 
 The documents live in tests/golden/, one `<case>.json` per command plus

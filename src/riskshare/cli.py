@@ -381,6 +381,19 @@ def _parser() -> argparse.ArgumentParser:
     return top
 
 
+def _joined(argv) -> list:
+    """argv with "flag value" written "flag=value" for the float flags:
+    argparse takes a separate value such as -1e-1 or -inf for an option
+    (only forms like -1 and -0.5 pass as negative numbers)."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in ("--zeta", "--grid-margin", "--grid-step"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _check_flags(args) -> None:
     """Refuse flag values no command can use, before the document is read."""
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
@@ -402,7 +415,8 @@ def _flags(args) -> dict:
 
 def run(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(
+            _joined(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse exits 2 on usage errors; bad invocations are validation
         # failures here, and exit 2 is reserved for domain refusals

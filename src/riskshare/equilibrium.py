@@ -139,8 +139,7 @@ def common_numeraire(s: market.AgentSystem) -> RandomVariable:
 # construction
 # ----------------------------------------------------------------------
 
-def build_equilibrium(s: market.AgentSystem, endowments,
-                      check_interior: bool = True) -> Equilibrium:
+def build_equilibrium(s: market.AgentSystem, endowments) -> Equilibrium:
     """Equilibrium from a Pareto allocation of the total endowment: each
     agent receives its Pareto part plus the transfer phi(W_i - Y_i) in
     units of the common numeraire, which lands it exactly on its budget
@@ -158,7 +157,7 @@ def build_equilibrium(s: market.AgentSystem, endowments,
     res = market.capital_requirement(s, W, certify=True)
     if not res.value.is_finite:
         raise DomainError("total endowment admits no supported decomposition")
-    if check_interior and not s.is_law_invariant:
+    if not s.is_law_invariant:
         _probe_interior(s, W)
 
     phi = _verified_subgradient(s, W, res)

@@ -43,6 +43,7 @@ from .regime import (
     RiskValue,
     ValidationReport,
     _cap_fill,
+    _evaluate_rows,
     _kernel_newton,
     _logsumexp,
     _lp_rows,
@@ -50,6 +51,7 @@ from .regime import (
     _pricing_margin,
     _relative_entropy,
     _rho_lp,
+    _search_rows,
     _span_basis,
     base_risk,
     base_risk_conjugate,
@@ -394,39 +396,39 @@ def _kernel_search(measures, probs, B, prices, U, price, margin=None):
     positive payoff U of the span with pi(U) = `price`.
 
     Returns the search over the rows of an (N, m) array of losses X, with
-    its market-only part done once.  It gives one outcome per row:
-    (t, Z, q), where the requirement is price * t, Z is an optimal payoff
-    and q the maximizing dual density of X - Z, of mass one; None when the
-    requirement is unbounded below; or the exception that refuses the
-    row, which the caller raises in row order.
+    its market-only part done once.  Its outcome is (t, Z, q, refusals):
+    per row the requirement price * t (-inf where it is unbounded below,
+    NaN on a refused row), an optimal payoff Z and the maximizing dual
+    density q of X - Z, of mass one, and the dict mapping each refused row
+    to its exception, which the caller raises in row order.
 
     * One traded payoff with a constant U is cash additive: one
-      convolution, no kernel.
+      convolution, no kernel (regime._evaluate_rows).
     * AVaR and expectation systems: rho's LP (regime._rho_lp) over the
       convolved measure's LP form, row by row; q is 1 for the expectation
       and z / (P sum z) for AVaR, z = -duals of the tail rows, which come
       first in the form.
     * Systems with an entropic agent: over an orthonormal payoff basis D
-      of the price kernel, with Z = t U + D eta.  Refused before the
-      search when no density in the agents' dual box prices the span
-      (None) or when every such density vanishes somewhere, that is, when
-      the span holds a nonzero nonnegative payoff of price zero
-      (NumericalFailure: the infimum is not attained); then the kernel
-      Newton search over t*(eta) from _unit_root, all rows in lockstep,
-      certified by the duality gap against the price-repaired density and
-      the agents' conjugates.  `margin`, when given, is that pricing
-      margin: with an infinite dual box it is the margin of any density
-      that prices the span as pi / price does, so a caller that has
-      solved that LP passes it in."""
+      of the price kernel, with Z = t U + D eta.  Unbounded below on every
+      row when no density in the agents' dual box prices the span, and
+      refused before the search when every such density vanishes
+      somewhere, that is, when the span holds a nonzero nonnegative payoff
+      of price zero (NumericalFailure: the infimum is not attained); then
+      the kernel Newton search over t*(eta) from _unit_root, all rows in
+      lockstep, certified by the duality gap against the price-repaired
+      density and the agents' conjugates.  `margin`, when given, is that
+      pricing margin: with an infinite dual box it is the margin of any
+      density that prices the span as pi / price does, so a caller that
+      has solved that LP passes it in."""
     if B.shape[1] == 1 and np.all(U == U[0]):
         def cash(X):
-            try:
-                t, q = _unit_root(measures, probs, X, U)
-            except RiskShareError as exc:
-                if X.shape[0] == 1:
-                    return [exc]
-                return [sol for x in X for sol in cash(x[None, :])]
-            return [(t[i], t[i] * U, q[i]) for i in range(X.shape[0])]
+            def evaluate(_, rows):
+                t, q = _unit_root(measures, probs, X[rows], U)
+                return t, q, q      # no curvature density in the cash layer
+            n = X.shape[0]
+            t, q, _, refusals = _evaluate_rows(evaluate, np.zeros((n, 0)),
+                                               np.arange(n), U.size)
+            return t, t[:, None] * U, q, refusals
         return cash
     ent, av, ex = _grouped(measures)
     if ex or not ent:
@@ -437,22 +439,14 @@ def _kernel_search(measures, probs, B, prices, U, price, margin=None):
 
         def outcome(x):
             sol = linprog.solve(_rho_lp(form, B, prices, bounds - W @ x))
-            if sol.status != "optimal":
-                return (None if sol.status == "unbounded" else
-                        InternalInconsistency("kernel search LP infeasible"))
+            if sol.status == "unbounded":
+                return -math.inf, math.nan, math.nan
+            if sol.status == "infeasible":
+                raise InternalInconsistency("kernel search LP infeasible")
             z = -sol.duals[:x.size]
-            q = np.ones(x.size) if ex else z / (float(np.sum(z)) * probs)
+            q = 1.0 if ex else z / (float(np.sum(z)) * probs)
             return sol.objective_value / price, B @ sol.primal[:B.shape[1]], q
-
-        def lp(X):
-            out = []
-            for x in X:
-                try:
-                    out.append(outcome(x))
-                except RiskShareError as exc:
-                    out.append(exc)
-            return out
-        return lp
+        return lambda X: _search_rows(outcome, X, X.shape[1])
 
     D = _span_basis(B @ linprog.null_space(np.reshape(prices, (1, -1))))
     cap = min(ms.dual_cap() for ms in measures)
@@ -462,7 +456,9 @@ def _kernel_search(measures, probs, B, prices, U, price, margin=None):
         if margin is None or math.isfinite(cap):
             margin, _ = _pricing_margin(probs, B, prices / price, cap)
         if margin < -1e-12:
-            return lambda X: [None] * X.shape[0]
+            return lambda X: (np.full(X.shape[0], -math.inf),
+                              np.full(X.shape, math.nan),
+                              np.full(X.shape, math.nan), {})
         if margin <= 1e-12:
             raise NumericalFailure(
                 "the infimum over the price kernel is not attained: the "
@@ -491,9 +487,8 @@ def _kernel_search(measures, probs, B, prices, U, price, margin=None):
 
         eta, t, q, errors = _kernel_newton(evaluate, dual, probs, D, U,
                                            X.shape[0])
-        Z = t[:, None] * U + (D @ eta[..., None])[..., 0]
-        return [errors[i] if errors[i] is not None else (t[i], Z[i], q[i])
-                for i in range(X.shape[0])]
+        return (t, t[:, None] * U + (D @ eta[..., None])[..., 0], q,
+                {j: e for j, e in enumerate(errors) if e is not None})
     return newton
 
 
@@ -869,22 +864,24 @@ def _problem_search(prob: LawInvariantProblem, margin=None):
 
 
 def _securitize(prob: LawInvariantProblem, rows):
-    """The requirement searches of the rows of `rows`, all at once, each
-    with its primal certificate: _unwind splits the securitized remainder
-    X - Z into acceptable parts.  Yields (t, Z, q, unwound) per row, the
-    requirement being p t, and raises a row's refusal when its turn
-    comes, as a loop over the rows would."""
-    for x, sol in zip(rows, _problem_search(prob)(rows)):
-        if isinstance(sol, Exception):
-            raise sol
-        if sol is None:
+    """The requirement searches of the rows of `rows`, all at once, then
+    each row's primal certificate in row order: _unwind splits its
+    securitized remainder X - Z into acceptable parts.  Returns (t, Z, q,
+    unwound), the search's arrays (the requirement being p t) and the
+    _unwind outcome of each row; a row that is refused or unbounded below
+    raises when its turn comes, as a loop over the rows would."""
+    t, Z, q, refusals = _problem_search(prob)(rows)
+    unwound = []
+    for i, x in enumerate(rows):
+        if i in refusals:
+            raise refusals[i]
+        if t[i] == -math.inf:
             raise DomainError(
                 "requirement is unbounded below; no density in the agents' "
                 "dual box prices the securities"
             )
-        t, payoff_vals, q_star = sol
-        yield (t, payoff_vals, q_star,
-               _unwind(prob.measures, prob.space.probs, x - payoff_vals))
+        unwound.append(_unwind(prob.measures, prob.space.probs, x - Z[i]))
+    return t, Z, q, unwound
 
 
 def law_invariant_requirement(prob: LawInvariantProblem,
@@ -903,7 +900,7 @@ def law_invariant_requirement(prob: LawInvariantProblem,
     if X.space.labels != prob.space.labels:
         raise StructuralError("loss profile on a different scenario space")
     space = prob.space
-    (m_star, payoff_vals, q_star, unwound), = _securitize(
+    (m_star,), (payoff_vals,), (q_star,), (unwound,) = _securitize(
         prob, X.values[None, :])
     val_y, split, acc_vals, part_risks = unwound
     value = prob.p * m_star
@@ -991,8 +988,7 @@ def law_invariant_value(system, rows) -> np.ndarray:
     remainder.  The values are law_invariant_requirement's, bitwise, and
     the first refused row raises its refusal."""
     prob = _system_problem(system)
-    return np.array([prob.p * sol[0] for sol in _securitize(prob, rows)],
-                    dtype=float)
+    return prob.p * _securitize(prob, rows)[0]
 
 
 def law_invariant_sharing(system, X: RandomVariable, certify: bool = True):

@@ -700,17 +700,19 @@ def validate_regime(r: RiskMeasurementRegime, seed: int = 0) -> ValidationReport
 
 
 def _polyhedral_no_arbitrage_probes(r, seed):
+    """rho (_rho_search) at X = 0, then at 8 seeded random points."""
     rng = np.random.default_rng(seed)
     inc = r.support.included
-    form = r.lp_rows()
     probes = [np.zeros(r.space.size)]
     for _ in range(8):
         x = np.zeros(r.space.size)
         x[inc] = rng.uniform(-5.0, 5.0, inc.sum())
         probes.append(x)
     for i, x in enumerate(probes):
-        res = _rho_rows(r, form, x)
-        if res.status == "unbounded":
+        values, _, _, refusals = _rho_search(r, x[None, :])
+        if refusals:
+            raise refusals[0]
+        if values[0] == -math.inf:
             return False, f"probe {i}: securitization gain unbounded"
     return True, "bounded at X = 0 and 8 random probes (probabilistic check)"
 
@@ -728,70 +730,118 @@ class RhoResult:
 
 
 def rho(r: RiskMeasurementRegime, X: RandomVariable) -> RhoResult:
-    """Least capital securitizing X under the regime.
-
-    On a market that trades only a constant payoff every agent is cash
-    additive: rho is the closed form xi(X) times the price of the payoff
-    1, with the security xi(X) 1 (_cash_rho), where xi is the acceptance
-    set's least acceptable cash amount; a polyhedral xi of +inf is the
-    status "infeasible" and one of -inf "unbounded", as rho's LP reports
-    them.  Otherwise polyhedral, AVaR and expectation agents solve one
-    LP over the security coefficients and the acceptance set's
-    auxiliaries (_rho_lp over lp_rows()), and an entropic agent runs the
-    one-agent case of lawinv._kernel_search with the strictly positive
-    unit U of price 1 from the unit LP: a damped Newton search over an
-    orthonormal payoff basis of the price kernel that ends with its
-    duality gap and refuses when the gap exceeds linprog.CERT_TOL
-    (1 + |rho|).  On a market that trades one payoff and holds no such
-    unit it takes the end of the interval of feasible coefficients
-    (_line_search); a larger market without a unit is refused.
-    """
+    """Least capital securitizing X under the regime: the one-row reader
+    of _rho_search, which picks the path.  A requirement of +inf has the
+    status "infeasible" and one of -inf "unbounded"; a finite one comes
+    with an optimal security and its coefficients, the LP's own where an
+    LP ran and the least-squares ones in the market basis otherwise.  A
+    refused row raises its refusal."""
     if X.space.labels != r.space.labels:
         raise StructuralError("loss profile on a different scenario space")
     if not r.support.contains(X, tol=1e-9):
         raise DomainError("loss profile lies outside the regime's support ideal")
-    cash = _cash_rho(r, X.values[None, :])
-    if cash is not None:
-        value, xi = cash
-        if xi[0] == math.inf:
-            return RhoResult(value=RiskValue.infinite(), status="infeasible")
-        if xi[0] == -math.inf:
-            return RhoResult(value=None, status="unbounded")
-        Z = xi[0] * np.ones(r.space.size)
-        return RhoResult(value=RiskValue.finite(value[0]),
-                         security=RandomVariable(r.space, Z),
-                         coefficients=np.linalg.lstsq(
-                             r.market.basis_matrix(), Z, rcond=None)[0])
-    if not r.is_law_invariant or r.acceptance.kind != ENTROPIC:
-        return _rho_rows(r, r.lp_rows(), X.values)
-    search, price, B = _rho_law_invariant(r)
-    (sol,) = search(X.values[None, :])
-    if isinstance(sol, Exception):
-        raise sol
-    if sol is None:
-        return RhoResult(value=None, status="unbounded")
-    t, Z, _ = sol
-    if Z is None:
+    values, Z, w, refusals = _rho_search(r, X.values[None, :])
+    if refusals:
+        raise refusals[0]
+    if values[0] == math.inf:
         return RhoResult(value=RiskValue.infinite(), status="infeasible")
-    return RhoResult(value=RiskValue.finite(price * t),
-                     security=RandomVariable(r.space, Z),
-                     coefficients=np.linalg.lstsq(B, Z, rcond=None)[0])
+    if values[0] == -math.inf:
+        return RhoResult(value=None, status="unbounded")
+    return RhoResult(value=RiskValue.finite(values[0]),
+                     security=RandomVariable(r.space, Z[0]),
+                     coefficients=w[0] if w is not None else np.linalg.lstsq(
+                         r.market.basis_matrix(), Z[0], rcond=None)[0])
 
 
-def _cash_rho(r, rows):
-    """(rho, xi) of each row of `rows` on a market that trades only a
-    constant payoff: rho = xi(X) times the price of the payoff 1,
-    securitized by xi(X) 1, for every acceptance family.  A polyhedral xi
-    is +inf where nothing securitizes the row and -inf where the
-    requirement is unbounded below; a law-invariant one that is not
-    finite has overflowed and is refused.  None for any other market."""
-    unit_price = r.market.cash_unit_price()
-    if unit_price is None:
-        return None
-    xi = r.acceptance.xi(r.space.probs, rows)
-    if r.is_law_invariant and not np.all(np.isfinite(xi)):
-        raise StructuralError("the base risk of a loss profile overflows")
-    return unit_price * xi, xi
+def rho_batch(r: RiskMeasurementRegime, rows) -> np.ndarray:
+    """rho of each row of `rows` (one loss profile per row), +inf where
+    nothing securitizes the row: the N-row reader of _rho_search.  An
+    unbounded requirement is refused, and the lowest-index row that is
+    unbounded or refused raises what rho raises for it.
+
+    Each row's value is rho's, bitwise, except on a polyhedral batch of
+    several rows outside a cash market: a row that solve_batch screens
+    takes its value from the basic solution B^-1 b of an earlier row's
+    optimal basis, not from a simplex run of its own, so it carries the
+    certificate rho's LP checks (linprog._certify), not rho's bits."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != r.space.size:
+        raise StructuralError(
+            f"loss profiles must form an (N, {r.space.size}) array")
+    if not np.all(np.isfinite(rows)):
+        raise StructuralError("loss profiles must be finite")
+    excluded = ~r.support.included
+    if np.max(np.abs(rows[:, excluded]), initial=0.0) > 1e-9:
+        raise DomainError("loss profile lies outside the regime's support ideal")
+    values, _, _, refusals = _rho_search(r, rows)
+    bounded = values > -math.inf        # False on -inf and on NaN
+    if np.count_nonzero(bounded) < bounded.size:
+        k = int(np.argmin(bounded))
+        raise refusals[k] if k in refusals else _arbitrage_refusal()
+    return values
+
+
+def _rho_search(r, rows):
+    """rho of each row of the (N, m) array `rows`, on the one path that
+    the regime's acceptance family and market call for.  Returns (values,
+    Z, w, refusals): the requirements (+inf where nothing securitizes a
+    row, -inf where it is unbounded below, NaN on a refused row), an
+    optimal security per row, the LP's coefficients where an LP ran (else
+    None), and the dict mapping each refused row to its exception.
+
+    * A market that trades only a constant payoff makes every agent cash
+      additive: rho is xi(X) times the price of the payoff 1, with the
+      security xi(X) 1, xi being the acceptance set's least acceptable
+      cash amount (a polyhedral xi is +inf or -inf where rho's LP is
+      infeasible or unbounded; a law-invariant one that overflows is
+      refused for the whole batch).
+    * An entropic agent runs the search of _rho_law_invariant.
+    * Polyhedral, AVaR and expectation agents otherwise solve rho's LP
+      (_rho_lp over lp_rows()): row by row (_rho_rows) for one row and for
+      the law-invariant families, and with linprog.solve_batch for a
+      polyhedral batch of several rows."""
+    mkt = r.market
+    unit_price = mkt.cash_unit_price()
+    if unit_price is not None:
+        xi = r.acceptance.xi(r.space.probs, rows)
+        if r.is_law_invariant and not np.all(np.isfinite(xi)):
+            raise StructuralError("the base risk of a loss profile overflows")
+        return unit_price * xi, xi[:, None] * np.ones(r.space.size), None, {}
+    if r.is_law_invariant and r.acceptance.kind == ENTROPIC:
+        t, Z, _, refusals = _rho_law_invariant(r)(rows)
+        return t, Z, None, refusals
+    form = r.lp_rows()
+    B = mkt.basis_matrix()
+    if rows.shape[0] > 1 and not r.is_law_invariant:
+        W, _, bounds, _ = form
+        batch = linprog.solve_batch(_rho_lp(form, B, mkt.prices, bounds),
+                                    bounds - rows @ W.T)
+        w = batch.primal[:, :mkt.dim]
+        return batch.objective_value, w @ B.T, w, {}
+
+    def outcome(x):
+        res = _rho_rows(r, form, x)
+        if res.security is None:
+            t = -math.inf if res.value is None else math.inf
+            return t, math.nan, math.nan
+        return res.value.value, res.security.values, res.coefficients
+    return _search_rows(outcome, rows, mkt.dim)
+
+
+def _search_rows(outcome, X, k: int):
+    """A search over the rows of X, row by row: outcome(x) gives (t, Z, w)
+    of a row, Z with a value per scenario and w with k values.  Returns
+    the arrays of all rows and the dict of refusals, each row whose
+    outcome raised a RiskShareError mapped to it; those rows hold NaN."""
+    t = np.full(X.shape[0], math.nan)
+    Z, w = np.full(X.shape, math.nan), np.full((X.shape[0], k), math.nan)
+    refusals = {}
+    for i, x in enumerate(X):
+        try:
+            t[i], Z[i], w[i] = outcome(x)
+        except RiskShareError as exc:
+            refusals[i] = exc
+    return t, Z, w, refusals
 
 
 def _rho_lp(form, B, prices, rhs) -> linprog.LpProblem:
@@ -825,14 +875,13 @@ def _rho_rows(r, form, xvals) -> RhoResult:
 
 
 def _rho_law_invariant(r):
-    """Entropic rho outside a cash market: lawinv._kernel_search with the
-    unit U from the unit LP and, when the market has a price kernel, the
+    """The search of entropic rho outside a cash market, over the rows of
+    an (N, m) array, with the outcome (t, Z, q, refusals) of
+    lawinv._kernel_search, rho being t: that search with the unit U from
+    the unit LP, priced at 1, and, when the market has a price kernel, the
     pricing margin, both answers the market keeps; or, on a one-payoff
     market without a strictly positive unit, the interval search
-    _line_search.  Returns (search, price, B), rho of a row with outcome
-    (t, Z, q) being price * t (+inf when Z is None), price = 1 being the
-    price of U, and B the basis matrix.  A larger market without such a
-    unit is refused."""
+    _line_search.  A larger market without such a unit is refused."""
     from .lawinv import _kernel_search      # lawinv imports this module
 
     mkt = r.market
@@ -843,71 +892,14 @@ def _rho_law_invariant(r):
             raise DomainError(
                 "law-invariant rho needs a strictly positive unit payoff "
                 "in the span (or a one-dimensional market)")
-        return (_line_search(r.acceptance.param, r.space.probs, B[:, 0],
-                             float(mkt.prices[0])), 1.0, B)
+        return _line_search(r.acceptance.param, r.space.probs, B[:, 0],
+                            float(mkt.prices[0]))
     # a market with a unit has a price kernel exactly when it trades more
     # than one payoff; only then does the search read the margin
     margin = (mkt.pricing_margin(r.space.probs)[0] if mkt.dim > 1
               else None)
     return _kernel_search((r.acceptance,), r.space.probs, B, mkt.prices,
-                          B @ w_u, 1.0, margin), 1.0, B
-
-
-def rho_batch(r: RiskMeasurementRegime, rows) -> np.ndarray:
-    """rho of each row of `rows` (one loss profile per row), +inf where
-    nothing securitizes the row; an unbounded requirement is refused.
-
-    On a market that trades only a constant payoff this is rho's closed
-    form (_cash_rho) for every family.  Otherwise polyhedral regimes
-    build rho's LP once and solve all rows with linprog.solve_batch,
-    which re-solves only the rows no optimal basis found so far accepts;
-    AVaR and expectation agents solve rho's LP row by row; an entropic
-    agent does its market-only work once and then runs one search over
-    all rows (with a price kernel, the kernel Newton search in lockstep).
-
-    Each row's value is rho's, bitwise, on the closed form and on the
-    law-invariant paths.  A polyhedral row that solve_batch screens takes
-    its value from the basic solution B^-1 b of an earlier row's optimal
-    basis, not from a simplex run of its own: it carries the certificate
-    rho's LP checks (linprog._certify), not rho's bits.  The first
-    refused row raises rho's refusal."""
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != r.space.size:
-        raise StructuralError(
-            f"loss profiles must form an (N, {r.space.size}) array")
-    if not np.all(np.isfinite(rows)):
-        raise StructuralError("loss profiles must be finite")
-    excluded = ~r.support.included
-    if np.max(np.abs(rows[:, excluded]), initial=0.0) > 1e-9:
-        raise DomainError("loss profile lies outside the regime's support ideal")
-    cash = _cash_rho(r, rows)
-    if cash is not None:
-        if np.any(cash[1] == -math.inf):
-            raise _arbitrage_refusal()
-        return cash[0]
-    if not r.is_law_invariant:
-        form = r.lp_rows()
-        W, _, bounds, _ = form
-        batch = linprog.solve_batch(
-            _rho_lp(form, r.market.basis_matrix(), r.market.prices, bounds),
-            bounds - rows @ W.T)
-        if "unbounded" in batch.status:
-            raise _arbitrage_refusal()
-        return batch.objective_value
-    if r.acceptance.kind != ENTROPIC:
-        # row by row, so that each row is rho's LP, bitwise
-        form = r.lp_rows()
-        return np.array([_rho_value(_rho_rows(r, form, x)) for x in rows],
-                        dtype=float)
-    search, price, _ = _rho_law_invariant(r)
-    values = np.empty(rows.shape[0])
-    for i, sol in enumerate(search(rows)):
-        if isinstance(sol, Exception):
-            raise sol
-        if sol is None:
-            raise _arbitrage_refusal()
-        values[i] = price * sol[0]
-    return values
+                          B @ w_u, 1.0, margin)
 
 
 def _rho_value(res: RhoResult) -> float:
@@ -941,24 +933,22 @@ def _cash_unit_price(mkt: SecurityMarket):
 def _line_search(gamma: float, probs, b, p0: float):
     """Entropic(gamma) rho on a market that trades one payoff b at price
     p0 and holds no strictly positive unit, as a search over rows with the
-    outcomes of lawinv._kernel_search: (t, Z, None) for the requirement
-    t = p0 w and Z = w b, None when it is unbounded below, (+inf, None,
-    None) when nothing securitizes the row.  The feasible w form an
-    interval, since xi(X - w b) is convex in w, and w is its end in the
-    cheaper direction d = -sign(p0) (at a zero price the end with d = -1,
-    else the other end, else 0), from _entropic_edge."""
+    outcome (t, Z, q, refusals) of lawinv._kernel_search: t = p0 w and
+    Z = w b, t = -inf where it is unbounded below and +inf where nothing
+    securitizes the row, and q NaN.  The feasible w form an interval, since
+    xi(X - w b) is convex in w, and w is its end in the cheaper direction
+    d = -sign(p0) (at a zero price the end with d = -1, else the other
+    end, else 0), from _entropic_edge."""
     def outcome(x):
         w = _entropic_edge(gamma, probs, x, b, 1.0 if p0 < 0 else -1.0)
         if w is None and p0 == 0.0:
             w = _entropic_edge(gamma, probs, x, b, 1.0)
             w = 0.0 if w is None else w
-        if w is None:
-            return None
-        if math.isinf(w):
-            return math.inf, None, None
+        if w is None or math.isinf(w):
+            return -math.inf if w is None else math.inf, math.nan, math.nan
         # + 0.0 turns the -0.0 of a zero price into 0.0
-        return p0 * w + 0.0, w * b, None
-    return lambda X: [outcome(x) for x in X]
+        return p0 * w + 0.0, w * b, math.nan
+    return lambda X: _search_rows(outcome, X, X.shape[1])
 
 
 def _entropic_edge(gamma: float, probs, x, b, d: float):

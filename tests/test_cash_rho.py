@@ -2,7 +2,8 @@
 acceptance family: a polyhedral agent's rho is xi(X) times the price of
 cash, xi(X) = max_j (phi_j(X) - b_j) / phi_j(1) over the functionals with
 a positive cash weight.  rho's LP (regime._rho_rows) stays the reference:
-the closed form must report its statuses and its values, and make no LP."""
+the closed form must report its statuses and its values, and make no LP,
+in rho, rho_batch and validate's no-arbitrage probes."""
 
 import contextlib
 import json
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskshare import linprog, oracle
+from riskshare import linprog, oracle, regime
 from riskshare.cli import run
 from riskshare.errors import DomainError, RiskShareError
 from riskshare.market import AgentSystem, capital_requirement
@@ -28,6 +29,7 @@ from riskshare.regime import (
     _rho_rows,
     rho,
     rho_batch,
+    validate_regime,
 )
 from riskshare.scenario import Functional, ScenarioSpace, SupportMask
 
@@ -296,3 +298,68 @@ def test_certified_lambda_and_pareto_sweep_make_the_two_system_lps():
     nsa, sharing = seen["solve"]
     assert set(nsa.senses) == {linprog.EQ} and not nsa.rhs.any()
     assert sharing.rows.shape[0] > nsa.rows.shape[0]
+
+
+# ----------------------------------------------------------------------
+# validate's no-arbitrage probes read the closed form
+# ----------------------------------------------------------------------
+
+def _lp_probes(r, seed):
+    """validate's polyhedral probes with rho's LP (_rho_rows) at each
+    probe: the verdict and detail of the first unbounded probe."""
+    rng = np.random.default_rng(seed)
+    inc = r.support.included
+    probes = [np.zeros(r.space.size)]
+    for _ in range(8):
+        x = np.zeros(r.space.size)
+        x[inc] = rng.uniform(-5.0, 5.0, inc.sum())
+        probes.append(x)
+    for i, x in enumerate(probes):
+        if _rho_rows(r, r.lp_rows(), x).status == "unbounded":
+            return False, f"probe {i}: securitization gain unbounded"
+    return True, "bounded at X = 0 and 8 random probes (probabilistic check)"
+
+
+def _cash_regime(densities, bounds):
+    space = ScenarioSpace(["a", "b", "c"], np.array([0.2, 0.3, 0.5]))
+    return RiskMeasurementRegime(
+        SupportMask.full(space),
+        PolyhedralAcceptanceSet(
+            tuple(Functional(space, np.array(d)) for d in densities),
+            np.array(bounds)),
+        SecurityMarket((space.rv(np.full(3, 2.0)),), np.array([1.5])))
+
+
+@pytest.mark.parametrize("densities, bounds, verdict", [
+    # a functional with a positive cash weight: bounded everywhere
+    ([[1.0, 2.0, 0.5], [0.0, 3.0, 1.0]], [1.0, -0.5], True),
+    # no positive cash weight: unbounded at X = 0
+    ([[-1.0, 0.0, -2.0]], [1.0], False),
+    # a zero cash weight whose row X = 0 breaks: infeasible at X = 0,
+    # unbounded at the first random probe that meets the row
+    ([[1.0, -2.0 / 3.0, 0.0], [-1.0, 0.0, -1.0]], [-0.1, 1.0], False),
+], ids=["bounded", "unbounded_at_zero", "unbounded_later"])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_probes_on_a_cash_market_read_the_closed_form(densities, bounds,
+                                                      verdict, seed):
+    r = _cash_regime(densities, bounds)
+    with recording() as seen:
+        probes = regime._polyhedral_no_arbitrage_probes(r, seed)
+    assert seen == {"solve": [], "solve_batch": []}
+    assert probes == _lp_probes(r, seed)
+    assert probes[0] is verdict
+    check = {c.name: c for c in validate_regime(r, seed).checks}
+    assert (check["no_arbitrage_probes"].passed,
+            check["no_arbitrage_probes"].detail) == probes
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(cash_agents(), st.integers(0, 20))
+def test_probes_match_the_lp_probe_by_probe(agent, seed):
+    r, _ = agent
+    with recording() as seen:
+        probes = _outcome(lambda: regime._polyhedral_no_arbitrage_probes(
+            r, seed))
+    assert probes == _outcome(lambda: _lp_probes(r, seed))
+    if r.market.cash_unit_price() is not None:
+        assert seen["solve"] == [] and seen["solve_batch"] == []

@@ -292,6 +292,21 @@ def test_pareto_zeta_preserves_total_risk(capsys):
     assert sum(risks(shifted).values()) == pytest.approx(8.0, abs=1e-8)
 
 
+def test_negative_float_flags_parse_with_a_space(capsys):
+    # argparse alone takes a separate "-1e-1" or "-inf" for an option
+    code, spaced, _ = _run(capsys, "pareto", WORKED, "--loss", LOSS,
+                           "--zeta", "-1e-1")
+    assert code == 0
+    assert _run(capsys, "pareto", WORKED, "--loss", LOSS,
+                "--zeta=-1e-1") == (0, spaced, "")
+    assert spaced["flags"]["zeta"] == -0.1
+    # the grid flags reach the grid's own refusal, not a usage error
+    code, _, err = _run(capsys, "oracle", WORKED, "--check", "lambda",
+                        "--loss", LOSS, "--grid-margin", "-1e-1",
+                        "--grid-step", "-5e-2")
+    assert code == 1 and err.startswith("error:") and "usage" not in err
+
+
 def test_split_command(capsys):
     code, doc, err = _run(capsys, "split", str(FIXTURES / "split_entropic.json"),
                      "--loss", '{"low": 0, "high": 2}')
@@ -375,10 +390,11 @@ def test_validate_seed_changes_probes_not_verdict(capsys):
     (["validate", WORKED, "--seed", "-1"], "--seed"),
     (["pareto", WORKED, "--loss", LOSS, "--zeta", "nan"], "--zeta"),
     (["pareto", WORKED, "--loss", LOSS, "--zeta", "inf"], "--zeta"),
+    (["pareto", WORKED, "--loss", LOSS, "--zeta", "-inf"], "--zeta"),
 ], ids=["bad_endowments_json", "missing_endowments_file",
         "unwritable_output", "nan_loss", "infinite_loss", "non_numeric_loss",
         "nan_tol", "infinite_tol", "negative_tol", "negative_seed",
-        "nan_zeta", "infinite_zeta"])
+        "nan_zeta", "infinite_zeta", "negative_infinite_zeta"])
 def test_bad_flag_values_are_typed_refusals(argv, says, capsys):
     code, doc, err = _run(capsys, *argv)
     assert code == 1

@@ -171,22 +171,25 @@ def _reference_search(measures, probs, B, prices, U, price, X):
 
 def _assert_rows_match_the_reference(measures, probs, B, prices, U, price,
                                      rows):
-    together = _kernel_search(measures, probs, B, prices, U, price)(rows)
-    for x, sol in zip(rows, together):
+    t, Z, q, refusals = _kernel_search(measures, probs, B, prices, U,
+                                       price)(rows)
+    for i, x in enumerate(rows):
         try:
             ref = _reference_search(measures, probs, B, prices, U, price, x)
         except NumericalFailure as exc:
-            assert isinstance(sol, NumericalFailure) and str(sol) == str(exc)
+            assert isinstance(refusals.get(i), NumericalFailure)
+            assert str(refusals[i]) == str(exc)
             continue
         except ZeroDivisionError:
             # the scalar search crashed on a trial point whose dual density
             # underflowed to zero; _unit_root now refuses that point, and
             # the search goes on to a certified value
-            assert isinstance(sol, tuple)
+            assert i not in refusals and math.isfinite(t[i])
             continue
-        assert repr(float(sol[0])) == repr(float(ref[0]))
-        np.testing.assert_array_equal(sol[1], ref[1])
-        np.testing.assert_array_equal(sol[2], ref[2])
+        assert i not in refusals
+        assert repr(float(t[i])) == repr(float(ref[0]))
+        np.testing.assert_array_equal(Z[i], ref[1])
+        np.testing.assert_array_equal(q[i], ref[2])
 
 
 # ----------------------------------------------------------------------
@@ -335,14 +338,15 @@ def test_a_refused_middle_row_refuses_as_the_row_loop_does():
         assert refusal == (NumericalFailure,
                            "kernel Newton search did not converge")
     # the other rows' outcomes are those of a batch of one
-    search, _, _ = _rho_law_invariant(fund)
-    together = search(rows)
-    assert isinstance(together[1], NumericalFailure)
+    search = _rho_law_invariant(fund)
+    t, Z, q, refusals = search(rows)
+    assert list(refusals) == [1] and isinstance(refusals[1], NumericalFailure)
+    assert np.isnan(t[1])
     for k in (0, 2):
-        (alone,) = search(rows[k:k + 1])
-        assert repr(together[k][0]) == repr(alone[0])
-        np.testing.assert_array_equal(together[k][1], alone[1])
-        np.testing.assert_array_equal(together[k][2], alone[2])
+        t1, Z1, q1, _ = search(rows[k:k + 1])
+        assert repr(float(t[k])) == repr(float(t1[0]))
+        np.testing.assert_array_equal(Z[k], Z1[0])
+        np.testing.assert_array_equal(q[k], q1[0])
 
 
 # t*(eta) = log E[e^{X - D eta}] on three scenarios, one row per loss;

@@ -2,7 +2,7 @@
 result document.
 
 Every command is pure given the file and its flags: rerunning with the same
-inputs and seed produces a byte-identical document.  Numeric outputs are
+inputs produces a byte-identical document.  Numeric outputs are
 wrapped as {"value": ..., "tol": ...} carrying the tolerance under which the
 number was certified; vectors are scenario-label-keyed.
 
@@ -91,7 +91,7 @@ def _cmd_validate(pd: ProblemDocument, args):
     outputs = {"agents": {}, "star": None, "nsa": None, "pricing": None}
     ok = True
     for name, r in zip(pd.names, pd.regimes):
-        rep = validate_regime(r, seed=args.seed)
+        rep = validate_regime(r)
         outputs["agents"][name] = _report(rep)
         ok &= rep.passed
     if len(pd.regimes) >= 2:
@@ -331,8 +331,6 @@ def _parser() -> argparse.ArgumentParser:
     shared.add_argument("file", help="problem document (JSON)")
     shared.add_argument("--tol", type=float, default=DEFAULT_TOL,
                         help="reporting tolerance (default 1e-8)")
-    shared.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized validation probes")
     shared.add_argument("--output", default=None,
                         help="write the result document here instead of stdout")
 
@@ -382,12 +380,16 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _joined(argv) -> list:
-    """argv with "flag value" written "flag=value" for the float flags:
+    """argv with "flag value" written "flag=value" for the float flags and
+    their abbreviations (-- and at least one more character of the flag):
     argparse takes a separate value such as -1e-1 or -inf for an option
-    (only forms like -1 and -0.5 pass as negative numbers)."""
+    (only forms like -1 and -0.5 pass as negative numbers).  An ambiguous
+    abbreviation such as --grid stays argparse's usage error."""
     out = []
     for arg in argv:
-        if out and out[-1] in ("--zeta", "--grid-margin", "--grid-step"):
+        if out and len(out[-1]) > 2 and any(
+                flag.startswith(out[-1])
+                for flag in ("--zeta", "--grid-margin", "--grid-step")):
             out[-1] += "=" + arg
         else:
             out.append(arg)
@@ -399,8 +401,6 @@ def _check_flags(args) -> None:
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise StructuralError(
             f"--tol must be finite and >= 0, got {args.tol!r}")
-    if args.seed < 0:
-        raise StructuralError(f"--seed must be >= 0, got {args.seed}")
     zeta = getattr(args, "zeta", 0.0)
     if not math.isfinite(zeta):
         raise StructuralError(f"--zeta must be finite, got {zeta!r}")

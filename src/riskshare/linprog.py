@@ -1,7 +1,7 @@
 """Two-phase tableau simplex with deterministic pivoting.
 
 This is the computational backbone for every polyhedral evaluation in the
-package: risk measures, shared capital requirements, no-arbitrage probes,
+package: risk measures, shared capital requirements, no-arbitrage certificates,
 scalability detection, and subgradient extraction all reduce to small
 linear programs solved here.  The tableau is a dense array, but a pivot
 updates only the rows where the pivot column is nonzero, one row at a
@@ -286,7 +286,7 @@ def _run_simplex(T, basis, cap, it0=0):
         basis[i] = j
 
 
-def solve(p: LpProblem, max_iterations: int = None) -> LpSolution:
+def solve(p: LpProblem) -> LpSolution:
     """Two-phase simplex.  Deterministic; raises NumericalFailure rather
     than returning an uncertified answer."""
     # a row of solve_batch carries its batch's expansion (_with_rhs)
@@ -297,7 +297,7 @@ def solve(p: LpProblem, max_iterations: int = None) -> LpSolution:
     A, b, c, flips, slack_sign, expansion, const = std
     m, N = A.shape
     n_y = expansion.var.shape[0]
-    cap = max_iterations or (2000 + 200 * (m + N))
+    cap = 2000 + 200 * (m + N)
 
     # ---------------- phase 1 ----------------
     # a slack whose coefficient stays +1 after the flip starts basic; every

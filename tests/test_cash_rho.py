@@ -3,7 +3,9 @@ acceptance family: a polyhedral agent's rho is xi(X) times the price of
 cash, xi(X) = max_j (phi_j(X) - b_j) / phi_j(1) over the functionals with
 a positive cash weight.  rho's LP (regime._rho_rows) stays the reference:
 the closed form must report its statuses and its values, and make no LP,
-in rho, rho_batch and validate's no-arbitrage probes."""
+in rho and rho_batch.  validate's polyhedral no-arbitrage check is one LP
+on every market, and it is exact: the former seeded probes stay here as a
+reference it must never pass against."""
 
 import contextlib
 import json
@@ -12,10 +14,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from riskshare import linprog, oracle, regime
+from riskshare import linprog, oracle
 from riskshare.cli import run
 from riskshare.errors import DomainError, RiskShareError
 from riskshare.market import AgentSystem, capital_requirement
@@ -52,18 +54,17 @@ _NONNEGATIVE = st.one_of(st.integers(0, 8).map(lambda k: k / 2.0),
 _SIGNED = st.one_of(_HALVES, st.floats(0.1, 4.0), st.floats(-2.0, -0.1))
 
 
-@st.composite
-def cash_agents(draw):
-    """A polyhedral agent with 1-4 functionals on m <= 6 scenarios that
-    trades c 1 at price pi (c != 1, and c and pi of one sign), and a loss
-    on its support."""
-    m = draw(st.integers(1, 6))
-    weights = draw(st.lists(st.integers(1, 8), min_size=m, max_size=m))
-    space = ScenarioSpace([f"s{i}" for i in range(m)],
-                          np.array(weights) / sum(weights))
+def _support(draw, m):
     inc = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)))
     if draw(st.booleans()) or not inc.any():
         inc = np.ones(m, dtype=bool)
+    return inc
+
+
+def _acceptance(draw, space, inc):
+    """1-4 signed, nonnegative or zero functionals on the support, with
+    bounds in [-3, 3]; in some draws none has a positive cash weight."""
+    m = space.size
     functionals = []
     for _ in range(draw(st.integers(1, 4))):
         kind = draw(st.sampled_from(["nonnegative", "signed", "zero"]))
@@ -79,12 +80,25 @@ def cash_agents(draw):
                        for f in functionals]
     bounds = draw(st.lists(st.floats(-3.0, 3.0), min_size=len(functionals),
                            max_size=len(functionals)))
+    return PolyhedralAcceptanceSet(tuple(functionals), np.array(bounds))
+
+
+@st.composite
+def cash_agents(draw):
+    """A polyhedral agent with 1-4 functionals on m <= 6 scenarios that
+    trades c 1 at price pi (c != 1, and c and pi of one sign), and a loss
+    on its support."""
+    m = draw(st.integers(1, 6))
+    weights = draw(st.lists(st.integers(1, 8), min_size=m, max_size=m))
+    space = ScenarioSpace([f"s{i}" for i in range(m)],
+                          np.array(weights) / sum(weights))
+    inc = _support(draw, m)
+    acceptance = _acceptance(draw, space, inc)
     sign = draw(st.sampled_from([1.0, -1.0]))
     c = sign * draw(st.floats(0.25, 4.0).filter(lambda v: v != 1.0))
     price = sign * draw(st.floats(0.25, 4.0))
     r = RiskMeasurementRegime(
-        SupportMask(space, inc),
-        PolyhedralAcceptanceSet(tuple(functionals), np.array(bounds)),
+        SupportMask(space, inc), acceptance,
         SecurityMarket((space.rv(np.full(m, c)),), np.array([price])))
     losses = []
     for _ in range(2):
@@ -95,11 +109,49 @@ def cash_agents(draw):
     return r, losses
 
 
+@st.composite
+def market_agents(draw):
+    """A polyhedral agent as in cash_agents on 2 <= m <= 6 equally likely
+    scenarios that trades 1-3 linearly independent payoffs inside its
+    support (indicators, the support's unit, signed random payoffs) at
+    prices of either sign."""
+    m = draw(st.integers(2, 6))
+    space = ScenarioSpace.uniform([f"s{i}" for i in range(m)])
+    inc = _support(draw, m)
+    held = np.flatnonzero(inc).tolist()
+    basis = np.zeros((m, 0))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["indicator", "unit", "random"]))
+        if kind == "indicator":
+            b = np.zeros(m)
+            b[draw(st.sampled_from(held))] = 1.0
+        elif kind == "unit":
+            b = inc.astype(float)
+        else:
+            b = np.array(draw(st.lists(_SIGNED, min_size=m,
+                                       max_size=m))) * inc
+        stacked = np.column_stack([basis, b])
+        if np.linalg.matrix_rank(stacked, tol=1e-6) == stacked.shape[1]:
+            basis = stacked
+    assume(basis.shape[1] > 0)
+    prices = draw(st.lists(_SIGNED, min_size=basis.shape[1],
+                           max_size=basis.shape[1]))
+    return RiskMeasurementRegime(
+        SupportMask(space, inc), _acceptance(draw, space, inc),
+        SecurityMarket(tuple(space.rv(b) for b in basis.T),
+                       np.array(prices)))
+
+
 def _outcome(f):
     try:
         return f()
     except RiskShareError as exc:
         return type(exc)
+
+
+def _status(t):
+    """rho's status for a requirement t of _rho_rows."""
+    return {math.inf: "infeasible", -math.inf: "unbounded"}.get(t, "optimal")
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
@@ -111,10 +163,10 @@ def test_closed_form_matches_the_lp(agent):
     if isinstance(lp, type):
         assert closed is lp
         return
-    assert closed.status == lp.status
+    assert closed.status == _status(lp[0])
     if closed.status == "optimal":
         v = closed.value.as_float()
-        assert abs(v - lp.value.as_float()) <= 1e-12 * (1.0 + abs(v))
+        assert abs(v - lp[0]) <= 1e-12 * (1.0 + abs(v))
         # the security makes the part acceptable
         t = closed.security.values[0]
         assert np.all(closed.security.values == t)
@@ -146,7 +198,7 @@ def test_a_cash_weight_that_cancels_is_zero(bound, status):
         SecurityMarket((space.rv(np.full(6, -2.0)),), np.array([-1.5])))
     x = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 2.0])
     assert rho(r, space.rv(x)).status == status
-    assert _rho_rows(r, r.lp_rows(), x).status == status
+    assert _status(_rho_rows(r, r.lp_rows(), x)[0]) == status
 
 
 # ----------------------------------------------------------------------
@@ -188,7 +240,7 @@ def test_empty_acceptance_set_is_infeasible(tmp_path, capsys):
     r = load_problem(path).regimes[1]
     x = r.space.rv(np.array([1.0, 0.0]))
     assert rho(r, x).status == "infeasible"
-    assert _rho_rows(r, r.lp_rows(), x.values).status == "infeasible"
+    assert _rho_rows(r, r.lp_rows(), x.values)[0] == math.inf
     assert rho_batch(r, x.values[None, :]).tolist() == [math.inf]
 
 
@@ -204,7 +256,7 @@ def test_set_without_positive_cash_weight_is_unbounded(tmp_path, capsys):
     r = load_problem(str(path)).regimes[1]
     x = r.space.rv(np.array([1.0, 0.0]))
     assert rho(r, x).status == "unbounded"
-    assert _rho_rows(r, r.lp_rows(), x.values).status == "unbounded"
+    assert _rho_rows(r, r.lp_rows(), x.values)[0] == -math.inf
     with pytest.raises(DomainError, match="unbounded below"):
         rho_batch(r, x.values[None, :])
 
@@ -301,12 +353,13 @@ def test_certified_lambda_and_pareto_sweep_make_the_two_system_lps():
 
 
 # ----------------------------------------------------------------------
-# validate's no-arbitrage probes read the closed form
+# validate's no-arbitrage check is exact
 # ----------------------------------------------------------------------
 
 def _lp_probes(r, seed):
-    """validate's polyhedral probes with rho's LP (_rho_rows) at each
-    probe: the verdict and detail of the first unbounded probe."""
+    """validate's former polyhedral probes with rho's LP (_rho_rows) at
+    X = 0 and at 8 seeded random points: the verdict and detail of the
+    first unbounded probe."""
     rng = np.random.default_rng(seed)
     inc = r.support.included
     probes = [np.zeros(r.space.size)]
@@ -315,9 +368,34 @@ def _lp_probes(r, seed):
         x[inc] = rng.uniform(-5.0, 5.0, inc.sum())
         probes.append(x)
     for i, x in enumerate(probes):
-        if _rho_rows(r, r.lp_rows(), x).status == "unbounded":
+        if _rho_rows(r, r.lp_rows(), x)[0] == -math.inf:
             return False, f"probe {i}: securitization gain unbounded"
     return True, "bounded at X = 0 and 8 random probes (probabilistic check)"
+
+
+def _no_arbitrage(r):
+    check = {c.name: c for c in validate_regime(r).checks}[
+        "no_arbitrage_dual_density"]
+    assert not check.heuristic
+    return check.passed
+
+
+def _acceptable_point(r):
+    """A loss on the support that the acceptance set accepts, from a
+    feasibility LP over its functionals, or None when it accepts none or
+    the LP refuses (a zero functional with a bound of -6e-8 is within its
+    feasibility tolerance and then fails its certificate)."""
+    W, _, bounds, _ = r.lp_rows()
+    inc = r.support.included
+    n = int(inc.sum())
+    sol = _outcome(lambda: linprog.solve(linprog.LpProblem(
+        c=np.zeros(n), rows=W[:, inc], senses=[linprog.LE] * W.shape[0],
+        rhs=bounds, lower=np.full(n, -math.inf), upper=np.full(n, math.inf))))
+    if isinstance(sol, type) or sol.status == "infeasible":
+        return None
+    x = np.zeros(r.space.size)
+    x[inc] = sol.primal
+    return x
 
 
 def _cash_regime(densities, bounds):
@@ -339,27 +417,25 @@ def _cash_regime(densities, bounds):
     # unbounded at the first random probe that meets the row
     ([[1.0, -2.0 / 3.0, 0.0], [-1.0, 0.0, -1.0]], [-0.1, 1.0], False),
 ], ids=["bounded", "unbounded_at_zero", "unbounded_later"])
-@pytest.mark.parametrize("seed", [0, 7])
-def test_probes_on_a_cash_market_read_the_closed_form(densities, bounds,
-                                                      verdict, seed):
+def test_cash_market_verdicts(densities, bounds, verdict):
     r = _cash_regime(densities, bounds)
-    with recording() as seen:
-        probes = regime._polyhedral_no_arbitrage_probes(r, seed)
-    assert seen == {"solve": [], "solve_batch": []}
-    assert probes == _lp_probes(r, seed)
-    assert probes[0] is verdict
-    check = {c.name: c for c in validate_regime(r, seed).checks}
-    assert (check["no_arbitrage_probes"].passed,
-            check["no_arbitrage_probes"].detail) == probes
+    assert _lp_probes(r, 0)[0] is verdict
+    assert _no_arbitrage(r) is verdict
 
 
-@settings(derandomize=True, deadline=None, max_examples=100)
-@given(cash_agents(), st.integers(0, 20))
-def test_probes_match_the_lp_probe_by_probe(agent, seed):
-    r, _ = agent
-    with recording() as seen:
-        probes = _outcome(lambda: regime._polyhedral_no_arbitrage_probes(
-            r, seed))
-    assert probes == _outcome(lambda: _lp_probes(r, seed))
-    if r.market.cash_unit_price() is not None:
-        assert seen["solve"] == [] and seen["solve_batch"] == []
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.one_of(cash_agents().map(lambda agent: agent[0]), market_agents()),
+       st.integers(0, 20))
+def test_no_arbitrage_check_is_exact(r, seed):
+    passed = _no_arbitrage(r)
+    # never passes where a former probe found the requirement unbounded
+    probes = _outcome(lambda: _lp_probes(r, seed))
+    if not isinstance(probes, type) and not probes[0]:
+        assert not passed
+    # at an acceptable loss rho's LP is feasible (w = 0), and unbounded
+    # exactly when the check fails
+    x = _acceptable_point(r)
+    if x is not None:
+        t = _rho_rows(r, r.lp_rows(), x)[0]
+        assert t < math.inf
+        assert passed is (t > -math.inf)

@@ -1,5 +1,7 @@
+import ast
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,8 @@ import pytest
 from riskshare.cli import run
 from riskshare.problemfile import check_schema
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 WORKED = str(FIXTURES / "overlap_ceilings.json")
 LOSS = '{"a": 4, "b": 5, "c": 6}'
 
@@ -307,6 +310,27 @@ def test_negative_float_flags_parse_with_a_space(capsys):
     assert code == 1 and err.startswith("error:") and "usage" not in err
 
 
+@pytest.mark.parametrize("flag", ["--zet", "--z"])
+def test_abbreviated_zeta_parses_with_a_space(flag, capsys):
+    joined = _run(capsys, "pareto", WORKED, "--loss", LOSS, "--zeta=-1e-1")
+    assert joined[0] == 0
+    assert _run(capsys, "pareto", WORKED, "--loss", LOSS,
+                flag, "-1e-1") == joined
+
+
+@pytest.mark.parametrize("flags, says", [
+    (("--grid-m", "-1e-1", "--grid-s", "-5e-2"), "error:"),
+    (("--grid", "-1e-1"), "ambiguous option"),
+], ids=["abbreviated", "ambiguous"])
+def test_abbreviated_grid_flags(flags, says, capsys):
+    # an abbreviation reaches the grid's own refusal; an ambiguous one
+    # stays argparse's usage error
+    code, _, err = _run(capsys, "oracle", WORKED, "--check", "lambda",
+                        "--loss", LOSS, *flags)
+    assert code == 1 and says in err
+    assert ("usage" in err) is (says == "ambiguous option")
+
+
 def test_split_command(capsys):
     code, doc, err = _run(capsys, "split", str(FIXTURES / "split_entropic.json"),
                      "--loss", '{"low": 0, "high": 2}')
@@ -358,6 +382,28 @@ def test_malformed_loss_flag(capsys):
     assert code == 1
 
 
+def _cli_flags(source: str) -> set:
+    """The string literals that `add_argument` calls in `source` pass."""
+    return {arg.value for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "add_argument"
+            for arg in node.args if isinstance(arg, ast.Constant)}
+
+
+def _readme_flags(readme: str) -> set:
+    """The --flags that README's `## CLI` section names."""
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    return set(re.findall(r"(?<![\w-])--[a-z]+(?:-[a-z]+)*", section))
+
+
+def test_readme_names_only_flags_the_cli_defines():
+    named = _readme_flags((ROOT / "README.md").read_text())
+    defined = _cli_flags((ROOT / "src" / "riskshare" / "cli.py").read_text())
+    assert {"--loss", "--tol", "--output"} <= named
+    assert named <= defined, sorted(named - defined)
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "riskshare.cli"],
@@ -365,12 +411,12 @@ def test_console_script_entry_point():
     assert proc.returncode == 1
 
 
-def test_validate_seed_changes_probes_not_verdict(capsys):
-    code0, doc0, err = _run(capsys, "validate", WORKED, "--seed", "0")
-    code1, doc1, err = _run(capsys, "validate", WORKED, "--seed", "123")
-    assert code0 == code1 == 0
-    assert doc0["outputs"]["nsa"] == doc1["outputs"]["nsa"]
-    assert doc0["flags"]["seed"] == 0 and doc1["flags"]["seed"] == 123
+def test_validate_has_no_seed(capsys):
+    # validate's checks are exact, so nothing is seeded
+    code, doc, err = _run(capsys, "validate", WORKED, "--seed", "0")
+    assert code == 1 and doc is None
+    assert "unrecognized arguments: --seed" in err
+    assert "seed" not in _run(capsys, "validate", WORKED)[1]["flags"]
 
 
 @pytest.mark.parametrize("argv, says", [
@@ -387,13 +433,12 @@ def test_validate_seed_changes_probes_not_verdict(capsys):
     (["lambda", WORKED, "--loss", LOSS, "--tol", "nan"], "--tol"),
     (["lambda", WORKED, "--loss", LOSS, "--tol", "inf"], "--tol"),
     (["lambda", WORKED, "--loss", LOSS, "--tol", "-1"], "--tol"),
-    (["validate", WORKED, "--seed", "-1"], "--seed"),
     (["pareto", WORKED, "--loss", LOSS, "--zeta", "nan"], "--zeta"),
     (["pareto", WORKED, "--loss", LOSS, "--zeta", "inf"], "--zeta"),
     (["pareto", WORKED, "--loss", LOSS, "--zeta", "-inf"], "--zeta"),
 ], ids=["bad_endowments_json", "missing_endowments_file",
         "unwritable_output", "nan_loss", "infinite_loss", "non_numeric_loss",
-        "nan_tol", "infinite_tol", "negative_tol", "negative_seed",
+        "nan_tol", "infinite_tol", "negative_tol",
         "nan_zeta", "infinite_zeta", "negative_infinite_zeta"])
 def test_bad_flag_values_are_typed_refusals(argv, says, capsys):
     code, doc, err = _run(capsys, *argv)

@@ -186,11 +186,15 @@ def test_duality_on_random_instances():
         assert np.all(A.T @ y <= c + 1e-8)
 
 
-def test_iteration_cap_raises():
+def test_iteration_cap_raises(monkeypatch):
+    # the cap is 2000 + 200 (m + N); a cap of 1 stands in for a cycle
+    run = linprog._run_simplex
+    monkeypatch.setattr(linprog, "_run_simplex",
+                        lambda T, basis, cap, it0=0: run(T, basis, 1, it0))
     rng = np.random.default_rng(3)
     A = rng.uniform(0.1, 1.0, size=(3, 4))
-    with pytest.raises(NumericalFailure):
-        solve(lp(np.ones(4), A, [GE] * 3, np.ones(3)), max_iterations=1)
+    with pytest.raises(NumericalFailure, match="iteration cap 1 exceeded"):
+        solve(lp(np.ones(4), A, [GE] * 3, np.ones(3)))
 
 
 def test_unbounded_ray_feasibility():

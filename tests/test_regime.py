@@ -51,8 +51,8 @@ def test_validate_overlap_agent():
     assert rep.passed, rep.to_dict()
     names = {c.name for c in rep.checks}
     assert "positive_unit_payoff" in names
-    assert "no_arbitrage_probes" in names
-    assert any(c.heuristic for c in rep.checks)
+    assert "no_arbitrage_dual_density" in names
+    assert not any(c.heuristic for c in rep.checks)
 
 
 def test_validate_rescaled_unit():

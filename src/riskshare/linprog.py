@@ -335,6 +335,12 @@ def solve(p: LpProblem) -> LpSolution:
     drop_rows = []
     for i in range(m):
         if basis[i] >= N:
+            # a row of p that is zero in every column keeps its artificial
+            # basic at |rhs| exactly where it is violated: its value 0 does
+            # not depend on x, so no cut lets the violation through
+            if T[i, -1] > 0.0 and i < p.rows.shape[0] and not p.rows[i].any():
+                return LpSolution(status="infeasible",
+                                  objective_value=math.inf, iterations=iters)
             row = T[i, :N]
             nz = np.nonzero(np.abs(row) > PIVOT_TOL)[0]
             if nz.size == 0:
@@ -470,8 +476,10 @@ def solve_batch(p: LpProblem, rhs) -> LpBatch:
     Rows that are infeasible or unbounded get their status from `solve`
     itself.  Screened rows carry the certificate `solve` checks (_certify,
     with the basis's shadow prices) and raise NumericalFailure where it
-    fails, as `solve` does.  The variables are expanded once: every row
-    that `solve` runs carries the expansion (_with_rhs)."""
+    fails, as `solve` does.  A right-hand side that violates a row of p
+    that is zero in every column is infeasible without a simplex run, as
+    `solve` finds it.  The variables are expanded once: every row that
+    `solve` runs carries the expansion (_with_rhs)."""
     rhs = np.asarray(rhs, dtype=float)
     n_rows = p.rows.shape[0]
     if rhs.ndim != 2 or rhs.shape[1] != n_rows:
@@ -483,6 +491,12 @@ def solve_batch(p: LpProblem, rhs) -> LpBatch:
     status = [None] * N
     objective = np.full(N, math.nan)
     primal = np.full((N, p.c.shape[0]), math.nan)
+    zero = ~p.rows.any(axis=1)
+    sign = np.array([_SENSE_SIGN[p.senses[i]] for i in np.flatnonzero(zero)])
+    r = rhs[:, zero]
+    pending = ~np.where(sign == 0.0, r != 0.0, sign * r < 0.0).any(axis=1)
+    for k in np.flatnonzero(~pending):
+        status[k], objective[k] = "infeasible", math.inf
     expansion = _expand_variables(p)
     std = _standardize(p, expansion)
     if std is not None:     # crossed bounds: every solve is infeasible
@@ -495,7 +509,6 @@ def solve_batch(p: LpProblem, rhs) -> LpBatch:
         # the two halves of a free variable may take either sign
         free = np.zeros(A.shape[1], dtype=bool)
         free[:n_y] = (np.isinf(p.lower) & np.isinf(p.upper))[expansion.var]
-    pending = np.ones(N, dtype=bool)
     solves = 0
     while pending.any():
         k = int(np.argmax(pending))

@@ -1,9 +1,21 @@
-"""Problem documents: schema-validated JSON in, solver objects out.
+"""Problem documents: schema-checked JSON in, solver objects out.
 
 A document carries the scenario space, one block per agent (support,
 acceptance spec, traded securities), and optional pricing / endowments /
 split sections.  Vectors are scenario-label-keyed objects; a label left
 out of a vector reads as zero.
+
+Documents are checked against the JSON Schema (Draft-07) files in
+`riskshare/schemas`, which stay the one statement of the format, by a small
+interpreter of the keywords those files use (`_KEYWORDS`); a schema that
+uses any other keyword is refused when it is loaded, so a later edit cannot
+weaken the check unnoticed.  The interpreter keeps Draft-07's semantics: an
+integral float such as 2.0 is an integer, a bool is not a number, 1 is not
+`const: true`, and NaN passes `minimum` (finiteness is checked at parse).
+A violation raises StructuralError "<name> document rejected at <path>:
+<message>", the path being that of the violation nearest the root (the
+deepest one inside a `oneOf` when only one is deepest), which the CLI
+reports with exit code 1.
 
 Loading a document builds regimes only.  The solver objects that a few
 commands need are built on request, and their modules are imported then:
@@ -12,12 +24,11 @@ law_invariant_problem() on a law-invariant document with a pricing section.
 """
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 
-import jsonschema
 import numpy as np
-from referencing import Registry, Resource
 
 from .errors import StructuralError
 from .regime import (AVAR, ENTROPIC, EXPECTATION, LawInvariantAcceptanceSet,
@@ -25,34 +36,182 @@ from .regime import (AVAR, ENTROPIC, EXPECTATION, LawInvariantAcceptanceSet,
                      SecurityMarket)
 from .scenario import Functional, ScenarioSpace, SupportMask
 
-_VALIDATORS: dict = {}
+_SCHEMA_FILES = ("problem.schema.json", "result.schema.json")
+_KEYWORDS = frozenset({
+    "type", "required", "properties", "additionalProperties", "items",
+    "minItems", "minLength", "uniqueItems", "minimum", "exclusiveMinimum",
+    "exclusiveMaximum", "const", "enum", "oneOf", "$ref"})
+_ANNOTATIONS = frozenset({"$schema", "$id", "title", "description",
+                          "definitions"})
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+    "number": lambda v: (isinstance(v, (int, float))
+                         and not isinstance(v, bool)),
+    "integer": lambda v: ((isinstance(v, int) and not isinstance(v, bool))
+                          or (isinstance(v, float) and v.is_integer())),
+}
+_BOUNDS = (("minimum", lambda v, b: v < b, "less than"),
+           ("exclusiveMinimum", lambda v, b: v <= b, "not greater than"),
+           ("exclusiveMaximum", lambda v, b: v >= b, "not less than"))
+_SCHEMAS: dict = {}
 
 
-def _validator(name: str) -> jsonschema.Draft7Validator:
-    if name not in _VALIDATORS:
-        pkg = resources.files("riskshare.schemas")
-        schemas = {
-            f"riskshare/{fn}": json.loads(pkg.joinpath(fn).read_text())
-            for fn in ("problem.schema.json", "result.schema.json")
-        }
-        registry = Registry().with_resources(
-            (uri, Resource.from_contents(doc)) for uri, doc in schemas.items()
-        )
-        for uri, doc in schemas.items():
-            key = uri.split("/")[-1].split(".")[0]
-            _VALIDATORS[key] = jsonschema.Draft7Validator(
-                doc, registry=registry)
-    return _VALIDATORS[name]
+def _resolve(schemas, root, ref):
+    """The node a `$ref` names and the schema file it lies in: `#/a/b`
+    inside root, or another schema file by name."""
+    name, _, pointer = ref.partition("#")
+    root = schemas[name] if name else root
+    node = root
+    for part in pointer.split("/")[1:]:
+        node = node[part]
+    return node, root
+
+
+def _check_keywords(schemas, root, node, where):
+    """Refuse a schema node that uses a keyword the interpreter does not
+    implement (Draft-07 ignores every sibling of `$ref`, so none is
+    allowed) or a `$ref` that names no node."""
+    if not isinstance(node, dict):
+        raise StructuralError(f"schema node {where} is not an object")
+    allowed = {"$ref"} if "$ref" in node else _KEYWORDS | _ANNOTATIONS
+    if node.keys() - allowed:
+        raise StructuralError(
+            f"schema node {where} uses {sorted(node.keys() - allowed)}, "
+            "which the validator does not implement")
+    if "$ref" in node:
+        try:
+            _resolve(schemas, root, node["$ref"])
+        except (KeyError, TypeError) as exc:
+            raise StructuralError(
+                f"schema node {where}: unresolvable $ref") from exc
+    for key in ("properties", "definitions"):
+        for name, sub in node.get(key, {}).items():
+            _check_keywords(schemas, root, sub, f"{where}/{key}/{name}")
+    for i, sub in enumerate(node.get("oneOf", ())):
+        _check_keywords(schemas, root, sub, f"{where}/oneOf/{i}")
+    if "items" in node:
+        _check_keywords(schemas, root, node["items"], f"{where}/items")
+    if not isinstance(node.get("additionalProperties", True), bool):
+        _check_keywords(schemas, root, node["additionalProperties"],
+                        f"{where}/additionalProperties")
+    if set(_types(node)) - _TYPES.keys():
+        raise StructuralError(f"schema node {where}: unknown type")
+
+
+def _checked_schemas(schemas: dict) -> dict:
+    """schemas (file name -> schema) once every file passes
+    _check_keywords."""
+    for name, doc in schemas.items():
+        _check_keywords(schemas, doc, doc, name)
+    return schemas
+
+
+def _types(schema) -> list:
+    types = schema.get("type", [])
+    return [types] if isinstance(types, str) else types
+
+
+def _equal(a, b) -> bool:
+    """JSON equality: a bool equals only itself, 1 == 1.0, and arrays and
+    objects compare item by item."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return a is b
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_equal(a[k], b[k]) for k in a)
+    return a is b or a == b
+
+
+def _unique(items) -> bool:
+    if all(isinstance(v, str) for v in items):
+        return len(set(items)) == len(items)
+    return not any(_equal(a, b) for i, a in enumerate(items)
+                   for b in items[:i])
+
+
+def _show(value) -> str:
+    text = json.dumps(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
+def _errors(schemas, root, schema, value, path):
+    """Every violation of `schema` by `value` as (path, message), `path`
+    the tuple of keys and indices from the document root; a failed `oneOf`
+    gives one violation."""
+    if "$ref" in schema:
+        node, root = _resolve(schemas, root, schema["$ref"])
+        yield from _errors(schemas, root, node, value, path)
+        return
+    types = _types(schema)
+    if types and not any(_TYPES[t](value) for t in types):
+        yield path, f"expected {' or '.join(types)}, found {_show(value)}"
+    if "const" in schema and not _equal(value, schema["const"]):
+        yield path, f"expected {_show(schema['const'])}, found {_show(value)}"
+    if "enum" in schema and not any(_equal(value, e) for e in schema["enum"]):
+        yield path, (f"{_show(value)} is not one of "
+                     f"{', '.join(map(_show, schema['enum']))}")
+    if _TYPES["number"](value):
+        for key, fails, words in _BOUNDS:
+            if key in schema and fails(value, schema[key]):
+                yield path, f"{_show(value)} is {words} {schema[key]}"
+    if isinstance(value, str) and len(value) < schema.get("minLength", 0):
+        yield path, (f"string shorter than {schema['minLength']} "
+                     "character(s)")
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            yield path, (f"{len(value)} item(s), at least "
+                         f"{schema['minItems']} required")
+        if schema.get("uniqueItems") and not _unique(value):
+            yield path, "items are not unique"
+        for i, item in enumerate(value if "items" in schema else ()):
+            yield from _errors(schemas, root, schema["items"], item,
+                               path + (i,))
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                yield path, f"required key {_show(key)} is missing"
+        props = schema.get("properties", {})
+        extra = schema.get("additionalProperties", True)
+        unknown = [k for k in value if k not in props]
+        if extra is False and unknown:
+            yield path, f"unknown key(s) {', '.join(map(_show, unknown))}"
+        for key, item in value.items():
+            sub = props.get(key, extra)
+            if isinstance(sub, dict):
+                yield from _errors(schemas, root, sub, item, path + (key,))
+    if "oneOf" in schema:
+        found = [list(_errors(schemas, root, branch, value, path))
+                 for branch in schema["oneOf"]]
+        valid = sum(not errs for errs in found)
+        flat = [e for errs in found for e in errs]
+        depth = max((len(p) for p, _ in flat), default=0)
+        deepest = [e for e in flat if len(e[0]) == depth]
+        if not valid and len(deepest) == 1:
+            yield deepest[0]
+        elif valid != 1:
+            yield path, (f"{_show(value)} matches {valid} of the "
+                         f"{len(found)} alternatives, not exactly one")
 
 
 def check_schema(doc, name: str = "problem") -> None:
-    """Raise StructuralError on the best-matching schema violation."""
-    errors = list(_validator(name).iter_errors(doc))
+    """Raise StructuralError on the schema violation nearest the root."""
+    if not _SCHEMAS:
+        pkg = resources.files("riskshare.schemas")
+        _SCHEMAS.update(_checked_schemas({
+            fn: json.loads(pkg.joinpath(fn).read_text())
+            for fn in _SCHEMA_FILES}))
+    root = _SCHEMAS[f"{name}.schema.json"]
+    errors = list(_errors(_SCHEMAS, root, root, doc, ()))
     if errors:
-        best = jsonschema.exceptions.best_match(errors)
-        where = "/".join(str(p) for p in best.absolute_path) or "(root)"
+        where, message = min(errors, key=lambda e: len(e[0]))
         raise StructuralError(
-            f"{name} document rejected at {where}: {best.message}")
+            f"{name} document rejected at "
+            f"{'/'.join(map(str, where)) or '(root)'}: {message}")
 
 
 def vector_to(space: ScenarioSpace, values) -> dict:
@@ -171,8 +330,12 @@ def parse_problem(doc: dict) -> ProblemDocument:
         if "kernel_witnesses" in block:
             witnesses = tuple(space.rv_from_dict(w).values
                               for w in block["kernel_witnesses"])
+        unit_price = float(block["unit_price"])
+        # the schema's exclusiveMinimum lets NaN and +inf through
+        if not math.isfinite(unit_price):
+            raise StructuralError(f"non-finite unit price {unit_price!r}")
         pricing = PricingSpec(
-            unit_price=float(block["unit_price"]),
+            unit_price=unit_price,
             density=space.rv_from_dict(block["density"]).values,
             kernel_witnesses=witnesses,
         )
@@ -183,6 +346,14 @@ def parse_problem(doc: dict) -> ProblemDocument:
         if len(endowments) != len(regimes):
             raise StructuralError(
                 f"{len(endowments)} endowments for {len(regimes)} agents")
+
+    if "split" in doc:
+        # a schema integer may be written as an integral float (2.0)
+        split = dict(doc["split"], n_max=int(doc["split"]["n_max"]))
+        if "step" in split["cost"]:
+            step = split["cost"]["step"]
+            split["cost"] = {"step": dict(step, block=int(step["block"]))}
+        doc = dict(doc, split=split)
 
     return ProblemDocument(
         raw=doc, space=space, names=names, regimes=regimes, pricing=pricing,

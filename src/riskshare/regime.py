@@ -156,9 +156,10 @@ class PolyhedralAcceptanceSet:
 
         A negative cash weight bounds t from above and a zero one holds
         for every t or for none.  Where these leave no t, the set is
-        called empty as rho's LP calls it: when the least total violation
-        of the rows X - 0 breaks, over the t meeting the rows it meets
-        (the LP's phase-1 optimum, _least_violation), exceeds
+        called empty as rho's LP calls it: when a functional that is zero
+        in every scenario has a negative bound, or when the least total
+        violation of the rows X - 0 breaks, over the t meeting the rows it
+        meets (the LP's phase-1 optimum, _least_violation), exceeds
         linprog.PHASE1_TOL.  X - t 1 must meet every row within
         linprog.CERT_TOL (1 + max |X| + |t|), as linprog._certify asks of
         an LP optimum, or NumericalFailure is raised; acceptance margins
@@ -181,8 +182,12 @@ class PolyhedralAcceptanceSet:
             excess - np.where(t > -np.inf, t, 0.0)[:, None] * cash, axis=1)
         empty = np.flatnonzero(gap > 0)
         if empty.size:
-            cut = (_least_violation(excess[empty], ratio[empty], cash)
-                   > linprog.PHASE1_TOL)
+            # a functional that is zero in every scenario holds or fails on
+            # its bound alone, exactly, as rho's LP decides a zero row
+            zero = ~self._weights.any(axis=1)
+            cut = ((excess[empty][:, zero] > 0).any(axis=1)
+                   | (_least_violation(excess[empty], ratio[empty], cash)
+                      > linprog.PHASE1_TOL))
             t[empty[cut]] = np.inf
         tol = linprog.CERT_TOL * (
             1.0 + np.maximum.reduce(np.abs(X), axis=1) + np.abs(t))

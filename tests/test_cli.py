@@ -11,6 +11,8 @@ import pytest
 from riskshare.cli import run
 from riskshare.problemfile import check_schema
 
+from test_golden import CASES
+
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
 WORKED = str(FIXTURES / "overlap_ceilings.json")
@@ -262,6 +264,27 @@ def test_commands_load_only_the_modules_they_run(argv, loaded):
     assert proc.stderr.strip() == str(loaded)
 
 
+_VALIDATOR_PACKAGES = ("jsonschema", "referencing", "attrs", "rpds")
+
+
+@pytest.mark.parametrize("case", [
+    "readme-validate", "readme-rho", "readme-lambda", "readme-pareto",
+    "readme-equilibrium", "readme-split", "readme-oracle",
+    "validate-arbitrage_triple"])
+def test_commands_load_no_validator_library(case):
+    argv = [str(ROOT / a) if a.startswith("fixtures/") else a
+            for a in CASES[case]]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from riskshare.cli import run; code = run(sys.argv[1:]); "
+         "print(sorted(m for m in sys.modules "
+         f"if m.split('.')[0] in {_VALIDATOR_PACKAGES}), file=sys.stderr); "
+         "sys.exit(code)", *argv],
+        capture_output=True, text=True)
+    assert proc.returncode in (0, 1), proc.stderr
+    assert proc.stderr.strip().splitlines()[-1] == "[]"
+
+
 def test_tool_version_is_the_package_version(capsys):
     import riskshare
 
@@ -494,3 +517,36 @@ def test_split_with_an_unbounded_agent_is_a_domain_exit(tmp_path, capsys):
     assert code == 2
     assert out is None
     assert err.startswith("error:") and "unbounded below" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["split", "--loss", '{"high": 2}'], ["validate"]], ids=["split", "validate"])
+@pytest.mark.parametrize("step", [False, True], ids=["linear", "step"])
+def test_integral_float_split_integers_read_as_int(tmp_path, capsys, command,
+                                                   step):
+    # the schema's integers admit 2.0; the split sweep needs an int
+    docs = []
+    for n_max, block in ((2, 3), (2.0, 3.0)):
+        doc = json.loads((FIXTURES / "split_entropic.json").read_text())
+        doc["split"]["n_max"] = n_max
+        if step:
+            doc["split"]["cost"] = {"step": {"per_block": 0.1, "block": block}}
+        path = tmp_path / f"{type(n_max).__name__}.json"
+        path.write_text(json.dumps(doc))
+        code = run([command[0], str(path), *command[1:]])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        docs.append((code, captured.out.replace(str(path), "")))
+    assert docs[0] == docs[1]
+    assert docs[0][0] in (0, 1) and docs[0][1]
+
+
+def test_a_schema_violation_exits_1_naming_its_path(tmp_path, capsys):
+    doc = json.loads((FIXTURES / "entropic_pair.json").read_text())
+    doc["agents"][0]["acceptance"] = {"entropic": -1.0}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "validate", str(path))
+    assert (code, out) == (1, None)
+    assert err == ("error: problem document rejected at "
+                   "agents/0/acceptance/entropic: -1.0 is not greater than 0\n")

@@ -704,3 +704,62 @@ if __name__ == "__main__":
     DIGESTS.write_text(json.dumps(
         {case: case_digests(case) for case in sorted(DIGEST_CASES)},
         indent=1, sort_keys=True) + "\n")
+
+
+# ----------------------------------------------------------------------
+# rows that are zero in every column
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("bound, holds", [
+    (-1e-6, False), (-6e-8, False), (-1e-9, False), (0.0, True),
+    (1e-9, True)])
+@pytest.mark.parametrize("cost", [0.0, 1.0])
+def test_a_zero_row_is_decided_by_its_rhs(bound, holds, cost):
+    # 0 <= bound holds or fails whatever x is; a violation below the
+    # phase-1 cut is a violation all the same
+    free = ([-math.inf], [math.inf])
+    open_status = "unbounded" if cost else "optimal"
+    expected = open_status if holds else "infeasible"
+    for sense, rhs in ((LE, bound), (GE, -bound)):
+        assert solve(lp([cost], [[0.0]], [sense], [rhs], *free)).status == (
+            expected)
+    eq = solve(lp([cost], [[0.0]], [EQ], [bound], *free)).status
+    assert eq == (open_status if bound == 0.0 else "infeasible")
+    batch = solve_batch(lp([cost], [[0.0]], [LE], [0.0], *free),
+                        np.array([[bound], [-1e-6], [1.0], [bound]]))
+    assert batch.status == [expected, "infeasible", open_status, expected]
+    # a violated zero row needs no simplex run
+    if not holds:
+        assert batch.solves == 1
+
+
+def test_batch_zero_rows_agree_with_solve():
+    # a zero row beside live ones: each right-hand side gets the status
+    # that solve gives it, whether a basis screens the row or solve runs
+    p = lp([1.0, 2.0], [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
+           [GE, LE, GE, LE], np.zeros(4))
+    zero_rhs = [-1e-6, -6e-8, -1e-9, 0.0, 1e-9]
+    rhs = np.array([[1.0, a, b, 3.0] for a in zero_rhs for b in zero_rhs])
+    batch = batch_matches_solve(p, rhs)
+    # the <= row holds at 0 and 1e-9, the >= row at 0 and below
+    assert batch.status.count("optimal") == 2 * 4
+
+
+def test_rho_on_an_empty_zero_functional_set_is_infeasible():
+    # the only functional is zero, with a bound just below 0: no loss is
+    # acceptable, however close the bound is to 0
+    from riskshare.regime import (PolyhedralAcceptanceSet,
+                                  RiskMeasurementRegime, SecurityMarket, rho)
+    from riskshare.scenario import Functional, SupportMask
+
+    space = ScenarioSpace.uniform(["a", "b", "c"])
+    for bound, status in ((-6e-8, "infeasible"), (-1e-9, "infeasible"),
+                          (0.0, "unbounded")):
+        r = RiskMeasurementRegime(
+            support=SupportMask.full(space),
+            acceptance=PolyhedralAcceptanceSet(
+                (Functional(space, np.zeros(3)),), np.array([bound])),
+            market=SecurityMarket((space.indicator(["a"]),),
+                                  np.array([0.5])))
+        res = rho(r, space.rv(np.zeros(3)))
+        assert res.status == status

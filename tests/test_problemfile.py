@@ -69,6 +69,14 @@ def test_schema_violations_are_structural(mutate):
         parse_problem(doc)
 
 
+@pytest.mark.parametrize("price", [float("nan"), float("inf")])
+def test_non_finite_unit_price_rejected(price):
+    # both pass the schema's exclusiveMinimum 0, as Draft-07 has it
+    pricing = {"unit_price": price, "density": {"u": 1.0, "v": 1.0}}
+    with pytest.raises(StructuralError, match="non-finite unit price"):
+        parse_problem(_minimal(pricing=pricing))
+
+
 def test_bad_probabilities_rejected():
     with pytest.raises(StructuralError):
         parse_problem(_minimal(

@@ -956,8 +956,7 @@ def _system_problem(system) -> LawInvariantProblem:
     space = system.space
     margin, d = system.market_answer(
         lambda mk: mk.pricing_margin(space.probs),
-        lambda B, prices, _: _pricing_margin(space.probs, B, prices,
-                                             math.inf))
+        lambda B, prices: _pricing_margin(space.probs, B, prices, math.inf))
     if margin == math.inf:
         raise DomainError("aggregate security span must contain the unit")
     if not margin >= -1e-12:

@@ -124,19 +124,17 @@ class AgentSystem:
     def market_answer(self, kept, solve):
         """A market-only answer of the system, over its distinct market
         objects: when every agent holds one market object, kept(market),
-        the answer that market keeps; else solve(B, prices, dims) over the
-        stacked columns of the distinct markets in agent order, the j-th
-        market holding dims[j] of them.  A market held by several agents
-        would only repeat (payoff, price) columns, which change no
-        feasible set, optimum or status, and add only zero-sum
-        combinations of price zero."""
+        the answer that market keeps; else solve(B, prices) over the
+        stacked columns of the distinct markets in agent order.  A market
+        held by several agents would only repeat (payoff, price) columns,
+        which change no feasible set, optimum or status, and add only
+        zero-sum combinations of price zero."""
         markets = list({id(r.market): r.market
                         for r in self.regimes}.values())
         if len(markets) == 1:
             return kept(markets[0])
         return solve(np.hstack([mk.basis_matrix() for mk in markets]),
-                     np.concatenate([mk.prices for mk in markets]),
-                     tuple(mk.dim for mk in markets))
+                     np.concatenate([mk.prices for mk in markets]))
 
     def aggregate_contains(self, values: np.ndarray, tol: float = SPAN_TOL):
         """Coefficients of `values` over the stacked basis (least squares),
@@ -266,11 +264,11 @@ class NsaResult:
 
 def _verdict(s: AgentSystem):
     """The verdict of the pi(0) dichotomy for `s` as (pi(0) = 0, status of
-    the zero-sum price LP): regime._arbitrage_verdict over the system's
-    distinct market objects, computed once per market set.  It is the
-    kept answer of the market when every agent holds one market object,
-    and is kept on the system otherwise; how many agents hold each market
-    does not enter it."""
+    the zero-sum price LP): regime._arbitrage_verdict, the one LP, over
+    the system's distinct market objects, computed once per market set.
+    It is the kept answer of the market when every agent holds one market
+    object, and is kept on the system otherwise; how many agents hold each
+    market does not enter it."""
     verdict = s.__dict__.get("_verdict")
     if verdict is None:
         verdict = s.market_answer(lambda mk: mk.arbitrage_verdict(),
@@ -282,22 +280,23 @@ def _verdict(s: AgentSystem):
 def nsa_check(s: AgentSystem) -> NsaResult:
     """The report of the dichotomy: pi(0) = 0 iff every zero-sum
     combination of the payoffs of the system's distinct markets has zero
-    price (the verdict, _verdict, cross-checked by the zero-sum
-    price LP, whose status is lp_status); otherwise pi(0) = -inf.
+    price, that is, iff the zero-sum price LP, whose status is lp_status,
+    is not unbounded (the verdict, _verdict); otherwise pi(0) = -inf.
 
     dim_v is the rank of V, the set of per-agent price vectors
-    (v_1, ..., v_n) of zero-sum security allocations, within the verdict's
-    tolerance (regime._zero_sum_prices with one row per agent); dim(V) < n
-    is necessary for pi(0) = 0, not sufficient.  The report is computed
-    on the first call and kept on the system; the verdict alone, which
-    every sharing command asks, needs neither V nor its rank.
+    (v_1, ..., v_n) of zero-sum security allocations, within
+    1e-10 max(1, |V|max) (regime._zero_sum_prices with one row per
+    agent); dim(V) < n is necessary for pi(0) = 0, not sufficient.  V
+    needs a null-space SVD of the stacked basis, which only this report
+    pays for: the verdict, which every sharing command asks, needs
+    neither V nor its rank.  The report is computed on the first call
+    and kept on the system.
     """
     cached = s.__dict__.get("_nsa_result")
     if cached is not None:
         return cached
     vanishes, status = _verdict(s)
-    B, prices, _ = s.stacked_basis()
-    V, tol = _zero_sum_prices(B, prices, [r.market.dim for r in s.regimes])
+    V, tol = _zero_sum_prices(*s.stacked_basis())
     res = NsaResult(dim_v=int(np.linalg.matrix_rank(V, tol=tol)),
                     n_agents=s.n, lp_status=status, pi_zero_is_zero=vanishes)
     object.__setattr__(s, "_nsa_result", res)

@@ -40,7 +40,7 @@ _SCHEMA_FILES = ("problem.schema.json", "result.schema.json")
 _KEYWORDS = frozenset({
     "type", "required", "properties", "additionalProperties", "items",
     "minItems", "minLength", "uniqueItems", "minimum", "exclusiveMinimum",
-    "exclusiveMaximum", "const", "enum", "oneOf", "$ref"})
+    "exclusiveMaximum", "const", "enum", "oneOf", "not", "$ref"})
 _ANNOTATIONS = frozenset({"$schema", "$id", "title", "description",
                           "definitions"})
 _TYPES = {
@@ -93,8 +93,9 @@ def _check_keywords(schemas, root, node, where):
             _check_keywords(schemas, root, sub, f"{where}/{key}/{name}")
     for i, sub in enumerate(node.get("oneOf", ())):
         _check_keywords(schemas, root, sub, f"{where}/oneOf/{i}")
-    if "items" in node:
-        _check_keywords(schemas, root, node["items"], f"{where}/items")
+    for key in ("items", "not"):
+        if key in node:
+            _check_keywords(schemas, root, node[key], f"{where}/{key}")
     if not isinstance(node.get("additionalProperties", True), bool):
         _check_keywords(schemas, root, node["additionalProperties"],
                         f"{where}/additionalProperties")
@@ -184,6 +185,9 @@ def _errors(schemas, root, schema, value, path):
             sub = props.get(key, extra)
             if isinstance(sub, dict):
                 yield from _errors(schemas, root, sub, item, path + (key,))
+    if "not" in schema and not any(
+            _errors(schemas, root, schema["not"], value, path)):
+        yield path, f"{_show(value)} must not match {_show(schema['not'])}"
     if "oneOf" in schema:
         found = [list(_errors(schemas, root, branch, value, path))
                  for branch in schema["oneOf"]]

@@ -25,7 +25,6 @@ import numpy as np
 from . import linprog
 from .errors import (
     DomainError,
-    InternalInconsistency,
     NumericalFailure,
     RiskShareError,
     StructuralError,
@@ -455,9 +454,9 @@ class SecurityMarket:
 
     def arbitrage_verdict(self):
         """_arbitrage_verdict over the market's own columns: (pi(0) = 0,
-        status of the zero-sum price LP)."""
+        status of the zero-sum price LP), decided by that LP alone."""
         return self._answer("verdict", lambda: _arbitrage_verdict(
-            self.basis_matrix(), self.prices, (self.dim,)))
+            self.basis_matrix(), self.prices))
 
 
 def _unit_lp(B, prices):
@@ -494,39 +493,28 @@ def _zero_sum_status(B, prices) -> str:
         lower=np.full(k, -math.inf), upper=np.full(k, math.inf))).status
 
 
-def _zero_sum_prices(B, prices, dims):
-    """V and its tolerance: the columns of B are split into groups of
-    dims[0], dims[1], ... consecutive columns, and V has one row per
-    group, its entry in column c the group's price of its share of the
-    c-th null-space vector of B (a zero-sum combination of the columns).
-    The tolerance is 1e-10 max(1, |V|max)."""
+def _zero_sum_prices(B, prices, slices):
+    """V and its tolerance: V has one row per slice of the columns of B,
+    its entry in column c the slice's price of its share of the c-th
+    null-space vector of B (a zero-sum combination of the columns).  The
+    tolerance is 1e-10 max(1, |V|max).  It needs a full SVD of B, which
+    only nsa_check's dim_v pays for."""
     ns = linprog.null_space(B)
-    ends = np.cumsum(dims)
-    V = np.array([[float(prices[a:b] @ ns[a:b, c])
-                   for c in range(ns.shape[1])]
-                  for a, b in zip((ends - dims).tolist(), ends.tolist())])
+    V = np.array([[float(prices[sl] @ ns[sl, c]) for c in range(ns.shape[1])]
+                  for sl in slices])
     return V, 1e-10 * max(1.0, float(np.abs(V).max(initial=0.0)))
 
 
-def _arbitrage_verdict(B, prices, dims):
-    """The pi(0) dichotomy of markets whose columns are stacked in B, the
-    j-th market holding dims[j] of them: pi(0) = 0 iff every zero-sum
-    combination of the columns has zero price, that is, iff every column
-    sum of V (_zero_sum_prices, one row per market) vanishes within the
-    tolerance; otherwise pi(0) = -inf.  The zero-sum price LP
-    (_zero_sum_status) cross-checks it: unbounded iff pi(0) = -inf, and
-    disagreement raises InternalInconsistency.  Returns (pi(0) = 0, the
-    LP's status).  A market repeated in B would only add zero-sum
-    combinations of price zero, so callers pass each market once."""
-    V, tol = _zero_sum_prices(B, prices, dims)
-    vanishes = bool(np.all(np.abs(V.sum(axis=0)) <= tol))
+def _arbitrage_verdict(B, prices):
+    """The pi(0) dichotomy of markets whose columns are stacked in B:
+    pi(0) = 0 iff every zero-sum combination of the columns has zero
+    price, that is, iff the zero-sum price LP (_zero_sum_status) is not
+    unbounded; otherwise pi(0) = -inf.  The LP's status is certified by
+    linprog at the data's scale.  Returns (pi(0) = 0, the LP's status).
+    A market repeated in B would only add zero-sum combinations of price
+    zero, so callers pass each market once."""
     status = _zero_sum_status(B, prices)
-    if (status == "unbounded") == vanishes:
-        raise InternalInconsistency(
-            f"the total price over V gives "
-            f"{'pi(0)=0' if vanishes else 'pi(0)=-inf'} but the zero-sum "
-            f"price LP is {status}")
-    return vanishes, status
+    return status != "unbounded", status
 
 
 # ----------------------------------------------------------------------
@@ -659,14 +647,16 @@ def validate_regime(r: RiskMeasurementRegime) -> ValidationReport:
         min_density = float(W.min())
         rep.add("monotonicity_certificate", min_density >= -1e-12,
                 f"min functional density = {min_density:.3g}")
-        wm = r.acceptance.weight_matrix()
-        sums = wm.sum(axis=1)
-        empty = any(s <= 1e-12 and b < -1e-12
-                    for s, b in zip(sums, r.acceptance.bounds))
+        # a functional that is zero in every scenario holds or fails on
+        # its bound alone, as rho's LP and xi decide a zero row; with
+        # nonnegative densities every other one accepts large negative
+        # losses and is violated by large positive ones
+        zero = ~r.acceptance.weight_matrix().any(axis=1)
+        empty = bool(np.any(zero & (r.acceptance.bounds < 0)))
         rep.add("acceptance_nonempty", not empty,
                 "zero functional with negative bound" if empty else
                 "large negative losses are acceptable")
-        proper = bool(np.any(sums > 1e-12))
+        proper = not zero.all()
         rep.add("acceptance_proper", proper,
                 "" if proper else "no functional can ever be violated")
     else:

@@ -217,8 +217,9 @@ def _bank_document(tmp_path, functionals):
     return str(path)
 
 
-def _rho_cli(capsys, path, loss):
-    code = run(["rho", path, "--agent", "2", "--loss", json.dumps(loss)])
+def _rho_cli(capsys, path, loss, agent=2):
+    code = run(["rho", path, "--agent", str(agent),
+                "--loss", json.dumps(loss)])
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
     return code, captured.err
@@ -242,6 +243,48 @@ def test_empty_acceptance_set_is_infeasible(tmp_path, capsys):
     assert rho(r, x).status == "infeasible"
     assert _rho_rows(r, r.lp_rows(), x.values)[0] == math.inf
     assert rho_batch(r, x.values[None, :]).tolist() == [math.inf]
+
+
+CASH = [{"payoff": {"a": 1.0, "b": 1.0}, "price": 1.0}]
+INDICATORS = [{"payoff": {"a": 1.0}, "price": 0.5},
+              {"payoff": {"b": 1.0}, "price": 0.5}]
+
+
+ZERO_BELOW_ZERO = {"density": {}, "bound": -1e-13}
+ZERO_AT_ZERO = {"density": {}, "bound": 0.0}
+TINY_WEIGHTS = {"density": {"a": 1e-15, "b": 1e-15}, "bound": -1.0}
+
+
+@pytest.mark.parametrize("securities, functional, nonempty", [
+    (CASH, ZERO_BELOW_ZERO, False),
+    (INDICATORS, ZERO_BELOW_ZERO, False),
+    (CASH, ZERO_AT_ZERO, True),
+    (INDICATORS, ZERO_AT_ZERO, True),
+    # only the cash form: rho's LP calls this set empty, its pivot and
+    # reduced-cost tolerances (1e-9, absolute) being far above the weights
+    (CASH, TINY_WEIGHTS, True),
+], ids=["zero_below_zero-cash", "zero_below_zero-indicators",
+        "zero_at_zero-cash", "zero_at_zero-indicators", "tiny_weights-cash"])
+def test_acceptance_nonempty_agrees_with_rho(tmp_path, capsys, securities,
+                                             functional, nonempty):
+    # a zero functional fails exactly when its bound is negative; any
+    # other functional accepts large negative losses
+    doc = {"scenarios": {"labels": ["a", "b"],
+                         "probs": {"a": 0.5, "b": 0.5}},
+           "agents": [{"name": "bank",
+                       "acceptance": {"polyhedral": [
+                           {"density": {"a": 1.0, "b": 1.0}, "bound": 0.0},
+                           functional]},
+                       "securities": securities}]}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    run(["validate", str(path)])
+    checks = json.loads(capsys.readouterr().out)["outputs"]["agents"][
+        "bank"]["checks"]
+    assert {c["name"]: c["passed"] for c in checks}[
+        "acceptance_nonempty"] == nonempty
+    code, _ = _rho_cli(capsys, str(path), {}, agent=1)
+    assert code == (0 if nonempty else 2)
 
 
 def test_set_without_positive_cash_weight_is_unbounded(tmp_path, capsys):

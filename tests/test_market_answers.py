@@ -78,8 +78,7 @@ def test_kept_answers_are_fresh_computations_bitwise(drawn):
             assert _bits(mkt.pricing_margin(p)) == _bits(
                 _pricing_margin(p, B, prices, math.inf))
         assert _bits(mkt.cash_unit_price()) == _bits(_cash_unit_price(mkt))
-        assert mkt.arbitrage_verdict() == _arbitrage_verdict(
-            B, prices, (mkt.dim,))
+        assert mkt.arbitrage_verdict() == _arbitrage_verdict(B, prices)
     # a fresh market over the same payoffs and prices gives the same bits
     fresh = SecurityMarket(mkt.basis, prices)
     for mask in masks:

@@ -144,16 +144,23 @@ def test_fixtures_pass_both_validators(name):
     assert _assert_agrees(NAMED_PROBLEMS[name], "problem")
 
 
-# The result schema's `entry` branches overlap on an object whose values
-# are integral floats: {"value": 8.0, "tol": 0.0} is a certified scalar
-# and, 8.0 and 0.0 being Draft-07 integers, an object of entries too.
-AMBIGUOUS = {"readme-oracle"}
-
-
 @pytest.mark.parametrize("path", GOLDEN, ids=lambda p: p.stem)
 def test_golden_results_get_jsonschemas_verdict(path):
-    assert _assert_agrees(_result(path), "result") is (
-        path.stem not in AMBIGUOUS)
+    # {"value": 8.0, "tol": 0.0} is a certified scalar and not an object
+    # of entries, although 8.0 and 0.0 are Draft-07 integers
+    assert _assert_agrees(_result(path), "result")
+
+
+@pytest.mark.parametrize("entry, valid", [
+    ({"value": 8.0, "tol": 0.0}, True), ({"value": 8, "tol": 0}, True),
+    ({"value": {"a": 1.0}, "tol": 0.0}, True), ({"value": 8.0}, True),
+    ({"tol": 0.0, "u": {"value": 1, "tol": 0}}, True),
+    ({"value": 8.0, "tol": 0.0, "u": 1}, False),
+    ({"value": [1], "tol": 0.0}, False), ({"value": 8.0, "tol": "0"}, False)])
+def test_an_object_with_value_and_tol_is_only_certified(entry, valid):
+    doc = _result(ROOT / "tests" / "golden" / "readme-oracle.json")
+    doc["outputs"]["probe"] = entry
+    assert _assert_agrees(doc, "result") is valid
 
 
 @settings(derandomize=True, deadline=None, max_examples=600)
@@ -219,6 +226,14 @@ def test_unimplemented_keywords_are_refused_at_load(keyword, value):
     else:
         labels[keyword] = value
     with pytest.raises(StructuralError, match=keyword):
+        _checked_schemas(schemas)
+
+
+def test_an_unimplemented_keyword_under_not_is_refused_at_load():
+    schemas = _schema_files()
+    schemas["problem.schema.json"]["properties"]["scenarios"]["properties"][
+        "labels"]["not"] = {"maxLength": 3}
+    with pytest.raises(StructuralError, match="maxLength"):
         _checked_schemas(schemas)
 
 

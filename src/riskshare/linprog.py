@@ -457,12 +457,16 @@ def _lost_certificate(residuals, k: int) -> NumericalFailure:
 
 @dataclass
 class LpBatch:
-    """solve_batch's answer, one entry per right-hand side."""
+    """solve_batch's answer, one entry per right-hand side, with the
+    shadow prices of the batch's first optimal solve (duals), which
+    market.lambda_batch reads as the sharing LP's pricing density."""
 
     status: list                     # "optimal" | "unbounded" | "infeasible"
     objective_value: np.ndarray      # +inf infeasible, -inf unbounded
     primal: np.ndarray               # one row per rhs; NaN where not optimal
     solves: int = 0                  # simplex runs; other rows were screened
+    duals: np.ndarray = None         # shadow prices of the first optimal
+                                     # solve; None when no row is optimal
 
 
 def solve_batch(p: LpProblem, rhs) -> LpBatch:
@@ -479,7 +483,8 @@ def solve_batch(p: LpProblem, rhs) -> LpBatch:
     fails, as `solve` does.  A right-hand side that violates a row of p
     that is zero in every column is infeasible without a simplex run, as
     `solve` finds it.  The variables are expanded once: every row that
-    `solve` runs carries the expansion (_with_rhs)."""
+    `solve` runs carries the expansion (_with_rhs).  The batch keeps the
+    shadow prices of its first optimal `solve` (duals)."""
     rhs = np.asarray(rhs, dtype=float)
     n_rows = p.rows.shape[0]
     if rhs.ndim != 2 or rhs.shape[1] != n_rows:
@@ -509,7 +514,7 @@ def solve_batch(p: LpProblem, rhs) -> LpBatch:
         # the two halves of a free variable may take either sign
         free = np.zeros(A.shape[1], dtype=bool)
         free[:n_y] = (np.isinf(p.lower) & np.isinf(p.upper))[expansion.var]
-    solves = 0
+    solves, duals = 0, None
     while pending.any():
         k = int(np.argmax(pending))
         sol = solve(_with_rhs(p, rhs[k], expansion))
@@ -519,6 +524,8 @@ def solve_batch(p: LpProblem, rhs) -> LpBatch:
         if not sol.optimal:
             continue
         primal[k] = sol.primal
+        if duals is None:
+            duals = sol.duals
         idx = np.flatnonzero(pending)
         if not idx.size:
             break
@@ -536,7 +543,7 @@ def solve_batch(p: LpProblem, rhs) -> LpBatch:
             status[i] = "optimal"
         objective[idx], primal[idx] = obj, x
         pending[idx] = False
-    return LpBatch(status, objective, primal, solves)
+    return LpBatch(status, objective, primal, solves, duals)
 
 
 def _screen(A, b_rows, c, basis, free):

@@ -10,13 +10,18 @@ price functional pi, and the sharing functional
                       X_i in agent i's support ideal }.
 
 Lambda is finite and exact (the infimum is attained by an allocation whose
-risks sum to it) exactly in the no-scalable-arbitrage case pi(0) = 0; the
-dichotomy pi(0) in {0, -inf} is decided by the total price of the zero-sum
-combinations of the distinct markets' payoffs, with an LP cross-check.
+risks sum to it) exactly in the no-scalable-arbitrage case pi(0) = 0, which
+holds exactly when some linear functional prices every agent's securities.
+A sharing command reads such a functional off its own first LP (the sharing
+LP's scenario-row duals, or the law-invariant pricing density); only where
+none comes back is the dichotomy pi(0) in {0, -inf} decided by the zero-sum
+price LP, unbounded exactly when some zero-sum combination of the distinct
+markets' payoffs has a negative price.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -28,6 +33,7 @@ from .errors import (
     DomainError,
     InternalInconsistency,
     NumericalFailure,
+    RiskShareError,
     StructuralError,
 )
 from .regime import (
@@ -264,11 +270,12 @@ class NsaResult:
 
 def _verdict(s: AgentSystem):
     """The verdict of the pi(0) dichotomy for `s` as (pi(0) = 0, status of
-    the zero-sum price LP): regime._arbitrage_verdict, the one LP, over
-    the system's distinct market objects, computed once per market set.
-    It is the kept answer of the market when every agent holds one market
-    object, and is kept on the system otherwise; how many agents hold each
-    market does not enter it."""
+    the zero-sum price LP), kept on the system.  A sharing command that
+    certified pi(0) = 0 from its own LP keeps (True, "optimal") here
+    (_certify_pi_zero).  Otherwise it is regime._arbitrage_verdict, the
+    one LP, over the system's distinct market objects, computed once per
+    market set: the kept answer of the market when every agent holds one
+    market object; how many agents hold each market does not enter it."""
     verdict = s.__dict__.get("_verdict")
     if verdict is None:
         verdict = s.market_answer(lambda mk: mk.arbitrage_verdict(),
@@ -282,6 +289,8 @@ def nsa_check(s: AgentSystem) -> NsaResult:
     combination of the payoffs of the system's distinct markets has zero
     price, that is, iff the zero-sum price LP, whose status is lp_status,
     is not unbounded (the verdict, _verdict); otherwise pi(0) = -inf.
+    After a sharing command certified pi(0) = 0 the verdict is kept and
+    lp_status is "optimal", the status that LP has whenever pi(0) = 0.
 
     dim_v is the rank of V, the set of per-agent price vectors
     (v_1, ..., v_n) of zero-sum security allocations, within
@@ -304,11 +313,46 @@ def nsa_check(s: AgentSystem) -> NsaResult:
 
 
 def _ensure_shareable(s: AgentSystem):
+    """Refuse a system with scalable arbitrage by its verdict (_verdict),
+    which solves the zero-sum price LP unless a verdict is kept."""
     if not _verdict(s)[0]:
         raise DomainError(
             "system admits scalable arbitrage (pi(0) = -inf); the sharing "
             "functional is identically -inf"
         )
+
+
+def _certify_pi_zero(s: AgentSystem, phi):
+    """Decide pi(0) for a sharing command from the scenario weights `phi`
+    its first LP returned (None when it returned none).  When phi prices
+    every column of the stacked basis,
+
+        |B_j . phi - prices_j| <= CERT_TOL (1 + |prices_j| + |phi| . |B_j|)
+
+    for every column j, every zero-sum combination of the securities has
+    the price phi gives its zero payoff, so pi(0) = 0 (LP duality:
+    Chvatal, Linear Programming, 1983), and the zero-sum price LP would be
+    optimal; (True, "optimal") is kept as the verdict unless one is kept
+    already.  Otherwise _ensure_shareable decides by that LP."""
+    if phi is not None and "_verdict" not in s.__dict__:
+        B, prices, _ = s.stacked_basis()
+        scale = 1.0 + np.abs(prices) + np.abs(phi) @ np.abs(B)
+        if np.all(np.abs(phi @ B - prices) <= linprog.CERT_TOL * scale):
+            object.__setattr__(s, "_verdict", (True, "optimal"))
+            return
+    _ensure_shareable(s)
+
+
+@contextlib.contextmanager
+def _verdict_first(s: AgentSystem):
+    """Around a sharing command's first LP: a refusal raised there comes
+    after the arbitrage refusal, so a system with pi(0) = -inf is refused
+    as such whichever step fails first."""
+    try:
+        yield
+    except RiskShareError:
+        _ensure_shareable(s)
+        raise
 
 
 # ----------------------------------------------------------------------
@@ -333,14 +377,15 @@ def capital_requirement(s: AgentSystem, X: RandomVariable,
     Fully law-invariant systems route through the law-invariant
     machinery, whose market-only work is done once per system
     (lawinv._system_problem); any other system solves one joint LP
-    (_sharing_lp), which refuses an entropic agent.  With `certify`, rho of
-    every part is recomputed and must sum to the value (agent_risks);
-    without it agent_risks is None.  A caller that needs only the value
-    uses lambda_batch.
+    (_sharing_lp), which refuses an entropic agent.  Either path decides
+    pi(0) from its first LP (_certify_pi_zero) and refuses scalable
+    arbitrage before any other refusal.  With `certify`, rho of every part
+    is recomputed and must sum to the value (agent_risks); without it
+    agent_risks is None.  A caller that needs only the value uses
+    lambda_batch.
     """
     if X.space.labels != s.space.labels:
         raise StructuralError("loss profile on a different scenario space")
-    _ensure_shareable(s)
     if s.is_law_invariant:
         from . import lawinv
         return lawinv.law_invariant_sharing(s, X, certify)
@@ -429,8 +474,12 @@ def _check_allocation_sum(total, target):
 def _capital_requirement_lp(s, X, certify) -> SharingResult:
     space = s.space
     m = space.size
-    lp, starts = _sharing_lp(s, X.values)
-    sol = linprog.solve(lp)
+    with _verdict_first(s):
+        lp, starts = _sharing_lp(s, X.values)
+        sol = linprog.solve(lp)
+    # the X_i and z_i columns are free, so optimal scenario-row duals
+    # price each agent's payoffs that vanish off its support
+    _certify_pi_zero(s, sol.duals[-m:] if sol.optimal else None)
 
     if sol.status == "infeasible":
         return SharingResult(value=RiskValue.infinite())
@@ -478,9 +527,11 @@ def lambda_batch(s: AgentSystem, targets) -> np.ndarray:
     A system that is not fully law-invariant builds its sharing LP once.
     The loss enters only the scenario rows' right-hand side, so
     linprog.solve_batch solves one LP per optimal basis and screens the
-    other rows; every optimal row's allocation must still add up to its
-    target within 1e-9 (times the target's size when that exceeds 1).  A
-    law-invariant system prices all rows with one kernel search on its
+    other rows; the scenario-row duals of its first optimal solve decide
+    pi(0) (_certify_pi_zero), and every optimal row's allocation must
+    still add up to its target within 1e-9 (times the target's size when
+    that exceeds 1).  A law-invariant system, whose pricing density
+    decides pi(0), prices all rows with one kernel search on its
     cached market-only preamble (lawinv.law_invariant_value; the kernel
     Newton search runs the rows in lockstep): each row's primal
     certificate is lawinv._unwind's acceptable parts of X - Z, and there
@@ -493,14 +544,15 @@ def lambda_batch(s: AgentSystem, targets) -> np.ndarray:
         raise StructuralError(f"loss profiles must form an (N, {m}) array")
     if not np.all(np.isfinite(targets)):
         raise StructuralError("loss profiles must be finite")
-    _ensure_shareable(s)
     if s.is_law_invariant:
         from . import lawinv
         return lawinv.law_invariant_value(s, targets)
-    lp, _ = _sharing_lp(s, np.zeros(m))
-    rhs = np.repeat(lp.rhs[None, :], targets.shape[0], axis=0)
-    rhs[:, -m:] = targets
-    batch = linprog.solve_batch(lp, rhs)
+    with _verdict_first(s):
+        lp, _ = _sharing_lp(s, np.zeros(m))
+        rhs = np.repeat(lp.rhs[None, :], targets.shape[0], axis=0)
+        rhs[:, -m:] = targets
+        batch = linprog.solve_batch(lp, rhs)
+    _certify_pi_zero(s, None if batch.duals is None else batch.duals[-m:])
     if "unbounded" in batch.status:
         raise _unbounded_sharing()
     optimal = np.isfinite(batch.objective_value)

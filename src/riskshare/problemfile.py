@@ -58,6 +58,9 @@ _BOUNDS = (("minimum", lambda v, b: v < b, "less than"),
            ("exclusiveMinimum", lambda v, b: v <= b, "not greater than"),
            ("exclusiveMaximum", lambda v, b: v >= b, "not less than"))
 _SCHEMAS: dict = {}
+# the largest split.n_max a document may ask for: the sweep prices every
+# group size up to n_max, and the bundled split document asks for 50
+MAX_SPLIT_N = 10_000
 
 
 def _resolve(schemas, root, ref):
@@ -352,8 +355,12 @@ def parse_problem(doc: dict) -> ProblemDocument:
                 f"{len(endowments)} endowments for {len(regimes)} agents")
 
     if "split" in doc:
+        n_max = doc["split"]["n_max"]
+        if n_max > MAX_SPLIT_N:
+            raise StructuralError(
+                f"split n_max {n_max!r} exceeds the cap of {MAX_SPLIT_N}")
         # a schema integer may be written as an integral float (2.0)
-        split = dict(doc["split"], n_max=int(doc["split"]["n_max"]))
+        split = dict(doc["split"], n_max=int(n_max))
         if "step" in split["cost"]:
             step = split["cost"]["step"]
             split["cost"] = {"step": dict(step, block=int(step["block"]))}

@@ -4,10 +4,13 @@ pi(0) = 0 iff every zero-sum combination of the payoffs of the system's
 distinct markets has zero price, that is, iff the zero-sum price LP is not
 unbounded; the verdict is that LP's status alone.  It is computed once per
 market set (the market keeps it when every agent holds one market object),
-and nsa_check reports it with the per-agent rank dim_v.  The reference
-below is the former per-agent computation: one row of V per agent, over
-the stacked basis of every agent, however many agents hold each market,
-and pi(0) = 0 where the column sums of V vanish."""
+and nsa_check reports it with the per-agent rank dim_v.  A sharing command
+skips that LP when the density its own first LP returns prices every
+security (market._certify_pi_zero); there the LP must be optimal, and a
+system with scalable arbitrage is refused as before.  The reference below
+is the former per-agent computation: one row of V per agent, over the
+stacked basis of every agent, however many agents hold each market, and
+pi(0) = 0 where the column sums of V vanish."""
 
 import json
 from pathlib import Path
@@ -17,9 +20,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import cash_market, law_invariant_regime
+from helpers import cash_market, law_invariant_regime, point_eval, three_space
 from riskshare import linprog, market, regime
 from riskshare.cli import run
+from riskshare.errors import DomainError, RiskShareError
 from riskshare.market import (
     AgentSystem,
     _verdict,
@@ -39,6 +43,7 @@ from riskshare.scenario import Functional, ScenarioSpace, SupportMask
 
 from test_golden import CASES
 from test_linprog import window_chain
+from test_market import _triple_agents
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -264,18 +269,36 @@ def _counting(monkeypatch, name, *modules):
     return calls
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
+# the sharing commands on a system with scalable arbitrage, which no
+# golden case runs: no density certifies, so each solves the zero-sum
+# price LP once and is refused
+ARBITRAGE_CASES = {
+    f"{command}-arbitrage_triple": [
+        command, "fixtures/arbitrage_triple.json",
+        "--loss", '{"a": 1, "b": 2, "c": 0.5}', *flags]
+    for command, flags in (("lambda", ()), ("pareto", ("--zeta", "0.5")),
+                           ("oracle", ("--check", "lambda")))}
+
+
+@pytest.mark.parametrize("case", sorted(CASES) + sorted(ARBITRAGE_CASES))
 def test_only_validate_pays_for_v(monkeypatch, capsys, case):
     # V, and with it the null-space SVD of the stacked basis, serves
-    # nsa_check's dim_v alone; every sharing command decides pi(0) by the
-    # zero-sum price LP
-    calls = _counting(monkeypatch, "_zero_sum_prices", regime, market)
+    # nsa_check's dim_v alone; a sharing command reads pi(0) = 0 off its
+    # own first LP, so the zero-sum price LP runs only in validate's
+    # nsa_check and where no density certifies
+    svds = _counting(monkeypatch, "_zero_sum_prices", regime, market)
+    lps = _counting(monkeypatch, "_zero_sum_status", regime)
     argv = [str(ROOT / a) if a.startswith("fixtures/") else a
-            for a in CASES[case]]
-    assert run(argv) in (0, 1)
-    outputs = json.loads(capsys.readouterr().out)["outputs"]
-    reports_dim_v = argv[0] == "validate" and outputs["nsa"] is not None
-    assert len(calls) == reports_dim_v
+            for a in {**CASES, **ARBITRAGE_CASES}[case]]
+    code = run(argv)
+    out = capsys.readouterr().out
+    if case in ARBITRAGE_CASES:
+        assert (code, out, svds, len(lps)) == (2, "", [], 1)
+        return
+    assert code in (0, 1)
+    reports_dim_v = (argv[0] == "validate"
+                     and json.loads(out)["outputs"]["nsa"] is not None)
+    assert len(svds) == len(lps) == reports_dim_v
 
 
 def test_window_chain_lambda_runs_no_null_space(monkeypatch):
@@ -287,3 +310,132 @@ def test_window_chain_lambda_runs_no_null_space(monkeypatch):
     assert calls == []
     nsa_check(s)
     assert calls == ["null_space"]
+
+
+# ----------------------------------------------------------------------
+# the sharing LP's own density certifies pi(0) = 0
+# ----------------------------------------------------------------------
+
+def _decided_by_its_own_lp(s, share):
+    """Run `share(s)`, a sharing command, on a system that has no verdict
+    yet: (True when its own LP certified pi(0) = 0, so that it never asked
+    the zero-sum price LP's verdict (_ensure_shareable; a market shared
+    with an earlier system may keep that LP's status), its answer or None
+    when refused).  Where it certified, that LP must be optimal."""
+    assert "_verdict" not in s.__dict__
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _counting(mp, "_ensure_shareable", market)
+        try:
+            answer = share(s)
+        except RiskShareError:
+            answer = None
+    if not calls:
+        assert _verdict(s) == (True, "optimal")
+        assert _zero_sum_status(*s.stacked_basis()[:2]) == "optimal"
+    return not calls, answer
+
+
+def assert_certificate_agrees(s, X):
+    """capital_requirement and lambda_batch on fresh copies of `s` certify
+    alike, and nsa_check after a sharing command is nsa_check on a fresh
+    system.  Returns (certified, lambda_batch's value or None)."""
+    certified, _ = _decided_by_its_own_lp(
+        s, lambda s: capital_requirement(s, X, certify=False))
+    batch_certified, values = _decided_by_its_own_lp(
+        AgentSystem(s.regimes), lambda s: lambda_batch(s, X.values[None, :]))
+    assert batch_certified == certified
+    assert nsa_check(s) == nsa_check(AgentSystem(s.regimes))
+    return certified, None if values is None else values[0]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(systems())
+@example((drawn_system(*REFUSED_BY_V[0], 1e6), None))
+@example((drawn_system(*REFUSED_BY_V[3], 1e-6), None))
+@example((drawn_system(*SHARED_REFUSED_BY_V, 1e6), None))
+def test_a_certified_sharing_lp_is_the_zero_sum_lps_verdict(drawn):
+    s = drawn[0]
+    X = s.space.rv(np.random.default_rng(0).normal(size=s.space.size))
+    certified, value = assert_certificate_agrees(s, X)
+    # every agent holds every scenario, so an optimal sharing LP's duals
+    # price every market: a finite Lambda is certified without the LP
+    assert certified == (value is not None and np.isfinite(value))
+
+
+@pytest.mark.parametrize("fixture", sorted(
+    p.name for p in FIXTURES.glob("*.json") if p.name != "split_entropic.json"))
+def test_fixture_sharing_certifies_where_pi_zero_vanishes(fixture):
+    s = load_problem(FIXTURES / fixture).system()
+    X = s.space.rv(np.linspace(-1.0, 2.0, s.space.size))
+    certified, _ = assert_certificate_agrees(s, X)
+    assert certified == (fixture != "arbitrage_triple.json")
+
+
+def _infeasible_arbitrage_pair():
+    """Two agents accepting X <= 0 in every scenario, trading the spread
+    1_a - 1_b at prices 0 and 0.5 (a zero-sum combination priced -0.5);
+    no part can carry a positive loss at c, so the sharing LP of
+    X = 1_c is infeasible."""
+    space = three_space()
+    acc = PolyhedralAcceptanceSet(
+        tuple(point_eval(space, label) for label in space.labels),
+        np.zeros(3))
+    spread = space.rv(np.array([1.0, -1.0, 0.0]))
+    return AgentSystem(tuple(
+        RiskMeasurementRegime(SupportMask.full(space), acc,
+                              SecurityMarket((spread,), np.array([price])))
+        for price in (0.0, 0.5)))
+
+
+def _price_disagreement_pair():
+    space = ScenarioSpace.uniform(["low", "high"])
+    return AgentSystem(tuple(
+        law_invariant_regime(space, ENTROPIC, 1.0, cash_market(space, price))
+        for price in (1.0, 2.0)))
+
+
+def _entropic_document(s):
+    """The problem document of _price_disagreement_pair."""
+    labels = s.space.labels
+    return {
+        "scenarios": {"labels": list(labels),
+                      "probs": dict(zip(labels, s.space.probs.tolist()))},
+        "agents": [{
+            "name": f"agent_{i}",
+            "acceptance": {"entropic": 1.0},
+            "securities": [{"payoff": dict.fromkeys(labels, 1.0),
+                            "price": float(r.market.prices[0])}],
+        } for i, r in enumerate(s.regimes)],
+    }
+
+
+ARBITRAGE = ("system admits scalable arbitrage (pi(0) = -inf); the sharing "
+             "functional is identically -inf")
+
+
+@pytest.mark.parametrize("name, build, loss", [
+    ("triple", lambda: _triple_agents(three_space()), [1.0, 2.0, 0.5]),
+    ("fixture", lambda: load_problem(
+        FIXTURES / "arbitrage_triple.json").system(), [1.0, 2.0, 0.5]),
+    ("infeasible", _infeasible_arbitrage_pair, [0.0, 0.0, 1.0]),
+    ("disagreement", _price_disagreement_pair, [0.3, -0.4]),
+])
+def test_arbitrage_is_refused_first(name, build, loss, tmp_path, capsys):
+    s = build()
+    X = s.space.rv(np.array(loss))
+    if name == "infeasible":
+        assert linprog.solve(
+            market._sharing_lp(s, X.values)[0]).status == "infeasible"
+    for share in (lambda s: capital_requirement(s, X),
+                  lambda s: lambda_batch(s, X.values[None, :])):
+        with pytest.raises(DomainError) as refused:
+            share(build())
+        assert str(refused.value) == ARBITRAGE
+    document = (_entropic_document(s) if name == "disagreement"
+                else _document(s))
+    path = tmp_path / "arbitrage.json"
+    path.write_text(json.dumps(document))
+    code = run(["lambda", str(path), "--loss",
+                json.dumps(dict(zip(s.space.labels, loss)))])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {ARBITRAGE}\n"

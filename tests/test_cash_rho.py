@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from riskshare import linprog, oracle
 from riskshare.cli import run
 from riskshare.errors import DomainError, RiskShareError
-from riskshare.market import AgentSystem, capital_requirement
+from riskshare.market import AgentSystem, _verdict, capital_requirement
 from riskshare.problemfile import load_problem
 from riskshare.regime import (
     AVAR,
@@ -376,7 +376,7 @@ def test_polyhedral_cash_rho_makes_no_lp():
     assert seen == {"solve": [], "solve_batch": []}
 
 
-def test_certified_lambda_and_pareto_sweep_make_the_two_system_lps():
+def test_certified_lambda_and_pareto_sweep_make_one_system_lp():
     rng = np.random.default_rng(9)
     space = ScenarioSpace.uniform(["a", "b", "c", "d"])
     s = AgentSystem((full_support_regime(rng, space),
@@ -388,11 +388,12 @@ def test_certified_lambda_and_pareto_sweep_make_the_two_system_lps():
                                      oracle.GridSpec.around(X, 0.5, 0.5))
     assert check.pareto
     assert seen["solve_batch"] == []
-    # nsa_check's zero-sum price LP (equality rows over the stacked
-    # basis), then the sharing LP
-    nsa, sharing = seen["solve"]
-    assert set(nsa.senses) == {linprog.EQ} and not nsa.rhs.any()
-    assert sharing.rows.shape[0] > nsa.rows.shape[0]
+    # the sharing LP, whose scenario-row duals certify pi(0) = 0, so no
+    # zero-sum price LP (equality rows over the stacked basis) runs
+    sharing, = seen["solve"]
+    assert sharing.rows.shape[0] > s.space.size
+    assert linprog.LE in sharing.senses
+    assert _verdict(s) == (True, "optimal")
 
 
 # ----------------------------------------------------------------------

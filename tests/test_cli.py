@@ -541,6 +541,22 @@ def test_integral_float_split_integers_read_as_int(tmp_path, capsys, command,
     assert docs[0][0] in (0, 1) and docs[0][1]
 
 
+@pytest.mark.parametrize("command", [
+    ["split", "--loss", '{"high": 2}'], ["validate"]], ids=["split", "validate"])
+@pytest.mark.parametrize("n_max, shown", [
+    (10_001, "10001"), (1e300, "1e+300")], ids=["past_the_cap", "1e300"])
+def test_split_n_max_past_the_cap_is_refused(tmp_path, capsys, command,
+                                             n_max, shown):
+    # the schema's integers admit 1e300, whose sweep would never end
+    doc = json.loads((FIXTURES / "split_entropic.json").read_text())
+    doc["split"]["n_max"] = n_max
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, command[0], str(path), *command[1:])
+    assert (code, out) == (1, None)
+    assert err == f"error: split n_max {shown} exceeds the cap of 10000\n"
+
+
 def test_a_schema_violation_exits_1_naming_its_path(tmp_path, capsys):
     doc = json.loads((FIXTURES / "entropic_pair.json").read_text())
     doc["agents"][0]["acceptance"] = {"entropic": -1.0}

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from riskshare.errors import StructuralError
-from riskshare.problemfile import (check_schema, load_problem, parse_problem,
-                                   vector_to)
+from riskshare.problemfile import (MAX_SPLIT_N, check_schema, load_problem,
+                                   parse_problem, vector_to)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -104,6 +104,19 @@ def test_split_problem_roundtrip():
     del bare["split"]
     with pytest.raises(StructuralError, match="no split section"):
         parse_problem(bare).split_problem()
+
+
+@pytest.mark.parametrize("n_max, accepted", [
+    (MAX_SPLIT_N, True), (float(MAX_SPLIT_N), True),
+    (MAX_SPLIT_N + 1, False), (1e300, False)])
+def test_split_n_max_is_capped(n_max, accepted):
+    doc = json.loads((FIXTURES / "split_entropic.json").read_text())
+    doc["split"]["n_max"] = n_max
+    if accepted:
+        assert parse_problem(doc).split["n_max"] == MAX_SPLIT_N
+    else:
+        with pytest.raises(StructuralError, match="exceeds the cap"):
+            parse_problem(doc)
 
 
 def test_law_invariant_problem_requires_pricing_and_kind():

@@ -79,10 +79,6 @@ def _endowments(space, text: str):
     return tuple(space.rv_from_dict(r) for r in rows)
 
 
-def _report(rep) -> dict:
-    return rep.to_dict()
-
-
 # ----------------------------------------------------------------------
 # commands
 # ----------------------------------------------------------------------
@@ -92,12 +88,12 @@ def _cmd_validate(pd: ProblemDocument, args):
     ok = True
     for name, r in zip(pd.names, pd.regimes):
         rep = validate_regime(r)
-        outputs["agents"][name] = _report(rep)
+        outputs["agents"][name] = rep.to_dict()
         ok &= rep.passed
     if len(pd.regimes) >= 2:
         s = pd.system()
         star = validate_star(s)
-        outputs["star"] = _report(star)
+        outputs["star"] = star.to_dict()
         ok &= star.passed
         nsa = nsa_check(s)
         outputs["nsa"] = {
@@ -111,12 +107,12 @@ def _cmd_validate(pd: ProblemDocument, args):
     if prob is not None:
         from . import lawinv
         rep = lawinv.validate_problem(prob)
-        outputs["pricing"] = _report(rep)
+        outputs["pricing"] = rep.to_dict()
         ok &= rep.passed
     if pd.split is not None:
         from . import splits
         rep = splits.validate_split_problem(pd.split_problem())
-        outputs["split"] = _report(rep)
+        outputs["split"] = rep.to_dict()
         ok &= rep.passed
     return outputs, ok
 
@@ -214,7 +210,7 @@ def _cmd_equilibrium(pd: ProblemDocument, args):
             for name, t in zip(pd.names, eq.transfers)
         },
         "allocation": _allocation_out(pd, eq.allocation, args.tol),
-        "verification": _report(rep),
+        "verification": rep.to_dict(),
     }
     return outputs, rep.passed
 
@@ -228,7 +224,7 @@ def _cmd_split(pd: ProblemDocument, args):
     if pd.pricing is not None:
         phi0 = pd.pricing.functional(pd.space)
         rep = splits.check_bound_functional(sp, phi0)
-        outputs["bound_functional"] = _report(rep)
+        outputs["bound_functional"] = rep.to_dict()
         if not rep.passed:
             phi0 = None            # an uncertified bound could cut the true optimum
     outputs["bound_used"] = phi0 is not None

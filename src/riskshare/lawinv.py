@@ -948,14 +948,14 @@ def _system_problem(system) -> LawInvariantProblem:
     and cached on it: the density d of _pricing_margin prices the
     securities of the system's markets (the kept answer of the market
     when every agent holds one market object), p = E[d] and q = d / p.
-    The weights P d decide pi(0) (market._certify_pi_zero), so a system
+    The weights P d decide pi(0) (market._ensure_shareable), so a system
     with scalable arbitrage is refused as such before any other refusal.
     With the search that _problem_search caches on the problem, every
     Lambda on the system shares one copy of its market-only work."""
     prob = system.__dict__.get("_lawinv_problem")
     if prob is not None:
         return prob
-    from .market import _certify_pi_zero, _verdict_first
+    from .market import _ensure_shareable, _verdict_first
 
     space = system.space
     with _verdict_first(system):
@@ -963,7 +963,7 @@ def _system_problem(system) -> LawInvariantProblem:
             lambda mk: mk.pricing_margin(space.probs),
             lambda B, prices: _pricing_margin(space.probs, B, prices,
                                               math.inf))
-    _certify_pi_zero(system, None if d is None else space.probs * d)
+    _ensure_shareable(system, None if d is None else space.probs * d)
     if margin == math.inf:
         raise DomainError("aggregate security span must contain the unit")
     if not margin >= -1e-12:

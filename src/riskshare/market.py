@@ -37,7 +37,6 @@ from .errors import (
     StructuralError,
 )
 from .regime import (
-    PolyhedralAcceptanceSet,
     RiskValue,
     ValidationReport,
     _arbitrage_verdict,
@@ -60,7 +59,6 @@ __all__ = [
     "security_selection",
     "selection_blocks",
     "shift_allocation",
-    "recession_data",
     "level_set_certificate",
 ]
 
@@ -153,13 +151,9 @@ class AgentSystem:
 
     def pi(self, values: np.ndarray) -> float:
         """Glued price of an aggregate-span payoff.  Well-defined (the same
-        for every decomposition) when pi(0) = 0; guarded by the
-        scalable-arbitrage verdict (_verdict)."""
-        if not _verdict(self)[0]:
-            raise DomainError(
-                "pi(0) = -inf for this system; prices of aggregate payoffs "
-                "are not well-defined"
-            )
+        for every decomposition) when pi(0) = 0; a system with scalable
+        arbitrage is refused (_ensure_shareable)."""
+        _ensure_shareable(self)
         w = self.aggregate_contains(values)
         if w is None:
             raise DomainError("payoff lies outside the aggregate security span")
@@ -268,18 +262,33 @@ class NsaResult:
         return "pi(0)=0" if self.pi_zero_is_zero else "pi(0)=-inf"
 
 
-def _verdict(s: AgentSystem):
+def _verdict(s: AgentSystem, phi=None):
     """The verdict of the pi(0) dichotomy for `s` as (pi(0) = 0, status of
-    the zero-sum price LP), kept on the system.  A sharing command that
-    certified pi(0) = 0 from its own LP keeps (True, "optimal") here
-    (_certify_pi_zero).  Otherwise it is regime._arbitrage_verdict, the
-    one LP, over the system's distinct market objects, computed once per
-    market set: the kept answer of the market when every agent holds one
-    market object; how many agents hold each market does not enter it."""
+    the zero-sum price LP), decided on the first call and kept on the
+    system.  A sharing command passes the scenario weights `phi` its first
+    LP returned (None when it returned none).  When phi prices every
+    column j of the stacked basis,
+
+        |B_j . phi - prices_j| <= CERT_TOL (1 + |prices_j| + |phi| . |B_j|),
+
+    every zero-sum combination of the securities has the price phi gives
+    its zero payoff, so pi(0) = 0 (LP duality: Chvatal, Linear
+    Programming, 1983) and the zero-sum price LP would be optimal: the
+    verdict is (True, "optimal").  Otherwise it is
+    regime._arbitrage_verdict, the one LP, over the system's distinct
+    market objects, computed once per market set: the kept answer of the
+    market when every agent holds one market object; how many agents hold
+    each market does not enter it."""
     verdict = s.__dict__.get("_verdict")
     if verdict is None:
-        verdict = s.market_answer(lambda mk: mk.arbitrage_verdict(),
-                                  _arbitrage_verdict)
+        B, prices, _ = s.stacked_basis()
+        if phi is not None and np.all(
+                np.abs(phi @ B - prices) <= linprog.CERT_TOL * (
+                    1.0 + np.abs(prices) + np.abs(phi) @ np.abs(B))):
+            verdict = (True, "optimal")
+        else:
+            verdict = s.market_answer(lambda mk: mk.arbitrage_verdict(),
+                                      _arbitrage_verdict)
         object.__setattr__(s, "_verdict", verdict)
     return verdict
 
@@ -298,49 +307,23 @@ def nsa_check(s: AgentSystem) -> NsaResult:
     agent); dim(V) < n is necessary for pi(0) = 0, not sufficient.  V
     needs a null-space SVD of the stacked basis, which only this report
     pays for: the verdict, which every sharing command asks, needs
-    neither V nor its rank.  The report is computed on the first call
-    and kept on the system.
+    neither V nor its rank.
     """
-    cached = s.__dict__.get("_nsa_result")
-    if cached is not None:
-        return cached
     vanishes, status = _verdict(s)
     V, tol = _zero_sum_prices(*s.stacked_basis())
-    res = NsaResult(dim_v=int(np.linalg.matrix_rank(V, tol=tol)),
-                    n_agents=s.n, lp_status=status, pi_zero_is_zero=vanishes)
-    object.__setattr__(s, "_nsa_result", res)
-    return res
+    return NsaResult(dim_v=int(np.linalg.matrix_rank(V, tol=tol)),
+                     n_agents=s.n, lp_status=status, pi_zero_is_zero=vanishes)
 
 
-def _ensure_shareable(s: AgentSystem):
-    """Refuse a system with scalable arbitrage by its verdict (_verdict),
-    which solves the zero-sum price LP unless a verdict is kept."""
-    if not _verdict(s)[0]:
+def _ensure_shareable(s: AgentSystem, phi=None):
+    """Refuse a system with scalable arbitrage by its verdict
+    (_verdict(s, phi)), which solves the zero-sum price LP unless a
+    verdict is kept or the weights phi certify pi(0) = 0."""
+    if not _verdict(s, phi)[0]:
         raise DomainError(
             "system admits scalable arbitrage (pi(0) = -inf); the sharing "
             "functional is identically -inf"
         )
-
-
-def _certify_pi_zero(s: AgentSystem, phi):
-    """Decide pi(0) for a sharing command from the scenario weights `phi`
-    its first LP returned (None when it returned none).  When phi prices
-    every column of the stacked basis,
-
-        |B_j . phi - prices_j| <= CERT_TOL (1 + |prices_j| + |phi| . |B_j|)
-
-    for every column j, every zero-sum combination of the securities has
-    the price phi gives its zero payoff, so pi(0) = 0 (LP duality:
-    Chvatal, Linear Programming, 1983), and the zero-sum price LP would be
-    optimal; (True, "optimal") is kept as the verdict unless one is kept
-    already.  Otherwise _ensure_shareable decides by that LP."""
-    if phi is not None and "_verdict" not in s.__dict__:
-        B, prices, _ = s.stacked_basis()
-        scale = 1.0 + np.abs(prices) + np.abs(phi) @ np.abs(B)
-        if np.all(np.abs(phi @ B - prices) <= linprog.CERT_TOL * scale):
-            object.__setattr__(s, "_verdict", (True, "optimal"))
-            return
-    _ensure_shareable(s)
 
 
 @contextlib.contextmanager
@@ -378,7 +361,7 @@ def capital_requirement(s: AgentSystem, X: RandomVariable,
     machinery, whose market-only work is done once per system
     (lawinv._system_problem); any other system solves one joint LP
     (_sharing_lp), which refuses an entropic agent.  Either path decides
-    pi(0) from its first LP (_certify_pi_zero) and refuses scalable
+    pi(0) from its first LP (_ensure_shareable) and refuses scalable
     arbitrage before any other refusal.  With `certify`, rho of every part
     is recomputed and must sum to the value (agent_risks); without it
     agent_risks is None.  A caller that needs only the value uses
@@ -453,10 +436,15 @@ def _sharing_lp(s: AgentSystem, target: np.ndarray, securities: str = "own"):
         lower=lower, upper=np.full(n, math.inf)), starts
 
 
-def _unbounded_sharing() -> InternalInconsistency:
-    return InternalInconsistency(
-        "sharing LP unbounded although pi(0) = 0; the input system "
-        "violates the no-arbitrage contract"
+def _unbounded_sharing() -> DomainError:
+    """The refusal of a sharing LP unbounded below once pi(0) = 0 is known:
+    the LP's dual is infeasible, so no scenario weights price every
+    agent's securities and stay bounded above on every agent's acceptance
+    set, and Lambda = -inf."""
+    return DomainError(
+        "the sharing functional is unbounded below on this system: no "
+        "scenario weights price every agent's securities and stay bounded "
+        "on every agent's acceptance set"
     )
 
 
@@ -479,7 +467,7 @@ def _capital_requirement_lp(s, X, certify) -> SharingResult:
         sol = linprog.solve(lp)
     # the X_i and z_i columns are free, so optimal scenario-row duals
     # price each agent's payoffs that vanish off its support
-    _certify_pi_zero(s, sol.duals[-m:] if sol.optimal else None)
+    _ensure_shareable(s, sol.duals[-m:] if sol.optimal else None)
 
     if sol.status == "infeasible":
         return SharingResult(value=RiskValue.infinite())
@@ -521,14 +509,15 @@ def _capital_requirement_lp(s, X, certify) -> SharingResult:
 
 def lambda_batch(s: AgentSystem, targets) -> np.ndarray:
     """Lambda of each row of `targets` (one aggregate loss per row), +inf
-    where no acceptable decomposition exists; an unbounded sharing LP
-    raises InternalInconsistency, as capital_requirement does.
+    where no acceptable decomposition exists; once pi(0) = 0 is known an
+    unbounded sharing LP is refused with a DomainError (Lambda is
+    unbounded below on the system), as capital_requirement refuses it.
 
     A system that is not fully law-invariant builds its sharing LP once.
     The loss enters only the scenario rows' right-hand side, so
     linprog.solve_batch solves one LP per optimal basis and screens the
     other rows; the scenario-row duals of its first optimal solve decide
-    pi(0) (_certify_pi_zero), and every optimal row's allocation must
+    pi(0) (_ensure_shareable), and every optimal row's allocation must
     still add up to its target within 1e-9 (times the target's size when
     that exceeds 1).  A law-invariant system, whose pricing density
     decides pi(0), prices all rows with one kernel search on its
@@ -552,7 +541,7 @@ def lambda_batch(s: AgentSystem, targets) -> np.ndarray:
         rhs = np.repeat(lp.rhs[None, :], targets.shape[0], axis=0)
         rhs[:, -m:] = targets
         batch = linprog.solve_batch(lp, rhs)
-    _certify_pi_zero(s, None if batch.duals is None else batch.duals[-m:])
+    _ensure_shareable(s, None if batch.duals is None else batch.duals[-m:])
     if "unbounded" in batch.status:
         raise _unbounded_sharing()
     optimal = np.isfinite(batch.objective_value)
@@ -577,7 +566,7 @@ def capital_requirement_payoff_form(s: AgentSystem, X: RandomVariable) -> RiskVa
     if sol.status == "infeasible":
         return RiskValue.infinite()
     if sol.status == "unbounded":
-        raise InternalInconsistency("payoff-form LP unbounded under pi(0)=0")
+        raise _unbounded_sharing()
     return RiskValue.finite(sol.objective_value)
 
 
@@ -717,30 +706,8 @@ def shift_allocation(s: AgentSystem, alloc: Allocation, i: int, j: int,
 
 
 # ----------------------------------------------------------------------
-# recession data and level sets
+# level sets
 # ----------------------------------------------------------------------
-
-@dataclass
-class RecessionData:
-    cone_weights: np.ndarray     # rows w: recession cone = {U : w @ U <= 0}
-    lineality: np.ndarray        # orthonormal columns spanning the lineality
-
-
-def recession_data(acc: PolyhedralAcceptanceSet, support=None) -> RecessionData:
-    """Recession cone and lineality space of a polyhedral acceptance set:
-    the cone is the homogeneous system of the defining functionals, the
-    lineality their common kernel.  With a support mask the kernel is taken
-    inside that coordinate subspace; lineality vectors come back in ambient
-    coordinates (zero off the support)."""
-    W = acc.weight_matrix()
-    if support is None:
-        return RecessionData(cone_weights=W, lineality=linprog.null_space(W))
-    inc = support.included
-    ns = linprog.null_space(W[:, inc])
-    lin = np.zeros((W.shape[1], ns.shape[1]))
-    lin[inc] = ns
-    return RecessionData(cone_weights=W, lineality=lin)
-
 
 def level_set_certificate(s: AgentSystem, X: RandomVariable, c: float,
                           U: RandomVariable) -> bool:

@@ -20,8 +20,6 @@ __all__ = [
     "Functional",
     "SupportMask",
     "expectation",
-    "sort_descending",
-    "is_comonotone",
     "lower_quantile",
 ]
 
@@ -224,23 +222,6 @@ class SupportMask:
 def expectation(Q: Functional, X: RandomVariable) -> float:
     """Weighted expectation sum density*probs*values."""
     return Q(X)
-
-
-def sort_descending(X: RandomVariable):
-    """Stable descending sort.  Returns (sorted_values, perm) with
-    sorted_values[k] == X.values[perm[k]]; applying the inverse permutation
-    reconstructs the input exactly."""
-    values = X.values
-    perm = np.argsort(-values, kind="stable")
-    return values[perm], perm
-
-
-def is_comonotone(X: RandomVariable, Y: RandomVariable, tol: float = 1e-12) -> bool:
-    """True iff (X(w)-X(w'))*(Y(w)-Y(w')) >= -tol for every scenario pair."""
-    _check_same_space(X, Y)
-    dx = X.values[:, None] - X.values[None, :]
-    dy = Y.values[:, None] - Y.values[None, :]
-    return bool(np.min(dx * dy) >= -tol)
 
 
 def lower_quantile(X: RandomVariable, level: float) -> float:

@@ -134,13 +134,17 @@ class SplitProblem:
         return tuple(self.regime(i) for i in range(n))
 
     def distinct_regimes(self) -> tuple:
-        seen, out = set(), []
-        for i in range(self.n_max):
-            r = self.regime(i)
-            if id(r) not in seen:
-                seen.add(id(r))
-                out.append(r)
-        return tuple(out)
+        return tuple({id(r): r for r in self.regimes(self.n_max)}.values())
+
+    def per_subsidiary(self, fn):
+        """Yield fn(r) for the regime r of each subsidiary 1..n_max in
+        order, evaluating fn once per distinct regime object.  Lazy: a
+        caller that stops early evaluates no later regime."""
+        values = {}
+        for r in map(self.regime, range(self.n_max)):
+            if id(r) not in values:
+                values[id(r)] = fn(r)
+            yield values[id(r)]
 
 
 @dataclass
@@ -236,13 +240,8 @@ def _conjugate_sum(p, phi0):
     """Sum of the agent conjugates at phi0 over the searched range, or
     None when any term is infinite (phi0 inconsistent with some agent's
     prices: the bound is vacuous there)."""
-    per_regime = {}
     total = 0.0
-    for i in range(p.n_max):
-        r = p.regime(i)
-        if id(r) not in per_regime:
-            per_regime[id(r)] = conjugate(r, phi0)
-        v = per_regime[id(r)]
+    for v in p.per_subsidiary(lambda r: conjugate(r, phi0)):
         if not v.is_finite:
             return None
         total += v.as_float()
@@ -267,13 +266,7 @@ def check_bound_functional(p: SplitProblem, phi0: Functional) -> ValidationRepor
             all(dev <= 1e-8 * (1.0 + scale) for dev, scale in checks),
             f"max deviation {max(dev for dev, _ in checks):.2e}")
 
-    sigmas = []
-    per_regime = {}
-    for i in range(p.n_max):
-        r = p.regime(i)
-        if id(r) not in per_regime:
-            per_regime[id(r)] = _support_value(r, phi0)
-        sigmas.append(per_regime[id(r)])
+    sigmas = list(p.per_subsidiary(lambda r: _support_value(r, phi0)))
     finite = all(s.is_finite for s in sigmas)
     partial = []
     run = 0.0

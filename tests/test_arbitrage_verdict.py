@@ -6,8 +6,8 @@ unbounded; the verdict is that LP's status alone.  It is computed once per
 market set (the market keeps it when every agent holds one market object),
 and nsa_check reports it with the per-agent rank dim_v.  A sharing command
 skips that LP when the density its own first LP returns prices every
-security (market._certify_pi_zero); there the LP must be optimal, and a
-system with scalable arbitrage is refused as before.  The reference below
+security (market._verdict given those weights); there the LP must be
+optimal, and a system with scalable arbitrage is refused as before.  The reference below
 is the former per-agent computation: one row of V per agent, over the
 stacked basis of every agent, however many agents hold each market, and
 pi(0) = 0 where the column sums of V vanish."""
@@ -319,16 +319,19 @@ def test_window_chain_lambda_runs_no_null_space(monkeypatch):
 def _decided_by_its_own_lp(s, share):
     """Run `share(s)`, a sharing command, on a system that has no verdict
     yet: (True when its own LP certified pi(0) = 0, so that it never asked
-    the zero-sum price LP's verdict (_ensure_shareable; a market shared
-    with an earlier system may keep that LP's status), its answer or None
-    when refused).  Where it certified, that LP must be optimal."""
+    the zero-sum price LP's verdict (market._arbitrage_verdict over the
+    distinct markets, or SecurityMarket.arbitrage_verdict, which a market
+    shared with an earlier system may keep), its answer or None when
+    refused).  Where it certified, that LP must be optimal."""
     assert "_verdict" not in s.__dict__
     with pytest.MonkeyPatch.context() as mp:
-        calls = _counting(mp, "_ensure_shareable", market)
+        stacked = _counting(mp, "_arbitrage_verdict", market)
+        kept = _counting(mp, "arbitrage_verdict", SecurityMarket)
         try:
             answer = share(s)
         except RiskShareError:
             answer = None
+    calls = stacked + kept
     if not calls:
         assert _verdict(s) == (True, "optimal")
         assert _zero_sum_status(*s.stacked_basis()[:2]) == "optimal"

@@ -6,7 +6,9 @@ traced runs refuse to start when one is missing.  Each workload also names
 the layers it exists to exercise, and a traced run refuses to report when
 one of them records no span.  These tests read both as they are and check
 them, so that a moved import or a hot path that no longer reaches a
-traced function fails here rather than only in a traced benchmark run."""
+traced function fails here rather than only in a traced benchmark run.
+Each in-process workload's warm-up request must also pass its check
+against the workload's reference."""
 
 import importlib
 import importlib.util
@@ -71,3 +73,12 @@ def test_every_workload_layer_records_a_span(name):
     answers, summary, _ = WORKER.traced_pass(w, batch, 1)
     assert not [a for a in answers if isinstance(a, Exception)]
     WORKER.check_layers(w, summary)
+
+
+@pytest.mark.parametrize("name", IN_PROCESS)
+def test_every_warm_up_answer_passes_its_reference(name):
+    # the benchmark's set-up answers this instance and refuses to run when
+    # its check fails, so a change that breaks a reference fails here too
+    w = WORKER.workload(name)
+    inst = w.instance(WORKER.WARMUP_SEED, 0)
+    assert w.check(inst, w.request(inst), w.reference(inst))

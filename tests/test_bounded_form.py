@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskshare import linprog
-from riskshare.errors import InternalInconsistency
+from riskshare.errors import DomainError
 from riskshare.market import AgentSystem, lambda_batch
 from riskshare.regime import (
     AVAR,
@@ -165,6 +165,7 @@ def test_lambda_over_the_bounded_form_is_the_row_form(drawn, beta, J):
         try:
             value = float(lambda_batch(s, x[None, :])[0])
             got = ("infeasible" if value == math.inf else "optimal", value)
-        except InternalInconsistency:
+        except DomainError as refused:
+            assert "unbounded below" in str(refused)
             got = ("unbounded", None)
         assert_same_outcome(got, reference_lambda(s, x))

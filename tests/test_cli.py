@@ -519,6 +519,41 @@ def test_split_with_an_unbounded_agent_is_a_domain_exit(tmp_path, capsys):
     assert err.startswith("error:") and "unbounded below" in err
 
 
+def _one_functional_agent(name, density, payoff, price):
+    return {"name": name,
+            "acceptance": {"polyhedral": [{"density": density, "bound": 0.0}]},
+            "securities": [{"payoff": payoff, "price": price}]}
+
+
+@pytest.mark.parametrize("labels, agents", [
+    # the one payoff is mispriced against the one acceptance density, so
+    # each agent's own requirement is unbounded below
+    (["s0", "s1"], [_one_functional_agent(
+        name, {"s0": 1.137, "s1": 0.770}, {"s0": 0.105, "s1": -0.536}, 0.862)
+        for name in ("first", "second")]),
+    # each agent's rho is finite, but their acceptance densities differ,
+    # so no density serves both: moving risk between them lowers the sum
+    # without bound
+    (["a", "b"], [_one_functional_agent(
+        name, density, {"a": 1.0, "b": 1.0}, 1.0)
+        for name, density in (("first", {"a": 1.5, "b": 0.5}),
+                              ("second", {"a": 0.5, "b": 1.5}))]),
+], ids=["mispriced", "two_densities"])
+def test_lambda_unbounded_below_is_a_domain_exit(tmp_path, capsys, labels,
+                                                  agents):
+    doc = {"scenarios": {"labels": labels,
+                         "probs": dict.fromkeys(labels, 0.5)},
+           "agents": agents}
+    doc_path = tmp_path / "doc.json"
+    doc_path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "lambda", str(doc_path),
+                          "--loss", json.dumps({labels[0]: 1}))
+    assert code == 2
+    assert out is None
+    assert err.startswith("error:") and "unbounded below on this system" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", [
     ["split", "--loss", '{"high": 2}'], ["validate"]], ids=["split", "validate"])
 @pytest.mark.parametrize("step", [False, True], ids=["linear", "step"])

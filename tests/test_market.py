@@ -16,7 +16,6 @@ from riskshare.market import (
     level_set_certificate,
     nsa_check,
     pareto_from_payoff,
-    recession_data,
     security_selection,
     shift_allocation,
     validate_star,
@@ -473,27 +472,8 @@ def test_shift_needs_shared_priced_direction():
 
 
 # ---------------------------------------------------------------------------
-# recession data and level sets
+# level sets
 # ---------------------------------------------------------------------------
-
-def test_recession_ceiling_agent():
-    space = three_space()
-    r = ceiling_regime(space, ["a", "b"], (1.0, 2.0))
-    data = recession_data(r.acceptance, r.support)
-    assert data.lineality.shape == (3, 0)
-    np.testing.assert_allclose(
-        data.cone_weights, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], atol=1e-12)
-
-
-def test_recession_mean_constraint():
-    space = three_space()
-    acc = PolyhedralAcceptanceSet((Functional(space, np.ones(3)),),
-                                  np.array([0.0]))
-    data = recession_data(acc, SupportMask.full(space))
-    assert data.lineality.shape == (3, 1 + 1)
-    np.testing.assert_allclose(data.cone_weights @ data.lineality, 0.0,
-                               atol=1e-12)
-
 
 def test_level_set_certificate(overlap_system):
     space, s = overlap_system

@@ -6,13 +6,10 @@ from hypothesis import strategies as st
 from riskshare.errors import StructuralError
 from riskshare.scenario import (
     Functional,
-    RandomVariable,
     ScenarioSpace,
     SupportMask,
     expectation,
-    is_comonotone,
     lower_quantile,
-    sort_descending,
 )
 
 
@@ -65,57 +62,6 @@ def test_non_finite_density_rejected_naming_scenario():
     sp = ScenarioSpace.uniform(["a", "b"])
     with pytest.raises(StructuralError, match="density inf at scenario 'b'"):
         Functional(sp, [1.0, np.inf])
-
-
-def test_sort_descending_examples():
-    sp = ScenarioSpace.uniform(["a", "b", "c"])
-    vals, perm = sort_descending(sp.rv([1, 2, 3]))
-    assert list(vals) == [3, 2, 1]
-    assert list(perm) == [2, 1, 0]
-
-    vals, perm = sort_descending(sp.rv([4, 4, 4]))
-    assert list(perm) == [0, 1, 2]
-
-    vals, perm = sort_descending(sp.rv([5, 5, 1]))
-    assert list(vals) == [5, 5, 1]
-    assert list(perm) == [0, 1, 2]
-
-
-@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=12))
-def test_sort_roundtrip(values):
-    sp = ScenarioSpace.uniform([f"s{i}" for i in range(len(values))])
-    x = sp.rv(values)
-    svals, perm = sort_descending(x)
-    rebuilt = np.empty_like(svals)
-    rebuilt[perm] = svals
-    assert np.array_equal(rebuilt, x.values)
-
-
-def test_comonotone_examples():
-    sp = ScenarioSpace.uniform(["a", "b"])
-    x = sp.rv([0, 1])
-    assert is_comonotone(x, x)
-    assert not is_comonotone(x, sp.rv([1, 0]))
-    sp3 = ScenarioSpace.uniform(["a", "b", "c"])
-    assert is_comonotone(sp3.rv([1, 2, 3]), sp3.rv([0, 0, 5]))
-
-
-@given(
-    st.lists(st.floats(-100, 100), min_size=2, max_size=8),
-    st.sampled_from(["exp", "relu", "affine", "floor"]),
-)
-@settings(max_examples=200)
-def test_comonotone_with_monotone_transform(values, kind):
-    sp = ScenarioSpace.uniform([f"s{i}" for i in range(len(values))])
-    x = sp.rv(values)
-    v = x.values
-    f = {
-        "exp": np.exp(np.clip(v, -20, 20)),
-        "relu": np.maximum(v, 0.0),
-        "affine": 2.5 * v + 1.0,
-        "floor": np.floor(v),
-    }[kind]
-    assert is_comonotone(x, RandomVariable(sp, f))
 
 
 @given(

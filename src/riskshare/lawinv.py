@@ -32,9 +32,9 @@ from .errors import (
     DomainError,
     InternalInconsistency,
     NumericalFailure,
-    RiskShareError,
     StructuralError,
 )
+from .linprog import CERT_TOL
 from .regime import (
     AVAR,
     ENTROPIC,
@@ -81,8 +81,6 @@ __all__ = [
     "law_invariant_sharing",
 ]
 
-CERT_TOL = 1e-8
-
 
 # ----------------------------------------------------------------------
 # comonotone splits
@@ -119,10 +117,6 @@ class ComonotoneSplit:
         if abs(an.sum()) > 1e-8:
             raise StructuralError("anchors must sum to zero")
 
-    @property
-    def n(self) -> int:
-        return self.anchors.size
-
     def apply(self, x) -> np.ndarray:
         """Evaluate all n functions at the points of x: shape (n, len(x))."""
         x = np.asarray(x, dtype=float).reshape(-1)
@@ -138,10 +132,6 @@ class ComonotoneSplit:
             out += self.slopes[:, j][:, None] * (sign * seg)[None, :]
         return out
 
-    def parts(self, X: RandomVariable) -> list:
-        vals = self.apply(X.values)
-        return [RandomVariable(X.space, vals[i]) for i in range(self.n)]
-
     def shifted(self, deltas) -> "ComonotoneSplit":
         """Same functions with constants added; deltas must sum to zero."""
         deltas = np.asarray(deltas, dtype=float)
@@ -156,17 +146,15 @@ def _proportional_split(n: int, weights: dict) -> ComonotoneSplit:
     return ComonotoneSplit(np.zeros(0), sl, np.zeros(n))
 
 
-def _stop_loss_split(n: int, zeta: float, tail: int, floor: int,
-                     floor_weights: dict | None = None) -> ComonotoneSplit:
-    """Tail agent takes (x - zeta)+; the floor group takes x ∧ zeta (one
-    agent, or proportionally by floor_weights)."""
+def _stop_loss_split(n: int, zeta: float, tail: int,
+                     weights: dict) -> ComonotoneSplit:
+    """Tail agent takes (x - zeta)+; the floor group takes x ∧ zeta,
+    agent i the share weights[i]."""
     sl = np.zeros((n, 2))
     an = np.zeros(n)
     sl[tail, 1] = 1.0
     an[tail] = max(-zeta, 0.0)
-    if floor_weights is None:
-        floor_weights = {floor: 1.0}
-    for i, w in floor_weights.items():
+    for i, w in weights.items():
         sl[i, 0] = w
         an[i] = w * min(0.0, zeta)
     return ComonotoneSplit(np.array([zeta]), sl, an)
@@ -317,7 +305,7 @@ def _certified_split(measures, probs, values):
         else:
             zeta = _lower_quantile(probs, values, beta)
             others = [i for i, _ in av if i != tail]
-            split = _stop_loss_split(n, zeta, tail, others[0])
+            split = _stop_loss_split(n, zeta, tail, {others[0]: 1.0})
     else:
         alpha = _entropic_param(ent)
         beta = min(b for _, b in av)
@@ -325,7 +313,7 @@ def _certified_split(measures, probs, values):
         cap = 1.0 / (1.0 - beta)
         value, _, zeta = _mixed_dual(alpha, cap, probs, values)
         weights = {i: alpha / a for i, a in ent}
-        split = _stop_loss_split(n, zeta, tail, None, floor_weights=weights)
+        split = _stop_loss_split(n, zeta, tail, weights)
     risks = _part_risks(measures, probs, split.apply(values))
     achieved = sum(risks)
     if abs(achieved - value) > CERT_TOL * (1.0 + abs(value)):

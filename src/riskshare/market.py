@@ -140,12 +140,14 @@ class AgentSystem:
         return solve(np.hstack([mk.basis_matrix() for mk in markets]),
                      np.concatenate([mk.prices for mk in markets]))
 
-    def aggregate_contains(self, values: np.ndarray, tol: float = SPAN_TOL):
+    def aggregate_contains(self, values: np.ndarray):
         """Coefficients of `values` over the stacked basis (least squares),
-        or None if it lies outside the aggregate span."""
+        or None if it lies outside the aggregate span (a residual above
+        SPAN_TOL max(1, |values|max))."""
         B, _, _ = self.stacked_basis()
         w, *_ = np.linalg.lstsq(B, values, rcond=None)
-        if np.max(np.abs(B @ w - values)) > tol * max(1.0, np.abs(values).max()):
+        scale = max(1.0, np.abs(values).max())
+        if np.max(np.abs(B @ w - values)) > SPAN_TOL * scale:
             return None
         return w
 
@@ -172,12 +174,6 @@ class Allocation:
 
     def total(self) -> np.ndarray:
         return np.sum([p.values for p in self.parts], axis=0)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
 
 
 # ----------------------------------------------------------------------
@@ -207,7 +203,11 @@ def validate_star(s: AgentSystem) -> ValidationReport:
     connectivity of the nontrivial-price relation graph.  A system that
     is not fully law-invariant shares through the sharing LP
     (_sharing_lp); when an agent has no LP rows for it, a failing
-    `sharing_lp_rows` check carries the refusal."""
+    `sharing_lp_rows` check carries the refusal.  Otherwise the sharing LP
+    with every right-hand side 0 runs over the acceptance cones: it is
+    feasible at 0, so it is unbounded exactly when Lambda is unbounded
+    below wherever it is finite, and when pi(0) = 0 (_verdict) that
+    refusal is a failing `sharing_functional_bounded` check."""
     rep = ValidationReport()
     n = s.n
     parent = list(range(n))
@@ -240,10 +240,14 @@ def validate_star(s: AgentSystem) -> ValidationReport:
             f"edges: {edges}")
     if not s.is_law_invariant:
         try:
-            for r in s.regimes:
-                r.lp_rows()
+            cone, _ = _sharing_lp(s, np.zeros(s.space.size))
         except DomainError as exc:
             rep.add("sharing_lp_rows", False, str(exc))
+            return rep
+        cone.rhs[:] = 0.0
+        if linprog.solve(cone).status == "unbounded" and _verdict(s)[0]:
+            rep.add("sharing_functional_bounded", False,
+                    str(_unbounded_sharing()))
     return rep
 
 
@@ -674,21 +678,19 @@ def security_selection(s: AgentSystem, Z: RandomVariable) -> list:
 
 
 def shift_allocation(s: AgentSystem, alloc: Allocation, i: int, j: int,
-                     amount: float, direction: RandomVariable = None) -> Allocation:
+                     amount: float) -> Allocation:
     """One-parameter Pareto family: move `amount * direction` from agent j
-    to agent i along a commonly-traded direction (default: the first
-    nontrivially-priced vector of S_i ∩ S_j).  Total risk is preserved
-    because both agents price the direction identically; certified before
-    returning."""
-    if direction is None:
-        vectors, us, _ = pair_intersection(s, i, j)
-        cand = [z for z, u in zip(vectors, us)
-                if abs(s.regimes[i].market.price(u)) > 1e-10]
-        if not cand:
-            raise DomainError(
-                f"agents {i} and {j} share no nontrivially priced securities"
-            )
-        direction = RandomVariable(s.space, cand[0])
+    to agent i along the first nontrivially-priced vector of S_i ∩ S_j.
+    Total risk is preserved because both agents price the direction
+    identically; certified before returning."""
+    vectors, us, _ = pair_intersection(s, i, j)
+    cand = [z for z, u in zip(vectors, us)
+            if abs(s.regimes[i].market.price(u)) > 1e-10]
+    if not cand:
+        raise DomainError(
+            f"agents {i} and {j} share no nontrivially priced securities"
+        )
+    direction = RandomVariable(s.space, cand[0])
     before = sum(rho(r, p).value.as_float() for r, p in zip(s.regimes, alloc.parts))
     parts = list(alloc.parts)
     parts[i] = parts[i] + direction * amount

@@ -42,6 +42,7 @@ POINT_CAP = 10 ** 7
 CHUNK = 200_000
 WORSEN_TOL = 1e-9
 KINK_TOL = 1e-3
+FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -271,18 +272,18 @@ class FdCheck:
 
 
 def fd_subgradient_check(s: market.AgentSystem, X: RandomVariable,
-                         phi: Functional, delta: float = 1e-5) -> FdCheck:
-    """Central differences of the requirement against phi's weights.  A
-    jump between one-sided slopes marks a kink; there the derivative is
-    meaningless and the check falls back to the subgradient inequality
-    on a deterministic sample of nearby profiles.  The base point and its
+                         phi: Functional) -> FdCheck:
+    """Central differences of step FD_STEP of the requirement against
+    phi's weights.  A jump between one-sided slopes marks a kink; there
+    the derivative is meaningless and the check falls back to the
+    subgradient inequality on a deterministic sample of nearby profiles.  The base point and its
     2m neighbours are one lambda_batch, the 6m sample profiles another,
     made only at a kink."""
     m = s.space.size
     lam = market.lambda_batch(s, np.vstack([
         X.values[None, :],
         market._coordinate_moves(X.values, np.tile(np.arange(m), 2),
-                                 np.repeat([delta, -delta], m))]))
+                                 np.repeat([FD_STEP, -FD_STEP], m))]))
     base = lam[0]
     if not math.isfinite(base):
         raise DomainError("requirement infinite at the expansion point")
@@ -292,8 +293,8 @@ def fd_subgradient_check(s: market.AgentSystem, X: RandomVariable,
             "requirement infinite next to the expansion point; no "
             "coordinate neighborhood to difference over"
         )
-    fwd = (lu - base) / delta
-    bwd = (base - ld) / delta
+    fwd = (lu - base) / FD_STEP
+    bwd = (base - ld) / FD_STEP
 
     scale = 1.0 + np.maximum(np.abs(fwd), np.abs(bwd))
     kinks = tuple(np.flatnonzero(np.abs(fwd - bwd) > KINK_TOL * scale))

@@ -5,14 +5,15 @@ acceptance spec, traded securities), and optional pricing / endowments /
 split sections.  Vectors are scenario-label-keyed objects; a label left
 out of a vector reads as zero.
 
-Documents are checked against the JSON Schema (Draft-07) files in
-`riskshare/schemas`, which stay the one statement of the format, by a small
-interpreter of the keywords those files use (`_KEYWORDS`); a schema that
-uses any other keyword is refused when it is loaded, so a later edit cannot
-weaken the check unnoticed.  The interpreter keeps Draft-07's semantics: an
+Documents are checked against the JSON Schema (Draft-07) file
+`riskshare/schemas/problem.schema.json`, which stays the one statement of
+the format, by a small interpreter of the keywords that file uses
+(`_KEYWORDS`); a schema that uses any other keyword, or a `$ref` into
+another file, is refused when it is loaded, so a later edit cannot weaken
+the check unnoticed.  The interpreter keeps Draft-07's semantics: an
 integral float such as 2.0 is an integer, a bool is not a number, 1 is not
 `const: true`, and NaN passes `minimum` (finiteness is checked at parse).
-A violation raises StructuralError "<name> document rejected at <path>:
+A violation raises StructuralError "problem document rejected at <path>:
 <message>", the path being that of the violation nearest the root (the
 deepest one inside a `oneOf` when only one is deepest), which the CLI
 reports with exit code 1.
@@ -36,11 +37,10 @@ from .regime import (AVAR, ENTROPIC, EXPECTATION, LawInvariantAcceptanceSet,
                      SecurityMarket)
 from .scenario import Functional, ScenarioSpace, SupportMask
 
-_SCHEMA_FILES = ("problem.schema.json", "result.schema.json")
 _KEYWORDS = frozenset({
     "type", "required", "properties", "additionalProperties", "items",
     "minItems", "minLength", "uniqueItems", "minimum", "exclusiveMinimum",
-    "exclusiveMaximum", "const", "enum", "oneOf", "not", "$ref"})
+    "exclusiveMaximum", "const", "oneOf", "$ref"})
 _ANNOTATIONS = frozenset({"$schema", "$id", "title", "description",
                           "definitions"})
 _TYPES = {
@@ -57,27 +57,27 @@ _TYPES = {
 _BOUNDS = (("minimum", lambda v, b: v < b, "less than"),
            ("exclusiveMinimum", lambda v, b: v <= b, "not greater than"),
            ("exclusiveMaximum", lambda v, b: v >= b, "not less than"))
-_SCHEMAS: dict = {}
+_SCHEMA_FILE = "problem.schema.json"
+_SCHEMA: dict = {}
 # the largest split.n_max a document may ask for: the sweep prices every
 # group size up to n_max, and the bundled split document asks for 50
 MAX_SPLIT_N = 10_000
 
 
-def _resolve(schemas, root, ref):
-    """The node a `$ref` names and the schema file it lies in: `#/a/b`
-    inside root, or another schema file by name."""
-    name, _, pointer = ref.partition("#")
-    root = schemas[name] if name else root
+def _resolve(root, ref):
+    """The node that the `$ref` pointer `#/a/b` names inside root."""
+    if not ref.startswith("#"):
+        raise KeyError(ref)
     node = root
-    for part in pointer.split("/")[1:]:
+    for part in ref.split("/")[1:]:
         node = node[part]
-    return node, root
+    return node
 
 
-def _check_keywords(schemas, root, node, where):
+def _check_keywords(root, node, where):
     """Refuse a schema node that uses a keyword the interpreter does not
     implement (Draft-07 ignores every sibling of `$ref`, so none is
-    allowed) or a `$ref` that names no node."""
+    allowed) or a `$ref` that names no node of root."""
     if not isinstance(node, dict):
         raise StructuralError(f"schema node {where} is not an object")
     allowed = {"$ref"} if "$ref" in node else _KEYWORDS | _ANNOTATIONS
@@ -87,31 +87,28 @@ def _check_keywords(schemas, root, node, where):
             "which the validator does not implement")
     if "$ref" in node:
         try:
-            _resolve(schemas, root, node["$ref"])
+            _resolve(root, node["$ref"])
         except (KeyError, TypeError) as exc:
             raise StructuralError(
                 f"schema node {where}: unresolvable $ref") from exc
     for key in ("properties", "definitions"):
         for name, sub in node.get(key, {}).items():
-            _check_keywords(schemas, root, sub, f"{where}/{key}/{name}")
+            _check_keywords(root, sub, f"{where}/{key}/{name}")
     for i, sub in enumerate(node.get("oneOf", ())):
-        _check_keywords(schemas, root, sub, f"{where}/oneOf/{i}")
-    for key in ("items", "not"):
-        if key in node:
-            _check_keywords(schemas, root, node[key], f"{where}/{key}")
+        _check_keywords(root, sub, f"{where}/oneOf/{i}")
+    if "items" in node:
+        _check_keywords(root, node["items"], f"{where}/items")
     if not isinstance(node.get("additionalProperties", True), bool):
-        _check_keywords(schemas, root, node["additionalProperties"],
+        _check_keywords(root, node["additionalProperties"],
                         f"{where}/additionalProperties")
     if set(_types(node)) - _TYPES.keys():
         raise StructuralError(f"schema node {where}: unknown type")
 
 
-def _checked_schemas(schemas: dict) -> dict:
-    """schemas (file name -> schema) once every file passes
-    _check_keywords."""
-    for name, doc in schemas.items():
-        _check_keywords(schemas, doc, doc, name)
-    return schemas
+def _checked_schema(schema: dict) -> dict:
+    """The problem schema once it passes _check_keywords."""
+    _check_keywords(schema, schema, _SCHEMA_FILE)
+    return schema
 
 
 def _types(schema) -> list:
@@ -143,22 +140,18 @@ def _show(value) -> str:
     return text if len(text) <= 60 else text[:57] + "..."
 
 
-def _errors(schemas, root, schema, value, path):
+def _errors(root, schema, value, path):
     """Every violation of `schema` by `value` as (path, message), `path`
     the tuple of keys and indices from the document root; a failed `oneOf`
     gives one violation."""
     if "$ref" in schema:
-        node, root = _resolve(schemas, root, schema["$ref"])
-        yield from _errors(schemas, root, node, value, path)
+        yield from _errors(root, _resolve(root, schema["$ref"]), value, path)
         return
     types = _types(schema)
     if types and not any(_TYPES[t](value) for t in types):
         yield path, f"expected {' or '.join(types)}, found {_show(value)}"
     if "const" in schema and not _equal(value, schema["const"]):
         yield path, f"expected {_show(schema['const'])}, found {_show(value)}"
-    if "enum" in schema and not any(_equal(value, e) for e in schema["enum"]):
-        yield path, (f"{_show(value)} is not one of "
-                     f"{', '.join(map(_show, schema['enum']))}")
     if _TYPES["number"](value):
         for key, fails, words in _BOUNDS:
             if key in schema and fails(value, schema[key]):
@@ -173,8 +166,7 @@ def _errors(schemas, root, schema, value, path):
         if schema.get("uniqueItems") and not _unique(value):
             yield path, "items are not unique"
         for i, item in enumerate(value if "items" in schema else ()):
-            yield from _errors(schemas, root, schema["items"], item,
-                               path + (i,))
+            yield from _errors(root, schema["items"], item, path + (i,))
     if isinstance(value, dict):
         for key in schema.get("required", ()):
             if key not in value:
@@ -187,12 +179,9 @@ def _errors(schemas, root, schema, value, path):
         for key, item in value.items():
             sub = props.get(key, extra)
             if isinstance(sub, dict):
-                yield from _errors(schemas, root, sub, item, path + (key,))
-    if "not" in schema and not any(
-            _errors(schemas, root, schema["not"], value, path)):
-        yield path, f"{_show(value)} must not match {_show(schema['not'])}"
+                yield from _errors(root, sub, item, path + (key,))
     if "oneOf" in schema:
-        found = [list(_errors(schemas, root, branch, value, path))
+        found = [list(_errors(root, branch, value, path))
                  for branch in schema["oneOf"]]
         valid = sum(not errs for errs in found)
         flat = [e for errs in found for e in errs]
@@ -205,19 +194,18 @@ def _errors(schemas, root, schema, value, path):
                          f"{len(found)} alternatives, not exactly one")
 
 
-def check_schema(doc, name: str = "problem") -> None:
-    """Raise StructuralError on the schema violation nearest the root."""
-    if not _SCHEMAS:
-        pkg = resources.files("riskshare.schemas")
-        _SCHEMAS.update(_checked_schemas({
-            fn: json.loads(pkg.joinpath(fn).read_text())
-            for fn in _SCHEMA_FILES}))
-    root = _SCHEMAS[f"{name}.schema.json"]
-    errors = list(_errors(_SCHEMAS, root, root, doc, ()))
+def check_schema(doc) -> None:
+    """Raise StructuralError on the problem schema violation nearest the
+    root."""
+    if not _SCHEMA:
+        _SCHEMA.update(_checked_schema(json.loads(
+            resources.files("riskshare.schemas").joinpath(_SCHEMA_FILE)
+            .read_text())))
+    errors = list(_errors(_SCHEMA, _SCHEMA, doc, ()))
     if errors:
         where, message = min(errors, key=lambda e: len(e[0]))
         raise StructuralError(
-            f"{name} document rejected at "
+            "problem document rejected at "
             f"{'/'.join(map(str, where)) or '(root)'}: {message}")
 
 
@@ -315,7 +303,7 @@ def _agent(space, block):
 
 
 def parse_problem(doc: dict) -> ProblemDocument:
-    check_schema(doc, "problem")
+    check_schema(doc)
     labels = tuple(doc["scenarios"]["labels"])
     probs = np.zeros(len(labels))
     for label, p in doc["scenarios"]["probs"].items():

@@ -127,18 +127,10 @@ class PolyhedralAcceptanceSet:
         cash[np.abs(cash) <= 1e-12 * np.abs(W).sum(axis=1)] = 0.0
         object.__setattr__(self, "_cash", cash)
 
-    @property
-    def space(self) -> ScenarioSpace:
-        return self.functionals[0].space
-
     def weight_matrix(self) -> np.ndarray:
         """Rows are the functionals' per-scenario weights density*probs,
         built once and read-only."""
         return self._weights
-
-    def contains(self, values: np.ndarray, tol: float = 1e-9) -> bool:
-        resid = self.weight_matrix() @ values - self.bounds
-        return bool(np.max(resid) <= tol)
 
     def margin(self, values: np.ndarray) -> float:
         """max_j phi_j(X) - bound_j  (<= 0 iff acceptable)."""
@@ -405,11 +397,12 @@ class SecurityMarket:
     def price(self, coeffs) -> float:
         return float(self.prices @ np.asarray(coeffs, dtype=float))
 
-    def coefficients_of(self, values: np.ndarray, tol: float = 1e-9):
-        """Coefficients representing `values` in the span, or None."""
+    def coefficients_of(self, values: np.ndarray):
+        """Coefficients representing `values` in the span, or None when
+        the least-squares residual exceeds 1e-9 max(1, |values|max)."""
         B = self.basis_matrix()
-        w, res, *_ = np.linalg.lstsq(B, values, rcond=None)
-        if np.max(np.abs(B @ w - values)) > tol * max(1.0, np.abs(values).max()):
+        w, *_ = np.linalg.lstsq(B, values, rcond=None)
+        if np.max(np.abs(B @ w - values)) > 1e-9 * max(1.0, np.abs(values).max()):
             return None
         return w
 
@@ -721,8 +714,8 @@ def rho(r: RiskMeasurementRegime, X: RandomVariable) -> RhoResult:
     """Least capital securitizing X under the regime: the one-row reader
     of _rho_search, which picks the path.  A requirement of +inf has the
     status "infeasible" and one of -inf "unbounded"; a finite one comes
-    with an optimal security and its coefficients, the LP's own where an
-    LP ran and the least-squares ones in the market basis otherwise.  A
+    with an optimal security and its coefficients, least squares in the
+    market basis after an entropic search, whose outcome has none.  A
     refused row raises its refusal."""
     if X.space.labels != r.space.labels:
         raise StructuralError("loss profile on a different scenario space")
@@ -774,15 +767,15 @@ def _rho_search(r, rows):
     the regime's acceptance family and market call for.  Returns (values,
     Z, w, refusals): the requirements (+inf where nothing securitizes a
     row, -inf where it is unbounded below, NaN on a refused row), an
-    optimal security per row, the LP's coefficients where an LP ran (else
-    None), and the dict mapping each refused row to its exception.
+    optimal security per row, its coefficients (None after an entropic
+    search), and the dict mapping each refused row to its exception.
 
-    * A market that trades only a constant payoff makes every agent cash
-      additive: rho is xi(X) times the price of the payoff 1, with the
-      security xi(X) 1, xi being the acceptance set's least acceptable
-      cash amount (a polyhedral xi is +inf or -inf where rho's LP is
-      infeasible or unbounded; a law-invariant one that overflows is
-      refused for the whole batch).
+    * A market that trades only a constant payoff c 1 makes every agent
+      cash additive: rho is xi(X) times the price of the payoff 1, with
+      the security xi(X) 1 of coefficient xi(X) / c, xi being the
+      acceptance set's least acceptable cash amount (a polyhedral xi is
+      +inf or -inf where rho's LP is infeasible or unbounded; a
+      law-invariant one that overflows is refused for the whole batch).
     * An entropic agent runs the search of _rho_law_invariant.
     * Polyhedral, AVaR and expectation agents otherwise solve rho's LP
       (_rho_lp over lp_rows()): row by row (_rho_rows) for one row and for
@@ -794,7 +787,8 @@ def _rho_search(r, rows):
         xi = r.acceptance.xi(r.space.probs, rows)
         if r.is_law_invariant and not np.all(np.isfinite(xi)):
             raise StructuralError("the base risk of a loss profile overflows")
-        return unit_price * xi, xi[:, None] * np.ones(r.space.size), None, {}
+        return (unit_price * xi, xi[:, None] * np.ones(r.space.size),
+                xi[:, None] / mkt.basis_matrix()[0], {})
     if r.is_law_invariant and r.acceptance.kind == ENTROPIC:
         t, Z, _, refusals = _rho_law_invariant(r)(rows)
         return t, Z, None, refusals

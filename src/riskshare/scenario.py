@@ -8,7 +8,7 @@ in monetary units, with the sign convention that larger values are worse
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -149,9 +149,6 @@ class RandomVariable:
     def __neg__(self):
         return RandomVariable(self.space, -self.values)
 
-    def as_dict(self) -> dict:
-        return {label: float(v) for label, v in zip(self.space.labels, self.values)}
-
 
 @dataclass(frozen=True)
 class Functional:
@@ -185,13 +182,10 @@ class SupportMask:
     scenarios.  Membership means X(w) = 0 for every excluded w."""
 
     space: ScenarioSpace
-    included: np.ndarray = field(default=None)
+    included: np.ndarray
 
     def __post_init__(self):
-        if self.included is None:
-            inc = np.ones(self.space.size, dtype=bool)
-        else:
-            inc = np.asarray(self.included, dtype=bool)
+        inc = np.asarray(self.included, dtype=bool)
         object.__setattr__(self, "included", inc)
         if inc.shape != (self.space.size,):
             raise StructuralError("support mask has wrong length")

@@ -11,7 +11,7 @@ objective exceeds the incumbent, or at the hard cap otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,16 +89,18 @@ class CostFunction:
 
 @dataclass(frozen=True)
 class SplitProblem:
-    """factory(i) produces the regime of the i-th subsidiary (0-based);
-    the cost function must be nonnegative and non-decreasing on the
-    searched range 1..n_max."""
+    """Subsidiary i (0-based) runs the regime cycle[i % len(cycle)]; the
+    cost function must be nonnegative and non-decreasing on the searched
+    range 1..n_max."""
 
-    factory: object
+    cycle: tuple
     cost: CostFunction
     n_max: int
-    _regimes: list = field(default_factory=list, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "cycle", tuple(self.cycle))
+        if not self.cycle:
+            raise StructuralError("a split problem needs >= 1 regime")
         if self.n_max < 1:
             raise StructuralError("n_max must be >= 1")
         prev = None
@@ -116,19 +118,14 @@ class SplitProblem:
     @classmethod
     def identical(cls, regime: RiskMeasurementRegime, cost: CostFunction,
                   n_max: int) -> "SplitProblem":
-        return cls(lambda i: regime, cost, n_max)
+        return cls((regime,), cost, n_max)
 
     @classmethod
     def repeating(cls, regimes, cost: CostFunction, n_max: int) -> "SplitProblem":
-        regimes = tuple(regimes)
-        if not regimes:
-            raise StructuralError("repeating problem needs >= 1 regime")
-        return cls(lambda i: regimes[i % len(regimes)], cost, n_max)
+        return cls(regimes, cost, n_max)
 
     def regime(self, i: int) -> RiskMeasurementRegime:
-        while len(self._regimes) <= i:
-            self._regimes.append(self.factory(len(self._regimes)))
-        return self._regimes[i]
+        return self.cycle[i % len(self.cycle)]
 
     def regimes(self, n: int) -> tuple:
         return tuple(self.regime(i) for i in range(n))

@@ -1,6 +1,11 @@
 """Shared builders for test fixtures: the three-scenario overlap instance
 (two agents whose ceilings overlap on the middle scenario), its variant
-with an untradeable ceiling, and small law-invariant regimes."""
+with an untradeable ceiling, and small law-invariant regimes; and
+jsonschema's Draft-07 validators of the two schema files."""
+
+import functools
+import json
+from importlib import resources
 
 import numpy as np
 
@@ -81,3 +86,33 @@ def law_invariant_regime(space, kind, param=0.0, market=None):
         acceptance=LawInvariantAcceptanceSet(kind, param),
         market=market,
     )
+
+
+def schema_files():
+    """The schema files, file name -> schema."""
+    pkg = resources.files("riskshare.schemas")
+    return {fn: json.loads(pkg.joinpath(fn).read_text())
+            for fn in ("problem.schema.json", "result.schema.json")}
+
+
+@functools.cache
+def draft7_validators():
+    """jsonschema's Draft-07 validator of each schema file, "problem" and
+    "result", over a registry that resolves the result schema's `$ref`
+    into the problem schema."""
+    import jsonschema
+    import referencing
+
+    schemas = schema_files()
+    registry = referencing.Registry().with_resources(
+        (f"riskshare/{fn}", referencing.Resource.from_contents(doc))
+        for fn, doc in schemas.items())
+    return {fn.split(".")[0]: jsonschema.Draft7Validator(doc,
+                                                         registry=registry)
+            for fn, doc in schemas.items()}
+
+
+def check_result(doc):
+    """Raise jsonschema.ValidationError unless `doc` is a valid result
+    document."""
+    draft7_validators()["result"].validate(doc)

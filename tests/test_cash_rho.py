@@ -376,6 +376,31 @@ def test_polyhedral_cash_rho_makes_no_lp():
     assert seen == {"solve": [], "solve_batch": []}
 
 
+@pytest.mark.parametrize("kind", ["polyhedral", ENTROPIC, AVAR])
+@pytest.mark.parametrize("cash", [1.0, 2.5])
+def test_cash_rho_coefficients_need_no_least_squares(monkeypatch, kind, cash):
+    # the coefficient of the one payoff c 1 that pays xi 1 is xi / c
+    rng = np.random.default_rng(5)
+    space = ScenarioSpace.uniform(["a", "b", "c", "d"])
+    market = SecurityMarket((space.rv(np.full(4, cash)),),
+                            np.array([0.8 * cash]))
+    if kind == "polyhedral":
+        r = RiskMeasurementRegime(SupportMask.full(space), full_support_regime(
+            rng, space).acceptance, market)
+    else:
+        r = law_invariant_regime(space, kind, 0.5, market=market)
+    calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq",
+                        lambda *a, **k: calls.append(a) or lstsq(*a, **k))
+    res = rho(r, space.rv(rng.normal(size=4)))
+    assert calls == []
+    assert market.price(res.coefficients) == pytest.approx(
+        res.value.as_float(), rel=1e-15)
+    assert np.allclose(market.payoff(res.coefficients).values,
+                       res.security.values, rtol=1e-15, atol=0.0)
+
+
 def test_certified_lambda_and_pareto_sweep_make_one_system_lp():
     rng = np.random.default_rng(9)
     space = ScenarioSpace.uniform(["a", "b", "c", "d"])

@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 from riskshare.cli import run
-from riskshare.problemfile import check_schema
 
+from helpers import check_result
 from test_golden import CASES
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,7 +32,7 @@ def test_validate_worked_fixture(capsys):
     assert doc["status"] == "ok"
     assert doc["outputs"]["nsa"]["verdict"] == "pi(0)=0"
     assert doc["outputs"]["star"]["passed"]
-    check_schema(doc, "result")
+    check_result(doc)
 
 
 def test_lambda_worked_fixture(capsys):
@@ -45,7 +45,7 @@ def test_lambda_worked_fixture(capsys):
     total = {k: sum(v["value"][k] for v in out["allocation"].values())
              for k in ("a", "b", "c")}
     assert total == {"a": 4.0, "b": 5.0, "c": 6.0}
-    check_schema(doc, "result")
+    check_result(doc)
 
 
 def test_rho_of_zero_on_normalized_agent(capsys):
@@ -112,7 +112,7 @@ def test_arbitrage_fixture_fails_validation(capsys):
     assert doc["status"] == "failed_validation"
     assert doc["outputs"]["nsa"]["verdict"] == "pi(0)=-inf"
     assert doc["outputs"]["nsa"]["dim_v"] == 3
-    check_schema(doc, "result")
+    check_result(doc)
 
 
 def test_lambda_on_arbitrage_is_domain_exit(capsys):
@@ -151,7 +151,7 @@ def test_price_disagreement_fails_validation(tmp_path, capsys):
     assert doc["outputs"]["nsa"] == {"dim_v": 1, "n_agents": 2,
                                      "verdict": "pi(0)=-inf",
                                      "passed": False}
-    check_schema(doc, "result")
+    check_result(doc)
 
 
 def test_lambda_on_price_disagreement_is_domain_exit(tmp_path, capsys):
@@ -184,7 +184,7 @@ def test_equilibrium_outputs(capsys):
     assert out["transfers"]["north"]["value"] == pytest.approx(-3.0)
     assert out["transfers"]["south"]["value"] == pytest.approx(3.0)
     assert out["verification"]["passed"]
-    check_schema(doc, "result")
+    check_result(doc)
 
 
 def test_equilibrium_endowment_flag_overrides(capsys):
@@ -363,7 +363,7 @@ def test_split_command(capsys):
     assert out["bound_used"] and out["bound_functional"]["passed"]
     assert out["lower_bound"]["value"] == pytest.approx(1.0)
     assert [pt["n"] for pt in out["sweep"]] == [1, 2, 3, 4]
-    check_schema(doc, "result")
+    check_result(doc)
 
 
 def test_split_needs_split_section(capsys):
@@ -377,7 +377,7 @@ def test_oracle_checks_pass_on_worked_fixture(capsys, check):
     code, doc, err = _run(capsys, "oracle", WORKED, "--check", check,
                      "--loss", LOSS, "--grid-margin", "3")
     assert code == 0
-    check_schema(doc, "result")
+    check_result(doc)
     if check == "lambda":
         out = doc["outputs"]
         assert out["agree"]
@@ -525,19 +525,20 @@ def _one_functional_agent(name, density, payoff, price):
             "securities": [{"payoff": payoff, "price": price}]}
 
 
+# each agent's rho is finite, but their acceptance densities differ, so no
+# density serves both: moving risk between them lowers the sum without bound
+TWO_DENSITIES = [_one_functional_agent(name, density, {"a": 1.0, "b": 1.0}, 1.0)
+                 for name, density in (("first", {"a": 1.5, "b": 0.5}),
+                                       ("second", {"a": 0.5, "b": 1.5}))]
+
+
 @pytest.mark.parametrize("labels, agents", [
     # the one payoff is mispriced against the one acceptance density, so
     # each agent's own requirement is unbounded below
     (["s0", "s1"], [_one_functional_agent(
         name, {"s0": 1.137, "s1": 0.770}, {"s0": 0.105, "s1": -0.536}, 0.862)
         for name in ("first", "second")]),
-    # each agent's rho is finite, but their acceptance densities differ,
-    # so no density serves both: moving risk between them lowers the sum
-    # without bound
-    (["a", "b"], [_one_functional_agent(
-        name, density, {"a": 1.0, "b": 1.0}, 1.0)
-        for name, density in (("first", {"a": 1.5, "b": 0.5}),
-                              ("second", {"a": 0.5, "b": 1.5}))]),
+    (["a", "b"], TWO_DENSITIES),
 ], ids=["mispriced", "two_densities"])
 def test_lambda_unbounded_below_is_a_domain_exit(tmp_path, capsys, labels,
                                                   agents):
@@ -552,6 +553,25 @@ def test_lambda_unbounded_below_is_a_domain_exit(tmp_path, capsys, labels,
     assert out is None
     assert err.startswith("error:") and "unbounded below on this system" in err
     assert "Traceback" not in err
+
+
+def test_validate_fails_a_sharing_functional_unbounded_below(tmp_path,
+                                                             capsys):
+    # every agent and the pi(0) verdict pass; the sharing LP over the
+    # acceptance cones, which lambda refuses, fails the system
+    doc = {"scenarios": {"labels": ["a", "b"], "probs": {"a": 0.5, "b": 0.5}},
+           "agents": TWO_DENSITIES}
+    doc_path = tmp_path / "doc.json"
+    doc_path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "validate", str(doc_path))
+    assert (code, err) == (1, "")
+    check_result(out)
+    outputs = out["outputs"]
+    assert all(rep["passed"] for rep in outputs["agents"].values())
+    assert outputs["nsa"]["passed"]
+    failed = [c for c in outputs["star"]["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["sharing_functional_bounded"]
+    assert "unbounded below on this system" in failed[0]["detail"]
 
 
 @pytest.mark.parametrize("command", [

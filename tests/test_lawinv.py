@@ -114,7 +114,7 @@ def test_split_identity():
 )
 @settings(max_examples=200)
 def test_split_stop_loss_matches_formulas(zeta, xs):
-    split = lawinv._stop_loss_split(2, zeta, 0, 1)
+    split = lawinv._stop_loss_split(2, zeta, 0, {1: 1.0})
     x = np.array(xs)
     f = split.apply(x)
     assert np.allclose(f[0], np.maximum(x - zeta, 0.0), atol=1e-12)

@@ -135,7 +135,7 @@ def test_law_invariant_problem_requires_pricing_and_kind():
 def test_every_fixture_parses_and_revalidates():
     for path in sorted(FIXTURES.glob("*.json")):
         raw = json.loads(path.read_text())
-        check_schema(raw, "problem")
+        check_schema(raw)
         pd = parse_problem(raw)
         assert pd.raw == raw
 

@@ -1,12 +1,13 @@
 """The schema interpreter in `problemfile` against jsonschema's Draft-07
-validator: the same verdict on every document, and a reported path that
-jsonschema reports too (somewhere in its error tree)."""
+validator: the same verdict on every problem document, and a reported path
+that jsonschema reports too (somewhere in its error tree).  Result
+documents, which the program writes and never reads, are checked by
+jsonschema alone."""
 
 import copy
 import json
 import math
 import re
-from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -14,10 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskshare.errors import StructuralError
-from riskshare.problemfile import _checked_schemas, check_schema
+from riskshare.problemfile import _checked_schema, check_schema
 
-jsonschema = pytest.importorskip("jsonschema")
-referencing = pytest.importorskip("referencing")
+from helpers import draft7_validators, schema_files
+
+pytest.importorskip("jsonschema")
+pytest.importorskip("referencing")
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = sorted((ROOT / "fixtures").glob("*.json"))
@@ -25,23 +28,7 @@ GOLDEN = sorted(p for p in (ROOT / "tests" / "golden").glob("*.json")
                 if p.name != "exit_codes.json")
 
 
-def _schema_files():
-    pkg = resources.files("riskshare.schemas")
-    return {fn: json.loads(pkg.joinpath(fn).read_text())
-            for fn in ("problem.schema.json", "result.schema.json")}
-
-
-def _reference_validators():
-    schemas = _schema_files()
-    registry = referencing.Registry().with_resources(
-        (f"riskshare/{fn}", referencing.Resource.from_contents(doc))
-        for fn, doc in schemas.items())
-    return {fn.split(".")[0]: jsonschema.Draft7Validator(doc,
-                                                         registry=registry)
-            for fn, doc in schemas.items()}
-
-
-REFERENCE = _reference_validators()
+REFERENCE = draft7_validators()
 
 
 def _tree_paths(errors):
@@ -54,13 +41,13 @@ def _tree_paths(errors):
     return paths
 
 
-def _assert_agrees(doc, name):
-    reference = list(REFERENCE[name].iter_errors(doc))
+def _assert_agrees(doc):
+    reference = list(REFERENCE["problem"].iter_errors(doc))
     try:
-        check_schema(doc, name)
+        check_schema(doc)
     except StructuralError as exc:
         assert reference, f"refused a document jsonschema accepts: {exc}"
-        where = re.match(rf"{name} document rejected at (.*?): ",
+        where = re.match(r"problem document rejected at (.*?): ",
                          str(exc)).group(1)
         assert where in _tree_paths(reference), (str(exc), [
             (list(e.absolute_path), e.message) for e in reference])
@@ -97,7 +84,6 @@ def _result(path):
 
 NAMED_PROBLEMS = {p.stem: _load(p) for p in FIXTURES} | _variants()
 PROBLEMS = list(NAMED_PROBLEMS.values())
-RESULTS = [_result(p) for p in GOLDEN]
 
 # values of every JSON type, with the boundaries the schema draws
 SAMPLES = [0, 1, -1, 2, 0.0, 1.0, 2.0, 0.5, -0.5, 1e300, True, False,
@@ -141,14 +127,14 @@ def mutated(draw, bases):
 
 @pytest.mark.parametrize("name", NAMED_PROBLEMS)
 def test_fixtures_pass_both_validators(name):
-    assert _assert_agrees(NAMED_PROBLEMS[name], "problem")
+    assert _assert_agrees(NAMED_PROBLEMS[name])
 
 
 @pytest.mark.parametrize("path", GOLDEN, ids=lambda p: p.stem)
 def test_golden_results_get_jsonschemas_verdict(path):
     # {"value": 8.0, "tol": 0.0} is a certified scalar and not an object
     # of entries, although 8.0 and 0.0 are Draft-07 integers
-    assert _assert_agrees(_result(path), "result")
+    assert REFERENCE["result"].is_valid(_result(path))
 
 
 @pytest.mark.parametrize("entry, valid", [
@@ -160,19 +146,13 @@ def test_golden_results_get_jsonschemas_verdict(path):
 def test_an_object_with_value_and_tol_is_only_certified(entry, valid):
     doc = _result(ROOT / "tests" / "golden" / "readme-oracle.json")
     doc["outputs"]["probe"] = entry
-    assert _assert_agrees(doc, "result") is valid
+    assert REFERENCE["result"].is_valid(doc) is valid
 
 
 @settings(derandomize=True, deadline=None, max_examples=600)
 @given(mutated(PROBLEMS))
 def test_mutated_problems_get_jsonschemas_verdict(doc):
-    _assert_agrees(doc, "problem")
-
-
-@settings(derandomize=True, deadline=None, max_examples=300)
-@given(mutated(RESULTS))
-def test_mutated_results_get_jsonschemas_verdict(doc):
-    _assert_agrees(doc, "result")
+    _assert_agrees(doc)
 
 
 @pytest.mark.parametrize("value, valid", [
@@ -181,7 +161,7 @@ def test_mutated_results_get_jsonschemas_verdict(doc):
 def test_integer_is_drafts_integer(value, valid):
     doc = _load(ROOT / "fixtures" / "split_entropic.json")
     doc["split"]["n_max"] = value
-    assert _assert_agrees(doc, "problem") is valid
+    assert _assert_agrees(doc) is valid
 
 
 @pytest.mark.parametrize("value, valid", [
@@ -189,7 +169,7 @@ def test_integer_is_drafts_integer(value, valid):
 def test_const_true_is_only_true(value, valid):
     doc = copy.deepcopy(NAMED_PROBLEMS["expectation"])
     doc["agents"][0]["acceptance"] = {"expectation": value}
-    assert _assert_agrees(doc, "problem") is valid
+    assert _assert_agrees(doc) is valid
 
 
 @pytest.mark.parametrize("labels, valid", [
@@ -202,7 +182,7 @@ def test_unique_items_compare_as_json(labels, valid):
     reference = list(REFERENCE["problem"].iter_errors(doc))
     unique_error = any(e.validator == "uniqueItems" for e in reference)
     assert unique_error is not valid
-    _assert_agrees(doc, "problem")
+    _assert_agrees(doc)
 
 
 @pytest.mark.parametrize("bound, valid", [
@@ -211,38 +191,44 @@ def test_unique_items_compare_as_json(labels, valid):
 def test_exclusive_minimum_lets_nan_through(bound, valid):
     doc = _load(ROOT / "fixtures" / "entropic_pair.json")
     doc["agents"][0]["acceptance"] = {"entropic": bound}
-    assert _assert_agrees(doc, "problem") is valid
+    assert _assert_agrees(doc) is valid
+
+
+def _problem_schema():
+    return schema_files()["problem.schema.json"]
 
 
 @pytest.mark.parametrize("keyword, value", [
-    ("pattern", "^[a-z]+$"), ("maxItems", 3)])
+    ("pattern", "^[a-z]+$"), ("maxItems", 3), ("enum", [["u"]]),
+    ("not", {"maxItems": 3})])
 def test_unimplemented_keywords_are_refused_at_load(keyword, value):
-    schemas = _schema_files()
-    _checked_schemas(copy.deepcopy(schemas))
-    labels = schemas["problem.schema.json"]["properties"]["scenarios"][
-        "properties"]["labels"]
+    schema = _problem_schema()
+    _checked_schema(copy.deepcopy(schema))
+    labels = schema["properties"]["scenarios"]["properties"]["labels"]
     if keyword == "pattern":
         labels["items"][keyword] = value
     else:
         labels[keyword] = value
     with pytest.raises(StructuralError, match=keyword):
-        _checked_schemas(schemas)
-
-
-def test_an_unimplemented_keyword_under_not_is_refused_at_load():
-    schemas = _schema_files()
-    schemas["problem.schema.json"]["properties"]["scenarios"]["properties"][
-        "labels"]["not"] = {"maxLength": 3}
-    with pytest.raises(StructuralError, match="maxLength"):
-        _checked_schemas(schemas)
+        _checked_schema(schema)
 
 
 def test_a_sibling_of_ref_is_refused_at_load():
-    schemas = _schema_files()
-    schemas["problem.schema.json"]["properties"]["scenarios"]["properties"][
-        "probs"]["minProperties"] = 1
+    schema = _problem_schema()
+    schema["properties"]["scenarios"]["properties"]["probs"][
+        "minProperties"] = 1
     with pytest.raises(StructuralError, match="minProperties"):
-        _checked_schemas(schemas)
+        _checked_schema(schema)
+
+
+@pytest.mark.parametrize("ref", [
+    "result.schema.json", "result.schema.json#/definitions/vector",
+    "#/definitions/missing"])
+def test_a_ref_outside_the_problem_schema_is_refused_at_load(ref):
+    schema = _problem_schema()
+    schema["properties"]["scenarios"]["properties"]["probs"] = {"$ref": ref}
+    with pytest.raises(StructuralError, match="unresolvable"):
+        _checked_schema(schema)
 
 
 @pytest.mark.parametrize("mutate, where", [
@@ -262,5 +248,5 @@ def test_the_reported_violation(mutate, where):
     mutate(doc)
     with pytest.raises(StructuralError,
                        match=re.escape(f"problem document rejected at {where}")):
-        check_schema(doc, "problem")
-    _assert_agrees(doc, "problem")
+        check_schema(doc)
+    _assert_agrees(doc)

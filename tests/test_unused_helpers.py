@@ -2,14 +2,17 @@
 package itself.  A helper that only its own `def` (or its own recursive
 calls) names, and that only tests reach, is code the program no longer
 runs: delete it, or move it into the test that needs it.  Every name a
-module exports in `__all__` is bound in that module."""
+module exports in `__all__` is bound in that module, and every defaulted
+parameter is passed by some call: a default that no call overrides is a
+constant."""
 
 import ast
 import importlib
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "riskshare"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "riskshare"
 
 
 def _names(node) -> Counter:
@@ -50,3 +53,54 @@ def test_every_exported_name_is_bound():
                     for exported in getattr(module, "__all__", ())
                     if not hasattr(module, exported)]
     assert not unbound, unbound
+
+
+def _defaulted(tree):
+    """(name, position, keyword) of every defaulted parameter of every
+    function and method in `tree`, position counting the arguments a call
+    writes (a method's self or cls is not written), None for a
+    keyword-only parameter."""
+    methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+               for f in c.body if isinstance(f, ast.FunctionDef)
+               and "staticmethod" not in map(ast.unparse, f.decorator_list)}
+    out = []
+    for f in ast.walk(tree):
+        if not isinstance(f, ast.FunctionDef):
+            continue
+        params = f.args.posonlyargs + f.args.args
+        first = len(params) - len(f.args.defaults)
+        skip = id(f) in methods
+        out += [(f.name, i - skip, a.arg)
+                for i, a in enumerate(params) if i >= first]
+        out += [(f.name, None, a.arg)
+                for a, d in zip(f.args.kwonlyargs, f.args.kw_defaults)
+                if d is not None]
+    return out
+
+
+def _passes(call, position, keyword) -> bool:
+    """Whether `call` passes the parameter by position or by keyword."""
+    if any(k.arg in (None, keyword) for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    return (len(call.args) > position
+            or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_every_defaulted_parameter_is_passed():
+    calls = defaultdict(list)
+    for top in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    calls[getattr(func, "id", getattr(func, "attr", None))
+                          ].append(node)
+    defaulted = [(path.name, *d) for path in sorted(SRC.glob("*.py"))
+                 for d in _defaulted(ast.parse(path.read_text()))]
+    assert defaulted
+    unpassed = [f"{module} {name}({keyword})"
+                for module, name, position, keyword in defaulted
+                if not any(_passes(c, position, keyword) for c in calls[name])]
+    assert not unpassed, unpassed

@@ -59,7 +59,7 @@ class Equilibrium:
 
 def subgradient(s: market.AgentSystem, X: RandomVariable) -> Functional:
     """A supporting functional of the aggregate requirement at X, from the
-    sharing LP's scenario duals or the maximizing density of the
+    sharing LP's shadow prices of the loss or the maximizing density of the
     convolved dual (law-invariant).  Certified before returning: the
     conjugate of the requirement is the sum of the agent conjugates, and
     the Fenchel equality must close to 1e-6."""

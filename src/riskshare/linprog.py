@@ -68,9 +68,11 @@ class LpProblem:
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
         n = self.c.shape[0]
-        self.rows = np.asarray(self.rows, dtype=float).reshape(-1, n)
-        self.rhs = np.asarray(self.rhs, dtype=float)
         self.senses = list(self.senses)
+        # without variables the row count is the senses', not inferable
+        self.rows = np.asarray(self.rows, dtype=float).reshape(
+            -1 if n else len(self.senses), n)
+        self.rhs = np.asarray(self.rhs, dtype=float)
         m = self.rows.shape[0]
         if self.rhs.shape != (m,) or len(self.senses) != m:
             raise StructuralError("constraint rows, senses and rhs must align")

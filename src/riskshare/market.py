@@ -12,11 +12,17 @@ price functional pi, and the sharing functional
 Lambda is finite and exact (the infimum is attained by an allocation whose
 risks sum to it) exactly in the no-scalable-arbitrage case pi(0) = 0, which
 holds exactly when some linear functional prices every agent's securities.
-A sharing command reads such a functional off its own first LP (the sharing
-LP's scenario-row duals, or the law-invariant pricing density); only where
-none comes back is the dichotomy pi(0) in {0, -inf} decided by the zero-sum
-price LP, unbounded exactly when some zero-sum combination of the distinct
-markets' payoffs has a negative price.
+A sharing command, and validate's cone LP, reads such a functional off its
+own first LP (the loss's shadow prices -M^T lambda of the sharing LP, or
+the law-invariant pricing density); only where none comes back is the
+dichotomy pi(0) in {0, -inf} decided by the zero-sum price LP, unbounded
+exactly when some zero-sum combination of the distinct markets' payoffs
+has a negative price.
+
+The sharing LP has no row per scenario: each scenario's holder, the first
+agent whose support holds it, takes the remainder of the loss there, so
+the LP is the agents' acceptance rows alone and the loss enters only their
+right-hand side (_sharing_lp).
 """
 
 from __future__ import annotations
@@ -207,7 +213,10 @@ def validate_star(s: AgentSystem) -> ValidationReport:
     with every right-hand side 0 runs over the acceptance cones: it is
     feasible at 0, so it is unbounded exactly when Lambda is unbounded
     below wherever it is finite, and when pi(0) = 0 (_verdict) that
-    refusal is a failing `sharing_functional_bounded` check."""
+    refusal is a failing `sharing_functional_bounded` check.  When it is
+    optimal, its shadow prices -M^T lambda go to _verdict, as a sharing
+    command's do, so nsa_check solves no zero-sum price LP where they
+    price every security."""
     rep = ValidationReport()
     n = s.n
     parent = list(range(n))
@@ -240,12 +249,15 @@ def validate_star(s: AgentSystem) -> ValidationReport:
             f"edges: {edges}")
     if not s.is_law_invariant:
         try:
-            cone, _ = _sharing_lp(s, np.zeros(s.space.size))
+            cone, layout = _sharing_lp(s, np.zeros(s.space.size))
         except DomainError as exc:
             rep.add("sharing_lp_rows", False, str(exc))
             return rep
         cone.rhs[:] = 0.0
-        if linprog.solve(cone).status == "unbounded" and _verdict(s)[0]:
+        sol = linprog.solve(cone)
+        if sol.optimal:
+            _verdict(s, layout.prices(sol.duals))
+        elif sol.status == "unbounded" and _verdict(s)[0]:
             rep.add("sharing_functional_bounded", False,
                     str(_unbounded_sharing()))
     return rep
@@ -270,8 +282,9 @@ def _verdict(s: AgentSystem, phi=None):
     """The verdict of the pi(0) dichotomy for `s` as (pi(0) = 0, status of
     the zero-sum price LP), decided on the first call and kept on the
     system.  A sharing command passes the scenario weights `phi` its first
-    LP returned (None when it returned none).  When phi prices every
-    column j of the stacked basis,
+    LP returned (None when it returned none): the loss's shadow prices of
+    the sharing LP, or the law-invariant pricing density.  When phi
+    prices every column j of the stacked basis,
 
         |B_j . phi - prices_j| <= CERT_TOL (1 + |prices_j| + |phi| . |B_j|),
 
@@ -351,7 +364,7 @@ class SharingResult:
     value: RiskValue
     allocation: Allocation = None
     payoff: RandomVariable = None          # an optimal aggregate payoff
-    subgradient: Functional = None         # from the LP duals (joint LP)
+    subgradient: Functional = None         # -M^T lambda / P (joint LP)
     agent_risks: list = None               # certified per-part risks
     method: str = "joint_lp"
     dual_degenerate: bool = False          # subgradient may be non-unique
@@ -366,10 +379,14 @@ def capital_requirement(s: AgentSystem, X: RandomVariable,
     (lawinv._system_problem); any other system solves one joint LP
     (_sharing_lp), which refuses an entropic agent.  Either path decides
     pi(0) from its first LP (_ensure_shareable) and refuses scalable
-    arbitrage before any other refusal.  With `certify`, rho of every part
-    is recomputed and must sum to the value (agent_risks); without it
-    agent_risks is None.  A caller that needs only the value uses
-    lambda_batch.
+    arbitrage before any other refusal.  On the joint LP the parts are its
+    free coordinates and each holder's remainder (_SharingLayout.parts),
+    whose sum must still be the loss within 1e-9 (a remainder can lose a
+    small coordinate to cancellation against huge parts), and the
+    subgradient is the loss's shadow prices -M^T lambda over the
+    probabilities.  With `certify`, rho of every part is recomputed and
+    must sum to the value (agent_risks); without it agent_risks is None.
+    A caller that needs only the value uses lambda_batch.
     """
     if X.space.labels != s.space.labels:
         raise StructuralError("loss profile on a different scenario space")
@@ -379,7 +396,44 @@ def capital_requirement(s: AgentSystem, X: RandomVariable,
     return _capital_requirement_lp(s, X, certify)
 
 
-def _sharing_lp(s: AgentSystem, target: np.ndarray, securities: str = "own"):
+@dataclass(frozen=True)
+class _SharingLayout:
+    """The layout of a sharing LP (_sharing_lp).  The loss enters only the
+    right-hand side  bounds - M target,  and an optimal solution's duals
+    lambda give the loss's shadow prices  -M^T lambda  (prices)."""
+
+    bounds: np.ndarray        # the acceptance rows' bounds, in agent order
+    M: np.ndarray             # W_h[:, w] in holder h's rows, column w
+    holder: np.ndarray        # the agent holding each scenario
+    free: tuple               # per agent, the scenarios of its coordinates
+    starts: tuple             # per agent, its first column
+    payoffs: np.ndarray       # the aggregate columns' payoffs (m, k)
+
+    def rhs(self, targets):
+        """bounds - M target: the right-hand side for one loss, or one row
+        of right-hand sides per row of a batch of losses."""
+        return self.bounds - targets @ self.M.T
+
+    def prices(self, duals):
+        """The loss's shadow prices  phi = -M^T lambda  of rows' duals."""
+        return -(duals @ self.M)
+
+    def parts(self, primal, target):
+        """The parts of `target` that `primal` holds, one row per agent:
+        the free coordinates first, then each holder's remainder
+        target[w] - B[w] w - (the other agents' coordinates at w)."""
+        parts = np.zeros((len(self.free), target.size))
+        for i, (f, o) in enumerate(zip(self.free, self.starts)):
+            parts[i, f] = primal[o:o + f.size]
+        rest = target - parts.sum(axis=0)
+        if self.payoffs.shape[1]:
+            rest -= self.payoffs @ primal[:self.payoffs.shape[1]]
+        parts[self.holder, np.arange(target.size)] = rest
+        return parts
+
+
+def _sharing_lp(s: AgentSystem, target: np.ndarray,
+                securities: str = "own"):
     """The sharing LP of `s`: each agent's parts lie in its acceptance
     set, the parts add up to `target` scenario by scenario, and the cost
     prices every security column.  Every agent enters through its LP form
@@ -393,16 +447,25 @@ def _sharing_lp(s: AgentSystem, target: np.ndarray, securities: str = "own"):
       s.stacked_basis(), priced by the stacked prices (the payoff form);
     * "none": no security columns and a zero cost (membership in A_+).
 
-    Columns: the aggregate columns w (if any), then per agent i its
-    supported coordinates X_i[inc_i], then its own z_i (if any), then its
-    auxiliaries a_i >= aux_lower_i; every other column is free.  Rows: the
-    acceptance blocks  W_i[:, inc_i] | -W_i B_i | A_i  (<= bounds_i),
-    block-diagonal in agent order, then one equality row per scenario w
-    with a 1 at every agent that holds w, B[w] in the aggregate columns,
-    and right-hand side target[w].  W B is the full product, not
-    W[:, inc] B[inc], which can differ in the last bit.
+    The parts add up to the target without a row for it: the holder h(w)
+    of scenario w, the first agent in system order whose support holds
+    w, takes the remainder  X_h[w] = target[w] - B[w] w - sum_{j != h}
+    X_j[w],  substituted into h's acceptance rows (the free-column
+    substitution of presolve: Andersen and Andersen, Math. Prog. 71
+    (1995)).  M holds W_h[:, w] in h's rows for every scenario w that h
+    holds, so the right-hand side is  bounds - M target.
 
-    Returns (LpProblem, starts), starts[i] being agent i's first column.
+    Columns: the aggregate columns w (if any), then per agent i the
+    coordinates X_i[w] of its supported scenarios that it does not hold,
+    in scenario order, then its own z_i (if any), then its auxiliaries
+    a_i >= aux_lower_i; every other column is free.  Rows, all <=: the
+    acceptance blocks  W_i[:, free_i] | -W_i B_i | A_i,  block-diagonal in
+    agent order, with -W_h[:, w] in holder h's rows of each column
+    X_j[w] and  -W_h[:, held_h] B[held_h]  in the aggregate columns.
+    W B is the full product, not W[:, inc] B[inc], which can differ in
+    the last bit.
+
+    Returns (LpProblem, _SharingLayout).
     """
     m = s.space.size
     forms = [r.lp_rows() for r in s.regimes]
@@ -411,33 +474,39 @@ def _sharing_lp(s: AgentSystem, target: np.ndarray, securities: str = "own"):
         B, prices, _ = s.stacked_basis()
     else:
         B, prices = np.zeros((m, 0)), np.zeros(0)
-    blocks = []
-    for r, (W, A, _, _) in zip(s.regimes, forms):
+    holder = np.argmax([r.support.included for r in s.regimes], axis=0)
+    J = sum(W.shape[0] for W, _, _, _ in forms)
+    M = np.zeros((J, m))
+    blocks, free, row = [], [], 0
+    for i, (r, (W, A, _, _)) in enumerate(zip(s.regimes, forms)):
+        held = holder == i
+        M[row:row + W.shape[0], held] = W[:, held]
+        free.append(np.flatnonzero(r.support.included & ~held))
         z = [-(W @ r.market.basis_matrix())] if own else []
-        blocks.append(np.hstack([W[:, r.support.included], *z, A]))
+        blocks.append(np.hstack([W[:, free[-1]], *z, A]))
+        row += W.shape[0]
     k = B.shape[1]
-    J = sum(b.shape[0] for b in blocks)
-    n = k + sum(b.shape[1] for b in blocks)
-    rows = np.zeros((J + m, n))
-    rows[J:, :k] = B
-    c = np.zeros(n)
+    rows = np.zeros((J, k + sum(b.shape[1] for b in blocks)))
+    rows[:, :k] -= M @ B
+    c = np.zeros(rows.shape[1])
     c[:k] = prices
-    lower = np.full(n, -math.inf)
+    lower = np.full(rows.shape[1], -math.inf)
     starts, row, col = [], 0, k
-    for r, b, (_, _, _, aux_lower) in zip(s.regimes, blocks, forms):
+    for r, f, b, (_, _, _, aux_lower) in zip(s.regimes, free, blocks, forms):
         rows[row:row + b.shape[0], col:col + b.shape[1]] = b
-        held = np.flatnonzero(r.support.included)
-        rows[J + held, col + np.arange(held.size)] = 1.0
+        rows[:, col:col + f.size] -= M[:, f]
         if own:
-            c[col + held.size:col + held.size + r.market.dim] = r.market.prices
+            c[col + f.size:col + f.size + r.market.dim] = r.market.prices
         lower[col + b.shape[1] - aux_lower.size:col + b.shape[1]] = aux_lower
         starts.append(col)
         row += b.shape[0]
         col += b.shape[1]
-    rhs = np.concatenate([bounds for _, _, bounds, _ in forms] + [target])
+    layout = _SharingLayout(
+        np.concatenate([bounds for _, _, bounds, _ in forms]), M, holder,
+        tuple(free), tuple(starts), B)
     return linprog.LpProblem(
-        c=c, rows=rows, senses=[linprog.LE] * J + [linprog.EQ] * m, rhs=rhs,
-        lower=lower, upper=np.full(n, math.inf)), starts
+        c=c, rows=rows, senses=[linprog.LE] * J, rhs=layout.rhs(target),
+        lower=lower, upper=np.full(rows.shape[1], math.inf)), layout
 
 
 def _unbounded_sharing() -> DomainError:
@@ -453,44 +522,39 @@ def _unbounded_sharing() -> DomainError:
 
 
 def _check_allocation_sum(total, target):
-    """Refuse parts whose sum `total` misses the loss `target` (one per row
-    of a batch) by more than 1e-9 times max(1, |target|_inf), the scale
-    that block_decompose uses."""
-    resid = np.abs(total - target).max(axis=-1, initial=0.0)
-    scale = np.maximum(1.0, np.abs(target).max(axis=-1, initial=0.0))
-    if np.any(resid > 1e-9 * scale):
-        raise InternalInconsistency(
-            f"allocation sums off by {float(np.max(resid)):.2e}")
+    """Refuse parts whose sum `total` misses the loss `target` by more
+    than 1e-9 times max(1, |target|_inf), the scale that block_decompose
+    uses."""
+    resid = float(np.abs(total - target).max(initial=0.0))
+    if resid > 1e-9 * max(1.0, float(np.abs(target).max(initial=0.0))):
+        raise InternalInconsistency(f"allocation sums off by {resid:.2e}")
 
 
 def _capital_requirement_lp(s, X, certify) -> SharingResult:
     space = s.space
     m = space.size
     with _verdict_first(s):
-        lp, starts = _sharing_lp(s, X.values)
+        lp, layout = _sharing_lp(s, X.values)
         sol = linprog.solve(lp)
-    # the X_i and z_i columns are free, so optimal scenario-row duals
-    # price each agent's payoffs that vanish off its support
-    _ensure_shareable(s, sol.duals[-m:] if sol.optimal else None)
+    # the X_i and z_i columns are free, so the loss's optimal shadow
+    # prices price each agent's payoffs that vanish off its support
+    phi = layout.prices(sol.duals) if sol.optimal else None
+    _ensure_shareable(s, phi)
 
     if sol.status == "infeasible":
         return SharingResult(value=RiskValue.infinite())
     if sol.status == "unbounded":
         raise _unbounded_sharing()
 
-    parts = []
     payoff_vals = np.zeros(m)
-    for r, o in zip(s.regimes, starts):
-        ni, ki = r.support.dim, r.market.dim
-        xv = np.zeros(m)
-        xv[r.support.included] = sol.primal[o:o + ni]
-        parts.append(RandomVariable(space, xv))
-        payoff_vals += r.market.basis_matrix() @ sol.primal[o + ni:o + ni + ki]
-    alloc = Allocation(tuple(parts))
+    for r, f, o in zip(s.regimes, layout.free, layout.starts):
+        z = sol.primal[o + f.size:o + f.size + r.market.dim]
+        payoff_vals += r.market.basis_matrix() @ z
+    alloc = Allocation(tuple(RandomVariable(space, p) for p in
+                             layout.parts(sol.primal, X.values)))
     _check_allocation_sum(alloc.total(), X.values)
 
-    duals = sol.duals[-m:]
-    subgrad = Functional(space, duals / space.probs)
+    subgrad = Functional(space, phi / space.probs)
 
     agent_risks = None
     if certify:
@@ -518,15 +582,14 @@ def lambda_batch(s: AgentSystem, targets) -> np.ndarray:
     unbounded below on the system), as capital_requirement refuses it.
 
     A system that is not fully law-invariant builds its sharing LP once.
-    The loss enters only the scenario rows' right-hand side, so
-    linprog.solve_batch solves one LP per optimal basis and screens the
-    other rows; the scenario-row duals of its first optimal solve decide
-    pi(0) (_ensure_shareable), and every optimal row's allocation must
-    still add up to its target within 1e-9 (times the target's size when
-    that exceeds 1).  A law-invariant system, whose pricing density
-    decides pi(0), prices all rows with one kernel search on its
-    cached market-only preamble (lawinv.law_invariant_value; the kernel
-    Newton search runs the rows in lockstep): each row's primal
+    The loss enters only the right-hand side  bounds - M X  of its rows,
+    so linprog.solve_batch solves one LP per optimal basis and screens
+    the other rows; the loss's shadow prices -M^T lambda of its first
+    optimal solve decide pi(0) (_ensure_shareable).  With no scenario row
+    there is no allocation sum to check.  A law-invariant system, whose
+    pricing density decides pi(0), prices all rows with one kernel search
+    on its cached market-only preamble (lawinv.law_invariant_value; the
+    kernel Newton search runs the rows in lockstep): each row's primal
     certificate is lawinv._unwind's acceptable parts of X - Z, and there
     is no allocation, per-agent rho or subgradient.  Its values are
     capital_requirement's, bitwise, and so are its refusals, the first
@@ -541,16 +604,12 @@ def lambda_batch(s: AgentSystem, targets) -> np.ndarray:
         from . import lawinv
         return lawinv.law_invariant_value(s, targets)
     with _verdict_first(s):
-        lp, _ = _sharing_lp(s, np.zeros(m))
-        rhs = np.repeat(lp.rhs[None, :], targets.shape[0], axis=0)
-        rhs[:, -m:] = targets
-        batch = linprog.solve_batch(lp, rhs)
-    _ensure_shareable(s, None if batch.duals is None else batch.duals[-m:])
+        lp, layout = _sharing_lp(s, np.zeros(m))
+        batch = linprog.solve_batch(lp, layout.rhs(targets))
+    _ensure_shareable(s, None if batch.duals is None
+                      else layout.prices(batch.duals))
     if "unbounded" in batch.status:
         raise _unbounded_sharing()
-    optimal = np.isfinite(batch.objective_value)
-    _check_allocation_sum(batch.primal[optimal] @ lp.rows[-m:].T,
-                          targets[optimal])
     return batch.objective_value
 
 
@@ -608,16 +667,11 @@ def pareto_from_payoff(s: AgentSystem, X: RandomVariable,
 def _acceptable_decomposition(s: AgentSystem, target: np.ndarray):
     """Y_i in A_i (inside supports) with sum = target, or None (an LP
     feasibility query for membership in the Minkowski sum A_+)."""
-    lp, starts = _sharing_lp(s, target, "none")
+    lp, layout = _sharing_lp(s, target, "none")
     sol = linprog.solve(lp)
     if sol.status != "optimal":
         return None
-    out = []
-    for r, o in zip(s.regimes, starts):
-        y = np.zeros(s.space.size)
-        y[r.support.included] = sol.primal[o:o + r.support.dim]
-        out.append(y)
-    return out
+    return list(layout.parts(sol.primal, target))
 
 
 # ----------------------------------------------------------------------

@@ -413,7 +413,7 @@ def test_certified_lambda_and_pareto_sweep_make_one_system_lp():
                                      oracle.GridSpec.around(X, 0.5, 0.5))
     assert check.pareto
     assert seen["solve_batch"] == []
-    # the sharing LP, whose scenario-row duals certify pi(0) = 0, so no
+    # the sharing LP, whose loss shadow prices certify pi(0) = 0, so no
     # zero-sum price LP (equality rows over the stacked basis) runs
     sharing, = seen["solve"]
     assert sharing.rows.shape[0] > s.space.size

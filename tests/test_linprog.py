@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from riskshare import equilibrium, linprog
+from riskshare import equilibrium, linprog, market
 from riskshare.errors import NumericalFailure, StructuralError
 from riskshare.linprog import (
     CERT_TOL,
@@ -279,11 +279,23 @@ def test_sparse_pivot_bitwise_on_window_chains(monkeypatch, m):
         lambda_batch(s, X.values + 1e-3 * np.vstack([np.eye(m)[:8],
                                                       -np.eye(m)[:8]]))
     # the sharing LP: the four agents own m + 9 scenarios in all (scenario
-    # 0 four times, three overlaps of two), one acceptance row and two
-    # columns (coordinate, security) each, plus m scenario rows
-    assert (2 * m + 9, 2 * m + 18) in {p.rows.shape for p in problems}
+    # 0 four times, three overlaps of two), one acceptance row and a
+    # security column each, and a coordinate column for each of the m + 9
+    # but the m that their holders take as remainders
+    assert (m + 9, m + 18) in {p.rows.shape for p in problems}
     solved = solve_both_ways(monkeypatch, problems)
     assert all(sol.optimal for sol in solved)
+
+
+def test_window_chain_sharing_lp_pivots():
+    # the holders' remainders leave no scenario row, so no phase-1
+    # artificial per scenario: 91 pivots at m = 80, where the scenario-row
+    # form (tests/oracles.py) takes 171
+    s, X = window_chain(80)
+    lp, _ = market._sharing_lp(s, X.values)
+    sol = solve(lp)
+    assert lp.rows.shape == (89, 98)
+    assert sol.optimal and sol.iterations <= 100
 
 
 def random_lps():
@@ -442,6 +454,7 @@ def test_solutions_match_recorded_digests(case):
     # indexed standard form and the row-by-row pivot to the same bits; like
     # the golden CLI documents they depend on the NumPy build's arithmetic.
     # Re-record with: PYTHONPATH=src python tests/test_linprog.py --record
+    # [CASE ...], which rewrites only the named cases (every case if none)
     expected = json.loads(DIGESTS.read_text())[case]
     got = case_digests(case)
     assert len(got) == len(expected)
@@ -698,12 +711,40 @@ def test_null_space_rank_nullity():
             assert np.max(np.abs(A @ ns)) <= 1e-9
 
 
+def record_digests(path, cases):
+    """Rewrite the digests of `cases` in the file at `path`, or of every
+    case when `cases` is empty; the other cases' digests stay as they
+    are.  An unknown case name is refused before anything is written."""
+    unknown = sorted(set(cases) - set(DIGEST_CASES))
+    if unknown:
+        raise KeyError(f"unknown digest cases: {', '.join(unknown)}")
+    digests = json.loads(path.read_text()) if cases else {}
+    for case in cases or sorted(DIGEST_CASES):
+        digests[case] = case_digests(case)
+    path.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+
+
+def test_recording_named_cases_keeps_the_others(tmp_path):
+    path = tmp_path / "digests.json"
+    path.write_text(DIGESTS.read_text())
+    with pytest.raises(KeyError, match="unknown digest cases: nope"):
+        record_digests(path, ["signed_zero_lps", "nope"])
+    assert path.read_text() == DIGESTS.read_text()
+    recorded = json.loads(DIGESTS.read_text())
+    recorded["signed_zero_lps"] = []
+    path.write_text(json.dumps(recorded))
+    record_digests(path, ["signed_zero_lps"])
+    assert json.loads(path.read_text()) == json.loads(DIGESTS.read_text())
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        sys.exit("usage: python tests/test_linprog.py --record")
-    DIGESTS.write_text(json.dumps(
-        {case: case_digests(case) for case in sorted(DIGEST_CASES)},
-        indent=1, sort_keys=True) + "\n")
+    if sys.argv[1:2] != ["--record"]:
+        sys.exit("usage: python tests/test_linprog.py --record [CASE ...]")
+    try:
+        record_digests(DIGESTS, sys.argv[2:])
+    except KeyError as exc:
+        sys.exit(f"{exc.args[0]}; the cases are "
+                 f"{', '.join(sorted(DIGEST_CASES))}")
 
 
 # ----------------------------------------------------------------------
@@ -731,6 +772,15 @@ def test_a_zero_row_is_decided_by_its_rhs(bound, holds, cost):
     # a violated zero row needs no simplex run
     if not holds:
         assert batch.solves == 1
+
+
+def test_an_lp_without_variables_is_decided_by_its_rhs():
+    # every row is a zero row: feasible exactly when each bound holds at 0
+    for rhs, status in (([1.0, 0.0], "optimal"), ([1.0, -1e-9], "infeasible")):
+        p = LpProblem(c=np.zeros(0), rows=np.zeros((2, 0)), senses=[LE, GE],
+                      rhs=np.array([rhs[0], -rhs[1]]))
+        assert solve(p).status == status
+        assert solve_batch(p, np.array([p.rhs])).status == [status]
 
 
 def test_batch_zero_rows_agree_with_solve():

@@ -359,6 +359,23 @@ def test_pareto_from_payoff_overlap(overlap_system):
     assert total_risk(s, alloc) == pytest.approx(8.0, abs=1e-8)
 
 
+def test_pareto_on_disjoint_supports():
+    # each agent holds every scenario of its support, so the membership LP
+    # of X - Z has no column left: its rows alone decide it
+    space = three_space()
+    s = AgentSystem((ceiling_regime(space, ["a"], [1.0]),
+                     ceiling_regime(space, ["b", "c"], [2.0, 3.0])))
+    X = space.rv(np.array([4.0, 5.0, 6.0]))
+    lp, _ = market._sharing_lp(s, X.values, "none")
+    assert lp.rows.shape == (3, 0)
+    assert market._acceptable_decomposition(s, X.values) is None
+    Z = space.rv(np.array([3.0, 3.0, 3.0]))
+    alloc = pareto_from_payoff(s, X, Z)
+    np.testing.assert_array_equal(alloc.parts[0].values, [4.0, 0.0, 0.0])
+    np.testing.assert_array_equal(alloc.parts[1].values, [0.0, 5.0, 6.0])
+    assert total_risk(s, alloc) == pytest.approx(9.0, abs=1e-8)
+
+
 def test_pareto_rejects_mispriced_payoff(overlap_system):
     space, s = overlap_system
     X = space.rv(np.array([4.0, 5.0, 6.0]))
@@ -734,55 +751,74 @@ def test_sharing_lp_layout(monkeypatch, fixture, loss, shared):
     m = s.space.size
     forms = [r.lp_rows() for r in s.regimes]
     Js = [W.shape[0] for W, _, _, _ in forms]
-    assert lp.rows.shape[0] == sum(Js) + m
-    assert lp.senses == [linprog.LE] * sum(Js) + [linprog.EQ] * m
+    J = sum(Js)
+    # no scenario rows: the acceptance rows alone, every one <=
+    assert lp.rows.shape[0] == J
+    assert lp.senses == [linprog.LE] * J
     assert np.all(np.isposinf(lp.upper))
 
-    # per agent: its supported coordinates, its security coefficients,
-    # then its auxiliaries; only the auxiliaries carry a finite bound
-    col, row = 0, 0
-    owner = {}                          # scenario -> LP columns holding it
+    # the holder of a scenario is the first agent whose support holds it;
+    # M holds W_h[:, w] in holder h's rows, and the loss enters only the
+    # right-hand side bounds - M X
+    supports = [r.support.included for r in s.regimes]
+    holder = [next(i for i, inc in enumerate(supports) if inc[w])
+              for w in range(m)]
+    agent_rows = [slice(a, a + J_i)
+                  for a, J_i in zip(np.cumsum([0] + Js[:-1]), Js)]
+    M = np.zeros((J, m))
+    for w, h in enumerate(holder):
+        M[agent_rows[h], w] = forms[h][0][:, w]
+    np.testing.assert_array_equal(
+        lp.rhs, np.concatenate([b for _, _, b, _ in forms]) - M @ X.values)
+
+    # per agent: the coordinates of the scenarios it supports and does not
+    # hold, its security coefficients, then its auxiliaries; only the
+    # auxiliaries carry a finite bound
+    col = 0
     securities = []                     # the security columns
-    for r, (W, A, bounds, aux_lower), J in zip(s.regimes, forms, Js):
-        inc = np.flatnonzero(r.support.included)
-        ni, ki, na = len(inc), r.market.dim, A.shape[1]
-        end = col + ni + ki + na
-        block = lp.rows[row:row + J]
-        np.testing.assert_array_equal(block[:, col:col + ni], W[:, inc])
-        np.testing.assert_array_equal(block[:, col + ni:col + ni + ki],
+    for i, (r, (W, A, bounds, aux_lower)) in enumerate(zip(s.regimes, forms)):
+        free = [w for w in range(m) if supports[i][w] and holder[w] != i]
+        nf, ki, na = len(free), r.market.dim, A.shape[1]
+        end = col + nf + ki + na
+        own = agent_rows[i]
+        # a free coordinate X_i[w] has W_i[:, w] in its agent's rows and
+        # the substitution entries -W_h[:, w] in its holder's rows
+        for local, w in enumerate(free):
+            expected = np.zeros(J)
+            expected[own] = W[:, w]
+            h = holder[w]
+            expected[agent_rows[h]] = -forms[h][0][:, w]
+            np.testing.assert_array_equal(lp.rows[:, col + local], expected)
+        block = lp.rows[own]
+        np.testing.assert_array_equal(block[:, col + nf:col + nf + ki],
                                       -(W @ r.market.basis_matrix()))
-        np.testing.assert_array_equal(block[:, col + ni + ki:end], A)
-        assert not np.any(block[:, :col]) and not np.any(block[:, end:])
-        np.testing.assert_array_equal(lp.rhs[row:row + J], bounds)
-        np.testing.assert_array_equal(lp.c[col + ni:col + ni + ki],
+        np.testing.assert_array_equal(block[:, col + nf + ki:end], A)
+        others = np.ones(J, dtype=bool)
+        others[own] = False
+        assert not np.any(lp.rows[others, col + nf:end])
+        np.testing.assert_array_equal(lp.c[col + nf:col + nf + ki],
                                       r.market.prices)
-        assert np.all(np.isneginf(lp.lower[col:col + ni + ki]))
-        np.testing.assert_array_equal(lp.lower[col + ni + ki:end], aux_lower)
+        assert np.all(np.isneginf(lp.lower[col:col + nf + ki]))
+        np.testing.assert_array_equal(lp.lower[col + nf + ki:end], aux_lower)
         if r.is_law_invariant and r.acceptance.kind == AVAR:
             # m tail rows and the budget row; tau free, each u >= 0
-            assert J == m + 1 and na == m + 1
+            assert Js[i] == m + 1 and na == m + 1
             np.testing.assert_array_equal(aux_lower,
                                           [-math.inf] + [0.0] * m)
         else:
             assert na == 0
-        for local, w in enumerate(inc):
-            owner.setdefault(int(w), []).append(col + local)
-        securities += range(col + ni, col + ni + ki)
+        securities += range(col + nf, col + nf + ki)
         col = end
-        row += J
     assert lp.rows.shape[1] == col
     # the cost prices exactly the security columns
     assert np.flatnonzero(lp.c).tolist() == securities
     if not any(r.is_law_invariant for r in s.regimes):
         assert np.all(np.isneginf(lp.lower))
 
-    # one 0/1 row per scenario, with ones at the agents holding it
-    agg = lp.rows[row:]
-    assert set(np.unique(agg)) <= {0.0, 1.0}
-    for w in range(m):
-        np.testing.assert_array_equal(np.flatnonzero(agg[w]), owner[w])
-    assert len(owner[pd.space.index(shared)]) == 2
-    np.testing.assert_array_equal(lp.rhs[-m:], X.values)
+    # the shared scenario lies in both supports and the first agent holds
+    # it, so it keeps one coordinate column, the second agent's
+    w = pd.space.index(shared)
+    assert [inc[w] for inc in supports] == [True, True] and holder[w] == 0
 
 
 @pytest.mark.parametrize("query", [

@@ -1,0 +1,169 @@
+"""The sharing LP without scenario rows against the scenario-row form.
+
+market._sharing_lp substitutes each scenario's coordinate at its holder
+(the first agent whose support holds it) by the remainder of the loss, so
+the LP has the agents' acceptance rows alone.  tests/oracles.py keeps the
+form with one equality row per scenario.  On drawn systems, with partial
+supports, scenarios held by one to n agents, and polyhedral, AVaR and
+expectation agents, and on the full-support systems of
+tests/test_arbitrage_verdict.py, both forms must give the same status and
+value in each of the three `securities` modes.  Where Lambda is finite the
+loss's shadow prices -M^T lambda must close the Fenchel equality, the
+parts must add up to the loss, and Lambda must not move when the agents
+are permuted, which changes every holder."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import scenario_row_sharing_lp
+from riskshare import equilibrium, linprog, market
+from riskshare.errors import RiskShareError
+from riskshare.market import AgentSystem, capital_requirement
+from riskshare.regime import (
+    AVAR,
+    EXPECTATION,
+    LawInvariantAcceptanceSet,
+    PolyhedralAcceptanceSet,
+    RiskMeasurementRegime,
+    SecurityMarket,
+)
+from riskshare.scenario import Functional, ScenarioSpace, SupportMask
+
+from test_arbitrage_verdict import drawn_system
+
+MODES = ("own", "aggregate", "none")
+
+
+def partial_system(seed, m, kinds):
+    """One agent per entry of `kinds` on m scenarios.  A "polyhedral"
+    agent's support is a random subset of the scenarios, grown so that
+    the supports cover the space; an "avar" or "expectation" agent
+    supports every scenario.  Every agent trades payoffs that vanish off
+    its support, priced by one density q, and a polyhedral agent accepts
+    the losses of nonpositive q-price on its support and one or two
+    random halfspaces besides."""
+    rng = np.random.default_rng(seed)
+    space = ScenarioSpace(tuple(f"s{j}" for j in range(m)),
+                          rng.dirichlet(np.ones(m)))
+    q = rng.uniform(0.5, 1.5, m)
+    supports = [np.ones(m, dtype=bool) if kind != "polyhedral"
+                else rng.uniform(size=m) < 0.5 for kind in kinds]
+    for w in np.flatnonzero(~np.any(supports, axis=0)):
+        supports[int(rng.integers(len(kinds)))][w] = True
+    regimes = []
+    for kind, inc in zip(kinds, supports):
+        if not inc.any():
+            inc[int(rng.integers(m))] = True
+        k = int(rng.integers(1, inc.sum() + 1))
+        B = rng.normal(size=(m, k)) * inc[:, None]
+        market_ = SecurityMarket(tuple(space.rv(b) for b in B.T),
+                                 q * space.probs @ B)
+        if kind == "polyhedral":
+            densities = [q * inc] + [rng.uniform(0.0, 2.0, m) * inc
+                                     for _ in range(rng.integers(1, 3))]
+            acc = PolyhedralAcceptanceSet(
+                tuple(Functional(space, d) for d in densities),
+                np.concatenate([[0.0], rng.uniform(-1.0, 1.0,
+                                                   len(densities) - 1)]))
+        elif kind == "avar":
+            acc = LawInvariantAcceptanceSet(AVAR, rng.uniform(0.1, 0.9))
+        else:
+            acc = LawInvariantAcceptanceSet(EXPECTATION)
+        regimes.append(RiskMeasurementRegime(SupportMask(space, inc), acc,
+                                             market_))
+    return AgentSystem(tuple(regimes))
+
+
+@st.composite
+def systems(draw):
+    """(system, a permutation of its agents, a loss): a partial_system or
+    a drawn_system (full supports, possibly with scalable arbitrage)."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    if draw(st.booleans()):
+        m = draw(st.integers(2, 6))
+        kinds = draw(st.lists(
+            st.sampled_from(["polyhedral", "polyhedral", "avar",
+                             "expectation"]), min_size=2, max_size=4))
+        s = partial_system(seed, m, kinds)
+    else:
+        m = draw(st.integers(2, 6))
+        n = draw(st.integers(2, 5))
+        n_markets = draw(st.integers(1, min(3, n)))
+        s = drawn_system(seed, m, n, draw(st.booleans()), draw(st.booleans()),
+                         n_markets, draw(st.integers(0, n_markets - 1)),
+                         draw(st.sampled_from([1.0, 1e6, 1e-6])))
+    order = draw(st.permutations(range(s.n)))
+    loss = np.random.default_rng(seed).normal(0.0, 2.0, s.space.size)
+    return s, order, s.space.rv(loss)
+
+
+def _holders(s):
+    return [next(i for i, r in enumerate(s.regimes) if r.support.included[w])
+            for w in range(s.space.size)]
+
+
+def _outcome(share):
+    """A sharing command's value, or the type of its refusal."""
+    try:
+        return share().value.as_float()
+    except RiskShareError as exc:
+        return type(exc)
+
+
+def _acceptable(r, part):
+    """The part lies in the agent's acceptance set, within 1e-9 of its
+    scale: some auxiliaries a >= aux_lower satisfy W part + A a <= bounds."""
+    W, A, bounds, aux_lower = r.lp_rows()
+    slack = bounds - W @ part + 1e-9 * max(1.0, np.abs(part).max())
+    if A.shape[1] == 0:
+        return bool(np.all(slack >= 0.0))
+    return linprog.solve(linprog.LpProblem(
+        c=np.zeros(A.shape[1]), rows=A, senses=[linprog.LE] * A.shape[0],
+        rhs=slack, lower=aux_lower,
+        upper=np.full(A.shape[1], math.inf))).optimal
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(systems())
+def test_substituted_lp_matches_the_scenario_rows(drawn):
+    s, order, X = drawn
+    for mode in MODES:
+        old_lp, _ = scenario_row_sharing_lp(s, X.values, mode)
+        old = linprog.solve(old_lp)
+        lp, layout = market._sharing_lp(s, X.values, mode)
+        new = linprog.solve(lp)
+        assert lp.rows.shape == (old_lp.rows.shape[0] - s.space.size,
+                                 old_lp.rows.shape[1] - s.space.size)
+        assert set(lp.senses) == {linprog.LE}
+        assert new.status == old.status, mode
+        if new.optimal:
+            v = old.objective_value
+            assert abs(new.objective_value - v) <= linprog.CERT_TOL * (
+                1.0 + abs(v)), mode
+            # the parts and the aggregate payoff add up to the loss
+            parts = layout.parts(new.primal, X.values)
+            k = layout.payoffs.shape[1]
+            total = parts.sum(axis=0) + layout.payoffs @ new.primal[:k]
+            assert np.abs(total - X.values).max() <= 1e-9 * max(
+                1.0, np.abs(X.values).max())
+            if mode == "none":
+                assert all(_acceptable(r, p)
+                           for r, p in zip(s.regimes, parts))
+    assert list(layout.holder) == _holders(s)
+
+    value = _outcome(lambda: capital_requirement(s, X))
+    permuted = AgentSystem(tuple(s.regimes[i] for i in order))
+    moved = _outcome(lambda: capital_requirement(permuted, X))
+    if isinstance(value, float) and math.isfinite(value):
+        assert isinstance(moved, float)
+        assert abs(moved - value) <= linprog.CERT_TOL * (1.0 + abs(value))
+        res = capital_requirement(s, X, certify=False)
+        assert np.abs(res.allocation.total() - X.values).max() <= 1e-9 * max(
+            1.0, np.abs(X.values).max())
+        # the loss's shadow prices close the Fenchel equality
+        assert equilibrium._verified_subgradient(s, X, res) is res.subgradient
+    else:
+        assert moved == value

@@ -36,7 +36,7 @@ import numpy as np
 from .errors import NumericalFailure, StructuralError
 
 __all__ = ["LpProblem", "LpSolution", "LpBatch", "solve", "solve_batch",
-           "null_space"]
+           "certified_objective", "null_space"]
 
 # ----------------------------------------------------------------------
 # tolerances (relative use documented at each site)
@@ -425,8 +425,7 @@ def _certify(p: LpProblem, rhs, x, obj, duals):
     complementary slackness, and zero duality gap, all within 1e-8
     (relative to the instance scale).  Returns the residuals, one per row,
     and the mask of rows whose certificate holds."""
-    scale = 1.0 + np.abs(np.concatenate([rhs, x, obj[:, None]], axis=1)).max(
-        axis=1)
+    scale = _scale(rhs, x, obj)
     sign = np.array([_SENSE_SIGN[s] for s in p.senses])
     gap = x @ p.rows.T - rhs
     viol = np.where(sign == 0.0, np.abs(gap), sign * gap)
@@ -444,6 +443,39 @@ def _certify(p: LpProblem, rhs, x, obj, duals):
     residuals = {"feasibility": feas, "complementarity": comp,
                  "duality_gap": gap}
     return residuals, (feas <= CERT_TOL * scale) & (gap <= CERT_TOL * scale * 10)
+
+
+def _scale(rhs, x, obj):
+    """The instance scale of each row of a certificate check:
+    1 + max(|rhs|, |x|, |obj|)."""
+    return 1.0 + np.abs(np.concatenate([rhs, x, obj[:, None]], axis=1)).max(
+        axis=1)
+
+
+def certified_objective(p: LpProblem, x, duals):
+    """c.x when the point x and the row duals `duals`, which need not come
+    from solve, certify x optimal for p; None otherwise.  The checks are
+    solve's own (_certify: feasibility and duality gap), complementarity,
+    and dual feasibility, which solve's duals have by their basis and a
+    certificate from elsewhere must show: each dual of its row's sign
+    (<= 0 on a '<=' row, >= 0 on a '>=' row), and reduced costs
+    c - duals^T A zero on free columns, >= 0 at finite lower bounds and
+    <= 0 at finite upper bounds, each within CERT_TOL times the instance
+    scale (_scale)."""
+    x, duals = np.asarray(x, dtype=float), np.asarray(duals, dtype=float)
+    if x.shape != p.c.shape or duals.shape != p.rhs.shape:
+        return None
+    obj = np.array([p.c @ x])
+    residuals, passed = _certify(p, p.rhs[None, :], x[None, :], obj, duals)
+    tol = CERT_TOL * _scale(p.rhs[None, :], x[None, :], obj)[0]
+    sign = np.array([_SENSE_SIGN[s] for s in p.senses])
+    red = p.c - duals @ p.rows
+    if (passed[0] and residuals["complementarity"][0] <= tol
+            and np.all(sign * duals <= tol)
+            and np.all(np.isfinite(p.upper) | (red >= -tol))
+            and np.all(np.isfinite(p.lower) | (red <= tol))):
+        return float(obj[0])
+    return None
 
 
 def _lost_certificate(residuals, k: int) -> NumericalFailure:

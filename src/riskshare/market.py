@@ -384,9 +384,15 @@ def capital_requirement(s: AgentSystem, X: RandomVariable,
     whose sum must still be the loss within 1e-9 (a remainder can lose a
     small coordinate to cancellation against huge parts), and the
     subgradient is the loss's shadow prices -M^T lambda over the
-    probabilities.  With `certify`, rho of every part is recomputed and
-    must sum to the value (agent_risks); without it agent_risks is None.
-    A caller that needs only the value uses lambda_batch.
+    probabilities.  With `certify`, every agent's rho of its part is
+    certified (agent_risks), and the risks must sum to the value within
+    CERT_TOL (1 + |sum|); without it agent_risks is None.  On the joint LP
+    rho takes its agent's block of the optimal solution as the certificate
+    of its own LP (_SharingLayout.certificates) and solves that LP only
+    where the certificate fails a check, so an agent's risk there carries
+    the sharing LP's certificate, not the bits of a solve of its own; the
+    law-invariant path recomputes rho of every part.  A caller that needs
+    only the value uses lambda_batch.
     """
     if X.space.labels != s.space.labels:
         raise StructuralError("loss profile on a different scenario space")
@@ -407,6 +413,7 @@ class _SharingLayout:
     holder: np.ndarray        # the agent holding each scenario
     free: tuple               # per agent, the scenarios of its coordinates
     starts: tuple             # per agent, its first column
+    row_starts: tuple         # per agent, its first acceptance row
     payoffs: np.ndarray       # the aggregate columns' payoffs (m, k)
 
     def rhs(self, targets):
@@ -430,6 +437,19 @@ class _SharingLayout:
             rest -= self.payoffs @ primal[:self.payoffs.shape[1]]
         parts[self.holder, np.arange(target.size)] = rest
         return parts
+
+    def certificates(self, primal, duals):
+        """Per agent i of an "own" sharing LP, the certificate (x_i, y_i)
+        that an optimal solution's block gives i's own rho LP
+        (regime._rho_lp) at its part: x_i its z_i and auxiliaries, y_i
+        its rows' duals.  Those columns meet no other agent's rows, so y_i
+        is dual feasible for i's LP, and complementary slackness holds
+        there row for row (the block decomposition of a block-angular
+        LP's dual: Dantzig and Wolfe, Oper. Res. 8 (1960))."""
+        cols = zip(self.starts, self.starts[1:] + (primal.size,))
+        rows = zip(self.row_starts, self.row_starts[1:] + (duals.size,))
+        return [(primal[o + f.size:end], duals[a:b])
+                for f, (o, end), (a, b) in zip(self.free, cols, rows)]
 
 
 def _sharing_lp(s: AgentSystem, target: np.ndarray,
@@ -477,9 +497,10 @@ def _sharing_lp(s: AgentSystem, target: np.ndarray,
     holder = np.argmax([r.support.included for r in s.regimes], axis=0)
     J = sum(W.shape[0] for W, _, _, _ in forms)
     M = np.zeros((J, m))
-    blocks, free, row = [], [], 0
+    blocks, free, row_starts, row = [], [], [], 0
     for i, (r, (W, A, _, _)) in enumerate(zip(s.regimes, forms)):
         held = holder == i
+        row_starts.append(row)
         M[row:row + W.shape[0], held] = W[:, held]
         free.append(np.flatnonzero(r.support.included & ~held))
         z = [-(W @ r.market.basis_matrix())] if own else []
@@ -503,7 +524,7 @@ def _sharing_lp(s: AgentSystem, target: np.ndarray,
         col += b.shape[1]
     layout = _SharingLayout(
         np.concatenate([bounds for _, _, bounds, _ in forms]), M, holder,
-        tuple(free), tuple(starts), B)
+        tuple(free), tuple(starts), tuple(row_starts), B)
     return linprog.LpProblem(
         c=c, rows=rows, senses=[linprog.LE] * J, rhs=layout.rhs(target),
         lower=lower, upper=np.full(rows.shape[1], math.inf)), layout
@@ -546,10 +567,10 @@ def _capital_requirement_lp(s, X, certify) -> SharingResult:
     if sol.status == "unbounded":
         raise _unbounded_sharing()
 
+    certificates = layout.certificates(sol.primal, sol.duals)
     payoff_vals = np.zeros(m)
-    for r, f, o in zip(s.regimes, layout.free, layout.starts):
-        z = sol.primal[o + f.size:o + f.size + r.market.dim]
-        payoff_vals += r.market.basis_matrix() @ z
+    for r, (x, _) in zip(s.regimes, certificates):
+        payoff_vals += r.market.basis_matrix() @ x[:r.market.dim]
     alloc = Allocation(tuple(RandomVariable(space, p) for p in
                              layout.parts(sol.primal, X.values)))
     _check_allocation_sum(alloc.total(), X.values)
@@ -558,9 +579,11 @@ def _capital_requirement_lp(s, X, certify) -> SharingResult:
 
     agent_risks = None
     if certify:
-        agent_risks = [rho(r, p).value for r, p in zip(s.regimes, alloc.parts)]
+        agent_risks = [rho(r, p, c).value for r, p, c in
+                       zip(s.regimes, alloc.parts, certificates)]
         total = sum(v.as_float() for v in agent_risks)
-        if abs(total - sol.objective_value) > 1e-8 * (1 + abs(total)):
+        if abs(total - sol.objective_value) > linprog.CERT_TOL * (
+                1 + abs(total)):
             raise InternalInconsistency(
                 f"sum of certified agent risks {total} != LP value "
                 f"{sol.objective_value}"

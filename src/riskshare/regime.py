@@ -710,17 +710,34 @@ class RhoResult:
     status: str = "optimal"
 
 
-def rho(r: RiskMeasurementRegime, X: RandomVariable) -> RhoResult:
+def rho(r: RiskMeasurementRegime, X: RandomVariable,
+        certificate=None) -> RhoResult:
     """Least capital securitizing X under the regime: the one-row reader
     of _rho_search, which picks the path.  A requirement of +inf has the
     status "infeasible" and one of -inf "unbounded"; a finite one comes
     with an optimal security and its coefficients, least squares in the
     market basis after an entropic search, whose outcome has none.  A
-    refused row raises its refusal."""
+    refused row raises its refusal.
+
+    `certificate` = (x, duals) offers a solution of rho's own LP at X
+    (_rho_lp over lp_rows()): a point x = (z, a) of security
+    coefficients and auxiliaries, and one dual per row, such as an
+    agent's block of an optimal sharing LP.  Outside a cash market, and
+    for an agent that is not entropic, rho builds that LP and checks the
+    certificate (linprog.certified_objective); when it holds, rho is its
+    value c.x, with the security B z and the coefficients z, and no LP is
+    solved, so the value carries the certificate rho's LP checks, not the
+    bits of rho's own solve.  A certificate that fails a check is ignored,
+    and so is one offered to a cash or entropic agent: rho then answers as
+    without one."""
     if X.space.labels != r.space.labels:
         raise StructuralError("loss profile on a different scenario space")
     if not r.support.contains(X, tol=1e-9):
         raise DomainError("loss profile lies outside the regime's support ideal")
+    if certificate is not None:
+        certified = _certified_rho(r, X.values, *certificate)
+        if certified is not None:
+            return certified
     values, Z, w, refusals = _rho_search(r, X.values[None, :])
     if refusals:
         raise refusals[0]
@@ -847,6 +864,26 @@ def _rho_rows(r, form, xvals):
         return sol.objective_value, math.nan, math.nan
     w = sol.primal[:mkt.dim]
     return sol.objective_value, B @ w, w
+
+
+def _certified_rho(r, xvals, x, duals):
+    """rho's answer at the loss profile xvals from the certificate (x,
+    duals) of its LP (rho), or None when the market is cash-only, the
+    agent is entropic, or linprog.certified_objective refuses it."""
+    mkt = r.market
+    if mkt.cash_unit_price() is not None or (
+            r.is_law_invariant and r.acceptance.kind == ENTROPIC):
+        return None
+    form = r.lp_rows()
+    W, _, bounds, _ = form
+    B = mkt.basis_matrix()
+    value = linprog.certified_objective(
+        _rho_lp(form, B, mkt.prices, bounds - W @ xvals), x, duals)
+    if value is None:
+        return None
+    z = np.asarray(x, dtype=float)[:mkt.dim]
+    return RhoResult(value=RiskValue.finite(value),
+                     security=RandomVariable(r.space, B @ z), coefficients=z)
 
 
 def _rho_law_invariant(r):

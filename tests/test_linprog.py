@@ -136,6 +136,37 @@ def test_certificates_on_optimal():
     assert sol.residuals["duality_gap"] <= 1e-8
 
 
+INF = math.inf
+
+# (LP, its optimum x, duals that certify x, duals that pass solve's checks
+# but not dual feasibility): a sign, a free column, a lower and an upper
+# bound each broken alone
+SUPPLIED_CERTIFICATES = {
+    "free_column": (lp([1.0, 1.0], [[-1.0, 0.0], [0.0, -1.0]], [LE, LE],
+                       [-1.0, -2.0], [-INF, -INF], [INF, INF]),
+                    [1.0, 2.0], [-1.0, -1.0], [-3.0, 0.0]),
+    "row_sign": (lp([1.0], [[-1.0], [-1.0]], [LE, LE], [-1.0, -1.0],
+                    [-INF], [INF]),
+                 [1.0], [-1.0, 0.0], [-2.0, 1.0]),
+    "lower_bound": (lp([1.0], [[-1.0]], [LE], [0.0]),
+                    [0.0], [0.0], [-2.0]),
+    "upper_bound": (lp([-1.0], [[1.0]], [LE], [0.0], [-INF], [0.0]),
+                    [0.0], [0.0], [-2.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SUPPLIED_CERTIFICATES))
+def test_a_supplied_certificate_must_be_dual_feasible(case):
+    p, x, good, bad = (np.asarray(a, dtype=float) if isinstance(a, list)
+                       else a for a in SUPPLIED_CERTIFICATES[case])
+    obj = np.array([p.c @ x])
+    assert linprog._certify(p, p.rhs[None, :], x[None, :], obj, bad)[1][0]
+    assert linprog.certified_objective(p, x, good) == obj[0]
+    assert linprog.certified_objective(p, x, bad) is None
+    assert linprog.certified_objective(p, x + 1.0, good) is None
+    assert linprog.certified_objective(p, x, good[:-1]) is None
+
+
 def test_degenerate_cycling_guard():
     # classic Beale-style degeneracy; must terminate via Bland's rule
     c = [-0.75, 150.0, -0.02, 6.0]

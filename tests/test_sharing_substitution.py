@@ -10,14 +10,26 @@ tests/test_arbitrage_verdict.py, both forms must give the same status and
 value in each of the three `securities` modes.  Where Lambda is finite the
 loss's shadow prices -M^T lambda must close the Fenchel equality, the
 parts must add up to the loss, and Lambda must not move when the agents
-are permuted, which changes every holder."""
+are permuted, which changes every holder.
+
+Each agent's block of an optimal sharing LP certifies its own rho LP at its
+part: a certified Lambda solves one LP, its agent risks agree with
+re-solved rho, and rho ignores a certificate that fails a check or that a
+cash agent is offered."""
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import (
+    cash_market,
+    ceiling_regime,
+    law_invariant_regime,
+    three_space,
+)
 from oracles import scenario_row_sharing_lp
 from riskshare import equilibrium, linprog, market
 from riskshare.errors import RiskShareError
@@ -29,10 +41,12 @@ from riskshare.regime import (
     PolyhedralAcceptanceSet,
     RiskMeasurementRegime,
     SecurityMarket,
+    rho,
 )
 from riskshare.scenario import Functional, ScenarioSpace, SupportMask
 
 from test_arbitrage_verdict import drawn_system
+from test_linprog import window_chain
 
 MODES = ("own", "aggregate", "none")
 
@@ -167,3 +181,116 @@ def test_substituted_lp_matches_the_scenario_rows(drawn):
         assert equilibrium._verified_subgradient(s, X, res) is res.subgradient
     else:
         assert moved == value
+
+
+# ----------------------------------------------------------------------
+# each agent's requirement from its block of the sharing LP
+# ----------------------------------------------------------------------
+
+def _counted_solves(monkeypatch):
+    """The list of the problems of every linprog.solve call from now on."""
+    problems = []
+    solve = linprog.solve
+
+    def counted(p, *args, **kwargs):
+        problems.append(p)
+        return solve(p, *args, **kwargs)
+
+    monkeypatch.setattr(linprog, "solve", counted)
+    return problems
+
+
+def _assert_risks_are_rhos(s, res):
+    for r, part, risk in zip(s.regimes, res.allocation.parts,
+                             res.agent_risks):
+        v = rho(r, part).value.value
+        assert abs(risk.value - v) <= linprog.CERT_TOL * (1.0 + abs(v))
+
+
+def _assert_bitwise_same(a, b):
+    assert np.float64(a.value.value).tobytes() == np.float64(
+        b.value.value).tobytes()
+    assert a.security.values.tobytes() == b.security.values.tobytes()
+    assert a.coefficients.tobytes() == b.coefficients.tobytes()
+
+
+def _certified_blocks(s, X):
+    """The sharing LP's parts of X and each agent's certificate."""
+    lp, layout = market._sharing_lp(s, X.values)
+    sol = linprog.solve(lp)
+    assert sol.optimal
+    return ([s.space.rv(p) for p in layout.parts(sol.primal, X.values)],
+            layout.certificates(sol.primal, sol.duals))
+
+
+@pytest.mark.parametrize("m", [16, 80, 640])
+def test_certified_lambda_is_one_lp_on_window_chains(monkeypatch, m):
+    s, X = window_chain(m)
+    solves = _counted_solves(monkeypatch)
+    res = capital_requirement(s, X, certify=True)
+    assert len(solves) == 1
+    _assert_risks_are_rhos(s, res)
+
+
+def test_certified_agent_risks_are_rho_on_partial_systems(monkeypatch):
+    solves = _counted_solves(monkeypatch)
+    finite = 0
+    for seed in range(240):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(2, 9))
+        kinds = ["polyhedral", *rng.choice(["polyhedral", "avar",
+                                            "expectation"],
+                                           int(rng.integers(1, 4)))]
+        s = partial_system(seed, m, kinds)
+        X = s.space.rv(rng.normal(0.0, 2.0, m))
+        before = len(solves)
+        try:
+            res = capital_requirement(s, X, certify=True)
+        except RiskShareError:
+            continue
+        if not res.value.is_finite:
+            continue
+        finite += 1
+        assert len(solves) == before + 1
+        _assert_risks_are_rhos(s, res)
+    assert finite >= 60
+
+
+def test_a_failed_certificate_leaves_rho_to_its_own_lp(monkeypatch):
+    s, X = window_chain(16)
+    parts, certificates = _certified_blocks(s, X)
+    solves = _counted_solves(monkeypatch)
+    for r, part, (x, duals) in zip(s.regimes, parts, certificates):
+        own = rho(r, part)
+        before = len(solves)
+        certified = rho(r, part, (x, duals))
+        assert len(solves) == before
+        v = own.value.value
+        assert abs(certified.value.value - v) <= linprog.CERT_TOL * (
+            1.0 + abs(v))
+        # a tight row's dual is negative; moving z along that row's
+        # security coefficients pushes the row past its bound
+        assert duals.min() < 0.0
+        W, _, _, _ = r.lp_rows()
+        off = x.copy()
+        off[:r.market.dim] -= (W @ r.market.basis_matrix())[
+            int(np.argmin(duals))]
+        for corrupted in ((x, 2.0 * duals), (off, duals)):
+            before = len(solves)
+            _assert_bitwise_same(rho(r, part, corrupted), own)
+            assert len(solves) == before + 1
+
+
+def test_a_cash_agent_answers_alike_with_or_without_a_certificate(
+        monkeypatch):
+    space = three_space()
+    cash = law_invariant_regime(space, AVAR, 0.5, cash_market(space, 3.0))
+    s = AgentSystem((cash, ceiling_regime(space, ["a", "b", "c"],
+                                          [1.0, 2.0, 3.0])))
+    parts, certificates = _certified_blocks(s, space.rv([1.0, -2.0, 0.5]))
+    solves = _counted_solves(monkeypatch)
+    x, duals = certificates[0]
+    plain = rho(cash, parts[0])
+    for certificate in ((x, duals), (x + 1.0, 2.0 * duals)):
+        _assert_bitwise_same(rho(cash, parts[0], certificate), plain)
+    assert solves == []

@@ -62,12 +62,24 @@ def subgradient(s: market.AgentSystem, X: RandomVariable) -> Functional:
     sharing LP's shadow prices of the loss or the maximizing density of the
     convolved dual (law-invariant).  Certified before returning: the
     conjugate of the requirement is the sum of the agent conjugates, and
-    the Fenchel equality must close to 1e-6."""
-    res = market.capital_requirement(s, X, certify=False)
-    return _verified_subgradient(s, X, res)
+    the Fenchel equality must close to 1e-6.  On the joint LP each agent's
+    conjugate takes its block of the sharing LP as its certificate
+    (_conjugate_certificates), so one LP is solved."""
+    res, sharing = _sharing(s, X, certify=False)
+    return _verified_subgradient(s, X, res, sharing)
 
 
-def _verified_subgradient(s, X, res) -> Functional:
+def _sharing(s, X, certify):
+    """capital_requirement at X, and on the joint LP the sharing LP it
+    solved, (LpProblem, _SharingLayout, LpSolution); None in its place on
+    the law-invariant path.  A loss on another space goes to
+    capital_requirement, which refuses it."""
+    if s.is_law_invariant or X.space.labels != s.space.labels:
+        return market.capital_requirement(s, X, certify), None
+    return market._capital_requirement_lp(s, X, certify)
+
+
+def _verified_subgradient(s, X, res, sharing) -> Functional:
     if not res.value.is_finite:
         raise DomainError(
             "loss profile admits no supported decomposition; the "
@@ -75,7 +87,9 @@ def _verified_subgradient(s, X, res) -> Functional:
         )
     phi = res.subgradient
     value = res.value.as_float()
-    conj = _conjugate_sum(s, phi)
+    certificates = ([None] * s.n if sharing is None
+                    else _conjugate_certificates(s, res, sharing))
+    conj = _conjugate_sum(s, phi, certificates)
     gap = abs(value - (phi(X) - conj))
     if gap > FENCHEL_TOL * (1.0 + abs(value)):
         raise InternalInconsistency(
@@ -85,10 +99,28 @@ def _verified_subgradient(s, X, res) -> Functional:
     return phi
 
 
-def _conjugate_sum(s, phi) -> float:
+def _conjugate_certificates(s, res, sharing):
+    """Per agent, the certificate (x, duals) that its block of the solved
+    sharing LP gives its conjugate's support LP (regime.conjugate) at the
+    loss's shadow prices: x = (Y_i[inc], a_i), Y_i = X_i - B_i z_i being
+    the acceptable part of X_i, and duals its rows' duals, which satisfy
+    W_i[:, inc]^T duals = -phi[inc] (_SharingLayout.certificates)."""
+    _, layout, sol = sharing
+    certificates = []
+    for r, part, (x, duals) in zip(s.regimes, res.allocation.parts,
+                                   layout.certificates(sol.primal,
+                                                       sol.duals)):
+        k = r.market.dim
+        Y = part.values - r.market.basis_matrix() @ x[:k]
+        certificates.append((np.concatenate([Y[r.support.included], x[k:]]),
+                             duals))
+    return certificates
+
+
+def _conjugate_sum(s, phi, certificates) -> float:
     total = 0.0
-    for r in s.regimes:
-        v = conjugate(r, phi)
+    for r, certificate in zip(s.regimes, certificates):
+        v = conjugate(r, phi, certificate)
         if not v.is_finite:
             raise InternalInconsistency(
                 "candidate supporting functional has an infinite agent "
@@ -143,7 +175,12 @@ def build_equilibrium(s: market.AgentSystem, endowments) -> Equilibrium:
     """Equilibrium from a Pareto allocation of the total endowment: each
     agent receives its Pareto part plus the transfer phi(W_i - Y_i) in
     units of the common numeraire, which lands it exactly on its budget
-    line while keeping the total unchanged."""
+    line while keeping the total unchanged.
+
+    On the joint LP one LP is solved: the sharing LP at the total
+    endowment W certifies each agent's rho (capital_requirement) and
+    conjugate (_verified_subgradient) with its own blocks, and its optimal
+    basis screens the interior probes (_probe_interior)."""
     endowments = tuple(endowments)
     if len(endowments) != len(s.regimes):
         raise StructuralError("one endowment per agent required")
@@ -154,13 +191,13 @@ def build_equilibrium(s: market.AgentSystem, endowments) -> Equilibrium:
     total = np.sum([w.values for w in endowments], axis=0)
     W = RandomVariable(space, total)
 
-    res = market.capital_requirement(s, W, certify=True)
+    res, sharing = _sharing(s, W, certify=True)
     if not res.value.is_finite:
         raise DomainError("total endowment admits no supported decomposition")
-    if not s.is_law_invariant:
-        _probe_interior(s, W)
+    if sharing is not None:
+        _probe_interior(s, W, sharing)
 
-    phi = _verified_subgradient(s, W, res)
+    phi = _verified_subgradient(s, W, res, sharing)
     numeraire = common_numeraire(s)
     transfers = tuple(
         float(phi.weights @ (w.values - y.values))
@@ -185,19 +222,27 @@ def build_equilibrium(s: market.AgentSystem, endowments) -> Equilibrium:
     )
 
 
-def _probe_interior(s, W):
+def _probe_interior(s, W, sharing):
     """The supporting-functional construction needs the endowment interior
     to the requirement's domain; in finite dimension, coordinate probes
     decide that exactly when the domain is a polyhedron, as it is for
-    systems that share through the joint LP.  All 2m probes go to one
-    lambda_batch; the first infinite one, scenario by scenario and up
-    before down, is the one refused."""
+    systems that share through the joint LP.  The 2m probes are
+    right-hand sides of the sharing LP solved at W, sharing = (LpProblem,
+    _SharingLayout, LpSolution), and that solution's optimal basis screens
+    them all before any solve (linprog.solve_batch's start); only the
+    probes it rejects are solved.  The basis is dual feasible for every
+    right-hand side, so no probe is unbounded, and a probe is infinite
+    exactly where market.lambda_batch finds it infinite.  The first
+    infinite one, scenario by scenario and up before down, is the one
+    refused."""
+    lp, layout, sol = sharing
     eps = 1e-6 * (1.0 + float(np.max(np.abs(W.values))))
     m = s.space.size
     scenario = np.repeat(np.arange(m), 2)
     steps = np.tile([eps, -eps], m)
     probes = market._coordinate_moves(W.values, scenario, steps)
-    infinite = np.flatnonzero(np.isinf(market.lambda_batch(s, probes)))
+    batch = linprog.solve_batch(lp, layout.rhs(probes), sol)
+    infinite = np.flatnonzero(np.isinf(batch.objective_value))
     if infinite.size:
         k = infinite[0]
         raise DomainError(

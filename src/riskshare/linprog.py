@@ -492,33 +492,37 @@ def _lost_certificate(residuals, k: int) -> NumericalFailure:
 @dataclass
 class LpBatch:
     """solve_batch's answer, one entry per right-hand side, with the
-    shadow prices of the batch's first optimal solve (duals), which
-    market.lambda_batch reads as the sharing LP's pricing density."""
+    shadow prices of its start or of its first optimal solve (duals),
+    which market.lambda_batch reads as the sharing LP's pricing density."""
 
     status: list                     # "optimal" | "unbounded" | "infeasible"
     objective_value: np.ndarray      # +inf infeasible, -inf unbounded
     primal: np.ndarray               # one row per rhs; NaN where not optimal
     solves: int = 0                  # simplex runs; other rows were screened
-    duals: np.ndarray = None         # shadow prices of the first optimal
-                                     # solve; None when no row is optimal
+    duals: np.ndarray = None         # shadow prices of the start or the
+                                     # first optimal solve; None without
+                                     # either
 
 
-def solve_batch(p: LpProblem, rhs) -> LpBatch:
+def solve_batch(p: LpProblem, rhs, start=None) -> LpBatch:
     """solve(p) with each row of rhs (N, len(p.rhs)) as the right-hand side.
 
     An optimal basis stays dual feasible for every right-hand side, so it
     solves every row whose basic solution x_B = B^-1 b_k is feasible (Gal,
-    Postoptimal Analyses, Parametric and Related Topics, 1979).  The first
-    row no basis accepts is solved by `solve`; its optimal basis, once its
-    reduced costs pass the optimality test, screens the rows still open.
-    Rows that are infeasible or unbounded get their status from `solve`
-    itself.  Screened rows carry the certificate `solve` checks (_certify,
-    with the basis's shadow prices) and raise NumericalFailure where it
-    fails, as `solve` does.  A right-hand side that violates a row of p
-    that is zero in every column is infeasible without a simplex run, as
-    `solve` finds it.  The variables are expanded once: every row that
-    `solve` runs carries the expansion (_with_rhs).  The batch keeps the
-    shadow prices of its first optimal `solve` (duals)."""
+    Postoptimal Analyses, Parametric and Related Topics, 1979).  `start`,
+    an optimal solution of p at another right-hand side, screens every row
+    before any solve.  Then the first row no basis accepts is solved by
+    `solve`; its optimal basis, once its reduced costs pass the optimality
+    test, screens the rows still open.  Rows that are infeasible or
+    unbounded get their status from `solve` itself; behind a dual feasible
+    `start` no row is unbounded.  Screened rows carry the certificate
+    `solve` checks (_certify, with the basis's shadow prices) and raise
+    NumericalFailure where it fails, as `solve` does.  A right-hand side
+    that violates a row of p that is zero in every column is infeasible
+    without a simplex run, as `solve` finds it.  The variables are
+    expanded once: every row that `solve` runs carries the expansion
+    (_with_rhs).  The batch keeps the shadow prices of `start`, or
+    without one of its first optimal `solve` (duals)."""
     rhs = np.asarray(rhs, dtype=float)
     n_rows = p.rows.shape[0]
     if rhs.ndim != 2 or rhs.shape[1] != n_rows:
@@ -548,24 +552,13 @@ def solve_batch(p: LpProblem, rhs) -> LpBatch:
         # the two halves of a free variable may take either sign
         free = np.zeros(A.shape[1], dtype=bool)
         free[:n_y] = (np.isinf(p.lower) & np.isinf(p.upper))[expansion.var]
-    solves, duals = 0, None
-    while pending.any():
-        k = int(np.argmax(pending))
-        sol = solve(_with_rhs(p, rhs[k], expansion))
-        solves += 1
-        pending[k] = False
-        status[k], objective[k] = sol.status, sol.objective_value
-        if not sol.optimal:
-            continue
-        primal[k] = sol.primal
-        if duals is None:
-            duals = sol.duals
+
+    def screen(sol):
+        """Close the open rows that sol's optimal basis solves."""
         idx = np.flatnonzero(pending)
-        if not idx.size:
-            break
         screened = _screen(A, b_all[idx], c, sol.basis, free)
         if screened is None:
-            continue
+            return
         Y, accepted = screened
         idx, Y = idx[accepted], Y[accepted]
         x = shift + _product(expansion, Y[:, :n_y])
@@ -577,6 +570,23 @@ def solve_batch(p: LpProblem, rhs) -> LpBatch:
             status[i] = "optimal"
         objective[idx], primal[idx] = obj, x
         pending[idx] = False
+
+    solves, duals = 0, None if start is None else start.duals
+    if start is not None and pending.any():
+        screen(start)
+    while pending.any():
+        k = int(np.argmax(pending))
+        sol = solve(_with_rhs(p, rhs[k], expansion))
+        solves += 1
+        pending[k] = False
+        status[k], objective[k] = sol.status, sol.objective_value
+        if not sol.optimal:
+            continue
+        primal[k] = sol.primal
+        if duals is None:
+            duals = sol.duals
+        if pending.any():
+            screen(sol)
     return LpBatch(status, objective, primal, solves, duals)
 
 

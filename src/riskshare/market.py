@@ -399,7 +399,7 @@ def capital_requirement(s: AgentSystem, X: RandomVariable,
     if s.is_law_invariant:
         from . import lawinv
         return lawinv.law_invariant_sharing(s, X, certify)
-    return _capital_requirement_lp(s, X, certify)
+    return _capital_requirement_lp(s, X, certify)[0]
 
 
 @dataclass(frozen=True)
@@ -551,7 +551,12 @@ def _check_allocation_sum(total, target):
         raise InternalInconsistency(f"allocation sums off by {resid:.2e}")
 
 
-def _capital_requirement_lp(s, X, certify) -> SharingResult:
+def _capital_requirement_lp(s, X, certify):
+    """capital_requirement on the joint LP, with the sharing LP it solved:
+    (SharingResult, (LpProblem, _SharingLayout, LpSolution)).  The LP is
+    handed back apart from the result, which keeps no reference to it, so
+    a caller that holds many results holds no LP (build_equilibrium reads
+    it at the endowment)."""
     space = s.space
     m = space.size
     with _verdict_first(s):
@@ -563,7 +568,7 @@ def _capital_requirement_lp(s, X, certify) -> SharingResult:
     _ensure_shareable(s, phi)
 
     if sol.status == "infeasible":
-        return SharingResult(value=RiskValue.infinite())
+        return SharingResult(value=RiskValue.infinite()), (lp, layout, sol)
     if sol.status == "unbounded":
         raise _unbounded_sharing()
 
@@ -595,7 +600,7 @@ def _capital_requirement_lp(s, X, certify) -> SharingResult:
         subgradient=subgrad,
         agent_risks=agent_risks,
         dual_degenerate=sol.degenerate,
-    )
+    ), (lp, layout, sol)
 
 
 def lambda_batch(s: AgentSystem, targets) -> np.ndarray:
@@ -638,7 +643,8 @@ def lambda_batch(s: AgentSystem, targets) -> np.ndarray:
 
 def _coordinate_moves(x, scenarios, steps) -> np.ndarray:
     """One copy of x per (scenario, step) pair, that scenario moved by that
-    step: the probe rows lambda_batch's callers send."""
+    step: the probe rows of the finite-difference checks and of an
+    equilibrium's interior test."""
     rows = np.repeat(x[None, :], len(steps), axis=0)
     rows[np.arange(len(steps)), scenarios] += steps
     return rows

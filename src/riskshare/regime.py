@@ -1303,8 +1303,10 @@ def _priced_density(q, scale: float, probs, B, prices, cap: float):
     correction of the coordinates strictly inside the box, or of all
     coordinates when those cannot restore them (AVaR's density at tied
     losses may have none inside), until the result stays in the box.
-    Raises NumericalFailure after three rounds."""
+    When three rounds fail, one LP decides (_nearest_priced_density), and
+    NumericalFailure is raised only when no density in the box prices B."""
     m = probs.size
+    q0 = q
     # array methods in place of the np.clip, np.max and np.all wrappers
     # (the same ufuncs): this runs once for every certified row
     for _ in range(3):
@@ -1324,29 +1326,67 @@ def _priced_density(q, scale: float, probs, B, prices, cap: float):
         q = moved
         if resid <= tol and ((q >= 0.0) & (q <= cap)).all():
             return q
-    raise NumericalFailure(
-        f"no density inside the dual box restores the security prices "
-        f"(price residual {resid:.2e})"
-    )
+    q = _nearest_priced_density(q0.clip(0.0, cap), scale, probs, B, prices,
+                                cap)
+    if q is None:
+        raise NumericalFailure(
+            f"no density inside the dual box restores the security prices "
+            f"(price residual {resid:.2e} after three rounds, and the "
+            f"pricing LP is infeasible)"
+        )
+    return q
+
+
+def _nearest_priced_density(q0, scale: float, probs, B, prices, cap: float):
+    """The density q in [0, cap] nearest q0 in the l1 norm whose weights
+    scale * q * probs price every column of B at `prices`, from one LP
+    over (q, t) with |q - q0| <= t, minimizing the sum of t; None when
+    no such q exists (the LP is infeasible).  The prices are imposed on an
+    orthonormal basis U of B's span (_span_basis), at the prices they
+    imply: a stacked basis can repeat a payoff, and repeated equality rows
+    leave the simplex a near-singular basis."""
+    m, eye = probs.size, np.eye(probs.size)
+    U = _span_basis(B)
+    rows = np.block([[U.T * (scale * probs), np.zeros((U.shape[1], m))],
+                     [eye, -eye], [-eye, -eye]])
+    sol = linprog.solve(linprog.LpProblem(
+        c=np.concatenate([np.zeros(m), np.ones(m)]), rows=rows,
+        senses=[linprog.EQ] * U.shape[1] + [linprog.LE] * (2 * m),
+        rhs=np.concatenate([np.linalg.lstsq(B, U, rcond=None)[0].T @ prices,
+                            q0, -q0]),
+        lower=np.zeros(2 * m),
+        upper=np.concatenate([np.full(m, cap), np.full(m, math.inf)])))
+    return sol.primal[:m].clip(0.0, cap) if sol.optimal else None
 
 
 # ----------------------------------------------------------------------
 # conjugates
 # ----------------------------------------------------------------------
 
-def conjugate(r: RiskMeasurementRegime, phi: Functional) -> RiskValue:
+def conjugate(r: RiskMeasurementRegime, phi: Functional,
+              certificate=None) -> RiskValue:
     """rho*(phi) = sup { phi(X) - rho(X) : X in the support ideal }.
 
     With several eligible securities this splits in two: +inf unless phi
     prices the security span at the market prices, and otherwise the
     acceptance set's support function sup { phi(Y) : Y acceptable }.  The
     price check is relative to the size of phi on the basis payoffs.
+
+    `certificate` = (x, duals), the twin of rho's, offers a solution of
+    a polyhedral agent's support LP (_support_value): a point x = (Y[inc],
+    a) of an acceptable Y on the supported scenarios and auxiliaries, and
+    one dual per row, such as an agent's block of an optimal sharing LP at
+    phi's duals.  When linprog.certified_objective accepts it the LP is
+    not solved, and the value carries the certificate the LP checks, not
+    the bits of its own solve.  A certificate that fails a check is
+    ignored, and so is one offered to a law-invariant agent, whose
+    support function is a closed form.
     """
     if phi.space.labels != r.space.labels:
         raise StructuralError("functional on a different scenario space")
     if _price_deviation(r, phi) > PRICE_TOL * (1.0 + _price_scale(r, phi)):
         return RiskValue.infinite()
-    return _support_value(r, phi)
+    return _support_value(r, phi, certificate)
 
 
 def _price_deviation(r, phi) -> float:
@@ -1363,19 +1403,26 @@ def _price_scale(r, phi) -> float:
     return float(np.max(np.abs(phi.weights) @ np.abs(r.market.basis_matrix())))
 
 
-def _support_value(r, phi) -> RiskValue:
+def _support_value(r, phi, certificate=None) -> RiskValue:
     """sup { phi(Y) : Y in the acceptance set }, the agent's securities
     left out.  A polyhedral set solves one LP over the supported
     coordinates: the supremum is -rho(0) on a market that trades the
     payoff -1_w of each supported scenario w at the price -phi_w, so rho's
     LP (_rho_lp) over the acceptance form has the coordinates Y[inc] as
-    its security coefficients.  A law-invariant set scales out of phi's
-    total mass into the conjugate of its base risk."""
+    its security coefficients.  It is solved only where `certificate`
+    (conjugate) is None or fails linprog.certified_objective.  A
+    law-invariant set scales out of phi's total mass into the conjugate
+    of its base risk."""
     if isinstance(r.acceptance, PolyhedralAcceptanceSet):
         inc = r.support.included
         form = r.lp_rows()
-        sol = linprog.solve(_rho_lp(form, -np.eye(r.space.size)[:, inc],
-                                    -phi.weights[inc], form[2]))
+        lp = _rho_lp(form, -np.eye(r.space.size)[:, inc], -phi.weights[inc],
+                     form[2])
+        value = (None if certificate is None
+                 else linprog.certified_objective(lp, *certificate))
+        if value is not None:
+            return RiskValue.finite(-value)
+        sol = linprog.solve(lp)
         if sol.status == "unbounded":
             return RiskValue.infinite()
         if sol.status == "infeasible":

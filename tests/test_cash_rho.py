@@ -354,9 +354,9 @@ def recording():
         seen["solve"].append(p)
         return solve_(p, *args, **kwargs)
 
-    def solve_batch(p, rhs):
+    def solve_batch(p, rhs, *args, **kwargs):
         seen["solve_batch"].append(p)
-        return batch_(p, rhs)
+        return batch_(p, rhs, *args, **kwargs)
 
     linprog.solve, linprog.solve_batch = solve, solve_batch
     try:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskshare import equilibrium as eqm
-from riskshare import market
+from riskshare import linprog, market
 from riskshare.equilibrium import (
     Equilibrium,
     build_equilibrium,
@@ -39,6 +39,8 @@ from helpers import (
     point_eval,
     three_space,
 )
+from test_linprog import window_chain
+from test_sharing_substitution import _counted_solves
 
 
 @pytest.fixture
@@ -266,12 +268,10 @@ def test_boundary_endowment_rejected():
     assert verify_equilibrium(s, interior, eq).passed
 
 
-@pytest.mark.parametrize("far_bound", [1.0, 1e4, 1e6, 1e9, 1e12])
-def test_boundary_on_a_later_scenario_is_named(far_bound):
-    # agent 1 owns {b, c} and trades only the indicator of b, so its
-    # ceiling 1 on c is hard; its bound on b is unrelated to that ceiling.
-    # The probes of scenarios a and b are finite, so an optimal basis is
-    # on hand when the probe past the ceiling comes up.
+def far_bound_system(far_bound):
+    """Agent 1 owns {b, c} and trades only the indicator of b, so its
+    ceiling 1 on c is hard; its bound on b is unrelated to that ceiling.
+    With the endowments: a total (1, 2, 1) at that ceiling."""
     space = three_space()
     r1 = RiskMeasurementRegime(
         support=SupportMask.from_labels(space, ["b", "c"]),
@@ -285,8 +285,125 @@ def test_boundary_on_a_later_scenario_is_named(far_bound):
         space.rv(np.array([0.0, 1.0, 1.0])),
         space.rv(np.array([1.0, 1.0, 0.0])),
     )
+    return s, endowments
+
+
+@pytest.mark.parametrize("far_bound", [1.0, 1e4, 1e6, 1e9, 1e12])
+def test_boundary_on_a_later_scenario_is_named(far_bound):
+    # The probes of scenarios a and b are finite, so an optimal basis is
+    # on hand when the probe past the ceiling comes up.
+    s, endowments = far_bound_system(far_bound)
     with pytest.raises(DomainError, match=r"perturbing scenario 2 by \+3\.0e-06 "):
         build_equilibrium(s, endowments)
+
+
+def hard_ceiling_system(seed):
+    """2-3 ceiling agents on 3-6 scenarios with integral ceilings, each
+    trading the indicators of some of its scenarios, so that a scenario
+    none of its owners trades has a hard ceiling; and an integral total
+    endowment, which often sits on such a ceiling."""
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(3, 7)), int(rng.integers(2, 4))
+    space = ScenarioSpace.uniform([f"s{j}" for j in range(m)])
+    owned = [rng.uniform(size=m) < 0.6 for _ in range(n)]
+    for w in np.flatnonzero(~np.any(owned, axis=0)):
+        owned[int(rng.integers(n))][w] = True
+    regimes = []
+    for inc in owned:
+        if not inc.any():
+            inc[int(rng.integers(m))] = True
+        labels = [space.labels[w] for w in np.flatnonzero(inc)]
+        traded = [lab for lab in labels if rng.uniform() < 0.6] or labels[:1]
+        regimes.append(RiskMeasurementRegime(
+            support=SupportMask(space, inc),
+            acceptance=PolyhedralAcceptanceSet(
+                tuple(point_eval(space, lab) for lab in labels),
+                rng.integers(-2, 3, len(labels)).astype(float)),
+            market=SecurityMarket(
+                tuple(space.indicator([lab]) for lab in traded),
+                np.ones(len(traded)))))
+    return AgentSystem(tuple(regimes)), space.rv(
+        rng.integers(-3, 4, m).astype(float))
+
+
+def _screened_probes(monkeypatch, s, W):
+    """_probe_interior at W: its probes, its one solve_batch answer, and
+    its refusal (None where it passes); None where Lambda(W) is
+    infinite."""
+    res, sharing = eqm._sharing(s, W, certify=False)
+    if not res.value.is_finite:
+        return None
+    probes, batches = [], []
+    moves, solve_batch = market._coordinate_moves, linprog.solve_batch
+    with monkeypatch.context() as mp:
+        mp.setattr(market, "_coordinate_moves", lambda *args: probes.append(
+            moves(*args)) or probes[0])
+        mp.setattr(linprog, "solve_batch", lambda *args: batches.append(
+            solve_batch(*args)) or batches[0])
+        try:
+            eqm._probe_interior(s, W, sharing)
+            refused = None
+        except DomainError as exc:
+            refused = str(exc)
+    (probes,), (batch,) = probes, batches
+    return probes, batch, refused
+
+
+def test_screened_probes_refuse_where_lambda_batch_is_infinite(monkeypatch):
+    space = three_space()
+    cases = [(AgentSystem(hard_ceiling_pair(space)),
+              space.rv(np.array([1.0, 5.0, 6.0])))]
+    for far_bound in (1.0, 1e4, 1e6, 1e9, 1e12):
+        s, endowments = far_bound_system(far_bound)
+        cases.append((s, space.rv(sum(w.values for w in endowments))))
+    cases += [hard_ceiling_system(seed) for seed in range(200)]
+    refusals = 0
+    for s, W in cases:
+        screened = _screened_probes(monkeypatch, s, W)
+        if screened is None:
+            continue
+        probes, _, refused = screened
+        infinite = np.flatnonzero(np.isinf(market.lambda_batch(s, probes)))
+        if not infinite.size:
+            assert refused is None
+            continue
+        # the first infinite probe, scenario by scenario, up before down
+        refusals += 1
+        k = int(infinite[0])
+        step = probes[k, k // 2] - W.values[k // 2]
+        assert f"perturbing scenario {k // 2} by {step:+.1e} " in refused
+    assert refusals >= 20
+
+
+def test_probes_the_endowments_basis_rejects_are_solved(monkeypatch):
+    # a probe that leaves the optimal basis at W is finite, but only a
+    # solve of its own finds that
+    s, W = hard_ceiling_system(54)
+    probes, batch, refused = _screened_probes(monkeypatch, s, W)
+    assert refused is None
+    assert batch.solves >= 1
+    assert set(batch.status) == {"optimal"}
+    want = market.lambda_batch(s, probes)
+    assert np.abs(batch.objective_value - want).max() <= 1e-9 * (
+        1.0 + np.abs(want).max())
+
+
+def test_one_lp_builds_a_window_chain_equilibrium(monkeypatch):
+    s, _ = window_chain(16, n=2, seed=3)
+    rng = np.random.default_rng(4)
+    endowments = tuple(s.space.rv(rng.uniform(-5.0, 5.0, 16))
+                       for _ in range(2))
+    solves = _counted_solves(monkeypatch)
+    eq = build_equilibrium(s, endowments)
+    assert len(solves) == 1
+    del solves[:]
+    # verification stays independent: rho and conjugate per agent, Lambda
+    assert verify_equilibrium(s, endowments, eq).passed
+    assert len(solves) == 5
+    del solves[:]
+    phi = subgradient(s, s.space.rv(sum(w.values for w in endowments)))
+    assert len(solves) == 1
+    assert phi.weights.tobytes() == eq.price.weights.tobytes()
 
 
 def test_structural_guards(overlap_system):

@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from riskshare import lawinv
-from riskshare.errors import DomainError, NumericalFailure, StructuralError
+from riskshare import lawinv, market, regime
+from riskshare.errors import (
+    DomainError,
+    NumericalFailure,
+    RiskShareError,
+    StructuralError,
+)
 from riskshare.lawinv import (
     AvarEntropicResult,
     ComonotoneSplit,
@@ -20,6 +25,8 @@ from riskshare.lawinv import (
     law_invariant_requirement,
     validate_problem,
 )
+from riskshare.linprog import CERT_TOL
+from riskshare.market import AgentSystem
 from riskshare.regime import (
     AVAR,
     ENTROPIC,
@@ -1007,3 +1014,87 @@ def test_mixed_family_systems_are_rejected():
     s = AgentSystem((r1, law_regime(space, ent(1.0))))
     with pytest.raises(DomainError):
         capital_requirement(s, space.rv([1.0, 1.0, 1.0]))
+
+
+# ----------------------------------------------------------------------
+# the two sharing engines of entropic-free law-invariant systems
+# ----------------------------------------------------------------------
+
+def entropic_free_system(seed):
+    """AVaR and expectation agents with full support on a uniform space of
+    3-39 scenarios, 2-3 of them, each trading 1-2 payoffs (with
+    probability 1/2 the constant 1 among them) priced by one density of
+    mean one; and a loss."""
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(3, 40)), int(rng.integers(2, 4))
+    space = ScenarioSpace.uniform([f"s{j}" for j in range(m)])
+    q = rng.uniform(0.5, 1.5, m)
+    q /= space.probs @ q
+    regimes = []
+    for _ in range(n):
+        k = int(rng.integers(1, 3))
+        if rng.uniform() < 0.5:
+            B = np.hstack([np.ones((m, 1)), rng.normal(size=(m, k - 1))])
+        else:
+            B = rng.normal(size=(m, k))
+        market_ = SecurityMarket(tuple(space.rv(b) for b in B.T),
+                                 q * space.probs @ B)
+        acc = (LawInvariantAcceptanceSet(AVAR, rng.uniform(0.1, 0.9))
+               if rng.uniform() < 0.7 else
+               LawInvariantAcceptanceSet(EXPECTATION))
+        regimes.append(RiskMeasurementRegime(SupportMask.full(space), acc,
+                                             market_))
+    return AgentSystem(tuple(regimes)), space.rv(rng.normal(0.0, 2.0, m))
+
+
+def _engine_outcome(share):
+    """A sharing engine's value (+inf where infinite), or the type of its
+    refusal."""
+    try:
+        v = share().value
+    except RiskShareError as exc:
+        return type(exc)
+    return v.as_float() if v.is_finite else math.inf
+
+
+def _assert_same_outcome(s, X):
+    got = _engine_outcome(lambda: market.capital_requirement(s, X))
+    want = _engine_outcome(
+        lambda: market._capital_requirement_lp(s, X, True)[0])
+    if isinstance(want, float) and math.isfinite(want):
+        assert isinstance(got, float)
+        assert abs(got - want) <= CERT_TOL * (1.0 + abs(want))
+    else:
+        assert got == want
+
+
+def test_priced_density_refuses_only_an_infeasible_pricing_lp():
+    # the three clip-and-correct rounds leave this draw's density outside
+    # the dual box with a price residual of 2e-16; the nearest density in
+    # the box that prices the stacked basis is one LP away
+    s, X = entropic_free_system(13)
+    assert (s.space.size, s.n) == (36, 3)
+    v = market._capital_requirement_lp(s, X, True)[0].value.as_float()
+    assert v == 1.5743444325916587
+    res = market.capital_requirement(s, X)
+    assert res.method == "lawinv"
+    assert abs(res.value.as_float() - v) <= CERT_TOL * (1.0 + abs(v))
+    q = res.subgradient.density
+    assert q.min() >= 0.0
+    B, prices, _ = s.stacked_basis()
+    assert np.abs(B.T @ (q * s.space.probs) - prices).max() <= 1e-12
+    # no density in the box: the constant 1 priced above every cap
+    probs = s.space.probs
+    assert regime._nearest_priced_density(
+        np.ones(probs.size), 1.0, probs, np.ones((probs.size, 1)),
+        np.array([3.0]), 2.0) is None
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_law_invariant_engine_matches_the_joint_lp(seed):
+    # lawinv needs the unit in the aggregate span; the joint LP does not
+    s, X = entropic_free_system(seed)
+    assume(any(np.all(r.market.basis_matrix()[:, 0] == 1.0)
+               for r in s.regimes))
+    _assert_same_outcome(s, X)

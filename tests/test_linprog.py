@@ -416,8 +416,8 @@ def recording():
         digests.append(solution_digest(sol))
         return sol
 
-    def recorded_batch(p, rhs):
-        batch = batch_(p, rhs)
+    def recorded_batch(p, rhs, *args, **kwargs):
+        batch = batch_(p, rhs, *args, **kwargs)
         digests.append(batch_digest(batch))
         return batch
 

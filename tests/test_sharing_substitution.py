@@ -15,7 +15,10 @@ are permuted, which changes every holder.
 Each agent's block of an optimal sharing LP certifies its own rho LP at its
 part: a certified Lambda solves one LP, its agent risks agree with
 re-solved rho, and rho ignores a certificate that fails a check or that a
-cash agent is offered."""
+cash agent is offered.  The same block certifies the support LP of the
+agent's conjugate at the loss's shadow prices, which then ignores a failed
+certificate as rho does, and which a law-invariant agent answers in closed
+form whatever it is offered."""
 
 import math
 
@@ -41,6 +44,7 @@ from riskshare.regime import (
     PolyhedralAcceptanceSet,
     RiskMeasurementRegime,
     SecurityMarket,
+    conjugate,
     rho,
 )
 from riskshare.scenario import Functional, ScenarioSpace, SupportMask
@@ -178,7 +182,8 @@ def test_substituted_lp_matches_the_scenario_rows(drawn):
         assert np.abs(res.allocation.total() - X.values).max() <= 1e-9 * max(
             1.0, np.abs(X.values).max())
         # the loss's shadow prices close the Fenchel equality
-        assert equilibrium._verified_subgradient(s, X, res) is res.subgradient
+        assert equilibrium._verified_subgradient(s, X, res,
+                                                 None) is res.subgradient
     else:
         assert moved == value
 
@@ -293,4 +298,96 @@ def test_a_cash_agent_answers_alike_with_or_without_a_certificate(
     plain = rho(cash, parts[0])
     for certificate in ((x, duals), (x + 1.0, 2.0 * duals)):
         _assert_bitwise_same(rho(cash, parts[0], certificate), plain)
+    assert solves == []
+
+
+# ----------------------------------------------------------------------
+# each agent's conjugate from its block of the sharing LP
+# ----------------------------------------------------------------------
+
+def _conjugate_blocks(s, X):
+    """The sharing result at X and each agent's conjugate certificate."""
+    res, sharing = equilibrium._sharing(s, X, certify=False)
+    return res, equilibrium._conjugate_certificates(s, res, sharing)
+
+
+def _assert_certified_conjugates(monkeypatch, s, X):
+    """Each block-certified conjugate at the loss's shadow prices solves
+    nothing for a polyhedral agent and matches the re-solved conjugate."""
+    res, certificates = _conjugate_blocks(s, X)
+    phi = res.subgradient
+    solves = _counted_solves(monkeypatch)
+    certified = [conjugate(r, phi, c) for r, c in zip(s.regimes,
+                                                      certificates)]
+    assert solves == []
+    for r, v in zip(s.regimes, certified):
+        own = conjugate(r, phi).value
+        assert abs(v.value - own) <= linprog.CERT_TOL * (1.0 + abs(own))
+
+
+@pytest.mark.parametrize("m", [16, 80])
+def test_block_certified_conjugates_on_window_chains(monkeypatch, m):
+    s, X = window_chain(m)
+    _assert_certified_conjugates(monkeypatch, s, X)
+
+
+def test_block_certified_conjugates_on_partial_systems(monkeypatch):
+    finite = 0
+    for seed in range(240):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(2, 9))
+        kinds = ["polyhedral", *rng.choice(["polyhedral", "avar",
+                                            "expectation"],
+                                           int(rng.integers(1, 4)))]
+        s = partial_system(seed, m, kinds)
+        X = s.space.rv(rng.normal(0.0, 2.0, m))
+        try:
+            res = capital_requirement(s, X, certify=False)
+        except RiskShareError:
+            continue
+        if not res.value.is_finite:
+            continue
+        finite += 1
+        with monkeypatch.context() as mp:
+            _assert_certified_conjugates(mp, s, X)
+    assert finite >= 60
+
+
+def test_a_failed_certificate_leaves_conjugate_to_its_own_lp(monkeypatch):
+    s, X = window_chain(16)
+    res, certificates = _conjugate_blocks(s, X)
+    phi = res.subgradient
+    solves = _counted_solves(monkeypatch)
+    for r, (x, duals) in zip(s.regimes, certificates):
+        own = conjugate(r, phi)
+        # a tight row's dual is negative; moving Y along that row's
+        # weights pushes the row past its bound
+        assert duals.min() < 0.0
+        W, _, _, _ = r.lp_rows()
+        inc = r.support.included
+        off = x.copy()
+        off[:inc.sum()] += W[int(np.argmin(duals)), inc]
+        for corrupted in ((x, 2.0 * duals), (off, duals)):
+            before = len(solves)
+            v = conjugate(r, phi, corrupted)
+            assert len(solves) == before + 1
+            assert np.float64(v.value).tobytes() == np.float64(
+                own.value).tobytes()
+
+
+def test_law_invariant_conjugates_ignore_a_certificate(monkeypatch):
+    space = three_space()
+    cash = cash_market(space, 3.0)
+    s = AgentSystem((
+        law_invariant_regime(space, AVAR, 0.5, cash),
+        law_invariant_regime(space, EXPECTATION, 0.0, cash),
+        ceiling_regime(space, ["a", "b", "c"], [1.0, 2.0, 3.0])))
+    res, certificates = _conjugate_blocks(s, space.rv([1.0, -2.0, 0.5]))
+    phi = res.subgradient
+    solves = _counted_solves(monkeypatch)
+    for r, (x, duals) in zip(s.regimes[:2], certificates):
+        plain = conjugate(r, phi)
+        for certificate in ((x, duals), (x + 1.0, 2.0 * duals)):
+            assert np.float64(conjugate(r, phi, certificate).value).tobytes(
+                ) == np.float64(plain.value).tobytes()
     assert solves == []

@@ -72,9 +72,9 @@ def subgradient(s: market.AgentSystem, X: RandomVariable) -> Functional:
 def _sharing(s, X, certify):
     """capital_requirement at X, and on the joint LP the sharing LP it
     solved, (LpProblem, _SharingLayout, LpSolution); None in its place on
-    the law-invariant path.  A loss on another space goes to
-    capital_requirement, which refuses it."""
-    if s.is_law_invariant or X.space.labels != s.space.labels:
+    the law-invariant path (market._law_invariant_path).  A loss on
+    another space goes to capital_requirement, which refuses it."""
+    if market._law_invariant_path(s) or X.space.labels != s.space.labels:
         return market.capital_requirement(s, X, certify), None
     return market._capital_requirement_lp(s, X, certify)
 

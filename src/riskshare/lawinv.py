@@ -831,19 +831,43 @@ class LawInvariantSharingResult:
     certificates: dict = field(default_factory=dict)
 
 
-def _problem_search(prob: LawInvariantProblem, margin=None):
+def _unit_span(B):
+    """The orthonormal basis of the column span of B (_span_basis), or
+    None when the span does not hold the unit payoff 1 (a projection
+    residual above 1e-9)."""
+    span = _span_basis(B)
+    ones = np.ones(B.shape[0])
+    if float(np.max(np.abs(ones - span @ (span.T @ ones)))) > 1e-9:
+        return None
+    return span
+
+
+def _system_span(system):
+    """_unit_span of an agent system's stacked basis, computed once and
+    cached on the system: it decides whether an entropic-free system
+    shares here at all (market._law_invariant_path), and _system_problem
+    builds the kernel search over it."""
+    if "_lawinv_span" not in system.__dict__:
+        object.__setattr__(system, "_lawinv_span",
+                           _unit_span(system.stacked_basis()[0]))
+    return system._lawinv_span
+
+
+def _problem_search(prob: LawInvariantProblem, margin=None, span=None):
     """The market-only part of every requirement of `prob`, done once and
     cached on it: the orthonormal basis of the aggregate span (which must
-    hold the unit) and _kernel_search over it, with the unit payoff 1 at
-    price p.  `margin` is the pricing margin of q over the span when the
-    caller knows it (see _kernel_search)."""
+    hold the unit; _unit_span) and _kernel_search over it, with the unit
+    payoff 1 at price p.  `margin` is the pricing margin of q over the
+    span when the caller knows it (see _kernel_search), and `span` that
+    basis when the caller has it."""
     search = prob.__dict__.get("_search")
     if search is None:
         probs = prob.space.probs
-        span = _span_basis(prob.stacked_matrix())
-        ones = np.ones(prob.space.size)
-        if float(np.max(np.abs(ones - span @ (span.T @ ones)))) > 1e-9:
+        if span is None:
+            span = _unit_span(prob.stacked_matrix())
+        if span is None:
             raise DomainError("aggregate security span must contain the unit")
+        ones = np.ones(prob.space.size)
         price_row = prob.p * (probs * prob.q) @ span
         search = _kernel_search(prob.measures, probs, span, price_row, ones,
                                 prob.p, margin)
@@ -966,10 +990,13 @@ def _system_problem(system) -> LawInvariantProblem:
         measures=tuple(r.acceptance for r in system.regimes),
         security_bases=tuple(r.market.basis for r in system.regimes),
         q=d / p, p=p)
+    span = _system_span(system)
+    if span is None:
+        raise DomainError("aggregate security span must contain the unit")
     # q = d / p prices the span as d does the stacked securities, so its
     # margin over the span is margin / p: the kernel search needs no LP
     # of its own when the dual box is unbounded
-    _problem_search(prob, margin / p)
+    _problem_search(prob, margin / p, span)
     object.__setattr__(system, "_lawinv_problem", prob)
     return prob
 
@@ -988,28 +1015,35 @@ def law_invariant_value(system, rows) -> np.ndarray:
 def law_invariant_sharing(system, X: RandomVariable, certify: bool = True):
     """Adapter for agent systems whose members are all law-invariant: run
     the requirement on the system's (p, Q) pricing form (_system_problem)
-    and, with `certify`, check that the per-agent risks of the returned
-    allocation sum to it (otherwise agent_risks is None)."""
+    and price its dual density into a supporting functional phi.  With
+    `certify`, each agent's rho of its part takes as certificate (rho)
+    the coefficients of its security with phi, which bracket it by weak
+    duality without a search of its own (an agent whose bracket is too
+    wide, or a cash agent, answers by its own search), and the per-agent
+    risks must sum to the requirement; otherwise agent_risks is None."""
     from .market import Allocation, SharingResult
 
     prob = _system_problem(system)
     res = law_invariant_requirement(prob, X)
     value = res.value.as_float()
-    agent_risks = None
-    if certify:
-        agent_risks = [rho(r, pt).value
-                       for r, pt in zip(system.regimes, res.parts)]
-        total = sum(v.as_float() for v in agent_risks)
-        if abs(total - value) > CERT_TOL * (1.0 + abs(value)):
-            raise InternalInconsistency(
-                f"sum of certified agent risks {total} != requirement {value}"
-            )
     # a supporting functional must satisfy the dual constraints outright
     space = system.space
     B, prices, _ = system.stacked_basis()
     q_star = _priced_density(res.dual_density, prob.p, space.probs, B, prices,
                              min(ms.dual_cap() for ms in prob.measures))
     subgradient = Functional(space, prob.p * q_star)
+    agent_risks = None
+    if certify:
+        agent_risks = []
+        for r, pt, sec in zip(system.regimes, res.parts, res.securities):
+            z = r.market.coefficients_of(sec.values)
+            agent_risks.append(rho(r, pt, None if z is None
+                                   else (z, subgradient)).value)
+        total = sum(v.as_float() for v in agent_risks)
+        if abs(total - value) > CERT_TOL * (1.0 + abs(value)):
+            raise InternalInconsistency(
+                f"sum of certified agent risks {total} != requirement {value}"
+            )
     return SharingResult(
         value=res.value,
         allocation=Allocation(res.parts),

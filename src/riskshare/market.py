@@ -43,6 +43,7 @@ from .errors import (
     StructuralError,
 )
 from .regime import (
+    ENTROPIC,
     RiskValue,
     ValidationReport,
     _arbitrage_verdict,
@@ -370,16 +371,33 @@ class SharingResult:
     dual_degenerate: bool = False          # subgradient may be non-unique
 
 
+def _law_invariant_path(s: AgentSystem) -> bool:
+    """Whether s shares on the law-invariant engine (lawinv) rather than
+    the joint LP: every agent is law-invariant, and one is entropic,
+    which the joint LP cannot state, or the aggregate span holds the
+    unit, which lawinv's pricing form needs (lawinv._system_span, cached
+    on the system and reused by that form).  capital_requirement,
+    lambda_batch and equilibrium's sharing route by it."""
+    if not s.is_law_invariant:
+        return False
+    if any(r.acceptance.kind == ENTROPIC for r in s.regimes):
+        return True
+    from . import lawinv
+    return lawinv._system_span(s) is not None
+
+
 def capital_requirement(s: AgentSystem, X: RandomVariable,
                         certify: bool = True) -> SharingResult:
     """Lambda(X) with a Pareto-optimal allocation and an optimal payoff.
 
     Fully law-invariant systems route through the law-invariant
     machinery, whose market-only work is done once per system
-    (lawinv._system_problem); any other system solves one joint LP
-    (_sharing_lp), which refuses an entropic agent.  Either path decides
-    pi(0) from its first LP (_ensure_shareable) and refuses scalable
-    arbitrage before any other refusal.  On the joint LP the parts are its
+    (lawinv._system_problem), unless they are entropic-free and their
+    aggregate span lacks the unit (_law_invariant_path); any other
+    system solves one joint LP (_sharing_lp), which refuses an entropic
+    agent.  Either path decides pi(0) from its first LP
+    (_ensure_shareable) and refuses scalable arbitrage before any other
+    refusal.  On the joint LP the parts are its
     free coordinates and each holder's remainder (_SharingLayout.parts),
     whose sum must still be the loss within 1e-9 (a remainder can lose a
     small coordinate to cancellation against huge parts), and the
@@ -390,13 +408,16 @@ def capital_requirement(s: AgentSystem, X: RandomVariable,
     rho takes its agent's block of the optimal solution as the certificate
     of its own LP (_SharingLayout.certificates) and solves that LP only
     where the certificate fails a check, so an agent's risk there carries
-    the sharing LP's certificate, not the bits of a solve of its own; the
-    law-invariant path recomputes rho of every part.  A caller that needs
+    the sharing LP's certificate, not the bits of a solve of its own.  On
+    the law-invariant path rho takes the coefficients of its agent's
+    security and the sharing's subgradient, which bracket it by weak
+    duality (regime.rho), so no agent searches unless its bracket is too
+    wide; a cash agent answers by its closed form.  A caller that needs
     only the value uses lambda_batch.
     """
     if X.space.labels != s.space.labels:
         raise StructuralError("loss profile on a different scenario space")
-    if s.is_law_invariant:
+    if _law_invariant_path(s):
         from . import lawinv
         return lawinv.law_invariant_sharing(s, X, certify)
     return _capital_requirement_lp(s, X, certify)[0]
@@ -614,10 +635,11 @@ def lambda_batch(s: AgentSystem, targets) -> np.ndarray:
     so linprog.solve_batch solves one LP per optimal basis and screens
     the other rows; the loss's shadow prices -M^T lambda of its first
     optimal solve decide pi(0) (_ensure_shareable).  With no scenario row
-    there is no allocation sum to check.  A law-invariant system, whose
-    pricing density decides pi(0), prices all rows with one kernel search
-    on its cached market-only preamble (lawinv.law_invariant_value; the
-    kernel Newton search runs the rows in lockstep): each row's primal
+    there is no allocation sum to check.  A system on the law-invariant
+    path (_law_invariant_path), whose pricing density decides pi(0),
+    prices all rows with one kernel search on its cached market-only
+    preamble (lawinv.law_invariant_value; the kernel Newton search runs
+    the rows in lockstep): each row's primal
     certificate is lawinv._unwind's acceptable parts of X - Z, and there
     is no allocation, per-agent rho or subgradient.  Its values are
     capital_requirement's, bitwise, and so are its refusals, the first
@@ -628,7 +650,7 @@ def lambda_batch(s: AgentSystem, targets) -> np.ndarray:
         raise StructuralError(f"loss profiles must form an (N, {m}) array")
     if not np.all(np.isfinite(targets)):
         raise StructuralError("loss profiles must be finite")
-    if s.is_law_invariant:
+    if _law_invariant_path(s):
         from . import lawinv
         return lawinv.law_invariant_value(s, targets)
     with _verdict_first(s):

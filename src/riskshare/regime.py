@@ -719,23 +719,39 @@ def rho(r: RiskMeasurementRegime, X: RandomVariable,
     market basis after an entropic search, whose outcome has none.  A
     refused row raises its refusal.
 
-    `certificate` = (x, duals) offers a solution of rho's own LP at X
-    (_rho_lp over lp_rows()): a point x = (z, a) of security
-    coefficients and auxiliaries, and one dual per row, such as an
-    agent's block of an optimal sharing LP.  Outside a cash market, and
-    for an agent that is not entropic, rho builds that LP and checks the
-    certificate (linprog.certified_objective); when it holds, rho is its
-    value c.x, with the security B z and the coefficients z, and no LP is
-    solved, so the value carries the certificate rho's LP checks, not the
-    bits of rho's own solve.  A certificate that fails a check is ignored,
-    and so is one offered to a cash or entropic agent: rho then answers as
-    without one."""
+    A certificate offers rho's answer without a search, in one of two
+    forms; outside a cash market rho checks it, and when it holds rho
+    answers from it, with the security B z and the coefficients z, so
+    the value carries the certificate's check, not the bits of rho's own
+    search.  A certificate that fails its check is ignored, and so is one
+    offered to a cash agent, whose closed form costs one base risk: rho
+    then answers as without one.
+
+    * (x, duals) offers a solution of rho's own LP at X (_rho_lp over
+      lp_rows()) to an agent that is not entropic: a point x = (z, a) of
+      security coefficients and auxiliaries, and one dual per row, such
+      as an agent's block of an optimal sharing LP.  rho builds that LP
+      and checks it (linprog.certified_objective); its value is c.x.
+    * (z, phi), phi a Functional, offers a law-invariant agent security
+      coefficients z and a supporting functional phi, such as its
+      security in a law-invariant sharing and the sharing's subgradient.
+      Weak duality brackets rho(X) with no search: above by price(z)
+      when xi(X - B z) <= CERT_TOL (1 + max|X|) (one base risk), below by
+      phi(X) - conjugate(r, phi) (a closed form, -inf when phi misprices
+      the market).  When the two agree within CERT_TOL (1 + |price(z)|),
+      rho is price(z).  Summed over the agents of a sharing the lower
+      bounds are the Fenchel dual value at phi and the upper bounds are
+      Lambda, so each agent's width is nonnegative and the widths add up
+      to the sharing search's own duality gap."""
     if X.space.labels != r.space.labels:
         raise StructuralError("loss profile on a different scenario space")
     if not r.support.contains(X, tol=1e-9):
         raise DomainError("loss profile lies outside the regime's support ideal")
-    if certificate is not None:
-        certified = _certified_rho(r, X.values, *certificate)
+    if certificate is not None and r.market.cash_unit_price() is None:
+        x, dual = certificate
+        certified = (_bracketed_rho(r, X, x, dual)
+                     if isinstance(dual, Functional)
+                     else _certified_rho(r, X.values, x, dual))
         if certified is not None:
             return certified
     values, Z, w, refusals = _rho_search(r, X.values[None, :])
@@ -868,11 +884,10 @@ def _rho_rows(r, form, xvals):
 
 def _certified_rho(r, xvals, x, duals):
     """rho's answer at the loss profile xvals from the certificate (x,
-    duals) of its LP (rho), or None when the market is cash-only, the
-    agent is entropic, or linprog.certified_objective refuses it."""
+    duals) of its LP (rho), or None when the agent is entropic or
+    linprog.certified_objective refuses it."""
     mkt = r.market
-    if mkt.cash_unit_price() is not None or (
-            r.is_law_invariant and r.acceptance.kind == ENTROPIC):
+    if r.is_law_invariant and r.acceptance.kind == ENTROPIC:
         return None
     form = r.lp_rows()
     W, _, bounds, _ = form
@@ -884,6 +899,30 @@ def _certified_rho(r, xvals, x, duals):
     z = np.asarray(x, dtype=float)[:mkt.dim]
     return RhoResult(value=RiskValue.finite(value),
                      security=RandomVariable(r.space, B @ z), coefficients=z)
+
+
+def _bracketed_rho(r, X, z, phi):
+    """rho's answer at X from the law-invariant certificate (z, phi)
+    (rho): price(z) when xi(X - B z) <= CERT_TOL (1 + max|X|) and
+    phi(X) - conjugate(r, phi) lies within CERT_TOL (1 + |price(z)|) of
+    it; None when a check fails or the agent is not law-invariant."""
+    if not r.is_law_invariant:
+        return None
+    mkt = r.market
+    z = np.asarray(z, dtype=float)
+    Z = mkt.basis_matrix() @ z
+    slack = r.acceptance.xi(r.space.probs, X.values - Z)
+    # the negated comparisons also refuse a NaN
+    if not slack <= linprog.CERT_TOL * (1.0 + float(np.abs(X.values).max())):
+        return None
+    upper = mkt.price(z)
+    conj = conjugate(r, phi)
+    if not conj.is_finite or not abs(
+            upper - (phi(X) - conj.as_float())) <= linprog.CERT_TOL * (
+                1.0 + abs(upper)):
+        return None
+    return RhoResult(value=RiskValue.finite(upper),
+                     security=RandomVariable(r.space, Z), coefficients=z)
 
 
 def _rho_law_invariant(r):

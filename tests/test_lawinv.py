@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from riskshare import lawinv, market, regime
+from riskshare import equilibrium, lawinv, market, regime
 from riskshare.errors import (
     DomainError,
     NumericalFailure,
@@ -1093,8 +1093,26 @@ def test_priced_density_refuses_only_an_infeasible_pricing_lp():
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_law_invariant_engine_matches_the_joint_lp(seed):
-    # lawinv needs the unit in the aggregate span; the joint LP does not
+    # a system whose aggregate span lacks the unit shares on the joint LP
     s, X = entropic_free_system(seed)
-    assume(any(np.all(r.market.basis_matrix()[:, 0] == 1.0)
-               for r in s.regimes))
     _assert_same_outcome(s, X)
+
+
+def test_entropic_free_systems_without_the_unit_share_on_the_joint_lp():
+    # the aggregate span of draw 63 lacks the unit, which lawinv's
+    # pricing form needs; capital_requirement, lambda_batch and the
+    # equilibrium's sharing all take the joint LP, which answers
+    s, X = entropic_free_system(63)
+    assert lawinv._system_span(s) is None
+    v = market._capital_requirement_lp(s, X, True)[0].value.as_float()
+    assert abs(v - 0.2296) <= 1e-4
+    res = market.capital_requirement(s, X)
+    assert res.method == "joint_lp"
+    assert res.value.as_float() == v
+    assert market.lambda_batch(s, X.values[None, :])[0] == v
+    shared, sharing = equilibrium._sharing(s, X, certify=False)
+    assert shared.method == "joint_lp" and sharing is not None
+    # with the unit in the span the system stays on lawinv
+    s, X = entropic_free_system(13)
+    assert lawinv._system_span(s) is not None
+    assert market.capital_requirement(s, X).method == "lawinv"

@@ -18,7 +18,12 @@ re-solved rho, and rho ignores a certificate that fails a check or that a
 cash agent is offered.  The same block certifies the support LP of the
 agent's conjugate at the loss's shadow prices, which then ignores a failed
 certificate as rho does, and which a law-invariant agent answers in closed
-form whatever it is offered."""
+form whatever it is offered.
+
+On the law-invariant engine each agent's security and the sharing's
+subgradient bracket its rho by weak duality: a certified Lambda runs one
+search, its agent risks agree with re-solved rho, and rho ignores a
+bracket that fails a check or that a cash agent is offered."""
 
 import math
 
@@ -34,11 +39,12 @@ from helpers import (
     three_space,
 )
 from oracles import scenario_row_sharing_lp
-from riskshare import equilibrium, linprog, market
+from riskshare import equilibrium, lawinv, linprog, market, regime
 from riskshare.errors import RiskShareError
 from riskshare.market import AgentSystem, capital_requirement
 from riskshare.regime import (
     AVAR,
+    ENTROPIC,
     EXPECTATION,
     LawInvariantAcceptanceSet,
     PolyhedralAcceptanceSet,
@@ -50,6 +56,7 @@ from riskshare.regime import (
 from riskshare.scenario import Functional, ScenarioSpace, SupportMask
 
 from test_arbitrage_verdict import drawn_system
+from test_lawinv import entropic_free_system
 from test_linprog import window_chain
 
 MODES = ("own", "aggregate", "none")
@@ -391,3 +398,144 @@ def test_law_invariant_conjugates_ignore_a_certificate(monkeypatch):
             assert np.float64(conjugate(r, phi, certificate).value).tobytes(
                 ) == np.float64(plain.value).tobytes()
     assert solves == []
+
+
+# ----------------------------------------------------------------------
+# each law-invariant agent's requirement from the sharing's subgradient
+# ----------------------------------------------------------------------
+
+def tail_entropic_system(seed):
+    """An AVaR agent and an entropic agent on 4-12 uniform scenarios, both
+    trading the unit at price 1 and the indicator of an event A at a price
+    Q*(A) strictly inside the range the AVaR dual box allows, so the
+    market has a zero-price kernel direction; and a loss."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(4, 13))
+    space = ScenarioSpace.uniform([f"s{j}" for j in range(m)])
+    a_mask = np.zeros(m, dtype=bool)
+    a_mask[rng.choice(m, size=int(rng.integers(1, m)), replace=False)] = True
+    beta, gamma = rng.uniform(0.1, 0.7), rng.uniform(0.5, 2.0)
+    cap, pa = 1.0 / (1.0 - beta), a_mask.mean()
+    lo, hi = max(0.0, 1.0 - cap * (1.0 - pa)), min(cap * pa, 1.0)
+    qa = lo + (hi - lo) * rng.uniform(0.2, 0.8)
+    mkt = SecurityMarket((space.rv(np.ones(m)), space.rv(a_mask * 1.0)),
+                         np.array([1.0, qa]))
+    s = AgentSystem((law_invariant_regime(space, AVAR, beta, mkt),
+                     law_invariant_regime(space, ENTROPIC, gamma, mkt)))
+    return s, space.rv(rng.normal(0.0, 1.0, m))
+
+
+def _counted_searches(monkeypatch):
+    """The list of the regimes of every regime._rho_search call."""
+    searched = []
+    search = regime._rho_search
+
+    def counted(r, rows):
+        searched.append(r)
+        return search(r, rows)
+
+    monkeypatch.setattr(regime, "_rho_search", counted)
+    return searched
+
+
+def _assert_bracketed_risks(monkeypatch, s, X):
+    """A certified law-invariant Lambda whose agents' risks come from
+    their brackets, with no search but a cash agent's closed form, and
+    agree with re-solved rho; False when the system has no finite
+    Lambda on lawinv."""
+    with monkeypatch.context() as mp:
+        searched = _counted_searches(mp)
+        try:
+            res = capital_requirement(s, X, certify=True)
+        except RiskShareError:
+            return False
+    if res.method != "lawinv" or not res.value.is_finite:
+        return False
+    assert all(r.market.cash_unit_price() is not None for r in searched)
+    _assert_risks_are_rhos(s, res)
+    return True
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_bracketed_agent_risks_are_rho_on_tail_entropic_systems(seed):
+    with pytest.MonkeyPatch.context() as mp:
+        assert _assert_bracketed_risks(mp, *tail_entropic_system(seed))
+
+
+def test_bracketed_agent_risks_are_rho_on_entropic_free_systems(monkeypatch):
+    finite = sum(_assert_bracketed_risks(monkeypatch,
+                                         *entropic_free_system(seed))
+                 for seed in range(150))
+    assert finite >= 40
+
+
+def _bracket_blocks(s, X):
+    """The law-invariant sharing at X, and each agent's certificate: the
+    coefficients of its security and the sharing's subgradient."""
+    res = lawinv.law_invariant_requirement(lawinv._system_problem(s), X)
+    phi = capital_requirement(s, X, certify=False).subgradient
+    return res.parts, [(r.market.coefficients_of(sec.values), phi)
+                       for r, sec in zip(s.regimes, res.securities)]
+
+
+def test_a_failed_bracket_leaves_rho_to_its_own_search(monkeypatch):
+    s, X = tail_entropic_system(3)
+    parts, certificates = _bracket_blocks(s, X)
+    searched = _counted_searches(monkeypatch)
+    for r, part, (z, phi) in zip(s.regimes, parts, certificates):
+        own = rho(r, part)
+        before = len(searched)
+        certified = rho(r, part, (z, phi))
+        assert len(searched) == before
+        v = own.value.value
+        assert abs(certified.value.value - v) <= linprog.CERT_TOL * (
+            1.0 + abs(v))
+        # twice phi prices the unit at 2; z moved along the market's
+        # zero-price direction keeps its price and the lower bound, and
+        # leaves X - B z unacceptable
+        doubled = Functional(s.space, 2.0 * phi.density)
+        off = z + np.array([-r.market.prices[1], 1.0])
+        assert r.market.price(off) == pytest.approx(r.market.price(z))
+        assert r.acceptance.xi(s.space.probs, part.values
+                               - r.market.basis_matrix() @ off) > 1e-3
+        for corrupted in ((z, doubled), (off, phi)):
+            before = len(searched)
+            _assert_bitwise_same(rho(r, part, corrupted), own)
+            assert len(searched) == before + 1
+
+
+def test_a_cash_agent_ignores_a_bracket():
+    space = ScenarioSpace.uniform(["a", "b", "c", "d"])
+    kernel = SecurityMarket((space.rv(np.ones(4)),
+                             space.rv([1.0, 0.0, 0.0, 1.0])),
+                            np.array([1.0, 0.4]))
+    s = AgentSystem((law_invariant_regime(space, AVAR, 0.5,
+                                          cash_market(space)),
+                     law_invariant_regime(space, ENTROPIC, 1.5, kernel)))
+    X = space.rv([1.0, -2.0, 0.5, 3.0])
+    parts, certificates = _bracket_blocks(s, X)
+    cash = s.regimes[0]
+    z, phi = certificates[0]
+    plain = rho(cash, parts[0])
+    doubled = Functional(space, 2.0 * phi.density)
+    for certificate in ((z, phi), (z + 1.0, doubled)):
+        _assert_bitwise_same(rho(cash, parts[0], certificate), plain)
+
+
+def test_certified_tail_entropic_lambda_is_one_lp_and_one_search(
+        monkeypatch):
+    # the first request fills the market's kept answers; a new system over
+    # the same agents then solves the kernel search's pricing margin in the
+    # AVaR box and runs the kernel Newton search of Lambda, and its agents'
+    # risks come from their brackets
+    s, X = tail_entropic_system(3)
+    capital_requirement(s, X, certify=True)
+    solves = _counted_solves(monkeypatch)
+    searches = []
+    newton = lawinv._kernel_newton
+    monkeypatch.setattr(lawinv, "_kernel_newton",
+                        lambda *a: searches.append(a) or newton(*a))
+    res = capital_requirement(AgentSystem(s.regimes), X, certify=True)
+    assert res.method == "lawinv"
+    assert (len(solves), len(searches)) == (1, 1)

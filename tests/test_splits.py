@@ -162,9 +162,9 @@ def test_sweep_work_counts_on_identical_entropic_agents(monkeypatch):
 
     solve = linprog.solve
 
-    def counted_rho(r, Y):
+    def counted_rho(r, Y, certificate=None):
         rho_calls.append(len(built))
-        return rho(r, Y)
+        return rho(r, Y, certificate)
 
     monkeypatch.setattr(market, "AgentSystem", CountedSystem)
     monkeypatch.setattr(linprog, "solve",

@@ -45,7 +45,6 @@ from .regime import (
     _cap_fill,
     _evaluate_rows,
     _kernel_newton,
-    _logsumexp,
     _lp_rows,
     _priced_density,
     _pricing_margin,
@@ -66,11 +65,8 @@ from .scenario import (
 
 __all__ = [
     "ComonotoneSplit",
-    "entropic_infconv",
     "convolution_value",
     "convolution_split",
-    "EntropicPairResult",
-    "entropic_pair_sharing",
     "AvarEntropicResult",
     "avar_entropic_sharing",
     "LawInvariantProblem",
@@ -480,16 +476,6 @@ def _kernel_search(measures, probs, B, prices, U, price, margin=None):
     return newton
 
 
-def entropic_infconv(alphas, X: RandomVariable):
-    """Convolution of entropic base measures: the entropic measure at the
-    harmonic-sum parameter, attained by the proportional split."""
-    alphas = [float(a) for a in alphas]
-    if not alphas or any(a <= 0 for a in alphas):
-        raise DomainError("entropic parameters must be positive")
-    measures = tuple(LawInvariantAcceptanceSet(ENTROPIC, a) for a in alphas)
-    return convolution_split(measures, X.space.probs, X.values)
-
-
 def _unwind(measures, probs, y):
     """A securitized remainder y unwound into one acceptable part per
     agent: the comonotone split of convolution_split, with constants
@@ -516,95 +502,11 @@ def _unwind(measures, probs, y):
 
 
 # ----------------------------------------------------------------------
-# the two-entropic-agent market
-# ----------------------------------------------------------------------
-
-@dataclass
-class EntropicPairResult:
-    value: float
-    r_star: float
-    cash: float                       # value / p, the traded cash layer
-    kernel: RandomVariable            # r* (1_A - 1_{A^c}), price zero
-    parts: tuple                      # final positions, summing to X
-    acceptable_parts: tuple
-    securities: tuple
-    split: ComonotoneSplit
-    certificates: dict = field(default_factory=dict)
-
-
-def entropic_pair_sharing(p: float, alphas, a_labels,
-                          X: RandomVariable) -> EntropicPairResult:
-    """Two entropic agents trading cash (price p) and the zero-price spread
-    1_A - 1_{A^c} (the pricing measure puts mass 1/2 on A).
-
-    The requirement has a closed form,
-
-        value = (p / (2 alpha)) (log E[e^{aX} 1_A] + log E[e^{aX} 1_{A^c}]
-                                 + 2 log 2),
-
-    and the optimal spread position r* solves the boundary equation
-    e^{-ar} a~ + e^{ar} b~ = 1, a quadratic in e^{ar} whose discriminant
-    vanishes at the optimum.
-    """
-    if p <= 0:
-        raise DomainError("cash price scale must be positive")
-    b_param, g_param = (float(a) for a in alphas)
-    if b_param <= 0 or g_param <= 0:
-        raise DomainError("entropic parameters must be positive")
-    space = X.space
-    mask = np.isin(np.array(space.labels), np.asarray(list(a_labels)))
-    pa = float(space.probs[mask].sum())
-    if not 0.0 < pa < 1.0:
-        raise DomainError("the event A must be a nonempty proper subset")
-    alpha = 1.0 / (1.0 / b_param + 1.0 / g_param)
-    probs = space.probs
-    log_a = float(_logsumexp(alpha * X.values[mask], probs[mask]))
-    log_b = float(_logsumexp(alpha * X.values[~mask], probs[~mask]))
-    value = (p / (2.0 * alpha)) * (log_a + log_b + 2.0 * math.log(2.0))
-    cash = value / p
-
-    # boundary quadratic in u = e^{alpha r}:  b~ u^2 - u + a~ = 0
-    a_t = math.exp(log_a - alpha * cash)
-    b_t = math.exp(log_b - alpha * cash)
-    disc = 1.0 - 4.0 * a_t * b_t
-    if disc < -1e-10:
-        raise InternalInconsistency(
-            f"boundary quadratic has negative discriminant {disc:.2e}"
-        )
-    u = (1.0 + math.sqrt(max(disc, 0.0))) / (2.0 * b_t)
-    r_star = math.log(u) / alpha
-    closed_ratio = (log_a - log_b) / (2.0 * alpha)
-    if abs(r_star - closed_ratio) > 1e-7 * (1.0 + abs(r_star)):
-        raise InternalInconsistency(
-            "quadratic root and closed-ratio solutions disagree"
-        )
-
-    spread = np.where(mask, 1.0, -1.0)
-    kernel = RandomVariable(space, r_star * spread)
-    y = X.values - cash - kernel.values
-    measures = (LawInvariantAcceptanceSet(ENTROPIC, b_param),
-                LawInvariantAcceptanceSet(ENTROPIC, g_param))
-    # the slack above the boundary is a part risk, checked by _unwind
-    boundary, split, acc_vals, part_risks = _unwind(measures, probs, y)
-    if abs(boundary) > CERT_TOL:
-        raise InternalInconsistency(
-            f"securitized remainder misses the acceptance boundary by "
-            f"{boundary:.2e}"
-        )
-    acc_parts = [RandomVariable(space, v) for v in acc_vals]
-    sec1 = RandomVariable(space, cash * np.ones(space.size) + kernel.values)
-    sec2 = RandomVariable(space, np.zeros(space.size))
-    parts = (acc_parts[0] + sec1, acc_parts[1] + sec2)
-    certs = {"aggregate_boundary": boundary, "part_risks": part_risks}
-    return EntropicPairResult(
-        value=value, r_star=r_star, cash=cash, kernel=kernel,
-        parts=parts, acceptable_parts=tuple(acc_parts),
-        securities=(sec1, sec2), split=split, certificates=certs)
-
-
-# ----------------------------------------------------------------------
 # the AVaR + entropic market
 # ----------------------------------------------------------------------
+# No command runs this closed form: it stays in the library because
+# perfbench's `lawinv-lambda` workload imports avar_entropic_sharing as
+# the reference its Lambda is checked against.
 
 @dataclass
 class AvarEntropicResult:

@@ -61,12 +61,8 @@ __all__ = [
     "nsa_check",
     "capital_requirement",
     "lambda_batch",
-    "capital_requirement_payoff_form",
-    "pareto_from_payoff",
-    "security_selection",
     "selection_blocks",
     "shift_allocation",
-    "level_set_certificate",
 ]
 
 SPAN_TOL = 1e-10
@@ -435,7 +431,6 @@ class _SharingLayout:
     free: tuple               # per agent, the scenarios of its coordinates
     starts: tuple             # per agent, its first column
     row_starts: tuple         # per agent, its first acceptance row
-    payoffs: np.ndarray       # the aggregate columns' payoffs (m, k)
 
     def rhs(self, targets):
         """bounds - M target: the right-hand side for one loss, or one row
@@ -449,18 +444,16 @@ class _SharingLayout:
     def parts(self, primal, target):
         """The parts of `target` that `primal` holds, one row per agent:
         the free coordinates first, then each holder's remainder
-        target[w] - B[w] w - (the other agents' coordinates at w)."""
+        target[w] - (the other agents' coordinates at w)."""
         parts = np.zeros((len(self.free), target.size))
         for i, (f, o) in enumerate(zip(self.free, self.starts)):
             parts[i, f] = primal[o:o + f.size]
-        rest = target - parts.sum(axis=0)
-        if self.payoffs.shape[1]:
-            rest -= self.payoffs @ primal[:self.payoffs.shape[1]]
-        parts[self.holder, np.arange(target.size)] = rest
+        parts[self.holder, np.arange(target.size)] = (
+            target - parts.sum(axis=0))
         return parts
 
     def certificates(self, primal, duals):
-        """Per agent i of an "own" sharing LP, the certificate (x_i, y_i)
+        """Per agent i of the sharing LP, the certificate (x_i, y_i)
         that an optimal solution's block gives i's own rho LP
         (regime._rho_lp) at its part: x_i its z_i and auxiliaries, y_i
         its rows' duals.  Those columns meet no other agent's rows, so y_i
@@ -473,48 +466,34 @@ class _SharingLayout:
                 for f, (o, end), (a, b) in zip(self.free, cols, rows)]
 
 
-def _sharing_lp(s: AgentSystem, target: np.ndarray,
-                securities: str = "own"):
-    """The sharing LP of `s`: each agent's parts lie in its acceptance
-    set, the parts add up to `target` scenario by scenario, and the cost
-    prices every security column.  Every agent enters through its LP form
-    (RiskMeasurementRegime.lp_rows), so polyhedral, AVaR and expectation
-    agents share here; an entropic agent has no such form and is refused.
-
-    `securities` names where the securities enter:
-    * "own": each agent's own security coefficients z_i, priced by its
-      market (Lambda in allocation form);
-    * "aggregate": the payoff Z = B w on the columns of
-      s.stacked_basis(), priced by the stacked prices (the payoff form);
-    * "none": no security columns and a zero cost (membership in A_+).
+def _sharing_lp(s: AgentSystem, target: np.ndarray):
+    """The sharing LP of `s` in allocation form: each agent's part lies in
+    its acceptance set up to its own securities B_i z_i, priced by its
+    market, and the parts add up to `target` scenario by scenario.  Every
+    agent enters through its LP form (RiskMeasurementRegime.lp_rows), so
+    polyhedral, AVaR and expectation agents share here; an entropic agent
+    has no such form and is refused.
 
     The parts add up to the target without a row for it: the holder h(w)
     of scenario w, the first agent in system order whose support holds
-    w, takes the remainder  X_h[w] = target[w] - B[w] w - sum_{j != h}
-    X_j[w],  substituted into h's acceptance rows (the free-column
-    substitution of presolve: Andersen and Andersen, Math. Prog. 71
-    (1995)).  M holds W_h[:, w] in h's rows for every scenario w that h
-    holds, so the right-hand side is  bounds - M target.
+    w, takes the remainder  X_h[w] = target[w] - sum_{j != h} X_j[w],
+    substituted into h's acceptance rows (the free-column substitution of
+    presolve: Andersen and Andersen, Math. Prog. 71 (1995)).  M holds
+    W_h[:, w] in h's rows for every scenario w that h holds, so the
+    right-hand side is  bounds - M target.
 
-    Columns: the aggregate columns w (if any), then per agent i the
-    coordinates X_i[w] of its supported scenarios that it does not hold,
-    in scenario order, then its own z_i (if any), then its auxiliaries
-    a_i >= aux_lower_i; every other column is free.  Rows, all <=: the
-    acceptance blocks  W_i[:, free_i] | -W_i B_i | A_i,  block-diagonal in
-    agent order, with -W_h[:, w] in holder h's rows of each column
-    X_j[w] and  -W_h[:, held_h] B[held_h]  in the aggregate columns.
-    W B is the full product, not W[:, inc] B[inc], which can differ in
-    the last bit.
+    Columns: per agent i the coordinates X_i[w] of its supported scenarios
+    that it does not hold, in scenario order, then its own z_i, then its
+    auxiliaries a_i >= aux_lower_i; every other column is free.  Rows, all
+    <=: the acceptance blocks  W_i[:, free_i] | -W_i B_i | A_i,
+    block-diagonal in agent order, with -W_h[:, w] in holder h's rows of
+    each column X_j[w].  W B is the full product, not W[:, inc] B[inc],
+    which can differ in the last bit.
 
     Returns (LpProblem, _SharingLayout).
     """
     m = s.space.size
     forms = [r.lp_rows() for r in s.regimes]
-    own = securities == "own"
-    if securities == "aggregate":
-        B, prices, _ = s.stacked_basis()
-    else:
-        B, prices = np.zeros((m, 0)), np.zeros(0)
     holder = np.argmax([r.support.included for r in s.regimes], axis=0)
     J = sum(W.shape[0] for W, _, _, _ in forms)
     M = np.zeros((J, m))
@@ -524,28 +503,24 @@ def _sharing_lp(s: AgentSystem, target: np.ndarray,
         row_starts.append(row)
         M[row:row + W.shape[0], held] = W[:, held]
         free.append(np.flatnonzero(r.support.included & ~held))
-        z = [-(W @ r.market.basis_matrix())] if own else []
-        blocks.append(np.hstack([W[:, free[-1]], *z, A]))
+        blocks.append(np.hstack([W[:, free[-1]],
+                                 -(W @ r.market.basis_matrix()), A]))
         row += W.shape[0]
-    k = B.shape[1]
-    rows = np.zeros((J, k + sum(b.shape[1] for b in blocks)))
-    rows[:, :k] -= M @ B
+    rows = np.zeros((J, sum(b.shape[1] for b in blocks)))
     c = np.zeros(rows.shape[1])
-    c[:k] = prices
     lower = np.full(rows.shape[1], -math.inf)
-    starts, row, col = [], 0, k
+    starts, row, col = [], 0, 0
     for r, f, b, (_, _, _, aux_lower) in zip(s.regimes, free, blocks, forms):
         rows[row:row + b.shape[0], col:col + b.shape[1]] = b
         rows[:, col:col + f.size] -= M[:, f]
-        if own:
-            c[col + f.size:col + f.size + r.market.dim] = r.market.prices
+        c[col + f.size:col + f.size + r.market.dim] = r.market.prices
         lower[col + b.shape[1] - aux_lower.size:col + b.shape[1]] = aux_lower
         starts.append(col)
         row += b.shape[0]
         col += b.shape[1]
     layout = _SharingLayout(
         np.concatenate([bounds for _, _, bounds, _ in forms]), M, holder,
-        tuple(free), tuple(starts), tuple(row_starts), B)
+        tuple(free), tuple(starts), tuple(row_starts))
     return linprog.LpProblem(
         c=c, rows=rows, senses=[linprog.LE] * J, rhs=layout.rhs(target),
         lower=lower, upper=np.full(rows.shape[1], math.inf)), layout
@@ -672,59 +647,6 @@ def _coordinate_moves(x, scenarios, steps) -> np.ndarray:
     return rows
 
 
-def capital_requirement_payoff_form(s: AgentSystem, X: RandomVariable) -> RiskValue:
-    """inf { pi(Z) : Z in M, X - Z in A_+ }: the representative-agent form,
-    solved as its own LP (used to cross-check the allocation form)."""
-    _ensure_shareable(s)
-    sol = linprog.solve(_sharing_lp(s, X.values, "aggregate")[0])
-    if sol.status == "infeasible":
-        return RiskValue.infinite()
-    if sol.status == "unbounded":
-        raise _unbounded_sharing()
-    return RiskValue.finite(sol.objective_value)
-
-
-# ----------------------------------------------------------------------
-# allocations from payoffs
-# ----------------------------------------------------------------------
-
-def pareto_from_payoff(s: AgentSystem, X: RandomVariable,
-                       Z: RandomVariable) -> Allocation:
-    """Turn an optimal aggregate payoff into a Pareto allocation: find
-    acceptable parts summing to X - Z, split Z by the canonical security
-    selection, and recombine."""
-    res = capital_requirement(s, X, certify=False)
-    if not res.value.is_finite:
-        raise DomainError("X is not shareable (Lambda = +inf)")
-    price = s.pi(Z.values)
-    if abs(price - res.value.value) > 1e-8 * (1 + abs(price)):
-        raise DomainError(
-            f"payoff price {price} does not match Lambda(X) = {res.value.value}"
-        )
-    target = X.values - Z.values
-    parts_acc = _acceptable_decomposition(s, target)
-    if parts_acc is None:
-        raise DomainError(
-            "X - Z is not in the aggregate acceptance set; the payoff "
-            "violates the optimality contract"
-        )
-    secs = security_selection(s, Z)
-    return Allocation(tuple(
-        RandomVariable(s.space, y + sec.values)
-        for y, sec in zip(parts_acc, secs)
-    ))
-
-
-def _acceptable_decomposition(s: AgentSystem, target: np.ndarray):
-    """Y_i in A_i (inside supports) with sum = target, or None (an LP
-    feasibility query for membership in the Minkowski sum A_+)."""
-    lp, layout = _sharing_lp(s, target, "none")
-    sol = linprog.solve(lp)
-    if sol.status != "optimal":
-        return None
-    return list(layout.parts(sol.primal, target))
-
-
 # ----------------------------------------------------------------------
 # the continuous security selection
 # ----------------------------------------------------------------------
@@ -771,17 +693,6 @@ def block_decompose(blocks, values) -> list:
     return parts
 
 
-def security_selection(s: AgentSystem, Z: RandomVariable) -> list:
-    """The canonical linear selection of a security allocation: decompose Z
-    along the sequential direct-sum blocks.  Parts sum to Z exactly and
-    each lies in its agent's span."""
-    if s.aggregate_contains(Z.values) is None:
-        raise DomainError("payoff lies outside the aggregate security span")
-    bases = [r.market.basis_matrix() for r in s.regimes]
-    parts = block_decompose(selection_blocks(bases), Z.values)
-    return [RandomVariable(s.space, p) for p in parts]
-
-
 def shift_allocation(s: AgentSystem, alloc: Allocation, i: int, j: int,
                      amount: float) -> Allocation:
     """One-parameter Pareto family: move `amount * direction` from agent j
@@ -810,20 +721,3 @@ def shift_allocation(s: AgentSystem, alloc: Allocation, i: int, j: int,
             f"direction is not priced consistently"
         )
     return Allocation(tuple(parts))
-
-
-# ----------------------------------------------------------------------
-# level sets
-# ----------------------------------------------------------------------
-
-def level_set_certificate(s: AgentSystem, X: RandomVariable, c: float,
-                          U: RandomVariable) -> bool:
-    """LP feasibility for  X - c*U  in  A_+ + ker(pi): certifies the level
-    set identity L_c(Lambda) = c U + A_+ + ker(pi)."""
-    lp, _ = _sharing_lp(s, X.values - c * U.values, "aggregate")
-    # the row pi(Z) = 0 pins the priced objective: optimal or infeasible
-    sol = linprog.solve(linprog.LpProblem(
-        c=lp.c, rows=np.vstack([lp.c, lp.rows]),
-        senses=[linprog.EQ] + lp.senses, rhs=np.concatenate([[0.0], lp.rhs]),
-        lower=lp.lower, upper=lp.upper))
-    return sol.status == "optimal"

@@ -251,8 +251,7 @@ class ProblemDocument:
                 spec["step"]["per_block"], spec["step"]["block"])
         else:
             cost = splits.CostFunction.tabulated(spec["tabulated"])
-        return splits.SplitProblem.repeating(
-            self.regimes, cost, self.split["n_max"])
+        return splits.SplitProblem(self.regimes, cost, self.split["n_max"])
 
     def law_invariant_problem(self):
         if self.pricing is None:

@@ -8,6 +8,8 @@ in monetary units, with the sign convention that larger values are worse
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +21,6 @@ __all__ = [
     "RandomVariable",
     "Functional",
     "SupportMask",
-    "expectation",
-    "lower_quantile",
 ]
 
 
@@ -71,14 +71,21 @@ class ScenarioSpace:
         return RandomVariable(self, np.asarray(values, dtype=float))
 
     def rv_from_dict(self, mapping) -> "RandomVariable":
+        """A loss profile from label -> value, unlisted labels 0.  A value
+        must be a real number, as a document's `number` is: a bool or a
+        string is refused, not converted.  An integer past the float
+        range reads as the infinity it rounds to, which RandomVariable
+        refuses."""
         vals = np.zeros(self.size)
         for label, v in mapping.items():
             i = self.index(label)
+            if not isinstance(v, numbers.Real) or isinstance(v, bool):
+                raise StructuralError(
+                    f"non-numeric value {v!r} at scenario {label!r}")
             try:
                 vals[i] = float(v)
-            except (TypeError, ValueError):
-                raise StructuralError(
-                    f"non-numeric value {v!r} at scenario {label!r}") from None
+            except OverflowError:
+                vals[i] = math.inf if v > 0 else -math.inf
         return RandomVariable(self, vals)
 
     def indicator(self, labels) -> "RandomVariable":
@@ -213,20 +220,8 @@ class SupportMask:
         return int(self.included.sum())
 
 
-def expectation(Q: Functional, X: RandomVariable) -> float:
-    """Weighted expectation sum density*probs*values."""
-    return Q(X)
-
-
-def lower_quantile(X: RandomVariable, level: float) -> float:
-    """Smallest value v with P(X <= v) >= level."""
-    if not 0.0 < level <= 1.0:
-        raise StructuralError("quantile level must lie in (0, 1]")
-    return _lower_quantile(X.space.probs, X.values, level)
-
-
 def _lower_quantile(probs, values, level: float) -> float:
-    """lower_quantile on a probability vector and a value vector."""
+    """Smallest value v with  sum { probs : values <= v } >= level."""
     order = np.argsort(values, kind="stable")
     cum = np.cumsum(probs[order])
     idx = min(int(np.searchsorted(cum, level - 1e-12)), len(values) - 1)

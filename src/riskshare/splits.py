@@ -120,10 +120,6 @@ class SplitProblem:
                   n_max: int) -> "SplitProblem":
         return cls((regime,), cost, n_max)
 
-    @classmethod
-    def repeating(cls, regimes, cost: CostFunction, n_max: int) -> "SplitProblem":
-        return cls(regimes, cost, n_max)
-
     def regime(self, i: int) -> RiskMeasurementRegime:
         return self.cycle[i % len(self.cycle)]
 

@@ -15,10 +15,8 @@ from scipy.optimize import minimize_scalar
 from riskshare import splits
 from riskshare.equilibrium import (build_equilibrium, subgradient,
                                    verify_equilibrium)
-from riskshare.lawinv import (avar_entropic_sharing, entropic_infconv,
-                              entropic_pair_sharing)
-from riskshare.market import (AgentSystem, capital_requirement, nsa_check,
-                              pareto_from_payoff)
+from riskshare.lawinv import avar_entropic_sharing
+from riskshare.market import AgentSystem, capital_requirement, nsa_check
 from riskshare.oracle import (GridSpec, brute_lambda, fd_subgradient_check,
                               verify_pareto)
 from riskshare.problemfile import load_problem
@@ -29,6 +27,7 @@ from riskshare.regime import (AVAR, ENTROPIC, EXPECTATION,
 from riskshare.scenario import ScenarioSpace, SupportMask
 
 from helpers import law_invariant_regime, overlap_pair, point_eval, three_space
+from oracles import entropic_infconv, entropic_pair_sharing, pareto_from_payoff
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

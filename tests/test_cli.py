@@ -453,6 +453,16 @@ def test_validate_has_no_seed(capsys):
      "scenario 'b'"),
     (["lambda", WORKED, "--loss", '{"a": "x", "b": 5, "c": 6}'],
      "scenario 'a'"),
+    (["lambda", WORKED, "--loss", '{"a": "4", "b": 5, "c": 6}'],
+     "non-numeric value '4' at scenario 'a'"),
+    (["lambda", WORKED, "--loss", '{"a": 4, "b": true, "c": 6}'],
+     "non-numeric value True at scenario 'b'"),
+    (["lambda", WORKED, "--loss", '{"a": -1%s, "b": 5, "c": 6}' % ("0" * 400)],
+     "non-finite value -inf at scenario 'a'"),
+    (["equilibrium", WORKED, "--endowments", '[{"a": "1", "b": 0}, {"c": 2}]'],
+     "non-numeric value '1' at scenario 'a'"),
+    (["equilibrium", WORKED, "--endowments", '[{"a": 1, "b": true}, {"c": 2}]'],
+     "non-numeric value True at scenario 'b'"),
     (["lambda", WORKED, "--loss", LOSS, "--tol", "nan"], "--tol"),
     (["lambda", WORKED, "--loss", LOSS, "--tol", "inf"], "--tol"),
     (["lambda", WORKED, "--loss", LOSS, "--tol", "-1"], "--tol"),
@@ -461,6 +471,8 @@ def test_validate_has_no_seed(capsys):
     (["pareto", WORKED, "--loss", LOSS, "--zeta", "-inf"], "--zeta"),
 ], ids=["bad_endowments_json", "missing_endowments_file",
         "unwritable_output", "nan_loss", "infinite_loss", "non_numeric_loss",
+        "numeric_string_loss", "boolean_loss", "huge_integer_loss",
+        "numeric_string_endowment", "boolean_endowment",
         "nan_tol", "infinite_tol", "negative_tol",
         "nan_zeta", "infinite_zeta", "negative_infinite_zeta"])
 def test_bad_flag_values_are_typed_refusals(argv, says, capsys):

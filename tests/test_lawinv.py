@@ -20,8 +20,6 @@ from riskshare.lawinv import (
     avar_entropic_sharing,
     convolution_split,
     convolution_value,
-    entropic_infconv,
-    entropic_pair_sharing,
     law_invariant_requirement,
     validate_problem,
 )
@@ -40,6 +38,8 @@ from riskshare.regime import (
     rho,
 )
 from riskshare.scenario import ScenarioSpace, SupportMask
+
+from oracles import entropic_infconv, entropic_pair_sharing
 
 
 def ent(a):

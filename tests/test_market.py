@@ -5,18 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from riskshare import lawinv, linprog, market
+from riskshare import lawinv, linprog
 from riskshare.errors import DomainError, NumericalFailure, StructuralError
 from riskshare.market import (
     AgentSystem,
     Allocation,
     capital_requirement,
-    capital_requirement_payoff_form,
     lambda_batch,
-    level_set_certificate,
     nsa_check,
-    pareto_from_payoff,
-    security_selection,
     shift_allocation,
     validate_star,
 )
@@ -39,6 +35,13 @@ from helpers import (
     overlap_pair,
     point_eval,
     three_space,
+)
+from oracles import (
+    acceptable_decomposition,
+    capital_requirement_payoff_form,
+    level_set_certificate,
+    pareto_from_payoff,
+    security_selection,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -360,15 +363,13 @@ def test_pareto_from_payoff_overlap(overlap_system):
 
 
 def test_pareto_on_disjoint_supports():
-    # each agent holds every scenario of its support, so the membership LP
-    # of X - Z has no column left: its rows alone decide it
+    # the supports are disjoint, so each scenario has one holder and X - Z
+    # has one candidate decomposition
     space = three_space()
     s = AgentSystem((ceiling_regime(space, ["a"], [1.0]),
                      ceiling_regime(space, ["b", "c"], [2.0, 3.0])))
     X = space.rv(np.array([4.0, 5.0, 6.0]))
-    lp, _ = market._sharing_lp(s, X.values, "none")
-    assert lp.rows.shape == (3, 0)
-    assert market._acceptable_decomposition(s, X.values) is None
+    assert acceptable_decomposition(s, X.values) is None
     Z = space.rv(np.array([3.0, 3.0, 3.0]))
     alloc = pareto_from_payoff(s, X, Z)
     np.testing.assert_array_equal(alloc.parts[0].values, [4.0, 0.0, 0.0])
@@ -824,7 +825,7 @@ def test_sharing_lp_layout(monkeypatch, fixture, loss, shared):
 @pytest.mark.parametrize("query", [
     lambda s, X: capital_requirement_payoff_form(s, X),
     lambda s, X: level_set_certificate(s, X, 1.0, X.space.rv(np.ones(2))),
-    lambda s, X: market._acceptable_decomposition(s, X.values),
+    lambda s, X: acceptable_decomposition(s, X.values),
 ], ids=["payoff_form", "level_set", "decomposition"])
 def test_sharing_lps_refuse_law_invariant_systems(query):
     pd = load_problem(FIXTURES / "entropic_pair.json")

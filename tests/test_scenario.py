@@ -4,13 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskshare.errors import StructuralError
-from riskshare.scenario import (
-    Functional,
-    ScenarioSpace,
-    SupportMask,
-    expectation,
-    lower_quantile,
-)
+from riskshare.scenario import Functional, ScenarioSpace, SupportMask
+
+from oracles import expectation, lower_quantile
 
 
 def test_space_validation():
@@ -89,6 +85,19 @@ def test_support_mask():
     assert mask.contains(sp.rv([1, -2, 0]))
     assert not mask.contains(sp.rv([1, -2, 0.5]))
     assert SupportMask.full(sp).contains(sp.rv([9, 9, 9]))
+
+
+def test_rv_from_dict_takes_real_numbers_only():
+    sp = ScenarioSpace.uniform(["a", "b", "c"])
+    x = sp.rv_from_dict({"a": 1, "b": np.float32(0.5), "c": np.int64(-2)})
+    assert x.values.tolist() == [1.0, 0.5, -2.0]
+    assert sp.rv_from_dict({"b": 2.5}).values.tolist() == [0.0, 2.5, 0.0]
+    for bad in ("4", True, np.bool_(False), None, 1j):
+        with pytest.raises(StructuralError,
+                           match="non-numeric value .* at scenario 'b'"):
+            sp.rv_from_dict({"a": 1.0, "b": bad})
+    with pytest.raises(StructuralError, match="non-finite value inf"):
+        sp.rv_from_dict({"c": 10 ** 400})
 
 
 def test_lower_quantile():

@@ -7,10 +7,10 @@ form with one equality row per scenario.  On drawn systems, with partial
 supports, scenarios held by one to n agents, and polyhedral, AVaR and
 expectation agents, and on the full-support systems of
 tests/test_arbitrage_verdict.py, both forms must give the same status and
-value in each of the three `securities` modes.  Where Lambda is finite the
-loss's shadow prices -M^T lambda must close the Fenchel equality, the
-parts must add up to the loss, and Lambda must not move when the agents
-are permuted, which changes every holder.
+value.  Where Lambda is finite the loss's shadow prices -M^T lambda must
+close the Fenchel equality, the parts must add up to the loss, each part
+less its agent's securities must be acceptable, and Lambda must not move
+when the agents are permuted, which changes every holder.
 
 Each agent's block of an optimal sharing LP certifies its own rho LP at its
 part: a certified Lambda solves one LP, its agent risks agree with
@@ -58,9 +58,6 @@ from riskshare.scenario import Functional, ScenarioSpace, SupportMask
 from test_arbitrage_verdict import drawn_system
 from test_lawinv import entropic_free_system
 from test_linprog import window_chain
-
-MODES = ("own", "aggregate", "none")
-
 
 def partial_system(seed, m, kinds):
     """One agent per entry of `kinds` on m scenarios.  A "polyhedral"
@@ -155,28 +152,26 @@ def _acceptable(r, part):
 @given(systems())
 def test_substituted_lp_matches_the_scenario_rows(drawn):
     s, order, X = drawn
-    for mode in MODES:
-        old_lp, _ = scenario_row_sharing_lp(s, X.values, mode)
-        old = linprog.solve(old_lp)
-        lp, layout = market._sharing_lp(s, X.values, mode)
-        new = linprog.solve(lp)
-        assert lp.rows.shape == (old_lp.rows.shape[0] - s.space.size,
-                                 old_lp.rows.shape[1] - s.space.size)
-        assert set(lp.senses) == {linprog.LE}
-        assert new.status == old.status, mode
-        if new.optimal:
-            v = old.objective_value
-            assert abs(new.objective_value - v) <= linprog.CERT_TOL * (
-                1.0 + abs(v)), mode
-            # the parts and the aggregate payoff add up to the loss
-            parts = layout.parts(new.primal, X.values)
-            k = layout.payoffs.shape[1]
-            total = parts.sum(axis=0) + layout.payoffs @ new.primal[:k]
-            assert np.abs(total - X.values).max() <= 1e-9 * max(
-                1.0, np.abs(X.values).max())
-            if mode == "none":
-                assert all(_acceptable(r, p)
-                           for r, p in zip(s.regimes, parts))
+    old_lp, _ = scenario_row_sharing_lp(s, X.values)
+    old = linprog.solve(old_lp)
+    lp, layout = market._sharing_lp(s, X.values)
+    new = linprog.solve(lp)
+    assert lp.rows.shape == (old_lp.rows.shape[0] - s.space.size,
+                             old_lp.rows.shape[1] - s.space.size)
+    assert set(lp.senses) == {linprog.LE}
+    assert new.status == old.status
+    if new.optimal:
+        v = old.objective_value
+        assert abs(new.objective_value - v) <= linprog.CERT_TOL * (
+            1.0 + abs(v))
+        # the parts add up to the loss, and each less its securities is
+        # acceptable to its agent
+        parts = layout.parts(new.primal, X.values)
+        assert np.abs(parts.sum(axis=0) - X.values).max() <= 1e-9 * max(
+            1.0, np.abs(X.values).max())
+        certificates = layout.certificates(new.primal, new.duals)
+        assert all(_acceptable(r, p - r.market.basis_matrix() @ x[:r.market.dim])
+                   for r, p, (x, _) in zip(s.regimes, parts, certificates))
     assert list(layout.holder) == _holders(s)
 
     value = _outcome(lambda: capital_requirement(s, X))

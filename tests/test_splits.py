@@ -88,11 +88,11 @@ def test_cost_must_not_decrease():
             regime, CostFunction.tabulated([0.3]), n_max=5)  # table too short
 
 
-def test_repeating_factory_cycles():
+def test_regime_cycle_repeats():
     space = two_point_space()
     r1 = law_invariant_regime(space, ENTROPIC, 1.0)
     r2 = law_invariant_regime(space, ENTROPIC, 2.0)
-    p = SplitProblem.repeating((r1, r2), CostFunction.linear(0.1), n_max=5)
+    p = SplitProblem((r1, r2), CostFunction.linear(0.1), n_max=5)
     assert p.regimes(5) == (r1, r2, r1, r2, r1)
     assert p.distinct_regimes() == (r1, r2)
 

@@ -2,9 +2,11 @@
 package itself.  A helper that only its own `def` (or its own recursive
 calls) names, and that only tests reach, is code the program no longer
 runs: delete it, or move it into the test that needs it.  Every name a
-module exports in `__all__` is bound in that module, and every defaulted
-parameter is passed by some call: a default that no call overrides is a
-constant."""
+module exports in `__all__` is bound in that module and read by the
+package outside its own definition, or named by perfbench: a public name
+that only tests reach belongs in the tests (tests/oracles.py).  Every
+defaulted parameter is passed by some call: a default that no call
+overrides is a constant."""
 
 import ast
 import importlib
@@ -13,6 +15,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "riskshare"
+PERFBENCH = ROOT / "perfbench"
 
 
 def _names(node) -> Counter:
@@ -53,6 +56,49 @@ def test_every_exported_name_is_bound():
                     for exported in getattr(module, "__all__", ())
                     if not hasattr(module, exported)]
     assert not unbound, unbound
+
+
+def _exported(tree) -> list:
+    """The names a module's `__all__` lists."""
+    return [elt.value for node in tree.body if isinstance(node, ast.Assign)
+            and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+            for elt in node.value.elts]
+
+
+def _perfbench_names() -> set:
+    """The identifiers perfbench reads, and the function names of the
+    (module, function) pairs that spans.TRACED wraps by name."""
+    names = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names |= set(_names(tree))
+        names |= {elt.elts[1].value for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "TRACED"
+                          for t in node.targets)
+                  for elt in node.value.keys}
+    return names
+
+
+def test_every_exported_name_is_read_outside_its_definition():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    uses = sum((_names(tree) for tree in trees.values()), Counter())
+    perfbench = _perfbench_names()
+    assert {"convolution_split", "law_invariant_requirement"} <= perfbench
+    unread = []
+    for module, tree in trees.items():
+        definitions = {node.name: node for node in tree.body
+                       if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        definitions.update((target.id, node) for node in tree.body
+                           if isinstance(node, ast.Assign)
+                           for target in node.targets
+                           if isinstance(target, ast.Name))
+        for name in _exported(tree):
+            own = _names(definitions[name])[name] if name in definitions else 0
+            if uses[name] == own and name not in perfbench:
+                unread.append(f"{module} {name}")
+    assert not unread, unread
 
 
 def _defaulted(tree):

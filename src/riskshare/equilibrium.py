@@ -100,21 +100,28 @@ def _verified_subgradient(s, X, res, sharing) -> Functional:
 
 
 def _conjugate_certificates(s, res, sharing):
-    """Per agent, the certificate (x, duals) that its block of the solved
-    sharing LP gives its conjugate's support LP (regime.conjugate) at the
-    loss's shadow prices: x = (Y_i[inc], a_i), Y_i = X_i - B_i z_i being
-    the acceptable part of X_i, and duals its rows' duals, which satisfy
-    W_i[:, inc]^T duals = -phi[inc] (_SharingLayout.certificates)."""
+    """Per agent, the certificate that its block of the solved sharing LP
+    gives its conjugate's support LP (_support_certificate) at the loss's
+    shadow prices phi: the block's duals satisfy W_i[:, inc]^T duals =
+    -phi[inc] (_SharingLayout.certificates)."""
     _, layout, sol = sharing
-    certificates = []
-    for r, part, (x, duals) in zip(s.regimes, res.allocation.parts,
-                                   layout.certificates(sol.primal,
-                                                       sol.duals)):
-        k = r.market.dim
-        Y = part.values - r.market.basis_matrix() @ x[:k]
-        certificates.append((np.concatenate([Y[r.support.included], x[k:]]),
-                             duals))
-    return certificates
+    return [_support_certificate(r, part, x, duals)
+            for r, part, (x, duals) in zip(
+                s.regimes, res.allocation.parts,
+                layout.certificates(sol.primal, sol.duals))]
+
+
+def _support_certificate(r, part, x, duals):
+    """The certificate (x', duals) that an optimal solution (x, duals) of
+    agent r's rho LP at its part X, x = (z, a), offers the support LP of
+    its conjugate (regime.conjugate): x' = (Y[inc], a), Y = X - B z being
+    the acceptable part of X.  It can certify the conjugate at phi only
+    where the duals price the supported scenarios at phi, W[:, inc]^T
+    duals = -phi[inc]: where phi supports the agent at X and these duals
+    say so; elsewhere the conjugate solves its support LP."""
+    k = r.market.dim
+    Y = part.values - r.market.basis_matrix() @ x[:k]
+    return np.concatenate([Y[r.support.included], x[k:]]), duals
 
 
 def _conjugate_sum(s, phi, certificates) -> float:
@@ -261,7 +268,15 @@ def verify_equilibrium(s: market.AgentSystem, endowments,
     """Full check of the equilibrium definition: price positivity, price
     consistency on every security span, budget equalities, per-agent
     optimality inside the budget set, and Pareto optimality of the
-    allocation."""
+    allocation.
+
+    Verification reads only the LPs it solves itself, never the build's:
+    each agent's rho of its part, and Lambda of the total.  An agent's
+    conjugate takes the solution of its own rho LP as the certificate of
+    its support LP (_support_certificate), which holds when the price
+    supports the agent at its part; only where that check fails, at
+    degenerate duals or at a price that does not support the agent, is
+    the support LP solved."""
     endowments = tuple(endowments)
     space = s.space
     phi = eq.price
@@ -298,14 +313,17 @@ def verify_equilibrium(s: market.AgentSystem, endowments,
     risks = []
     for r, x, w in zip(s.regimes, eq.allocation.parts, endowments):
         try:
-            ri = rho(r, x).value.as_float()
+            own = rho(r, x)
+            ri = own.value.as_float()
         except DomainError:
-            ri = math.inf
+            own, ri = None, math.inf
         risks.append(ri)
+        certificate = (None if own is None or own.certificate is None
+                       else _support_certificate(r, x, *own.certificate))
         budget = float(phi.weights @ w.values)
         # min{rho_i(Y) : phi(Y) >= b} = b - rho_i*(phi) when phi prices S_i
         # consistently and some security has a nonzero price
-        best = budget - conjugate(r, phi).as_float()
+        best = budget - conjugate(r, phi, certificate).as_float()
         gap = ri - best
         gaps.append(gap)
         ok &= abs(gap) <= FENCHEL_TOL * (1.0 + abs(ri))

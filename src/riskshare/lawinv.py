@@ -42,14 +42,15 @@ from .regime import (
     LawInvariantAcceptanceSet,
     RiskValue,
     ValidationReport,
+    _block_lp,
     _cap_fill,
     _evaluate_rows,
     _kernel_newton,
+    _lp_block,
     _lp_rows,
     _priced_density,
     _pricing_margin,
     _relative_entropy,
-    _rho_lp,
     _search_rows,
     _span_basis,
     base_risk,
@@ -388,7 +389,7 @@ def _kernel_search(measures, probs, B, prices, U, price, margin=None):
 
     * One traded payoff with a constant U is cash additive: one
       convolution, no kernel (regime._evaluate_rows).
-    * AVaR and expectation systems: rho's LP (regime._rho_lp) over the
+    * AVaR and expectation systems: rho's LP (regime._block_lp) over the
       convolved measure's LP form, row by row; q is 1 for the expectation
       and z / (P sum z) for AVaR, z = -duals of the tail rows, which come
       first in the form.
@@ -420,9 +421,10 @@ def _kernel_search(measures, probs, B, prices, U, price, margin=None):
                LawInvariantAcceptanceSet(AVAR, min(b for _, b in av)))
         form = _lp_rows(acc, probs)
         W, _, bounds, _ = form
+        lp = _block_lp(_lp_block(form, B, prices), bounds)
 
         def outcome(x):
-            sol = linprog.solve(_rho_lp(form, B, prices, bounds - W @ x))
+            sol = linprog.solve(linprog._variant(lp, rhs=bounds - W @ x))
             if sol.status == "unbounded":
                 return -math.inf, math.nan, math.nan
             if sol.status == "infeasible":

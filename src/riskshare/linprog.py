@@ -85,6 +85,8 @@ class LpProblem:
         for s in self.senses:
             if s not in (LE, EQ, GE):
                 raise StructuralError(f"unknown row sense {s!r}")
+        # each row's violation sign (_SENSE_SIGN), read by every check
+        self.sign = np.array([_SENSE_SIGN[s] for s in self.senses])
         if self.lower is None:
             self.lower = np.zeros(n)
         else:
@@ -178,11 +180,32 @@ def _product(e: _Expansion, y):
     return np.add.reduceat(y * e.sign, e.first, axis=-1) + 0.0
 
 
+def _variant(p: LpProblem, c=None, rhs=None) -> LpProblem:
+    """p with the cost c and the right-hand side rhs where given.  The
+    variant shares p's rows, senses and bounds, which LpProblem checked
+    when p was built, so only the new arrays are checked, as LpProblem
+    checks them: a caller that keeps one LP builds each variant of it at
+    the price of those checks."""
+    q = object.__new__(LpProblem)
+    q.__dict__.update(vars(p))
+    for name, value, what in (("c", c, "objective coefficients"),
+                              ("rhs", rhs, "right-hand sides")):
+        if value is None:
+            continue
+        value = np.asarray(value, dtype=float)
+        if value.shape != getattr(p, name).shape:
+            raise StructuralError(f"{what} must align with the LP's")
+        if not np.all(np.isfinite(value)):
+            raise StructuralError(f"{what} must be finite")
+        setattr(q, name, value)
+    return q
+
+
 def _with_rhs(p: LpProblem, rhs, expansion) -> LpProblem:
-    """p with the right-hand side `rhs`, carrying p's variable expansion
-    (_expand_variables, which reads the bounds alone) for solve to reuse."""
-    q = LpProblem(c=p.c, rows=p.rows, senses=p.senses, rhs=rhs,
-                  lower=p.lower, upper=p.upper)
+    """p with the right-hand side `rhs` (_variant), carrying p's variable
+    expansion (_expand_variables, which reads the bounds alone) for solve
+    to reuse."""
+    q = _variant(p, rhs=rhs)
     q._expansion = expansion
     return q
 
@@ -199,7 +222,7 @@ def _standardize(p: LpProblem, e):
         return None
     n_orig, n_y, n_ext = p.rows.shape[0], e.var.shape[0], len(e.ext_cols)
     m = n_orig + n_ext
-    slack_sign = [_SENSE_SIGN[s] for s in p.senses] + [1.0] * n_ext
+    slack_sign = p.sign.tolist() + [1.0] * n_ext
     slack_rows = [i for i, s in enumerate(slack_sign) if s]
     N = n_y + len(slack_rows)
     # A and c start with the products p.rows @ M and p.c @ M, by indexing:
@@ -388,10 +411,20 @@ def solve(p: LpProblem) -> LpSolution:
     x = expansion.shift + _product(expansion, y_std[:n_y])
     obj = float(c @ y_std) + const
 
-    duals = _recover_duals(A, c, basis, row_map, flips, p.rows.shape[0])
+    n_orig = p.rows.shape[0]
+    if drop_rows or not p.sign.all():
+        duals = _recover_duals(A, c, basis, row_map, flips, n_orig)
+    else:
+        # every row kept and each with a slack: row i's slack is column
+        # n_y + i, with coefficient flips_i slack_sign_i, so its reduced
+        # cost is -flips_i slack_sign_i y_i for the duals y of the flipped
+        # rows (Chvatal, Linear Programming, 1983), a zero y_i read as the
+        # +0.0 the basis solve gives; the shadow price is flips_i y_i
+        f = flips[:n_orig]
+        duals = f * (-(f * p.sign) * T2[-1, n_y:n_y + n_orig] + 0.0)
     degen = bool(m and float(np.min(T2[:m, -1])) <= 1e-11)
-    residuals, passed = _certify(p, p.rhs[None, :], x[None, :],
-                                 np.array([obj]), duals)
+    residuals, passed, _ = _certify(p, p.rhs[None, :], x[None, :],
+                                    np.array([obj]), duals)
     if not passed[0]:
         raise _lost_certificate(residuals, 0)
     return LpSolution(status="optimal", primal=x, duals=duals,
@@ -402,7 +435,9 @@ def solve(p: LpProblem) -> LpSolution:
 
 
 def _recover_duals(A, c, basis, row_map, flips, n_orig):
-    """Solve B^T y = c_B on the kept rows; dropped (redundant) rows get 0."""
+    """Solve B^T y = c_B on the kept rows; dropped (redundant) rows get 0.
+    Only an LP with an equality row or a dropped row needs it: solve reads
+    every other LP's duals off its final cost row."""
     duals = np.zeros(n_orig)
     if not basis:
         return duals
@@ -421,28 +456,35 @@ def _recover_duals(A, c, basis, row_map, flips, n_orig):
 def _certify(p: LpProblem, rhs, x, obj, duals):
     """Check the optimality certificates promised by the solution type for
     each row of x (N, n), with objective values obj (N,), right-hand sides
-    rhs (N, rows) and shadow prices duals (rows,): primal feasibility,
-    complementary slackness, and zero duality gap, all within 1e-8
-    (relative to the instance scale).  Returns the residuals, one per row,
-    and the mask of rows whose certificate holds."""
-    scale = _scale(rhs, x, obj)
-    sign = np.array([_SENSE_SIGN[s] for s in p.senses])
+    rhs (N, rows) and shadow prices duals (rows,): primal feasibility and
+    zero duality gap, within CERT_TOL and ten times it (relative to the
+    instance scale, _scale).  Only p's arrays are read (c, rows, sign,
+    lower and upper), not its right-hand side, so one LP checks solutions
+    at any right-hand side.  Returns the residuals, one per row, the mask
+    of rows whose certificate holds, and each row's tolerance CERT_TOL
+    times its scale.  The residuals also hold complementarity, which the
+    mask leaves out: solve's duals have it by their basis, and
+    certified_objective asks it of a certificate from elsewhere."""
+    tol = CERT_TOL * _scale(rhs, x, obj)
+    sign = p.sign
     gap = x @ p.rows.T - rhs
     viol = np.where(sign == 0.0, np.abs(gap), sign * gap)
     feas = np.concatenate([viol, p.lower - x, x - p.upper], axis=1).max(
         axis=1, initial=0.0)
     comp = np.abs(duals * gap).max(axis=1, initial=0.0)
-    # reduced costs at the bounds close the duality gap
-    red = p.c - duals @ p.rows
-    # (an infinite bound is never within 1e-7 of x)
-    at = np.where(np.abs(x - p.lower) <= 1e-7, p.lower, 0.0)
-    at = np.where(np.abs(x - p.upper) <= 1e-7, p.upper, at)
-    dual_obj = ((duals * rhs).sum(axis=1)
-                + at @ np.where(np.abs(red) > 1e-9, red, 0.0))
+    dual_obj = (duals * rhs).sum(axis=1)
+    # reduced costs at the bounds close the duality gap; only a column
+    # with a finite bound can be at one (an infinite bound is never within
+    # 1e-7 of x), and the sharing and rho LPs of polyhedral agents have none
+    if np.isfinite(p.lower).any() or np.isfinite(p.upper).any():
+        red = p.c - duals @ p.rows
+        at = np.where(np.abs(x - p.lower) <= 1e-7, p.lower, 0.0)
+        at = np.where(np.abs(x - p.upper) <= 1e-7, p.upper, at)
+        dual_obj = dual_obj + at @ np.where(np.abs(red) > 1e-9, red, 0.0)
     gap = np.abs(dual_obj - obj)
     residuals = {"feasibility": feas, "complementarity": comp,
                  "duality_gap": gap}
-    return residuals, (feas <= CERT_TOL * scale) & (gap <= CERT_TOL * scale * 10)
+    return residuals, (feas <= tol) & (gap <= tol * 10), tol
 
 
 def _scale(rhs, x, obj):
@@ -452,28 +494,40 @@ def _scale(rhs, x, obj):
         axis=1)
 
 
-def certified_objective(p: LpProblem, x, duals):
+def certified_objective(p: LpProblem, x, duals, rhs=None):
     """c.x when the point x and the row duals `duals`, which need not come
-    from solve, certify x optimal for p; None otherwise.  The checks are
-    solve's own (_certify: feasibility and duality gap), complementarity,
-    and dual feasibility, which solve's duals have by their basis and a
-    certificate from elsewhere must show: each dual of its row's sign
+    from solve, certify x optimal for p at the right-hand side rhs (p's
+    own when None); None otherwise.  The check reads p's arrays and
+    builds no LP, so a caller that keeps one LP checks certificates at
+    every right-hand side against it.  The checks are _certify's, solve's
+    own (feasibility and duality gap) and the two that solve's duals have
+    by their basis and a certificate from elsewhere must show:
+    complementarity, and dual feasibility: each dual of its row's sign
     (<= 0 on a '<=' row, >= 0 on a '>=' row), and reduced costs
     c - duals^T A zero on free columns, >= 0 at finite lower bounds and
     <= 0 at finite upper bounds, each within CERT_TOL times the instance
-    scale (_scale)."""
+    scale (_scale).  A non-finite rhs is refused with StructuralError,
+    as LpProblem refuses it."""
+    if rhs is None:
+        rhs = p.rhs
+    else:
+        rhs = np.asarray(rhs, dtype=float)
+        if not np.all(np.isfinite(rhs)):
+            raise StructuralError("right-hand sides must be finite")
     x, duals = np.asarray(x, dtype=float), np.asarray(duals, dtype=float)
-    if x.shape != p.c.shape or duals.shape != p.rhs.shape:
+    if (x.shape != p.c.shape or duals.shape != p.rhs.shape
+            or rhs.shape != p.rhs.shape):
         return None
     obj = np.array([p.c @ x])
-    residuals, passed = _certify(p, p.rhs[None, :], x[None, :], obj, duals)
-    tol = CERT_TOL * _scale(p.rhs[None, :], x[None, :], obj)[0]
-    sign = np.array([_SENSE_SIGN[s] for s in p.senses])
+    residuals, passed, tol = _certify(p, rhs[None, :], x[None, :], obj,
+                                      duals)
     red = p.c - duals @ p.rows
-    if (passed[0] and residuals["complementarity"][0] <= tol
-            and np.all(sign * duals <= tol)
-            and np.all(np.isfinite(p.upper) | (red >= -tol))
-            and np.all(np.isfinite(p.lower) | (red <= tol))):
+    # each dual of its row's sign; reduced costs >= 0 on columns without
+    # a finite upper bound and <= 0 on those without a finite lower one
+    dual = np.concatenate([p.sign * duals, -red[p.upper == math.inf],
+                           red[p.lower == -math.inf]]).max(initial=0.0)
+    if (passed[0] and residuals["complementarity"][0] <= tol[0]
+            and dual <= tol[0]):
         return float(obj[0])
     return None
 
@@ -535,7 +589,7 @@ def solve_batch(p: LpProblem, rhs, start=None) -> LpBatch:
     objective = np.full(N, math.nan)
     primal = np.full((N, p.c.shape[0]), math.nan)
     zero = ~p.rows.any(axis=1)
-    sign = np.array([_SENSE_SIGN[p.senses[i]] for i in np.flatnonzero(zero)])
+    sign = p.sign[zero]
     r = rhs[:, zero]
     pending = ~np.where(sign == 0.0, r != 0.0, sign * r < 0.0).any(axis=1)
     for k in np.flatnonzero(~pending):
@@ -563,7 +617,7 @@ def solve_batch(p: LpProblem, rhs, start=None) -> LpBatch:
         idx, Y = idx[accepted], Y[accepted]
         x = shift + _product(expansion, Y[:, :n_y])
         obj = Y @ c + const
-        residuals, passed = _certify(p, rhs[idx], x, obj, sol.duals)
+        residuals, passed, _ = _certify(p, rhs[idx], x, obj, sol.duals)
         if not passed.all():
             raise _lost_certificate(residuals, int(np.argmin(passed)))
         for i in idx:

@@ -143,28 +143,6 @@ class AgentSystem:
         return solve(np.hstack([mk.basis_matrix() for mk in markets]),
                      np.concatenate([mk.prices for mk in markets]))
 
-    def aggregate_contains(self, values: np.ndarray):
-        """Coefficients of `values` over the stacked basis (least squares),
-        or None if it lies outside the aggregate span (a residual above
-        SPAN_TOL max(1, |values|max))."""
-        B, _, _ = self.stacked_basis()
-        w, *_ = np.linalg.lstsq(B, values, rcond=None)
-        scale = max(1.0, np.abs(values).max())
-        if np.max(np.abs(B @ w - values)) > SPAN_TOL * scale:
-            return None
-        return w
-
-    def pi(self, values: np.ndarray) -> float:
-        """Glued price of an aggregate-span payoff.  Well-defined (the same
-        for every decomposition) when pi(0) = 0; a system with scalable
-        arbitrage is refused (_ensure_shareable)."""
-        _ensure_shareable(self)
-        w = self.aggregate_contains(values)
-        if w is None:
-            raise DomainError("payoff lies outside the aggregate security span")
-        _, prices, _ = self.stacked_basis()
-        return float(prices @ w)
-
 
 @dataclass(frozen=True)
 class Allocation:
@@ -455,11 +433,12 @@ class _SharingLayout:
     def certificates(self, primal, duals):
         """Per agent i of the sharing LP, the certificate (x_i, y_i)
         that an optimal solution's block gives i's own rho LP
-        (regime._rho_lp) at its part: x_i its z_i and auxiliaries, y_i
-        its rows' duals.  Those columns meet no other agent's rows, so y_i
-        is dual feasible for i's LP, and complementary slackness holds
-        there row for row (the block decomposition of a block-angular
-        LP's dual: Dantzig and Wolfe, Oper. Res. 8 (1960))."""
+        (RiskMeasurementRegime.rho_lp) at its part: x_i its z_i and
+        auxiliaries, y_i its rows' duals.  Those columns meet no other
+        agent's rows, so y_i is dual feasible for i's LP, and
+        complementary slackness holds there row for row (the block
+        decomposition of a block-angular LP's dual: Dantzig and Wolfe,
+        Oper. Res. 8 (1960))."""
         cols = zip(self.starts, self.starts[1:] + (primal.size,))
         rows = zip(self.row_starts, self.row_starts[1:] + (duals.size,))
         return [(primal[o + f.size:end], duals[a:b])
@@ -487,37 +466,41 @@ def _sharing_lp(s: AgentSystem, target: np.ndarray):
     auxiliaries a_i >= aux_lower_i; every other column is free.  Rows, all
     <=: the acceptance blocks  W_i[:, free_i] | -W_i B_i | A_i,
     block-diagonal in agent order, with -W_h[:, w] in holder h's rows of
-    each column X_j[w].  W B is the full product, not W[:, inc] B[inc],
-    which can differ in the last bit.
+    each column X_j[w].  The part  -W_i B_i | A_i, with its cost (p_i, 0)
+    and its column bounds, is the agent's own rho LP, kept on its regime
+    (RiskMeasurementRegime.rho_block), so W B is the full product, not
+    W[:, inc] B[inc], which can differ in the last bit.
 
     Returns (LpProblem, _SharingLayout).
     """
     m = s.space.size
     forms = [r.lp_rows() for r in s.regimes]
+    own = [r.rho_block() for r in s.regimes]
     holder = np.argmax([r.support.included for r in s.regimes], axis=0)
     J = sum(W.shape[0] for W, _, _, _ in forms)
     M = np.zeros((J, m))
-    blocks, free, row_starts, row = [], [], [], 0
-    for i, (r, (W, A, _, _)) in enumerate(zip(s.regimes, forms)):
+    free, row_starts, row = [], [], 0
+    for i, (r, (W, _, _, _)) in enumerate(zip(s.regimes, forms)):
         held = holder == i
         row_starts.append(row)
         M[row:row + W.shape[0], held] = W[:, held]
         free.append(np.flatnonzero(r.support.included & ~held))
-        blocks.append(np.hstack([W[:, free[-1]],
-                                 -(W @ r.market.basis_matrix()), A]))
         row += W.shape[0]
-    rows = np.zeros((J, sum(b.shape[1] for b in blocks)))
+    rows = np.zeros((J, sum(f.size + b[1].size for f, b in zip(free, own))))
     c = np.zeros(rows.shape[1])
     lower = np.full(rows.shape[1], -math.inf)
-    starts, row, col = [], 0, 0
-    for r, f, b, (_, _, _, aux_lower) in zip(s.regimes, free, blocks, forms):
-        rows[row:row + b.shape[0], col:col + b.shape[1]] = b
+    starts, col = [], 0
+    for (W, _, _, _), f, (b, cost, low), row in zip(forms, free, own,
+                                                    row_starts):
+        # agent i's own columns (z_i, a_i) are its rho LP's, rows and all
+        end = col + f.size + cost.size
+        rows[row:row + W.shape[0], col:col + f.size] = W[:, f]
+        rows[row:row + W.shape[0], col + f.size:end] = b
         rows[:, col:col + f.size] -= M[:, f]
-        c[col + f.size:col + f.size + r.market.dim] = r.market.prices
-        lower[col + b.shape[1] - aux_lower.size:col + b.shape[1]] = aux_lower
+        c[col + f.size:end] = cost
+        lower[col + f.size:end] = low
         starts.append(col)
-        row += b.shape[0]
-        col += b.shape[1]
+        col = end
     layout = _SharingLayout(
         np.concatenate([bounds for _, _, bounds, _ in forms]), M, holder,
         tuple(free), tuple(starts), tuple(row_starts))

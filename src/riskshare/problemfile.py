@@ -35,7 +35,7 @@ from .errors import StructuralError
 from .regime import (AVAR, ENTROPIC, EXPECTATION, LawInvariantAcceptanceSet,
                      PolyhedralAcceptanceSet, RiskMeasurementRegime,
                      SecurityMarket)
-from .scenario import Functional, ScenarioSpace, SupportMask
+from .scenario import Functional, ScenarioSpace, SupportMask, _real_number
 
 _KEYWORDS = frozenset({
     "type", "required", "properties", "additionalProperties", "items",
@@ -245,12 +245,15 @@ class ProblemDocument:
 
         spec = self.split["cost"]
         if "linear" in spec:
-            cost = splits.CostFunction.linear(spec["linear"])
+            cost = splits.CostFunction.linear(
+                _real_number(spec["linear"], "split cost"))
         elif "step" in spec:
             cost = splits.CostFunction.step(
-                spec["step"]["per_block"], spec["step"]["block"])
+                _real_number(spec["step"]["per_block"], "split cost"),
+                spec["step"]["block"])
         else:
-            cost = splits.CostFunction.tabulated(spec["tabulated"])
+            cost = splits.CostFunction.tabulated(
+                [_real_number(v, "split cost") for v in spec["tabulated"]])
         return splits.SplitProblem(self.regimes, cost, self.split["n_max"])
 
     def law_invariant_problem(self):
@@ -277,12 +280,15 @@ def _acceptance(space, spec):
                 Functional(space, space.rv_from_dict(row["density"]).values)
                 for row in spec["polyhedral"]
             ),
-            bounds=np.array([row["bound"] for row in spec["polyhedral"]]),
+            bounds=np.array([_real_number(row["bound"], "bound")
+                             for row in spec["polyhedral"]]),
         )
     if "entropic" in spec:
-        return LawInvariantAcceptanceSet(ENTROPIC, float(spec["entropic"]))
+        return LawInvariantAcceptanceSet(
+            ENTROPIC, _real_number(spec["entropic"], "entropic"))
     if "avar" in spec:
-        return LawInvariantAcceptanceSet(AVAR, float(spec["avar"]))
+        return LawInvariantAcceptanceSet(
+            AVAR, _real_number(spec["avar"], "avar"))
     return LawInvariantAcceptanceSet(EXPECTATION)
 
 
@@ -294,7 +300,8 @@ def _agent(space, block):
     market = SecurityMarket(
         basis=tuple(space.rv_from_dict(sec["payoff"])
                     for sec in block["securities"]),
-        prices=np.array([sec["price"] for sec in block["securities"]]),
+        prices=np.array([_real_number(sec["price"], "price")
+                         for sec in block["securities"]]),
     )
     return RiskMeasurementRegime(
         support=support, acceptance=_acceptance(space, block["acceptance"]),
@@ -308,7 +315,7 @@ def parse_problem(doc: dict) -> ProblemDocument:
     for label, p in doc["scenarios"]["probs"].items():
         if label not in labels:
             raise StructuralError(f"unknown scenario label {label!r}")
-        probs[labels.index(label)] = float(p)
+        probs[labels.index(label)] = _real_number(p, f"scenario {label!r}")
     space = ScenarioSpace(labels, probs)
 
     regimes = tuple(_agent(space, block) for block in doc["agents"])
@@ -324,7 +331,7 @@ def parse_problem(doc: dict) -> ProblemDocument:
         if "kernel_witnesses" in block:
             witnesses = tuple(space.rv_from_dict(w).values
                               for w in block["kernel_witnesses"])
-        unit_price = float(block["unit_price"])
+        unit_price = _real_number(block["unit_price"], "unit_price")
         # the schema's exclusiveMinimum lets NaN and +inf through
         if not math.isfinite(unit_price):
             raise StructuralError(f"non-finite unit price {unit_price!r}")

@@ -132,10 +132,6 @@ class PolyhedralAcceptanceSet:
         built once and read-only."""
         return self._weights
 
-    def margin(self, values: np.ndarray) -> float:
-        """max_j phi_j(X) - bound_j  (<= 0 iff acceptable)."""
-        return float(np.max(self.weight_matrix() @ values - self.bounds))
-
     def xi(self, probs: np.ndarray, values: np.ndarray):
         """The least cash amount t with X - t 1 acceptable, for one profile
         (a float) or each row of a batch: the max over functionals with a
@@ -229,8 +225,9 @@ class LawInvariantAcceptanceSet:
     def __post_init__(self):
         if self.kind not in (ENTROPIC, AVAR, EXPECTATION):
             raise StructuralError(f"unknown law-invariant kind {self.kind!r}")
-        if self.kind == ENTROPIC and not self.param > 0:
-            raise StructuralError("entropic risk aversion must be > 0")
+        if self.kind == ENTROPIC and not 0 < self.param < math.inf:
+            raise StructuralError("entropic risk aversion must be > 0 and "
+                                  "finite")
         if self.kind == AVAR and not 0.0 < self.param < 1.0:
             raise StructuralError("avar level must lie in (0, 1)")
 
@@ -408,22 +405,10 @@ class SecurityMarket:
 
     # ---- market-only answers, each computed once ----------------------
 
-    def _answer(self, key, compute):
-        """The answer kept under `key`, computed on the first ask; the
-        arrays in it are made read-only."""
-        answers = self._answers
-        if key not in answers:
-            answer = compute()
-            for part in answer if isinstance(answer, tuple) else ():
-                if isinstance(part, np.ndarray):
-                    part.flags.writeable = False
-            answers[key] = answer
-        return answers[key]
-
     def cash_unit_price(self):
         """Price of the unit payoff 1 when the market trades exactly one
         constant payoff at a positive price, else None."""
-        return self._answer("cash", lambda: _cash_unit_price(self))
+        return _kept(self._answers, "cash", lambda: _cash_unit_price(self))
 
     def unit_certificate(self, included: np.ndarray):
         """LP: maximize the minimum included coordinate of Z subject to
@@ -431,8 +416,8 @@ class SecurityMarket:
         of a strictly positive unit-price payoff.  Returns (optimum, coeffs)
         where optimum may be +inf (unbounded) or None (infeasible)."""
         included = np.asarray(included, dtype=bool)
-        return self._answer(
-            ("unit", included.tobytes()),
+        return _kept(
+            self._answers, ("unit", included.tobytes()),
             lambda: _unit_lp(self.basis_matrix()[included], self.prices))
 
     def pricing_margin(self, probs: np.ndarray):
@@ -440,16 +425,28 @@ class SecurityMarket:
         densities that price the market under the probabilities `probs`,
         and the density its duals certify."""
         probs = np.asarray(probs, dtype=float)
-        return self._answer(
-            ("margin", probs.tobytes()),
+        return _kept(
+            self._answers, ("margin", probs.tobytes()),
             lambda: _pricing_margin(probs, self.basis_matrix(), self.prices,
                                     math.inf))
 
     def arbitrage_verdict(self):
         """_arbitrage_verdict over the market's own columns: (pi(0) = 0,
         status of the zero-sum price LP), decided by that LP alone."""
-        return self._answer("verdict", lambda: _arbitrage_verdict(
+        return _kept(self._answers, "verdict", lambda: _arbitrage_verdict(
             self.basis_matrix(), self.prices))
+
+
+def _kept(answers, key, compute):
+    """The answer kept under `key` in the dict `answers`, computed on the
+    first ask; the arrays in it are made read-only."""
+    if key not in answers:
+        answer = compute()
+        for part in answer if isinstance(answer, tuple) else ():
+            if isinstance(part, np.ndarray):
+                part.flags.writeable = False
+        answers[key] = answer
+    return answers[key]
 
 
 def _unit_lp(B, prices):
@@ -516,11 +513,19 @@ def _arbitrage_verdict(B, prices):
 
 @dataclass(frozen=True)
 class RiskMeasurementRegime:
+    """An acceptance set and a market on a support ideal.  Its parts are
+    read-only, so the LP forms built from them are built the first time
+    they are asked for and kept on the regime, as a market keeps its
+    answers: the acceptance set's rows (lp_rows), the columns of rho's LP
+    (rho_block) and that LP (rho_lp), and the support LP of its
+    conjugates (_support_lp)."""
+
     support: SupportMask
     acceptance: object       # PolyhedralAcceptanceSet | LawInvariantAcceptanceSet
     market: SecurityMarket
 
     def __post_init__(self):
+        object.__setattr__(self, "_answers", {})
         if self.market.space.labels != self.support.space.labels:
             raise StructuralError("market and support on different spaces")
         if isinstance(self.acceptance, LawInvariantAcceptanceSet):
@@ -542,8 +547,26 @@ class RiskMeasurementRegime:
     def lp_rows(self):
         """The acceptance set as its LP form (W, A, bounds, aux_lower): X
         is acceptable iff  W X + A a <= bounds  for some auxiliaries
-        a >= aux_lower (_lp_rows)."""
-        return _lp_rows(self.acceptance, self.space.probs)
+        a >= aux_lower (_lp_rows); kept, its arrays read-only."""
+        return _kept(self._answers, "rows",
+                     lambda: _lp_rows(self.acceptance, self.space.probs))
+
+    def rho_block(self):
+        """The columns of rho's LP over lp_rows() and the market
+        (_lp_block): its rows [-W B | A], its cost (prices, 0) and its
+        lower bounds; kept, read-only.  The sharing LP copies them into
+        the agent's block, and rho_lp is built on them."""
+        mkt = self.market
+        return _kept(self._answers, "block", lambda: _lp_block(
+            self.lp_rows(), mkt.basis_matrix(), mkt.prices))
+
+    def rho_lp(self) -> linprog.LpProblem:
+        """rho's LP at X = 0 on rho_block(), kept: LpProblem checks its
+        arrays once, here.  rho's LP at X is its variant with the
+        right-hand side bounds - W X (_rho_lp), and a certificate of it is
+        checked against it at that right-hand side (_certified_rho)."""
+        return _kept(self._answers, "lp", lambda: _block_lp(
+            self.rho_block(), self.lp_rows()[2]))
 
 
 def _lp_rows(acc, probs):
@@ -677,9 +700,7 @@ def validate_regime(r: RiskMeasurementRegime) -> ValidationReport:
         rep.add("positive_unit_payoff",
                 uval is not None and uval > 1e-10,
                 f"max-min-coordinate LP value = {uval}")
-        form = r.lp_rows()
-        cone = linprog.solve(_rho_lp(form, B, r.market.prices,
-                                     np.zeros(form[0].shape[0])))
+        cone = linprog.solve(_rho_lp(r, np.zeros(r.lp_rows()[0].shape[0])))
         ok = cone.status == "optimal"
         rep.add("no_arbitrage_dual_density", ok,
                 "rho's LP over the acceptance cone is bounded (exact "
@@ -708,6 +729,8 @@ class RhoResult:
     security: RandomVariable = None    # an optimal Z when finite
     coefficients: np.ndarray = None
     status: str = "optimal"
+    certificate: tuple = None          # (x, duals) of rho's LP at X when
+                                       # that LP answered (rho)
 
 
 def rho(r: RiskMeasurementRegime, X: RandomVariable,
@@ -717,7 +740,10 @@ def rho(r: RiskMeasurementRegime, X: RandomVariable,
     status "infeasible" and one of -inf "unbounded"; a finite one comes
     with an optimal security and its coefficients, least squares in the
     market basis after an entropic search, whose outcome has none.  A
-    refused row raises its refusal.
+    refused row raises its refusal.  Where rho's own LP answered, solved
+    or certified, the result keeps that LP's optimal solution (x, duals)
+    as its `certificate`, a point x = (z, a) and one dual per row:
+    verify_equilibrium offers it to the agent's conjugate.
 
     A certificate offers rho's answer without a search, in one of two
     forms; outside a cash market rho checks it, and when it holds rho
@@ -730,8 +756,9 @@ def rho(r: RiskMeasurementRegime, X: RandomVariable,
     * (x, duals) offers a solution of rho's own LP at X (_rho_lp over
       lp_rows()) to an agent that is not entropic: a point x = (z, a) of
       security coefficients and auxiliaries, and one dual per row, such
-      as an agent's block of an optimal sharing LP.  rho builds that LP
-      and checks it (linprog.certified_objective); its value is c.x.
+      as an agent's block of an optimal sharing LP.  rho checks it
+      against the regime's kept LP at X (linprog.certified_objective,
+      _certified_rho); its value is c.x.
     * (z, phi), phi a Functional, offers a law-invariant agent security
       coefficients z and a supporting functional phi, such as its
       security in a law-invariant sharing and the sharing's subgradient.
@@ -754,7 +781,7 @@ def rho(r: RiskMeasurementRegime, X: RandomVariable,
                      else _certified_rho(r, X.values, x, dual))
         if certified is not None:
             return certified
-    values, Z, w, refusals = _rho_search(r, X.values[None, :])
+    values, Z, w, refusals, solutions = _rho_search(r, X.values[None, :])
     if refusals:
         raise refusals[0]
     if values[0] == math.inf:
@@ -764,7 +791,8 @@ def rho(r: RiskMeasurementRegime, X: RandomVariable,
     return RhoResult(value=RiskValue.finite(values[0]),
                      security=RandomVariable(r.space, Z[0]),
                      coefficients=w[0] if w is not None else np.linalg.lstsq(
-                         r.market.basis_matrix(), Z[0], rcond=None)[0])
+                         r.market.basis_matrix(), Z[0], rcond=None)[0],
+                     certificate=solutions.get(0))
 
 
 def rho_batch(r: RiskMeasurementRegime, rows) -> np.ndarray:
@@ -787,7 +815,7 @@ def rho_batch(r: RiskMeasurementRegime, rows) -> np.ndarray:
     excluded = ~r.support.included
     if np.max(np.abs(rows[:, excluded]), initial=0.0) > 1e-9:
         raise DomainError("loss profile lies outside the regime's support ideal")
-    values, _, _, refusals = _rho_search(r, rows)
+    values, _, _, refusals, _ = _rho_search(r, rows)
     bounded = values > -math.inf        # False on -inf and on NaN
     if np.count_nonzero(bounded) < bounded.size:
         k = int(np.argmin(bounded))
@@ -798,10 +826,12 @@ def rho_batch(r: RiskMeasurementRegime, rows) -> np.ndarray:
 def _rho_search(r, rows):
     """rho of each row of the (N, m) array `rows`, on the one path that
     the regime's acceptance family and market call for.  Returns (values,
-    Z, w, refusals): the requirements (+inf where nothing securitizes a
-    row, -inf where it is unbounded below, NaN on a refused row), an
-    optimal security per row, its coefficients (None after an entropic
-    search), and the dict mapping each refused row to its exception.
+    Z, w, refusals, solutions): the requirements (+inf where nothing
+    securitizes a row, -inf where it is unbounded below, NaN on a refused
+    row), an optimal security per row, its coefficients (None after an
+    entropic search), the dict mapping each refused row to its exception,
+    and the dict mapping each row that a solve of rho's LP of its own
+    answered to that LP's optimal solution (x, duals).
 
     * A market that trades only a constant payoff c 1 makes every agent
       cash additive: rho is xi(X) times the price of the payoff 1, with
@@ -821,19 +851,23 @@ def _rho_search(r, rows):
         if r.is_law_invariant and not np.all(np.isfinite(xi)):
             raise StructuralError("the base risk of a loss profile overflows")
         return (unit_price * xi, xi[:, None] * np.ones(r.space.size),
-                xi[:, None] / mkt.basis_matrix()[0], {})
+                xi[:, None] / mkt.basis_matrix()[0], {}, {})
     if r.is_law_invariant and r.acceptance.kind == ENTROPIC:
         t, Z, _, refusals = _rho_law_invariant(r)(rows)
-        return t, Z, None, refusals
+        return t, Z, None, refusals, {}
     form = r.lp_rows()
-    B = mkt.basis_matrix()
     if rows.shape[0] > 1 and not r.is_law_invariant:
         W, _, bounds, _ = form
-        batch = linprog.solve_batch(_rho_lp(form, B, mkt.prices, bounds),
-                                    bounds - rows @ W.T)
+        batch = linprog.solve_batch(r.rho_lp(), bounds - rows @ W.T)
         w = batch.primal[:, :mkt.dim]
-        return batch.objective_value, w @ B.T, w, {}
-    return _search_rows(lambda x: _rho_rows(r, form, x), rows, mkt.dim)
+        return batch.objective_value, w @ mkt.basis_matrix().T, w, {}, {}
+    # each row keeps its LP's solution: x = (z, a), then the row duals
+    n = r.rho_block()[1].size
+    t, Z, kept, refusals = _search_rows(lambda x: _rho_rows(r, form, x), rows,
+                                        n + form[0].shape[0])
+    solutions = {i: (kept[i, :n], kept[i, n:])
+                 for i in np.flatnonzero(np.isfinite(t)).tolist()}
+    return t, Z, kept[:, :mkt.dim], refusals, solutions
 
 
 def _search_rows(outcome, X, k: int):
@@ -852,53 +886,67 @@ def _search_rows(outcome, X, k: int):
     return t, Z, w, refusals
 
 
-def _rho_lp(form, B, prices, rhs) -> linprog.LpProblem:
-    """rho's LP for an acceptance form (W, A, bounds, aux_lower)
-    (_lp_rows) and a market pricing the columns of B at `prices`, over
-    free security coefficients w and auxiliaries a >= aux_lower:
-    minimize price(w) subject to  -W B w + A a <= rhs, where
-    rhs = bounds - W X."""
+def _lp_block(form, B, prices):
+    """The columns (rows, c, lower) of rho's LP for an acceptance form (W,
+    A, bounds, aux_lower) (_lp_rows) and a market pricing the columns of B
+    at `prices`, over free security coefficients w and auxiliaries
+    a >= aux_lower: minimize price(w) subject to  -W B w + A a <= rhs,
+    where rhs = bounds - W X.  W B is the full product, whose bits the
+    sharing LP's agent blocks keep."""
     W, A, _, aux_lower = form
-    rows = np.hstack([-(W @ B), A])
-    return linprog.LpProblem(
-        c=np.concatenate([prices, np.zeros(A.shape[1])]), rows=rows,
-        senses=[linprog.LE] * rows.shape[0], rhs=rhs,
-        lower=np.concatenate([np.full(B.shape[1], -math.inf), aux_lower]),
-        upper=np.full(rows.shape[1], math.inf))
+    return (np.hstack([-(W @ B), A]),
+            np.concatenate([prices, np.zeros(A.shape[1])]),
+            np.concatenate([np.full(B.shape[1], -math.inf), aux_lower]))
+
+
+def _block_lp(block, rhs) -> linprog.LpProblem:
+    """The LP of the columns (rows, c, lower) of _lp_block at the
+    right-hand side rhs, every row <= and no column bounded above."""
+    rows, c, lower = block
+    return linprog.LpProblem(c=c, rows=rows,
+                             senses=[linprog.LE] * rows.shape[0], rhs=rhs,
+                             lower=lower, upper=np.full(c.size, math.inf))
+
+
+def _rho_lp(r, rhs) -> linprog.LpProblem:
+    """rho's LP with the right-hand side rhs = bounds - W X: the variant
+    of the regime's kept LP (RiskMeasurementRegime.rho_lp)."""
+    return linprog._variant(r.rho_lp(), rhs=rhs)
 
 
 def _rho_rows(r, form, xvals):
-    """rho of one loss profile by its LP, for the regime's lp_rows(), as
-    the row outcome (t, Z, w) of _search_rows: the requirement, the
-    optimal security's payoff and its coefficients, t being +inf where the
-    LP is infeasible and -inf where it is unbounded, Z and w NaN there."""
+    """rho of one loss profile by its LP, for the regime's lp_rows()
+    `form`, as the row outcome (t, Z, x) of _search_rows: the requirement,
+    the optimal security's payoff, and the LP's optimal point (z, a)
+    followed by its row duals, t being +inf where the LP is infeasible
+    and -inf where it is unbounded, Z and x NaN there."""
     W, _, bounds, _ = form
-    mkt = r.market
-    B = mkt.basis_matrix()
-    sol = linprog.solve(_rho_lp(form, B, mkt.prices, bounds - W @ xvals))
+    sol = linprog.solve(_rho_lp(r, bounds - W @ xvals))
     if sol.status != "optimal":         # objective_value is +-inf there
         return sol.objective_value, math.nan, math.nan
-    w = sol.primal[:mkt.dim]
-    return sol.objective_value, B @ w, w
+    return (sol.objective_value,
+            r.market.basis_matrix() @ sol.primal[:r.market.dim],
+            np.concatenate([sol.primal, sol.duals]))
 
 
 def _certified_rho(r, xvals, x, duals):
     """rho's answer at the loss profile xvals from the certificate (x,
     duals) of its LP (rho), or None when the agent is entropic or
-    linprog.certified_objective refuses it."""
-    mkt = r.market
+    linprog.certified_objective refuses it.  The check reads the
+    regime's kept LP at the right-hand side bounds - W X; no LP is
+    built."""
     if r.is_law_invariant and r.acceptance.kind == ENTROPIC:
         return None
-    form = r.lp_rows()
-    W, _, bounds, _ = form
-    B = mkt.basis_matrix()
-    value = linprog.certified_objective(
-        _rho_lp(form, B, mkt.prices, bounds - W @ xvals), x, duals)
+    W, _, bounds, _ = r.lp_rows()
+    value = linprog.certified_objective(r.rho_lp(), x, duals,
+                                        bounds - W @ xvals)
     if value is None:
         return None
-    z = np.asarray(x, dtype=float)[:mkt.dim]
+    z = np.asarray(x, dtype=float)[:r.market.dim]
     return RhoResult(value=RiskValue.finite(value),
-                     security=RandomVariable(r.space, B @ z), coefficients=z)
+                     security=RandomVariable(r.space,
+                                             r.market.basis_matrix() @ z),
+                     coefficients=z, certificate=(x, duals))
 
 
 def _bracketed_rho(r, X, z, phi):
@@ -1442,21 +1490,30 @@ def _price_scale(r, phi) -> float:
     return float(np.max(np.abs(phi.weights) @ np.abs(r.market.basis_matrix())))
 
 
+def _support_lp(r) -> linprog.LpProblem:
+    """The support LP of a polyhedral agent (_support_value) at a zero
+    cost, kept on the regime: its rows and bounds do not depend on phi."""
+    inc = r.support.included
+    return _kept(r._answers, "support", lambda: _block_lp(
+        _lp_block(r.lp_rows(), -np.eye(r.space.size)[:, inc],
+                  np.zeros(np.count_nonzero(inc))), r.lp_rows()[2]))
+
+
 def _support_value(r, phi, certificate=None) -> RiskValue:
     """sup { phi(Y) : Y in the acceptance set }, the agent's securities
     left out.  A polyhedral set solves one LP over the supported
     coordinates: the supremum is -rho(0) on a market that trades the
     payoff -1_w of each supported scenario w at the price -phi_w, so rho's
-    LP (_rho_lp) over the acceptance form has the coordinates Y[inc] as
-    its security coefficients.  It is solved only where `certificate`
+    LP (_lp_block) over the acceptance form has the coordinates Y[inc] as
+    its security coefficients.  That LP is kept on the regime
+    (_support_lp), and phi only sets the cost of a variant of it
+    (linprog._variant).  It is solved only where `certificate`
     (conjugate) is None or fails linprog.certified_objective.  A
     law-invariant set scales out of phi's total mass into the conjugate
     of its base risk."""
     if isinstance(r.acceptance, PolyhedralAcceptanceSet):
-        inc = r.support.included
-        form = r.lp_rows()
-        lp = _rho_lp(form, -np.eye(r.space.size)[:, inc], -phi.weights[inc],
-                     form[2])
+        lp = linprog._variant(_support_lp(r),
+                              c=-phi.weights[r.support.included])
         value = (None if certificate is None
                  else linprog.certified_objective(lp, *certificate))
         if value is not None:

@@ -71,21 +71,12 @@ class ScenarioSpace:
         return RandomVariable(self, np.asarray(values, dtype=float))
 
     def rv_from_dict(self, mapping) -> "RandomVariable":
-        """A loss profile from label -> value, unlisted labels 0.  A value
-        must be a real number, as a document's `number` is: a bool or a
-        string is refused, not converted.  An integer past the float
-        range reads as the infinity it rounds to, which RandomVariable
-        refuses."""
+        """A loss profile from label -> value, unlisted labels 0, each
+        value read by _real_number; RandomVariable refuses an infinite
+        one."""
         vals = np.zeros(self.size)
         for label, v in mapping.items():
-            i = self.index(label)
-            if not isinstance(v, numbers.Real) or isinstance(v, bool):
-                raise StructuralError(
-                    f"non-numeric value {v!r} at scenario {label!r}")
-            try:
-                vals[i] = float(v)
-            except OverflowError:
-                vals[i] = math.inf if v > 0 else -math.inf
+            vals[self.index(label)] = _real_number(v, f"scenario {label!r}")
         return RandomVariable(self, vals)
 
     def indicator(self, labels) -> "RandomVariable":
@@ -93,6 +84,21 @@ class ScenarioSpace:
         for label in labels:
             vals[self.index(label)] = 1.0
         return RandomVariable(self, vals)
+
+
+def _real_number(v, where: str) -> float:
+    """A document's real number as a float, the one reader of every
+    number a problem document holds.  A value must be a real number, as a
+    document's `number` is: a bool or a string is refused, not converted,
+    with a StructuralError naming `where`.  An integer past the float
+    range reads as the infinity it rounds to, which whatever holds the
+    number refuses as non-finite."""
+    if not isinstance(v, numbers.Real) or isinstance(v, bool):
+        raise StructuralError(f"non-numeric value {v!r} at {where}")
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
 
 
 def _check_finite(field_name: str, values: np.ndarray, item: str,

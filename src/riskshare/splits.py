@@ -58,15 +58,16 @@ class CostFunction:
 
     @classmethod
     def linear(cls, per_agent: float) -> "CostFunction":
-        if per_agent < 0:
-            raise StructuralError("cost rate must be nonnegative")
+        if not 0 <= per_agent < math.inf:
+            raise StructuralError("cost rate must be finite and nonnegative")
         return cls(lambda n: per_agent * n, diverges=per_agent > 0,
                    label=f"linear({per_agent:g})")
 
     @classmethod
     def step(cls, per_block: float, block: int) -> "CostFunction":
-        if per_block < 0 or block < 1:
-            raise StructuralError("step cost needs rate >= 0 and block >= 1")
+        if not 0 <= per_block < math.inf or block < 1:
+            raise StructuralError(
+                "step cost needs a finite rate >= 0 and block >= 1")
         return cls(lambda n: per_block * math.ceil(n / block),
                    diverges=per_block > 0,
                    label=f"step({per_block:g},{block})")
@@ -76,6 +77,8 @@ class CostFunction:
         vals = [float(v) for v in values]
         if not vals:
             raise StructuralError("tabulated cost needs >= 1 value")
+        if not all(map(math.isfinite, vals)):
+            raise StructuralError("tabulated cost values must be finite")
 
         def fn(n):
             if n > len(vals):

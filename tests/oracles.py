@@ -15,6 +15,8 @@ calls them.
 * The law-invariant closed forms of two entropic agents:
   entropic_infconv and entropic_pair_sharing.
 * expectation and lower_quantile on loss profiles.
+* The glued price of an aggregate-span payoff (pi, over
+  aggregate_contains) and a polyhedral acceptance set's margin.
 """
 
 import math
@@ -27,6 +29,7 @@ from riskshare.errors import DomainError, InternalInconsistency, StructuralError
 from riskshare.lawinv import ComonotoneSplit, _unwind, convolution_split
 from riskshare.linprog import CERT_TOL
 from riskshare.market import (
+    SPAN_TOL,
     Allocation,
     _ensure_shareable,
     _unbounded_sharing,
@@ -41,6 +44,36 @@ from riskshare.regime import (
     _logsumexp,
 )
 from riskshare.scenario import RandomVariable, _lower_quantile
+
+
+def aggregate_contains(s, values):
+    """Coefficients of `values` over the stacked basis of the system `s`
+    (least squares), or None if it lies outside the aggregate span (a
+    residual above SPAN_TOL max(1, |values|max))."""
+    B, _, _ = s.stacked_basis()
+    w, *_ = np.linalg.lstsq(B, values, rcond=None)
+    scale = max(1.0, np.abs(values).max())
+    if np.max(np.abs(B @ w - values)) > SPAN_TOL * scale:
+        return None
+    return w
+
+
+def pi(s, values) -> float:
+    """Glued price of an aggregate-span payoff.  Well-defined (the same
+    for every decomposition) when pi(0) = 0; a system with scalable
+    arbitrage is refused (market._ensure_shareable)."""
+    _ensure_shareable(s)
+    w = aggregate_contains(s, values)
+    if w is None:
+        raise DomainError("payoff lies outside the aggregate security span")
+    _, prices, _ = s.stacked_basis()
+    return float(prices @ w)
+
+
+def margin(acc, values) -> float:
+    """max_j phi_j(X) - bound_j of a polyhedral acceptance set (<= 0 iff
+    X is acceptable)."""
+    return float(np.max(acc.weight_matrix() @ values - acc.bounds))
 
 
 def scenario_row_sharing_lp(s, target, securities="own"):
@@ -137,7 +170,7 @@ def security_selection(s, Z):
     """The canonical linear selection of a security allocation: decompose Z
     along the sequential direct-sum blocks (market.selection_blocks).
     Parts sum to Z exactly and each lies in its agent's span."""
-    if s.aggregate_contains(Z.values) is None:
+    if aggregate_contains(s, Z.values) is None:
         raise DomainError("payoff lies outside the aggregate security span")
     bases = [r.market.basis_matrix() for r in s.regimes]
     parts = block_decompose(selection_blocks(bases), Z.values)
@@ -151,7 +184,7 @@ def pareto_from_payoff(s, X, Z):
     res = capital_requirement(s, X, certify=False)
     if not res.value.is_finite:
         raise DomainError("X is not shareable (Lambda = +inf)")
-    price = s.pi(Z.values)
+    price = pi(s, Z.values)
     if abs(price - res.value.value) > 1e-8 * (1 + abs(price)):
         raise DomainError(
             f"payoff price {price} does not match Lambda(X) = {res.value.value}"

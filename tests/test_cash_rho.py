@@ -36,6 +36,7 @@ from riskshare.regime import (
 from riskshare.scenario import Functional, ScenarioSpace, SupportMask
 
 from helpers import law_invariant_regime
+from oracles import margin
 from test_oracle import full_support_regime, window_chain_regimes
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -170,7 +171,7 @@ def test_closed_form_matches_the_lp(agent):
         # the security makes the part acceptable
         t = closed.security.values[0]
         assert np.all(closed.security.values == t)
-        assert r.acceptance.margin(x - closed.security.values) <= (
+        assert margin(r.acceptance, x - closed.security.values) <= (
             linprog.CERT_TOL * (1.0 + np.max(np.abs(x)) + abs(t)))
     # rho_batch is rho row by row, bitwise, and refuses where rho does
     rows = np.array([x, y, x])

@@ -508,6 +508,42 @@ def test_non_finite_document_numbers_are_refused_on_load(
     assert "Traceback" not in err
 
 
+HUGE = 10 ** 400        # a JSON integer past the float range
+
+
+@pytest.mark.parametrize("fixture, path, says", [
+    ("overlap_ceilings", ("agents", 0, "acceptance", "polyhedral", 0,
+                          "bound"), "non-finite bound inf"),
+    ("overlap_ceilings", ("agents", 0, "securities", 0, "price"),
+     "non-finite price inf"),
+    ("overlap_ceilings", ("scenarios", "probs", "a"),
+     "non-finite probability inf"),
+    ("split_entropic", ("agents", 0, "acceptance", "entropic"),
+     "entropic risk aversion"),
+    ("avar_entropic", ("agents", 0, "acceptance", "avar"), "avar"),
+    ("split_entropic", ("pricing", "unit_price"), "non-finite unit price"),
+    ("split_entropic", ("split", "cost", "linear"), "cost rate"),
+], ids=["bound", "price", "probs", "entropic", "avar", "unit_price",
+        "split_cost"])
+def test_a_number_past_the_float_range_is_refused_on_load(
+        fixture, path, says, tmp_path, capsys):
+    # every number of a document is read as ScenarioSpace.rv_from_dict
+    # reads a loss: an integer past the float range is the infinity it
+    # rounds to, which the field refuses; it never overflows a conversion
+    doc = json.loads((FIXTURES / f"{fixture}.json").read_text())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = HUGE
+    doc_path = tmp_path / "doc.json"
+    doc_path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "validate", str(doc_path))
+    assert code == 1
+    assert out is None
+    assert err.startswith("error:") and says in err
+    assert "Traceback" not in err
+
+
 def test_split_with_an_unbounded_agent_is_a_domain_exit(tmp_path, capsys):
     # AVaR(0.2) caps densities at 1.25, but pricing 1_a at 0.05 needs
     # density 1.9 on b: the agent's requirement is unbounded below

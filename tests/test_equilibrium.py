@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskshare import equilibrium as eqm
-from riskshare import linprog, market
+from riskshare import linprog, market, regime
 from riskshare.equilibrium import (
     Equilibrium,
     build_equilibrium,
@@ -18,7 +18,12 @@ from riskshare.equilibrium import (
     subgradient,
     verify_equilibrium,
 )
-from riskshare.errors import DomainError, NRViolation, StructuralError
+from riskshare.errors import (
+    DomainError,
+    NRViolation,
+    RiskShareError,
+    StructuralError,
+)
 from riskshare.market import AgentSystem, Allocation, capital_requirement
 from riskshare.regime import (
     ENTROPIC,
@@ -40,7 +45,7 @@ from helpers import (
     three_space,
 )
 from test_linprog import window_chain
-from test_sharing_substitution import _counted_solves
+from test_sharing_substitution import _counted_solves, partial_system
 
 
 @pytest.fixture
@@ -397,9 +402,11 @@ def test_one_lp_builds_a_window_chain_equilibrium(monkeypatch):
     eq = build_equilibrium(s, endowments)
     assert len(solves) == 1
     del solves[:]
-    # verification stays independent: rho and conjugate per agent, Lambda
+    # verification stays independent of the build: it solves its own rho
+    # LP per agent, whose solutions certify its conjugates, and its own
+    # Lambda LP
     assert verify_equilibrium(s, endowments, eq).passed
-    assert len(solves) == 5
+    assert len(solves) == 3
     del solves[:]
     phi = subgradient(s, s.space.rv(sum(w.values for w in endowments)))
     assert len(solves) == 1
@@ -479,3 +486,142 @@ def test_degraded_allocation_fails_optimality(entropic_system):
     assert names["budget_equalities"]
     assert not names["individual_optimality"]
     assert not names["pareto_optimal"]
+
+
+# ---------------------------------------------------------------------------
+# verification certifies each conjugate with its own rho LP
+# ---------------------------------------------------------------------------
+
+def kinked_pair():
+    """Two ceiling agents on three equally likely scenarios, each trading
+    cash at 1 and 1_a at 1/3: rho_i(X) = (X_a - c_ia) / 3
+    + 2/3 max(X_b - c_ib, X_c - c_ic), polyhedral with a kink where the
+    two maxima meet, which no window chain has (its agents trade every
+    scenario they hold, so their requirements are linear)."""
+    space = ScenarioSpace.uniform(["a", "b", "c"])
+    market_ = SecurityMarket((space.rv(np.ones(3)), space.indicator(["a"])),
+                             np.array([1.0, 1.0 / 3.0]))
+
+    def agent(ceilings):
+        return RiskMeasurementRegime(
+            SupportMask.full(space),
+            PolyhedralAcceptanceSet(
+                tuple(point_eval(space, lab) for lab in "abc"),
+                np.array(ceilings)),
+            market_)
+    return space, AgentSystem((agent([1.0, 2.0, 0.0]),
+                               agent([0.0, -1.0, 1.0])))
+
+
+def _verified(monkeypatch, s, endowments, eq, certified=True):
+    """verify_equilibrium's report, each agent's conjugate in agent order,
+    and the LPs it solved.  With certified=False no conjugate takes a
+    certificate, so each polyhedral one solves its support LP: the
+    reference the certificates must reproduce."""
+    conjugates = []
+
+    def conjugate(r, phi, certificate=None):
+        v = regime.conjugate(r, phi, certificate if certified else None)
+        conjugates.append(v.as_float() if v.is_finite else math.inf)
+        return v
+    with monkeypatch.context() as mp:
+        mp.setattr(eqm, "conjugate", conjugate)
+        solves = _counted_solves(mp)
+        rep = verify_equilibrium(s, endowments, eq)
+    return rep, conjugates, len(solves)
+
+
+def test_degraded_polyhedral_allocation_fails_optimality(monkeypatch):
+    space, s = kinked_pair()
+    # the total sits on the kink of Lambda, so every optimal split puts
+    # both agents on theirs
+    endowments = (space.rv(np.array([2.0, 3.0, 1.0])),
+                  space.rv(np.array([-1.0, 0.0, 2.0])))
+    eq = build_equilibrium(s, endowments)
+    assert verify_equilibrium(s, endowments, eq).passed
+    # the price, one of many at the kink, gives scenario c weight zero: a
+    # loss of 0.5 on c moved from the first agent to the second keeps
+    # every budget and leaves the first on its kink, but lifts the
+    # second's max by 0.5
+    assert eq.price.weights[2] == 0.0
+    c = 0.5 * space.indicator(["c"]).values
+    a, b = eq.allocation.parts
+    degraded = Equilibrium(
+        allocation=Allocation((space.rv(a.values - c),
+                               space.rv(b.values + c))),
+        price=eq.price, transfers=eq.transfers, numeraire=eq.numeraire,
+        value=eq.value)
+    rep, _, _ = _verified(monkeypatch, s, endowments, degraded)
+    names = {c.name: c.passed for c in rep.checks}
+    assert names["budget_equalities"]
+    assert not names["individual_optimality"]
+    assert not names["pareto_optimal"]
+    ref, _, _ = _verified(monkeypatch, s, endowments, degraded, False)
+    assert [c.passed for c in rep.checks] == [c.passed for c in ref.checks]
+
+
+def test_a_price_that_does_not_support_solves_the_support_lps(monkeypatch):
+    space, s = kinked_pair()
+    # off the kink the supporting price is unique: (1/3, 2/3, 0)
+    endowments = (space.rv(np.array([2.0, 4.0, 0.0])),
+                  space.rv(np.array([-1.0, 0.0, 2.0])))
+    eq = build_equilibrium(s, endowments)
+    assert eq.price.weights == pytest.approx([1 / 3, 2 / 3, 0.0], abs=1e-12)
+    # (1/3, 1/2, 1/6) prices cash and 1_a as the market does, but
+    # supports neither agent: their rho LPs' duals certify no conjugate
+    moved = Equilibrium(
+        allocation=eq.allocation, price=Functional(space, [1.0, 1.5, 0.5]),
+        transfers=eq.transfers, numeraire=eq.numeraire, value=eq.value)
+    rep, conjugates, solves = _verified(monkeypatch, s, endowments, moved)
+    ref, want, ref_solves = _verified(monkeypatch, s, endowments, moved,
+                                      False)
+    assert solves == ref_solves == 5
+    assert conjugates == want
+    assert rep.to_dict() == ref.to_dict()
+    assert not rep.passed
+
+
+def _equilibrium_draws(family, seed):
+    """(system, endowments) of a drawn family: a window chain, or a
+    partial_system of polyhedral, AVaR and expectation agents."""
+    rng = np.random.default_rng(seed)
+    if family == "window_chain":
+        s, _ = window_chain(int(rng.integers(6, 17)),
+                            n=int(rng.integers(2, 4)), seed=seed)
+    else:
+        kinds = rng.choice(["polyhedral", "polyhedral", "avar",
+                            "expectation"], size=int(rng.integers(2, 4)))
+        s = partial_system(seed, int(rng.integers(2, 7)), list(kinds))
+    return s, tuple(s.space.rv(rng.normal(0.0, 2.0, s.space.size)
+                               * r.support.included) for r in s.regimes)
+
+
+@pytest.mark.parametrize("family", ["window_chain", "partial_system"])
+def test_certified_conjugates_give_the_support_lps_verdict(monkeypatch,
+                                                           family):
+    # most partial_system draws share nothing (an unbounded sharing LP, no
+    # common numeraire): the seeds run on until 30 equilibria are checked
+    checked, certified = 0, 0
+    for seed in range(1000):
+        if checked == 30:
+            break
+        s, endowments = _equilibrium_draws(family, seed)
+        try:
+            eq = build_equilibrium(s, endowments)
+        except RiskShareError:
+            continue
+        rep, conjugates, solves = _verified(monkeypatch, s, endowments, eq)
+        ref, want, ref_solves = _verified(monkeypatch, s, endowments, eq,
+                                          False)
+        assert [c.passed for c in rep.checks] == [
+            c.passed for c in ref.checks], seed
+        risks = [rho(r, x).value.as_float()
+                 for r, x in zip(s.regimes, eq.allocation.parts)]
+        for got, ref_value, risk in zip(conjugates, want, risks):
+            # the gaps are rho_i - (budget_i - conjugate_i)
+            assert abs(got - ref_value) <= 1e-12 * (1.0 + abs(risk)), seed
+        checked += 1
+        certified += ref_solves - solves
+    assert checked == 30
+    # most conjugates take their certificate
+    assert certified >= checked, certified

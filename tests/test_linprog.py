@@ -167,6 +167,21 @@ def test_a_supplied_certificate_must_be_dual_feasible(case):
     assert linprog.certified_objective(p, x, good[:-1]) is None
 
 
+def test_a_certificate_is_checked_at_the_right_hand_side_given():
+    # one LP checks certificates at any right-hand side, with the verdict
+    # of the LP built at that right-hand side; a non-finite one is refused
+    # as LpProblem refuses it
+    p, x, good, _ = (np.asarray(a, dtype=float) if isinstance(a, list)
+                     else a for a in SUPPLIED_CERTIFICATES["free_column"])
+    for rhs in ([-1.0, -2.0], [-1.0, -3.0], [0.0, -2.0]):
+        at = linprog._variant(p, rhs=rhs)
+        want = linprog.certified_objective(at, x, good)
+        assert linprog.certified_objective(p, x, good, rhs) == want
+        assert (want is None) == (rhs != [-1.0, -2.0])
+    with pytest.raises(StructuralError, match="right-hand sides must be finite"):
+        linprog.certified_objective(p, x, good, [-1.0, -math.inf])
+
+
 def test_degenerate_cycling_guard():
     # classic Beale-style degeneracy; must terminate via Bland's rule
     c = [-0.75, 150.0, -0.02, 6.0]

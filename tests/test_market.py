@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from riskshare import lawinv, linprog
+from riskshare import lawinv, linprog, market
 from riskshare.errors import DomainError, NumericalFailure, StructuralError
 from riskshare.market import (
     AgentSystem,
@@ -41,8 +41,10 @@ from oracles import (
     capital_requirement_payoff_form,
     level_set_certificate,
     pareto_from_payoff,
+    pi,
     security_selection,
 )
+from test_linprog import window_chain
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -169,7 +171,7 @@ def test_nsa_violation_three_agents():
     with pytest.raises(DomainError):
         capital_requirement(s, space.rv(np.zeros(3)))
     with pytest.raises(DomainError):
-        s.pi(np.ones(3))
+        pi(s, np.ones(3))
 
 
 def test_nsa_restored_without_third_agent():
@@ -219,9 +221,9 @@ def test_nsa_over_one_market_object_solves_its_lp_once(monkeypatch):
 
 def test_pi_agrees_with_agent_prices(overlap_system):
     space, s = overlap_system
-    assert s.pi(space.indicator(["a"]).values) == pytest.approx(1.0, abs=1e-10)
-    assert s.pi(space.indicator(["b"]).values) == pytest.approx(1.0, abs=1e-10)
-    assert s.pi(np.array([3.0, 2.0, 3.0])) == pytest.approx(8.0, abs=1e-9)
+    assert pi(s, space.indicator(["a"]).values) == pytest.approx(1.0, abs=1e-10)
+    assert pi(s, space.indicator(["b"]).values) == pytest.approx(1.0, abs=1e-10)
+    assert pi(s, np.array([3.0, 2.0, 3.0])) == pytest.approx(8.0, abs=1e-9)
 
 
 def test_pi_outside_span():
@@ -233,7 +235,7 @@ def test_pi_outside_span():
                               acceptance=acc, market=cash)
     s = AgentSystem((r, r))
     with pytest.raises(DomainError):
-        s.pi(np.array([1.0, 2.0, 3.0]))
+        pi(s, np.array([1.0, 2.0, 3.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +287,7 @@ def test_aggregate_additivity(overlap_system):
     X = space.rv(np.array([4.0, 5.0, 6.0]))
     M = space.rv(np.array([2.0, -1.0, 3.0]))   # price 2 - 1 + 3 = 4
     lhs = capital_requirement(s, X + M).value.value
-    rhs = capital_requirement(s, X).value.value + s.pi(M.values)
+    rhs = capital_requirement(s, X).value.value + pi(s, M.values)
     assert lhs == pytest.approx(rhs, abs=1e-8)
 
 
@@ -847,3 +849,43 @@ def test_basis_matrices_are_built_once_and_read_only():
     for a in (B, stacked[0], stacked[1]):
         with pytest.raises(ValueError, match="read-only"):
             a += 1.0
+
+
+def _freshly_built_rho_lp(r, part):
+    """rho's LP at `part` built afresh from the agent's LP form, as rho
+    built it for every certificate before the regime kept its LP."""
+    W, A, bounds, aux_lower = r.lp_rows()
+    B = r.market.basis_matrix()
+    rows = np.hstack([-(W @ B), A])
+    return linprog.LpProblem(
+        c=np.concatenate([r.market.prices, np.zeros(A.shape[1])]), rows=rows,
+        senses=[linprog.LE] * rows.shape[0], rhs=bounds - W @ part,
+        lower=np.concatenate([np.full(B.shape[1], -math.inf), aux_lower]),
+        upper=np.full(rows.shape[1], math.inf))
+
+
+@pytest.mark.parametrize("case", [
+    *(f"window_chain_80_{seed}" for seed in range(1, 6)),
+    "overlap_ceilings", "avar_ceiling"])
+def test_certified_agent_risks_keep_the_bits_of_a_fresh_rho_lp(case):
+    # a certified risk is c.x of its agent's block of the sharing LP,
+    # checked against the LP its regime keeps; it has the bits of the
+    # same check against rho's LP built afresh, at poly-lambda's size
+    # (window chains, m = 80, n = 4) and on the fixtures
+    if case.startswith("window_chain"):
+        s, X = window_chain(80, n=4, seed=int(case.rsplit("_", 1)[1]))
+    else:
+        doc = load_problem(FIXTURES / f"{case}.json")
+        s = doc.system()
+        X = s.space.rv_from_dict({"a": 4, "b": 5, "c": 6}
+                                 if case == "overlap_ceilings"
+                                 else {"up": 3, "down": -1})
+    res, (_, layout, sol) = market._capital_requirement_lp(s, X, True)
+    certificates = layout.certificates(sol.primal, sol.duals)
+    for r, part, risk, (x, duals) in zip(s.regimes, res.allocation.parts,
+                                         res.agent_risks, certificates):
+        want = linprog.certified_objective(
+            _freshly_built_rho_lp(r, part.values), x, duals)
+        assert want is not None
+        assert np.float64(risk.as_float()).tobytes() == (
+            np.float64(want).tobytes())

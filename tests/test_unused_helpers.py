@@ -4,9 +4,10 @@ calls) names, and that only tests reach, is code the program no longer
 runs: delete it, or move it into the test that needs it.  Every name a
 module exports in `__all__` is bound in that module and read by the
 package outside its own definition, or named by perfbench: a public name
-that only tests reach belongs in the tests (tests/oracles.py).  Every
-defaulted parameter is passed by some call: a default that no call
-overrides is a constant."""
+that only tests reach belongs in the tests (tests/oracles.py).  So does a
+public method of a public class that the package never reads, or reads
+only from methods no one reads.  Every defaulted parameter is passed by
+some call: a default that no call overrides is a constant."""
 
 import ast
 import importlib
@@ -99,6 +100,37 @@ def test_every_exported_name_is_read_outside_its_definition():
             if uses[name] == own and name not in perfbench:
                 unread.append(f"{module} {name}")
     assert not unread, unread
+
+
+def _attributes(node) -> Counter:
+    """The attribute names that `node` reads (x.name)."""
+    return Counter(sub.attr for sub in ast.walk(node)
+                   if isinstance(sub, ast.Attribute))
+
+
+def test_every_public_method_is_read_outside_its_definition():
+    # a method is read as an attribute; one that only unread methods read
+    # is unread too, so the scan repeats until the unread set stays
+    trees = [ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))]
+    perfbench = _perfbench_names()
+    methods = {f"{cls.name}.{f.name}": f for tree in trees
+               for cls in tree.body if isinstance(cls, ast.ClassDef)
+               and not cls.name.startswith("_")
+               for f in cls.body if isinstance(f, ast.FunctionDef)
+               and not f.name.startswith("_") and f.name not in perfbench}
+    assert methods
+    reads = sum((_attributes(tree) for tree in trees), Counter())
+    unread = set()
+    while True:
+        dead = sum((_attributes(methods[key]) for key in unread), Counter())
+        now = {key for key, f in methods.items()
+               if (reads - dead - (Counter() if key in unread
+                                   else _attributes(f)))[f.name] == 0}
+        if now == unread:
+            break
+        unread = now
+    assert not unread, sorted(unread)
 
 
 def _defaulted(tree):
